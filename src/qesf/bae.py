@@ -47,25 +47,24 @@ class BetheBranch:
         return not any(isinstance(r, complex) and abs(r.imag) > 0 for r in self.roots)
 
 
-def _check_distinct(roots: np.ndarray, sing_locs, tol: float = COLLISION_TOL) -> None:
-    n = len(roots)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < tol:
-                raise CollisionError(
-                    f"roots {i} and {j} collide: |dz| = {abs(roots[i] - roots[j]):.2e}")
-    for a in sing_locs:
-        if n and np.min(np.abs(roots - a)) < tol:
-            raise CollisionError(f"a root coincides with the singularity at z = {a}")
+def _pair_inverse(roots: np.ndarray, singularities) -> np.ndarray:
+    """Matrix 1/(z_k - z_l) with zero diagonal (real or complex safe).
 
-
-def _pair_inverse(roots: np.ndarray) -> np.ndarray:
-    """Matrix 1/(z_k - z_l) with zero diagonal (real or complex safe)."""
-    diff = roots[:, None] - roots[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    return inv
+    Raises CollisionError when two roots, or a root and a singularity, are
+    closer than COLLISION_TOL; of several colliding pairs the first in
+    row-major order is reported.
+    """
+    # float dtype so that integer roots can take the inf diagonal
+    diff = np.subtract.outer(roots, roots).astype(np.result_type(roots, 1.0), copy=False)
+    np.fill_diagonal(diff, np.inf)
+    close = np.abs(diff) < COLLISION_TOL
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise CollisionError(f"roots {i} and {j} collide: |dz| = {abs(diff[i, j]):.2e}")
+    for s in singularities:
+        if roots.size and np.min(np.abs(roots - s.location)) < COLLISION_TOL:
+            raise CollisionError(f"a root coincides with the singularity at z = {s.location}")
+    return 1.0 / diff
 
 
 def residual(spec: ModelSpec, roots) -> np.ndarray:
@@ -73,11 +72,9 @@ def residual(spec: ModelSpec, roots) -> np.ndarray:
     roots = np.asarray(roots)
     if roots.size == 0:
         return np.zeros(0)
-    sing_locs = [s.location for s in spec.singularities]
-    _check_distinct(roots, sing_locs)
+    S = _pair_inverse(roots, spec.singularities).sum(axis=1)
     P, Q = spec.P, spec.Q
     Qp = Q.derivative()
-    S = _pair_inverse(roots).sum(axis=1)
     for s in spec.singularities:
         S = S + s.exponent / (roots - s.location)
     return P(roots) - Qp(roots) / 4.0 - Q(roots) * S
@@ -86,12 +83,10 @@ def residual(spec: ModelSpec, roots) -> np.ndarray:
 def jacobian(spec: ModelSpec, roots) -> np.ndarray:
     """Analytic Jacobian dF_k/dz_j of the residual."""
     roots = np.asarray(roots)
-    sing_locs = [s.location for s in spec.singularities]
-    _check_distinct(roots, sing_locs)
+    inv = _pair_inverse(roots, spec.singularities)
     P, Q = spec.P, spec.Q
     Qp = Q.derivative()
     q2 = Q.coeff(2)
-    inv = _pair_inverse(roots)
     inv2 = inv * inv
     S = inv.sum(axis=1)
     S2 = inv2.sum(axis=1)
@@ -136,17 +131,17 @@ def solve(spec: ModelSpec, init, max_iter: int = 80, tol: float = 1e-12,
     z = np.asarray(init, dtype=complex if np.iscomplexobj(np.asarray(init)) else float)
     if z.ndim != 1 or z.size != spec.N:
         raise ValueError(f"init must have length N = {spec.N}")
-    sing_locs = [s.location for s in spec.singularities]
-    _check_distinct(z, sing_locs)
 
-    def _ok(v) -> bool:
-        if not np.all(np.isfinite(v)):
-            return False
-        try:
-            _check_distinct(v, sing_locs)
-        except CollisionError:
-            return False
-        return True
+    def _evaluate(v):
+        """Residual at v and its max norm; the norm is inf (a rejected
+        step) when v is not finite or residual raises CollisionError."""
+        if np.all(np.isfinite(v)):
+            try:
+                Fv = residual(spec, v)
+                return Fv, np.max(np.abs(Fv))
+            except CollisionError:
+                pass
+        return None, np.inf
 
     def _done(it):
         order = np.lexsort((np.imag(z), np.real(z)))
@@ -174,24 +169,20 @@ def solve(spec: ModelSpec, init, max_iter: int = 80, tol: float = 1e-12,
             # degenerate-root tail alive, exits simple roots immediately)
             for alpha in (1.0, 0.5):
                 trial = z + alpha * dz
-                if _ok(trial):
-                    Ft = residual(spec, trial)
-                    nt = np.max(np.abs(Ft))
-                    if nt < 0.5 * norm:
-                        z, F, norm = trial, Ft, nt
-                        break
+                Ft, nt = _evaluate(trial)
+                if nt < 0.5 * norm:
+                    z, F, norm = trial, Ft, nt
+                    break
             else:
                 return _done(converged_at)
             continue
         alpha = 1.0
         while alpha > 1e-12:
             trial = z + alpha * dz
-            if _ok(trial):
-                Ft = residual(spec, trial)
-                nt = np.max(np.abs(Ft))
-                if nt < norm:
-                    z, F, norm = trial, Ft, nt
-                    break
+            Ft, nt = _evaluate(trial)
+            if nt < norm:
+                z, F, norm = trial, Ft, nt
+                break
             alpha *= 0.5
         else:
             raise ConvergenceError(
@@ -201,23 +192,30 @@ def solve(spec: ModelSpec, init, max_iter: int = 80, tol: float = 1e-12,
     raise ConvergenceError(f"no convergence in {max_iter} iterations (residual {norm:.2e})")
 
 
+def _poly_coeffs(spec: ModelSpec) -> list[float]:
+    """Ascending z_k-polynomial coefficients of the residue-derived BAE
+    (always at least the constant and linear ones)."""
+    P, Q = spec.P, spec.Q
+    q1, q2 = Q.coeff(1), Q.coeff(2)
+    cz = P.coeff(1) - q2 / 2.0
+    c1 = P.coeff(0) - q1 / 4.0
+    for s in spec.singularities:
+        cz -= s.exponent * q2
+        c1 -= s.exponent * (q2 * s.location + q1)
+    return [c1, cz] + [P.coeff(i) for i in range(2, P.degree + 1)]
+
+
 def _root_scale(spec: ModelSpec) -> float:
     """Magnitude estimate for BAE roots: Cauchy bound on the decoupled
     polynomial part of the residual."""
-    terms = residue_bae_terms(spec)
-    coeffs: dict[int, float] = {}
-    for key, val in terms.items():
-        if key.startswith("z^"):
-            coeffs[int(key[2:])] = val
-        elif key == "1":
-            coeffs[0] = val
-    m = max((i for i, c in coeffs.items() if c != 0.0), default=0)
+    coeffs = _poly_coeffs(spec)
+    m = max((i for i, c in enumerate(coeffs) if c != 0.0), default=0)
     if m == 0:
         return 1.0
     lead = coeffs[m]
     bound = 1.0
-    for i, c in coeffs.items():
-        if i < m and c != 0.0:
+    for i, c in enumerate(coeffs[:m]):
+        if c != 0.0:
             bound = max(bound, (abs(c) / abs(lead)) ** (1.0 / (m - i)))
     return 1.0 + bound
 
@@ -267,13 +265,18 @@ def _initializers(spec: ModelSpec, attempts: int, seed: int | None,
             pert = rng.uniform(0.1, 1.0, N) * rng.choice([-1.0, 1.0], N) * 1j
             inits.append((f"complex-{i}", np.sort_complex(rng.uniform(box_lo, box_hi, N) + pert)))
         i += 1
-    return inits[:max(attempts, len(inits))]
+    return inits
 
 
 def enumerate_branches(spec: ModelSpec, tol: float = 1e-12, attempts: int = 64,
                        seed: int | None = None,
                        complex_mode: bool = False) -> list[BetheBranch]:
     """Multi-start enumeration of distinct solution branches.
+
+    attempts is a floor on the number of Newton starts, not a cap: the
+    deterministic ladder of classical-zero starts always runs in full, and
+    seeded random starts (a real and a complex one per round in
+    complex_mode) are added until there are at least attempts starts.
 
     Branches are deduplicated as sorted root multisets (L-inf distance below
     DEDUP_TOL) and returned sorted by extracted energy. The result is
@@ -324,16 +327,10 @@ def residue_bae_terms(spec: ModelSpec) -> dict:
     coefficients at each singularity, and the universal -Q(z_k) multiplying
     the root-interaction sum.
     """
-    P, Q = spec.P, spec.Q
-    q1, q2 = Q.coeff(1), Q.coeff(2)
-    terms = {f"z^{i}": P.coeff(i) for i in range(2, P.degree + 1)}
-    cz = P.coeff(1) - q2 / 2.0
-    c1 = P.coeff(0) - q1 / 4.0
-    for s in spec.singularities:
-        cz -= s.exponent * q2
-        c1 -= s.exponent * (q2 * s.location + q1)
-    terms["z^1"] = cz
-    terms["1"] = c1
+    coeffs = _poly_coeffs(spec)
+    terms = {f"z^{i}": c for i, c in enumerate(coeffs[2:], 2)}
+    terms["z^1"] = coeffs[1]
+    terms["1"] = coeffs[0]
     for s in spec.singularities:
         terms[f"pole@{s.location:g}"] = -s.exponent * spec.Q(s.location)
     return {k: v for k, v in terms.items() if v != 0.0 or k in ("z^1", "1")}

@@ -324,7 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("config")
     p.add_argument("--N", type=int, default=None, help="override the config N")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--attempts", type=int, default=64)
+    p.add_argument("--attempts", type=int, default=64,
+                   help="minimum number of Newton starts: the deterministic "
+                        "ladder always runs, and seeded random starts are "
+                        "added until the total reaches this")
     p.add_argument("--grid-points", type=int, default=2001,
                    help="grid size for the verified column")
     p.add_argument("--seed", type=int, default=None)

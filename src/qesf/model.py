@@ -26,7 +26,6 @@ from .poly import Poly
 EXACTLY_SOLVABLE = "exactly-solvable"
 QES_TYPE1 = "qes-type1"
 QES_TYPE2 = "qes-type2"
-QES_HIGHER = "qes-higher-type"
 QES_SINGULAR = "qes-singularity-induced"
 
 _SING_MIN_GAP = 1e-12
@@ -192,10 +191,8 @@ def classify(spec: ModelSpec) -> SolvabilityClass:
             QES_TYPE1,
             f"max{{m, n-1}} = max{{{m}, {n - 1}}} = 2: N enters the linear "
             f"term of the potential, roots only additively")
-    if m == 3:
-        return SolvabilityClass(
-            QES_TYPE2,
-            "m = 3: roots enter the linear term, yielding N+1 distinct "
-            "potentials sharing one level")
-    return SolvabilityClass(  # pragma: no cover - unreachable with m<=3, n<=2
-        QES_HIGHER, f"degrees (m={m}, n={n}) beyond the type-2 pattern")
+    # top > 2 means m == 3, since validate caps deg P at 3 and deg Q at 2
+    return SolvabilityClass(
+        QES_TYPE2,
+        "m = 3: roots enter the linear term, yielding N+1 distinct "
+        "potentials sharing one level")

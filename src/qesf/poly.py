@@ -116,16 +116,17 @@ def divmod_poly(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r[:d] if d > 0 else [0.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tridiag:
-    """Symmetric tridiagonal matrix (diagonal + one off-diagonal)."""
+    """Symmetric tridiagonal matrix (diagonal + one off-diagonal), held as
+    float64 arrays; float64 array input is stored without a copy."""
 
-    diag: tuple[float, ...]
-    offdiag: tuple[float, ...]
+    diag: np.ndarray
+    offdiag: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(float(x) for x in self.diag))
-        object.__setattr__(self, "offdiag", tuple(float(x) for x in self.offdiag))
+        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
+        object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
         if len(self.offdiag) != max(len(self.diag) - 1, 0):
             raise ValueError("offdiag must have n-1 entries")
 
@@ -144,18 +145,16 @@ def tridiag_eigenvalues(t: Tridiag, k: int | None = None) -> np.ndarray:
     n = t.n
     if n < 1:
         raise ValueError("empty matrix")
-    d = np.asarray(t.diag, dtype=float)
     if n == 1:
-        return d.copy()
-    e = np.asarray(t.offdiag, dtype=float)
+        return t.diag.copy()
     try:
         if k is None or k >= n:
-            w = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+            w = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
         else:
             if k < 1:
                 raise ValueError("k must be >= 1")
-            w = scipy.linalg.eigh_tridiagonal(
-                d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
+            w = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
+                                              select="i", select_range=(0, k - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
     return np.sort(w)
@@ -172,7 +171,7 @@ def hermite_zeros(n: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
     off = np.sqrt(np.arange(1, n) / 2.0)
-    w = tridiag_eigenvalues(Tridiag(tuple([0.0] * n), tuple(off)))
+    w = tridiag_eigenvalues(Tridiag(np.zeros(n), off))
     return (w - w[::-1]) / 2.0
 
 
@@ -191,4 +190,4 @@ def laguerre_zeros(n: int, beta: float) -> np.ndarray:
     ks = np.arange(n, dtype=float)
     diag = 2.0 * ks + beta + 1.0
     off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + beta))
-    return tridiag_eigenvalues(Tridiag(tuple(diag), tuple(off)))
+    return tridiag_eigenvalues(Tridiag(diag, off))

@@ -144,24 +144,15 @@ def _wall_decays(pre: prepot.Prepotential, roots, wall: float, interior_sign: in
     return w_near > w_far + 0.1
 
 
-def certification_domain(pre: prepot.Prepotential, roots,
-                         threshold: float = W_THRESHOLD) -> tuple[float, float, bool, bool]:
-    """Certification box (x_lo, x_hi, singular_lo, singular_hi).
-
-    Finite walls (singular endpoints) are kept as-is and flagged; unbounded
-    ends are truncated where W_N >= threshold, so |phi| <= e^-threshold at
-    the box edge.
-    """
+def _domain_components(pre: prepot.Prepotential,
+                       roots) -> tuple[list[tuple[float, float]], list[float]]:
+    """Domain components between the cut points (map endpoints and finite
+    walls), and the finite x-preimages of the roots."""
     cmap = pre.cmap
     dlo, dhi = cmap.x_domain
-    walls = _finite_walls(pre)
-    cuts = sorted({dlo, dhi, *walls})
+    cuts = sorted({dlo, dhi, *_finite_walls(pre)})
     components = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
                   if cuts[i + 1] - cuts[i] > 1e-9]
-    if not components:
-        raise GridError("empty coordinate domain")
-
-    # Root preimages pull the box out far enough to contain the state.
     xr = []
     for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
         try:
@@ -170,6 +161,21 @@ def certification_domain(pre: prepot.Prepotential, roots,
                 xr.append(xk)
         except Exception:
             pass
+    return components, xr
+
+
+def certification_domain(pre: prepot.Prepotential, roots,
+                         threshold: float = W_THRESHOLD) -> tuple[float, float, bool, bool]:
+    """Certification box (x_lo, x_hi, singular_lo, singular_hi).
+
+    Finite walls (singular endpoints) are kept as-is and flagged; unbounded
+    ends are truncated where W_N >= threshold, so |phi| <= e^-threshold at
+    the box edge.
+    """
+    # The root preimages xr pull the box out far enough to contain the state.
+    components, xr = _domain_components(pre, roots)
+    if not components:
+        raise GridError("empty coordinate domain")
 
     def _component_ok(a: float, b: float) -> tuple[bool, float, float]:
         span = (b - a) if math.isfinite(a) and math.isfinite(b) else 4.0
@@ -363,7 +369,7 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid, k: int,
             r = (d1 - g.h) / d1
             if r > 0:
                 diag[-1] -= r ** nu_hi / g.h ** 2
-        return tridiag_eigenvalues(Tridiag(tuple(diag), tuple(off)), k=k)
+        return tridiag_eigenvalues(Tridiag(diag, off), k=k)
 
     e1 = _levels(grid)
     if not richardson:
@@ -414,20 +420,8 @@ def normalizability_check(pre: prepot.Prepotential, branch, cmap,
     series), False as soon as they grow persistently.
     """
     roots = np.asarray(branch.roots, dtype=float)
-    xr = []
-    for zk in roots:
-        try:
-            v = cmap.x_of_z(zk)
-            if math.isfinite(v):
-                xr.append(v)
-        except Exception:
-            pass
     try:
-        walls = _finite_walls(pre)
-        dlo, dhi = pre.cmap.x_domain
-        cuts = sorted({dlo, dhi, *walls})
-        comps = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
-                 if cuts[i + 1] - cuts[i] > 1e-9]
+        comps, xr = _domain_components(pre, roots)
         # pick the component the certification would use, but without
         # requiring a decaying state (that is what we are testing)
         a, b = max(comps, key=lambda c: min(c[1], 1e18) - max(c[0], -1e18))

@@ -23,6 +23,8 @@ def test_residual_examples():
     assert np.max(np.abs(bae.residual(harmonic(N=2), w))) < 1e-14
     assert np.max(np.abs(bae.residual(sextic(N=1), [1 / math.sqrt(2)]))) < 1e-14
     assert bae.residual(harmonic(N=0), []).size == 0
+    assert np.array_equal(bae.residual(harmonic(N=2), [-1, 1]),
+                          bae.residual(harmonic(N=2), [-1.0, 1.0]))
 
 
 def test_residual_hermite_zeros_solve_harmonic():
@@ -40,11 +42,15 @@ def test_residual_laguerre_zeros_solve_morse_p():
 
 
 def test_residual_collision_error():
-    with pytest.raises(CollisionError):
-        bae.residual(harmonic(N=2), [0.5, 0.5 + 1e-12])
-    spec = catalog.instantiate("morse-p", N=1)
-    with pytest.raises(CollisionError):
-        bae.residual(spec, [1e-12])
+    cases = [(harmonic(N=2), [0.5, 0.5 + 1e-12], "roots 0 and 1 collide"),
+             # non-adjacent pair in unsorted input
+             (harmonic(N=3), [0.5, 2.0, 0.5 + 1e-12], "roots 0 and 2 collide"),
+             (harmonic(N=3), [2.0, 0.5 + 1j, 0.5 + 1j + 1e-12j], "roots 1 and 2 collide"),
+             (catalog.instantiate("morse-p", N=1), [1e-12], "singularity at z = 0")]
+    for spec, roots, msg in cases:
+        for fn in (bae.residual, bae.jacobian):
+            with pytest.raises(CollisionError, match=msg):
+                fn(spec, roots)
 
 
 def test_jacobian_against_finite_differences():

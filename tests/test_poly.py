@@ -79,6 +79,11 @@ def test_tridiag_examples():
     # Jacobi matrix of monic Hermite, n=2: eigenvalues +-1/sqrt(2)
     w = tridiag_eigenvalues(Tridiag((0.0, 0.0), (np.sqrt(0.5),)))
     assert np.allclose(w, [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
+    t = Tridiag(np.zeros(2), np.array([np.sqrt(0.5)]))
+    assert t.n == 2 and t.diag.dtype == np.float64
+    assert np.array_equal(tridiag_eigenvalues(t), w)
+    with pytest.raises(ValueError, match="n-1 entries"):
+        Tridiag(np.zeros(3), np.ones(3))
 
 
 def test_tridiag_lowest_k():
