@@ -22,8 +22,8 @@ from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
                         identity_check, split_energy, v0_pfe)
 from .prepot import Prepotential, integrate_w0, phi_value, wn_value
 from .verify import (Grid, VerificationReport, fd_spectrum, make_grid,
-                     node_count, normalizability_check, schrodinger_residual,
-                     verify_branch)
+                     node_count, normalizability_check, residual_check,
+                     schrodinger_residual, verify_branch)
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,7 @@ __all__ = [
     "enumerate_branches", "expected_energies", "fd_spectrum", "hermite_zeros",
     "identity_check", "instantiate", "integrate_w0", "jacobian",
     "laguerre_zeros", "make_grid", "node_count", "normalizability_check",
-    "phi_value", "residual", "schrodinger_residual", "solve", "split_energy",
-    "tridiag_eigenvalues", "v0_pfe", "validate", "verify_branch", "wn_value",
+    "phi_value", "residual", "residual_check", "schrodinger_residual", "solve",
+    "split_energy", "tridiag_eigenvalues", "v0_pfe", "validate",
+    "verify_branch", "wn_value",
 ]

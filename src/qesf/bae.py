@@ -27,6 +27,8 @@ from . import coords
 
 COLLISION_TOL = 1e-8
 DEDUP_TOL = 1e-6
+MAX_ITER = 80  # Newton steps to reach tol
+POLISH_ITER = 200  # further steps while the residual keeps improving
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,8 @@ def branch_energy(spec: ModelSpec, roots) -> float:
     return complex(e) if np.iscomplexobj(roots) else float(e)
 
 
-def solve(spec: ModelSpec, init, max_iter: int = 80, tol: float = 1e-12,
-          origin: str = "user", polish_iter: int = 200) -> BetheBranch:
+def solve(spec: ModelSpec, init, tol: float = 1e-12,
+          origin: str = "user") -> BetheBranch:
     """Damped Newton iteration from a given starting vector.
 
     Steps are halved whenever the residual norm fails to decrease or any
@@ -123,7 +125,7 @@ def solve(spec: ModelSpec, init, max_iter: int = 80, tol: float = 1e-12,
     or a singular Jacobian.
 
     Once below tol the iteration keeps polishing as long as the residual
-    strictly improves (up to polish_iter extra steps): for simple roots that
+    strictly improves (up to POLISH_ITER extra steps): for simple roots that
     is one or two steps to the machine floor, while for degenerate root
     configurations (where |F| < tol admits a wide ball) the linear tail of
     Newton contracts the ball so duplicate branches collapse in enumeration.
@@ -150,11 +152,11 @@ def solve(spec: ModelSpec, init, max_iter: int = 80, tol: float = 1e-12,
     F = residual(spec, z)
     norm = np.max(np.abs(F)) if F.size else 0.0
     converged_at = None
-    for it in range(max_iter + polish_iter):
+    for it in range(MAX_ITER + POLISH_ITER):
         if norm < tol and converged_at is None:
             converged_at = it
         polishing = converged_at is not None
-        if polishing and (norm == 0.0 or it - converged_at >= polish_iter):
+        if polishing and (norm == 0.0 or it - converged_at >= POLISH_ITER):
             return _done(converged_at)
         J = jacobian(spec, z)
         try:
@@ -189,7 +191,7 @@ def solve(spec: ModelSpec, init, max_iter: int = 80, tol: float = 1e-12,
                 f"line search stalled at residual {norm:.2e} after {it} iterations")
     if converged_at is not None:
         return _done(converged_at)
-    raise ConvergenceError(f"no convergence in {max_iter} iterations (residual {norm:.2e})")
+    raise ConvergenceError(f"no convergence in {MAX_ITER} iterations (residual {norm:.2e})")
 
 
 def _poly_coeffs(spec: ModelSpec) -> list[float]:

@@ -5,16 +5,15 @@ closed-form energies where the family has them, and the reference shift that
 aligns the split-energy convention (potential keeps its static constant)
 with the family's conventional normal form.
 
-The default instantiations are also shipped as data/catalog.json in the same
-schema the CLI accepts, so the presets double as ready-to-run config files.
+Each entry also names a preset N; shipped_configs() turns the defaults at
+that N into the config schema the CLI accepts, so the presets double as
+ready-to-run config files.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable
 
 from .errors import ModelError
@@ -30,6 +29,7 @@ class CatalogEntry:
     description: str
     citation: str
     defaults: dict
+    preset_N: int
     build: Callable[[dict, int, int], ModelSpec]
     energy_formula: str
     expected: Callable[[dict, int], list | str]
@@ -107,6 +107,7 @@ _register(CatalogEntry(
     citation="textbook oscillator; root systems are the Stieltjes "
              "electrostatic equilibria at Hermite zeros",
     defaults={"b": 1.0},
+    preset_N=2,
     build=_harmonic_build,
     energy_formula="E = b (2N + 1)",
     expected=lambda p, N: [p["b"] * (2 * N + 1)],
@@ -121,6 +122,7 @@ _register(CatalogEntry(
     citation="the classic quasi-exactly-solvable sextic anharmonic "
              "oscillator, symmetric sector",
     defaults={"a": 1.0, "b": 0.0},
+    preset_N=1,
     build=_sextic_build,
     energy_formula="E = 4 a sum(z_k) + (4N + 1) b",
     expected=lambda p, N: _sextic_level(p["a"], p["b"], 0.0, N),
@@ -135,6 +137,7 @@ _register(CatalogEntry(
     citation="type-2 QES sextic family: N+1 parameter-shifted potentials "
              "share one level",
     defaults={"a": 1.0, "b": 0.0},
+    preset_N=1,
     build=_sextic2_build,
     energy_formula="E = 2 a sum(z_k^2) + (2N + 1) b",
     expected=lambda p, N: _sextic2_expected(p, N),
@@ -147,6 +150,7 @@ _register(CatalogEntry(
     description="Morse potential, exponential coordinate z = exp(alpha x)",
     citation="shape-invariant Morse potential; full spectrum algebraic",
     defaults={"A": 5.0, "alpha": 1.0, "B": 0.5},
+    preset_N=2,
     build=_morse_es_build,
     energy_formula="E = A^2 - (A - N alpha)^2",
     expected=lambda p, N: [p["A"] ** 2 - (p["A"] - N * p["alpha"]) ** 2],
@@ -162,6 +166,7 @@ _register(CatalogEntry(
     citation="half-line sextic family with centrifugal-like coupling "
              "4p(p-1/2)/x^2",
     defaults={"a": 1.0, "b": 0.0, "p": 0.3},
+    preset_N=1,
     build=_sextic_halfline_build,
     energy_formula="E = 4 a sum(z_k) + (4N + 4p + 1) b",
     expected=lambda p, N: _sextic_level(p["a"], p["b"], p["p"], N),
@@ -178,6 +183,7 @@ _register(CatalogEntry(
     citation="second Morse construction; equivalent to morse-es under "
              "z -> 1/z",
     defaults={"A": 5.0, "alpha": 1.0, "mu": None},
+    preset_N=2,
     build=_morse_p_build,
     energy_formula="E = A^2 - (A - N alpha)^2 for mu = -N "
                    "(reported potential absorbs the level otherwise)",
@@ -196,6 +202,7 @@ _register(CatalogEntry(
                 "with boundary exponents p1 (at z=0) and p2 (at z=1)",
     citation="two-singularity interval family; driver 4 a z (z - 1)",
     defaults={"a": 1.0, "p1": 0.25, "p2": 0.25},
+    preset_N=1,
     build=_trig_build,
     energy_formula="no closed form; certified against the FD spectrum",
     expected=lambda p, N: ORACLE_REQUIRED,
@@ -260,6 +267,8 @@ def reference_shift(name: str, params: dict | None, N: int) -> float:
 
 
 def shipped_configs() -> dict:
-    """The default instantiation of every entry in CLI config schema."""
-    with resources.files("qesf").joinpath("data/catalog.json").open() as fh:
-        return json.load(fh)
+    """Config (CLI schema) of every entry: its defaults at its preset N."""
+    return {name: {"catalog": name, "params": dict(entry.defaults),
+                   "N": entry.preset_N,
+                   "branch": instantiate(name, N=entry.preset_N).branch_sign}
+            for name, entry in ENTRIES.items()}

@@ -131,29 +131,20 @@ def cmd_solve(args) -> int:
     print(f"seed: {seed}")
     branches = bae.enumerate_branches(spec, tol=args.tol, attempts=args.attempts,
                                       seed=seed)
-    branches = [b for b in branches if b.is_real]
     if not branches:
         print("solver failure: no converged real branch", file=sys.stderr)
         return EXIT_SOLVER
 
-    rows = []
+    # Real branches come back in ascending energy; bid is that position.
+    out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
     for bid, br in enumerate(branches):
         energy = bae.branch_energy(spec, np.asarray(br.roots, dtype=float))
         try:
-            report = verify.verify_branch(spec, br, n_points=args.grid_points,
-                                          with_spectrum=False,
-                                          with_normalizability=False)
-            ok = report.residual_max < 1e-6
+            rmax, _ = verify.residual_check(spec, br, n_points=args.grid_points)
+            ok = rmax < 1e-6
         except (GridError, DomainError, ValueError):
             ok = False
-        if br.n == 0:
-            rows.append((energy, bid, [(-1, None)], br, ok))
-        else:
-            rows.append((energy, bid, list(enumerate(br.roots)), br, ok))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
-    for energy, bid, roots, br, ok in rows:
+        roots = list(enumerate(br.roots)) if br.n else [(-1, None)]
         for k, zk in roots:
             zs = "" if zk is None else _fmt(zk)
             out_lines.append(
@@ -163,7 +154,7 @@ def cmd_solve(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"{len(rows)} branch(es) -> {args.out}")
+        print(f"{len(branches)} branch(es) -> {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -284,7 +275,6 @@ def cmd_derive(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    data = catalog.shipped_configs()
     if args.action == "list":
         for name in catalog.names():
             entry = catalog.get(name)
@@ -297,9 +287,7 @@ def cmd_catalog(args) -> int:
     print(f"citation: {entry.citation}")
     print(f"defaults: {json.dumps(entry.defaults)}")
     print(f"energy formula: {entry.energy_formula}")
-    shipped = data.get(entry.name)
-    if shipped:
-        print(f"config: {json.dumps(shipped['config'])}")
+    print(f"config: {json.dumps(catalog.shipped_configs()[entry.name])}")
     for N in (0, 1, 2):
         exp = catalog.expected_energies(entry.name, None, N)
         if exp == catalog.ORACLE_REQUIRED:

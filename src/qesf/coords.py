@@ -62,7 +62,8 @@ class CoordinateMap:
         elif f == PARABOLIC:
             out = p["q1"] / 4.0 * (xa - p["xv"]) ** 2 + p["C"]
         elif f == EXPONENTIAL:
-            out = p["amp"] * np.exp(p["sign"] * p["omega"] * xa) - p["shift"]
+            with np.errstate(over="ignore"):  # inf far out; callers reject it
+                out = p["amp"] * np.exp(p["sign"] * p["omega"] * xa) - p["shift"]
         elif f == HYPERBOLIC:
             if p["kind"] == "cosh":
                 # half-angle form keeps z - z_min exact near the turning point

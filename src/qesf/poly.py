@@ -10,6 +10,7 @@ of H_N or L_N^b degrade badly past N ~ 20.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,39 @@ def divmod_poly(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         for j in range(d + 1):
             r[i - d + j] -= f * den.coeffs[j]
     return Poly(q), Poly(r[:d] if d > 0 else [0.0])
+
+
+def partial_fractions(rem: Poly, Q: Poly) -> tuple[
+        list[tuple[float, float, float]],
+        tuple[float, float, float, float] | None]:
+    """Zeros of Q (deg <= 2) and the partial fractions of rem/Q there.
+
+    Returns (real, pair). real holds (rho, c1, c2) per distinct real zero,
+    with rem/Q = sum c1/(z - rho) + c2/(z - rho)^2; c2 is nonzero only at a
+    double zero, declared when |disc| <= 1e-12 max(q1^2, |4 q0 q2|). For an
+    irreducible Q with zeros center +- i imag, pair is (center, imag, a, b)
+    with rem/Q = a d/dz ln((z - center)^2 + imag^2)
+    + b d/dz arctan((z - center)/imag); otherwise pair is None.
+    """
+    if Q.degree == 0:
+        return [], None
+    if Q.degree == 1:
+        rho = -Q.coeff(0) / Q.coeff(1) + 0.0
+        return [(rho, rem(rho) / Q.coeff(1), 0.0)], None
+    q0, q1, q2 = Q.coeff(0), Q.coeff(1), Q.coeff(2)
+    disc = q1 * q1 - 4.0 * q0 * q2
+    scale = max(q1 * q1, abs(4.0 * q0 * q2), 1e-30)
+    if abs(disc) <= 1e-12 * scale:
+        rho = -q1 / (2.0 * q2) + 0.0
+        return [(rho, rem.coeff(1) / q2, rem(rho) / q2)], None
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        return [(rho, rem(rho) / Q.derivative()(rho), 0.0)
+                for rho in ((-q1 + sq) / (2.0 * q2) + 0.0,
+                            (-q1 - sq) / (2.0 * q2) + 0.0)], None
+    center, imag = -q1 / (2.0 * q2), math.sqrt(-disc) / (2.0 * abs(q2))
+    r1, r0 = rem.coeff(1), rem.coeff(0)
+    return [], (center, imag, r1 / (2.0 * q2), (r0 + r1 * center) / (q2 * imag))
 
 
 @dataclass(frozen=True, eq=False)

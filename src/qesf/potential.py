@@ -35,9 +35,10 @@ import numpy as np
 from . import bae, coords
 from .errors import ModelError
 from .model import ModelSpec
-from .poly import Poly, divmod_poly
+from .poly import Poly, divmod_poly, partial_fractions
 
 _LOC_MERGE_TOL = 1e-9
+RESIDUE_TOL = 1e-8  # largest root-pole coefficient split_energy accepts
 
 
 @dataclass(frozen=True)
@@ -132,28 +133,13 @@ def v0_pfe(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> PFE:
                 return
         poles[loc] = [c1, c2]
 
-    n = Q.degree
-    if n == 0:
-        if not rem.is_zero():  # q0 divides everything exactly
-            raise ModelError("inconsistent division by constant Q")
-    elif n == 1:
-        if not rem.is_zero():
-            _add(-Q.coeff(0) / Q.coeff(1), c1=rem(- Q.coeff(0) / Q.coeff(1)) / Q.coeff(1))
-    else:
-        q0, q1, q2 = Q.coeff(0), Q.coeff(1), Q.coeff(2)
-        disc = q1 * q1 - 4.0 * q0 * q2
-        scale = max(q1 * q1, abs(4.0 * q0 * q2), 1e-30)
-        if abs(disc) <= 1e-12 * scale:
-            rho = -q1 / (2.0 * q2)
-            _add(rho, c1=rem.coeff(1) / q2, c2=rem(rho) / q2)
-        elif disc > 0.0:
-            sq = math.sqrt(disc)
-            for rho in ((-q1 + sq) / (2.0 * q2), (-q1 - sq) / (2.0 * q2)):
-                _add(rho, c1=rem(rho) / Q.derivative()(rho))
-        elif not rem.is_zero():
-            raise ModelError(
-                "potential outside the closed pole basis: P^2/Q leaves a "
-                "remainder over an irreducible Q")
+    real, pair = partial_fractions(rem, Q)
+    if pair is not None and not rem.is_zero():
+        raise ModelError(
+            "potential outside the closed pole basis: P^2/Q leaves a "
+            "remainder over an irreducible Q")
+    for rho, c1, c2 in real:
+        _add(rho, c1=c1, c2=c2)
 
     # Singularity couplings.
     PmQ4 = P - 0.25 * Q.derivative()
@@ -220,8 +206,7 @@ def check_residues(pfe: PFE, tol: float = 1e-10) -> tuple[bool, float]:
     return worst < tol, worst
 
 
-def split_energy(spec: ModelSpec, branch: bae.BetheBranch,
-                 residue_tol: float = 1e-8) -> PotentialProfile:
+def split_energy(spec: ModelSpec, branch: bae.BetheBranch) -> PotentialProfile:
     """Split V_N into a reported potential and an energy constant.
 
     E is the negated constant of the dV_N polynomial part; U keeps V0's own
@@ -229,7 +214,7 @@ def split_energy(spec: ModelSpec, branch: bae.BetheBranch,
     branch).
     """
     dv = delta_v_pfe(spec, branch)
-    ok, worst = check_residues(dv, residue_tol)
+    ok, worst = check_residues(dv, RESIDUE_TOL)
     if not ok:
         raise ValueError(
             f"branch residues not cancelled (max |d_k| = {worst:.2e}): solve "

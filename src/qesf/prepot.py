@@ -22,7 +22,7 @@ import numpy as np
 from . import coords
 from .errors import ModelError
 from .model import ModelSpec
-from .poly import Poly, divmod_poly
+from .poly import Poly, divmod_poly, partial_fractions
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,18 @@ class Prepotential:
     def w0_of_z(self, z):
         """W0 evaluated in the z variable (smooth part only, no root logs)."""
         za = np.asarray(z, dtype=float)
-        val = np.asarray(self.poly_part(za), dtype=float)
-        for t in self.log_terms:
-            val = val + t.weight * np.log(np.abs(za - t.location))
-        for t in self.quad_log_terms:
-            val = val + t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
-        for t in self.pole_terms:
-            val = val + t.weight / (za - t.location)
-        for t in self.arctan_terms:
-            val = val + t.weight * np.arctan((za - t.center) / t.scale)
+        # ln 0 at a log location and z = inf give non-finite values, which
+        # callers treat as out of range
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.asarray(self.poly_part(za), dtype=float)
+            for t in self.log_terms:
+                val = val + t.weight * np.log(np.abs(za - t.location))
+            for t in self.quad_log_terms:
+                val = val + t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
+            for t in self.pole_terms:
+                val = val + t.weight / (za - t.location)
+            for t in self.arctan_terms:
+                val = val + t.weight * np.arctan((za - t.center) / t.scale)
         return val[()].item() if val.shape == () else val
 
     def dw0_dz(self, z):
@@ -111,43 +114,18 @@ def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> P
     poles: list[PoleTerm] = []
     atans: list[ArctanTerm] = []
 
-    n = Q.degree
-    if n == 0:
-        pass  # division exact, rem == 0
-    elif n == 1:
-        q0, q1 = Q.coeff(0), Q.coeff(1)
-        rho = -q0 / q1 + 0.0
-        w = rem(rho) / q1
-        if w != 0.0:
-            logs.append(LogTerm(rho, w))
-    else:
-        q0, q1, q2 = Q.coeff(0), Q.coeff(1), Q.coeff(2)
-        disc = q1 * q1 - 4.0 * q0 * q2
-        scale = max(q1 * q1, abs(4.0 * q0 * q2), 1e-30)
-        if abs(disc) <= 1e-12 * scale:
-            rho = -q1 / (2.0 * q2) + 0.0
-            w_log = rem.coeff(1) / q2
-            w_pole = rem(rho) / q2
-            if w_log != 0.0:
-                logs.append(LogTerm(rho, w_log))
-            if w_pole != 0.0:
-                poles.append(PoleTerm(rho, -w_pole))
-        elif disc > 0.0:
-            sq = math.sqrt(disc)
-            for rho in ((-q1 + sq) / (2.0 * q2) + 0.0, (-q1 - sq) / (2.0 * q2) + 0.0):
-                w = rem(rho) / Q.derivative()(rho)
-                if w != 0.0:
-                    logs.append(LogTerm(rho, w))
-        else:
-            center = -q1 / (2.0 * q2)
-            imag = math.sqrt(-disc) / (2.0 * abs(q2))
-            r1, r0 = rem.coeff(1), rem.coeff(0)
-            w_log = r1 / (2.0 * q2)
-            w_atan = (r0 + r1 * center) / (q2 * imag)
-            if w_log != 0.0:
-                qlogs.append(QuadLogTerm(center, imag, w_log))
-            if w_atan != 0.0:
-                atans.append(ArctanTerm(center, imag, w_atan))
+    real, pair = partial_fractions(rem, Q)
+    for rho, c1, c2 in real:
+        if c1 != 0.0:
+            logs.append(LogTerm(rho, c1))
+        if c2 != 0.0:
+            poles.append(PoleTerm(rho, -c2))
+    if pair is not None:
+        center, imag, w_log, w_atan = pair
+        if w_log != 0.0:
+            qlogs.append(QuadLogTerm(center, imag, w_log))
+        if w_atan != 0.0:
+            atans.append(ArctanTerm(center, imag, w_atan))
 
     # Poles of P/Q strictly inside the coordinate image cannot belong to a
     # normalizable model (they sit on the particle's trajectory).

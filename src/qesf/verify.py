@@ -11,7 +11,7 @@ ambiguity upstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .model import ModelSpec
 from .poly import Tridiag, tridiag_eigenvalues
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
+NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
+WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
+MAX_WINDOWS = 120  # normalizability windows per side
 
 _STENCILS = {
     2: np.array([1.0, -2.0, 1.0]),
@@ -31,11 +34,10 @@ _STENCILS = {
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform certification grid with optional excluded zones."""
+    """Uniform certification grid, flagged at singular endpoints."""
 
     points: np.ndarray
     h: float
-    excluded_zones: tuple[tuple[float, float], ...] = ()
     singular_lo: bool = False  # grid start abuts a singular endpoint
     singular_hi: bool = False
     wall_lo: float = math.nan  # x of the singular wall, when singular_lo
@@ -52,12 +54,12 @@ class Grid:
 class VerificationReport:
     residual_max: float
     residual_rms: float
-    spectrum_matches: list = field(default_factory=list)  # (E_claimed, E_fd, |diff|)
-    spectrum_note: str = ""
-    node_count: int = 0
-    normalizable: bool = True
-    norm_estimate: float = math.nan
-    verdict: bool = False
+    node_count: int
+    normalizable: bool
+    norm_estimate: float
+    spectrum_matches: list  # (E_claimed, E_fd, |diff|)
+    spectrum_note: str
+    verdict: bool
 
     def as_dict(self) -> dict:
         return {
@@ -108,8 +110,8 @@ def _finite_walls(pre: prepot.Prepotential) -> list[float]:
 
 
 def _march_threshold(pre: prepot.Prepotential, roots, start: float, direction: int,
-                     limit: float, threshold: float) -> float:
-    """First marched point with W_N >= threshold going outward from start."""
+                     limit: float) -> float:
+    """First marched point with W_N >= W_THRESHOLD going outward from start."""
     step = 0.25
     x = start + direction * step
     for _ in range(400):
@@ -121,7 +123,7 @@ def _march_threshold(pre: prepot.Prepotential, roots, start: float, direction: i
             w = prepot.wn_value(pre, roots, x)
         except ValueError:
             w = -math.inf  # sat on a node, keep going
-        if w >= threshold:
+        if w >= W_THRESHOLD:
             return x
         step *= 1.25
         x += direction * step
@@ -164,13 +166,13 @@ def _domain_components(pre: prepot.Prepotential,
     return components, xr
 
 
-def certification_domain(pre: prepot.Prepotential, roots,
-                         threshold: float = W_THRESHOLD) -> tuple[float, float, bool, bool]:
+def certification_domain(pre: prepot.Prepotential,
+                         roots) -> tuple[float, float, bool, bool]:
     """Certification box (x_lo, x_hi, singular_lo, singular_hi).
 
     Finite walls (singular endpoints) are kept as-is and flagged; unbounded
-    ends are truncated where W_N >= threshold, so |phi| <= e^-threshold at
-    the box edge.
+    ends are truncated where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD
+    at the box edge.
     """
     # The root preimages xr pull the box out far enough to contain the state.
     components, xr = _domain_components(pre, roots)
@@ -187,13 +189,13 @@ def certification_domain(pre: prepot.Prepotential, roots,
                     return False, a, b
             else:
                 s0 = (max(inside) if inside else (a + 1.0 if math.isfinite(a) else 0.0)) + 0.5
-                hi_edge = _march_threshold(pre, roots, s0, +1, math.inf, threshold)
+                hi_edge = _march_threshold(pre, roots, s0, +1, math.inf)
             if math.isfinite(a):
                 if not _wall_decays(pre, roots, a, +1, span):
                     return False, a, b
             else:
                 s0 = (min(inside) if inside else (b - 1.0 if math.isfinite(b) else 0.0)) - 0.5
-                lo_edge = _march_threshold(pre, roots, s0, -1, -math.inf, threshold)
+                lo_edge = _march_threshold(pre, roots, s0, -1, -math.inf)
         except (GridError, ValueError):
             return False, a, b
         return True, lo_edge, hi_edge
@@ -237,11 +239,10 @@ def _wall_nu(pre: prepot.Prepotential, wall: float) -> float:
     return math.nan
 
 
-def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001,
-                 threshold: float = W_THRESHOLD) -> Grid:
+def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
     """Grid over the certification box; finite singular endpoints are inset
     by max(10h, 1e-3)."""
-    x_lo, x_hi, sing_lo, sing_hi = certification_domain(pre, roots, threshold)
+    x_lo, x_hi, sing_lo, sing_hi = certification_domain(pre, roots)
     wall_lo, wall_hi = x_lo, x_hi
     h0 = (x_hi - x_lo) / (n_points - 1)
     inset = max(10.0 * h0, 1e-3)
@@ -261,15 +262,13 @@ def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001,
 
 
 def schrodinger_residual(profile: potential.PotentialProfile, branch, cmap, pre,
-                         grid: Grid, stencil_order: int = 4,
-                         node_delta_steps: int = 10,
-                         wall_delta_steps: int = 50) -> tuple[float, float]:
+                         grid: Grid, stencil_order: int = 4) -> tuple[float, float]:
     """Normalized residual of (-d2/dx2 + U - E) phi on the grid.
 
     phi is evaluated in log space and normalized to max 1; the residual is
     scaled by 1 + max|U - E| so that it is dimensionless and converges at
     the stencil order. Neighborhoods of wave-function nodes (radius
-    node_delta_steps * h) and of singular walls (wall_delta_steps * h) are
+    NODE_DELTA_STEPS * h) and of singular walls (WALL_DELTA_STEPS * h) are
     excluded: phi ~ 0 there makes the normalized residual ill-conditioned
     without carrying certification content.
     """
@@ -299,18 +298,16 @@ def schrodinger_residual(profile: potential.PotentialProfile, branch, cmap, pre,
     xi = x[interior]
     # node exclusion zones
     flips = np.where(phi[:-1] * phi[1:] < 0)[0]
-    delta = node_delta_steps * grid.h
+    delta = NODE_DELTA_STEPS * grid.h
     for i in flips:
         xn = 0.5 * (x[i] + x[i + 1])
         mask &= np.abs(xi - xn) > delta
     # singular-wall exclusion zones
-    wdelta = wall_delta_steps * grid.h
+    wdelta = WALL_DELTA_STEPS * grid.h
     if grid.singular_lo:
         mask &= xi > x[0] + wdelta
     if grid.singular_hi:
         mask &= xi < x[-1] - wdelta
-    for lo, hi in grid.excluded_zones:
-        mask &= (xi < lo) | (xi > hi)
     if not np.any(mask):
         raise GridError("all grid points excluded")
 
@@ -332,15 +329,15 @@ def _wall_exponent(profile: potential.PotentialProfile, cmap, wall: float,
     return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * alpha)))
 
 
-def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid, k: int,
-                richardson: bool = False) -> np.ndarray:
+def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
+                k: int) -> np.ndarray:
     """Lowest k eigenvalues of -d2/dx2 + U discretized on the grid.
 
-    Second-order stencil with Dirichlet truncation; with richardson=True the
-    computation repeats on a doubled grid and extrapolates the O(h^2) error
-    away. At singular walls (x^-2 endpoint behavior) a plain Dirichlet node
-    badly perturbs the spectrum, so the boundary row instead uses a ghost
-    point carrying the known regular behavior phi ~ (x - wall)^nu.
+    Second-order stencil with Dirichlet truncation, Richardson-extrapolated:
+    the computation repeats on a doubled grid and the O(h^2) error is
+    extrapolated away. At singular walls (x^-2 endpoint behavior) a plain
+    Dirichlet node badly perturbs the spectrum, so the boundary row instead
+    uses a ghost point carrying the known regular behavior phi ~ (x - wall)^nu.
     """
     if k >= grid.n:
         raise ValueError("k must be smaller than the number of grid points")
@@ -372,8 +369,6 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid, k: int,
         return tridiag_eigenvalues(Tridiag(diag, off), k=k)
 
     e1 = _levels(grid)
-    if not richardson:
-        return e1
     fine = make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
                      singular_lo=grid.singular_lo, singular_hi=grid.singular_hi,
                      wall_lo=grid.wall_lo, wall_hi=grid.wall_hi,
@@ -382,7 +377,7 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid, k: int,
     return (4.0 * e2 - e1) / 3.0
 
 
-def node_count(pre: prepot.Prepotential, branch, cmap, grid: Grid) -> int:
+def node_count(pre: prepot.Prepotential, branch, grid: Grid) -> int:
     """Number of sign changes of phi_N on the grid."""
     roots = np.asarray(branch.roots, dtype=float)
     _, sign = prepot.phi_log_sign(pre, roots, grid.points)
@@ -410,8 +405,7 @@ def _segment_log_integral(pre, roots, a: float, b: float, n: int = 129) -> float
     return m + math.log(integral) if integral > 0 else -math.inf
 
 
-def normalizability_check(pre: prepot.Prepotential, branch, cmap,
-                          max_windows: int = 120) -> tuple[bool, float]:
+def normalizability_check(pre: prepot.Prepotential, branch) -> tuple[bool, float]:
     """Adaptive test that the integral of phi^2 converges over the domain.
 
     Unbounded sides are covered by geometrically growing windows, finite
@@ -450,7 +444,7 @@ def normalizability_check(pre: prepot.Prepotential, branch, cmap,
             # shrink toward the endpoint; outward < 0 means the endpoint is
             # the left end of the component
             t = abs(inner - edge)
-            for _ in range(max_windows):
+            for _ in range(MAX_WINDOWS):
                 t2 = t / 2.0
                 if outward < 0:
                     seg = _segment_log_integral(pre, roots, edge + t2, edge + t)
@@ -471,7 +465,7 @@ def normalizability_check(pre: prepot.Prepotential, branch, cmap,
         # march to infinity with growing windows
         width = 1.0
         x0 = inner
-        for _ in range(max_windows):
+        for _ in range(MAX_WINDOWS):
             x1 = x0 + outward * width
             seg = _segment_log_integral(pre, roots, min(x0, x1), max(x0, x1))
             total = np.logaddexp(total, seg)
@@ -494,34 +488,42 @@ def normalizability_check(pre: prepot.Prepotential, branch, cmap,
     return bool(ok_lo and ok_hi), estimate
 
 
-def verify_branch(spec: ModelSpec, branch, *, n_points: int = 4001,
-                  stencil_order: int = 4, residual_tol: float = 1e-6,
-                  fd_levels: int | None = None, fd_tol: float | None = None,
-                  richardson: bool = True, with_spectrum: bool = True,
-                  with_normalizability: bool = True) -> VerificationReport:
-    """Full certification pipeline for one branch.
-
-    Builds map, prepotential, profile and grid, then runs the residual,
-    node count, normalizability and (optionally) the FD spectrum match.
-    The verdict requires the residual below tolerance and, when the
-    spectrum is computed, the claimed energy matched by an FD eigenvalue.
-    Singular-endpoint models carry a documented FD accuracy downgrade
-    (1e-2 instead of 1e-3).
-    """
+def _setup(spec: ModelSpec, branch, n_points: int):
+    """Map, prepotential, reported potential and certification grid."""
     cmap = coords.build(spec.Q, branch_sign=spec.branch_sign)
     pre = prepot.integrate_w0(spec, cmap)
     profile = potential.split_energy(spec, branch)
     grid = default_grid(pre, branch.roots, n_points=n_points)
+    return cmap, pre, profile, grid
 
+
+def residual_check(spec: ModelSpec, branch, *,
+                   n_points: int = 4001) -> tuple[float, float]:
+    """Schrodinger residual (max, rms) of one branch on its default grid:
+    the residual oracle of verify_branch, at its default stencil order."""
+    cmap, pre, profile, grid = _setup(spec, branch, n_points)
+    return schrodinger_residual(profile, branch, cmap, pre, grid)
+
+
+def verify_branch(spec: ModelSpec, branch, *, n_points: int = 4001,
+                  stencil_order: int = 4,
+                  residual_tol: float = 1e-6) -> VerificationReport:
+    """Full certification pipeline for one branch.
+
+    Builds map, prepotential, profile and grid, then runs the residual,
+    node count, normalizability and FD spectrum oracles. The verdict
+    requires the residual below tolerance and the claimed energy matched
+    by a Richardson-extrapolated FD eigenvalue; at a limit-circle wall the
+    spectrum oracle is skipped and spectrum_note says so. Singular-endpoint
+    models carry a documented FD accuracy downgrade (relative tolerance
+    1e-2 instead of 1e-3).
+    """
+    cmap, pre, profile, grid = _setup(spec, branch, n_points)
     rmax, rrms = schrodinger_residual(profile, branch, cmap, pre, grid,
                                       stencil_order=stencil_order)
-    nodes = node_count(pre, branch, cmap, grid)
-    report = VerificationReport(residual_max=rmax, residual_rms=rrms,
-                                node_count=nodes)
-    if with_normalizability:
-        report.normalizable, report.norm_estimate = normalizability_check(
-            pre, branch, cmap)
-    matched = True
+    nodes = node_count(pre, branch, grid)
+    normalizable, norm_estimate = normalizability_check(pre, branch)
+    matches, note, matched = [], "", True
     # At a limit-circle wall where the state follows the weaker indicial
     # root (nu < 1/2) the discrete operator mixes in the conjugate solution
     # and grows spurious corner modes: the FD spectrum is not a trustworthy
@@ -530,17 +532,17 @@ def verify_branch(spec: ModelSpec, branch, *, n_points: int = 4001,
         flag and math.isfinite(nu) and nu < 0.5 - 1e-12
         for flag, nu in ((grid.singular_lo, grid.nu_lo),
                          (grid.singular_hi, grid.nu_hi)))
-    if with_spectrum and limit_circle:
-        report.spectrum_note = ("FD spectrum oracle skipped: limit-circle "
-                                "wall with endpoint exponent nu < 1/2")
-    elif with_spectrum:
-        singular = grid.singular_lo or grid.singular_hi
-        tol = fd_tol if fd_tol is not None else (1e-2 if singular else 1e-3)
-        k = fd_levels if fd_levels is not None else max(8, 2 * spec.N + 4)
-        levels = fd_spectrum(profile, cmap, grid, k, richardson=richardson)
+    if limit_circle:
+        note = "FD spectrum oracle skipped: limit-circle wall with endpoint exponent nu < 1/2"
+    else:
+        tol = 1e-2 if grid.singular_lo or grid.singular_hi else 1e-3
+        levels = fd_spectrum(profile, cmap, grid, max(8, 2 * spec.N + 4))
         nearest = levels[np.argmin(np.abs(levels - profile.energy))]
         diff = abs(nearest - profile.energy)
-        report.spectrum_matches = [(profile.energy, float(nearest), float(diff))]
+        matches = [(profile.energy, float(nearest), float(diff))]
         matched = diff < tol * max(1.0, abs(profile.energy))
-    report.verdict = bool(rmax < residual_tol and matched)
-    return report
+    return VerificationReport(
+        residual_max=rmax, residual_rms=rrms, node_count=nodes,
+        normalizable=normalizable, norm_estimate=norm_estimate,
+        spectrum_matches=matches, spectrum_note=note,
+        verdict=bool(rmax < residual_tol and matched))

@@ -76,8 +76,8 @@ def test_criterion_03_sextic_type2():
         # the reported potential differs across branches exactly through
         # the linear-in-x coefficient -2 a sum(x_k)
         assert abs(prof.U.poly.coeff(1) - (-2.0 * sum_roots)) < 1e-12
-        rep = verify.verify_branch(spec, br, with_spectrum=False)
-        assert rep.residual_max < 1e-7
+        rmax, _ = verify.residual_check(spec, br)
+        assert rmax < 1e-7
         # energies coincide at the shifted zero point: the full V_N = U - E
         # annihilates phi_N, i.e. every branch sits at eigenvalue 0 of its
         # own shifted Hamiltonian (certified by the residual above)
@@ -92,8 +92,8 @@ def test_criterion_03_sextic_type2():
         sum_roots = float(np.sum(np.asarray(br.roots)))
         assert abs(prof.U.poly.coeff(1) - (-2.0 * sum_roots)) < 1e-9
         lins.add(round(prof.U.poly.coeff(1), 9))
-        rep = verify.verify_branch(spec3, br, with_spectrum=False)
-        assert rep.residual_max < 1e-7
+        rmax, _ = verify.residual_check(spec3, br)
+        assert rmax < 1e-7
     assert len(lins) == 3
     _report(3, "type-2 sextic: linear coefficient -2a*sum(x_k) per branch, "
                "residuals < 1e-7, branch potentials differ")
@@ -149,14 +149,14 @@ def test_criterion_06_halfline_sextic():
         prof = potential.split_energy(spec_half, br)
         # potential part equals the full-line sextic with (4N + 4p + 3) = 9
         assert np.allclose(prof.U.poly.coeffs, (0.0, -9.0, 0.0, 1.0), atol=1e-12)
-        rep = verify.verify_branch(spec_half, br, with_spectrum=False)
-        assert rep.residual_max < 1e-6
+        rmax, _ = verify.residual_check(spec_half, br)
+        assert rmax < 1e-6
     # general p = 0.3 on the half-line grid
     for N in (1, 2):
         spec = catalog.instantiate("sextic-halfline", N=N, a=1.0, b=0.0, p=0.3)
         for br in bae.enumerate_branches(spec):
-            rep = verify.verify_branch(spec, br, with_spectrum=False)
-            assert rep.residual_max < 1e-6
+            rmax, _ = verify.residual_check(spec, br)
+            assert rmax < 1e-6
     _report(6, "half-line sextic: p=1/2 kills the 1/x^2 term exactly; "
                "p=0.3 certifies below 1e-6 on the half-line grid")
 
@@ -167,8 +167,8 @@ def test_criterion_07_trig_interval(tmp_path):
         branches = bae.enumerate_branches(spec)
         assert len(branches) == N + 1
         for br in branches:
-            rep = verify.verify_branch(spec, br, with_spectrum=False)
-            assert rep.residual_max < 1e-6
+            rmax, _ = verify.residual_check(spec, br)
+            assert rmax < 1e-6
     cfg = tmp_path / "trig.json"
     cfg.write_text(json.dumps({"catalog": "trig-interval", "N": 1}))
     out = io.StringIO()
@@ -203,7 +203,7 @@ def test_criterion_09_oracle_self_tests():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, 5, richardson=True)
+    levels = verify.fd_spectrum(prof, cmap, grid, 5)
     assert np.max(np.abs(levels - np.array([1.0, 3.0, 5.0, 7.0, 9.0]))) < 1e-4
 
     # analytic Jacobian vs central differences

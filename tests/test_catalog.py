@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesf import bae, catalog, classify, potential, verify
+from qesf import bae, catalog, classify, cli, potential, verify
 from qesf.errors import ModelError
 from qesf.model import Singularity
 
@@ -60,10 +60,11 @@ def test_catalog_census():
 
 def test_every_entry_defaults_pass_full_pipeline():
     data = catalog.shipped_configs()
-    for name, blob in data.items():
-        cfg = blob["config"]
+    assert list(data) == list(catalog.ENTRIES)
+    for name, cfg in data.items():
         spec = catalog.instantiate(name, N=cfg["N"],
                                    branch_sign=cfg.get("branch"), **cfg["params"])
+        assert spec.N == cfg["N"]
         classify(spec)
         branches = bae.enumerate_branches(spec)
         assert branches, name
@@ -78,16 +79,27 @@ def test_every_entry_defaults_pass_full_pipeline():
                 assert any(abs(prof.energy + shift - e) < 1e-8 for e in exp), name
 
 
-def test_shipped_configs_match_entries():
-    data = catalog.shipped_configs()
-    assert set(data) == set(catalog.names())
-    for name, blob in data.items():
-        cfg = blob["config"]
-        assert cfg["catalog"] == name
-        entry = catalog.get(name)
-        assert set(cfg["params"]) == set(entry.defaults)
-        for key, val in cfg["params"].items():
-            assert val == entry.defaults[key]
-        spec = catalog.instantiate(name, N=cfg["N"],
-                                   branch_sign=cfg.get("branch"), **cfg["params"])
-        assert spec.N == cfg["N"]
+SHIPPED_CONFIG_LINES = {
+    "harmonic": '{"catalog": "harmonic", "params": {"b": 1.0}, "N": 2, "branch": 1}',
+    "sextic": '{"catalog": "sextic", "params": {"a": 1.0, "b": 0.0}, "N": 1, '
+              '"branch": 1}',
+    "sextic-type2": '{"catalog": "sextic-type2", "params": {"a": 1.0, "b": 0.0}, '
+                    '"N": 1, "branch": 1}',
+    "morse-es": '{"catalog": "morse-es", "params": {"A": 5.0, "alpha": 1.0, '
+                '"B": 0.5}, "N": 2, "branch": 1}',
+    "sextic-halfline": '{"catalog": "sextic-halfline", "params": {"a": 1.0, '
+                       '"b": 0.0, "p": 0.3}, "N": 1, "branch": 1}',
+    "morse-p": '{"catalog": "morse-p", "params": {"A": 5.0, "alpha": 1.0, '
+               '"mu": null}, "N": 2, "branch": -1}',
+    "trig-interval": '{"catalog": "trig-interval", "params": {"a": 1.0, '
+                     '"p1": 0.25, "p2": 0.25}, "N": 1, "branch": 1}',
+}
+
+
+def test_shipped_configs_match_entries(capsys):
+    # the `config:` line of `qesf catalog show`, pinned for every entry
+    assert set(SHIPPED_CONFIG_LINES) == set(catalog.names())
+    for name, line in SHIPPED_CONFIG_LINES.items():
+        assert cli.main(["catalog", "show", name]) == 0
+        out = capsys.readouterr().out
+        assert f"config: {line}\n" in out, name

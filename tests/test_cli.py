@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -180,6 +181,22 @@ def test_catalog_list_and_show():
     assert "b (2N + 1)" in out
     code, _, _ = run_cli(["catalog", "show", "nonsense"])
     assert code == 4
+
+
+@pytest.mark.parametrize("name,N", [("morse-p", 5), ("morse-p", 6), ("morse-es", 5)])
+def test_bound_state_limit_raises_no_warnings(tmp_path, name, N):
+    # at the default A = 5 <= N alpha there is no bound state: the branch
+    # is found but does not certify, and no RuntimeWarning leaks on the way
+    cfg = write_config(tmp_path, "m.json", {"catalog": name, "N": N})
+    out_csv = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(["solve", cfg, "--out", str(out_csv)])
+        assert code == 0
+        assert out_csv.read_text().splitlines()[1].endswith(",false")
+        code, _, err = run_cli(["verify", cfg, str(out_csv)])
+    assert code == 3
+    assert "no normalizable domain component" in err
 
 
 def test_solve_determinism_byte_identical(tmp_path):

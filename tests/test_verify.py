@@ -82,7 +82,7 @@ def test_fd_spectrum_harmonic_normal_form():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, 5, richardson=True)
+    levels = verify.fd_spectrum(prof, cmap, grid, 5)
     assert np.max(np.abs(levels - np.array([1, 3, 5, 7, 9]))) < 1e-4
 
 
@@ -102,7 +102,7 @@ def test_fd_spectrum_morse_levels():
     spec = catalog.instantiate("morse-es", N=0)
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.default_grid(pre, br.roots, n_points=6001)
-    levels = verify.fd_spectrum(prof, cmap, grid, 5, richardson=True)
+    levels = verify.fd_spectrum(prof, cmap, grid, 5)
     want = np.array([A ** 2 - (A - n * alpha) ** 2 for n in range(5)])
     assert np.max(np.abs(levels - want) / np.maximum(1.0, np.abs(want))) < 1e-3
 
@@ -122,31 +122,31 @@ def test_node_counts():
     spec0 = harmonic(N=0)
     cmap, pre, br, prof = _pipeline(spec0)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(pre, br, cmap, grid) == 0
+    assert verify.node_count(pre, br, grid) == 0
     # harmonic N = 3: three nodes
     spec3 = harmonic(N=3)
     cmap, pre, br, prof = _pipeline(spec3)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(pre, br, cmap, grid) == 3
+    assert verify.node_count(pre, br, grid) == 3
     # sextic N = 1 with negative root: no real preimage, nodeless
     spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (), 1)
     br_neg = bae.solve(spec, [-0.6])
     assert br_neg.roots[0] < 0
     cmap, pre, _, prof = _pipeline(spec, br_neg)
     grid = verify.default_grid(pre, br_neg.roots)
-    assert verify.node_count(pre, br_neg, cmap, grid) == 0
+    assert verify.node_count(pre, br_neg, grid) == 0
 
 
 def test_normalizability_harmonic():
     spec = harmonic(b=1.0, N=1)
     cmap, pre, br, _ = _pipeline(spec)
-    ok, est = verify.normalizability_check(pre, br, cmap)
+    ok, est = verify.normalizability_check(pre, br)
     assert ok and math.isfinite(est) and est > 0
     bad = harmonic(b=-1.0, N=0)
     cmapb = coords.build(bad.Q)
     preb = prepot.integrate_w0(bad, cmapb)
     brb = bae.BetheBranch((), 0.0, 0, "empty")
-    ok, est = verify.normalizability_check(preb, brb, cmapb)
+    ok, est = verify.normalizability_check(preb, brb)
     assert not ok
 
 
@@ -156,13 +156,13 @@ def test_normalizability_morse_p_threshold():
     br = bae.enumerate_branches(good)[0]
     cmap = coords.build(good.Q, branch_sign=good.branch_sign)
     pre = prepot.integrate_w0(good, cmap)
-    ok, _ = verify.normalizability_check(pre, br, cmap)
+    ok, _ = verify.normalizability_check(pre, br)
     assert ok
     bad = catalog.instantiate("morse-p", N=1, A=0.7)
     brb = bae.enumerate_branches(bad)[0]
     cmapb = coords.build(bad.Q, branch_sign=bad.branch_sign)
     preb = prepot.integrate_w0(bad, cmapb)
-    ok, _ = verify.normalizability_check(preb, brb, cmapb)
+    ok, _ = verify.normalizability_check(preb, brb)
     assert not ok
 
 
@@ -191,8 +191,19 @@ def test_verify_branch_roots_from_hermite_all_n():
     for n in (1, 4, 7):
         spec = harmonic(N=n)
         br = bae.BetheBranch(tuple(hermite_zeros(n)), 0.0, 0, "oracle")
-        rep = verify.verify_branch(spec, br, with_spectrum=False)
+        rep = verify.verify_branch(spec, br)
         assert rep.residual_max < 1e-7
+        assert rep.node_count == n
+
+
+def test_residual_check_matches_verify_branch():
+    # type-1, exactly solvable, and a singular wall
+    for name, N in (("sextic", 2), ("morse-es", 2), ("sextic-halfline", 1)):
+        spec = catalog.instantiate(name, N=N)
+        for br in bae.enumerate_branches(spec):
+            rep = verify.verify_branch(spec, br, n_points=2001)
+            got = verify.residual_check(spec, br, n_points=2001)
+            assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
 
 def test_singularity_induced_model_certifies():
@@ -205,7 +216,7 @@ def test_singularity_induced_model_certifies():
     assert len(branches) == 2  # z^2 + 0.5 z - 0.3 = 0
     for br in branches:
         prof = potential.split_energy(spec, br)
-        rep = verify.verify_branch(spec, br, with_spectrum=True)
+        rep = verify.verify_branch(spec, br)
         assert rep.residual_max < 1e-6, br
         # nu = mu = 0.3 < 1/2: limit-circle wall, FD oracle stands down
         assert "limit-circle" in rep.spectrum_note
