@@ -19,11 +19,11 @@ from .model import (Diagnostic, ModelSpec, Singularity, SolvabilityClass,
                     classify, validate)
 from .poly import Poly, Tridiag, hermite_zeros, laguerre_zeros, tridiag_eigenvalues
 from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
-                        identity_check, split_energy, v0_pfe)
+                        split_energy, v0_pfe)
 from .prepot import Prepotential, integrate_w0, phi_value, wn_value
 from .verify import (Grid, VerificationReport, fd_spectrum, make_grid,
                      node_count, normalizability_check, residual_check,
-                     schrodinger_residual, verify_branch)
+                     schrodinger_residual, verify_branch, verify_branches)
 
 __version__ = "0.1.0"
 
@@ -34,9 +34,9 @@ __all__ = [
     "Singularity", "SolvabilityClass", "Tridiag", "VerificationReport",
     "branch_energy", "build", "check_residues", "classify", "delta_v_pfe",
     "enumerate_branches", "expected_energies", "fd_spectrum", "hermite_zeros",
-    "identity_check", "instantiate", "integrate_w0", "jacobian",
-    "laguerre_zeros", "make_grid", "node_count", "normalizability_check",
-    "phi_value", "residual", "residual_check", "schrodinger_residual", "solve",
-    "split_energy", "tridiag_eigenvalues", "v0_pfe", "validate",
-    "verify_branch", "wn_value",
+    "instantiate", "integrate_w0", "jacobian", "laguerre_zeros", "make_grid",
+    "node_count", "normalizability_check", "phi_value", "residual",
+    "residual_check", "schrodinger_residual", "solve", "split_energy",
+    "tridiag_eigenvalues", "v0_pfe", "validate", "verify_branch",
+    "verify_branches", "wn_value",
 ]

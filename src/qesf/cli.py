@@ -187,25 +187,26 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     spec = spec_from_config(cfg)
-    groups = _read_roots_csv(args.roots)
-    if not groups:
+    roots_by_bid = _read_roots_csv(args.roots)
+    if not roots_by_bid:
         raise ModelError(f"roots file {args.roots}: no branches")
-    reports = {}
-    all_ok = True
-    for bid in sorted(groups):
-        roots = groups[bid]
+    bids = sorted(roots_by_bid)
+    branches = []
+    for bid in bids:
+        roots = roots_by_bid[bid]
         if len(roots) != spec.N:
             raise ModelError(
                 f"branch {bid} has {len(roots)} roots but the model has N = {spec.N}")
         res = bae.residual(spec, np.asarray(roots))
         norm = float(np.max(np.abs(res))) if len(res) else 0.0
-        br = bae.BetheBranch(tuple(roots), norm, 0, "csv")
-        try:
-            rep = verify.verify_branch(spec, br, n_points=args.grid_points,
-                                       stencil_order=args.stencil,
-                                       residual_tol=args.tol)
-        except (GridError, DomainError, ValueError) as exc:
-            print(f"branch {bid}: verification error: {exc}", file=sys.stderr)
+        branches.append(bae.BetheBranch(tuple(roots), norm, 0, "csv"))
+    results = verify.verify_branches(spec, branches, n_points=args.grid_points,
+                                     stencil_order=args.stencil, residual_tol=args.tol)
+    reports = {}
+    all_ok = True
+    for bid, rep in zip(bids, results):
+        if isinstance(rep, Exception):
+            print(f"branch {bid}: verification error: {rep}", file=sys.stderr)
             all_ok = False
             continue
         reports[bid] = rep

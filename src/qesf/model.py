@@ -143,10 +143,12 @@ def validate(spec: ModelSpec) -> list[Diagnostic]:
             out.append(Diagnostic(
                 "warning", "phi0 not square-integrable: quadratic P coefficient "
                 "must be positive for an exponential coordinate"))
-        if m <= 1 and lead <= 0:
+        elif m <= 1 and lead <= 0:
             out.append(Diagnostic(
                 "warning", "no normalizable ground state: linear P coefficient "
                 "must be positive for an exponential coordinate"))
+        elif all(s.location == 0.0 for s in sings):
+            out.extend(_exponential_level_bound(spec))
     for s in sings:
         if s.exponent < 0 and s.exponent != -float(spec.N):
             out.append(Diagnostic(
@@ -159,6 +161,30 @@ def validate(spec: ModelSpec) -> list[Diagnostic]:
             "normalizability not decided structurally; resolve numerically "
             "with verify.normalizability_check"))
     return out
+
+
+def _exponential_level_bound(spec: ModelSpec) -> list[Diagnostic]:
+    """Warnings for the ends at which level N is not bound on the
+    exponential coordinate Q = q2 z^2.
+
+    With every singularity at z = 0 (total exponent mu), W0 = int P/Q dz
+    gives phi_N = z^(mu - p1/q2) exp(p0/(q2 z) - p2 z/q2) prod_k (z - z_k),
+    and dx = dz / (sqrt(q2) z). Where the exponential factor is 1 (p0 = 0
+    at z -> 0, deg P <= 1 at z -> infinity), phi_N is a power z^e there,
+    square-integrable only for e > 0 at z -> 0 and e < 0 at z -> infinity.
+    For the Morse presets both conditions read A > N alpha.
+    """
+    P, q2, N = spec.P, spec.Q.coeff(2), spec.N
+    mu = sum(s.exponent for s in spec.singularities)
+    ends = []
+    if P.degree <= 1 and P.coeff(1) <= q2 * (N + mu):
+        ends.append(("z -> infinity", N + mu - P.coeff(1) / q2, "p1 > q2 (N + mu)"))
+    if P.coeff(0) == 0.0 and P.coeff(1) >= q2 * mu:
+        ends.append(("z -> 0", mu - P.coeff(1) / q2, "p1 < q2 mu"))
+    return [Diagnostic(
+        "warning", f"level N = {N} is not bound: phi_N ~ z^{e + 0.0:g} as {end} is not "
+        f"square-integrable on the exponential coordinate (needs {need}, "
+        f"A > N alpha for the Morse presets)") for end, e, need in ends]
 
 
 def classify(spec: ModelSpec) -> SolvabilityClass:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coords, potential, prepot
-from .errors import GridError
+from .errors import DomainError, GridError
 from .model import ModelSpec
 from .poly import Tridiag, tridiag_eigenvalues
 
@@ -81,6 +81,13 @@ def make_grid(x_lo: float, x_hi: float, n: int, **flags) -> Grid:
         raise GridError(f"empty grid interval [{x_lo}, {x_hi}]")
     pts = np.linspace(x_lo, x_hi, n)
     return Grid(pts, float(pts[1] - pts[0]), **flags)
+
+
+def _respan(grid: Grid, x_lo: float, x_hi: float, n: int) -> Grid:
+    """Grid of n points over [x_lo, x_hi] with the wall data of grid."""
+    return make_grid(x_lo, x_hi, n, singular_lo=grid.singular_lo,
+                     singular_hi=grid.singular_hi, wall_lo=grid.wall_lo,
+                     wall_hi=grid.wall_hi, nu_lo=grid.nu_lo, nu_hi=grid.nu_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +376,7 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
         return tridiag_eigenvalues(Tridiag(diag, off), k=k)
 
     e1 = _levels(grid)
-    fine = make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
-                     singular_lo=grid.singular_lo, singular_hi=grid.singular_hi,
-                     wall_lo=grid.wall_lo, wall_hi=grid.wall_hi,
-                     nu_lo=grid.nu_lo, nu_hi=grid.nu_hi)
-    e2 = _levels(fine)
+    e2 = _levels(_respan(grid, grid.points[0], grid.points[-1], 2 * grid.n - 1))
     return (4.0 * e2 - e1) / 3.0
 
 
@@ -488,61 +491,124 @@ def normalizability_check(pre: prepot.Prepotential, branch) -> tuple[bool, float
     return bool(ok_lo and ok_hi), estimate
 
 
-def _setup(spec: ModelSpec, branch, n_points: int):
-    """Map, prepotential, reported potential and certification grid."""
+def _model_setup(spec: ModelSpec):
+    """Coordinate map and prepotential of the model."""
     cmap = coords.build(spec.Q, branch_sign=spec.branch_sign)
-    pre = prepot.integrate_w0(spec, cmap)
+    return cmap, prepot.integrate_w0(spec, cmap)
+
+
+def _branch_setup(spec: ModelSpec, pre: prepot.Prepotential, branch, n_points: int):
+    """Reported potential and certification grid of one branch."""
     profile = potential.split_energy(spec, branch)
-    grid = default_grid(pre, branch.roots, n_points=n_points)
-    return cmap, pre, profile, grid
+    return profile, default_grid(pre, branch.roots, n_points=n_points)
 
 
 def residual_check(spec: ModelSpec, branch, *,
                    n_points: int = 4001) -> tuple[float, float]:
     """Schrodinger residual (max, rms) of one branch on its default grid:
     the residual oracle of verify_branch, at its default stencil order."""
-    cmap, pre, profile, grid = _setup(spec, branch, n_points)
+    cmap, pre = _model_setup(spec)
+    profile, grid = _branch_setup(spec, pre, branch, n_points)
     return schrodinger_residual(profile, branch, cmap, pre, grid)
+
+
+def _spectrum_key(profile: potential.PotentialProfile, grid: Grid) -> tuple:
+    """Branches with equal keys have the same FD operator up to the grid
+    span: the same potential, walls and endpoint exponents. An unset (nan)
+    wall or exponent becomes None, so that it compares equal."""
+    return (profile.U, grid.singular_lo, grid.singular_hi,
+            *(None if math.isnan(v) else v
+              for v in (grid.wall_lo, grid.wall_hi, grid.nu_lo, grid.nu_hi)))
+
+
+def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
+                    stencil_order: int = 4, residual_tol: float = 1e-6) -> list:
+    """Full certification pipeline for the branches of one model.
+
+    Returns, per branch and in order, its VerificationReport or the
+    GridError, DomainError or ValueError that stopped its checks; a failed
+    branch stops no other.
+
+    Map and prepotential are built once. Each branch gets its profile and
+    grid, then the residual, node count and normalizability oracles. The
+    verdict requires the residual below tolerance and the claimed energy
+    matched by a Richardson-extrapolated FD eigenvalue; at a limit-circle
+    wall the spectrum oracle is skipped and spectrum_note says so.
+    Singular-endpoint models carry a documented FD accuracy downgrade
+    (relative tolerance 1e-2 instead of 1e-3).
+
+    The FD spectrum runs once per potential: branches with equal
+    _spectrum_key (type-1 and ES models share U) are matched against one
+    spectrum on a grid of n_points points spanning all their boxes, which
+    for a branch alone is its own grid.
+    """
+    try:
+        cmap, pre = _model_setup(spec)
+    except (GridError, DomainError, ValueError) as exc:
+        return [exc] * len(branches)
+    results: list = [None] * len(branches)
+    groups: dict[tuple, list] = {}  # _spectrum_key -> [(index, profile, grid, fields)]
+    for i, br in enumerate(branches):
+        try:
+            profile, grid = _branch_setup(spec, pre, br, n_points)
+            rmax, rrms = schrodinger_residual(profile, br, cmap, pre, grid,
+                                              stencil_order=stencil_order)
+            nodes = node_count(pre, br, grid)
+            normalizable, norm_estimate = normalizability_check(pre, br)
+        except (GridError, DomainError, ValueError) as exc:
+            results[i] = exc
+            continue
+        fields = dict(residual_max=rmax, residual_rms=rrms, node_count=nodes,
+                      normalizable=normalizable, norm_estimate=norm_estimate)
+        # At a limit-circle wall where the state follows the weaker
+        # indicial root (nu < 1/2) the discrete operator mixes in the
+        # conjugate solution and grows spurious corner modes: the FD
+        # spectrum is not a trustworthy oracle there, so the residual
+        # alone carries the verdict.
+        limit_circle = any(
+            flag and math.isfinite(nu) and nu < 0.5 - 1e-12
+            for flag, nu in ((grid.singular_lo, grid.nu_lo),
+                             (grid.singular_hi, grid.nu_hi)))
+        if limit_circle:
+            results[i] = VerificationReport(
+                **fields, spectrum_matches=[],
+                spectrum_note="FD spectrum oracle skipped: limit-circle wall "
+                              "with endpoint exponent nu < 1/2",
+                verdict=bool(rmax < residual_tol))
+        else:
+            groups.setdefault(_spectrum_key(profile, grid), []).append(
+                (i, profile, grid, fields))
+
+    k = max(8, 2 * spec.N + 4)
+    for members in groups.values():
+        grids = [grid for _, _, grid, _ in members]
+        grid = _respan(grids[0], min(g.points[0] for g in grids),
+                       max(g.points[-1] for g in grids), n_points)
+        try:
+            levels = fd_spectrum(members[0][1], cmap, grid, k)
+        except (GridError, DomainError, ValueError) as exc:
+            for i, *_ in members:
+                results[i] = exc
+            continue
+        tol = 1e-2 if grid.singular_lo or grid.singular_hi else 1e-3
+        for i, profile, _, fields in members:
+            energy = profile.energy
+            nearest = levels[np.argmin(np.abs(levels - energy))]
+            diff = abs(nearest - energy)
+            results[i] = VerificationReport(
+                **fields, spectrum_matches=[(energy, float(nearest), float(diff))],
+                spectrum_note="",
+                verdict=bool(fields["residual_max"] < residual_tol
+                             and diff < tol * max(1.0, abs(energy))))
+    return results
 
 
 def verify_branch(spec: ModelSpec, branch, *, n_points: int = 4001,
                   stencil_order: int = 4,
                   residual_tol: float = 1e-6) -> VerificationReport:
-    """Full certification pipeline for one branch.
-
-    Builds map, prepotential, profile and grid, then runs the residual,
-    node count, normalizability and FD spectrum oracles. The verdict
-    requires the residual below tolerance and the claimed energy matched
-    by a Richardson-extrapolated FD eigenvalue; at a limit-circle wall the
-    spectrum oracle is skipped and spectrum_note says so. Singular-endpoint
-    models carry a documented FD accuracy downgrade (relative tolerance
-    1e-2 instead of 1e-3).
-    """
-    cmap, pre, profile, grid = _setup(spec, branch, n_points)
-    rmax, rrms = schrodinger_residual(profile, branch, cmap, pre, grid,
-                                      stencil_order=stencil_order)
-    nodes = node_count(pre, branch, grid)
-    normalizable, norm_estimate = normalizability_check(pre, branch)
-    matches, note, matched = [], "", True
-    # At a limit-circle wall where the state follows the weaker indicial
-    # root (nu < 1/2) the discrete operator mixes in the conjugate solution
-    # and grows spurious corner modes: the FD spectrum is not a trustworthy
-    # oracle there, so the residual alone carries the verdict.
-    limit_circle = any(
-        flag and math.isfinite(nu) and nu < 0.5 - 1e-12
-        for flag, nu in ((grid.singular_lo, grid.nu_lo),
-                         (grid.singular_hi, grid.nu_hi)))
-    if limit_circle:
-        note = "FD spectrum oracle skipped: limit-circle wall with endpoint exponent nu < 1/2"
-    else:
-        tol = 1e-2 if grid.singular_lo or grid.singular_hi else 1e-3
-        levels = fd_spectrum(profile, cmap, grid, max(8, 2 * spec.N + 4))
-        nearest = levels[np.argmin(np.abs(levels - profile.energy))]
-        diff = abs(nearest - profile.energy)
-        matches = [(profile.energy, float(nearest), float(diff))]
-        matched = diff < tol * max(1.0, abs(profile.energy))
-    return VerificationReport(
-        residual_max=rmax, residual_rms=rrms, node_count=nodes,
-        normalizable=normalizable, norm_estimate=norm_estimate,
-        spectrum_matches=matches, spectrum_note=note,
-        verdict=bool(rmax < residual_tol and matched))
+    """verify_branches for one branch: its report, or its error raised."""
+    (rep,) = verify_branches(spec, [branch], n_points=n_points,
+                             stencil_order=stencil_order, residual_tol=residual_tol)
+    if isinstance(rep, Exception):
+        raise rep
+    return rep

@@ -12,3 +12,18 @@ def _subprocess_pythonpath(monkeypatch):
     as pytest itself does through `pythonpath` in pyproject.toml."""
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.fixture
+def fd_spectrum_grids(monkeypatch):
+    """The grid of every verify.fd_spectrum call made through the module."""
+    from qesf import verify
+    grids = []
+    real = verify.fd_spectrum
+
+    def counted(profile, cmap, grid, k):
+        grids.append(grid)
+        return real(profile, cmap, grid, k)
+
+    monkeypatch.setattr(verify, "fd_spectrum", counted)
+    return grids

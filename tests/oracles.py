@@ -1,0 +1,87 @@
+"""Reference oracles for the potential assembly, used only by the tests.
+
+The double-sum reduction identities, and V0 and dV_N evaluated straight
+from their defining expressions: none of them uses the partial-fraction
+reduction in qesf.potential, so the tests can certify that reduction.
+"""
+
+import numpy as np
+
+from qesf.model import ModelSpec
+
+
+def identity_check(roots, n_samples: int = 20, tol: float = 1e-10,
+                   seed: int = 20240801) -> bool:
+    """Numerically verify the three double-sum reduction identities.
+
+    For numerators 1, z, z^2 the double sum over (z - z_k)(z - z_l) collapses
+    onto single poles; the z^2 case picks up the extra constant N(N-1).
+    Checked at random z kept away from the roots.
+    """
+    roots = np.asarray(roots, dtype=float)
+    N = roots.size
+    if N < 2:
+        return True  # both sides vanish identically
+    rng = np.random.default_rng(seed)
+    span = max(1.0, np.max(np.abs(roots)))
+    checked = 0
+    while checked < n_samples:
+        z = rng.uniform(-3 * span, 3 * span)
+        if np.min(np.abs(z - roots)) < 0.1:
+            continue
+        checked += 1
+        lhs = np.zeros(3)
+        rhs = np.zeros(3)
+        for k in range(N):
+            for l in range(N):
+                if k == l:
+                    continue
+                lhs += np.array([1.0, z, z * z]) / ((z - roots[k]) * (z - roots[l]))
+                rhs += 2.0 * np.array([1.0, roots[k], roots[k] ** 2]) / (
+                    (z - roots[k]) * (roots[k] - roots[l]))
+        rhs[2] += N * (N - 1)
+        scale = 1.0 + np.max(np.abs(lhs))
+        if np.max(np.abs(lhs - rhs)) / scale > tol:
+            return False
+    return True
+
+
+def v0_direct(spec: ModelSpec, z):
+    """Reference evaluation of V0 straight from the defining expression.
+
+    Independent of the PFE reduction; used to certify re-summation.
+    """
+    P, Q = spec.P, spec.Q
+    za = np.asarray(z, dtype=float)
+    Pv, Qv = P(za), Q(za)
+    val = Pv * Pv / Qv - P.derivative()(za) + Pv * Q.derivative()(za) / (2.0 * Qv)
+    for s in spec.singularities:
+        val = val - 2.0 * (Pv - Q.derivative()(za) / 4.0) * s.exponent / (za - s.location)
+        val = val + Qv * s.exponent * (s.exponent - 1.0) / (za - s.location) ** 2
+    if len(spec.singularities) == 2:
+        s1, s2 = spec.singularities
+        val = val + Qv * 2.0 * s1.exponent * s2.exponent / (
+            (za - s1.location) * (za - s2.location))
+    out = np.asarray(val)
+    return out[()].item() if out.shape == () else out
+
+
+def delta_v_direct(spec: ModelSpec, roots, z):
+    """Reference evaluation of dV_N as the raw double sum."""
+    roots = np.asarray(roots, dtype=float)
+    P, Q = spec.P, spec.Q
+    za = np.asarray(z, dtype=float)
+    Pv, Qv = P(za), Q(za)
+    s1 = np.zeros_like(za, dtype=float)
+    s2 = np.zeros_like(za, dtype=float)
+    s3 = np.zeros_like(za, dtype=float)
+    for k, zk in enumerate(roots):
+        s1 = s1 + 1.0 / (za - zk)
+        for l, zl in enumerate(roots):
+            if l != k:
+                s2 = s2 + 1.0 / ((za - zk) * (za - zl))
+        for s in spec.singularities:
+            s3 = s3 + 2.0 * s.exponent / ((za - s.location) * (za - zk))
+    val = -2.0 * (Pv - Q.derivative()(za) / 4.0) * s1 + Qv * (s2 + s3)
+    out = np.asarray(val)
+    return out[()].item() if out.shape == () else out

@@ -44,6 +44,15 @@ def test_classify_sextic(tmp_path):
     assert "max{m, n-1}" in out
 
 
+@pytest.mark.parametrize("name,N", [("morse-es", 5), ("morse-p", 5), ("morse-p", 6)])
+def test_classify_warns_past_bound_state_limit(tmp_path, name, N):
+    for n, warned in ((N, True), (4, False)):
+        cfg = write_config(tmp_path, "m.json", {"catalog": name, "N": n})
+        code, out, _ = run_cli(["classify", cfg])
+        assert code == 0
+        assert (f"[warning] level N = {n} is not bound" in out) == warned, out
+
+
 def test_classify_bad_degree_exits_4(tmp_path):
     cfg = write_config(tmp_path, "bad.json",
                        {"Q": [1.0], "P": [0, 0, 0, 0, 1.0], "N": 1})
@@ -119,6 +128,36 @@ def test_verify_corrupted_root_exits_3(tmp_path):
     bad_csv.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(["verify", cfg, str(bad_csv), "--grid-points", "2001"])
     assert code == 3
+
+
+def test_verify_one_spectrum_for_a_shared_potential(tmp_path, fd_spectrum_grids):
+    cfg = write_config(tmp_path, "s.json", dict(SEXTIC, N=3))
+    out_csv = tmp_path / "roots.csv"
+    run_cli(["solve", cfg, "--out", str(out_csv)])
+    code, out, _ = run_cli(["verify", cfg, str(out_csv)])
+    assert code == 0
+    assert out.count(": pass") == 4
+    assert len(fd_spectrum_grids) == 1
+
+
+def test_verify_error_in_one_branch_leaves_the_others(tmp_path, fd_spectrum_grids):
+    cfg = write_config(tmp_path, "s.json", SEXTIC)
+    out_csv = tmp_path / "roots.csv"
+    run_cli(["solve", cfg, "--out", str(out_csv)])
+    header, good, other = out_csv.read_text().strip().split("\n")
+    parts = other.split(",")
+    parts[2] = format(float(parts[2]) + 0.05, ".17g")
+    good_csv, mixed_csv = tmp_path / "good.csv", tmp_path / "mixed.csv"
+    good_csv.write_text(f"{header}\n{good}\n")
+    mixed_csv.write_text(f"{header}\n{good}\n{','.join(parts)}\n")
+    code, out_good, _ = run_cli(["verify", cfg, str(good_csv)])
+    assert code == 0
+    fd_spectrum_grids.clear()
+    code, out, err = run_cli(["verify", cfg, str(mixed_csv)])
+    assert code == 3
+    assert "branch 1: verification error: branch residues not cancelled" in err
+    assert out == out_good  # branch 0's lines and report are unchanged
+    assert len(fd_spectrum_grids) == 1
 
 
 def test_verify_missing_file_exits_4(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qesf import catalog
 from qesf.errors import ModelError
 from qesf.model import (EXACTLY_SOLVABLE, QES_SINGULAR, QES_TYPE1, QES_TYPE2,
                         ModelSpec, Singularity, classify, spec_seed, validate)
@@ -76,3 +77,28 @@ def test_spec_seed_deterministic_and_distinct():
     assert spec_seed(harmonic()) == spec_seed(harmonic())
     assert spec_seed(harmonic()) != spec_seed(harmonic(b=2.0))
     assert spec_seed(harmonic(N=2)) != spec_seed(harmonic(N=3))
+
+
+@pytest.mark.parametrize("name,N,A,bound", [
+    # defaults A = 5, alpha = 1: level N is bound iff A > N alpha
+    ("morse-es", 4, 5.0, True), ("morse-es", 5, 5.0, False),
+    ("morse-p", 4, 5.0, True), ("morse-p", 5, 5.0, False), ("morse-p", 6, 5.0, False),
+    # just past the limit on either side
+    ("morse-es", 5, 5.001, True), ("morse-p", 5, 5.001, True),
+    ("morse-es", 5, 4.999, False), ("morse-p", 5, 4.999, False),
+])
+def test_validate_exponential_level_bound(name, N, A, bound):
+    diags = validate(catalog.instantiate(name, N=N, A=A))
+    warned = [d for d in diags if "is not bound" in d.message]
+    assert bool(warned) != bound, diags
+    assert all(d.level == "warning" for d in diags)
+    assert classify(catalog.instantiate(name, N=N, A=A)).tag in (EXACTLY_SOLVABLE, QES_TYPE1)
+
+
+def test_validate_exponential_level_bound_ends():
+    # phi_N ~ z^(N - p1/q2) at z -> infinity for linear P (morse-es), and
+    # ~ z^(mu - p1/q2) at z -> 0 for P without a constant term (morse-p)
+    (es,) = validate(catalog.instantiate("morse-es", N=6))
+    assert "z^1 as z -> infinity" in es.message
+    (p,) = validate(catalog.instantiate("morse-p", N=6))
+    assert "z^-1 as z -> 0" in p.message

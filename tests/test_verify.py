@@ -250,3 +250,52 @@ def test_residual_arbitrates_quoted_trig_form():
 
     assert forced_residual(1 / math.sqrt(2)) < 1e-6
     assert forced_residual(0.5) > 1e-4
+
+
+def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids):
+    # type-1: the N+1 branches are eigenstates of one potential
+    spec = catalog.instantiate("sextic", N=3, a=1.0, b=0.0)
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == 4
+    alone = [verify.verify_branch(spec, br) for br in branches]
+    fd_spectrum_grids.clear()
+    reports = verify.verify_branches(spec, branches)
+    (grid,) = fd_spectrum_grids
+    # on the union of the branch boxes
+    pre = prepot.integrate_w0(spec, coords.build(spec.Q))
+    boxes = [verify.default_grid(pre, br.roots).points for br in branches]
+    assert grid.points[0] == min(b[0] for b in boxes)
+    assert grid.points[-1] == max(b[-1] for b in boxes)
+    for rep, ref in zip(reports, alone):
+        assert rep.verdict
+        got, want = rep.as_dict(), ref.as_dict()
+        ((claimed, _, diff),) = got.pop("spectrum_matches")
+        assert got == {k: v for k, v in want.items() if k != "spectrum_matches"}
+        assert claimed == ref.spectrum_matches[0][0]
+        # the model grid moves E_fd at the FD error level only
+        assert diff < 1e-4 * max(1.0, abs(claimed))
+
+
+def test_verify_branches_distinct_potentials(fd_spectrum_grids):
+    # type-2: every branch has its own potential, so its own spectrum
+    spec = catalog.instantiate("sextic-type2", N=1, b=-1.0)
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == 3
+    assert len({potential.split_energy(spec, br).U for br in branches}) == 3
+    reports = verify.verify_branches(spec, branches)
+    assert len(fd_spectrum_grids) == 3
+    assert reports == [verify.verify_branch(spec, br) for br in branches]
+
+
+def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
+    spec = catalog.instantiate("sextic", N=1)
+    good, other = bae.enumerate_branches(spec)
+    bad = bae.BetheBranch(tuple(z + 0.05 for z in other.roots), 0.0, 0, "perturbed")
+    alone = verify.verify_branch(spec, good)
+    fd_spectrum_grids.clear()
+    rep, err = verify.verify_branches(spec, [good, bad])
+    assert len(fd_spectrum_grids) == 1
+    assert rep == alone
+    assert isinstance(err, ValueError) and "residues not cancelled" in str(err)
+    with pytest.raises(ValueError, match="residues not cancelled"):
+        verify.verify_branch(spec, bad)
