@@ -12,6 +12,15 @@ of the mu*q0/z_k term when q0 != 0, and the constant of the two-singularity
 trigonometric family); reference_bae_terms exposes those transcriptions so
 the derive command can print a term-by-term diff, and the finite-difference
 certification in the verify module arbitrates.
+
+Enumeration has two finders, and the model's shape picks one. When
+deg P <= 2 and every singularity sits at a zero of Q (exactly solvable and
+type-1 models), y = prod_k (z - z_k) solves the BAE exactly when it is an
+eigenvector of exact degree N of one (N+1)x(N+1) banded matrix acting on
+polynomials (Turbiner, CMP 118 (1988) 467); each such eigenvector's roots,
+polished by Newton, give one branch. Every other model (type-2 and
+singularity-induced) gets damped Newton from a ladder of classical-zero
+starts plus seeded random starts, merged up to DEDUP_TOL.
 """
 
 from __future__ import annotations
@@ -21,12 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, ConvergenceError
-from .model import ModelSpec, spec_seed
+from .model import ModelSpec, promoted_singularities, spec_seed
 from .poly import hermite_zeros, laguerre_zeros
 from . import coords
 
 COLLISION_TOL = 1e-8
 DEDUP_TOL = 1e-6
+# An eigenvector whose z^N coefficient is below this fraction of its largest
+# is of lower degree (exactly 0 for the triangular exactly solvable matrix)
+# or belongs to a defective eigenvalue (1e-16..1e-13 on the Morse presets);
+# a genuine degree-N one stays above 1e-8 up to N = 40 in the basis of
+# _heine_matrix.
+DEGREE_TOL = 1e-10
 MAX_ITER = 80  # Newton steps to reach tol
 POLISH_ITER = 200  # further steps while the residual keeps improving
 
@@ -222,6 +237,64 @@ def _root_scale(spec: ModelSpec) -> float:
     return 1.0 + bound
 
 
+def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
+    """Matrix of L y = Q y'' + B y' + 2 N p2 z y on the basis (z/s)^n,
+    n = 0..N, and the scale s.
+
+    B = Q'/2 - 2P + 2 Q sum_j mu_j/(z - a_j) is -2 times the polynomial
+    part of the residual (_poly_coeffs), a polynomial because Q(a_j) = 0.
+    At a root of y the BAE read Q y'' + B y' = 0, so y solves them exactly
+    when L y = -E y (E = branch_energy). Column n holds n(n-1) q0 / s^2 at
+    row n-2, (n(n-1) q1 + n b0) / s at row n-1, n(n-1) q2 + n b1 at row n
+    and (n - N) b2 s at row n+1.
+
+    s balances the bands. Like _root_scale it is a Cauchy-type bound, here
+    on the band maxima against the band with the highest power of s, and
+    it is never below _root_scale. It keeps the eigenvectors' roots O(1)
+    in z/s.
+    """
+    N = spec.N
+    q0, q1, q2 = (spec.Q.coeff(i) for i in range(3))
+    b0, b1, b2 = (-2.0 * c for c in (_poly_coeffs(spec) + [0.0])[:3])
+    n = np.arange(N + 1, dtype=float)
+    # band j holds the entries j - 2 rows below the diagonal (times s^(j-2))
+    bands = [n * (n - 1) * q0, n * (n - 1) * q1 + n * b0,
+             n * (n - 1) * q2 + n * b1, (n - N) * b2]
+    mags = [float(np.max(np.abs(b))) for b in bands]
+    top = max((j for j, m in enumerate(mags) if m != 0.0), default=0)
+    s = max([_root_scale(spec)] + [(m / mags[top]) ** (1.0 / (top - j))
+                                   for j, m in enumerate(mags[:top]) if m != 0.0])
+    L = (np.diag(bands[0][2:] / s ** 2, 2) + np.diag(bands[1][1:] / s, 1)
+         + np.diag(bands[2]) + np.diag(bands[3][:-1] * s, -1))
+    return L, s
+
+
+def _matrix_branches(spec: ModelSpec, tol: float) -> list[BetheBranch]:
+    """One Newton polish per real eigenvalue of _heine_matrix whose
+    eigenvector has exact degree N, started from that eigenvector's roots.
+
+    For an exactly solvable model the matrix is triangular and only the
+    last diagonal entry has a degree-N eigenvector. Starts that collide or
+    do not converge are dropped; starts are real, so every branch is.
+    """
+    L, s = _heine_matrix(spec)
+    lam, vec = np.linalg.eig(L)
+    found = []
+    for i in np.flatnonzero(lam.imag == 0.0):
+        c = vec[:, i].real
+        if abs(c[-1]) <= DEGREE_TOL * np.max(np.abs(c)):
+            continue
+        w = np.roots(c[::-1])
+        # np.roots may return a close real pair as a +- ib; a +- b is the
+        # better real start
+        try:
+            found.append(solve(spec, s * np.sort(w.real + w.imag), tol=tol,
+                               origin="matrix"))
+        except (CollisionError, ConvergenceError):
+            continue
+    return found
+
+
 def _initializers(spec: ModelSpec, attempts: int, seed: int | None,
                   complex_mode: bool) -> list[tuple[str, np.ndarray]]:
     """Deterministic multi-start seeds: classical zero sets at several scales
@@ -270,23 +343,17 @@ def _initializers(spec: ModelSpec, attempts: int, seed: int | None,
     return inits
 
 
-def enumerate_branches(spec: ModelSpec, tol: float = 1e-12, attempts: int = 64,
-                       seed: int | None = None,
-                       complex_mode: bool = False) -> list[BetheBranch]:
-    """Multi-start enumeration of distinct solution branches.
+def _energy_key(spec: ModelSpec, br: BetheBranch) -> tuple:
+    """Real branches first, then by extracted energy, then by roots."""
+    e = branch_energy(spec, np.asarray(br.roots))
+    return (0 if br.is_real else 1, np.real(e), np.imag(e),
+            tuple(np.real(np.asarray(br.roots))))
 
-    attempts is a floor on the number of Newton starts, not a cap: the
-    deterministic ladder of classical-zero starts always runs in full, and
-    seeded random starts (a real and a complex one per round in
-    complex_mode) are added until there are at least attempts starts.
 
-    Branches are deduplicated as sorted root multisets (L-inf distance below
-    DEDUP_TOL) and returned sorted by extracted energy. The result is
-    deterministic for a fixed spec/seed: initializers are generated in a
-    fixed order and the merge is order-independent.
-    """
-    if spec.N == 0:
-        return [BetheBranch((), 0.0, 0, "empty")]
+def _multistart_branches(spec: ModelSpec, tol: float, attempts: int,
+                         seed: int | None, complex_mode: bool) -> list[BetheBranch]:
+    """Newton from every _initializers start, merged up to DEDUP_TOL (the
+    smaller residual wins)."""
     accepted: list[tuple[BetheBranch, np.ndarray]] = []
 
     def _insert(br: BetheBranch) -> None:
@@ -312,14 +379,38 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12, attempts: int = 64,
             order = np.lexsort((np.imag(conj), np.real(conj)))
             _insert(BetheBranch(tuple(conj[order].tolist()), br.residual_norm,
                                 br.newton_iters, br.origin + "-conj"))
+    return [br for br, _ in accepted]
 
-    def _key(item):
-        br = item[0]
-        e = branch_energy(spec, np.asarray(br.roots))
-        return (0 if br.is_real else 1, np.real(e), np.imag(e),
-                tuple(np.real(np.asarray(br.roots))))
 
-    return [br for br, _ in sorted(accepted, key=_key)]
+def enumerate_branches(spec: ModelSpec, tol: float = 1e-12, attempts: int = 64,
+                       seed: int | None = None,
+                       complex_mode: bool = False) -> list[BetheBranch]:
+    """All solution branches the model's finder gets, sorted by extracted
+    energy (real branches first).
+
+    Exactly solvable and type-1 models (deg P <= 2, every singularity at a
+    zero of Q) take their branches from the eigenvectors of one matrix
+    (_matrix_branches): real branches only, at most N+1. attempts, seed
+    and complex_mode act only on the other, multi-start models
+    (_multistart_branches):
+
+    attempts is a floor on the number of Newton starts, not a cap: the
+    deterministic ladder of classical-zero starts always runs in full, and
+    seeded random starts (a real and a complex one per round in
+    complex_mode) are added until there are at least attempts starts.
+    Branches are deduplicated as sorted root multisets (L-inf distance below
+    DEDUP_TOL).
+
+    The result is deterministic for a fixed spec/seed: starts are
+    generated in a fixed order and the merge is order-independent.
+    """
+    if spec.N == 0:
+        return [BetheBranch((), 0.0, 0, "empty")]
+    if spec.P.degree <= 2 and not promoted_singularities(spec):
+        found = _matrix_branches(spec, tol)
+    else:
+        found = _multistart_branches(spec, tol, attempts, seed, complex_mode)
+    return sorted(found, key=lambda br: _energy_key(spec, br))
 
 
 def residue_bae_terms(spec: ModelSpec) -> dict:

@@ -314,12 +314,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--N", type=int, default=None, help="override the config N")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--attempts", type=int, default=64,
-                   help="minimum number of Newton starts: the deterministic "
+                   help="minimum number of Newton starts for type-2 and "
+                        "singularity-induced models: the deterministic "
                         "ladder always runs, and seeded random starts are "
-                        "added until the total reaches this")
+                        "added until the total reaches this (ES and type-1 "
+                        "models use the matrix finder, which ignores it)")
     p.add_argument("--grid-points", type=int, default=2001,
                    help="grid size for the verified column")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random Newton starts (type-2 and "
+                        "singularity-induced models only)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_solve)
 

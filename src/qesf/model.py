@@ -149,6 +149,11 @@ def validate(spec: ModelSpec) -> list[Diagnostic]:
                 "must be positive for an exponential coordinate"))
         elif all(s.location == 0.0 for s in sings):
             out.extend(_exponential_level_bound(spec))
+        if spec.P.coeff(0) > 0:
+            out.append(Diagnostic(
+                "warning", "no normalizable ground state: phi0 ~ exp(p0/(q2 z)) "
+                "blows up as z -> 0 when the constant P coefficient p0 > 0 "
+                "on an exponential coordinate"))
     for s in sings:
         if s.exponent < 0 and s.exponent != -float(spec.N):
             out.append(Diagnostic(
@@ -187,6 +192,13 @@ def _exponential_level_bound(spec: ModelSpec) -> list[Diagnostic]:
         f"A > N alpha for the Morse presets)") for end, e, need in ends]
 
 
+def promoted_singularities(spec: ModelSpec) -> list[Singularity]:
+    """Singularities with a nonzero exponent at a point where Q does not
+    vanish: they couple the roots into the potential."""
+    return [s for s in spec.singularities
+            if s.exponent != 0.0 and abs(spec.Q(s.location)) > 1e-12]
+
+
 def classify(spec: ModelSpec) -> SolvabilityClass:
     """Solvability class from the polynomial degrees and pole couplings."""
     diags = validate(spec)
@@ -197,10 +209,7 @@ def classify(spec: ModelSpec) -> SolvabilityClass:
     m = spec.P.degree
     n = spec.Q.degree
     top = max(m, n - 1)
-    promoted = [
-        s for s in spec.singularities
-        if s.exponent != 0.0 and abs(spec.Q(s.location)) > 1e-12
-    ]
+    promoted = promoted_singularities(spec)
     if top <= 1:
         if promoted:
             locs = ", ".join(f"a={s.location:g}" for s in promoted)

@@ -270,3 +270,18 @@ def test_criterion_10_determinism(tmp_path):
         outputs.append(out_csv.read_bytes())
     assert outputs[0] == outputs[1]
     _report(10, "cmd_solve output is byte-identical across runs")
+
+
+# Largest N at which N+1 branches are pinned at the catalog defaults. The
+# matrix finder holds to N = 44, 49 and 19 there; trig-interval stops
+# because some branches' residual floor passes the 1e-12 tolerance.
+TYPE1_LIMITS = {"sextic": 40, "sextic-halfline": 40, "trig-interval": 16}
+
+
+def test_criterion_11_all_type1_branches():
+    for name, limit in TYPE1_LIMITS.items():
+        for N in range(limit + 1):
+            branches = bae.enumerate_branches(catalog.instantiate(name, N=N))
+            assert len(branches) == N + 1, f"{name} N={N}: {len(branches)} branches"
+    _report(11, "type-1 sextic, half-line sextic and trig interval: all N+1 "
+                "branches for N <= " + ", ".join(map(str, TYPE1_LIMITS.values())))

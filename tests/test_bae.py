@@ -213,3 +213,67 @@ def test_harmonic_residue_terms_match_quoted_form():
     spec = harmonic(b=1.0, N=3)
     terms = bae.residue_bae_terms(spec)
     assert terms == {"z^1": 1.0, "1": 0.0}
+
+
+class LadderRequested(Exception):
+    pass
+
+
+def _no_ladder(*args, **kwargs):
+    raise LadderRequested
+
+
+def test_finder_chosen_by_shape(monkeypatch):
+    monkeypatch.setattr(bae, "_initializers", _no_ladder)
+    # deg P <= 2 with every singularity at a zero of Q: the matrix finder
+    for name in ("harmonic", "morse-es", "morse-p", "sextic", "sextic-halfline",
+                 "trig-interval"):
+        assert bae.enumerate_branches(catalog.instantiate(name, N=2)), name
+    # type-2 (deg P = 3) and singularity-induced (Q(a) != 0): multi-start
+    singular = ModelSpec(Poly([1.0]), Poly([0.5, 1.0]), (Singularity(0.0, 0.3),), 2)
+    for spec in (catalog.instantiate("sextic-type2", N=2), singular):
+        with pytest.raises(LadderRequested):
+            bae.enumerate_branches(spec)
+
+
+def test_matrix_path_one_solve_per_branch(monkeypatch):
+    monkeypatch.setattr(bae, "_initializers", _no_ladder)
+    origins = []
+    real_solve = bae.solve
+
+    def counted(spec, init, **kwargs):
+        origins.append(kwargs.get("origin"))
+        return real_solve(spec, init, **kwargs)
+
+    monkeypatch.setattr(bae, "solve", counted)
+    for name, N in (("sextic", 8), ("sextic-halfline", 5), ("trig-interval", 6)):
+        origins.clear()
+        branches = bae.enumerate_branches(catalog.instantiate(name, N=N))
+        assert len(branches) == N + 1, name
+        assert origins == ["matrix"] * (N + 1), name
+        assert all(br.origin == "matrix" for br in branches)
+
+
+def test_heine_matrix_eigenvalues_are_branch_energies():
+    # L y = -E y: the N+1 eigenvalues are minus the N+1 branch energies
+    for name, N in (("sextic", 6), ("sextic-halfline", 5), ("trig-interval", 4)):
+        spec = catalog.instantiate(name, N=N)
+        L, _ = bae._heine_matrix(spec)
+        lam = np.linalg.eigvals(L)
+        assert np.all(lam.imag == 0.0)
+        energies = [bae.branch_energy(spec, br.roots) for br in bae.enumerate_branches(spec)]
+        assert np.allclose(energies, np.sort(-lam.real), rtol=1e-10, atol=1e-10), name
+
+
+def test_degenerate_levels_give_no_branch():
+    # morse-es at A = 5, alpha = 1: the triangular matrix has diagonal
+    # n (n - 10), so d_6 = d_4 = -24 is a defective eigenvalue and no
+    # degree-6 polynomial solution exists (multi-start used to report
+    # spurious branches with a root pair near +-1e8)
+    assert bae.enumerate_branches(catalog.instantiate("morse-es", N=6)) == []
+    # morse-p N = 6: the only polynomial solution is z^2 L_4^(2), whose
+    # double root sits on the z = 0 wall
+    assert bae.enumerate_branches(catalog.instantiate("morse-p", N=6)) == []
+    # one step inside the bound-state limit the single branch is there
+    for name in ("morse-es", "morse-p"):
+        assert len(bae.enumerate_branches(catalog.instantiate(name, N=4))) == 1

@@ -224,13 +224,19 @@ def test_catalog_list_and_show():
 
 @pytest.mark.parametrize("name,N", [("morse-p", 5), ("morse-p", 6), ("morse-es", 5)])
 def test_bound_state_limit_raises_no_warnings(tmp_path, name, N):
-    # at the default A = 5 <= N alpha there is no bound state: the branch
-    # is found but does not certify, and no RuntimeWarning leaks on the way
+    # at the default A = 5 <= N alpha there is no bound state, and no
+    # RuntimeWarning leaks on the way. At N = 5 the branch is found but does
+    # not certify. morse-p N = 6 has no branch: its only polynomial solution
+    # is z^2 L_4^(2), with a double root on the z = 0 wall.
     cfg = write_config(tmp_path, "m.json", {"catalog": name, "N": N})
     out_csv = tmp_path / "m.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _, _ = run_cli(["solve", cfg, "--out", str(out_csv)])
+        code, _, err = run_cli(["solve", cfg, "--out", str(out_csv)])
+        if N == 6:
+            assert code == 2
+            assert "no converged real branch" in err
+            return
         assert code == 0
         assert out_csv.read_text().splitlines()[1].endswith(",false")
         code, _, err = run_cli(["verify", cfg, str(out_csv)])

@@ -102,3 +102,19 @@ def test_validate_exponential_level_bound_ends():
     assert "z^1 as z -> infinity" in es.message
     (p,) = validate(catalog.instantiate("morse-p", N=6))
     assert "z^-1 as z -> 0" in p.message
+
+
+
+@pytest.mark.parametrize("p0,warned", [(0.5, True), (0.0, False), (-0.5, False)])
+def test_validate_exponential_p0_sign(p0, warned):
+    # Q = z^2, P = p0 + 5 z: phi0 ~ exp(p0/z) z^-5 blows up as z -> 0 when p0 > 0
+    spec = ModelSpec(Poly([0.0, 0.0, 1.0]), Poly([p0, 5.0]), (), 1)
+    msgs = [d.message for d in validate(spec) if d.level == "warning"]
+    assert any("phi0 ~ exp(p0/(q2 z)) blows up" in m for m in msgs) == warned, msgs
+
+
+def test_validate_morse_presets_have_no_p0_warning():
+    # morse-es has p0 = -alpha B < 0 and morse-p has p0 = 0
+    for spec in (catalog.instantiate("morse-es", N=2), catalog.instantiate("morse-es", N=2, B=2.7),
+                 catalog.instantiate("morse-p", N=2)):
+        assert validate(spec) == [], spec

@@ -299,3 +299,21 @@ def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
     assert isinstance(err, ValueError) and "residues not cancelled" in str(err)
     with pytest.raises(ValueError, match="residues not cancelled"):
         verify.verify_branch(spec, bad)
+
+
+@pytest.mark.parametrize("name,N,node_step", [
+    ("sextic", 16, 2),           # z = x^2: a root at z > 0 is a node pair
+    ("sextic-halfline", 12, 1),
+    ("trig-interval", 8, 1),
+])
+def test_all_type1_branches_match_distinct_levels(name, N, node_step):
+    # with all N+1 branches present, each one matches its own FD level, and
+    # the node counts climb one level at a time (Sturm oscillation)
+    spec = catalog.instantiate(name, N=N)
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == N + 1
+    reports = verify.verify_branches(spec, branches)
+    assert all(rep.verdict for rep in reports)
+    matched = [rep.spectrum_matches[0][1] for rep in reports]
+    assert len(set(matched)) == N + 1
+    assert [rep.node_count for rep in reports] == [node_step * n for n in range(N + 1)]
