@@ -5,8 +5,9 @@ ground-state driver W0' z'), optionally decorated with boundary singularity
 exponents. The package classifies the model, builds the closed-form
 coordinate and prepotential, solves the Bethe ansatz equations for the
 polynomial-factor roots, assembles the potential and energy, and certifies
-every (potential, energy, eigenfunction) triple independently with
-finite-difference and orthogonal-polynomial oracles.
+every (potential, energy, eigenfunction) triple with independent checks:
+Schrodinger residual, finite-difference spectrum, node count and
+normalizability.
 """
 
 from .bae import (BetheBranch, branch_energy, enumerate_branches, jacobian,
@@ -17,7 +18,7 @@ from .errors import (CollisionError, ConvergenceError, DomainError, GridError,
                      ModelError)
 from .model import (Diagnostic, ModelSpec, Singularity, SolvabilityClass,
                     classify, validate)
-from .poly import Poly, Tridiag, hermite_zeros, laguerre_zeros, tridiag_eigenvalues
+from .poly import Poly, Tridiag, tridiag_eigenvalues
 from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
                         split_energy, v0_pfe)
 from .prepot import Prepotential, integrate_w0, phi_value, wn_value
@@ -33,8 +34,8 @@ __all__ = [
     "ModelSpec", "PFE", "Poly", "PotentialProfile", "Prepotential",
     "Singularity", "SolvabilityClass", "Tridiag", "VerificationReport",
     "branch_energy", "build", "check_residues", "classify", "delta_v_pfe",
-    "enumerate_branches", "expected_energies", "fd_spectrum", "hermite_zeros",
-    "instantiate", "integrate_w0", "jacobian", "laguerre_zeros", "make_grid",
+    "enumerate_branches", "expected_energies", "fd_spectrum", "instantiate",
+    "integrate_w0", "jacobian", "make_grid",
     "node_count", "normalizability_check", "phi_value", "residual",
     "residual_check", "schrodinger_residual", "solve", "split_energy",
     "tridiag_eigenvalues", "v0_pfe", "validate", "verify_branch",

@@ -13,35 +13,51 @@ trigonometric family); reference_bae_terms exposes those transcriptions so
 the derive command can print a term-by-term diff, and the finite-difference
 certification in the verify module arbitrates.
 
-Enumeration has two finders, and the model's shape picks one. When
-deg P <= 2 and every singularity sits at a zero of Q (exactly solvable and
-type-1 models), y = prod_k (z - z_k) solves the BAE exactly when it is an
-eigenvector of exact degree N of one (N+1)x(N+1) banded matrix acting on
-polynomials (Turbiner, CMP 118 (1988) 467); each such eigenvector's roots,
-polished by Newton, give one branch. Every other model (type-2 and
-singularity-induced) gets damped Newton from a ladder of classical-zero
-starts plus seeded random starts, merged up to DEDUP_TOL.
+Enumeration has one finder for every model class (Heine 1878, Stieltjes
+1885; B. Shapiro, J. London Math. Soc. 83 (2011) 36). y = prod_k (z - z_k)
+solves the BAE exactly when A y'' + B y' + V y = 0 for a polynomial V, with
+A and B fixed by the model (_operator). Degree counting fixes the top
+coefficient of V, which leaves k = max(deg A - 2, deg B - 1, 1) free
+parameters: a k-parameter eigenproblem on polynomials of degree <= N
+(_heine_matrix). Exactly solvable and type-1 models, and one wall with
+deg P <= 1, have k = 1: one square matrix (Turbiner, CMP 118 (1988) 467).
+Type-2 models, two walls, or a wall with deg P >= 2 give k >= 2: a
+rectangular multiparameter eigenproblem, solved through Atkinson's
+Delta-operators of k fixed compressions (Hochstenbach, Kosir and
+Plestenjak). Every eigen-solution of exact degree N gets one Newton polish
+from its roots.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
+import scipy.linalg
 
-from .errors import CollisionError, ConvergenceError
-from .model import ModelSpec, promoted_singularities, spec_seed
-from .poly import hermite_zeros, laguerre_zeros
-from . import coords
+from .errors import CollisionError, ConvergenceError, ModelError
+from .model import ModelSpec, promoted_singularities
 
 COLLISION_TOL = 1e-8
-DEDUP_TOL = 1e-6
 # An eigenvector whose z^N coefficient is below this fraction of its largest
 # is of lower degree (exactly 0 for the triangular exactly solvable matrix)
 # or belongs to a defective eigenvalue (1e-16..1e-13 on the Morse presets);
 # a genuine degree-N one stays above 1e-8 up to N = 40 in the basis of
 # _heine_matrix.
 DEGREE_TOL = 1e-10
+# A k >= 2 eigen-solution with roots real to this (in z/s) is real: on the
+# vetted configs real ones stay below 1e-15, complex ones above 0.06.
+REAL_TOL = 1e-6
+# A compressed-problem solution w solves the rectangular one when
+# M0 + sum_j w_j S_j has sigma_min below this fraction of sigma_max.
+RANK_TOL = 1e-7
+# Cap on (N+1)^k. Past type-2 N = 10 (order 121) the k = 2 rank test loses
+# solutions: 201 of 231 at N = 20 (a = 1, b = -3), the real one among them.
+MAX_ORDER = 121
+COMPRESSION_SEED = 0  # fixed compressions keep the k >= 2 results deterministic
 MAX_ITER = 80  # Newton steps to reach tol
 POLISH_ITER = 200  # further steps while the residual keeps improving
 
@@ -237,110 +253,145 @@ def _root_scale(spec: ModelSpec) -> float:
     return 1.0 + bound
 
 
-def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
-    """Matrix of L y = Q y'' + B y' + 2 N p2 z y on the basis (z/s)^n,
-    n = 0..N, and the scale s.
+def _operator(spec: ModelSpec) -> tuple[list[float], list[float]]:
+    """Ascending coefficients of A and B in A y'' + B y' + V y = 0.
 
-    B = Q'/2 - 2P + 2 Q sum_j mu_j/(z - a_j) is -2 times the polynomial
-    part of the residual (_poly_coeffs), a polynomial because Q(a_j) = 0.
-    At a root of y the BAE read Q y'' + B y' = 0, so y solves them exactly
-    when L y = -E y (E = branch_energy). Column n holds n(n-1) q0 / s^2 at
-    row n-2, (n(n-1) q1 + n b0) / s at row n-1, n(n-1) q2 + n b1 at row n
-    and (n - N) b2 s at row n+1.
+    At a root z_k of y = prod_l (z - z_l), y''/y' = 2 sum_{l != k} 1/(z_k - z_l),
+    so the BAE read Q y'' + (Q'/2 - 2P + 2 Q sum_j mu_j/(z - a_j)) y' = 0
+    there. The bracket is -2 _poly_coeffs plus 2 mu_j Q(a_j)/(z - a_j) per
+    promoted singularity; times W = prod_promoted (z - a_j), A = Q W and B
+    are polynomials.
+    """
+    a, b = list(spec.Q.coeffs), [-2.0 * c for c in _poly_coeffs(spec)]
+    promoted = promoted_singularities(spec)
+    walls = [[-s.location, 1.0] for s in promoted]
+    if not walls:
+        return a, b
+    b = npoly.polymul(b, functools.reduce(npoly.polymul, walls))
+    for j, s in enumerate(promoted):
+        others = walls[:j] + walls[j + 1:]
+        b = npoly.polyadd(b, functools.reduce(
+            npoly.polymul, others, [2.0 * s.exponent * spec.Q(s.location)]))
+    return list(functools.reduce(npoly.polymul, walls, a)), list(b)
+
+
+def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
+    """Matrix M0 of y -> A y'' + B y' + v_d z^d y (_operator) on the basis
+    (z/s)^n, n = 0..N, and the scale s.
+
+    V = v_0 + ... + v_d z^d with d = max(deg A - 2, deg B - 1); for d >= 1 the
+    z^(N+d) coefficient fixes v_d, which leaves k = max(d, 1) free ones. y
+    solves the BAE when (M0 + sum_{j<k} v_j s^j S_j) y = 0, S_j shifting the
+    basis by j, so M0 has N + k rows. For k = 1 v_0 = -eigenvalue, and
+    without promoted walls v_0 = E (branch_energy). Column n holds
+    (n(n-1) a_{j+2} + n b_{j+1}) s^j at row n + j, for j = -2..d.
 
     s balances the bands. Like _root_scale it is a Cauchy-type bound, here
     on the band maxima against the band with the highest power of s, and
     it is never below _root_scale. It keeps the eigenvectors' roots O(1)
-    in z/s.
+    in z/s. ModelError when (N+1)^k exceeds MAX_ORDER, before any work.
     """
     N = spec.N
-    q0, q1, q2 = (spec.Q.coeff(i) for i in range(3))
-    b0, b1, b2 = (-2.0 * c for c in (_poly_coeffs(spec) + [0.0])[:3])
+    a, b = _operator(spec)
+    degree = lambda c: max((i for i, x in enumerate(c) if x != 0.0), default=-1)
+    d = max(degree(a) - 2, degree(b) - 1, 0)
+    k = max(d, 1)
+    if (N + 1) ** k > MAX_ORDER:
+        largest = next(n for n in range(MAX_ORDER, 0, -1) if (n + 1) ** k <= MAX_ORDER)
+        raise ModelError(f"N = {N} is too large: this model's eigenproblem has {k} "
+                         f"free parameter(s), and (N+1)^{k} may not exceed "
+                         f"{MAX_ORDER}, so N <= {largest}")
+    coef = lambda c, i: c[i] if 0 <= i < len(c) else 0.0
     n = np.arange(N + 1, dtype=float)
-    # band j holds the entries j - 2 rows below the diagonal (times s^(j-2))
-    bands = [n * (n - 1) * q0, n * (n - 1) * q1 + n * b0,
-             n * (n - 1) * q2 + n * b1, (n - N) * b2]
-    mags = [float(np.max(np.abs(b))) for b in bands]
+    # bands[j + 2] holds the entries j rows below the diagonal (times s^j)
+    bands = [n * (n - 1) * coef(a, j + 2) + n * coef(b, j + 1) for j in range(-2, k)]
+    if d > 0:
+        bands.append((n * (n - 1) - N * (N - 1)) * coef(a, d + 2) + (n - N) * coef(b, d + 1))
+    mags = [float(np.max(np.abs(band))) for band in bands]
     top = max((j for j, m in enumerate(mags) if m != 0.0), default=0)
     s = max([_root_scale(spec)] + [(m / mags[top]) ** (1.0 / (top - j))
                                    for j, m in enumerate(mags[:top]) if m != 0.0])
-    L = (np.diag(bands[0][2:] / s ** 2, 2) + np.diag(bands[1][1:] / s, 1)
-         + np.diag(bands[2]) + np.diag(bands[3][:-1] * s, -1))
-    return L, s
+    M0 = np.zeros((N + k, N + 1))
+    for j, band in enumerate(bands, start=-2):
+        cols = np.arange(max(0, -j), min(N + 1, N + k - j))
+        M0[cols + j, cols] = (band / s ** -j if j < 0 else band * s ** j)[cols]
+    # eig's output depends on the sign of zeros: + 0.0 makes every -0.0 a 0.0
+    return M0 + 0.0, s
 
 
-def _matrix_branches(spec: ModelSpec, tol: float) -> list[BetheBranch]:
-    """One Newton polish per real eigenvalue of _heine_matrix whose
-    eigenvector has exact degree N, started from that eigenvector's roots.
+def _delta_operators(M0: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Atkinson's Delta_0 and Delta_1..Delta_k of (M0 + sum_j w_j S_j) y = 0.
 
-    For an exactly solvable model the matrix is triangular and only the
-    last diagonal entry has a degree-N eigenvector. Starts that collide or
-    do not converge are dropped; starts are real, so every branch is.
+    k fixed compressions C_i ((N+1) x (N+k)) give the square problems
+    (C_i M0 + sum_j w_j C_i S_j) x_i = 0, where C_i S_j is columns j..j+N of
+    C_i. Delta_0 is the Kronecker determinant of the C_i S_j, and Delta_j
+    has column j replaced by -C_i M0, so Delta_j z = w_j Delta_0 z for
+    z = x_1 (x) ... (x) x_k. Every solution of the rectangular problem
+    solves the compressed one with x_i = y; _rank_deficient drops the
+    compressed one's further solutions.
     """
-    L, s = _heine_matrix(spec)
-    lam, vec = np.linalg.eig(L)
-    found = []
-    for i in np.flatnonzero(lam.imag == 0.0):
-        c = vec[:, i].real
+    n, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
+    C = np.random.default_rng(COMPRESSION_SEED).standard_normal((k, n, n + k - 1))
+    cols = [[Ci[:, j:j + n] for Ci in C] for j in range(k)]
+
+    def kron_det(cols):
+        return sum((-1) ** sum(p[j] > p[i] for i in range(k) for j in range(i))
+                   * functools.reduce(np.kron, [cols[p[i]][i] for i in range(k)])
+                   for p in itertools.permutations(range(k)))
+
+    minus_a = [-Ci @ M0 for Ci in C]
+    return kron_det(cols), [kron_det(cols[:j] + [minus_a] + cols[j + 1:]) for j in range(k)]
+
+
+def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
+    """Null vectors y of M0 + sum_j w_j S_j over the solutions w, k >= 2.
+
+    One generalized eigenproblem, Delta_c z = lam Delta_0 z for a fixed
+    combination Delta_c of the Delta_j (distinct lam even where solutions
+    share a w_j), gives the candidates, and w_j follows from each
+    eigenvector by least squares. A candidate is kept when its rectangular
+    matrix has sigma_min <= RANK_TOL sigma_max; y is that singular vector.
+    """
+    N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
+    D0, Ds = _delta_operators(M0)
+    c = np.random.default_rng(COMPRESSION_SEED).standard_normal(k)
+    lam, Z = scipy.linalg.eig(sum(cj * Dj for cj, Dj in zip(c, Ds)), D0)
+    d0 = D0 @ Z[:, np.isfinite(lam)]
+    norm = np.einsum("ij,ij->j", d0.conj(), d0).real
+    Z, d0 = Z[:, np.isfinite(lam)][:, norm > 0], d0[:, norm > 0]
+    w = np.array([np.einsum("ij,ij->j", d0.conj(), Dj @ Z) for Dj in Ds]).T / norm[norm > 0, None]
+    M = np.repeat(M0[None].astype(complex), len(w), axis=0)
+    cols = np.arange(N1)
+    for j in range(k):
+        M[:, cols + j, cols] += w[:, j, None]
+    _, sv, Vh = np.linalg.svd(M)
+    return list(Vh[sv[:, -1] <= RANK_TOL * sv[:, 0], -1].conj())
+
+
+def _starts(M0: np.ndarray, s: float, complex_mode: bool):
+    """Newton starts: the roots (times s) of every eigen-solution y of exact
+    degree N.
+
+    k = 1: the eigenvectors of the square M0. A real eigenvalue's y is real
+    and gets a real start: np.roots may return a close real pair as a +- ib
+    (b = 0.014 in z/s at trig-interval N = 15), and a +- b is the better
+    start. k >= 2 (_rank_deficient): y is real when its roots are real to
+    REAL_TOL. Complex ones start only in complex_mode.
+    """
+    if M0.shape[0] == M0.shape[1]:
+        lam, vec = np.linalg.eig(M0)
+        cands = [(vec[:, i].real, True) if lam[i].imag == 0.0 else (vec[:, i], False)
+                 for i in range(len(lam))]
+    else:
+        cands = [(y, None) for y in _rank_deficient(M0)]
+    for c, real in cands:
         if abs(c[-1]) <= DEGREE_TOL * np.max(np.abs(c)):
             continue
         w = np.roots(c[::-1])
-        # np.roots may return a close real pair as a +- ib; a +- b is the
-        # better real start
-        try:
-            found.append(solve(spec, s * np.sort(w.real + w.imag), tol=tol,
-                               origin="matrix"))
-        except (CollisionError, ConvergenceError):
-            continue
-    return found
-
-
-def _initializers(spec: ModelSpec, attempts: int, seed: int | None,
-                  complex_mode: bool) -> list[tuple[str, np.ndarray]]:
-    """Deterministic multi-start seeds: classical zero sets at several scales
-    plus seeded pseudo-random spreads over the coordinate image and its
-    reflection."""
-    N = spec.N
-    cmap = coords.build(spec.Q, branch_sign=spec.branch_sign)
-    lo, hi = cmap.z_image
-    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
-    inits: list[tuple[str, np.ndarray]] = []
-
-    herm = hermite_zeros(N)
-    lag = laguerre_zeros(N, 0.0)
-    scale0 = _root_scale(spec)
-    ladders = tuple(s * scale0 for s in (0.25, 0.5, 1.0, 2.0)) + (0.5, 1.0, 2.0, 4.0)
-    if finite_lo and finite_hi:
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        cheb = mid + half * np.cos(np.pi * (2 * np.arange(N) + 1) / (2.0 * N)) * 0.9
-        inits.append(("chebyshev", np.sort(cheb)))
-        inits.append(("chebyshev-reflect-lo", np.sort(2 * lo - cheb)))
-        inits.append(("chebyshev-reflect-hi", np.sort(2 * hi - cheb)))
-        hscale = max(1.0, float(np.max(np.abs(herm))) if N else 1.0)
-        for s in (0.5, 1.0):
-            inits.append(("hermite", np.sort(mid + s * half * herm / hscale)))
-    anchor = lo if finite_lo else (hi if finite_hi else 0.0)
-    for s in ladders:
-        inits.append(("hermite", np.sort(anchor + s * herm)))
-        inits.append(("laguerre", np.sort(anchor + s * lag)))
-        inits.append(("laguerre-reflect", np.sort(anchor - s * lag)))
-
-    if seed is None:
-        seed = spec_seed(spec)
-    span = 4.0 * max(1.0, np.sqrt(N)) * scale0
-    box_lo = lo - span if finite_lo else -span
-    box_hi = hi + span if finite_hi else span
-    if finite_lo and finite_hi:
-        box_lo, box_hi = lo - (hi - lo), hi + (hi - lo)
-    i = 0
-    while len(inits) < attempts:
-        rng = np.random.default_rng(seed + i)
-        inits.append((f"random-{i}", np.sort(rng.uniform(box_lo, box_hi, N))))
-        if complex_mode:
-            pert = rng.uniform(0.1, 1.0, N) * rng.choice([-1.0, 1.0], N) * 1j
-            inits.append((f"complex-{i}", np.sort_complex(rng.uniform(box_lo, box_hi, N) + pert)))
-        i += 1
-    return inits
+        if real or (real is None and np.max(np.abs(w.imag)) <= REAL_TOL):
+            yield s * np.sort(w.real + w.imag)
+        elif complex_mode:
+            yield s * np.sort_complex(w)
 
 
 def _energy_key(spec: ModelSpec, br: BetheBranch) -> tuple:
@@ -350,66 +401,39 @@ def _energy_key(spec: ModelSpec, br: BetheBranch) -> tuple:
             tuple(np.real(np.asarray(br.roots))))
 
 
-def _multistart_branches(spec: ModelSpec, tol: float, attempts: int,
-                         seed: int | None, complex_mode: bool) -> list[BetheBranch]:
-    """Newton from every _initializers start, merged up to DEDUP_TOL (the
-    smaller residual wins)."""
-    accepted: list[tuple[BetheBranch, np.ndarray]] = []
-
-    def _insert(br: BetheBranch) -> None:
-        r = np.asarray(br.roots)
-        for k, (old, old_r) in enumerate(accepted):
-            if np.max(np.abs(r - old_r)) < DEDUP_TOL:
-                if br.residual_norm < old.residual_norm:
-                    accepted[k] = (br, r)
-                return
-        accepted.append((br, r))
-
-    for origin, init in _initializers(spec, attempts, seed, complex_mode):
-        try:
-            br = solve(spec, init, tol=tol, origin=origin)
-        except (ConvergenceError, CollisionError, ValueError):
-            continue
-        if not complex_mode and not br.is_real:
-            continue
-        _insert(br)
-        if complex_mode and not br.is_real:
-            # real-coefficient system: complex branches come in conjugate pairs
-            conj = np.conj(np.asarray(br.roots))
-            order = np.lexsort((np.imag(conj), np.real(conj)))
-            _insert(BetheBranch(tuple(conj[order].tolist()), br.residual_norm,
-                                br.newton_iters, br.origin + "-conj"))
-    return [br for br, _ in accepted]
-
-
-def enumerate_branches(spec: ModelSpec, tol: float = 1e-12, attempts: int = 64,
-                       seed: int | None = None,
+def enumerate_branches(spec: ModelSpec, tol: float = 1e-12,
                        complex_mode: bool = False) -> list[BetheBranch]:
-    """All solution branches the model's finder gets, sorted by extracted
-    energy (real branches first).
+    """Every branch of the model's eigenproblem, sorted by extracted energy
+    (real branches first).
 
-    Exactly solvable and type-1 models (deg P <= 2, every singularity at a
-    zero of Q) take their branches from the eigenvectors of one matrix
-    (_matrix_branches): real branches only, at most N+1. attempts, seed
-    and complex_mode act only on the other, multi-start models
-    (_multistart_branches):
+    Each eigen-solution of _heine_matrix of exact degree N gets one Newton
+    polish from its roots (_starts); polishes that collide or do not
+    converge are dropped. For k >= 2, polishes within COLLISION_TOL of an
+    earlier one (a multiple eigen-solution) are one branch. Real branches
+    only, unless complex_mode. A model with k free parameters has at most
+    C(N+k, k) solutions (N + 1 for k = 1). Raises ModelError when
+    (N + 1)^k exceeds MAX_ORDER.
 
-    attempts is a floor on the number of Newton starts, not a cap: the
-    deterministic ladder of classical-zero starts always runs in full, and
-    seeded random starts (a real and a complex one per round in
-    complex_mode) are added until there are at least attempts starts.
-    Branches are deduplicated as sorted root multisets (L-inf distance below
-    DEDUP_TOL).
-
-    The result is deterministic for a fixed spec/seed: starts are
-    generated in a fixed order and the merge is order-independent.
+    The result is deterministic: nothing is random, and the compressions
+    of the k >= 2 problem are fixed.
     """
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0, "empty")]
-    if spec.P.degree <= 2 and not promoted_singularities(spec):
-        found = _matrix_branches(spec, tol)
-    else:
-        found = _multistart_branches(spec, tol, attempts, seed, complex_mode)
+    M0, s = _heine_matrix(spec)
+    found: list[BetheBranch] = []
+    for start in _starts(M0, s, complex_mode):
+        try:
+            br = solve(spec, start, tol=tol, origin="matrix")
+        except (CollisionError, ConvergenceError):
+            continue
+        # k >= 2: a multiple eigen-solution (sextic-type2 at b = 0, N = 1:
+        # z^3 = 0) polishes to its branch once per multiplicity. Roots are
+        # matched as sets: a conjugate pair's order can differ between polishes.
+        roots = np.asarray(br.roots)
+        if M0.shape[0] == M0.shape[1] or not any(
+                np.max(np.min(np.abs(roots[:, None] - np.asarray(old.roots)), axis=1))
+                < COLLISION_TOL for old in found):
+            found.append(br)
     return sorted(found, key=lambda br: _energy_key(spec, br))
 
 

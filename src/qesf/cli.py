@@ -12,8 +12,7 @@ or a catalog reference:
     {"catalog": "sextic", "params": {"a": 1.0, "b": 0.0}, "N": 2}
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
-All randomness is seeded from a hash of the model unless --seed (or the
-QESF_SEED environment variable) overrides it; the seed used is echoed.
+Nothing is random: the same config gives byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -51,37 +49,48 @@ def load_config(path: str) -> dict:
         raise ModelError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as float; true and false are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f'config key "{key}" must be a number (got {json.dumps(value)})')
+    return float(value)
+
+
+def _integer(cfg: dict, key: str, default: int) -> int:
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f'config key "{key}" must be an integer')
+    return value
+
+
 def spec_from_config(cfg: dict) -> ModelSpec:
     """Build and validate a ModelSpec from a parsed config dict."""
+    branch = cfg.get("branch")
+    if branch is not None and (isinstance(branch, bool) or branch not in (1, -1)):
+        raise ModelError('config key "branch" must be +1 or -1')
     if "catalog" in cfg:
-        name = cfg["catalog"]
         params = cfg.get("params", {})
         if not isinstance(params, dict):
             raise ModelError('config key "params" must be an object')
-        N = cfg.get("N", 1)
-        if not isinstance(N, int):
-            raise ModelError('config key "N" must be an integer')
-        spec = catalog.instantiate(name, N=N, branch_sign=cfg.get("branch"), **params)
+        params = {k: _number(v, f"params.{k}") for k, v in params.items()}
+        spec = catalog.instantiate(cfg["catalog"], N=_integer(cfg, "N", 1),
+                                   branch_sign=branch, **params)
     else:
+        polys = []
         for key in ("Q", "P"):
             if key not in cfg:
                 raise ModelError(f'config key "{key}" is required')
-            if (not isinstance(cfg[key], list)
-                    or not all(isinstance(v, (int, float)) for v in cfg[key])):
+            if not isinstance(cfg[key], list):
                 raise ModelError(f'config key "{key}" must be a list of numbers')
+            polys.append(Poly([_number(v, f"{key}[{i}]") for i, v in enumerate(cfg[key])]))
         sings = []
         for i, s in enumerate(cfg.get("singularities", [])):
             if not isinstance(s, dict) or "a" not in s or "mu" not in s:
                 raise ModelError(
                     f'config key "singularities[{i}]" must be an object with "a" and "mu"')
-            sings.append(Singularity(float(s["a"]), float(s["mu"])))
-        N = cfg.get("N", 0)
-        if not isinstance(N, int):
-            raise ModelError('config key "N" must be an integer')
-        branch = cfg.get("branch", 1)
-        if branch not in (1, -1):
-            raise ModelError('config key "branch" must be +1 or -1')
-        spec = ModelSpec(Poly(cfg["Q"]), Poly(cfg["P"]), tuple(sings), N, branch)
+            sings.append(Singularity(_number(s["a"], f"singularities[{i}].a"),
+                                     _number(s["mu"], f"singularities[{i}].mu")))
+        spec = ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
     errors = [d for d in model.validate(spec) if d.level == "error"]
     if errors:
         raise ModelError("invalid model: " + "; ".join(d.message for d in errors))
@@ -94,19 +103,7 @@ def config_anchor(cfg: dict):
     a = cfg["anchor"]
     if not isinstance(a, dict) or "x0" not in a or "z0" not in a:
         raise ModelError('config key "anchor" must be an object with "x0" and "z0"')
-    return (float(a["x0"]), float(a["z0"]))
-
-
-def resolve_seed(cfg: dict, spec: ModelSpec, cli_seed: int | None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("QESF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ModelError(f"QESF_SEED must be an integer (got {env!r})")
-    return model.spec_seed(spec)
+    return (_number(a["x0"], "anchor.x0"), _number(a["z0"], "anchor.z0"))
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +124,7 @@ def cmd_solve(args) -> int:
     if args.N is not None:
         cfg = dict(cfg, N=args.N)
     spec = spec_from_config(cfg)
-    seed = resolve_seed(cfg, spec, args.seed)
-    print(f"seed: {seed}")
-    branches = bae.enumerate_branches(spec, tol=args.tol, attempts=args.attempts,
-                                      seed=seed)
+    branches = bae.enumerate_branches(spec, tol=args.tol)
     if not branches:
         print("solver failure: no converged real branch", file=sys.stderr)
         return EXIT_SOLVER
@@ -313,17 +307,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("config")
     p.add_argument("--N", type=int, default=None, help="override the config N")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--attempts", type=int, default=64,
-                   help="minimum number of Newton starts for type-2 and "
-                        "singularity-induced models: the deterministic "
-                        "ladder always runs, and seeded random starts are "
-                        "added until the total reaches this (ES and type-1 "
-                        "models use the matrix finder, which ignores it)")
     p.add_argument("--grid-points", type=int, default=2001,
                    help="grid size for the verified column")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed of the random Newton starts (type-2 and "
-                        "singularity-induced models only)")
+                   help="ignored: accepted so that older scripts still run "
+                        "(the branch finder uses no randomness)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_solve)
 

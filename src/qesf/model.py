@@ -12,12 +12,13 @@ the singularities:
     max{m, n-1} == 2  -> type-1 QES (one potential, N+1 algebraic levels)
     m == 3            -> type-2 QES (N+1 potentials sharing one level)
 A singularity at a point where Q does not vanish couples the roots into the
-potential and promotes an otherwise-ES model to a QES one.
+potential (a pole of weight 2 mu Q(a) sum_k 1/(a - z_k)) and makes an
+otherwise ES or type-1 model singularity-induced.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ModelError
@@ -62,23 +63,6 @@ class SolvabilityClass:
     rationale: str
 
 
-def spec_seed(spec: ModelSpec) -> int:
-    """Deterministic 63-bit seed derived from the model definition.
-
-    Uses sha256 of a canonical text form, so it is stable across runs and
-    platforms (unlike Python's salted hash()).
-    """
-    text = "|".join([
-        repr(spec.Q.coeffs),
-        repr(spec.P.coeffs),
-        repr(tuple((s.location, s.exponent) for s in spec.singularities)),
-        repr(spec.N),
-        repr(spec.branch_sign),
-    ])
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
 def validate(spec: ModelSpec) -> list[Diagnostic]:
     """Structural checks plus advisory normalizability screening.
 
@@ -89,6 +73,15 @@ def validate(spec: ModelSpec) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
 
+    numbers = {"Q": spec.Q.coeffs, "P": spec.P.coeffs,
+               "singularity location": [s.location for s in spec.singularities],
+               "singularity exponent": [s.exponent for s in spec.singularities]}
+    for what, values in numbers.items():
+        if not all(math.isfinite(v) for v in values):
+            out.append(Diagnostic("error", f"every {what} value must be finite "
+                                           f"(got {list(values)})"))
+    if out:
+        return out
     if spec.Q.is_zero():
         out.append(Diagnostic("error", "Q must not be identically zero"))
     if spec.Q.degree > 2:
@@ -210,13 +203,13 @@ def classify(spec: ModelSpec) -> SolvabilityClass:
     n = spec.Q.degree
     top = max(m, n - 1)
     promoted = promoted_singularities(spec)
+    if top <= 2 and promoted:
+        locs = ", ".join(f"a={s.location:g}" for s in promoted)
+        return SolvabilityClass(
+            QES_SINGULAR,
+            f"max{{m, n-1}} = {top} <= 2 but Q(a) != 0 at {locs}: the "
+            f"singularity couples the roots into the potential")
     if top <= 1:
-        if promoted:
-            locs = ", ".join(f"a={s.location:g}" for s in promoted)
-            return SolvabilityClass(
-                QES_SINGULAR,
-                f"max{{m, n-1}} = {top} <= 1 but Q(a) != 0 at {locs}: the "
-                f"singularity couples the roots into the potential")
         return SolvabilityClass(
             EXACTLY_SOLVABLE,
             f"max{{m, n-1}} = max{{{m}, {n - 1}}} = {top} <= 1: roots enter "

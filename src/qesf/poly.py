@@ -2,10 +2,7 @@
 
 Coefficients are stored ascending (c0 + c1*z + ...) and canonically trimmed.
 Degrees stay tiny (<= 8) throughout the package, so plain Horner arithmetic
-is both exact enough and fast. Classical-polynomial zeros are computed as
-Jacobi-matrix eigenvalues rather than from monomial coefficients: the
-three-term recurrences are perfectly conditioned, while companion matrices
-of H_N or L_N^b degrade badly past N ~ 20.
+is both exact enough and fast.
 """
 
 from __future__ import annotations
@@ -192,36 +189,3 @@ def tridiag_eigenvalues(t: Tridiag, k: int | None = None) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
     return np.sort(w)
-
-
-def hermite_zeros(n: int) -> np.ndarray:
-    """Zeros of the physicists' Hermite polynomial H_n, ascending.
-
-    Jacobi matrix of the monic recurrence: diagonal 0, off-diagonal
-    sqrt(k/2). Output is symmetrized about 0 exactly.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.zeros(0)
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    w = tridiag_eigenvalues(Tridiag(np.zeros(n), off))
-    return (w - w[::-1]) / 2.0
-
-
-def laguerre_zeros(n: int, beta: float) -> np.ndarray:
-    """Zeros of the generalized Laguerre polynomial L_n^beta, ascending.
-
-    Requires beta > -1 (classical orthogonality range); all zeros are then
-    strictly positive.
-    """
-    if beta <= -1.0:
-        raise ValueError(f"beta must be > -1 (got {beta})")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.zeros(0)
-    ks = np.arange(n, dtype=float)
-    diag = 2.0 * ks + beta + 1.0
-    off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + beta))
-    return tridiag_eigenvalues(Tridiag(diag, off))

@@ -1,13 +1,16 @@
-"""Reference oracles for the potential assembly, used only by the tests.
+"""Reference oracles, used only by the tests.
 
 The double-sum reduction identities, and V0 and dV_N evaluated straight
 from their defining expressions: none of them uses the partial-fraction
 reduction in qesf.potential, so the tests can certify that reduction.
+The Hermite and Laguerre zeros are the exact branches of the harmonic and
+Morse models, computed independently of qesf.bae.
 """
 
 import numpy as np
 
 from qesf.model import ModelSpec
+from qesf.poly import Tridiag, tridiag_eigenvalues
 
 
 def identity_check(roots, n_samples: int = 20, tol: float = 1e-10,
@@ -85,3 +88,40 @@ def delta_v_direct(spec: ModelSpec, roots, z):
     val = -2.0 * (Pv - Q.derivative()(za) / 4.0) * s1 + Qv * (s2 + s3)
     out = np.asarray(val)
     return out[()].item() if out.shape == () else out
+
+
+def hermite_zeros(n: int) -> np.ndarray:
+    """Zeros of the physicists' Hermite polynomial H_n, ascending.
+
+    Computed as Jacobi-matrix eigenvalues rather than from monomial
+    coefficients: the three-term recurrences are perfectly conditioned,
+    while companion matrices of H_N or L_N^b degrade badly past N ~ 20.
+
+    Jacobi matrix of the monic recurrence: diagonal 0, off-diagonal
+    sqrt(k/2). Output is symmetrized about 0 exactly.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return np.zeros(0)
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    w = tridiag_eigenvalues(Tridiag(np.zeros(n), off))
+    return (w - w[::-1]) / 2.0
+
+
+def laguerre_zeros(n: int, beta: float) -> np.ndarray:
+    """Zeros of the generalized Laguerre polynomial L_n^beta, ascending.
+
+    Requires beta > -1 (classical orthogonality range); all zeros are then
+    strictly positive.
+    """
+    if beta <= -1.0:
+        raise ValueError(f"beta must be > -1 (got {beta})")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return np.zeros(0)
+    ks = np.arange(n, dtype=float)
+    diag = 2.0 * ks + beta + 1.0
+    off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + beta))
+    return tridiag_eigenvalues(Tridiag(diag, off))

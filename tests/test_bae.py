@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qesf import bae, catalog
-from qesf.errors import CollisionError
+from qesf import bae, catalog, verify
+from qesf.errors import CollisionError, ModelError
 from qesf.model import ModelSpec, Singularity
-from qesf.poly import Poly, hermite_zeros, laguerre_zeros
+from qesf.poly import Poly
+
+from oracles import hermite_zeros, laguerre_zeros
 
 
 def harmonic(b=1.0, N=1):
@@ -215,29 +217,34 @@ def test_harmonic_residue_terms_match_quoted_form():
     assert terms == {"z^1": 1.0, "1": 0.0}
 
 
-class LadderRequested(Exception):
-    pass
+def singular(N, c0=-0.143939, a=0.135345, mu=0.341415):
+    # one wall where Q = 1 does not vanish (a vetted benchmark config)
+    return ModelSpec(Poly([1.0]), Poly([c0, 1.0]), (Singularity(a, mu),), N)
 
 
-def _no_ladder(*args, **kwargs):
-    raise LadderRequested
+def type2(N, a=1.0, b=-3.0):
+    return catalog.instantiate("sextic-type2", N=N, a=a, b=b)
 
 
-def test_finder_chosen_by_shape(monkeypatch):
-    monkeypatch.setattr(bae, "_initializers", _no_ladder)
-    # deg P <= 2 with every singularity at a zero of Q: the matrix finder
-    for name in ("harmonic", "morse-es", "morse-p", "sextic", "sextic-halfline",
-                 "trig-interval"):
-        assert bae.enumerate_branches(catalog.instantiate(name, N=2)), name
-    # type-2 (deg P = 3) and singularity-induced (Q(a) != 0): multi-start
-    singular = ModelSpec(Poly([1.0]), Poly([0.5, 1.0]), (Singularity(0.0, 0.3),), 2)
-    for spec in (catalog.instantiate("sextic-type2", N=2), singular):
-        with pytest.raises(LadderRequested):
-            bae.enumerate_branches(spec)
+# (spec, k): k = max(deg A - 2, deg B - 1, 1) free parameters of the eigenproblem
+SHAPES = [
+    (catalog.instantiate("harmonic", N=2), 1),
+    (catalog.instantiate("morse-p", N=2), 1),
+    (catalog.instantiate("sextic", N=2), 1),
+    (catalog.instantiate("trig-interval", N=2), 1),
+    (singular(2), 1),
+    (type2(2), 2),
+    # two walls where Q does not vanish
+    (ModelSpec(Poly([1.0]), Poly([0.1, 1.0]),
+               (Singularity(-0.2, 0.3), Singularity(0.3, 0.2)), 2), 2),
+    # type-2 with a wall where Q does not vanish
+    (ModelSpec(Poly([1.0]), Poly([0.0, -3.0, 0.0, 1.0]), (Singularity(0.1, 0.3),), 2), 3),
+]
 
 
-def test_matrix_path_one_solve_per_branch(monkeypatch):
-    monkeypatch.setattr(bae, "_initializers", _no_ladder)
+@pytest.fixture
+def solve_origins(monkeypatch):
+    """The origin of every bae.solve call made through the module."""
     origins = []
     real_solve = bae.solve
 
@@ -246,12 +253,63 @@ def test_matrix_path_one_solve_per_branch(monkeypatch):
         return real_solve(spec, init, **kwargs)
 
     monkeypatch.setattr(bae, "solve", counted)
-    for name, N in (("sextic", 8), ("sextic-halfline", 5), ("trig-interval", 6)):
-        origins.clear()
-        branches = bae.enumerate_branches(catalog.instantiate(name, N=N))
-        assert len(branches) == N + 1, name
-        assert origins == ["matrix"] * (N + 1), name
+    return origins
+
+
+def test_finder_chosen_by_shape(solve_origins):
+    # one eigenproblem for every class: its parameter count k follows from
+    # the shape, and only its eigen-solutions are polished
+    for spec, k in SHAPES:
+        M0, _ = bae._heine_matrix(spec)
+        assert M0.shape == (spec.N + k, spec.N + 1), spec
+        solve_origins.clear()
+        branches = bae.enumerate_branches(spec)
+        assert branches, spec
+        assert solve_origins and set(solve_origins) == {"matrix"}, spec
+        assert len(solve_origins) <= math.comb(spec.N + k, k)
         assert all(br.origin == "matrix" for br in branches)
+
+
+def test_matrix_path_one_solve_per_branch(solve_origins):
+    for spec, want in ((catalog.instantiate("sextic", N=8), 9),
+                       (catalog.instantiate("sextic-halfline", N=5), 6),
+                       (catalog.instantiate("trig-interval", N=6), 7),
+                       (singular(6), 7), (type2(4), 5)):
+        solve_origins.clear()
+        branches = bae.enumerate_branches(spec)
+        assert len(branches) == want, spec
+        assert solve_origins == ["matrix"] * want, spec
+
+
+def test_singular_models_have_n_plus_1_certified_branches():
+    # multi-start found 7 of 9 at N = 8 and missed one from N = 6
+    for N in range(1, 9):
+        spec = singular(N)
+        branches = bae.enumerate_branches(spec)
+        assert len(branches) == N + 1, N
+        assert all(br.is_real for br in branches)
+        reports = verify.verify_branches(spec, branches)
+        assert all(rep.verdict for rep in reports), N
+
+
+def test_type2_branch_counts():
+    # real branches at a = 1, b = -3; every one of the (N+1)(N+2)/2
+    # solutions of the two-parameter problem in complex mode
+    for N, real in zip(range(1, 5), (3, 5, 3, 5)):
+        assert len(bae.enumerate_branches(type2(N))) == real, N
+        both = bae.enumerate_branches(type2(N), complex_mode=True)
+        assert len(both) == (N + 1) * (N + 2) // 2, N
+        roots = [np.asarray(br.roots) for br in both]
+        assert all(np.max(np.abs(roots[i] - roots[j])) > 1e-6
+                   for i in range(len(roots)) for j in range(i)), N
+        assert sum(br.is_real for br in both) == real
+
+
+def test_size_cap_names_the_largest_n():
+    for spec, largest in ((type2(1), 10), (SHAPES[-1][0], 3), (singular(1), 120)):
+        big = ModelSpec(spec.Q, spec.P, spec.singularities, largest + 1)
+        with pytest.raises(ModelError, match=f"N <= {largest}"):
+            bae.enumerate_branches(big)
 
 
 def test_heine_matrix_eigenvalues_are_branch_energies():

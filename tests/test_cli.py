@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from qesf import cli
+from qesf import bae, cli
 
 
 def write_config(tmp_path, name, payload):
@@ -71,7 +71,6 @@ def test_solve_harmonic_csv(tmp_path):
     out_csv = tmp_path / "roots.csv"
     code, out, _ = run_cli(["solve", cfg, "--out", str(out_csv)])
     assert code == 0
-    assert "seed:" in out
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "branch_id,k,z_k,residual_max,E,verified"
     rows = [ln.split(",") for ln in lines[1:]]
@@ -244,15 +243,25 @@ def test_bound_state_limit_raises_no_warnings(tmp_path, name, N):
     assert "no normalizable domain component" in err
 
 
-def test_solve_determinism_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, "s.json", dict(SEXTIC, N=2))
+SINGULAR = {"Q": [1.0], "P": [-0.143939, 1.0],
+            "singularities": [{"a": 0.135345, "mu": 0.341415}], "N": 3}
+
+
+@pytest.mark.parametrize("payload,seed_args", [
+    # --seed still parses and changes nothing
+    (dict(SEXTIC, N=2), ["--seed", "123"]),
+    ({"catalog": "sextic-type2", "params": {"a": 1.0, "b": -3.0}, "N": 4}, []),
+    (SINGULAR, []),
+], ids=["sextic", "sextic-type2", "singular"])
+def test_solve_determinism_byte_identical(tmp_path, payload, seed_args):
+    cfg = write_config(tmp_path, "s.json", payload)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path in (a, b):
-        cmd = [sys.executable, "-m", "qesf.cli", "solve", cfg,
-               "--seed", "123", "--out", str(path)]
+    for path, extra in ((a, seed_args), (b, [])):
+        cmd = [sys.executable, "-m", "qesf.cli", "solve", cfg, "--out", str(path)] + extra
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
     assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) > 1
 
 
 def test_solve_failure_exits_2(tmp_path):
@@ -264,16 +273,40 @@ def test_solve_failure_exits_2(tmp_path):
     assert "solver failure" in err
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, "h.json", HARMONIC)
-    monkeypatch.setenv("QESF_SEED", "777")
-    code, out, _ = run_cli(["solve", cfg])
-    assert code == 0
-    assert "seed: 777" in out
-    monkeypatch.setenv("QESF_SEED", "not-an-int")
+@pytest.mark.parametrize("payload,message", [
+    ({"Q": [1], "P": [0, float("nan")], "N": 2}, "every P value must be finite"),
+    ({"Q": [float("inf")], "P": [0, 1], "N": 2}, "every Q value must be finite"),
+    ({"Q": [1], "P": [0.5, 1], "singularities": [{"a": float("inf"), "mu": 0.3}], "N": 1},
+     "every singularity location value must be finite"),
+    ({"Q": [1], "P": [0.5, 1], "singularities": [{"a": 0.0, "mu": float("nan")}], "N": 1},
+     "every singularity exponent value must be finite"),
+    ({"catalog": "sextic", "params": {"b": float("nan")}, "N": 2}, "must be finite"),
+    ({"catalog": "trig-interval", "params": {"p1": float("inf")}, "N": 2}, "must be finite"),
+    ({"Q": [True], "P": [0, 1], "N": 1}, 'config key "Q[0]" must be a number'),
+    ({"Q": [1], "P": [0, 1], "singularities": [{"a": False, "mu": 0.3}], "N": 1},
+     'config key "singularities[0].a" must be a number'),
+    ({"Q": [1], "P": [0, 1], "N": True}, 'config key "N" must be an integer'),
+    ({"Q": [1], "P": [0, 1], "N": 1, "branch": True}, 'config key "branch" must be +1 or -1'),
+    ({"catalog": "sextic", "params": {"a": True}, "N": 2},
+     'config key "params.a" must be a number'),
+])
+def test_non_finite_and_boolean_numbers_exit_4(tmp_path, payload, message):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    for command in ("classify", "solve"):
+        code, out, err = run_cli([command, cfg])
+        assert code == 4, (command, out, err)
+        assert message in err, err
+
+
+def test_size_cap_exits_4_before_the_eigenproblem(tmp_path, monkeypatch):
+    def refused(*args):
+        raise AssertionError("Delta-operators built above the size cap")
+
+    monkeypatch.setattr(bae, "_delta_operators", refused)
+    cfg = write_config(tmp_path, "t2.json", {"catalog": "sextic-type2", "N": 11})
     code, _, err = run_cli(["solve", cfg])
     assert code == 4
-    assert "QESF_SEED" in err
+    assert "N <= 10" in err
 
 
 def test_config_parse_round_trip(tmp_path):

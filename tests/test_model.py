@@ -4,7 +4,7 @@ import pytest
 from qesf import catalog
 from qesf.errors import ModelError
 from qesf.model import (EXACTLY_SOLVABLE, QES_SINGULAR, QES_TYPE1, QES_TYPE2,
-                        ModelSpec, Singularity, classify, spec_seed, validate)
+                        ModelSpec, Singularity, classify, validate)
 from qesf.poly import Poly
 
 
@@ -24,6 +24,15 @@ def test_classify_examples():
     class8 = ModelSpec(Poly([1.0]), Poly([0.5, 1.0]),
                        (Singularity(0.0, 0.3),), 1)
     assert classify(class8).tag == QES_SINGULAR
+    # quadratic P: the wall pole still has the root-dependent weight
+    # 2 mu Q(a) sum_k 1/(a - z_k)
+    quad = ModelSpec(Poly([1.0]), Poly([0.0, 0.5, 1.0]), (Singularity(-0.1, 0.3),), 1)
+    assert classify(quad).tag == QES_SINGULAR
+    assert "Q(a) != 0 at a=-0.1" in classify(quad).rationale
+    # a wall where Q vanishes leaves a type-1 model type-1, and cubic P is type-2
+    assert classify(catalog.instantiate("sextic-halfline", N=2)).tag == QES_TYPE1
+    cubic = ModelSpec(Poly([1.0]), Poly([0.0, 1.0, 0.0, 1.0]), (Singularity(0.1, 0.3),), 1)
+    assert classify(cubic).tag == QES_TYPE2
 
 
 def test_no_promotion_when_Q_vanishes_at_singularity():
@@ -71,12 +80,6 @@ def test_validate_negative_mu_warning():
     ok = ModelSpec(Poly([0.0, 0.0, 1.0]), Poly([0.0, -5.0, 0.5]),
                    (Singularity(0.0, -2.0),), 2, -1)
     assert not any("negative singularity exponent" in d.message for d in validate(ok))
-
-
-def test_spec_seed_deterministic_and_distinct():
-    assert spec_seed(harmonic()) == spec_seed(harmonic())
-    assert spec_seed(harmonic()) != spec_seed(harmonic(b=2.0))
-    assert spec_seed(harmonic(N=2)) != spec_seed(harmonic(N=3))
 
 
 @pytest.mark.parametrize("name,N,A,bound", [

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qesf.poly import (Poly, Tridiag, divmod_poly, hermite_zeros,
-                       laguerre_zeros, tridiag_eigenvalues)
+from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalues
+
+from oracles import hermite_zeros, laguerre_zeros
 
 
 def test_eval_examples():

@@ -6,7 +6,9 @@ import pytest
 from qesf import bae, catalog, coords, potential, prepot, verify
 from qesf.errors import GridError
 from qesf.model import ModelSpec
-from qesf.poly import Poly, hermite_zeros
+from qesf.poly import Poly
+
+from oracles import hermite_zeros
 
 
 def harmonic(b=1.0, N=2):
