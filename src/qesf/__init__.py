@@ -21,7 +21,7 @@ from .model import (Diagnostic, ModelSpec, Singularity, SolvabilityClass,
 from .poly import Poly, Tridiag, tridiag_eigenvalues
 from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
                         split_energy, v0_pfe)
-from .prepot import Prepotential, integrate_w0, phi_value, wn_value
+from .prepot import Prepotential, integrate_w0, phi_log_sign
 from .verify import (Grid, VerificationReport, fd_spectrum, make_grid,
                      node_count, normalizability_check, residual_check,
                      schrodinger_residual, verify_branch, verify_branches)
@@ -36,8 +36,8 @@ __all__ = [
     "branch_energy", "build", "check_residues", "classify", "delta_v_pfe",
     "enumerate_branches", "expected_energies", "fd_spectrum", "instantiate",
     "integrate_w0", "jacobian", "make_grid",
-    "node_count", "normalizability_check", "phi_value", "residual",
+    "node_count", "normalizability_check", "phi_log_sign", "residual",
     "residual_check", "schrodinger_residual", "solve", "split_energy",
     "tridiag_eigenvalues", "v0_pfe", "validate", "verify_branch",
-    "verify_branches", "wn_value",
+    "verify_branches",
 ]

@@ -65,10 +65,14 @@ def _integer(cfg: dict, key: str, default: int) -> int:
 
 def spec_from_config(cfg: dict) -> ModelSpec:
     """Build and validate a ModelSpec from a parsed config dict."""
+    if not isinstance(cfg, dict):
+        raise ModelError("config must be a JSON object")
     branch = cfg.get("branch")
     if branch is not None and (isinstance(branch, bool) or branch not in (1, -1)):
         raise ModelError('config key "branch" must be +1 or -1')
     if "catalog" in cfg:
+        if not isinstance(cfg["catalog"], str):
+            raise ModelError('config key "catalog" must be a string')
         params = cfg.get("params", {})
         if not isinstance(params, dict):
             raise ModelError('config key "params" must be an object')
@@ -121,7 +125,7 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    if args.N is not None:
+    if args.N is not None and isinstance(cfg, dict):
         cfg = dict(cfg, N=args.N)
     spec = spec_from_config(cfg)
     branches = bae.enumerate_branches(spec, tol=args.tol)

@@ -43,6 +43,14 @@ class CoordinateMap:
     z_image: tuple[float, float] = (-math.inf, math.inf)
     branch_sign: int = 1
 
+    @property
+    def z_tol(self) -> float:
+        """Tolerance of z-image membership: 1e-9 (1 + span), with span 1
+        for an unbounded image."""
+        lo, hi = self.z_image
+        span = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 1.0
+        return _DOMAIN_TOL * (1.0 + abs(span))
+
     # -- evaluation ---------------------------------------------------------
 
     def _check_x(self, x):
@@ -79,33 +87,10 @@ class CoordinateMap:
             raise ValueError(f"unknown family {f}")
         return out[()].item() if out.shape == () else out
 
-    def dz_dx(self, x):
-        self._check_x(x)
-        p = self.params
-        f = self.family
-        xa = np.asarray(x, dtype=float)
-        if f == LINEAR:
-            out = p["slope"] * np.ones_like(xa)
-        elif f == PARABOLIC:
-            out = p["q1"] / 2.0 * (xa - p["xv"])
-        elif f == EXPONENTIAL:
-            out = p["sign"] * p["omega"] * p["amp"] * np.exp(p["sign"] * p["omega"] * xa)
-        elif f == HYPERBOLIC:
-            if p["kind"] == "cosh":
-                out = p["c"] * p["omega"] * np.sinh(p["omega"] * (xa - p["xc"]))
-            else:
-                out = p["c"] * p["omega"] * np.cosh(p["omega"] * (xa - p["xc"]))
-        elif f == TRIGONOMETRIC:
-            out = p["R"] * p["omega"] * np.sin(p["omega"] * (xa - p["x0"]))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown family {f}")
-        return out[()].item() if out.shape == () else out
-
     def x_of_z(self, z):
         """Inverse on the declared monotone branch."""
         lo, hi = self.z_image
-        span = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 1.0
-        tol = _DOMAIN_TOL * (1.0 + abs(span))
+        tol = self.z_tol
         za = np.asarray(z, dtype=float)
         if np.any(za < lo - tol) or np.any(za > hi + tol):
             raise DomainError(f"z outside branch image {self.z_image}")

@@ -27,7 +27,6 @@ the negated constant of the dV_N polynomial part; the remaining constant
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +162,7 @@ def v0_pfe(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> PFE:
     # means the model is inconsistent.
     declared = [s.location for s in spec.singularities]
     lo, hi = cmap.z_image
-    span = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 1.0
-    margin = 1e-9 * (1.0 + abs(span))
+    margin = cmap.z_tol
     bnd = []
     for loc in sorted(poles):
         c1, c2 = poles[loc]

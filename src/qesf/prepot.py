@@ -14,8 +14,7 @@ the certification boxes end.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,20 +81,6 @@ class Prepotential:
                 val = val + t.weight * np.arctan((za - t.center) / t.scale)
         return val[()].item() if val.shape == () else val
 
-    def dw0_dz(self, z):
-        """d W0 / dz, which must reproduce P(z)/Q(z)."""
-        za = np.asarray(z, dtype=float)
-        val = np.asarray(self.poly_part.derivative()(za), dtype=float)
-        for t in self.log_terms:
-            val = val + t.weight / (za - t.location)
-        for t in self.quad_log_terms:
-            val = val + t.weight * 2.0 * (za - t.center) / ((za - t.center) ** 2 + t.imag ** 2)
-        for t in self.pole_terms:
-            val = val - t.weight / (za - t.location) ** 2
-        for t in self.arctan_terms:
-            val = val + t.weight * t.scale / ((za - t.center) ** 2 + t.scale ** 2)
-        return val[()].item() if val.shape == () else val
-
 
 def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> Prepotential:
     """Integrate dW0/dz = P/Q in closed form (exact partial fractions)."""
@@ -130,8 +115,7 @@ def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> P
     # Poles of P/Q strictly inside the coordinate image cannot belong to a
     # normalizable model (they sit on the particle's trajectory).
     lo, hi = cmap.z_image
-    span = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 1.0
-    margin = 1e-9 * (1.0 + abs(span))
+    margin = cmap.z_tol
     for loc in [t.location for t in logs] + [t.location for t in poles]:
         if lo + margin < loc < hi - margin:
             raise ModelError(
@@ -140,25 +124,6 @@ def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> P
 
     return Prepotential(poly_part, tuple(logs), tuple(qlogs), tuple(poles),
                         tuple(atans), spec, cmap)
-
-
-def wn_value(pre: Prepotential, roots, x) -> float:
-    """Order-N prepotential W_N(x) = W0 - sum_j mu_j ln|z-a_j| - sum_k ln|z-z_k|."""
-    z = pre.cmap.z_of_x(x)
-    val = pre.w0_of_z(z)
-    za = np.asarray(z, dtype=float)
-    for s in pre.spec_ref.singularities:
-        d = za - s.location
-        if np.any(d == 0.0):
-            raise ValueError(f"W_N evaluated at singularity a = {s.location}")
-        val = val - s.exponent * np.log(np.abs(d))
-    for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
-        d = za - zk
-        if np.any(d == 0.0):
-            raise ValueError(f"W_N evaluated at root z_k = {zk}")
-        val = val - np.log(np.abs(d))
-    out = np.asarray(val)
-    return out[()].item() if out.shape == () else out
 
 
 def phi_log_sign(pre: Prepotential, roots, x):
@@ -172,12 +137,22 @@ def phi_log_sign(pre: Prepotential, roots, x):
     z = np.asarray(pre.cmap.z_of_x(x), dtype=float)
     scalar = z.shape == ()
     za = np.atleast_1d(z)
+    sings = pre.spec_ref.singularities
+    # A W0 log term at a declared singularity folds into its power
+    # |z - a|^(mu - w): at z = a the two logs alone would give inf - inf.
+    folded = {t.location: t.weight for t in pre.log_terms
+              if any(s.location == t.location for s in sings)}
+    if folded:
+        pre = replace(pre, log_terms=tuple(t for t in pre.log_terms
+                                           if t.location not in folded))
     logmag = -np.asarray(pre.w0_of_z(za), dtype=float)
     sign = np.ones_like(za)
     with np.errstate(divide="ignore"):
-        for s in pre.spec_ref.singularities:
+        for s in sings:
             d = za - s.location
-            logmag = logmag + s.exponent * np.log(np.abs(d))
+            power = s.exponent - folded.pop(s.location, 0.0)
+            if power:
+                logmag = logmag + power * np.log(np.abs(d))
             if s.exponent == int(s.exponent):
                 sign = sign * np.where(d >= 0, 1.0, -1.0) ** int(abs(s.exponent))
         for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
@@ -188,9 +163,3 @@ def phi_log_sign(pre: Prepotential, roots, x):
     if scalar:
         return float(logmag[0]), float(sign[0])
     return logmag, sign
-
-
-def phi_value(pre: Prepotential, roots, x) -> tuple[float, float]:
-    """phi_N at a single point as (log_magnitude, sign)."""
-    lm, sg = phi_log_sign(pre, roots, x)
-    return float(lm), float(sg)

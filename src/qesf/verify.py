@@ -34,20 +34,24 @@ _STENCILS = {
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform certification grid, flagged at singular endpoints."""
+    """Uniform certification grid. An end that abuts a singular wall carries
+    it as (x of the wall, nu), with phi ~ |x - wall|^nu there."""
 
     points: np.ndarray
     h: float
-    singular_lo: bool = False  # grid start abuts a singular endpoint
-    singular_hi: bool = False
-    wall_lo: float = math.nan  # x of the singular wall, when singular_lo
-    wall_hi: float = math.nan
-    nu_lo: float = math.nan  # endpoint exponent phi ~ (x - wall)^nu, if known
-    nu_hi: float = math.nan
+    wall_lo: tuple[float, float] | None = None
+    wall_hi: tuple[float, float] | None = None
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @property
+    def component(self) -> tuple[float, float]:
+        """The domain component the grid lies in: bounded by its walls,
+        unbounded at an end without one."""
+        return (-math.inf if self.wall_lo is None else self.wall_lo[0],
+                math.inf if self.wall_hi is None else self.wall_hi[0])
 
 
 @dataclass
@@ -74,67 +78,79 @@ class VerificationReport:
         }
 
 
-def make_grid(x_lo: float, x_hi: float, n: int, **flags) -> Grid:
+def make_grid(x_lo: float, x_hi: float, n: int,
+              wall_lo: tuple[float, float] | None = None,
+              wall_hi: tuple[float, float] | None = None) -> Grid:
     if n < 8:
         raise GridError("grid needs at least 8 points")
     if not (x_hi > x_lo):
         raise GridError(f"empty grid interval [{x_lo}, {x_hi}]")
     pts = np.linspace(x_lo, x_hi, n)
-    return Grid(pts, float(pts[1] - pts[0]), **flags)
-
-
-def _respan(grid: Grid, x_lo: float, x_hi: float, n: int) -> Grid:
-    """Grid of n points over [x_lo, x_hi] with the wall data of grid."""
-    return make_grid(x_lo, x_hi, n, singular_lo=grid.singular_lo,
-                     singular_hi=grid.singular_hi, wall_lo=grid.wall_lo,
-                     wall_hi=grid.wall_hi, nu_lo=grid.nu_lo, nu_hi=grid.nu_hi)
+    return Grid(pts, float(pts[1] - pts[0]), wall_lo, wall_hi)
 
 
 # ---------------------------------------------------------------------------
 # Domain determination
 
 
-def _finite_walls(pre: prepot.Prepotential) -> list[float]:
-    """x-positions of finite cut points: singular map endpoints plus
-    singularities sitting strictly inside the coordinate image."""
-    cmap = pre.cmap
-    walls = [v for v in cmap.x_domain if math.isfinite(v)]
+def _finite_walls(pre: prepot.Prepotential) -> dict[float, float]:
+    """x of every finite cut point -> exponent nu of phi ~ |x - wall|^nu.
+
+    The cuts are the finite ends of the map's x-domain and the declared
+    singularities inside the coordinate image. With phi = exp(-W_N), phi's
+    power of |z - a| at a wall a is the declared mu there minus the weight
+    of W0's ln|z - a| term; z - a vanishes to first order in x where
+    Q(a) != 0 and to second order at a turning point Q(a) = 0. The model
+    is the authority here: where the conjugate indicial root 1 - nu is also
+    normalizable (limit-circle walls), the potential alone cannot tell the
+    two apart.
+    """
+    cmap, spec = pre.cmap, pre.spec_ref
+    tol = cmap.z_tol
+    walls: dict[float, float] = {}
+
+    def _add(xa: float, a: float) -> None:
+        if math.isfinite(xa) and not any(abs(xa - w) < 1e-9 for w in walls):
+            power = (sum(s.exponent for s in spec.singularities
+                         if abs(s.location - a) <= tol)
+                     - sum(t.weight for t in pre.log_terms
+                           if abs(t.location - a) <= tol))
+            walls[xa] = power * (1 if abs(spec.Q(a)) > 1e-12 else 2)
+
+    for xa in cmap.x_domain:
+        if math.isfinite(xa):
+            _add(xa, cmap.z_of_x(xa))
     lo, hi = cmap.z_image
-    for s in pre.spec_ref.singularities:
-        if s.exponent == 0.0:
-            continue
-        a = s.location
-        span = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 1.0
-        margin = 1e-9 * (1.0 + abs(span))
-        if lo - margin <= a <= hi + margin:
+    for s in spec.singularities:
+        if s.exponent != 0.0 and lo - tol <= s.location <= hi + tol:
             try:
-                xa = cmap.x_of_z(a)
-            except Exception:
+                _add(cmap.x_of_z(s.location), s.location)
+            except DomainError:
                 continue
-            if math.isfinite(xa) and not any(abs(xa - w) < 1e-9 for w in walls):
-                walls.append(xa)
-    return sorted(walls)
+    return dict(sorted(walls.items()))
 
 
-def _march_threshold(pre: prepot.Prepotential, roots, start: float, direction: int,
-                     limit: float) -> float:
-    """First marched point with W_N >= W_THRESHOLD going outward from start."""
+def _march_threshold(pre: prepot.Prepotential, roots, start: float,
+                     direction: int) -> float:
+    """First point of an outward x-ladder from start with W_N >= W_THRESHOLD.
+
+    The ladder's steps start at 0.25 and grow by 1.25. It is evaluated in
+    one call, so it runs far past the crossing, where z or W_N may
+    overflow; those values are never used. A node (sign 0) is no crossing.
+    """
+    xs = np.empty(400)
     step = 0.25
     x = start + direction * step
-    for _ in range(400):
-        if (direction > 0 and x >= limit) or (direction < 0 and x <= limit):
-            raise GridError(
-                "W_N never reaches the truncation threshold: state does not "
-                "decay in this direction (non-normalizable?)")
-        try:
-            w = prepot.wn_value(pre, roots, x)
-        except ValueError:
-            w = -math.inf  # sat on a node, keep going
-        if w >= W_THRESHOLD:
-            return x
+    for i in range(len(xs)):
+        xs[i] = x
         step *= 1.25
         x += direction * step
-    raise GridError("truncation search exhausted")
+    with np.errstate(over="ignore", invalid="ignore"):
+        logphi, sign = prepot.phi_log_sign(pre, roots, xs)
+    crossed = np.flatnonzero((-logphi >= W_THRESHOLD) & (sign != 0))
+    if not len(crossed):
+        raise GridError("truncation search exhausted")
+    return float(xs[crossed[0]])
 
 
 def _wall_decays(pre: prepot.Prepotential, roots, wall: float, interior_sign: int,
@@ -145,46 +161,37 @@ def _wall_decays(pre: prepot.Prepotential, roots, wall: float, interior_sign: in
     quadratic turning points (z - a ~ dx^2 there).
     """
     scale = min(1.0, span / 4.0)
-    try:
-        w_far = prepot.wn_value(pre, roots, wall + interior_sign * 1e-4 * scale)
-        w_near = prepot.wn_value(pre, roots, wall + interior_sign * 1e-7 * scale)
-    except ValueError:
-        return False
-    return w_near > w_far + 0.1
+    logphi, sign = prepot.phi_log_sign(
+        pre, roots, wall + interior_sign * np.array([1e-4, 1e-7]) * scale)
+    w_far, w_near = -logphi
+    return bool(np.all(sign != 0) and w_near > w_far + 0.1)
 
 
-def _domain_components(pre: prepot.Prepotential,
-                       roots) -> tuple[list[tuple[float, float]], list[float]]:
-    """Domain components between the cut points (map endpoints and finite
-    walls), and the finite x-preimages of the roots."""
+def certification_domain(pre: prepot.Prepotential,
+                         roots) -> tuple[float, float, tuple[float, float]]:
+    """Certification box (x_lo, x_hi) and the domain component (a, b) that
+    contains it.
+
+    The components lie between the cut points: the map's endpoints and the
+    finite walls. Walls are kept as-is; unbounded ends are truncated where
+    W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box edge.
+    """
     cmap = pre.cmap
     dlo, dhi = cmap.x_domain
     cuts = sorted({dlo, dhi, *_finite_walls(pre)})
     components = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
                   if cuts[i + 1] - cuts[i] > 1e-9]
+    if not components:
+        raise GridError("empty coordinate domain")
+    # The root preimages xr pull the box out far enough to contain the state.
     xr = []
     for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
         try:
             xk = cmap.x_of_z(zk)
-            if math.isfinite(xk):
-                xr.append(xk)
-        except Exception:
-            pass
-    return components, xr
-
-
-def certification_domain(pre: prepot.Prepotential,
-                         roots) -> tuple[float, float, bool, bool]:
-    """Certification box (x_lo, x_hi, singular_lo, singular_hi).
-
-    Finite walls (singular endpoints) are kept as-is and flagged; unbounded
-    ends are truncated where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD
-    at the box edge.
-    """
-    # The root preimages xr pull the box out far enough to contain the state.
-    components, xr = _domain_components(pre, roots)
-    if not components:
-        raise GridError("empty coordinate domain")
+        except DomainError:
+            continue
+        if math.isfinite(xk):
+            xr.append(xk)
 
     def _component_ok(a: float, b: float) -> tuple[bool, float, float]:
         span = (b - a) if math.isfinite(a) and math.isfinite(b) else 4.0
@@ -196,13 +203,13 @@ def certification_domain(pre: prepot.Prepotential,
                     return False, a, b
             else:
                 s0 = (max(inside) if inside else (a + 1.0 if math.isfinite(a) else 0.0)) + 0.5
-                hi_edge = _march_threshold(pre, roots, s0, +1, math.inf)
+                hi_edge = _march_threshold(pre, roots, s0, +1)
             if math.isfinite(a):
                 if not _wall_decays(pre, roots, a, +1, span):
                     return False, a, b
             else:
                 s0 = (min(inside) if inside else (b - 1.0 if math.isfinite(b) else 0.0)) - 0.5
-                lo_edge = _march_threshold(pre, roots, s0, -1, -math.inf)
+                lo_edge = _march_threshold(pre, roots, s0, -1)
         except (GridError, ValueError):
             return False, a, b
         return True, lo_edge, hi_edge
@@ -220,48 +227,24 @@ def certification_domain(pre: prepot.Prepotential,
     candidates.sort(key=lambda c: (not c[0],
                                    -(min(c[2][1], 1e18) - max(c[2][0], -1e18)),
                                    -bsign * c[1]))
-    _, _, (a, b), (lo_edge, hi_edge) = candidates[0]
-    return lo_edge, hi_edge, math.isfinite(a), math.isfinite(b)
-
-
-def _wall_nu(pre: prepot.Prepotential, wall: float) -> float:
-    """Endpoint exponent phi ~ (x - wall)^nu from the model's singularity.
-
-    nu = mu * (vanishing order of z - a in x): order 1 at a point where
-    Q(a) != 0, order 2 at a turning point Q(a) = 0. The model data is the
-    authority here: when the conjugate indicial root 1 - nu is also
-    normalizable (limit-circle endpoints), the potential alone cannot
-    distinguish the two.
-    """
-    spec = pre.spec_ref
-    cmap = pre.cmap
-    for s in spec.singularities:
-        try:
-            xa = cmap.x_of_z(s.location)
-        except Exception:
-            continue
-        if math.isfinite(xa) and abs(xa - wall) < 1e-9 * (1.0 + abs(wall)):
-            order = 1 if abs(spec.Q(s.location)) > 1e-12 else 2
-            return s.exponent * order
-    return math.nan
+    _, _, component, (lo_edge, hi_edge) = candidates[0]
+    return lo_edge, hi_edge, component
 
 
 def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
-    """Grid over the certification box; finite singular endpoints are inset
-    by max(10h, 1e-3)."""
-    x_lo, x_hi, sing_lo, sing_hi = certification_domain(pre, roots)
-    wall_lo, wall_hi = x_lo, x_hi
+    """Grid over the certification box; an end at a wall is inset by
+    max(10h, 1e-3) and carries the wall's (x, nu)."""
+    x_lo, x_hi, (a, b) = certification_domain(pre, roots)
+    nu = _finite_walls(pre)
     h0 = (x_hi - x_lo) / (n_points - 1)
     inset = max(10.0 * h0, 1e-3)
-    if sing_lo:
+    wall_lo = (a, nu[a]) if math.isfinite(a) else None
+    wall_hi = (b, nu[b]) if math.isfinite(b) else None
+    if wall_lo is not None:
         x_lo += inset
-    if sing_hi:
+    if wall_hi is not None:
         x_hi -= inset
-    return make_grid(x_lo, x_hi, n_points, singular_lo=sing_lo, singular_hi=sing_hi,
-                     wall_lo=wall_lo if sing_lo else math.nan,
-                     wall_hi=wall_hi if sing_hi else math.nan,
-                     nu_lo=_wall_nu(pre, wall_lo) if sing_lo else math.nan,
-                     nu_hi=_wall_nu(pre, wall_hi) if sing_hi else math.nan)
+    return make_grid(x_lo, x_hi, n_points, wall_lo, wall_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +294,9 @@ def schrodinger_residual(profile: potential.PotentialProfile, branch, cmap, pre,
         mask &= np.abs(xi - xn) > delta
     # singular-wall exclusion zones
     wdelta = WALL_DELTA_STEPS * grid.h
-    if grid.singular_lo:
+    if grid.wall_lo is not None:
         mask &= xi > x[0] + wdelta
-    if grid.singular_hi:
+    if grid.wall_hi is not None:
         mask &= xi < x[-1] - wdelta
     if not np.any(mask):
         raise GridError("all grid points excluded")
@@ -321,19 +304,6 @@ def schrodinger_residual(profile: potential.PotentialProfile, branch, cmap, pre,
     scale = 1.0 + np.max(np.abs(u_minus_e))
     r = np.abs(res[mask]) / scale
     return float(np.max(r)), float(np.sqrt(np.mean(r ** 2)))
-
-
-def _wall_exponent(profile: potential.PotentialProfile, cmap, wall: float,
-                   interior_sign: int, inset: float) -> float:
-    """Regular-solution exponent nu at a singular wall: phi ~ (x - wall)^nu.
-
-    Probes the 1/x^2 coefficient alpha of U near the wall and solves
-    nu(nu-1) = alpha, taking the normalizable root nu = (1 + sqrt(1+4a))/2.
-    """
-    eps = inset * 1e-3
-    x = wall + interior_sign * eps
-    alpha = float(profile.U(cmap.z_of_x(x))) * eps * eps
-    return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * alpha)))
 
 
 def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
@@ -344,18 +314,10 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     the computation repeats on a doubled grid and the O(h^2) error is
     extrapolated away. At singular walls (x^-2 endpoint behavior) a plain
     Dirichlet node badly perturbs the spectrum, so the boundary row instead
-    uses a ghost point carrying the known regular behavior phi ~ (x - wall)^nu.
+    uses a ghost point carrying the wall's behavior phi ~ |x - wall|^nu.
     """
     if k >= grid.n:
         raise ValueError("k must be smaller than the number of grid points")
-
-    nu_lo = nu_hi = None
-    if grid.singular_lo and math.isfinite(grid.wall_lo):
-        nu_lo = grid.nu_lo if math.isfinite(grid.nu_lo) else _wall_exponent(
-            profile, cmap, grid.wall_lo, +1, grid.points[0] - grid.wall_lo)
-    if grid.singular_hi and math.isfinite(grid.wall_hi):
-        nu_hi = grid.nu_hi if math.isfinite(grid.nu_hi) else _wall_exponent(
-            profile, cmap, grid.wall_hi, -1, grid.wall_hi - grid.points[-1])
 
     def _levels(g: Grid) -> np.ndarray:
         u = profile.U(cmap.z_of_x(g.points))
@@ -363,20 +325,18 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
             raise GridError("grid intersects a pole of the potential")
         diag = 2.0 / g.h ** 2 + u
         off = np.full(g.n - 1, -1.0 / g.h ** 2)
-        if nu_lo is not None:
-            d0 = g.points[0] - grid.wall_lo
-            r = (d0 - g.h) / d0
-            if r > 0:
-                diag[0] -= r ** nu_lo / g.h ** 2
-        if nu_hi is not None:
-            d1 = grid.wall_hi - g.points[-1]
-            r = (d1 - g.h) / d1
-            if r > 0:
-                diag[-1] -= r ** nu_hi / g.h ** 2
+        for wall, end in ((g.wall_lo, 0), (g.wall_hi, -1)):
+            if wall is not None:
+                x_wall, nu = wall
+                d = abs(g.points[end] - x_wall)
+                r = (d - g.h) / d
+                if r > 0:
+                    diag[end] -= r ** nu / g.h ** 2
         return tridiag_eigenvalues(Tridiag(diag, off), k=k)
 
     e1 = _levels(grid)
-    e2 = _levels(_respan(grid, grid.points[0], grid.points[-1], 2 * grid.n - 1))
+    e2 = _levels(make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
+                           grid.wall_lo, grid.wall_hi))
     return (4.0 * e2 - e1) / 3.0
 
 
@@ -408,8 +368,10 @@ def _segment_log_integral(pre, roots, a: float, b: float, n: int = 129) -> float
     return m + math.log(integral) if integral > 0 else -math.inf
 
 
-def normalizability_check(pre: prepot.Prepotential, branch) -> tuple[bool, float]:
-    """Adaptive test that the integral of phi^2 converges over the domain.
+def normalizability_check(pre: prepot.Prepotential, branch,
+                          component: tuple[float, float]) -> tuple[bool, float]:
+    """Adaptive test that the integral of phi^2 converges over the domain
+    component (a, b), the one certification_domain chose.
 
     Unbounded sides are covered by geometrically growing windows, finite
     singular endpoints by geometrically shrinking ones; the verdict is True
@@ -417,17 +379,7 @@ def normalizability_check(pre: prepot.Prepotential, branch) -> tuple[bool, float
     series), False as soon as they grow persistently.
     """
     roots = np.asarray(branch.roots, dtype=float)
-    try:
-        comps, xr = _domain_components(pre, roots)
-        # pick the component the certification would use, but without
-        # requiring a decaying state (that is what we are testing)
-        a, b = max(comps, key=lambda c: min(c[1], 1e18) - max(c[0], -1e18))
-        for aa, bb in comps:
-            if xr and all(aa < v < bb for v in xr):
-                a, b = aa, bb
-                break
-    except Exception:
-        a, b = pre.cmap.x_domain
+    a, b = component
 
     if math.isfinite(a) and math.isfinite(b):
         core_lo, core_hi = a + (b - a) / 4, b - (b - a) / 4
@@ -514,11 +466,8 @@ def residual_check(spec: ModelSpec, branch, *,
 
 def _spectrum_key(profile: potential.PotentialProfile, grid: Grid) -> tuple:
     """Branches with equal keys have the same FD operator up to the grid
-    span: the same potential, walls and endpoint exponents. An unset (nan)
-    wall or exponent becomes None, so that it compares equal."""
-    return (profile.U, grid.singular_lo, grid.singular_hi,
-            *(None if math.isnan(v) else v
-              for v in (grid.wall_lo, grid.wall_hi, grid.nu_lo, grid.nu_hi)))
+    span: the same potential, walls and endpoint exponents."""
+    return profile.U, grid.wall_lo, grid.wall_hi
 
 
 def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
@@ -554,7 +503,7 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
             rmax, rrms = schrodinger_residual(profile, br, cmap, pre, grid,
                                               stencil_order=stencil_order)
             nodes = node_count(pre, br, grid)
-            normalizable, norm_estimate = normalizability_check(pre, br)
+            normalizable, norm_estimate = normalizability_check(pre, br, grid.component)
         except (GridError, DomainError, ValueError) as exc:
             results[i] = exc
             continue
@@ -565,10 +514,8 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
         # conjugate solution and grows spurious corner modes: the FD
         # spectrum is not a trustworthy oracle there, so the residual
         # alone carries the verdict.
-        limit_circle = any(
-            flag and math.isfinite(nu) and nu < 0.5 - 1e-12
-            for flag, nu in ((grid.singular_lo, grid.nu_lo),
-                             (grid.singular_hi, grid.nu_hi)))
+        limit_circle = any(wall is not None and wall[1] < 0.5 - 1e-12
+                           for wall in (grid.wall_lo, grid.wall_hi))
         if limit_circle:
             results[i] = VerificationReport(
                 **fields, spectrum_matches=[],
@@ -582,15 +529,16 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
     k = max(8, 2 * spec.N + 4)
     for members in groups.values():
         grids = [grid for _, _, grid, _ in members]
-        grid = _respan(grids[0], min(g.points[0] for g in grids),
-                       max(g.points[-1] for g in grids), n_points)
+        grid = make_grid(min(g.points[0] for g in grids),
+                         max(g.points[-1] for g in grids), n_points,
+                         grids[0].wall_lo, grids[0].wall_hi)
         try:
             levels = fd_spectrum(members[0][1], cmap, grid, k)
         except (GridError, DomainError, ValueError) as exc:
             for i, *_ in members:
                 results[i] = exc
             continue
-        tol = 1e-2 if grid.singular_lo or grid.singular_hi else 1e-3
+        tol = 1e-3 if grid.wall_lo is None and grid.wall_hi is None else 1e-2
         for i, profile, _, fields in members:
             energy = profile.energy
             nearest = levels[np.argmin(np.abs(levels - energy))]

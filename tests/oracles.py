@@ -4,13 +4,52 @@ The double-sum reduction identities, and V0 and dV_N evaluated straight
 from their defining expressions: none of them uses the partial-fraction
 reduction in qesf.potential, so the tests can certify that reduction.
 The Hermite and Laguerre zeros are the exact branches of the harmonic and
-Morse models, computed independently of qesf.bae.
+Morse models, computed independently of qesf.bae. dz/dx and dW0/dz are the
+derivatives that the coordinate map and the prepotential must reproduce:
+z'^2 = Q(z) and dW0/dz = P/Q.
 """
 
 import numpy as np
 
+from qesf import coords
 from qesf.model import ModelSpec
 from qesf.poly import Tridiag, tridiag_eigenvalues
+
+
+def dz_dx(cmap: coords.CoordinateMap, x):
+    """dz/dx of the closed-form coordinate map."""
+    p = cmap.params
+    f = cmap.family
+    xa = np.asarray(x, dtype=float)
+    if f == coords.LINEAR:
+        out = p["slope"] * np.ones_like(xa)
+    elif f == coords.PARABOLIC:
+        out = p["q1"] / 2.0 * (xa - p["xv"])
+    elif f == coords.EXPONENTIAL:
+        out = p["sign"] * p["omega"] * p["amp"] * np.exp(p["sign"] * p["omega"] * xa)
+    elif f == coords.HYPERBOLIC:
+        if p["kind"] == "cosh":
+            out = p["c"] * p["omega"] * np.sinh(p["omega"] * (xa - p["xc"]))
+        else:
+            out = p["c"] * p["omega"] * np.cosh(p["omega"] * (xa - p["xc"]))
+    else:
+        out = p["R"] * p["omega"] * np.sin(p["omega"] * (xa - p["x0"]))
+    return out[()].item() if out.shape == () else out
+
+
+def dw0_dz(pre, z):
+    """dW0/dz of the prepotential's closed-form terms."""
+    za = np.asarray(z, dtype=float)
+    val = np.asarray(pre.poly_part.derivative()(za), dtype=float)
+    for t in pre.log_terms:
+        val = val + t.weight / (za - t.location)
+    for t in pre.quad_log_terms:
+        val = val + t.weight * 2.0 * (za - t.center) / ((za - t.center) ** 2 + t.imag ** 2)
+    for t in pre.pole_terms:
+        val = val - t.weight / (za - t.location) ** 2
+    for t in pre.arctan_terms:
+        val = val + t.weight * t.scale / ((za - t.center) ** 2 + t.scale ** 2)
+    return val[()].item() if val.shape == () else val
 
 
 def identity_check(roots, n_samples: int = 20, tol: float = 1e-10,

@@ -289,6 +289,8 @@ def test_solve_failure_exits_2(tmp_path):
     ({"Q": [1], "P": [0, 1], "N": 1, "branch": True}, 'config key "branch" must be +1 or -1'),
     ({"catalog": "sextic", "params": {"a": True}, "N": 2},
      'config key "params.a" must be a number'),
+    ({"catalog": ["sextic"], "N": 1}, 'config key "catalog" must be a string'),
+    ([{"Q": [1], "P": [0, 1], "N": 1}], "config must be a JSON object"),
 ])
 def test_non_finite_and_boolean_numbers_exit_4(tmp_path, payload, message):
     cfg = write_config(tmp_path, "bad.json", payload)

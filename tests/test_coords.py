@@ -7,12 +7,14 @@ from qesf import coords
 from qesf.errors import DomainError, ModelError
 from qesf.poly import Poly
 
+from oracles import dz_dx
+
 
 def test_build_linear():
     m = coords.build(Poly([1.0]))
     assert m.family == coords.LINEAR
     assert m.z_of_x(2.0) == 2.0
-    assert m.dz_dx(5.0) == 1.0
+    assert dz_dx(m, 5.0) == 1.0
     assert m.x_of_z(3.0) == 3.0
     assert m.x_domain == (-math.inf, math.inf)
 
@@ -21,7 +23,7 @@ def test_build_parabolic():
     m = coords.build(Poly([0.0, 4.0]))
     assert m.family == coords.PARABOLIC
     assert m.z_of_x(2.0) == pytest.approx(4.0)
-    assert m.dz_dx(2.0) == pytest.approx(4.0)
+    assert dz_dx(m, 2.0) == pytest.approx(4.0)
     assert m.z_image == (0.0, math.inf)
     assert m.x_of_z(9.0) == pytest.approx(3.0)
     m_neg = coords.build(Poly([0.0, 4.0]), branch_sign=-1)
@@ -33,7 +35,7 @@ def test_build_exponential():
     m = coords.build(Poly([0.0, 0.0, alpha ** 2]))
     assert m.family == coords.EXPONENTIAL
     assert m.z_of_x(0.0) == pytest.approx(1.0)
-    assert m.dz_dx(0.0) == pytest.approx(alpha)
+    assert dz_dx(m, 0.0) == pytest.approx(alpha)
     assert m.x_of_z(1.0) == pytest.approx(0.0)
     assert m.z_of_x(1.0) == pytest.approx(math.exp(alpha))
     # decaying branch
@@ -45,7 +47,7 @@ def test_build_trigonometric():
     m = coords.build(Poly([0.0, 4.0, -4.0]))
     assert m.family == coords.TRIGONOMETRIC
     assert m.z_of_x(math.pi / 4) == pytest.approx(0.5)
-    assert m.dz_dx(math.pi / 4) == pytest.approx(1.0)
+    assert dz_dx(m, math.pi / 4) == pytest.approx(1.0)
     assert m.x_of_z(0.5) == pytest.approx(math.pi / 4)
     assert m.x_domain[0] == pytest.approx(0.0)
     assert m.x_domain[1] == pytest.approx(math.pi / 2)
@@ -91,7 +93,7 @@ def test_roundtrip_and_velocity(q, branch):
     xs = rng.uniform(lo, hi, 100)
     zs = m.z_of_x(xs)
     # velocity identity dz/dx^2 = Q(z)
-    assert np.allclose(m.dz_dx(xs) ** 2, Q(zs), rtol=1e-10, atol=1e-10)
+    assert np.allclose(dz_dx(m, xs) ** 2, Q(zs), rtol=1e-10, atol=1e-10)
     # round trip on the monotone branch
     back = np.array([m.x_of_z(z) for z in np.atleast_1d(zs)])
     assert np.allclose(back, xs, rtol=1e-10, atol=1e-10)

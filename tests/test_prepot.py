@@ -7,6 +7,8 @@ from qesf import coords, prepot
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
+from oracles import dw0_dz, dz_dx
+
 
 def harmonic(b=1.0, N=1):
     return ModelSpec(Poly([1.0]), Poly([0.0, b]), (), N)
@@ -68,15 +70,20 @@ def test_w0_derivative_matches_P_over_Q():
                 continue
             count += 1
             want = spec.P(z) / spec.Q(z)
-            assert pre.dw0_dz(z) == pytest.approx(want, rel=1e-10, abs=1e-10)
+            assert dw0_dz(pre, z) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def wn(pre, roots, x):
+    """W_N = -ln|phi_N|."""
+    return -prepot.phi_log_sign(pre, roots, x)[0]
 
 
 def test_wn_value_examples():
     pre = prepot.integrate_w0(harmonic(b=1.0, N=1))
     # W0 = x^2/2; root at 0: W_1(2) = 2 - ln 2
-    assert prepot.wn_value(pre, [0.0], 2.0) == pytest.approx(2 - math.log(2))
+    assert wn(pre, [0.0], 2.0) == pytest.approx(2 - math.log(2))
     pre0 = prepot.integrate_w0(harmonic(b=1.0, N=0))
-    assert prepot.wn_value(pre0, [], 2.0) == pytest.approx(2.0)
+    assert wn(pre0, [], 2.0) == pytest.approx(2.0)
     # Morse with mu = -N: W_N = Ax + (B/a) e^(-ax) + N ln z - sum ln|z - z_k|
     A, alpha, N = 5.0, 1.0, 2
     prep = prepot.integrate_w0(morse_p(A, alpha, N))
@@ -85,40 +92,53 @@ def test_wn_value_examples():
     z = math.exp(-alpha * x)
     want = (A * x + 0.5 * math.exp(-alpha * x) + N * math.log(z)
             - sum(math.log(abs(z - zk)) for zk in roots))
-    assert prepot.wn_value(prep, roots, x) == pytest.approx(want, abs=1e-12)
+    assert wn(prep, roots, x) == pytest.approx(want, abs=1e-12)
 
 
-def test_wn_pole_error():
+def test_wn_pole_is_a_node():
+    # W_N's log pole at a root is a zero of phi: no error, sign 0
     pre = prepot.integrate_w0(harmonic(N=1))
-    with pytest.raises(ValueError):
-        prepot.wn_value(pre, [2.0], 2.0)
+    assert prepot.phi_log_sign(pre, [2.0], 2.0) == (-math.inf, 0.0)
 
 
 def test_phi_value_examples():
     pre = prepot.integrate_w0(harmonic(b=1.0, N=0))
-    lm, sg = prepot.phi_value(pre, [], 0.0)
+    lm, sg = prepot.phi_log_sign(pre, [], 0.0)
     assert lm == pytest.approx(0.0) and sg == 1.0
     # harmonic N=1, root 0: phi ~ x exp(-x^2/2), sign flips at 0
     pre1 = prepot.integrate_w0(harmonic(b=1.0, N=1))
-    lm_m, sg_m = prepot.phi_value(pre1, [0.0], -0.5)
-    lm_p, sg_p = prepot.phi_value(pre1, [0.0], 0.5)
+    lm_m, sg_m = prepot.phi_log_sign(pre1, [0.0], -0.5)
+    lm_p, sg_p = prepot.phi_log_sign(pre1, [0.0], 0.5)
     assert sg_m == -1.0 and sg_p == 1.0
     assert lm_p == pytest.approx(math.log(0.5) - 0.125)
     # sextic N=1, root 1/sqrt(2): phi ~ (x^2 - 1/sqrt2) exp(-x^4/4)
     pre2 = prepot.integrate_w0(sextic(N=1))
     zk = 1 / math.sqrt(2)
     x = 1.1
-    lm, sg = prepot.phi_value(pre2, [zk], x)
+    lm, sg = prepot.phi_log_sign(pre2, [zk], x)
     want = (x * x - zk) * math.exp(-x ** 4 / 4)
     assert sg * math.exp(lm) == pytest.approx(want, rel=1e-12)
 
 
 def test_phi_log_space_handles_underflow():
     pre = prepot.integrate_w0(sextic(N=0))
-    lm, sg = prepot.phi_value(pre, [], 60.0)
+    lm, sg = prepot.phi_log_sign(pre, [], 60.0)
     # exp(-60^4/4) underflows; the log form stays finite
     assert math.isfinite(lm) and lm < -3e6
     assert sg == 1.0
+
+
+def test_phi_at_a_w0_log_term_on_a_singularity():
+    # W0 = -z - 0.1 ln z + 0.1 ln|1 - z| and mu at z = 0: phi ~ z^(mu + 0.1),
+    # so phi at z = 0 is 0, inf or (mu = -0.1) finite; never inf - inf
+    for mu, want in ((0.3, -math.inf), (-0.3, math.inf), (-0.1, 0.0)):
+        spec = ModelSpec(Poly([0.0, 4.0, -4.0]), Poly([-0.4, -4.0, 4.0]),
+                         (Singularity(0.0, mu), Singularity(1.0, 0.3)), 0)
+        pre = prepot.integrate_w0(spec)
+        lo, hi = pre.cmap.x_domain
+        lm, _ = prepot.phi_log_sign(pre, [], np.array([lo, hi]))
+        assert lm[0] == want
+        assert lm[1] == -math.inf  # |z - 1|^(0.3 - 0.1)
 
 
 def test_phi_sign_changes_at_in_image_roots():
@@ -146,7 +166,7 @@ def test_wn_fd_derivative_matches_analytic():
         while checked < 25:
             x = rng.uniform(0.3, 2.2)
             z = cmap.z_of_x(x)
-            zp = cmap.dz_dx(x)
+            zp = dz_dx(cmap, x)
             if abs(zp) < 1e-2:
                 continue
             if any(abs(z - zk) < 0.1 for zk in roots):
@@ -155,8 +175,8 @@ def test_wn_fd_derivative_matches_analytic():
                 continue
             checked += 1
             h = 1e-5
-            fd = (prepot.wn_value(pre, roots, x + h)
-                  - prepot.wn_value(pre, roots, x - h)) / (2 * h)
+            fd = (wn(pre, roots, x + h)
+                  - wn(pre, roots, x - h)) / (2 * h)
             want = spec.P(z) / zp
             for s in spec.singularities:
                 want -= s.exponent * zp / (z - s.location)
@@ -172,4 +192,4 @@ def test_irreducible_Q_gets_arctan_terms():
     assert pre.quad_log_terms or pre.arctan_terms
     rng = np.random.default_rng(2)
     for z in rng.uniform(-4, 4, 50):
-        assert pre.dw0_dz(z) == pytest.approx(spec.P(z) / spec.Q(z), rel=1e-10)
+        assert dw0_dz(pre, z) == pytest.approx(spec.P(z) / spec.Q(z), rel=1e-10)

@@ -5,7 +5,7 @@ import pytest
 
 from qesf import bae, catalog, coords, potential, prepot, verify
 from qesf.errors import GridError
-from qesf.model import ModelSpec
+from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
 from oracles import hermite_zeros
@@ -142,13 +142,13 @@ def test_node_counts():
 def test_normalizability_harmonic():
     spec = harmonic(b=1.0, N=1)
     cmap, pre, br, _ = _pipeline(spec)
-    ok, est = verify.normalizability_check(pre, br)
+    ok, est = verify.normalizability_check(pre, br, pre.cmap.x_domain)
     assert ok and math.isfinite(est) and est > 0
     bad = harmonic(b=-1.0, N=0)
     cmapb = coords.build(bad.Q)
     preb = prepot.integrate_w0(bad, cmapb)
     brb = bae.BetheBranch((), 0.0, 0, "empty")
-    ok, est = verify.normalizability_check(preb, brb)
+    ok, est = verify.normalizability_check(preb, brb, preb.cmap.x_domain)
     assert not ok
 
 
@@ -158,14 +158,81 @@ def test_normalizability_morse_p_threshold():
     br = bae.enumerate_branches(good)[0]
     cmap = coords.build(good.Q, branch_sign=good.branch_sign)
     pre = prepot.integrate_w0(good, cmap)
-    ok, _ = verify.normalizability_check(pre, br)
+    ok, _ = verify.normalizability_check(pre, br, pre.cmap.x_domain)
     assert ok
     bad = catalog.instantiate("morse-p", N=1, A=0.7)
     brb = bae.enumerate_branches(bad)[0]
     cmapb = coords.build(bad.Q, branch_sign=bad.branch_sign)
     preb = prepot.integrate_w0(bad, cmapb)
-    ok, _ = verify.normalizability_check(preb, brb)
+    ok, _ = verify.normalizability_check(preb, brb, preb.cmap.x_domain)
     assert not ok
+
+
+def test_wall_exponents_include_the_w0_log_weight():
+    # P(0) = P(1) = -0.4 gives W0 the terms -0.1 ln z and +0.1 ln|z - 1|, so
+    # phi ~ z^(0.3 + 0.1) and |z - 1|^(0.3 - 0.1); z - a ~ x^2 at both
+    # turning points doubles them to nu = 0.8 and 0.4 (mu alone: 0.6, 0.6)
+    spec = ModelSpec(Poly([0.0, 4.0, -4.0]), Poly([-0.4, -4.0, 4.0]),
+                     (Singularity(0.0, 0.3), Singularity(1.0, 0.3)), 2)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == 3
+    for br, rep in zip(branches, verify.verify_branches(spec, branches)):
+        grid = verify.default_grid(pre, br.roots)
+        assert grid.wall_lo == (0.0, pytest.approx(0.8))
+        assert grid.wall_hi == (pytest.approx(math.pi / 2), pytest.approx(0.4))
+        assert rep.verdict and rep.normalizable
+
+
+def test_w0_log_weight_lifts_a_wall_out_of_limit_circle():
+    # mu = 0.1 alone would give nu = 0.2 < 1/2; W0's -0.3 ln z lifts it to
+    # nu = 2 (0.1 + 0.3) = 0.8, so the FD spectrum oracle runs
+    spec = ModelSpec(Poly([0.0, 4.0, -4.0]), Poly([-1.2, 0.0, 2.4]),
+                     (Singularity(0.0, 0.1),), 1)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == 2
+    for br, rep in zip(branches, verify.verify_branches(spec, branches)):
+        assert verify.default_grid(pre, br.roots).wall_lo == (0.0, pytest.approx(0.8))
+        assert rep.spectrum_note == "" and len(rep.spectrum_matches) == 1
+        assert rep.verdict
+
+
+def test_normalizability_on_the_certified_component():
+    # a wall at z = a inside the linear map's image cuts the line in two;
+    # the branch with roots on both sides is certified on (a, inf), and its
+    # normalizability is integrated there too
+    a = 0.051774
+    spec = ModelSpec(Poly([1.0]), Poly([0.151582, 1.0]), (Singularity(a, 0.360003),), 2)
+    pre = prepot.integrate_w0(spec)
+    (br,) = [b for b in bae.enumerate_branches(spec) if min(b.roots) < a < max(b.roots)]
+    assert verify.default_grid(pre, br.roots).component == (a, math.inf)
+    rep = verify.verify_branch(spec, br)
+    certified = verify.normalizability_check(pre, br, (a, math.inf))
+    assert (rep.normalizable, rep.norm_estimate) == certified
+    assert verify.normalizability_check(pre, br, (-math.inf, a))[1] != certified[1]
+
+
+def test_march_threshold_matches_a_pointwise_march():
+    # the ladder evaluated in one call stops where a point-by-point march
+    # with the same recurrence stops
+    def marched(pre, roots, x, direction):
+        step = 0.25
+        x += direction * step
+        while True:
+            logphi, sign = prepot.phi_log_sign(pre, roots, x)
+            if sign != 0 and -logphi >= verify.W_THRESHOLD:
+                return x
+            step *= 1.25
+            x += direction * step
+
+    for name, N in (("harmonic", 3), ("sextic", 4), ("morse-es", 2), ("sextic-halfline", 3)):
+        spec = catalog.instantiate(name, N=N)
+        pre = prepot.integrate_w0(spec)
+        for br in bae.enumerate_branches(spec):
+            for start, direction in ((0.5, 1), (-0.5, -1), (2.0, 1)):
+                assert (verify._march_threshold(pre, br.roots, start, direction)
+                        == marched(pre, br.roots, start, direction)), (name, br)
 
 
 def test_default_grid_refuses_nonnormalizable():
