@@ -66,11 +66,13 @@ class PFE:
     def __call__(self, z):
         za = np.asarray(z, dtype=float)
         val = np.asarray(self.poly(za), dtype=float)
-        for b in self.boundary_poles:
-            d = za - b.location
-            val = val + b.c1 / d + b.c2 / d ** 2
-        for r in self.root_poles:
-            val = val + r.weight / (za - r.location)
+        # a pole hit gives a non-finite value, which callers report
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for b in self.boundary_poles:
+                d = za - b.location
+                val = val + b.c1 / d + b.c2 / d ** 2
+            for r in self.root_poles:
+                val = val + r.weight / (za - r.location)
         return val[()].item() if val.shape == () else val
 
     @property

@@ -9,12 +9,14 @@ coordinate map at evaluation time, so no numerical quadrature ever enters.
 The order-N prepotential adds -mu_j ln|z - a_j| per declared singularity and
 -ln|z - z_k| per root; the wave function exp(-W_N) is evaluated in
 sign/log-magnitude form because e.g. exp(-a x^4 / 4) underflows long before
-the certification boxes end.
+the certification boxes end. phi's power of |z - a| at every finite point a
+is algebraic: the declared mu at a minus the weight of W0's ln|z - a| term.
+integrate_w0 tabulates these powers once, and every caller reads the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +58,9 @@ class ArctanTerm:
 
 @dataclass(frozen=True)
 class Prepotential:
+    """W0's closed-form terms, and powers: per finite point a, phi's power p
+    of |z - a| (declared mu at a minus W0's ln|z - a| weight), p != 0."""
+
     poly_part: Poly
     log_terms: tuple[LogTerm, ...]
     quad_log_terms: tuple[QuadLogTerm, ...]
@@ -63,23 +68,7 @@ class Prepotential:
     arctan_terms: tuple[ArctanTerm, ...]
     spec_ref: ModelSpec
     cmap: coords.CoordinateMap
-
-    def w0_of_z(self, z):
-        """W0 evaluated in the z variable (smooth part only, no root logs)."""
-        za = np.asarray(z, dtype=float)
-        # ln 0 at a log location and z = inf give non-finite values, which
-        # callers treat as out of range
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.asarray(self.poly_part(za), dtype=float)
-            for t in self.log_terms:
-                val = val + t.weight * np.log(np.abs(za - t.location))
-            for t in self.quad_log_terms:
-                val = val + t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
-            for t in self.pole_terms:
-                val = val + t.weight / (za - t.location)
-            for t in self.arctan_terms:
-                val = val + t.weight * np.arctan((za - t.center) / t.scale)
-        return val[()].item() if val.shape == () else val
+    powers: tuple[tuple[float, float], ...]
 
 
 def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> Prepotential:
@@ -122,39 +111,50 @@ def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> P
                 f"non-normalizable interior singularity: P/Q has a pole at "
                 f"z = {loc:g} inside the coordinate image {cmap.z_image}")
 
+    # W0's own log points come first, then the declared ones, so that
+    # phi_log_sign, which sums in table order, adds W0's terms before the
+    # declared factors.
+    declared = [[s.location, s.exponent] for s in spec.singularities]
+    own = []
+    for t in logs:
+        hit = [e for e in declared if abs(e[0] - t.location) <= margin]
+        if hit:
+            hit[0][1] -= t.weight
+        else:
+            own.append([t.location, -t.weight])
+    powers = tuple((a, p) for a, p in own + declared if p != 0.0)
     return Prepotential(poly_part, tuple(logs), tuple(qlogs), tuple(poles),
-                        tuple(atans), spec, cmap)
+                        tuple(atans), spec, cmap, powers)
 
 
 def phi_log_sign(pre: Prepotential, roots, x):
     """phi_N = exp(-W_N) in (log-magnitude, sign) form, vectorized over x.
 
-    Zeros of phi come back as log-magnitude -inf with sign 0. Non-integer
-    singularity exponents contribute |z-a|^mu to the magnitude only; on the
-    physical domain z - a does not change sign, so this at most drops a
-    constant prefactor sign.
+    Zeros of phi come back as log-magnitude -inf with sign 0. Each entry of
+    pre.powers adds p ln|z - a|, so a W0 log term and a declared singularity
+    at one point never meet as inf - inf. Non-integer singularity exponents
+    contribute to the magnitude only; on the physical domain z - a does not
+    change sign, so this at most drops a constant prefactor sign.
     """
     z = np.asarray(pre.cmap.z_of_x(x), dtype=float)
     scalar = z.shape == ()
     za = np.atleast_1d(z)
-    sings = pre.spec_ref.singularities
-    # A W0 log term at a declared singularity folds into its power
-    # |z - a|^(mu - w): at z = a the two logs alone would give inf - inf.
-    folded = {t.location: t.weight for t in pre.log_terms
-              if any(s.location == t.location for s in sings)}
-    if folded:
-        pre = replace(pre, log_terms=tuple(t for t in pre.log_terms
-                                           if t.location not in folded))
-    logmag = -np.asarray(pre.w0_of_z(za), dtype=float)
     sign = np.ones_like(za)
-    with np.errstate(divide="ignore"):
-        for s in sings:
-            d = za - s.location
-            power = s.exponent - folded.pop(s.location, 0.0)
-            if power:
-                logmag = logmag + power * np.log(np.abs(d))
+    # ln 0 at a power's point and z = inf give non-finite values, which
+    # callers treat as out of range
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = -np.asarray(pre.poly_part(za), dtype=float)
+        for a, p in pre.powers:
+            logmag = logmag + p * np.log(np.abs(za - a))
+        for t in pre.quad_log_terms:
+            logmag = logmag - t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
+        for t in pre.pole_terms:
+            logmag = logmag - t.weight / (za - t.location)
+        for t in pre.arctan_terms:
+            logmag = logmag - t.weight * np.arctan((za - t.center) / t.scale)
+        for s in pre.spec_ref.singularities:
             if s.exponent == int(s.exponent):
-                sign = sign * np.where(d >= 0, 1.0, -1.0) ** int(abs(s.exponent))
+                sign = sign * np.where(za >= s.location, 1.0, -1.0) ** int(abs(s.exponent))
         for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
             d = za - zk
             logmag = logmag + np.log(np.abs(d))

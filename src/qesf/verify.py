@@ -10,6 +10,7 @@ ambiguity upstream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,35 +97,31 @@ def make_grid(x_lo: float, x_hi: float, n: int,
 def _finite_walls(pre: prepot.Prepotential) -> dict[float, float]:
     """x of every finite cut point -> exponent nu of phi ~ |x - wall|^nu.
 
-    The cuts are the finite ends of the map's x-domain and the declared
-    singularities inside the coordinate image. With phi = exp(-W_N), phi's
-    power of |z - a| at a wall a is the declared mu there minus the weight
-    of W0's ln|z - a| term; z - a vanishes to first order in x where
-    Q(a) != 0 and to second order at a turning point Q(a) = 0. The model
-    is the authority here: where the conjugate indicial root 1 - nu is also
-    normalizable (limit-circle walls), the potential alone cannot tell the
-    two apart.
+    The cuts are the finite ends of the map's x-domain and every point of
+    pre.powers inside the coordinate image, declared or from W0. phi's power
+    p of |z - a| comes from that table; z - a vanishes to first order in x
+    where Q(a) != 0 and to second order at a turning point Q(a) = 0, so
+    nu = p or 2p. The model is the authority here: where the conjugate
+    indicial root 1 - nu is also normalizable (limit-circle walls), the
+    potential alone cannot tell the two apart.
     """
-    cmap, spec = pre.cmap, pre.spec_ref
+    cmap, Q = pre.cmap, pre.spec_ref.Q
     tol = cmap.z_tol
     walls: dict[float, float] = {}
 
     def _add(xa: float, a: float) -> None:
         if math.isfinite(xa) and not any(abs(xa - w) < 1e-9 for w in walls):
-            power = (sum(s.exponent for s in spec.singularities
-                         if abs(s.location - a) <= tol)
-                     - sum(t.weight for t in pre.log_terms
-                           if abs(t.location - a) <= tol))
-            walls[xa] = power * (1 if abs(spec.Q(a)) > 1e-12 else 2)
+            power = sum(p for b, p in pre.powers if abs(b - a) <= tol)
+            walls[xa] = power * (1 if abs(Q(a)) > 1e-12 else 2)
 
     for xa in cmap.x_domain:
         if math.isfinite(xa):
             _add(xa, cmap.z_of_x(xa))
     lo, hi = cmap.z_image
-    for s in spec.singularities:
-        if s.exponent != 0.0 and lo - tol <= s.location <= hi + tol:
+    for a, _ in pre.powers:
+        if lo - tol <= a <= hi + tol:
             try:
-                _add(cmap.x_of_z(s.location), s.location)
+                _add(cmap.x_of_z(a), a)
             except DomainError:
                 continue
     return dict(sorted(walls.items()))
@@ -153,32 +150,20 @@ def _march_threshold(pre: prepot.Prepotential, roots, start: float,
     return float(xs[crossed[0]])
 
 
-def _wall_decays(pre: prepot.Prepotential, roots, wall: float, interior_sign: int,
-                 span: float) -> bool:
-    """True when phi decays toward the finite wall (W_N grows approaching it).
-
-    Probe offsets stay above the floating-point floor of z(x) - a near
-    quadratic turning points (z - a ~ dx^2 there).
-    """
-    scale = min(1.0, span / 4.0)
-    logphi, sign = prepot.phi_log_sign(
-        pre, roots, wall + interior_sign * np.array([1e-4, 1e-7]) * scale)
-    w_far, w_near = -logphi
-    return bool(np.all(sign != 0) and w_near > w_far + 0.1)
-
-
-def certification_domain(pre: prepot.Prepotential,
-                         roots) -> tuple[float, float, tuple[float, float]]:
-    """Certification box (x_lo, x_hi) and the domain component (a, b) that
-    contains it.
+def certification_domain(pre: prepot.Prepotential, roots) -> tuple[
+        float, float, tuple[float, float] | None, tuple[float, float] | None]:
+    """Certification box (x_lo, x_hi) and the walls (x, nu) that bound its
+    domain component, None at an unbounded end.
 
     The components lie between the cut points: the map's endpoints and the
-    finite walls. Walls are kept as-is; unbounded ends are truncated where
+    finite walls. A component is admitted when phi vanishes at each of its
+    walls (nu > 0). Walls are kept as-is; unbounded ends are truncated where
     W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box edge.
     """
     cmap = pre.cmap
     dlo, dhi = cmap.x_domain
-    cuts = sorted({dlo, dhi, *_finite_walls(pre)})
+    walls = _finite_walls(pre)
+    cuts = sorted({dlo, dhi, *walls})
     components = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
                   if cuts[i + 1] - cuts[i] > 1e-9]
     if not components:
@@ -193,53 +178,46 @@ def certification_domain(pre: prepot.Prepotential,
         if math.isfinite(xk):
             xr.append(xk)
 
-    def _component_ok(a: float, b: float) -> tuple[bool, float, float]:
-        span = (b - a) if math.isfinite(a) and math.isfinite(b) else 4.0
+    def _box(a: float, b: float) -> tuple[float, float] | None:
+        if any(math.isfinite(e) and walls[e] <= 0.0 for e in (a, b)):
+            return None
         inside = [v for v in xr if a < v < b]
         lo_edge, hi_edge = a, b
         try:
-            if math.isfinite(b):
-                if not _wall_decays(pre, roots, b, -1, span):
-                    return False, a, b
-            else:
+            if not math.isfinite(b):
                 s0 = (max(inside) if inside else (a + 1.0 if math.isfinite(a) else 0.0)) + 0.5
                 hi_edge = _march_threshold(pre, roots, s0, +1)
-            if math.isfinite(a):
-                if not _wall_decays(pre, roots, a, +1, span):
-                    return False, a, b
-            else:
+            if not math.isfinite(a):
                 s0 = (min(inside) if inside else (b - 1.0 if math.isfinite(b) else 0.0)) - 0.5
                 lo_edge = _march_threshold(pre, roots, s0, -1)
         except (GridError, ValueError):
-            return False, a, b
-        return True, lo_edge, hi_edge
+            return None
+        return lo_edge, hi_edge
 
     bsign = pre.spec_ref.branch_sign
     candidates = []
     for a, b in components:
-        ok, lo_edge, hi_edge = _component_ok(a, b)
-        if ok:
+        box = _box(a, b)
+        if box is not None:
             contains_roots = all(a < v < b for v in xr) if xr else True
             mid = (max(a, -1e18) + min(b, 1e18)) / 2.0
-            candidates.append((contains_roots, mid, (a, b), (lo_edge, hi_edge)))
+            candidates.append((contains_roots, mid, (a, b), box))
     if not candidates:
         raise GridError("no normalizable domain component found")
     candidates.sort(key=lambda c: (not c[0],
                                    -(min(c[2][1], 1e18) - max(c[2][0], -1e18)),
                                    -bsign * c[1]))
-    _, _, component, (lo_edge, hi_edge) = candidates[0]
-    return lo_edge, hi_edge, component
+    _, _, (a, b), (lo_edge, hi_edge) = candidates[0]
+    return (lo_edge, hi_edge, (a, walls[a]) if math.isfinite(a) else None,
+            (b, walls[b]) if math.isfinite(b) else None)
 
 
 def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
     """Grid over the certification box; an end at a wall is inset by
     max(10h, 1e-3) and carries the wall's (x, nu)."""
-    x_lo, x_hi, (a, b) = certification_domain(pre, roots)
-    nu = _finite_walls(pre)
+    x_lo, x_hi, wall_lo, wall_hi = certification_domain(pre, roots)
     h0 = (x_hi - x_lo) / (n_points - 1)
     inset = max(10.0 * h0, 1e-3)
-    wall_lo = (a, nu[a]) if math.isfinite(a) else None
-    wall_hi = (b, nu[b]) if math.isfinite(b) else None
     if wall_lo is not None:
         x_lo += inset
     if wall_hi is not None:
@@ -368,6 +346,26 @@ def _segment_log_integral(pre, roots, a: float, b: float, n: int = 129) -> float
     return m + math.log(integral) if integral > 0 else -math.inf
 
 
+def _windows(edge: float, inner: float, outward: int):
+    """The integration windows of one side of a component, from inner
+    outward: halving toward a finite endpoint edge (outward < 0 when it is
+    the left end), growing by 1.4 toward an infinite one."""
+    if math.isfinite(edge):
+        t = abs(inner - edge)
+        while True:
+            t2 = t / 2.0
+            yield (edge + t2, edge + t) if outward < 0 else (edge - t, edge - t2)
+            t = t2
+    else:
+        width = 1.0
+        x0 = inner
+        while True:
+            x1 = x0 + outward * width
+            yield min(x0, x1), max(x0, x1)
+            x0 = x1
+            width *= 1.4
+
+
 def normalizability_check(pre: prepot.Prepotential, branch,
                           component: tuple[float, float]) -> tuple[bool, float]:
     """Adaptive test that the integral of phi^2 converges over the domain
@@ -393,48 +391,21 @@ def normalizability_check(pre: prepot.Prepotential, branch,
 
     def _side(edge: float, inner: float, outward: int) -> bool:
         nonlocal total
+        patience = 6 if math.isfinite(edge) else 4
         grow = 0
         prev = -math.inf
-        if math.isfinite(edge):
-            # shrink toward the endpoint; outward < 0 means the endpoint is
-            # the left end of the component
-            t = abs(inner - edge)
-            for _ in range(MAX_WINDOWS):
-                t2 = t / 2.0
-                if outward < 0:
-                    seg = _segment_log_integral(pre, roots, edge + t2, edge + t)
-                else:
-                    seg = _segment_log_integral(pre, roots, edge - t, edge - t2)
-                total = np.logaddexp(total, seg)
-                if seg < total - 36.0:
-                    return True
-                if seg > prev:
-                    grow += 1
-                    if grow >= 6:
-                        return False
-                else:
-                    grow = 0
-                prev = seg
-                t = t2
-            return False
-        # march to infinity with growing windows
-        width = 1.0
-        x0 = inner
-        for _ in range(MAX_WINDOWS):
-            x1 = x0 + outward * width
-            seg = _segment_log_integral(pre, roots, min(x0, x1), max(x0, x1))
+        for lo, hi in itertools.islice(_windows(edge, inner, outward), MAX_WINDOWS):
+            seg = _segment_log_integral(pre, roots, lo, hi)
             total = np.logaddexp(total, seg)
             if seg < total - 36.0:
                 return True
             if seg > prev:
                 grow += 1
-                if grow >= 4:
+                if grow >= patience:
                     return False
             else:
                 grow = 0
             prev = seg
-            x0 = x1
-            width *= 1.4
         return False
 
     ok_lo = _side(a, core_lo, -1)

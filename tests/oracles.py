@@ -6,7 +6,8 @@ reduction in qesf.potential, so the tests can certify that reduction.
 The Hermite and Laguerre zeros are the exact branches of the harmonic and
 Morse models, computed independently of qesf.bae. dz/dx and dW0/dz are the
 derivatives that the coordinate map and the prepotential must reproduce:
-z'^2 = Q(z) and dW0/dz = P/Q.
+z'^2 = Q(z) and dW0/dz = P/Q; w0_of_z sums the prepotential's closed-form
+terms as written, so the tests can check them against known W0.
 """
 
 import numpy as np
@@ -35,6 +36,21 @@ def dz_dx(cmap: coords.CoordinateMap, x):
     else:
         out = p["R"] * p["omega"] * np.sin(p["omega"] * (xa - p["x0"]))
     return out[()].item() if out.shape == () else out
+
+
+def w0_of_z(pre, z):
+    """W0 evaluated in the z variable (closed-form terms only, no root logs)."""
+    za = np.asarray(z, dtype=float)
+    val = np.asarray(pre.poly_part(za), dtype=float)
+    for t in pre.log_terms:
+        val = val + t.weight * np.log(np.abs(za - t.location))
+    for t in pre.quad_log_terms:
+        val = val + t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
+    for t in pre.pole_terms:
+        val = val + t.weight / (za - t.location)
+    for t in pre.arctan_terms:
+        val = val + t.weight * np.arctan((za - t.center) / t.scale)
+    return val[()].item() if val.shape == () else val
 
 
 def dw0_dz(pre, z):

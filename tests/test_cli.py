@@ -243,6 +243,44 @@ def test_bound_state_limit_raises_no_warnings(tmp_path, name, N):
     assert "no normalizable domain component" in err
 
 
+# W0's -0.25 ln z at the parabolic turning point z = 0 is the same wall as
+# a declared mu = 0.25 there: the same BAE, E = -4 and 4
+UNDECLARED_TWIN = {"Q": [0, 4], "P": [-1, 0, 2], "N": 1}
+DECLARED_TWIN = {"Q": [0, 4], "P": [0, 0, 2],
+                 "singularities": [{"a": 0, "mu": 0.25}], "N": 1}
+
+
+def _solve_and_verify(tmp_path, name, payload):
+    """(solve code, CSV, verify code, stdout, stderr, JSON) with every
+    warning raised as an error."""
+    cfg = write_config(tmp_path, f"{name}.json", payload)
+    out_csv, out_json = tmp_path / f"{name}.csv", tmp_path / f"{name}.report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_code, _, _ = run_cli(["solve", cfg, "--out", str(out_csv)])
+        code, out, err = run_cli(["verify", cfg, str(out_csv), "--json-out", str(out_json)])
+    return solve_code, out_csv.read_text(), code, out, err, out_json.read_text()
+
+
+def test_w0_log_wall_equals_its_declared_twin(tmp_path):
+    und = _solve_and_verify(tmp_path, "u", UNDECLARED_TWIN)
+    dec = _solve_and_verify(tmp_path, "d", DECLARED_TWIN)
+    assert und[0] == dec[0] == 0 and und[2] == dec[2] == 0
+    assert und[1] == dec[1]  # CSV
+    assert und[5] == dec[5]  # JSON report
+    assert [float(row.split(",")[4]) for row in und[1].splitlines()[1:]] == [-4.0, 4.0]
+
+
+def test_w0_log_wall_at_a_cosh_turning_point_rejects_both_sides(tmp_path):
+    # W0's 1.5 ln|z - 1| gives phi ~ |x - xc|^-3 at the turning point
+    solve_code, csv_text, code, _, err, _ = _solve_and_verify(
+        tmp_path, "c", {"Q": [-1, 0, 1], "P": [0, 3], "N": 1})
+    assert solve_code == 0
+    assert csv_text.splitlines()[1].endswith(",false")
+    assert code == 3
+    assert "no normalizable domain component found" in err
+
+
 SINGULAR = {"Q": [1.0], "P": [-0.143939, 1.0],
             "singularities": [{"a": 0.135345, "mu": 0.341415}], "N": 3}
 

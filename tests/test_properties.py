@@ -1,12 +1,13 @@
 """Property tests of the branch finder on random type-2 and
-singularity-induced models."""
+singularity-induced models, and of the walls of parabolic models."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qesf import bae, catalog
+from qesf import bae, catalog, prepot, verify
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
@@ -34,3 +35,39 @@ def test_branches_solve_the_bae_and_are_distinct(model):
             assert np.max(np.abs(roots[i] - roots[j])) > 1e-6
     energies = [bae.branch_energy(spec, r) for r in roots]
     assert energies == sorted(energies)
+
+
+def _parabolic_twins(q0, q1, c, p1, p2, N):
+    """A parabolic model (Q linear) with P(rho) = c != 0 at the turning point
+    rho, where W0 has a log term, and its twin: P - c and a declared
+    mu = -c/Q'(rho) at rho. Both have the same BAE and the same wall."""
+    rho = -q0 / q1
+    # P = c + p1 (z - rho) + p2 (z - rho)^2, p2 of the sign that confines
+    p2 = p2 if q1 > 0 else -p2
+    shape = [p1 * -rho + p2 * rho * rho, p1 - 2.0 * p2 * rho, p2]
+    undeclared = ModelSpec(Poly([q0, q1]), Poly([c + shape[0]] + shape[1:]), (), N)
+    declared = ModelSpec(Poly([q0, q1]), Poly(shape), (Singularity(rho, -c / q1),), N)
+    return undeclared, declared
+
+
+parabolic_twins = st.builds(
+    _parabolic_twins, st.floats(-1.0, 1.0),
+    st.one_of(st.floats(1.0, 5.0), st.floats(-5.0, -1.0)),
+    st.one_of(st.floats(-1.5, -0.05), st.floats(0.05, 1.5)),
+    st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.integers(0, 2))
+
+
+def _verdicts(spec):
+    branches = bae.enumerate_branches(spec)
+    return [str(rep) if isinstance(rep, Exception) else rep.verdict
+            for rep in verify.verify_branches(spec, branches, n_points=2001)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(parabolic_twins)
+def test_w0_log_wall_matches_its_declared_twin(twins):
+    undeclared, declared = twins
+    walls = [verify._finite_walls(prepot.integrate_w0(spec)) for spec in twins]
+    assert list(walls[0]) == pytest.approx(list(walls[1]))
+    assert list(walls[0].values()) == pytest.approx(list(walls[1].values()))
+    assert _verdicts(undeclared) == _verdicts(declared)

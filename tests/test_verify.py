@@ -198,6 +198,33 @@ def test_w0_log_weight_lifts_a_wall_out_of_limit_circle():
         assert rep.verdict
 
 
+def test_small_positive_nu_admits_its_component():
+    # nu = 0.003: phi still vanishes at the wall, so both sides are
+    # components; the limit-circle wall leaves the verdict to the residual
+    spec = ModelSpec(Poly([1.0]), Poly([-0.0794, 1.0]), (Singularity(0.4177, 0.003),), 2)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert branches
+    for br, rep in zip(branches, verify.verify_branches(spec, branches)):
+        grid = verify.default_grid(pre, br.roots)
+        assert (0.4177, pytest.approx(0.003)) in (grid.wall_lo, grid.wall_hi)
+        assert rep.spectrum_matches == [] and "limit-circle" in rep.spectrum_note
+        assert rep.verdict
+
+
+def test_a_grid_point_on_a_pole_raises_grid_error():
+    spec = harmonic(N=0)
+    cmap, pre, br, _ = _pipeline(spec)
+    profile = potential.PotentialProfile(
+        potential.PFE(Poly([0.0]), (potential.BoundaryPole(0.0, 1.0, 0.0),)), 0.0, br)
+    grid = verify.make_grid(-1.0, 1.0, 201)
+    assert 0.0 in grid.points
+    with pytest.raises(GridError, match="pole"):
+        verify.fd_spectrum(profile, cmap, grid, 4)
+    with pytest.raises(GridError, match="pole"):
+        verify.schrodinger_residual(profile, br, cmap, pre, grid)
+
+
 def test_normalizability_on_the_certified_component():
     # a wall at z = a inside the linear map's image cuts the line in two;
     # the branch with roots on both sides is certified on (a, inf), and its
