@@ -133,13 +133,18 @@ def cmd_solve(args) -> int:
         print("solver failure: no converged real branch", file=sys.stderr)
         return EXIT_SOLVER
 
+    try:
+        pre = prepot.integrate_w0(spec)
+    except (GridError, DomainError, ValueError):
+        pre = None  # no certifiable model: every branch is unverified
+
     # Real branches come back in ascending energy; bid is that position.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
     for bid, br in enumerate(branches):
         energy = bae.branch_energy(spec, np.asarray(br.roots, dtype=float))
         try:
-            rmax, _ = verify.residual_check(spec, br, n_points=args.grid_points)
-            ok = rmax < 1e-6
+            ok = (pre is not None
+                  and verify.residual_check(pre, br, n_points=args.grid_points)[0] < 1e-6)
         except (GridError, DomainError, ValueError):
             ok = False
         roots = list(enumerate(br.roots)) if br.n else [(-1, None)]
@@ -238,8 +243,7 @@ def cmd_derive(args) -> int:
     spec = spec_from_config(cfg)
     cls = model.classify(spec)
     cmap = coords.build(spec.Q, anchor=config_anchor(cfg), branch_sign=spec.branch_sign)
-    pre = prepot.integrate_w0(spec, cmap)
-    v0 = potential.v0_pfe(spec, cmap)
+    v0 = potential.v0_pfe(spec)
 
     print(f"class: {cls.tag}")
     print(f"coordinate: {cmap.family}  x-domain {cmap.x_domain}  z-image {cmap.z_image}")

@@ -30,6 +30,7 @@ QES_TYPE2 = "qes-type2"
 QES_SINGULAR = "qes-singularity-induced"
 
 _SING_MIN_GAP = 1e-12
+TURNING_TOL = 1e-12  # |Q(a)| at or below it makes a a turning point
 
 
 @dataclass(frozen=True)
@@ -185,11 +186,16 @@ def _exponential_level_bound(spec: ModelSpec) -> list[Diagnostic]:
         f"A > N alpha for the Morse presets)") for end, e, need in ends]
 
 
+def is_turning_point(Q: Poly, a: float) -> bool:
+    """Whether Q vanishes at a, up to TURNING_TOL: there z'^2 = Q(z) = 0."""
+    return abs(Q(a)) <= TURNING_TOL
+
+
 def promoted_singularities(spec: ModelSpec) -> list[Singularity]:
     """Singularities with a nonzero exponent at a point where Q does not
     vanish: they couple the roots into the potential."""
     return [s for s in spec.singularities
-            if s.exponent != 0.0 and abs(spec.Q(s.location)) > 1e-12]
+            if s.exponent != 0.0 and not is_turning_point(spec.Q, s.location)]
 
 
 def classify(spec: ModelSpec) -> SolvabilityClass:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bae, coords
+from . import bae
 from .errors import ModelError
-from .model import ModelSpec
+from .model import ModelSpec, is_turning_point
 from .poly import Poly, divmod_poly, partial_fractions
 
 _LOC_MERGE_TOL = 1e-9
@@ -113,12 +113,14 @@ class PotentialProfile:
     branch: bae.BetheBranch
 
 
-def v0_pfe(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> PFE:
-    """Partial-fraction expansion of the static potential V0."""
-    P, Q = spec.P, spec.Q
-    if cmap is None:
-        cmap = coords.build(Q, branch_sign=spec.branch_sign)
+def v0_pfe(spec: ModelSpec) -> PFE:
+    """Partial-fraction expansion of the static potential V0.
 
+    Its poles sit at real zeros of Q and at declared singularities. No zero
+    of Q lies strictly inside the coordinate image, where z'^2 = Q > 0, so
+    every undeclared pole is on the image's boundary or outside it.
+    """
+    P, Q = spec.P, spec.Q
     # Regular part: (P^2 + P Q'/2)/Q - P'
     num = P * P + 0.5 * (P * Q.derivative())
     quot, rem = divmod_poly(num, Q)
@@ -159,25 +161,9 @@ def v0_pfe(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> PFE:
         _add(a1, c1=w * Q(a1) / (a1 - a2))
         _add(a2, c1=w * Q(a2) / (a2 - a1))
 
-    # All pole locations must sit on (or outside) the coordinate-image
-    # boundary, or be declared singularities: an undeclared interior pole
-    # means the model is inconsistent.
-    declared = [s.location for s in spec.singularities]
-    lo, hi = cmap.z_image
-    margin = cmap.z_tol
-    bnd = []
-    for loc in sorted(poles):
-        c1, c2 = poles[loc]
-        if c1 == 0.0 and c2 == 0.0:
-            continue
-        interior = lo + margin < loc < hi - margin
-        if interior and not any(abs(loc - d) < _LOC_MERGE_TOL for d in declared):
-            raise ModelError(
-                f"model inconsistency: potential pole at z = {loc:g} lies inside "
-                f"the coordinate image {cmap.z_image} and is not a declared "
-                f"singularity")
-        bnd.append(BoundaryPole(loc, c1, c2))
-    return PFE(poly, tuple(bnd), ())
+    bnd = tuple(BoundaryPole(loc, c1, c2) for loc, (c1, c2) in sorted(poles.items())
+                if c1 != 0.0 or c2 != 0.0)
+    return PFE(poly, bnd, ())
 
 
 def delta_v_pfe(spec: ModelSpec, branch: bae.BetheBranch) -> PFE:
@@ -191,9 +177,9 @@ def delta_v_pfe(spec: ModelSpec, branch: bae.BetheBranch) -> PFE:
         poly = poly + (-2.0) * spec.P.divided_difference(zk)
     bnd = []
     for s in spec.singularities:
-        Qa = spec.Q(s.location)
-        if Qa != 0.0 and roots.size:
-            c1 = 2.0 * s.exponent * Qa * float(np.sum(1.0 / (s.location - roots)))
+        if roots.size and not is_turning_point(spec.Q, s.location):
+            c1 = (2.0 * s.exponent * spec.Q(s.location)
+                  * float(np.sum(1.0 / (s.location - roots))))
             bnd.append(BoundaryPole(s.location, c1, 0.0))
     d = -2.0 * bae.residual(spec, roots)
     root_poles = tuple(RootPole(float(zk), float(dk)) for zk, dk in zip(roots, d))

@@ -11,18 +11,21 @@ The order-N prepotential adds -mu_j ln|z - a_j| per declared singularity and
 sign/log-magnitude form because e.g. exp(-a x^4 / 4) underflows long before
 the certification boxes end. phi's power of |z - a| at every finite point a
 is algebraic: the declared mu at a minus the weight of W0's ln|z - a| term.
-integrate_w0 tabulates these powers once, and every caller reads the table.
+integrate_w0 builds the model once: the coordinate map, W0, the table of
+these powers and the walls they cut in x. Every caller reads that one
+Prepotential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import coords
-from .errors import ModelError
-from .model import ModelSpec
+from .errors import DomainError
+from .model import ModelSpec, is_turning_point
 from .poly import Poly, divmod_poly, partial_fractions
 
 
@@ -58,8 +61,10 @@ class ArctanTerm:
 
 @dataclass(frozen=True)
 class Prepotential:
-    """W0's closed-form terms, and powers: per finite point a, phi's power p
-    of |z - a| (declared mu at a minus W0's ln|z - a| weight), p != 0."""
+    """One model, built once: its coordinate map, W0's closed-form terms,
+    powers (per finite point a, phi's power p of |z - a|: the declared mu at
+    a minus W0's ln|z - a| weight, p != 0) and walls (x of every finite cut
+    point -> exponent nu of phi ~ |x - wall|^nu, ascending in x)."""
 
     poly_part: Poly
     log_terms: tuple[LogTerm, ...]
@@ -69,15 +74,14 @@ class Prepotential:
     spec_ref: ModelSpec
     cmap: coords.CoordinateMap
     powers: tuple[tuple[float, float], ...]
+    walls: dict[float, float]
 
 
-def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> Prepotential:
-    """Integrate dW0/dz = P/Q in closed form (exact partial fractions)."""
+def integrate_w0(spec: ModelSpec) -> Prepotential:
+    """Build the model: its coordinate map, dW0/dz = P/Q integrated in
+    closed form (exact partial fractions), phi's powers and its walls."""
     P, Q = spec.P, spec.Q
-    if Q.is_zero():
-        raise ModelError("Q must not be identically zero")
-    if cmap is None:
-        cmap = coords.build(Q, branch_sign=spec.branch_sign)
+    cmap = coords.build(Q, branch_sign=spec.branch_sign)
 
     quot, rem = divmod_poly(P, Q)
     # Antiderivative of the polynomial quotient.
@@ -101,30 +105,62 @@ def integrate_w0(spec: ModelSpec, cmap: coords.CoordinateMap | None = None) -> P
         if w_atan != 0.0:
             atans.append(ArctanTerm(center, imag, w_atan))
 
-    # Poles of P/Q strictly inside the coordinate image cannot belong to a
-    # normalizable model (they sit on the particle's trajectory).
-    lo, hi = cmap.z_image
-    margin = cmap.z_tol
-    for loc in [t.location for t in logs] + [t.location for t in poles]:
-        if lo + margin < loc < hi - margin:
-            raise ModelError(
-                f"non-normalizable interior singularity: P/Q has a pole at "
-                f"z = {loc:g} inside the coordinate image {cmap.z_image}")
-
     # W0's own log points come first, then the declared ones, so that
     # phi_log_sign, which sums in table order, adds W0's terms before the
     # declared factors.
     declared = [[s.location, s.exponent] for s in spec.singularities]
     own = []
     for t in logs:
-        hit = [e for e in declared if abs(e[0] - t.location) <= margin]
+        hit = [e for e in declared if abs(e[0] - t.location) <= cmap.z_tol]
         if hit:
             hit[0][1] -= t.weight
         else:
             own.append([t.location, -t.weight])
     powers = tuple((a, p) for a, p in own + declared if p != 0.0)
     return Prepotential(poly_part, tuple(logs), tuple(qlogs), tuple(poles),
-                        tuple(atans), spec, cmap, powers)
+                        tuple(atans), spec, cmap, powers,
+                        _finite_walls(cmap, Q, powers))
+
+
+def _finite_walls(cmap: coords.CoordinateMap, Q: Poly,
+                  powers: tuple[tuple[float, float], ...]) -> dict[float, float]:
+    """x of every finite cut point -> exponent nu of phi ~ |x - wall|^nu.
+
+    The cuts are the finite ends of the map's x-domain and, for every point
+    a of powers inside the coordinate image, declared or from W0, each
+    x-preimage of a in the x-domain: where Q(a) != 0 the map's mirror
+    branch (the other branch_sign) may reach a at a second x. phi's power
+    p of |z - a| comes from powers; z - a vanishes to first order in x
+    where Q(a) != 0 and to second order at a turning point Q(a) = 0, so
+    nu = p or 2p. The model is the authority here: where the conjugate
+    indicial root 1 - nu is also normalizable (limit-circle walls), the
+    potential alone cannot tell the two apart.
+    """
+    tol = cmap.z_tol
+    walls: dict[float, float] = {}
+
+    def _add(xa: float, a: float) -> None:
+        if math.isfinite(xa) and not any(abs(xa - w) < 1e-9 for w in walls):
+            power = sum(p for b, p in powers if abs(b - a) <= tol)
+            walls[xa] = power * (2 if is_turning_point(Q, a) else 1)
+
+    dlo, dhi = cmap.x_domain
+    for xa in cmap.x_domain:
+        if math.isfinite(xa):
+            _add(xa, cmap.z_of_x(xa))
+    mirror = replace(cmap, branch_sign=-cmap.branch_sign)
+    lo, hi = cmap.z_image
+    for a, _ in powers:
+        if not lo - tol <= a <= hi + tol:
+            continue
+        for branch in (cmap,) if is_turning_point(Q, a) else (cmap, mirror):
+            try:
+                xa = branch.x_of_z(a)
+            except DomainError:
+                continue
+            if dlo <= xa <= dhi:
+                _add(xa, a)
+    return dict(sorted(walls.items()))
 
 
 def phi_log_sign(pre: Prepotential, roots, x):

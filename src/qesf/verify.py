@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coords, potential, prepot
+from . import potential, prepot
 from .errors import DomainError, GridError
 from .model import ModelSpec
 from .poly import Tridiag, tridiag_eigenvalues
@@ -94,39 +94,6 @@ def make_grid(x_lo: float, x_hi: float, n: int,
 # Domain determination
 
 
-def _finite_walls(pre: prepot.Prepotential) -> dict[float, float]:
-    """x of every finite cut point -> exponent nu of phi ~ |x - wall|^nu.
-
-    The cuts are the finite ends of the map's x-domain and every point of
-    pre.powers inside the coordinate image, declared or from W0. phi's power
-    p of |z - a| comes from that table; z - a vanishes to first order in x
-    where Q(a) != 0 and to second order at a turning point Q(a) = 0, so
-    nu = p or 2p. The model is the authority here: where the conjugate
-    indicial root 1 - nu is also normalizable (limit-circle walls), the
-    potential alone cannot tell the two apart.
-    """
-    cmap, Q = pre.cmap, pre.spec_ref.Q
-    tol = cmap.z_tol
-    walls: dict[float, float] = {}
-
-    def _add(xa: float, a: float) -> None:
-        if math.isfinite(xa) and not any(abs(xa - w) < 1e-9 for w in walls):
-            power = sum(p for b, p in pre.powers if abs(b - a) <= tol)
-            walls[xa] = power * (1 if abs(Q(a)) > 1e-12 else 2)
-
-    for xa in cmap.x_domain:
-        if math.isfinite(xa):
-            _add(xa, cmap.z_of_x(xa))
-    lo, hi = cmap.z_image
-    for a, _ in pre.powers:
-        if lo - tol <= a <= hi + tol:
-            try:
-                _add(cmap.x_of_z(a), a)
-            except DomainError:
-                continue
-    return dict(sorted(walls.items()))
-
-
 def _march_threshold(pre: prepot.Prepotential, roots, start: float,
                      direction: int) -> float:
     """First point of an outward x-ladder from start with W_N >= W_THRESHOLD.
@@ -156,13 +123,13 @@ def certification_domain(pre: prepot.Prepotential, roots) -> tuple[
     domain component, None at an unbounded end.
 
     The components lie between the cut points: the map's endpoints and the
-    finite walls. A component is admitted when phi vanishes at each of its
-    walls (nu > 0). Walls are kept as-is; unbounded ends are truncated where
-    W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box edge.
+    model's finite walls, pre.walls. A component is admitted when phi
+    vanishes at each of its walls (nu > 0). Walls are kept as-is; unbounded
+    ends are truncated where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD
+    at the box edge.
     """
-    cmap = pre.cmap
+    cmap, walls = pre.cmap, pre.walls
     dlo, dhi = cmap.x_domain
-    walls = _finite_walls(pre)
     cuts = sorted({dlo, dhi, *walls})
     components = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
                   if cuts[i + 1] - cuts[i] > 1e-9]
@@ -229,9 +196,10 @@ def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
 # Certification operations
 
 
-def schrodinger_residual(profile: potential.PotentialProfile, branch, cmap, pre,
+def schrodinger_residual(profile: potential.PotentialProfile, pre: prepot.Prepotential,
                          grid: Grid, stencil_order: int = 4) -> tuple[float, float]:
-    """Normalized residual of (-d2/dx2 + U - E) phi on the grid.
+    """Normalized residual of (-d2/dx2 + U - E) phi_N on the grid, phi_N
+    the wave function of the profile's branch.
 
     phi is evaluated in log space and normalized to max 1; the residual is
     scaled by 1 + max|U - E| so that it is dimensionless and converges at
@@ -243,7 +211,7 @@ def schrodinger_residual(profile: potential.PotentialProfile, branch, cmap, pre,
     if stencil_order not in _STENCILS:
         raise ValueError(f"stencil_order must be one of {sorted(_STENCILS)}")
     x = grid.points
-    roots = np.asarray(branch.roots, dtype=float)
+    roots = np.asarray(profile.branch.roots, dtype=float)
     logphi, sign = prepot.phi_log_sign(pre, roots, x)
     finite = np.isfinite(logphi)
     if not np.any(finite):
@@ -251,7 +219,7 @@ def schrodinger_residual(profile: potential.PotentialProfile, branch, cmap, pre,
     logphi = logphi - np.max(logphi[finite])
     phi = np.where(finite, sign * np.exp(logphi), 0.0)
 
-    z = cmap.z_of_x(x)
+    z = pre.cmap.z_of_x(x)
     u_minus_e = profile.U(z) - profile.energy
     if not np.all(np.isfinite(u_minus_e)):
         raise GridError("grid intersects a pole of the potential")
@@ -414,25 +382,19 @@ def normalizability_check(pre: prepot.Prepotential, branch,
     return bool(ok_lo and ok_hi), estimate
 
 
-def _model_setup(spec: ModelSpec):
-    """Coordinate map and prepotential of the model."""
-    cmap = coords.build(spec.Q, branch_sign=spec.branch_sign)
-    return cmap, prepot.integrate_w0(spec, cmap)
-
-
-def _branch_setup(spec: ModelSpec, pre: prepot.Prepotential, branch, n_points: int):
+def _branch_setup(pre: prepot.Prepotential, branch, n_points: int):
     """Reported potential and certification grid of one branch."""
-    profile = potential.split_energy(spec, branch)
+    profile = potential.split_energy(pre.spec_ref, branch)
     return profile, default_grid(pre, branch.roots, n_points=n_points)
 
 
-def residual_check(spec: ModelSpec, branch, *,
+def residual_check(pre: prepot.Prepotential, branch, *,
                    n_points: int = 4001) -> tuple[float, float]:
-    """Schrodinger residual (max, rms) of one branch on its default grid:
-    the residual oracle of verify_branch, at its default stencil order."""
-    cmap, pre = _model_setup(spec)
-    profile, grid = _branch_setup(spec, pre, branch, n_points)
-    return schrodinger_residual(profile, branch, cmap, pre, grid)
+    """Schrodinger residual (max, rms) of one branch of the built model on
+    its default grid: the residual oracle of verify_branch, at its default
+    stencil order."""
+    profile, grid = _branch_setup(pre, branch, n_points)
+    return schrodinger_residual(profile, pre, grid)
 
 
 def _spectrum_key(profile: potential.PotentialProfile, grid: Grid) -> tuple:
@@ -449,11 +411,12 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
     GridError, DomainError or ValueError that stopped its checks; a failed
     branch stops no other.
 
-    Map and prepotential are built once. Each branch gets its profile and
-    grid, then the residual, node count and normalizability oracles. The
-    verdict requires the residual below tolerance and the claimed energy
-    matched by a Richardson-extrapolated FD eigenvalue; at a limit-circle
-    wall the spectrum oracle is skipped and spectrum_note says so.
+    The model (map, prepotential, walls) is built once. Each branch gets
+    its profile and grid, then the residual, node count and normalizability
+    oracles. The verdict requires the residual below tolerance and the
+    claimed energy matched by a Richardson-extrapolated FD eigenvalue; at a
+    limit-circle wall the spectrum oracle is skipped and spectrum_note says
+    so.
     Singular-endpoint models carry a documented FD accuracy downgrade
     (relative tolerance 1e-2 instead of 1e-3).
 
@@ -463,15 +426,15 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
     for a branch alone is its own grid.
     """
     try:
-        cmap, pre = _model_setup(spec)
+        pre = prepot.integrate_w0(spec)
     except (GridError, DomainError, ValueError) as exc:
         return [exc] * len(branches)
     results: list = [None] * len(branches)
     groups: dict[tuple, list] = {}  # _spectrum_key -> [(index, profile, grid, fields)]
     for i, br in enumerate(branches):
         try:
-            profile, grid = _branch_setup(spec, pre, br, n_points)
-            rmax, rrms = schrodinger_residual(profile, br, cmap, pre, grid,
+            profile, grid = _branch_setup(pre, br, n_points)
+            rmax, rrms = schrodinger_residual(profile, pre, grid,
                                               stencil_order=stencil_order)
             nodes = node_count(pre, br, grid)
             normalizable, norm_estimate = normalizability_check(pre, br, grid.component)
@@ -504,7 +467,7 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
                          max(g.points[-1] for g in grids), n_points,
                          grids[0].wall_lo, grids[0].wall_hi)
         try:
-            levels = fd_spectrum(members[0][1], cmap, grid, k)
+            levels = fd_spectrum(members[0][1], pre.cmap, grid, k)
         except (GridError, DomainError, ValueError) as exc:
             for i, *_ in members:
                 results[i] = exc

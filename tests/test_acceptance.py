@@ -55,10 +55,9 @@ def test_criterion_02_sextic_type1():
             for i in range(deg + 1):
                 assert abs(p.U.poly.coeff(i) - base.poly.coeff(i)) < 1e-9
             assert p.U.boundary_poles == base.boundary_poles
-        cmap = coords.build(spec.Q)
-        pre = prepot.integrate_w0(spec, cmap)
+        pre = prepot.integrate_w0(spec)
         grid = verify.default_grid(pre, branches[-1].roots, n_points=4000)
-        levels = verify.fd_spectrum(profs[0], cmap, grid, 14)
+        levels = verify.fd_spectrum(profs[0], pre.cmap, grid, 14)
         for p in profs:
             assert np.min(np.abs(levels - p.energy)) < 1e-3
         if N == 1:
@@ -73,13 +72,14 @@ def test_criterion_03_sextic_type2():
     spec = catalog.instantiate("sextic-type2", N=1, a=1.0, b=0.0)
     branches = bae.enumerate_branches(spec)
     assert len(branches) >= 1
+    pre = prepot.integrate_w0(spec)
     for br in branches:
         prof = potential.split_energy(spec, br)
         sum_roots = float(np.sum(np.asarray(br.roots)))
         # the reported potential differs across branches exactly through
         # the linear-in-x coefficient -2 a sum(x_k)
         assert abs(prof.U.poly.coeff(1) - (-2.0 * sum_roots)) < 1e-12
-        rmax, _ = verify.residual_check(spec, br)
+        rmax, _ = verify.residual_check(pre, br)
         assert rmax < 1e-7
         # energies coincide at the shifted zero point: the full V_N = U - E
         # annihilates phi_N, i.e. every branch sits at eigenvalue 0 of its
@@ -89,13 +89,14 @@ def test_criterion_03_sextic_type2():
     spec3 = catalog.instantiate("sextic-type2", N=1, a=1.0, b=-1.0)
     branches3 = bae.enumerate_branches(spec3)
     assert len(branches3) == 3
+    pre3 = prepot.integrate_w0(spec3)
     lins = set()
     for br in branches3:
         prof = potential.split_energy(spec3, br)
         sum_roots = float(np.sum(np.asarray(br.roots)))
         assert abs(prof.U.poly.coeff(1) - (-2.0 * sum_roots)) < 1e-9
         lins.add(round(prof.U.poly.coeff(1), 9))
-        rmax, _ = verify.residual_check(spec3, br)
+        rmax, _ = verify.residual_check(pre3, br)
         assert rmax < 1e-7
     assert len(lins) == 3
     _report(3, "type-2 sextic: linear coefficient -2a*sum(x_k) per branch, "
@@ -148,17 +149,19 @@ def test_criterion_06_halfline_sextic():
     assert c1 == 0.0 and c2 == 0.0  # exact
     branches = bae.enumerate_branches(spec_half)
     assert len(branches) == 2
+    pre_half = prepot.integrate_w0(spec_half)
     for br in branches:
         prof = potential.split_energy(spec_half, br)
         # potential part equals the full-line sextic with (4N + 4p + 3) = 9
         assert np.allclose(prof.U.poly.coeffs, (0.0, -9.0, 0.0, 1.0), atol=1e-12)
-        rmax, _ = verify.residual_check(spec_half, br)
+        rmax, _ = verify.residual_check(pre_half, br)
         assert rmax < 1e-6
     # general p = 0.3 on the half-line grid
     for N in (1, 2):
         spec = catalog.instantiate("sextic-halfline", N=N, a=1.0, b=0.0, p=0.3)
+        pre = prepot.integrate_w0(spec)
         for br in bae.enumerate_branches(spec):
-            rmax, _ = verify.residual_check(spec, br)
+            rmax, _ = verify.residual_check(pre, br)
             assert rmax < 1e-6
     _report(6, "half-line sextic: p=1/2 kills the 1/x^2 term exactly; "
                "p=0.3 certifies below 1e-6 on the half-line grid")
@@ -169,8 +172,9 @@ def test_criterion_07_trig_interval(tmp_path):
         spec = catalog.instantiate("trig-interval", N=N, a=1.0, p1=0.25, p2=0.25)
         branches = bae.enumerate_branches(spec)
         assert len(branches) == N + 1
+        pre = prepot.integrate_w0(spec)
         for br in branches:
-            rmax, _ = verify.residual_check(spec, br)
+            rmax, _ = verify.residual_check(pre, br)
             assert rmax < 1e-6
     cfg = tmp_path / "trig.json"
     cfg.write_text(json.dumps({"catalog": "trig-interval", "N": 1}))

@@ -281,6 +281,49 @@ def test_w0_log_wall_at_a_cosh_turning_point_rejects_both_sides(tmp_path):
     assert "no normalizable domain component found" in err
 
 
+# z = x^2 reaches the wall a = 1, where Q(1) = 4 != 0, at x = -1 and x = 1
+MIRROR = {"Q": [0, 4], "P": [0, 0, 2], "singularities": [{"a": 1, "mu": 0.3}], "N": 1}
+
+
+def test_a_wall_is_cut_at_both_of_its_x_preimages(tmp_path):
+    solve_code, csv_text, code, out, _, _ = _solve_and_verify(tmp_path, "m", MIRROR)
+    rows = csv_text.splitlines()[1:]
+    assert solve_code == 0 and len(rows) == 3
+    assert all(row.endswith(",true") for row in rows)
+    assert code == 0 and out.count(": pass") == 3
+
+
+def test_solve_and_verify_build_the_model_once(tmp_path, monkeypatch):
+    from qesf import coords
+    calls = []
+    real = coords.build
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coords, "build", counted)
+    cfg = write_config(tmp_path, "s.json", {"catalog": "sextic", "N": 10})
+    out_csv = tmp_path / "roots.csv"
+    assert run_cli(["solve", cfg, "--out", str(out_csv)])[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run_cli(["verify", cfg, str(out_csv)])[0] == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"Q": [-1], "P": [0, 1], "N": 1},  # z'^2 = -1: no coordinate map
+    {"Q": [1, 0, 1], "P": [1, 2, 0.5], "N": 1},  # V0 outside the pole basis
+], ids=["negative-Q", "irreducible-Q"])
+def test_solve_marks_every_branch_of_an_uncertifiable_model_unverified(tmp_path, payload):
+    cfg = write_config(tmp_path, "u.json", payload)
+    code, out, _ = run_cli(["solve", cfg])
+    rows = out.splitlines()[1:]
+    assert code == 0 and rows
+    assert all(row.endswith(",false") for row in rows)
+
+
 SINGULAR = {"Q": [1.0], "P": [-0.143939, 1.0],
             "singularities": [{"a": 0.135345, "mu": 0.341415}], "N": 3}
 

@@ -193,3 +193,16 @@ def test_irreducible_Q_gets_arctan_terms():
     rng = np.random.default_rng(2)
     for z in rng.uniform(-4, 4, 50):
         assert dw0_dz(pre, z) == pytest.approx(spec.P(z) / spec.Q(z), rel=1e-10)
+
+
+@pytest.mark.parametrize("Q,a,preimages", [
+    ([0.0, 4.0], 1.0, [-1.0, 1.0]),  # parabolic z = x^2
+    ([-1.0, 0.0, 1.0], 2.0, [-math.acosh(2.0), math.acosh(2.0)]),  # cosh
+    ([0.0, 4.0, -4.0], 0.5, [math.pi / 4]),  # trigonometric: mirror outside (0, pi/2)
+    ([1.0], 0.5, [0.5]),  # linear: one preimage
+], ids=["parabolic", "cosh", "trigonometric", "linear"])
+def test_walls_cut_every_x_preimage_in_the_domain(Q, a, preimages):
+    # Q(a) != 0, so nu = mu = 0.3 at each preimage
+    spec = ModelSpec(Poly(Q), Poly([0.0, 1.0]), (Singularity(a, 0.3),), 1)
+    walls = prepot.integrate_w0(spec).walls
+    assert [x for x, nu in walls.items() if nu == 0.3] == pytest.approx(preimages)

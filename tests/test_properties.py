@@ -1,15 +1,17 @@
 """Property tests of the branch finder on random type-2 and
-singularity-induced models, and of the walls of parabolic models."""
+singularity-induced models, of the walls of parabolic models, and of the
+coordinate images."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from qesf import bae, catalog, prepot, verify
+from qesf import bae, catalog, coords, prepot, verify
+from qesf.errors import ModelError
 from qesf.model import ModelSpec, Singularity
-from qesf.poly import Poly
+from qesf.poly import Poly, partial_fractions
 
 Ns = st.integers(1, 6)
 # (spec, k): k free parameters of the eigenproblem, at most C(N+k, k) solutions
@@ -67,7 +69,31 @@ def _verdicts(spec):
 @given(parabolic_twins)
 def test_w0_log_wall_matches_its_declared_twin(twins):
     undeclared, declared = twins
-    walls = [verify._finite_walls(prepot.integrate_w0(spec)) for spec in twins]
+    walls = [prepot.integrate_w0(spec).walls for spec in twins]
     assert list(walls[0]) == pytest.approx(list(walls[1]))
     assert list(walls[0].values()) == pytest.approx(list(walls[1].values()))
     assert _verdicts(undeclared) == _verdicts(declared)
+
+
+coefficient = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+# Q = q2 (z - r)^2: a degenerate discriminant
+double_zero = st.builds(lambda q2, r: (q2 * r * r, -2.0 * q2 * r, q2),
+                        st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1)),
+                        st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(st.tuples(coefficient, coefficient, coefficient), double_zero),
+       st.sampled_from((1, -1)),
+       st.one_of(st.none(), st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))))
+def test_no_zero_of_q_lies_inside_the_coordinate_image(q, branch_sign, anchor):
+    # z'^2 = Q > 0 on the open image, so every pole of P/Q and of V0, all
+    # at real zeros of Q, is on the image's boundary or outside it
+    Q = Poly(list(q))
+    try:
+        cmap = coords.build(Q, anchor=anchor, branch_sign=branch_sign)
+    except ModelError:
+        reject()  # no real motion, or an anchor where Q < 0
+    lo, hi = cmap.z_image
+    zeros, _ = partial_fractions(Poly([1.0]), Q)
+    assert not any(lo + cmap.z_tol < rho < hi - cmap.z_tol for rho, _, _ in zeros)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesf import bae, catalog, coords, potential, prepot, verify
+from qesf import bae, catalog, coords, model, potential, prepot, verify
 from qesf.errors import GridError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
@@ -16,12 +16,11 @@ def harmonic(b=1.0, N=2):
 
 
 def _pipeline(spec, branch=None):
-    cmap = coords.build(spec.Q, branch_sign=spec.branch_sign)
-    pre = prepot.integrate_w0(spec, cmap)
+    pre = prepot.integrate_w0(spec)
     if branch is None:
         branch = bae.enumerate_branches(spec)[0]
     prof = potential.split_energy(spec, branch)
-    return cmap, pre, branch, prof
+    return pre.cmap, pre, branch, prof
 
 
 def test_residual_harmonic_reference_grid():
@@ -30,7 +29,7 @@ def test_residual_harmonic_reference_grid():
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 18001)
     assert grid.h == pytest.approx(1e-3)
-    rmax, rrms = verify.schrodinger_residual(prof, br, cmap, pre, grid)
+    rmax, rrms = verify.schrodinger_residual(prof, pre, grid)
     assert rmax < 1e-8
     assert rrms <= rmax
 
@@ -39,9 +38,9 @@ def test_residual_detects_wrong_energy():
     spec = harmonic(N=2)
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 18001)
-    base, _ = verify.schrodinger_residual(prof, br, cmap, pre, grid)
+    base, _ = verify.schrodinger_residual(prof, pre, grid)
     wrong = potential.PotentialProfile(prof.U, prof.energy + 0.1, br)
-    shifted, _ = verify.schrodinger_residual(wrong, br, cmap, pre, grid)
+    shifted, _ = verify.schrodinger_residual(wrong, pre, grid)
     # residual jumps to ~ 0.1 / (1 + max|U - E|)
     z = cmap.z_of_x(grid.points)
     scale = 1.0 + np.max(np.abs(prof.U(z) - prof.energy))
@@ -56,7 +55,7 @@ def test_residual_convergence_order():
         res = []
         for n in grids:
             grid = verify.make_grid(-9.0, 9.0, n)
-            rmax, _ = verify.schrodinger_residual(prof, br, cmap, pre, grid,
+            rmax, _ = verify.schrodinger_residual(prof, pre, grid,
                                                   stencil_order=order)
             res.append(rmax)
         slope = math.log2(res[0] / res[1])
@@ -74,7 +73,7 @@ def test_residual_rejects_bad_stencil():
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 1001)
     with pytest.raises(ValueError):
-        verify.schrodinger_residual(prof, br, cmap, pre, grid, stencil_order=3)
+        verify.schrodinger_residual(prof, pre, grid, stencil_order=3)
 
 
 def test_fd_spectrum_harmonic_normal_form():
@@ -145,8 +144,7 @@ def test_normalizability_harmonic():
     ok, est = verify.normalizability_check(pre, br, pre.cmap.x_domain)
     assert ok and math.isfinite(est) and est > 0
     bad = harmonic(b=-1.0, N=0)
-    cmapb = coords.build(bad.Q)
-    preb = prepot.integrate_w0(bad, cmapb)
+    preb = prepot.integrate_w0(bad)
     brb = bae.BetheBranch((), 0.0, 0, "empty")
     ok, est = verify.normalizability_check(preb, brb, preb.cmap.x_domain)
     assert not ok
@@ -156,14 +154,12 @@ def test_normalizability_morse_p_threshold():
     # phi ~ z^(A/alpha - N) at the z -> 0 end: normalizable iff A/alpha > N
     good = catalog.instantiate("morse-p", N=1, A=1.7)
     br = bae.enumerate_branches(good)[0]
-    cmap = coords.build(good.Q, branch_sign=good.branch_sign)
-    pre = prepot.integrate_w0(good, cmap)
+    pre = prepot.integrate_w0(good)
     ok, _ = verify.normalizability_check(pre, br, pre.cmap.x_domain)
     assert ok
     bad = catalog.instantiate("morse-p", N=1, A=0.7)
     brb = bae.enumerate_branches(bad)[0]
-    cmapb = coords.build(bad.Q, branch_sign=bad.branch_sign)
-    preb = prepot.integrate_w0(bad, cmapb)
+    preb = prepot.integrate_w0(bad)
     ok, _ = verify.normalizability_check(preb, brb, preb.cmap.x_domain)
     assert not ok
 
@@ -222,7 +218,7 @@ def test_a_grid_point_on_a_pole_raises_grid_error():
     with pytest.raises(GridError, match="pole"):
         verify.fd_spectrum(profile, cmap, grid, 4)
     with pytest.raises(GridError, match="pole"):
-        verify.schrodinger_residual(profile, br, cmap, pre, grid)
+        verify.schrodinger_residual(profile, pre, grid)
 
 
 def test_normalizability_on_the_certified_component():
@@ -264,8 +260,7 @@ def test_march_threshold_matches_a_pointwise_march():
 
 def test_default_grid_refuses_nonnormalizable():
     bad = harmonic(b=-1.0, N=0)
-    cmap = coords.build(bad.Q)
-    pre = prepot.integrate_w0(bad, cmap)
+    pre = prepot.integrate_w0(bad)
     with pytest.raises(GridError):
         verify.default_grid(pre, ())
 
@@ -296,9 +291,10 @@ def test_residual_check_matches_verify_branch():
     # type-1, exactly solvable, and a singular wall
     for name, N in (("sextic", 2), ("morse-es", 2), ("sextic-halfline", 1)):
         spec = catalog.instantiate(name, N=N)
+        pre = prepot.integrate_w0(spec)
         for br in bae.enumerate_branches(spec):
             rep = verify.verify_branch(spec, br, n_points=2001)
-            got = verify.residual_check(spec, br, n_points=2001)
+            got = verify.residual_check(pre, br, n_points=2001)
             assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
 
@@ -331,8 +327,7 @@ def test_residual_arbitrates_quoted_trig_form():
     # the residue-derived -(1 + 4 p1)) put the N=1 root at 1/2 instead of
     # 1/sqrt(2). Only the residue-derived root yields a certified eigenpair.
     spec = catalog.instantiate("trig-interval", N=1)
-    cmap = coords.build(spec.Q, branch_sign=spec.branch_sign)
-    pre = prepot.integrate_w0(spec, cmap)
+    pre = prepot.integrate_w0(spec)
 
     def forced_residual(root):
         br = bae.BetheBranch((root,), 0.0, 0, "forced")
@@ -341,7 +336,7 @@ def test_residual_arbitrates_quoted_trig_form():
             potential.v0_pfe(spec) + dv.without_constant().without_root_poles(),
             -dv.constant, br)
         grid = verify.default_grid(pre, br.roots, n_points=4001)
-        rmax, _ = verify.schrodinger_residual(prof, br, cmap, pre, grid)
+        rmax, _ = verify.schrodinger_residual(prof, pre, grid)
         return rmax
 
     assert forced_residual(1 / math.sqrt(2)) < 1e-6
@@ -358,7 +353,7 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids):
     reports = verify.verify_branches(spec, branches)
     (grid,) = fd_spectrum_grids
     # on the union of the branch boxes
-    pre = prepot.integrate_w0(spec, coords.build(spec.Q))
+    pre = prepot.integrate_w0(spec)
     boxes = [verify.default_grid(pre, br.roots).points for br in branches]
     assert grid.points[0] == min(b[0] for b in boxes)
     assert grid.points[-1] == max(b[-1] for b in boxes)
@@ -413,3 +408,14 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step):
     matched = [rep.spectrum_matches[0][1] for rep in reports]
     assert len(set(matched)) == N + 1
     assert [rep.node_count for rep in reports] == [node_step * n for n in range(N + 1)]
+
+
+def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_grids):
+    # |Q(a)| = 4e-14 is a turning point: the model is type-1 and its three
+    # branches share one potential, as at a = 0
+    spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (Singularity(1e-14, 0.3),), 2)
+    assert model.classify(spec).tag == model.QES_TYPE1
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == 3
+    assert all(rep.verdict for rep in verify.verify_branches(spec, branches))
+    assert len(fd_spectrum_grids) == 1
