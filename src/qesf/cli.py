@@ -4,12 +4,15 @@ Config files are JSON:
 
     {"Q": [q0, q1, q2], "P": [c0, ..., cm],
      "singularities": [{"a": 0.0, "mu": 0.25}, ...],
-     "N": 2, "branch": 1,
-     "anchor": {"x0": 0.0, "z0": 1.0}}            # optional
+     "N": 2, "branch": 1}
 
 or a catalog reference:
 
     {"catalog": "sextic", "params": {"a": 1.0, "b": 0.0}, "N": 2}
+
+Every command builds the model once (prepot.integrate_w0: coordinate map,
+W0, V0 and walls) right after reading the config; a config whose model
+cannot be built is invalid input.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
 Nothing is random: the same config gives byte-identical CSV output.
@@ -24,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import bae, catalog, coords, model, potential, prepot, verify
+from . import bae, catalog, model, prepot, verify
 from .errors import CollisionError, ConvergenceError, DomainError, GridError, ModelError
 from .model import ModelSpec, Singularity
 from .poly import Poly
@@ -101,21 +104,11 @@ def spec_from_config(cfg: dict) -> ModelSpec:
     return spec
 
 
-def config_anchor(cfg: dict):
-    if "anchor" not in cfg:
-        return None
-    a = cfg["anchor"]
-    if not isinstance(a, dict) or "x0" not in a or "z0" not in a:
-        raise ModelError('config key "anchor" must be an object with "x0" and "z0"')
-    return (_number(a["x0"], "anchor.x0"), _number(a["z0"], "anchor.z0"))
-
-
 # ---------------------------------------------------------------------------
 
 
 def cmd_classify(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg)
+    spec = prepot.integrate_w0(spec_from_config(load_config(args.config))).spec_ref
     cls = model.classify(spec)
     print(f"{cls.tag}: {cls.rationale}")
     for d in model.validate(spec):
@@ -127,24 +120,19 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if args.N is not None and isinstance(cfg, dict):
         cfg = dict(cfg, N=args.N)
-    spec = spec_from_config(cfg)
+    pre = prepot.integrate_w0(spec_from_config(cfg))
+    spec = pre.spec_ref
     branches = bae.enumerate_branches(spec, tol=args.tol)
     if not branches:
         print("solver failure: no converged real branch", file=sys.stderr)
         return EXIT_SOLVER
-
-    try:
-        pre = prepot.integrate_w0(spec)
-    except (GridError, DomainError, ValueError):
-        pre = None  # no certifiable model: every branch is unverified
 
     # Real branches come back in ascending energy; bid is that position.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
     for bid, br in enumerate(branches):
         energy = bae.branch_energy(spec, np.asarray(br.roots, dtype=float))
         try:
-            ok = (pre is not None
-                  and verify.residual_check(pre, br, n_points=args.grid_points)[0] < 1e-6)
+            ok = verify.residual_check(pre, br, n_points=args.grid_points)[0] < 1e-6
         except (GridError, DomainError, ValueError):
             ok = False
         roots = list(enumerate(br.roots)) if br.n else [(-1, None)]
@@ -188,8 +176,8 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg)
+    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
+    spec = pre.spec_ref
     roots_by_bid = _read_roots_csv(args.roots)
     if not roots_by_bid:
         raise ModelError(f"roots file {args.roots}: no branches")
@@ -203,7 +191,7 @@ def cmd_verify(args) -> int:
         res = bae.residual(spec, np.asarray(roots))
         norm = float(np.max(np.abs(res))) if len(res) else 0.0
         branches.append(bae.BetheBranch(tuple(roots), norm, 0, "csv"))
-    results = verify.verify_branches(spec, branches, n_points=args.grid_points,
+    results = verify.verify_branches(pre, branches, n_points=args.grid_points,
                                      stencil_order=args.stencil, residual_tol=args.tol)
     reports = {}
     all_ok = True
@@ -239,11 +227,9 @@ def _terms_str(terms: dict) -> str:
 
 
 def cmd_derive(args) -> int:
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg)
+    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
+    spec, cmap, v0 = pre.spec_ref, pre.cmap, pre.v0
     cls = model.classify(spec)
-    cmap = coords.build(spec.Q, anchor=config_anchor(cfg), branch_sign=spec.branch_sign)
-    v0 = potential.v0_pfe(spec)
 
     print(f"class: {cls.tag}")
     print(f"coordinate: {cmap.family}  x-domain {cmap.x_domain}  z-image {cmap.z_image}")

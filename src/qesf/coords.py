@@ -8,12 +8,12 @@ The sign structure of Q selects the family:
     q2 > 0, disc != 0    cosh / sinh
     q2 < 0               trigonometric, bounded between the zeros of Q
 
-where disc = q1^2 - 4 q0 q2. Without an anchor the canonical particular
-solutions are produced (z = sqrt(q0) x, z = (q1/4) x^2 - q0/q1,
-z = exp(w x) - q1/(2 q2), z = S - R cos(w x)); an anchor (x0, z0) shifts the
-free integration constant so that z(x0) = z0. branch_sign picks the monotone
-branch used by the inverse map (and, for exponential maps, the growing vs.
-decaying solution).
+where disc = q1^2 - 4 q0 q2. The free integration constant is fixed by the
+canonical particular solutions (z = sqrt(q0) x, z = (q1/4) x^2 - q0/q1,
+z = exp(w x) - q1/(2 q2), z = c cosh(w x) - q1/(2 q2) with c > 0,
+z = c sinh(w x) - q1/(2 q2), z = S - R cos(w x)). branch_sign picks the
+monotone branch used by the inverse map (and, for exponential maps, the
+growing vs. decaying solution).
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ class CoordinateMap:
         return out[()].item() if out.shape == () else out
 
 
-def build(Q: Poly, anchor: tuple[float, float] | None = None,
-          branch_sign: int = 1) -> CoordinateMap:
+def build(Q: Poly, branch_sign: int = 1) -> CoordinateMap:
     """Construct the closed-form coordinate map for z'^2 = Q(z)."""
     if branch_sign not in (1, -1):
         raise ModelError("branch_sign must be +1 or -1")
@@ -140,24 +139,13 @@ def build(Q: Poly, anchor: tuple[float, float] | None = None,
         if q0 <= 0:
             raise ModelError("constant Q must be positive (z'^2 = q0 > 0)")
         slope = branch_sign * math.sqrt(q0)
-        intercept = 0.0
-        if anchor is not None:
-            x0, z0 = anchor
-            intercept = z0 - slope * x0
-        return CoordinateMap(LINEAR, {"slope": slope, "intercept": intercept},
+        return CoordinateMap(LINEAR, {"slope": slope, "intercept": 0.0},
                              (-inf, inf), (-inf, inf), branch_sign)
 
     if q2 == 0.0:
         C = -q0 / q1
-        xv = 0.0
-        if anchor is not None:
-            x0, z0 = anchor
-            t = 4.0 * (z0 - C) / q1
-            if t < -_DOMAIN_TOL:
-                raise ModelError(f"invalid anchor: Q({z0}) < 0")
-            xv = x0 - branch_sign * math.sqrt(max(t, 0.0))
         image = (C, inf) if q1 > 0 else (-inf, C)
-        return CoordinateMap(PARABOLIC, {"q1": q1, "xv": xv, "C": C},
+        return CoordinateMap(PARABOLIC, {"q1": q1, "xv": 0.0, "C": C},
                              (-inf, inf), image, branch_sign)
 
     disc = q1 * q1 - 4.0 * q0 * q2
@@ -168,44 +156,20 @@ def build(Q: Poly, anchor: tuple[float, float] | None = None,
         shift = q1 / (2.0 * q2)
         if abs(disc) <= 1e-12 * scale:
             # Degenerate discriminant: pure single exponential (Morse).
-            sign = float(branch_sign)
-            amp = 1.0
-            if anchor is not None:
-                x0, z0 = anchor
-                y0 = z0 + shift
-                if y0 == 0.0:
-                    raise ModelError("invalid anchor: z0 at the exponential limit point")
-                amp = y0 * math.exp(-sign * omega * x0)
-            image = (-shift, inf) if amp > 0 else (-inf, -shift)
             return CoordinateMap(
                 EXPONENTIAL,
-                {"omega": omega, "shift": shift, "amp": amp, "sign": sign},
-                (-inf, inf), image, branch_sign)
+                {"omega": omega, "shift": shift, "amp": 1.0, "sign": float(branch_sign)},
+                (-inf, inf), (-shift, inf), branch_sign)
         if disc > 0.0:
             c = math.sqrt(disc) / (2.0 * q2)
-            xc = 0.0
-            if anchor is not None:
-                x0, z0 = anchor
-                y0 = z0 + shift
-                if abs(y0) < c * (1.0 - _DOMAIN_TOL):
-                    raise ModelError(f"invalid anchor: Q({z0}) < 0")
-                if y0 < 0:
-                    c = -c
-                xc = x0 - branch_sign * math.acosh(max(abs(y0) / abs(c), 1.0)) / omega
-            lo_img = c - shift if c > 0 else -inf
-            hi_img = inf if c > 0 else c - shift
             return CoordinateMap(
                 HYPERBOLIC,
-                {"omega": omega, "shift": shift, "c": c, "xc": xc, "kind": "cosh"},
-                (-inf, inf), (lo_img, hi_img), branch_sign)
+                {"omega": omega, "shift": shift, "c": c, "xc": 0.0, "kind": "cosh"},
+                (-inf, inf), (c - shift, inf), branch_sign)
         c = branch_sign * math.sqrt(-disc) / (2.0 * q2)
-        xc = 0.0
-        if anchor is not None:
-            x0, z0 = anchor
-            xc = x0 - math.asinh((z0 + shift) / c) / omega
         return CoordinateMap(
             HYPERBOLIC,
-            {"omega": omega, "shift": shift, "c": c, "xc": xc, "kind": "sinh"},
+            {"omega": omega, "shift": shift, "c": c, "xc": 0.0, "kind": "sinh"},
             (-inf, inf), (-inf, inf), branch_sign)
 
     # q2 < 0: oscillation between the two real zeros of Q.
@@ -214,15 +178,8 @@ def build(Q: Poly, anchor: tuple[float, float] | None = None,
     omega = math.sqrt(-q2)
     S = -q1 / (2.0 * q2)
     R = math.sqrt(disc) / (2.0 * abs(q2))
-    x0 = 0.0
-    if anchor is not None:
-        xa, za = anchor
-        u = (S - za) / R
-        if abs(u) > 1.0 + _DOMAIN_TOL:
-            raise ModelError(f"invalid anchor: Q({za}) < 0")
-        x0 = xa - branch_sign * math.acos(max(-1.0, min(1.0, u))) / omega
     period = math.pi / omega
-    dom = (x0, x0 + period) if branch_sign > 0 else (x0 - period, x0)
+    dom = (0.0, period) if branch_sign > 0 else (-period, 0.0)
     return CoordinateMap(
-        TRIGONOMETRIC, {"omega": omega, "S": S, "R": R, "x0": x0},
+        TRIGONOMETRIC, {"omega": omega, "S": S, "R": R, "x0": 0.0},
         dom, (S - R, S + R), branch_sign)

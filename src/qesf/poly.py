@@ -116,15 +116,16 @@ def divmod_poly(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def partial_fractions(rem: Poly, Q: Poly) -> tuple[
         list[tuple[float, float, float]],
-        tuple[float, float, float, float] | None]:
+        tuple[float, float, float] | None]:
     """Zeros of Q (deg <= 2) and the partial fractions of rem/Q there.
 
     Returns (real, pair). real holds (rho, c1, c2) per distinct real zero,
     with rem/Q = sum c1/(z - rho) + c2/(z - rho)^2; c2 is nonzero only at a
     double zero, declared when |disc| <= 1e-12 max(q1^2, |4 q0 q2|). For an
-    irreducible Q with zeros center +- i imag, pair is (center, imag, a, b)
-    with rem/Q = a d/dz ln((z - center)^2 + imag^2)
-    + b d/dz arctan((z - center)/imag); otherwise pair is None.
+    irreducible Q with zeros center +- i imag, pair is (center, imag, a)
+    with a the weight of d/dz ln((z - center)^2 + imag^2) in rem/Q, which
+    is all of rem/Q when rem is a multiple of Q' (the only case in which a
+    model's V0 lies in the closed pole basis); otherwise pair is None.
     """
     if Q.degree == 0:
         return [], None
@@ -143,8 +144,7 @@ def partial_fractions(rem: Poly, Q: Poly) -> tuple[
                 for rho in ((-q1 + sq) / (2.0 * q2) + 0.0,
                             (-q1 - sq) / (2.0 * q2) + 0.0)], None
     center, imag = -q1 / (2.0 * q2), math.sqrt(-disc) / (2.0 * abs(q2))
-    r1, r0 = rem.coeff(1), rem.coeff(0)
-    return [], (center, imag, r1 / (2.0 * q2), (r0 + r1 * center) / (q2 * imag))
+    return [], (center, imag, rem.coeff(1) / (2.0 * q2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,7 @@ the negated constant of the dV_N polynomial part; the remaining constant
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,8 +37,12 @@ from .errors import ModelError
 from .model import ModelSpec, is_turning_point
 from .poly import Poly, divmod_poly, partial_fractions
 
+if TYPE_CHECKING:  # prepot builds V0 with this module
+    from . import prepot
+
 _LOC_MERGE_TOL = 1e-9
 RESIDUE_TOL = 1e-8  # largest root-pole coefficient split_energy accepts
+BASIS_TOL = 1e-12  # relative size of P's remainder over an irreducible Q taken as 0
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,12 @@ def v0_pfe(spec: ModelSpec) -> PFE:
     Its poles sit at real zeros of Q and at declared singularities. No zero
     of Q lies strictly inside the coordinate image, where z'^2 = Q > 0, so
     every undeclared pole is on the image's boundary or outside it.
+
+    Over an irreducible Q, V0 lies in the basis only when Q divides
+    P^2 + P Q'/2 = P (P + Q'/2). Q is prime over the reals, so it must
+    divide P or P + Q'/2: the remainder of P over Q must be 0 or -Q'/2, up
+    to BASIS_TOL times the largest coefficient of P and Q'/2. Otherwise
+    ModelError is raised.
     """
     P, Q = spec.P, spec.Q
     # Regular part: (P^2 + P Q'/2)/Q - P'
@@ -137,10 +148,14 @@ def v0_pfe(spec: ModelSpec) -> PFE:
         poles[loc] = [c1, c2]
 
     real, pair = partial_fractions(rem, Q)
-    if pair is not None and not rem.is_zero():
-        raise ModelError(
-            "potential outside the closed pole basis: P^2/Q leaves a "
-            "remainder over an irreducible Q")
+    if pair is not None:
+        half = 0.5 * Q.derivative()
+        tol = BASIS_TOL * max(map(abs, P.coeffs + half.coeffs))
+        p_rem = divmod_poly(P, Q)[1]
+        if all(max(map(abs, (p_rem - t).coeffs)) > tol for t in (Poly([0.0]), -half)):
+            raise ModelError(
+                "potential outside the closed pole basis: P^2/Q leaves a "
+                "remainder over an irreducible Q")
     for rho, c1, c2 in real:
         _add(rho, c1=c1, c2=c2)
 
@@ -192,19 +207,20 @@ def check_residues(pfe: PFE, tol: float = 1e-10) -> tuple[bool, float]:
     return worst < tol, worst
 
 
-def split_energy(spec: ModelSpec, branch: bae.BetheBranch) -> PotentialProfile:
-    """Split V_N into a reported potential and an energy constant.
+def split_energy(pre: prepot.Prepotential, branch: bae.BetheBranch) -> PotentialProfile:
+    """Split V_N of one branch of the built model into a reported potential
+    and an energy constant.
 
     E is the negated constant of the dV_N polynomial part; U keeps V0's own
-    constant, so V_N = U - E + (root-pole remainder, ~0 for a converged
-    branch).
+    constant (pre.v0), so V_N = U - E + (root-pole remainder, ~0 for a
+    converged branch).
     """
-    dv = delta_v_pfe(spec, branch)
+    dv = delta_v_pfe(pre.spec_ref, branch)
     ok, worst = check_residues(dv, RESIDUE_TOL)
     if not ok:
         raise ValueError(
             f"branch residues not cancelled (max |d_k| = {worst:.2e}): solve "
             f"the Bethe ansatz equations first")
     energy = -dv.constant
-    U = v0_pfe(spec) + dv.without_constant().without_root_poles()
+    U = pre.v0 + dv.without_constant().without_root_poles()
     return PotentialProfile(U, energy, branch)

@@ -2,18 +2,21 @@
 
 The ground-state prepotential satisfies dW0/dz = P(z)/Q(z); with deg P <= 3
 and deg Q <= 2 the integral is a polynomial plus log terms at real zeros of
-Q, a simple-pole term when Q has a double root, and log+arctan terms when Q
-is irreducible. Everything is represented in z and composed with the
-coordinate map at evaluation time, so no numerical quadrature ever enters.
+Q, a simple-pole term when Q has a double root, and a log term of the
+conjugate pair when Q is irreducible (an arctan term would put V0 outside
+the closed pole basis, so no model that builds has one). Everything is
+represented in z and composed with the coordinate map at evaluation time,
+so no numerical quadrature ever enters.
 
 The order-N prepotential adds -mu_j ln|z - a_j| per declared singularity and
 -ln|z - z_k| per root; the wave function exp(-W_N) is evaluated in
 sign/log-magnitude form because e.g. exp(-a x^4 / 4) underflows long before
 the certification boxes end. phi's power of |z - a| at every finite point a
 is algebraic: the declared mu at a minus the weight of W0's ln|z - a| term.
-integrate_w0 builds the model once: the coordinate map, W0, the table of
-these powers and the walls they cut in x. Every caller reads that one
-Prepotential.
+integrate_w0 builds the model once: the coordinate map, W0, the static
+potential V0, the table of these powers and the walls they cut in x. It is
+the one place that decides whether a model can be built, and every caller
+reads that one Prepotential.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import coords
+from . import coords, potential
 from .errors import DomainError
 from .model import ModelSpec, is_turning_point
 from .poly import Poly, divmod_poly, partial_fractions
@@ -52,36 +55,34 @@ class PoleTerm:
 
 
 @dataclass(frozen=True)
-class ArctanTerm:
-    """weight * arctan((z - center) / scale)"""
-    center: float
-    scale: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class Prepotential:
     """One model, built once: its coordinate map, W0's closed-form terms,
-    powers (per finite point a, phi's power p of |z - a|: the declared mu at
-    a minus W0's ln|z - a| weight, p != 0) and walls (x of every finite cut
-    point -> exponent nu of phi ~ |x - wall|^nu, ascending in x)."""
+    V0's partial-fraction expansion, powers (per finite point a, phi's
+    power p of |z - a|: the declared mu at a minus W0's ln|z - a| weight,
+    p != 0) and walls (x of every finite cut point -> exponent nu of
+    phi ~ |x - wall|^nu, ascending in x)."""
 
     poly_part: Poly
     log_terms: tuple[LogTerm, ...]
     quad_log_terms: tuple[QuadLogTerm, ...]
     pole_terms: tuple[PoleTerm, ...]
-    arctan_terms: tuple[ArctanTerm, ...]
     spec_ref: ModelSpec
     cmap: coords.CoordinateMap
+    v0: potential.PFE
     powers: tuple[tuple[float, float], ...]
     walls: dict[float, float]
 
 
 def integrate_w0(spec: ModelSpec) -> Prepotential:
     """Build the model: its coordinate map, dW0/dz = P/Q integrated in
-    closed form (exact partial fractions), phi's powers and its walls."""
+    closed form (exact partial fractions), V0, phi's powers and its walls.
+
+    Raises ModelError when the model has no coordinate map or its V0 lies
+    outside the closed pole basis.
+    """
     P, Q = spec.P, spec.Q
     cmap = coords.build(Q, branch_sign=spec.branch_sign)
+    v0 = potential.v0_pfe(spec)
 
     quot, rem = divmod_poly(P, Q)
     # Antiderivative of the polynomial quotient.
@@ -90,7 +91,6 @@ def integrate_w0(spec: ModelSpec) -> Prepotential:
     logs: list[LogTerm] = []
     qlogs: list[QuadLogTerm] = []
     poles: list[PoleTerm] = []
-    atans: list[ArctanTerm] = []
 
     real, pair = partial_fractions(rem, Q)
     for rho, c1, c2 in real:
@@ -99,11 +99,9 @@ def integrate_w0(spec: ModelSpec) -> Prepotential:
         if c2 != 0.0:
             poles.append(PoleTerm(rho, -c2))
     if pair is not None:
-        center, imag, w_log, w_atan = pair
+        center, imag, w_log = pair
         if w_log != 0.0:
             qlogs.append(QuadLogTerm(center, imag, w_log))
-        if w_atan != 0.0:
-            atans.append(ArctanTerm(center, imag, w_atan))
 
     # W0's own log points come first, then the declared ones, so that
     # phi_log_sign, which sums in table order, adds W0's terms before the
@@ -118,8 +116,7 @@ def integrate_w0(spec: ModelSpec) -> Prepotential:
             own.append([t.location, -t.weight])
     powers = tuple((a, p) for a, p in own + declared if p != 0.0)
     return Prepotential(poly_part, tuple(logs), tuple(qlogs), tuple(poles),
-                        tuple(atans), spec, cmap, powers,
-                        _finite_walls(cmap, Q, powers))
+                        spec, cmap, v0, powers, _finite_walls(cmap, Q, powers))
 
 
 def _finite_walls(cmap: coords.CoordinateMap, Q: Poly,
@@ -186,8 +183,6 @@ def phi_log_sign(pre: Prepotential, roots, x):
             logmag = logmag - t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
         for t in pre.pole_terms:
             logmag = logmag - t.weight / (za - t.location)
-        for t in pre.arctan_terms:
-            logmag = logmag - t.weight * np.arctan((za - t.center) / t.scale)
         for s in pre.spec_ref.singularities:
             if s.exponent == int(s.exponent):
                 sign = sign * np.where(za >= s.location, 1.0, -1.0) ** int(abs(s.exponent))

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import potential, prepot
 from .errors import DomainError, GridError
-from .model import ModelSpec
 from .poly import Tridiag, tridiag_eigenvalues
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
@@ -384,7 +383,7 @@ def normalizability_check(pre: prepot.Prepotential, branch,
 
 def _branch_setup(pre: prepot.Prepotential, branch, n_points: int):
     """Reported potential and certification grid of one branch."""
-    profile = potential.split_energy(pre.spec_ref, branch)
+    profile = potential.split_energy(pre, branch)
     return profile, default_grid(pre, branch.roots, n_points=n_points)
 
 
@@ -403,20 +402,19 @@ def _spectrum_key(profile: potential.PotentialProfile, grid: Grid) -> tuple:
     return profile.U, grid.wall_lo, grid.wall_hi
 
 
-def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
+def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
                     stencil_order: int = 4, residual_tol: float = 1e-6) -> list:
-    """Full certification pipeline for the branches of one model.
+    """Full certification pipeline for the branches of one built model.
 
     Returns, per branch and in order, its VerificationReport or the
     GridError, DomainError or ValueError that stopped its checks; a failed
     branch stops no other.
 
-    The model (map, prepotential, walls) is built once. Each branch gets
-    its profile and grid, then the residual, node count and normalizability
-    oracles. The verdict requires the residual below tolerance and the
-    claimed energy matched by a Richardson-extrapolated FD eigenvalue; at a
-    limit-circle wall the spectrum oracle is skipped and spectrum_note says
-    so.
+    Each branch gets its profile and grid from the built model, then the
+    residual, node count and normalizability oracles. The verdict requires
+    the residual below tolerance and the claimed energy matched by a
+    Richardson-extrapolated FD eigenvalue; at a limit-circle wall the
+    spectrum oracle is skipped and spectrum_note says so.
     Singular-endpoint models carry a documented FD accuracy downgrade
     (relative tolerance 1e-2 instead of 1e-3).
 
@@ -425,10 +423,6 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
     spectrum on a grid of n_points points spanning all their boxes, which
     for a branch alone is its own grid.
     """
-    try:
-        pre = prepot.integrate_w0(spec)
-    except (GridError, DomainError, ValueError) as exc:
-        return [exc] * len(branches)
     results: list = [None] * len(branches)
     groups: dict[tuple, list] = {}  # _spectrum_key -> [(index, profile, grid, fields)]
     for i, br in enumerate(branches):
@@ -460,7 +454,7 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
             groups.setdefault(_spectrum_key(profile, grid), []).append(
                 (i, profile, grid, fields))
 
-    k = max(8, 2 * spec.N + 4)
+    k = max(8, 2 * pre.spec_ref.N + 4)
     for members in groups.values():
         grids = [grid for _, _, grid, _ in members]
         grid = make_grid(min(g.points[0] for g in grids),
@@ -485,11 +479,11 @@ def verify_branches(spec: ModelSpec, branches, *, n_points: int = 4001,
     return results
 
 
-def verify_branch(spec: ModelSpec, branch, *, n_points: int = 4001,
+def verify_branch(pre: prepot.Prepotential, branch, *, n_points: int = 4001,
                   stencil_order: int = 4,
                   residual_tol: float = 1e-6) -> VerificationReport:
     """verify_branches for one branch: its report, or its error raised."""
-    (rep,) = verify_branches(spec, [branch], n_points=n_points,
+    (rep,) = verify_branches(pre, [branch], n_points=n_points,
                              stencil_order=stencil_order, residual_tol=residual_tol)
     if isinstance(rep, Exception):
         raise rep

@@ -48,8 +48,6 @@ def w0_of_z(pre, z):
         val = val + t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
     for t in pre.pole_terms:
         val = val + t.weight / (za - t.location)
-    for t in pre.arctan_terms:
-        val = val + t.weight * np.arctan((za - t.center) / t.scale)
     return val[()].item() if val.shape == () else val
 
 
@@ -63,8 +61,6 @@ def dw0_dz(pre, z):
         val = val + t.weight * 2.0 * (za - t.center) / ((za - t.center) ** 2 + t.imag ** 2)
     for t in pre.pole_terms:
         val = val - t.weight / (za - t.location) ** 2
-    for t in pre.arctan_terms:
-        val = val + t.weight * t.scale / ((za - t.center) ** 2 + t.scale ** 2)
     return val[()].item() if val.shape == () else val
 
 

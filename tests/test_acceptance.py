@@ -33,7 +33,7 @@ def test_criterion_01_hermite_stieltjes_equivalence():
         assert len(branches) == 1, f"N={N}: expected exactly one branch"
         roots = np.asarray(branches[0].roots)
         assert np.max(np.abs(roots - hermite_zeros(N))) < 1e-9
-        prof = potential.split_energy(spec, branches[0])
+        prof = potential.split_energy(prepot.integrate_w0(spec), branches[0])
         shift = catalog.reference_shift("harmonic", {"b": 1.0}, N)
         assert abs(prof.energy + shift - (2 * N + 1)) < 1e-10
     elapsed = time.perf_counter() - t0
@@ -48,14 +48,14 @@ def test_criterion_02_sextic_type1():
         branches = bae.enumerate_branches(spec)
         assert len(branches) == N + 1, f"N={N}: {len(branches)} branches"
         assert all(b.is_real for b in branches)
-        profs = [potential.split_energy(spec, b) for b in branches]
+        pre = prepot.integrate_w0(spec)
+        profs = [potential.split_energy(pre, b) for b in branches]
         base = profs[0].U
         for p in profs[1:]:
             deg = max(base.poly.degree, p.U.poly.degree)
             for i in range(deg + 1):
                 assert abs(p.U.poly.coeff(i) - base.poly.coeff(i)) < 1e-9
             assert p.U.boundary_poles == base.boundary_poles
-        pre = prepot.integrate_w0(spec)
         grid = verify.default_grid(pre, branches[-1].roots, n_points=4000)
         levels = verify.fd_spectrum(profs[0], pre.cmap, grid, 14)
         for p in profs:
@@ -74,7 +74,7 @@ def test_criterion_03_sextic_type2():
     assert len(branches) >= 1
     pre = prepot.integrate_w0(spec)
     for br in branches:
-        prof = potential.split_energy(spec, br)
+        prof = potential.split_energy(pre, br)
         sum_roots = float(np.sum(np.asarray(br.roots)))
         # the reported potential differs across branches exactly through
         # the linear-in-x coefficient -2 a sum(x_k)
@@ -92,7 +92,7 @@ def test_criterion_03_sextic_type2():
     pre3 = prepot.integrate_w0(spec3)
     lins = set()
     for br in branches3:
-        prof = potential.split_energy(spec3, br)
+        prof = potential.split_energy(pre3, br)
         sum_roots = float(np.sum(np.asarray(br.roots)))
         assert abs(prof.U.poly.coeff(1) - (-2.0 * sum_roots)) < 1e-9
         lins.add(round(prof.U.poly.coeff(1), 9))
@@ -110,7 +110,7 @@ def test_criterion_04_morse_es_energies():
             spec = catalog.instantiate("morse-es", N=N, A=A, alpha=alpha, B=B)
             branches = bae.enumerate_branches(spec)
             assert len(branches) == 1
-            prof = potential.split_energy(spec, branches[0])
+            prof = potential.split_energy(prepot.integrate_w0(spec), branches[0])
             want = A ** 2 - (A - N * alpha) ** 2
             assert abs(prof.energy - want) < 1e-9
             p1 = spec.P.coeff(1)
@@ -151,7 +151,7 @@ def test_criterion_06_halfline_sextic():
     assert len(branches) == 2
     pre_half = prepot.integrate_w0(spec_half)
     for br in branches:
-        prof = potential.split_energy(spec_half, br)
+        prof = potential.split_energy(pre_half, br)
         # potential part equals the full-line sextic with (4N + 4p + 3) = 9
         assert np.allclose(prof.U.poly.coeffs, (0.0, -9.0, 0.0, 1.0), atol=1e-12)
         rmax, _ = verify.residual_check(pre_half, br)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesf import bae, catalog, classify, cli, potential, verify
+from qesf import bae, catalog, classify, cli, potential, prepot, verify
 from qesf.errors import ModelError
 from qesf.model import Singularity
 
@@ -68,10 +68,11 @@ def test_every_entry_defaults_pass_full_pipeline():
         classify(spec)
         branches = bae.enumerate_branches(spec)
         assert branches, name
+        pre = prepot.integrate_w0(spec)
         for br in branches:
-            prof = potential.split_energy(spec, br)
+            prof = potential.split_energy(pre, br)
             assert math.isfinite(prof.energy)
-            rep = verify.verify_branch(spec, br, n_points=3001)
+            rep = verify.verify_branch(pre, br, n_points=3001)
             assert rep.verdict, (name, rep.residual_max, rep.spectrum_matches)
             exp = catalog.expected_energies(name, cfg["params"], cfg["N"])
             if exp != catalog.ORACLE_REQUIRED:

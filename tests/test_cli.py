@@ -294,34 +294,55 @@ def test_a_wall_is_cut_at_both_of_its_x_preimages(tmp_path):
 
 
 def test_solve_and_verify_build_the_model_once(tmp_path, monkeypatch):
-    from qesf import coords
-    calls = []
-    real = coords.build
+    # and classify and derive: one map and one V0 per command
+    from qesf import coords, potential
+    calls = {"build": 0, "v0_pfe": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(coords, "build", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(coords, "build")
+    counted(potential, "v0_pfe")
     cfg = write_config(tmp_path, "s.json", {"catalog": "sextic", "N": 10})
     out_csv = tmp_path / "roots.csv"
-    assert run_cli(["solve", cfg, "--out", str(out_csv)])[0] == 0
-    assert len(calls) == 1
-    calls.clear()
-    assert run_cli(["verify", cfg, str(out_csv)])[0] == 0
-    assert len(calls) == 1
+    for argv in (["classify", cfg], ["solve", cfg, "--out", str(out_csv)],
+                 ["verify", cfg, str(out_csv)], ["derive", cfg]):
+        calls.update(build=0, v0_pfe=0)
+        assert run_cli(argv)[0] == 0, argv
+        assert calls == {"build": 1, "v0_pfe": 1}, argv
 
 
-@pytest.mark.parametrize("payload", [
-    {"Q": [-1], "P": [0, 1], "N": 1},  # z'^2 = -1: no coordinate map
-    {"Q": [1, 0, 1], "P": [1, 2, 0.5], "N": 1},  # V0 outside the pole basis
-], ids=["negative-Q", "irreducible-Q"])
-def test_solve_marks_every_branch_of_an_uncertifiable_model_unverified(tmp_path, payload):
+@pytest.mark.parametrize("payload,message", [
+    ({"Q": [-1], "P": [0, 1], "N": 1}, "constant Q must be positive"),
+    ({"Q": [0, 0, -1], "P": [0, 1], "N": 1}, "no real trigonometric motion"),
+    ({"Q": [1, 0, 1], "P": [1, 2, 0.5], "N": 1}, "outside the closed pole basis"),
+], ids=["negative-Q", "negative-square-Q", "irreducible-Q"])
+def test_an_unbuildable_model_exits_4_from_every_command(tmp_path, payload, message):
     cfg = write_config(tmp_path, "u.json", payload)
-    code, out, _ = run_cli(["solve", cfg])
-    rows = out.splitlines()[1:]
-    assert code == 0 and rows
-    assert all(row.endswith(",false") for row in rows)
+    roots = tmp_path / "roots.csv"
+    roots.write_text("branch_id,k,z_k\n0,0,0.5\n")
+    for argv in (["classify", cfg], ["solve", cfg], ["verify", cfg, str(roots)],
+                 ["derive", cfg]):
+        code, out, err = run_cli(argv)
+        assert code == 4 and out == "", (argv, out, err)
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
+def test_a_sinh_model_in_the_pole_basis_is_certified(tmp_path):
+    # P = Q (0.3 + 0.7 z): V0 is a polynomial although P^2/Q leaves a
+    # rounding-level remainder
+    payload = {"Q": [2, 2, 1], "P": [0.6, 2.0, 1.7, 0.7]}
+    for N in (1, 2, 3):
+        solve_code, csv_text, code, out, _, _ = _solve_and_verify(
+            tmp_path, f"sinh{N}", dict(payload, N=N))
+        rows = csv_text.splitlines()[1:]
+        assert solve_code == 0 and rows and all(row.endswith(",true") for row in rows)
+        assert code == 0, out
 
 
 SINGULAR = {"Q": [1.0], "P": [-0.143939, 1.0],

@@ -125,26 +125,11 @@ def test_domain_endpoints_at_turning_points():
     assert coords.build(Poly([0.0, 4.0])).x_domain == (-math.inf, math.inf)
 
 
-def test_anchors():
-    m = coords.build(Poly([1.0]), anchor=(1.0, 5.0))
-    assert m.z_of_x(1.0) == pytest.approx(5.0)
-    m = coords.build(Poly([0.0, 4.0]), anchor=(2.0, 4.0))
-    assert m.z_of_x(2.0) == pytest.approx(4.0)
-    m = coords.build(Poly([0.0, 0.0, 4.0]), anchor=(0.0, 3.0))
-    assert m.z_of_x(0.0) == pytest.approx(3.0)
-    m = coords.build(Poly([0.0, 4.0, -4.0]), anchor=(0.3, 0.5))
-    assert m.z_of_x(0.3) == pytest.approx(0.5)
-
-
 def test_invalid_inputs():
     with pytest.raises(ModelError):
         coords.build(Poly([0.0]))
     with pytest.raises(ModelError):
         coords.build(Poly([-1.0]))  # z'^2 < 0
-    with pytest.raises(ModelError):
-        coords.build(Poly([0.0, 4.0]), anchor=(0.0, -1.0))  # z0 below image
-    with pytest.raises(ModelError):
-        coords.build(Poly([0.0, 4.0, -4.0]), anchor=(0.0, 2.0))  # Q(z0) < 0
     with pytest.raises(ModelError):
         coords.build(Poly([-1.0, 0.0, -1.0]))  # Q < 0 everywhere
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qesf import bae, catalog, potential
+from qesf import bae, catalog, potential, prepot
 from qesf.errors import ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
@@ -119,7 +119,7 @@ def test_check_residues_vacuous_for_n0():
 def test_split_energy_harmonic():
     spec = harmonic(b=1.0, N=3)
     br = bae.enumerate_branches(spec)[0]
-    prof = potential.split_energy(spec, br)
+    prof = potential.split_energy(prepot.integrate_w0(spec), br)
     assert prof.energy == pytest.approx(6.0, abs=1e-12)
     assert np.allclose(prof.U.poly.coeffs, (-1.0, 0.0, 1.0))
     shift = catalog.reference_shift("harmonic", {"b": 1.0}, 3)
@@ -129,17 +129,18 @@ def test_split_energy_harmonic():
 def test_split_energy_morse():
     spec = catalog.instantiate("morse-es", N=2, A=5.0, alpha=1.0, B=1.0)
     br = bae.enumerate_branches(spec)[0]
-    prof = potential.split_energy(spec, br)
+    prof = potential.split_energy(prepot.integrate_w0(spec), br)
     assert prof.energy == pytest.approx(25.0 - 9.0, abs=1e-10)
 
 
 def test_split_energy_sextic_branches():
     spec = sextic(N=1)
     branches = bae.enumerate_branches(spec)
-    energies = sorted(potential.split_energy(spec, b).energy for b in branches)
+    pre = prepot.integrate_w0(spec)
+    energies = sorted(potential.split_energy(pre, b).energy for b in branches)
     assert energies[0] == pytest.approx(-2 * math.sqrt(2), abs=1e-10)
     assert energies[1] == pytest.approx(+2 * math.sqrt(2), abs=1e-10)
-    prof = potential.split_energy(spec, branches[0])
+    prof = potential.split_energy(pre, branches[0])
     # U = x^6 - (4N+3) x^2 in z-coordinates: z^3 - 7 z^... with z = x^2:
     # poly in z: (0, -7, 0, 1)
     assert np.allclose(prof.U.poly.coeffs, (0.0, -7.0, 0.0, 1.0), atol=1e-12)
@@ -149,15 +150,16 @@ def test_split_energy_requires_converged_branch():
     spec = harmonic(N=2)
     bad = bae.BetheBranch((0.3, 0.9), 0.5, 0, "bogus")
     with pytest.raises(ValueError):
-        potential.split_energy(spec, bad)
+        potential.split_energy(prepot.integrate_w0(spec), bad)
 
 
 def test_split_energy_matches_branch_energy_closed_form():
     for name, N in [("harmonic", 4), ("sextic", 2), ("morse-es", 3),
                     ("sextic-halfline", 2), ("trig-interval", 2), ("morse-p", 2)]:
         spec = catalog.instantiate(name, N=N)
+        pre = prepot.integrate_w0(spec)
         for br in bae.enumerate_branches(spec):
-            prof = potential.split_energy(spec, br)
+            prof = potential.split_energy(pre, br)
             want = bae.branch_energy(spec, np.asarray(br.roots))
             assert prof.energy == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -166,7 +168,8 @@ def test_type1_potential_identical_across_branches():
     spec = sextic(N=2)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 3
-    profs = [potential.split_energy(spec, b) for b in branches]
+    pre = prepot.integrate_w0(spec)
+    profs = [potential.split_energy(pre, b) for b in branches]
     base = profs[0].U
     for p in profs[1:]:
         n = max(len(base.poly.coeffs), len(p.U.poly.coeffs))
@@ -180,8 +183,9 @@ def test_type2_potential_differs_in_linear_term():
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 3  # roots of z^3 - z: -1, 0, +1
     lin = {}
+    pre = prepot.integrate_w0(spec)
     for br in branches:
-        prof = potential.split_energy(spec, br)
+        prof = potential.split_energy(pre, br)
         sum_roots = float(np.sum(np.asarray(br.roots)))
         # V0 has no linear term here, so U's linear coefficient is -2 a sum(x_k)
         assert prof.U.poly.coeff(1) == pytest.approx(-2 * sum_roots, abs=1e-9)
@@ -195,7 +199,7 @@ def test_m1_n2_family_energy_formula():
     for N in range(5):
         spec = catalog.instantiate("morse-es", N=N)
         br = bae.enumerate_branches(spec)[0]
-        prof = potential.split_energy(spec, br)
+        prof = potential.split_energy(prepot.integrate_w0(spec), br)
         p1 = spec.P.coeff(1)
         q2 = spec.Q.coeff(2)
         assert prof.energy == pytest.approx(N * (2 * p1 - q2 * N), abs=1e-12)

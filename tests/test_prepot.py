@@ -58,7 +58,7 @@ def test_w0_derivative_matches_P_over_Q():
     specs = [harmonic(), sextic(), morse_es(), morse_p(),
              ModelSpec(Poly([0.0, 4.0, -4.0]), Poly([0.0, -4.0, 4.0]),
                        (Singularity(0.0, 0.25), Singularity(1.0, 0.25)), 1),
-             ModelSpec(Poly([1.0, 0.0, 1.0]), Poly([1.0, 2.0, 0.5]), (), 1)]
+             ModelSpec(Poly([1.0, 0.0, 1.0]), Poly([0.5, -1.0, 0.5]), (), 1)]
     for spec in specs:
         pre = prepot.integrate_w0(spec)
         lo, hi = pre.cmap.z_image
@@ -185,11 +185,11 @@ def test_wn_fd_derivative_matches_analytic():
             assert fd == pytest.approx(want, rel=1e-6, abs=1e-6)
 
 
-def test_irreducible_Q_gets_arctan_terms():
-    # Q = 1 + z^2, P with a nonzero remainder: log + arctan pieces appear
-    spec = ModelSpec(Poly([1.0, 0.0, 1.0]), Poly([1.0, 2.0, 0.5]), (), 0)
+def test_irreducible_Q_gets_a_quad_log_term():
+    # Q = 1 + z^2, P = Q/2 - Q'/2: W0 = z/2 - ln(1 + z^2)/2
+    spec = ModelSpec(Poly([1.0, 0.0, 1.0]), Poly([0.5, -1.0, 0.5]), (), 0)
     pre = prepot.integrate_w0(spec)
-    assert pre.quad_log_terms or pre.arctan_terms
+    assert pre.quad_log_terms == (prepot.QuadLogTerm(0.0, 1.0, -0.5),)
     rng = np.random.default_rng(2)
     for z in rng.uniform(-4, 4, 50):
         assert dw0_dz(pre, z) == pytest.approx(spec.P(z) / spec.Q(z), rel=1e-10)

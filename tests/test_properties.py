@@ -1,12 +1,12 @@
 """Property tests of the branch finder on random type-2 and
-singularity-induced models, of the walls of parabolic models, and of the
-coordinate images."""
+singularity-induced models, of the walls of parabolic models, of the
+coordinate images, and of which models over an irreducible Q build."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from qesf import bae, catalog, coords, prepot, verify
 from qesf.errors import ModelError
@@ -62,7 +62,8 @@ parabolic_twins = st.builds(
 def _verdicts(spec):
     branches = bae.enumerate_branches(spec)
     return [str(rep) if isinstance(rep, Exception) else rep.verdict
-            for rep in verify.verify_branches(spec, branches, n_points=2001)]
+            for rep in verify.verify_branches(prepot.integrate_w0(spec), branches,
+                                              n_points=2001)]
 
 
 @settings(derandomize=True, deadline=None)
@@ -84,16 +85,36 @@ double_zero = st.builds(lambda q2, r: (q2 * r * r, -2.0 * q2 * r, q2),
 
 @settings(derandomize=True, deadline=None)
 @given(st.one_of(st.tuples(coefficient, coefficient, coefficient), double_zero),
-       st.sampled_from((1, -1)),
-       st.one_of(st.none(), st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))))
-def test_no_zero_of_q_lies_inside_the_coordinate_image(q, branch_sign, anchor):
+       st.sampled_from((1, -1)))
+def test_no_zero_of_q_lies_inside_the_coordinate_image(q, branch_sign):
     # z'^2 = Q > 0 on the open image, so every pole of P/Q and of V0, all
     # at real zeros of Q, is on the image's boundary or outside it
     Q = Poly(list(q))
     try:
-        cmap = coords.build(Q, anchor=anchor, branch_sign=branch_sign)
+        cmap = coords.build(Q, branch_sign=branch_sign)
     except ModelError:
-        reject()  # no real motion, or an anchor where Q < 0
+        reject()  # no real motion
     lo, hi = cmap.z_image
     zeros, _ = partial_fractions(Poly([1.0]), Q)
     assert not any(lo + cmap.z_tol < rho < hi - cmap.z_tol for rho, _, _ in zeros)
+
+
+# Q = q2 ((z - c)^2 + s^2): irreducible, with a sinh coordinate
+irreducible_q = st.builds(lambda q2, c, s: Poly([q2 * (c * c + s * s), -2.0 * q2 * c, q2]),
+                          st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(0.1, 2.0))
+linear = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, deadline=None)
+@given(irreducible_q, linear, st.booleans(), linear)
+def test_over_an_irreducible_q_exactly_the_basis_models_build(Q, L, shifted, r):
+    # P = Q L + R with deg R <= 1. Q is prime over the reals, so Q divides
+    # V0's remainder P (P + Q'/2) only when R = 0 or R = -Q'/2
+    half_dq = 0.5 * Q.derivative()
+    P = Q * Poly(list(L)) - (half_dq if shifted else Poly([0.0]))
+    prepot.integrate_w0(ModelSpec(Q, P, (), 1))
+    R = Poly(list(r))
+    assume(min(max(map(abs, (R - target).coeffs))
+               for target in (Poly([0.0]), -half_dq)) > 0.05)
+    with pytest.raises(ModelError, match="closed pole basis"):
+        prepot.integrate_w0(ModelSpec(Q, Q * Poly(list(L)) + R, (), 1))

@@ -19,7 +19,7 @@ def _pipeline(spec, branch=None):
     pre = prepot.integrate_w0(spec)
     if branch is None:
         branch = bae.enumerate_branches(spec)[0]
-    prof = potential.split_energy(spec, branch)
+    prof = potential.split_energy(pre, branch)
     return pre.cmap, pre, branch, prof
 
 
@@ -94,7 +94,7 @@ def test_fd_spectrum_sextic_contains_branch_energies():
     grid = verify.default_grid(pre, br.roots, n_points=4001)
     levels = verify.fd_spectrum(prof, cmap, grid, 8)
     for b in branches:
-        e = potential.split_energy(spec, b).energy
+        e = potential.split_energy(pre, b).energy
         assert np.min(np.abs(levels - e)) < 1e-3
 
 
@@ -173,7 +173,7 @@ def test_wall_exponents_include_the_w0_log_weight():
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 3
-    for br, rep in zip(branches, verify.verify_branches(spec, branches)):
+    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
         grid = verify.default_grid(pre, br.roots)
         assert grid.wall_lo == (0.0, pytest.approx(0.8))
         assert grid.wall_hi == (pytest.approx(math.pi / 2), pytest.approx(0.4))
@@ -188,7 +188,7 @@ def test_w0_log_weight_lifts_a_wall_out_of_limit_circle():
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 2
-    for br, rep in zip(branches, verify.verify_branches(spec, branches)):
+    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
         assert verify.default_grid(pre, br.roots).wall_lo == (0.0, pytest.approx(0.8))
         assert rep.spectrum_note == "" and len(rep.spectrum_matches) == 1
         assert rep.verdict
@@ -201,7 +201,7 @@ def test_small_positive_nu_admits_its_component():
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert branches
-    for br, rep in zip(branches, verify.verify_branches(spec, branches)):
+    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
         grid = verify.default_grid(pre, br.roots)
         assert (0.4177, pytest.approx(0.003)) in (grid.wall_lo, grid.wall_hi)
         assert rep.spectrum_matches == [] and "limit-circle" in rep.spectrum_note
@@ -230,7 +230,7 @@ def test_normalizability_on_the_certified_component():
     pre = prepot.integrate_w0(spec)
     (br,) = [b for b in bae.enumerate_branches(spec) if min(b.roots) < a < max(b.roots)]
     assert verify.default_grid(pre, br.roots).component == (a, math.inf)
-    rep = verify.verify_branch(spec, br)
+    rep = verify.verify_branch(pre, br)
     certified = verify.normalizability_check(pre, br, (a, math.inf))
     assert (rep.normalizable, rep.norm_estimate) == certified
     assert verify.normalizability_check(pre, br, (-math.inf, a))[1] != certified[1]
@@ -268,7 +268,7 @@ def test_default_grid_refuses_nonnormalizable():
 def test_verify_branch_full_pipeline():
     spec = harmonic(N=2)
     br = bae.enumerate_branches(spec)[0]
-    rep = verify.verify_branch(spec, br)
+    rep = verify.verify_branch(prepot.integrate_w0(spec), br)
     assert rep.verdict
     assert rep.residual_max < 1e-8
     assert rep.node_count == 2
@@ -282,7 +282,7 @@ def test_verify_branch_roots_from_hermite_all_n():
     for n in (1, 4, 7):
         spec = harmonic(N=n)
         br = bae.BetheBranch(tuple(hermite_zeros(n)), 0.0, 0, "oracle")
-        rep = verify.verify_branch(spec, br)
+        rep = verify.verify_branch(prepot.integrate_w0(spec), br)
         assert rep.residual_max < 1e-7
         assert rep.node_count == n
 
@@ -293,7 +293,7 @@ def test_residual_check_matches_verify_branch():
         spec = catalog.instantiate(name, N=N)
         pre = prepot.integrate_w0(spec)
         for br in bae.enumerate_branches(spec):
-            rep = verify.verify_branch(spec, br, n_points=2001)
+            rep = verify.verify_branch(pre, br, n_points=2001)
             got = verify.residual_check(pre, br, n_points=2001)
             assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
@@ -304,11 +304,12 @@ def test_singularity_induced_model_certifies():
     # the half-line cut by the wall
     from qesf.model import Singularity
     spec = ModelSpec(Poly([1.0]), Poly([0.5, 1.0]), (Singularity(0.0, 0.3),), 1)
+    pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 2  # z^2 + 0.5 z - 0.3 = 0
     for br in branches:
-        prof = potential.split_energy(spec, br)
-        rep = verify.verify_branch(spec, br)
+        prof = potential.split_energy(pre, br)
+        rep = verify.verify_branch(pre, br)
         assert rep.residual_max < 1e-6, br
         # nu = mu = 0.3 < 1/2: limit-circle wall, FD oracle stands down
         assert "limit-circle" in rep.spectrum_note
@@ -316,7 +317,7 @@ def test_singularity_induced_model_certifies():
     # root-dependent 1/z coefficient: the two branch potentials differ
     u_poles = []
     for br in branches:
-        prof = potential.split_energy(spec, br)
+        prof = potential.split_energy(pre, br)
         u_poles.append(sum(b.c1 for b in prof.U.boundary_poles
                            if abs(b.location) < 1e-12))
     assert abs(u_poles[0] - u_poles[1]) > 1e-6
@@ -348,12 +349,12 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids):
     spec = catalog.instantiate("sextic", N=3, a=1.0, b=0.0)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 4
-    alone = [verify.verify_branch(spec, br) for br in branches]
+    pre = prepot.integrate_w0(spec)
+    alone = [verify.verify_branch(pre, br) for br in branches]
     fd_spectrum_grids.clear()
-    reports = verify.verify_branches(spec, branches)
+    reports = verify.verify_branches(pre, branches)
     (grid,) = fd_spectrum_grids
     # on the union of the branch boxes
-    pre = prepot.integrate_w0(spec)
     boxes = [verify.default_grid(pre, br.roots).points for br in branches]
     assert grid.points[0] == min(b[0] for b in boxes)
     assert grid.points[-1] == max(b[-1] for b in boxes)
@@ -372,24 +373,26 @@ def test_verify_branches_distinct_potentials(fd_spectrum_grids):
     spec = catalog.instantiate("sextic-type2", N=1, b=-1.0)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 3
-    assert len({potential.split_energy(spec, br).U for br in branches}) == 3
-    reports = verify.verify_branches(spec, branches)
+    pre = prepot.integrate_w0(spec)
+    assert len({potential.split_energy(pre, br).U for br in branches}) == 3
+    reports = verify.verify_branches(pre, branches)
     assert len(fd_spectrum_grids) == 3
-    assert reports == [verify.verify_branch(spec, br) for br in branches]
+    assert reports == [verify.verify_branch(pre, br) for br in branches]
 
 
 def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
     spec = catalog.instantiate("sextic", N=1)
     good, other = bae.enumerate_branches(spec)
     bad = bae.BetheBranch(tuple(z + 0.05 for z in other.roots), 0.0, 0, "perturbed")
-    alone = verify.verify_branch(spec, good)
+    pre = prepot.integrate_w0(spec)
+    alone = verify.verify_branch(pre, good)
     fd_spectrum_grids.clear()
-    rep, err = verify.verify_branches(spec, [good, bad])
+    rep, err = verify.verify_branches(pre, [good, bad])
     assert len(fd_spectrum_grids) == 1
     assert rep == alone
     assert isinstance(err, ValueError) and "residues not cancelled" in str(err)
     with pytest.raises(ValueError, match="residues not cancelled"):
-        verify.verify_branch(spec, bad)
+        verify.verify_branch(pre, bad)
 
 
 @pytest.mark.parametrize("name,N,node_step", [
@@ -403,7 +406,7 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step):
     spec = catalog.instantiate(name, N=N)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == N + 1
-    reports = verify.verify_branches(spec, branches)
+    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
     assert all(rep.verdict for rep in reports)
     matched = [rep.spectrum_matches[0][1] for rep in reports]
     assert len(set(matched)) == N + 1
@@ -417,5 +420,6 @@ def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_gr
     assert model.classify(spec).tag == model.QES_TYPE1
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 3
-    assert all(rep.verdict for rep in verify.verify_branches(spec, branches))
+    assert all(rep.verdict for rep in verify.verify_branches(prepot.integrate_w0(spec),
+                                                             branches))
     assert len(fd_spectrum_grids) == 1
