@@ -12,7 +12,8 @@ or a catalog reference:
 
 Every command builds the model once (prepot.integrate_w0: coordinate map,
 W0, V0 and walls) right after reading the config; a config whose model
-cannot be built is invalid input.
+cannot be built is invalid input, and so is a config with a key outside
+these.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
 Nothing is random: the same config gives byte-identical CSV output.
@@ -36,6 +37,9 @@ EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 EXIT_INPUT = 4
+
+CONFIG_KEYS = ("catalog", "params", "N", "branch", "Q", "P", "singularities")
+SINGULARITY_KEYS = ("a", "mu")
 
 
 def _fmt(x: float) -> str:
@@ -66,10 +70,20 @@ def _integer(cfg: dict, key: str, default: int) -> int:
     return value
 
 
+def _known_keys(obj: dict, allowed: tuple, where: str) -> None:
+    """Reject a key outside allowed: a misspelt key would otherwise be
+    silently ignored."""
+    for key in obj:
+        if key not in allowed:
+            raise ModelError(f'unknown config key "{where}{key}"; '
+                             f'allowed: {", ".join(allowed)}')
+
+
 def spec_from_config(cfg: dict) -> ModelSpec:
     """Build and validate a ModelSpec from a parsed config dict."""
     if not isinstance(cfg, dict):
         raise ModelError("config must be a JSON object")
+    _known_keys(cfg, CONFIG_KEYS, "")
     branch = cfg.get("branch")
     if branch is not None and (isinstance(branch, bool) or branch not in (1, -1)):
         raise ModelError('config key "branch" must be +1 or -1')
@@ -95,6 +109,7 @@ def spec_from_config(cfg: dict) -> ModelSpec:
             if not isinstance(s, dict) or "a" not in s or "mu" not in s:
                 raise ModelError(
                     f'config key "singularities[{i}]" must be an object with "a" and "mu"')
+            _known_keys(s, SINGULARITY_KEYS, f"singularities[{i}].")
             sings.append(Singularity(_number(s["a"], f"singularities[{i}].a"),
                                      _number(s["mu"], f"singularities[{i}].mu")))
         spec = ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)

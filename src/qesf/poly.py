@@ -166,26 +166,31 @@ class Tridiag:
         return len(self.diag)
 
 
-def tridiag_eigenvalues(t: Tridiag, k: int | None = None) -> np.ndarray:
+def tridiag_eigenvalues(t: Tridiag,
+                        index_range: tuple[int, int] | None = None) -> np.ndarray:
     """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    With k given, only the k smallest are computed (cheaper for large FD
+    With index_range = (lo, hi) given, only the eigenvalues of indices lo
+    through hi (inclusive, counted from the smallest at 0) are computed by
+    bisection, at a cost proportional to hi - lo + 1 (cheaper for large FD
     grids). Backed by LAPACK via scipy.linalg.eigh_tridiagonal, which is
     deterministic for fixed input.
     """
     n = t.n
     if n < 1:
         raise ValueError("empty matrix")
+    if index_range is not None:
+        lo, hi = index_range
+        if not 0 <= lo <= hi < n:
+            raise ValueError(f"index range {index_range} outside 0..{n - 1}")
     if n == 1:
         return t.diag.copy()
     try:
-        if k is None or k >= n:
+        if index_range is None:
             w = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
         else:
-            if k < 1:
-                raise ValueError("k must be >= 1")
             w = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
-                                              select="i", select_range=(0, k - 1))
+                                              select="i", select_range=index_range)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
     return np.sort(w)

@@ -2,10 +2,11 @@
 
 Nothing here reuses the algebra that produced the claims: the Schrodinger
 residual applies a finite-difference second derivative to the log-space wave
-function, the spectrum oracle diagonalizes the discretized operator, node
-counts come from raw sign changes, and normalizability from adaptive
-quadrature of phi^2. These are the arbiters for every sign or convention
-ambiguity upstream.
+function, node counts come from raw sign changes, the spectrum oracle
+computes the discretized operator's level whose index is the node count (a
+state with n nodes is level n, by Sturm oscillation), and normalizability
+comes from adaptive quadrature of phi^2. These are the arbiters for every
+sign or convention ambiguity upstream.
 """
 
 from __future__ import annotations
@@ -252,8 +253,11 @@ def schrodinger_residual(profile: potential.PotentialProfile, pre: prepot.Prepot
 
 
 def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
-                k: int) -> np.ndarray:
-    """Lowest k eigenvalues of -d2/dx2 + U discretized on the grid.
+                index_range: tuple[int, int]) -> np.ndarray:
+    """Eigenvalues of indices lo..hi (inclusive, ascending from the ground
+    level at 0) of -d2/dx2 + U discretized on the grid, for
+    index_range = (lo, hi). Only these levels are computed; a range outside
+    0..grid.n - 1 raises ValueError.
 
     Second-order stencil with Dirichlet truncation, Richardson-extrapolated:
     the computation repeats on a doubled grid and the O(h^2) error is
@@ -261,8 +265,6 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     Dirichlet node badly perturbs the spectrum, so the boundary row instead
     uses a ghost point carrying the wall's behavior phi ~ |x - wall|^nu.
     """
-    if k >= grid.n:
-        raise ValueError("k must be smaller than the number of grid points")
 
     def _levels(g: Grid) -> np.ndarray:
         u = profile.U(cmap.z_of_x(g.points))
@@ -277,7 +279,7 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
                 r = (d - g.h) / d
                 if r > 0:
                     diag[end] -= r ** nu / g.h ** 2
-        return tridiag_eigenvalues(Tridiag(diag, off), k=k)
+        return tridiag_eigenvalues(Tridiag(diag, off), index_range)
 
     e1 = _levels(grid)
     e2 = _levels(make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
@@ -412,16 +414,19 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
 
     Each branch gets its profile and grid from the built model, then the
     residual, node count and normalizability oracles. The verdict requires
-    the residual below tolerance and the claimed energy matched by a
-    Richardson-extrapolated FD eigenvalue; at a limit-circle wall the
-    spectrum oracle is skipped and spectrum_note says so.
+    the residual below tolerance, phi normalizable, and the claimed energy
+    matched by the Richardson-extrapolated FD eigenvalue whose index is the
+    branch's node count: by Sturm oscillation a state with n nodes is
+    level n. At a limit-circle wall the spectrum oracle is skipped,
+    spectrum_note says so, and the residual alone carries the verdict.
     Singular-endpoint models carry a documented FD accuracy downgrade
     (relative tolerance 1e-2 instead of 1e-3).
 
     The FD spectrum runs once per potential: branches with equal
     _spectrum_key (type-1 and ES models share U) are matched against one
     spectrum on a grid of n_points points spanning all their boxes, which
-    for a branch alone is its own grid.
+    for a branch alone is its own grid. Only the levels from the least to
+    the greatest node count of the group are computed.
     """
     results: list = [None] * len(branches)
     groups: dict[tuple, list] = {}  # _spectrum_key -> [(index, profile, grid, fields)]
@@ -454,14 +459,15 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
             groups.setdefault(_spectrum_key(profile, grid), []).append(
                 (i, profile, grid, fields))
 
-    k = max(8, 2 * pre.spec_ref.N + 4)
     for members in groups.values():
         grids = [grid for _, _, grid, _ in members]
         grid = make_grid(min(g.points[0] for g in grids),
                          max(g.points[-1] for g in grids), n_points,
                          grids[0].wall_lo, grids[0].wall_hi)
+        nodes = [fields["node_count"] for *_, fields in members]
+        lo = min(nodes)
         try:
-            levels = fd_spectrum(members[0][1], pre.cmap, grid, k)
+            levels = fd_spectrum(members[0][1], pre.cmap, grid, (lo, max(nodes)))
         except (GridError, DomainError, ValueError) as exc:
             for i, *_ in members:
                 results[i] = exc
@@ -469,12 +475,13 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         tol = 1e-3 if grid.wall_lo is None and grid.wall_hi is None else 1e-2
         for i, profile, _, fields in members:
             energy = profile.energy
-            nearest = levels[np.argmin(np.abs(levels - energy))]
-            diff = abs(nearest - energy)
+            level = levels[fields["node_count"] - lo]
+            diff = abs(level - energy)
             results[i] = VerificationReport(
-                **fields, spectrum_matches=[(energy, float(nearest), float(diff))],
+                **fields, spectrum_matches=[(energy, float(level), float(diff))],
                 spectrum_note="",
                 verdict=bool(fields["residual_max"] < residual_tol
+                             and fields["normalizable"]
                              and diff < tol * max(1.0, abs(energy))))
     return results
 

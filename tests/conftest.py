@@ -21,9 +21,9 @@ def fd_spectrum_grids(monkeypatch):
     grids = []
     real = verify.fd_spectrum
 
-    def counted(profile, cmap, grid, k):
+    def counted(profile, cmap, grid, *args, **kwargs):
         grids.append(grid)
-        return real(profile, cmap, grid, k)
+        return real(profile, cmap, grid, *args, **kwargs)
 
     monkeypatch.setattr(verify, "fd_spectrum", counted)
     return grids

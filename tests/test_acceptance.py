@@ -57,7 +57,7 @@ def test_criterion_02_sextic_type1():
                 assert abs(p.U.poly.coeff(i) - base.poly.coeff(i)) < 1e-9
             assert p.U.boundary_poles == base.boundary_poles
         grid = verify.default_grid(pre, branches[-1].roots, n_points=4000)
-        levels = verify.fd_spectrum(profs[0], pre.cmap, grid, 14)
+        levels = verify.fd_spectrum(profs[0], pre.cmap, grid, (0, 13))
         for p in profs:
             assert np.min(np.abs(levels - p.energy)) < 1e-3
         if N == 1:
@@ -210,7 +210,7 @@ def test_criterion_09_oracle_self_tests():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, 5)
+    levels = verify.fd_spectrum(prof, cmap, grid, (0, 4))
     assert np.max(np.abs(levels - np.array([1.0, 3.0, 5.0, 7.0, 9.0]))) < 1e-4
 
     # analytic Jacobian vs central differences

@@ -333,6 +333,25 @@ def test_an_unbuildable_model_exits_4_from_every_command(tmp_path, payload, mess
         assert err.startswith("error: ") and message in err, (argv, err)
 
 
+@pytest.mark.parametrize("payload,key", [
+    ({"Q": [0, 4], "P": [0, 0, 2], "singularites": [{"a": 1, "mu": 0.3}], "N": 1},
+     "singularites"),
+    ({"Q": [0, 4], "P": [0, 0, 2], "N": 1, "anchor": 0.5}, "anchor"),
+    ({"catalog": "sextic", "N": 1, "param": {"a": 2.0}}, "param"),
+    ({"Q": [0, 4], "P": [0, 0, 2], "singularities": [{"a": 1, "mu": 0.3, "nu": 1}],
+      "N": 1}, "singularities[0].nu"),
+], ids=["misspelt-singularities", "anchor", "misspelt-params", "singularity-key"])
+def test_an_unknown_config_key_exits_4_from_every_command(tmp_path, payload, key):
+    cfg = write_config(tmp_path, "k.json", payload)
+    roots = tmp_path / "roots.csv"
+    roots.write_text("branch_id,k,z_k\n0,0,0.5\n")
+    for argv in (["classify", cfg], ["solve", cfg], ["verify", cfg, str(roots)],
+                 ["derive", cfg]):
+        code, out, err = run_cli(argv)
+        assert code == 4 and out == "", (argv, out, err)
+        assert f'unknown config key "{key}"' in err, (argv, err)
+
+
 def test_a_sinh_model_in_the_pole_basis_is_certified(tmp_path):
     # P = Q (0.3 + 0.7 z): V0 is a polynomial although P^2/Q leaves a
     # rounding-level remainder

@@ -92,8 +92,24 @@ def test_tridiag_lowest_k():
     d = rng.normal(size=30)
     e = rng.normal(size=29)
     full = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)))
-    low = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)), k=5)
+    low = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)), (0, 4))
     assert np.allclose(full[:5], low, atol=1e-12)
+
+
+def test_tridiag_index_range_is_a_slice_of_the_spectrum():
+    # an FD-like operator: 2/h^2 + U on the diagonal, -1/h^2 beside it
+    h = 0.01
+    x = np.arange(-5.0, 5.0, h)
+    t = Tridiag(2.0 / h ** 2 + x ** 2 + np.sin(3 * x), np.full(len(x) - 1, -1.0 / h ** 2))
+    scale = np.max(np.abs(t.diag)) + 2.0 / h ** 2
+    full = tridiag_eigenvalues(t)
+    for lo, hi in ((0, 0), (3, 3), (2, 9), (0, 27), (len(x) - 2, len(x) - 1)):
+        got = tridiag_eigenvalues(t, (lo, hi))
+        assert len(got) == hi - lo + 1
+        assert np.max(np.abs(got - full[lo:hi + 1])) < 1e-9 * scale
+    for bad in ((-1, 2), (4, 3), (0, len(x))):
+        with pytest.raises(ValueError, match="index range"):
+            tridiag_eigenvalues(t, bad)
 
 
 # -- independent Sturm-sequence oracle --------------------------------------

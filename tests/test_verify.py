@@ -83,7 +83,7 @@ def test_fd_spectrum_harmonic_normal_form():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, 5)
+    levels = verify.fd_spectrum(prof, cmap, grid, (0, 4))
     assert np.max(np.abs(levels - np.array([1, 3, 5, 7, 9]))) < 1e-4
 
 
@@ -92,7 +92,7 @@ def test_fd_spectrum_sextic_contains_branch_energies():
     branches = bae.enumerate_branches(spec)
     cmap, pre, br, prof = _pipeline(spec, branches[0])
     grid = verify.default_grid(pre, br.roots, n_points=4001)
-    levels = verify.fd_spectrum(prof, cmap, grid, 8)
+    levels = verify.fd_spectrum(prof, cmap, grid, (0, 7))
     for b in branches:
         e = potential.split_energy(pre, b).energy
         assert np.min(np.abs(levels - e)) < 1e-3
@@ -103,7 +103,7 @@ def test_fd_spectrum_morse_levels():
     spec = catalog.instantiate("morse-es", N=0)
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.default_grid(pre, br.roots, n_points=6001)
-    levels = verify.fd_spectrum(prof, cmap, grid, 5)
+    levels = verify.fd_spectrum(prof, cmap, grid, (0, 4))
     want = np.array([A ** 2 - (A - n * alpha) ** 2 for n in range(5)])
     assert np.max(np.abs(levels - want) / np.maximum(1.0, np.abs(want))) < 1e-3
 
@@ -114,8 +114,9 @@ def test_fd_spectrum_k_bounds():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-5.0, 5.0, 101)
-    with pytest.raises(ValueError):
-        verify.fd_spectrum(prof, cmap, grid, 101)
+    for bad in ((0, 101), (-1, 3), (3, 2)):
+        with pytest.raises(ValueError):
+            verify.fd_spectrum(prof, cmap, grid, bad)
 
 
 def test_node_counts():
@@ -216,7 +217,7 @@ def test_a_grid_point_on_a_pole_raises_grid_error():
     grid = verify.make_grid(-1.0, 1.0, 201)
     assert 0.0 in grid.points
     with pytest.raises(GridError, match="pole"):
-        verify.fd_spectrum(profile, cmap, grid, 4)
+        verify.fd_spectrum(profile, cmap, grid, (0, 3))
     with pytest.raises(GridError, match="pole"):
         verify.schrodinger_residual(profile, pre, grid)
 
@@ -400,17 +401,70 @@ def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
     ("sextic-halfline", 12, 1),
     ("trig-interval", 8, 1),
 ])
-def test_all_type1_branches_match_distinct_levels(name, N, node_step):
+def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectrum_grids):
     # with all N+1 branches present, each one matches its own FD level, and
     # the node counts climb one level at a time (Sturm oscillation)
     spec = catalog.instantiate(name, N=N)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == N + 1
-    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+    pre = prepot.integrate_w0(spec)
+    reports = verify.verify_branches(pre, branches)
     assert all(rep.verdict for rep in reports)
     matched = [rep.spectrum_matches[0][1] for rep in reports]
     assert len(set(matched)) == N + 1
     assert [rep.node_count for rep in reports] == [node_step * n for n in range(N + 1)]
+    # the matched level is the one whose index is the node count
+    (grid,) = fd_spectrum_grids
+    levels = verify.fd_spectrum(potential.split_energy(pre, branches[0]), pre.cmap,
+                                grid, (0, node_step * N))
+    assert matched == [levels[rep.node_count] for rep in reports]
+
+
+@pytest.mark.parametrize("name,N,per_grid", [("harmonic", 12, 1), ("sextic", 4, 9)])
+def test_fd_levels_computed_are_the_node_counts(monkeypatch, name, N, per_grid):
+    # harmonic N = 12 has one branch, so one level; sextic N = 4 has levels
+    # 0, 2, ..., 2N, so 2N + 1 of them
+    computed = []
+    real = verify.tridiag_eigenvalues
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        computed.append(len(out))
+        return out
+
+    monkeypatch.setattr(verify, "tridiag_eigenvalues", counted)
+    spec = catalog.instantiate(name, N=N)
+    reports = verify.verify_branches(prepot.integrate_w0(spec),
+                                     bae.enumerate_branches(spec))
+    assert all(rep.verdict for rep in reports)
+    assert computed == [per_grid, per_grid]
+
+
+def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
+    # the level is chosen by node count (Sturm), not as the nearest one
+    spec = catalog.instantiate("sextic", N=2)
+    branches = bae.enumerate_branches(spec)
+    real = verify.node_count
+    monkeypatch.setattr(verify, "node_count", lambda *a: real(*a) + 1)
+    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+    assert len(reports) == 3
+    assert not any(rep.verdict for rep in reports)
+
+
+def test_the_verdict_requires_normalizable(monkeypatch):
+    monkeypatch.setattr(verify, "normalizability_check", lambda *a: (False, math.inf))
+    spec = catalog.instantiate("sextic", N=2)
+    reports = verify.verify_branches(prepot.integrate_w0(spec),
+                                     bae.enumerate_branches(spec))
+    assert reports and not any(rep.verdict for rep in reports)
+    assert all(rep.residual_max < 1e-6 and rep.spectrum_matches[0][2] < 1e-3
+               for rep in reports)
+    # a limit-circle wall keeps its residual-only verdict
+    spec = ModelSpec(Poly([1.0]), Poly([-0.0794, 1.0]), (Singularity(0.4177, 0.003),), 2)
+    reports = verify.verify_branches(prepot.integrate_w0(spec),
+                                     bae.enumerate_branches(spec))
+    assert reports and all(rep.verdict and "limit-circle" in rep.spectrum_note
+                           for rep in reports)
 
 
 def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_grids):
