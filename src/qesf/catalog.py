@@ -267,8 +267,10 @@ def reference_shift(name: str, params: dict | None, N: int) -> float:
 
 
 def shipped_configs() -> dict:
-    """Config (CLI schema) of every entry: its defaults at its preset N."""
-    return {name: {"catalog": name, "params": dict(entry.defaults),
+    """Config (CLI schema) of every entry: its defaults at its preset N. A
+    parameter whose default is None is left out, which means the same."""
+    return {name: {"catalog": name,
+                   "params": {k: v for k, v in entry.defaults.items() if v is not None},
                    "N": entry.preset_N,
                    "branch": instantiate(name, N=entry.preset_N).branch_sign}
             for name, entry in ENTRIES.items()}

@@ -80,7 +80,8 @@ def _known_keys(obj: dict, allowed: tuple, where: str) -> None:
 
 
 def spec_from_config(cfg: dict) -> ModelSpec:
-    """Build and validate a ModelSpec from a parsed config dict."""
+    """A ModelSpec from a parsed config dict. Its structure is checked
+    where the model is built, in prepot.integrate_w0."""
     if not isinstance(cfg, dict):
         raise ModelError("config must be a JSON object")
     _known_keys(cfg, CONFIG_KEYS, "")
@@ -94,7 +95,7 @@ def spec_from_config(cfg: dict) -> ModelSpec:
         if not isinstance(params, dict):
             raise ModelError('config key "params" must be an object')
         params = {k: _number(v, f"params.{k}") for k, v in params.items()}
-        spec = catalog.instantiate(cfg["catalog"], N=_integer(cfg, "N", 1),
+        return catalog.instantiate(cfg["catalog"], N=_integer(cfg, "N", 1),
                                    branch_sign=branch, **params)
     else:
         polys = []
@@ -112,11 +113,7 @@ def spec_from_config(cfg: dict) -> ModelSpec:
             _known_keys(s, SINGULARITY_KEYS, f"singularities[{i}].")
             sings.append(Singularity(_number(s["a"], f"singularities[{i}].a"),
                                      _number(s["mu"], f"singularities[{i}].mu")))
-        spec = ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
-    errors = [d for d in model.validate(spec) if d.level == "error"]
-    if errors:
-        raise ModelError("invalid model: " + "; ".join(d.message for d in errors))
-    return spec
+        return ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,16 @@ import scipy.linalg
 
 from .errors import ConvergenceError
 
-TRIM_TOL = 1e-14
+TRIM_TOL = 1e-14  # relative: to the largest finite |coefficient|
 
 
 def _trim(coeffs) -> tuple[float, ...]:
-    cs = [float(c) for c in coeffs]
-    if not cs:
-        cs = [0.0]
-    while len(cs) > 1 and abs(cs[-1]) <= TRIM_TOL:
+    """Coefficients as floats, trailing ones at or below TRIM_TOL times the
+    largest finite |coefficient| dropped, so the trim follows the
+    polynomial's scale (1e-8 (1 + z^2) keeps its z^2)."""
+    cs = [float(c) for c in coeffs] or [0.0]
+    tol = TRIM_TOL * max((abs(c) for c in cs if math.isfinite(c)), default=0.0)
+    while len(cs) > 1 and abs(cs[-1]) <= tol:
         cs.pop()
     return tuple(cs)
 

@@ -15,8 +15,9 @@ the certification boxes end. phi's power of |z - a| at every finite point a
 is algebraic: the declared mu at a minus the weight of W0's ln|z - a| term.
 integrate_w0 builds the model once: the coordinate map, W0, the static
 potential V0, the table of these powers and the walls they cut in x. It is
-the one place that decides whether a model can be built, and every caller
-reads that one Prepotential.
+the one place that decides whether a model can be built: it runs
+model.validate's structural check first, and every caller reads that one
+Prepotential.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import coords, potential
-from .errors import DomainError
-from .model import ModelSpec, is_turning_point
+from .errors import DomainError, ModelError
+from .model import ModelSpec, is_turning_point, validate
 from .poly import Poly, divmod_poly, partial_fractions
 
 
@@ -77,9 +78,14 @@ def integrate_w0(spec: ModelSpec) -> Prepotential:
     """Build the model: its coordinate map, dW0/dz = P/Q integrated in
     closed form (exact partial fractions), V0, phi's powers and its walls.
 
-    Raises ModelError when the model has no coordinate map or its V0 lies
-    outside the closed pole basis.
+    Raises ModelError, before building anything, on every structural
+    error model.validate reports (degrees, finiteness, N, branch sign, the
+    singularities' count and spacing), and when the model has no coordinate
+    map or its V0 lies outside the closed pole basis.
     """
+    errors = [d for d in validate(spec) if d.level == "error"]
+    if errors:
+        raise ModelError("invalid model: " + "; ".join(d.message for d in errors))
     P, Q = spec.P, spec.Q
     cmap = coords.build(Q, branch_sign=spec.branch_sign)
     v0 = potential.v0_pfe(spec)

@@ -11,9 +11,8 @@ sign or convention ambiguity upstream.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,16 +66,7 @@ class VerificationReport:
     verdict: bool
 
     def as_dict(self) -> dict:
-        return {
-            "residual_max": self.residual_max,
-            "residual_rms": self.residual_rms,
-            "spectrum_matches": [list(m) for m in self.spectrum_matches],
-            "spectrum_note": self.spectrum_note,
-            "node_count": self.node_count,
-            "normalizable": self.normalizable,
-            "norm_estimate": self.norm_estimate,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def make_grid(x_lo: float, x_hi: float, n: int,
@@ -98,17 +88,13 @@ def _march_threshold(pre: prepot.Prepotential, roots, start: float,
                      direction: int) -> float:
     """First point of an outward x-ladder from start with W_N >= W_THRESHOLD.
 
-    The ladder's steps start at 0.25 and grow by 1.25. It is evaluated in
-    one call, so it runs far past the crossing, where z or W_N may
-    overflow; those values are never used. A node (sign 0) is no crossing.
+    The ladder's steps start at 0.25 and grow by 1.25, accumulated in
+    sequence. It is evaluated in one call, so it runs far past the
+    crossing, where z or W_N may overflow; those values are never used. A
+    node (sign 0) is no crossing.
     """
-    xs = np.empty(400)
-    step = 0.25
-    x = start + direction * step
-    for i in range(len(xs)):
-        xs[i] = x
-        step *= 1.25
-        x += direction * step
+    steps = np.cumprod(np.r_[0.25, np.full(399, 1.25)])
+    xs = np.cumsum(np.r_[start, direction * steps])[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         logphi, sign = prepot.phi_log_sign(pre, roots, xs)
     crossed = np.flatnonzero((-logphi >= W_THRESHOLD) & (sign != 0))
@@ -117,79 +103,56 @@ def _march_threshold(pre: prepot.Prepotential, roots, start: float,
     return float(xs[crossed[0]])
 
 
-def certification_domain(pre: prepot.Prepotential, roots) -> tuple[
-        float, float, tuple[float, float] | None, tuple[float, float] | None]:
-    """Certification box (x_lo, x_hi) and the walls (x, nu) that bound its
-    domain component, None at an unbounded end.
+def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
+    """Certification grid of n_points points for the branch with these roots.
 
-    The components lie between the cut points: the map's endpoints and the
-    model's finite walls, pre.walls. A component is admitted when phi
-    vanishes at each of its walls (nu > 0). Walls are kept as-is; unbounded
-    ends are truncated where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD
-    at the box edge.
+    The map's endpoints and the model's finite walls (pre.walls) cut the
+    x-domain into components. A component is admitted when phi vanishes at
+    each of its walls (nu > 0). Admitted components are preferred in this
+    order: the one holding every root preimage, then the widest, then the
+    one on the side of the spec's branch_sign. The first of them whose
+    unbounded ends truncate is certified: an unbounded end is cut where
+    W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box edge, and an
+    end at a wall is inset by max(10h, 1e-3) and carries the wall's (x, nu).
     """
-    cmap, walls = pre.cmap, pre.walls
-    dlo, dhi = cmap.x_domain
-    cuts = sorted({dlo, dhi, *walls})
-    components = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
-                  if cuts[i + 1] - cuts[i] > 1e-9]
+    walls = pre.walls
+    cuts = sorted({*pre.cmap.x_domain, *walls})
+    components = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-9]
     if not components:
         raise GridError("empty coordinate domain")
     # The root preimages xr pull the box out far enough to contain the state.
     xr = []
     for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
         try:
-            xk = cmap.x_of_z(zk)
+            xk = pre.cmap.x_of_z(zk)
         except DomainError:
             continue
         if math.isfinite(xk):
             xr.append(xk)
-
-    def _box(a: float, b: float) -> tuple[float, float] | None:
-        if any(math.isfinite(e) and walls[e] <= 0.0 for e in (a, b)):
-            return None
+    bsign = pre.spec_ref.branch_sign
+    admitted = [(a, b) for a, b in components
+                if not any(math.isfinite(e) and walls[e] <= 0.0 for e in (a, b))]
+    admitted.sort(key=lambda c: (not all(c[0] < v < c[1] for v in xr),
+                                 -(min(c[1], 1e18) - max(c[0], -1e18)),
+                                 -bsign * (max(c[0], -1e18) + min(c[1], 1e18)) / 2.0))
+    for a, b in admitted:
         inside = [v for v in xr if a < v < b]
-        lo_edge, hi_edge = a, b
+        x_lo, x_hi = a, b
         try:
             if not math.isfinite(b):
                 s0 = (max(inside) if inside else (a + 1.0 if math.isfinite(a) else 0.0)) + 0.5
-                hi_edge = _march_threshold(pre, roots, s0, +1)
+                x_hi = _march_threshold(pre, roots, s0, +1)
             if not math.isfinite(a):
                 s0 = (min(inside) if inside else (b - 1.0 if math.isfinite(b) else 0.0)) - 0.5
-                lo_edge = _march_threshold(pre, roots, s0, -1)
+                x_lo = _march_threshold(pre, roots, s0, -1)
         except (GridError, ValueError):
-            return None
-        return lo_edge, hi_edge
-
-    bsign = pre.spec_ref.branch_sign
-    candidates = []
-    for a, b in components:
-        box = _box(a, b)
-        if box is not None:
-            contains_roots = all(a < v < b for v in xr) if xr else True
-            mid = (max(a, -1e18) + min(b, 1e18)) / 2.0
-            candidates.append((contains_roots, mid, (a, b), box))
-    if not candidates:
-        raise GridError("no normalizable domain component found")
-    candidates.sort(key=lambda c: (not c[0],
-                                   -(min(c[2][1], 1e18) - max(c[2][0], -1e18)),
-                                   -bsign * c[1]))
-    _, _, (a, b), (lo_edge, hi_edge) = candidates[0]
-    return (lo_edge, hi_edge, (a, walls[a]) if math.isfinite(a) else None,
-            (b, walls[b]) if math.isfinite(b) else None)
-
-
-def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
-    """Grid over the certification box; an end at a wall is inset by
-    max(10h, 1e-3) and carries the wall's (x, nu)."""
-    x_lo, x_hi, wall_lo, wall_hi = certification_domain(pre, roots)
-    h0 = (x_hi - x_lo) / (n_points - 1)
-    inset = max(10.0 * h0, 1e-3)
-    if wall_lo is not None:
-        x_lo += inset
-    if wall_hi is not None:
-        x_hi -= inset
-    return make_grid(x_lo, x_hi, n_points, wall_lo, wall_hi)
+            continue
+        inset = max(10.0 * ((x_hi - x_lo) / (n_points - 1)), 1e-3)
+        wall_lo = (a, walls[a]) if math.isfinite(a) else None
+        wall_hi = (b, walls[b]) if math.isfinite(b) else None
+        return make_grid(x_lo + inset if wall_lo else x_lo,
+                         x_hi - inset if wall_hi else x_hi, n_points, wall_lo, wall_hi)
+    raise GridError("no normalizable domain component found")
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +258,11 @@ def node_count(pre: prepot.Prepotential, branch, grid: Grid) -> int:
     return int(np.sum(s[:-1] * s[1:] < 0))
 
 
-def _segment_log_integral(pre, roots, a: float, b: float, n: int = 129) -> float:
-    """log of integral_a^b phi^2 dx by Simpson, computed in log space."""
+def _segment_log_integral(pre, roots, a: float, b: float) -> float:
+    """log of integral_a^b phi^2 dx by 129-point Simpson, computed in log space."""
     if not b > a:
         return -math.inf
-    if n % 2 == 0:
-        n += 1
+    n = 129
     xs = np.linspace(a, b, n)
     logphi, _ = prepot.phi_log_sign(pre, roots, xs)
     m = np.max(2.0 * logphi)
@@ -315,30 +277,25 @@ def _segment_log_integral(pre, roots, a: float, b: float, n: int = 129) -> float
     return m + math.log(integral) if integral > 0 else -math.inf
 
 
-def _windows(edge: float, inner: float, outward: int):
-    """The integration windows of one side of a component, from inner
-    outward: halving toward a finite endpoint edge (outward < 0 when it is
-    the left end), growing by 1.4 toward an infinite one."""
+def _windows(edge: float, inner: float, outward: int) -> tuple[np.ndarray, np.ndarray]:
+    """The MAX_WINDOWS integration windows (lo, hi) of one side of a
+    component, from inner outward: halving toward a finite endpoint edge
+    (outward < 0 when it is the left end), growing by 1.4 toward an
+    infinite one. Widths and edges accumulate in sequence, as a loop would."""
     if math.isfinite(edge):
-        t = abs(inner - edge)
-        while True:
-            t2 = t / 2.0
-            yield (edge + t2, edge + t) if outward < 0 else (edge - t, edge - t2)
-            t = t2
-    else:
-        width = 1.0
-        x0 = inner
-        while True:
-            x1 = x0 + outward * width
-            yield min(x0, x1), max(x0, x1)
-            x0 = x1
-            width *= 1.4
+        t = abs(inner - edge) / 2.0 ** np.arange(MAX_WINDOWS + 1)
+        if outward < 0:
+            return edge + t[1:], edge + t[:-1]
+        return edge - t[:-1], edge - t[1:]
+    widths = np.cumprod(np.r_[1.0, np.full(MAX_WINDOWS - 1, 1.4)])
+    x = np.cumsum(np.r_[inner, outward * widths])
+    return (x[:-1], x[1:]) if outward > 0 else (x[1:], x[:-1])
 
 
 def normalizability_check(pre: prepot.Prepotential, branch,
                           component: tuple[float, float]) -> tuple[bool, float]:
     """Adaptive test that the integral of phi^2 converges over the domain
-    component (a, b), the one certification_domain chose.
+    component (a, b), the one default_grid certifies.
 
     Unbounded sides are covered by geometrically growing windows, finite
     singular endpoints by geometrically shrinking ones; the verdict is True
@@ -363,7 +320,7 @@ def normalizability_check(pre: prepot.Prepotential, branch,
         patience = 6 if math.isfinite(edge) else 4
         grow = 0
         prev = -math.inf
-        for lo, hi in itertools.islice(_windows(edge, inner, outward), MAX_WINDOWS):
+        for lo, hi in zip(*_windows(edge, inner, outward)):
             seg = _segment_log_integral(pre, roots, lo, hi)
             total = np.logaddexp(total, seg)
             if seg < total - 36.0:
@@ -398,12 +355,6 @@ def residual_check(pre: prepot.Prepotential, branch, *,
     return schrodinger_residual(profile, pre, grid)
 
 
-def _spectrum_key(profile: potential.PotentialProfile, grid: Grid) -> tuple:
-    """Branches with equal keys have the same FD operator up to the grid
-    span: the same potential, walls and endpoint exponents."""
-    return profile.U, grid.wall_lo, grid.wall_hi
-
-
 def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
                     stencil_order: int = 4, residual_tol: float = 1e-6) -> list:
     """Full certification pipeline for the branches of one built model.
@@ -422,14 +373,15 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     Singular-endpoint models carry a documented FD accuracy downgrade
     (relative tolerance 1e-2 instead of 1e-3).
 
-    The FD spectrum runs once per potential: branches with equal
-    _spectrum_key (type-1 and ES models share U) are matched against one
-    spectrum on a grid of n_points points spanning all their boxes, which
-    for a branch alone is its own grid. Only the levels from the least to
-    the greatest node count of the group are computed.
+    The FD spectrum runs once per potential: branches with the same FD
+    operator up to the grid span (equal potential U, as type-1 and ES
+    models share, and equal walls with their exponents) are matched
+    against one spectrum on a grid of n_points points spanning all their
+    boxes, which for a branch alone is its own grid. Only the levels from
+    the least to the greatest node count of the group are computed.
     """
     results: list = [None] * len(branches)
-    groups: dict[tuple, list] = {}  # _spectrum_key -> [(index, profile, grid, fields)]
+    groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
     for i, br in enumerate(branches):
         try:
             profile, grid = _branch_setup(pre, br, n_points)
@@ -456,7 +408,7 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
                               "with endpoint exponent nu < 1/2",
                 verdict=bool(rmax < residual_tol))
         else:
-            groups.setdefault(_spectrum_key(profile, grid), []).append(
+            groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append(
                 (i, profile, grid, fields))
 
     for members in groups.values():

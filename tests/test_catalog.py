@@ -90,8 +90,8 @@ SHIPPED_CONFIG_LINES = {
                 '"B": 0.5}, "N": 2, "branch": 1}',
     "sextic-halfline": '{"catalog": "sextic-halfline", "params": {"a": 1.0, '
                        '"b": 0.0, "p": 0.3}, "N": 1, "branch": 1}',
-    "morse-p": '{"catalog": "morse-p", "params": {"A": 5.0, "alpha": 1.0, '
-               '"mu": null}, "N": 2, "branch": -1}',
+    "morse-p": '{"catalog": "morse-p", "params": {"A": 5.0, "alpha": 1.0}, '
+               '"N": 2, "branch": -1}',
     "trig-interval": '{"catalog": "trig-interval", "params": {"a": 1.0, '
                      '"p1": 0.25, "p2": 0.25}, "N": 1, "branch": 1}',
 }
@@ -104,3 +104,15 @@ def test_shipped_configs_match_entries(capsys):
         assert cli.main(["catalog", "show", name]) == 0
         out = capsys.readouterr().out
         assert f"config: {line}\n" in out, name
+
+
+def test_shipped_config_lines_classify(capsys, tmp_path):
+    # every `config:` line of `qesf catalog show` is a config the CLI accepts
+    for name in catalog.names():
+        assert cli.main(["catalog", "show", name]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("config: ")]
+        path = tmp_path / f"{name}.json"
+        path.write_text(line[len("config: "):])
+        assert cli.main(["classify", str(path)]) == 0, (name, capsys.readouterr().err)
+        capsys.readouterr()

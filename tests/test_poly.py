@@ -34,6 +34,18 @@ def test_trimming_and_degree():
     assert Poly([0.0, 0.0]).degree == 0
     assert Poly([0.0]).is_zero()
     assert not Poly([0.0, 1.0]).is_zero()
+    assert Poly([0, 1, 0.0]).degree == 1
+    assert Poly([1, 1e-15]).degree == 0
+
+
+def test_trimming_is_relative_to_the_scale():
+    # the trim follows the coefficients' size, so small products keep
+    # their top terms
+    q = Poly([1e-8, 0.0, 1e-8])
+    pp = q * q
+    assert pp.degree == 4
+    assert pp.coeffs == pytest.approx((1e-16, 0.0, 2e-16, 0.0, 1e-16), rel=1e-15, abs=0.0)
+    assert Poly([1e-20, 1e-35]).degree == 0
 
 
 def test_derivative_examples():

@@ -238,3 +238,12 @@ def test_pfe_resummation_against_direct():
             direct = oracles.v0_direct(spec, z) + oracles.delta_v_direct(spec, roots, z)
             got = v0(z) + dv(z)
             assert got == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+def test_v0_of_a_small_scale_model_matches_the_direct_sum():
+    # P = 1e-8 Q over Q = 1 + z^2: V0 = 1e-16 (1 + z^2) - 1e-8 z, which needs
+    # P^2's top terms; a trim at an absolute 1e-14 drops them
+    Q = Poly([1.0, 0.0, 1.0])
+    spec = ModelSpec(Q, 1e-8 * Q, (), 1)
+    z = np.linspace(-2.0, 2.0, 41)
+    direct = oracles.v0_direct(spec, z)
+    assert potential.v0_pfe(spec)(z) == pytest.approx(direct, rel=1e-12, abs=0.0)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qesf import coords, prepot
+from qesf import coords, model, prepot
+from qesf.errors import ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
@@ -206,3 +207,20 @@ def test_walls_cut_every_x_preimage_in_the_domain(Q, a, preimages):
     spec = ModelSpec(Poly(Q), Poly([0.0, 1.0]), (Singularity(a, 0.3),), 1)
     walls = prepot.integrate_w0(spec).walls
     assert [x for x, nu in walls.items() if nu == 0.3] == pytest.approx(preimages)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(Poly([1.0]), Poly([0.0, 0.0, 0.0, 0.0, 1.0]), (), 1),
+    ModelSpec(Poly([1.0]), Poly([0.5, 1.0]),
+              (Singularity(-1.0, 0.3), Singularity(0.0, 0.3), Singularity(1.0, 0.3)), 1),
+    ModelSpec(Poly([1.0]), Poly([0.0, 1.0]), (), -1),
+    ModelSpec(Poly([1.0]), Poly([float("nan"), 1.0]), (), 1),
+    ModelSpec(Poly([1.0]), Poly([0.5, 1.0]), (Singularity(0.2, 0.3), Singularity(0.2, 0.4)), 1),
+], ids=["deg-P-4", "three-singularities", "negative-N", "nan-in-P", "coincident"])
+def test_integrate_w0_raises_every_structural_error(spec):
+    # the model is built only after model.validate's structural check
+    messages = [d.message for d in model.validate(spec) if d.level == "error"]
+    assert messages
+    with pytest.raises(ModelError) as info:
+        prepot.integrate_w0(spec)
+    assert str(info.value) == "invalid model: " + "; ".join(messages)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -257,6 +258,65 @@ def test_march_threshold_matches_a_pointwise_march():
             for start, direction in ((0.5, 1), (-0.5, -1), (2.0, 1)):
                 assert (verify._march_threshold(pre, br.roots, start, direction)
                         == marched(pre, br.roots, start, direction)), (name, br)
+
+
+@pytest.mark.parametrize("spec", [
+    catalog.instantiate("sextic-halfline", N=3),
+    ModelSpec(Poly([1.0]), Poly([0.1, 1.0]), (Singularity(0.1, 0.3),), 2),
+], ids=["sextic-halfline", "singular"])
+def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec):
+    # both models have two admitted components, each with one unbounded
+    # end; only the preferred one is marched
+    marches = []
+    real = verify._march_threshold
+
+    def counted(*args):
+        marches.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_march_threshold", counted)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == spec.N + 1
+    for br in branches:
+        marches.clear()
+        grid = verify.default_grid(pre, br.roots)
+        assert len(marches) == 1, (br, marches)  # (start, direction) per march
+        assert math.isinf(grid.component[0]) != math.isinf(grid.component[1])
+
+
+def test_windows_match_the_loop_recurrence():
+    # halving toward a finite edge and growth by 1.4 toward an infinite one,
+    # accumulated in sequence: the windows of the loop, bit for bit
+    def looped(edge, inner, outward):
+        out = []
+        if math.isfinite(edge):
+            t = abs(inner - edge)
+            while len(out) < verify.MAX_WINDOWS:
+                t2 = t / 2.0
+                out.append((edge + t2, edge + t) if outward < 0 else (edge - t, edge - t2))
+                t = t2
+        else:
+            width, x0 = 1.0, inner
+            while len(out) < verify.MAX_WINDOWS:
+                x1 = x0 + outward * width
+                out.append((min(x0, x1), max(x0, x1)))
+                x0, width = x1, width * 1.4
+        return out
+
+    for edge, inner, outward in ((0.1, 0.6180339887, -1), (2.3, 1.0471975512, 1),
+                                 (-0.37, -0.123456789, -1),
+                                 (math.inf, 1.7320508076, 1), (-math.inf, -0.3, -1)):
+        lo, hi = verify._windows(edge, inner, outward)
+        assert list(zip(lo.tolist(), hi.tolist())) == looped(edge, inner, outward)
+
+
+def test_report_dict_keys_are_the_report_fields():
+    spec = harmonic(N=1)
+    pre = prepot.integrate_w0(spec)
+    rep = verify.verify_branch(pre, bae.enumerate_branches(spec)[0])
+    fields = [f.name for f in dataclasses.fields(verify.VerificationReport)]
+    assert list(rep.as_dict()) == fields
 
 
 def test_default_grid_refuses_nonnormalizable():
