@@ -7,6 +7,7 @@ is both exact enough and fast.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import scipy.linalg
 from .errors import ConvergenceError
 
 TRIM_TOL = 1e-14  # relative: to the largest finite |coefficient|
+INVERSE_STEPS = 3  # inverse-iteration solves per tridiag_eigenvalue call
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -196,3 +198,74 @@ def tridiag_eigenvalues(t: Tridiag,
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
     return np.sort(w)
+
+
+@functools.lru_cache(maxsize=8)
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed start of inverse iteration, uniform on (0, 1) from a fixed
+    seed. Its random part overlaps every eigenvector, the odd states of a
+    symmetric well included. Its positive mean leans it to the even member
+    of a tunnelling doublet, the lower one, which even node counts read: an
+    odd state has no overlap with a constant vector."""
+    x = np.random.default_rng(0).uniform(0.0, 1.0, n)
+    x.flags.writeable = False
+    return x
+
+
+def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
+    """Eigenvalue of the given index (counted from the smallest at 0) of a
+    symmetric tridiagonal matrix, looked for near the value near.
+
+    1. T - s I is factored once (LAPACK dgttrf), s being near clamped into
+       the Gershgorin interval, and INVERSE_STEPS inverse-iteration solves
+       (dgttrs) from a fixed start vector give a unit x with Rayleigh
+       quotient sigma. Some eigenvalue then lies within
+       delta = |T x - sigma x| + 8 eps |T|_1 of sigma.
+    2. Bisection (dstebz, RANGE='V', default tolerance) finds the m
+       eigenvalues in the window (sigma - delta, sigma + delta].
+    3. One Sturm count c at sigma + delta (dstebz from below the spectrum,
+       with a tolerance wider than that interval, so it bisects nothing)
+       gives them the indices c - m .. c - 1.
+    4. If index is among them, its eigenvalue is returned; otherwise
+       tridiag_eigenvalues(t, (index, index)) bisects it from the
+       Gershgorin bounds.
+
+    near only picks where to look: the count fixes the index and bisection
+    the value, so a poor near costs time and never changes the result
+    beyond the bisection tolerance. A near-degenerate pair inside the
+    window is told apart by the count. An index outside 0..n - 1 raises
+    ValueError.
+    """
+    n = t.n
+    if not 0 <= index < n:
+        raise ValueError(f"index {index} outside 0..{n - 1}")
+    d, e = t.diag, t.offdiag
+    if n == 1:
+        return float(d[0])
+    if n == 2:  # scipy's dgttrf wrapper rejects the empty second superdiagonal
+        return float(tridiag_eigenvalues(t, (index, index))[0])
+    radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])
+    floor, ceiling = float(np.min(d - radius)), float(np.max(d + radius))
+    norm = float(np.max(np.abs(d) + radius))
+    lapack = scipy.linalg.lapack
+    shift = min(max(near, floor), ceiling)
+    *lu, info = lapack.dgttrf(e, d - shift, e)
+    if info == 0:
+        x = _start_vector(n)
+        for _ in range(INVERSE_STEPS):
+            x, _ = lapack.dgttrs(*lu, x)
+            x /= np.linalg.norm(x)
+        tx = d * x
+        tx[:-1] += e * x[1:]
+        tx[1:] += e * x[:-1]
+        sigma = float(x @ tx)
+        delta = float(np.linalg.norm(tx - sigma * x)) + 8.0 * np.finfo(float).eps * norm
+        if math.isfinite(sigma) and math.isfinite(delta):
+            m, w, *_ = lapack.dstebz(d, e, 1, sigma - delta, sigma + delta, 0, 0, 0.0, "E")
+            below = floor - 1.0 - abs(floor)
+            c, *_ = lapack.dstebz(d, e, 1, below, sigma + delta, 0, 0,
+                                  2.0 * (sigma + delta - below), "E")
+            j = index - (c - m)  # the window holds the indices c - m .. c - 1
+            if 0 <= j < m:
+                return float(w[j])
+    return float(tridiag_eigenvalues(t, (index, index))[0])

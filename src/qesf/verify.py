@@ -2,11 +2,16 @@
 
 Nothing here reuses the algebra that produced the claims: the Schrodinger
 residual applies a finite-difference second derivative to the log-space wave
-function, node counts come from raw sign changes, the spectrum oracle
-computes the discretized operator's level whose index is the node count (a
-state with n nodes is level n, by Sturm oscillation), and normalizability
-comes from adaptive quadrature of phi^2. These are the arbiters for every
-sign or convention ambiguity upstream.
+function, node counts come from raw sign changes of the same sampled phi,
+the spectrum oracle computes the discretized operator's level whose index
+is the node count (a state with n nodes is level n, by Sturm oscillation),
+and normalizability comes from adaptive quadrature of phi^2. These are the
+arbiters for every sign or convention ambiguity upstream.
+
+The claimed energy does enter the spectrum oracle, but only as the place
+to look for the level: the claim seeds the search, a Sturm count fixes the
+level's index, and bisection fixes its value. A wrong claim therefore
+costs time and can never change the level it is compared with.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ import numpy as np
 
 from . import potential, prepot
 from .errors import DomainError, GridError
-from .poly import Tridiag, tridiag_eigenvalues
+# tridiag_eigenvalues is bound here, though unused, because the benchmark's
+# tracer (perfbench/tracing.py) wraps verify.tridiag_eigenvalues.
+from .poly import Tridiag, tridiag_eigenvalue, tridiag_eigenvalues
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
@@ -159,12 +166,13 @@ def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
 # Certification operations
 
 
-def schrodinger_residual(profile: potential.PotentialProfile, pre: prepot.Prepotential,
-                         grid: Grid, stencil_order: int = 4) -> tuple[float, float]:
+def schrodinger_residual(profile: potential.PotentialProfile, cmap, grid: Grid, phi,
+                         stencil_order: int = 4) -> tuple[float, float]:
     """Normalized residual of (-d2/dx2 + U - E) phi_N on the grid, phi_N
-    the wave function of the profile's branch.
+    the wave function of the profile's branch, given on the grid points as
+    phi = (log|phi_N|, sign) from prepot.phi_log_sign.
 
-    phi is evaluated in log space and normalized to max 1; the residual is
+    phi is normalized to max 1 from its log magnitude; the residual is
     scaled by 1 + max|U - E| so that it is dimensionless and converges at
     the stencil order. Neighborhoods of wave-function nodes (radius
     NODE_DELTA_STEPS * h) and of singular walls (WALL_DELTA_STEPS * h) are
@@ -174,15 +182,14 @@ def schrodinger_residual(profile: potential.PotentialProfile, pre: prepot.Prepot
     if stencil_order not in _STENCILS:
         raise ValueError(f"stencil_order must be one of {sorted(_STENCILS)}")
     x = grid.points
-    roots = np.asarray(profile.branch.roots, dtype=float)
-    logphi, sign = prepot.phi_log_sign(pre, roots, x)
+    logphi, sign = phi
     finite = np.isfinite(logphi)
     if not np.any(finite):
         raise GridError("phi vanishes identically on the grid")
     logphi = logphi - np.max(logphi[finite])
     phi = np.where(finite, sign * np.exp(logphi), 0.0)
 
-    z = pre.cmap.z_of_x(x)
+    z = cmap.z_of_x(x)
     u_minus_e = profile.U(z) - profile.energy
     if not np.all(np.isfinite(u_minus_e)):
         raise GridError("grid intersects a pole of the potential")
@@ -216,11 +223,15 @@ def schrodinger_residual(profile: potential.PotentialProfile, pre: prepot.Prepot
 
 
 def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
-                index_range: tuple[int, int]) -> np.ndarray:
-    """Eigenvalues of indices lo..hi (inclusive, ascending from the ground
-    level at 0) of -d2/dx2 + U discretized on the grid, for
-    index_range = (lo, hi). Only these levels are computed; a range outside
-    0..grid.n - 1 raises ValueError.
+                levels: dict[int, float]) -> dict[int, float]:
+    """Eigenvalues of -d2/dx2 + U discretized on the grid, for
+    levels = {index: energy to look near}, indices ascending from the
+    ground level at 0. Returns {index: eigenvalue}. Only these levels are
+    computed; an index outside 0..grid.n - 1 raises ValueError.
+
+    Each level comes from poly.tridiag_eigenvalue: the energy only seeds
+    the search, a Sturm count fixes the index and bisection fixes the
+    value, so a wrong energy costs time and never moves the level.
 
     Second-order stencil with Dirichlet truncation, Richardson-extrapolated:
     the computation repeats on a doubled grid and the O(h^2) error is
@@ -229,7 +240,7 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     uses a ghost point carrying the wall's behavior phi ~ |x - wall|^nu.
     """
 
-    def _levels(g: Grid) -> np.ndarray:
+    def _levels(g: Grid) -> dict[int, float]:
         u = profile.U(cmap.z_of_x(g.points))
         if not np.all(np.isfinite(u)):
             raise GridError("grid intersects a pole of the potential")
@@ -242,18 +253,19 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
                 r = (d - g.h) / d
                 if r > 0:
                     diag[end] -= r ** nu / g.h ** 2
-        return tridiag_eigenvalues(Tridiag(diag, off), index_range)
+        t = Tridiag(diag, off)
+        return {k: tridiag_eigenvalue(t, k, near) for k, near in levels.items()}
 
     e1 = _levels(grid)
     e2 = _levels(make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
                            grid.wall_lo, grid.wall_hi))
-    return (4.0 * e2 - e1) / 3.0
+    return {k: (4.0 * e2[k] - e1[k]) / 3.0 for k in e1}
 
 
-def node_count(pre: prepot.Prepotential, branch, grid: Grid) -> int:
-    """Number of sign changes of phi_N on the grid."""
-    roots = np.asarray(branch.roots, dtype=float)
-    _, sign = prepot.phi_log_sign(pre, roots, grid.points)
+def node_count(phi) -> int:
+    """Number of sign changes of phi_N on the grid, for phi = (log|phi_N|,
+    sign) on its points."""
+    _, sign = phi
     s = sign[sign != 0]
     return int(np.sum(s[:-1] * s[1:] < 0))
 
@@ -341,9 +353,12 @@ def normalizability_check(pre: prepot.Prepotential, branch,
 
 
 def _branch_setup(pre: prepot.Prepotential, branch, n_points: int):
-    """Reported potential and certification grid of one branch."""
+    """Reported potential, certification grid and phi_N = (log|phi_N|,
+    sign) on its points, of one branch."""
     profile = potential.split_energy(pre, branch)
-    return profile, default_grid(pre, branch.roots, n_points=n_points)
+    grid = default_grid(pre, branch.roots, n_points=n_points)
+    roots = np.asarray(branch.roots, dtype=float)
+    return profile, grid, prepot.phi_log_sign(pre, roots, grid.points)
 
 
 def residual_check(pre: prepot.Prepotential, branch, *,
@@ -351,8 +366,8 @@ def residual_check(pre: prepot.Prepotential, branch, *,
     """Schrodinger residual (max, rms) of one branch of the built model on
     its default grid: the residual oracle of verify_branch, at its default
     stencil order."""
-    profile, grid = _branch_setup(pre, branch, n_points)
-    return schrodinger_residual(profile, pre, grid)
+    profile, grid, phi = _branch_setup(pre, branch, n_points)
+    return schrodinger_residual(profile, pre.cmap, grid, phi)
 
 
 def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
@@ -377,17 +392,20 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     operator up to the grid span (equal potential U, as type-1 and ES
     models share, and equal walls with their exponents) are matched
     against one spectrum on a grid of n_points points spanning all their
-    boxes, which for a branch alone is its own grid. Only the levels from
-    the least to the greatest node count of the group are computed.
+    boxes, which for a branch alone is its own grid. Only the levels whose
+    indices are the group's node counts are computed, each looked for near
+    its branch's claimed energy. The claim only seeds that search: the
+    level's index comes from a Sturm count and its value from bisection,
+    so the claim cannot choose the level it is compared with.
     """
     results: list = [None] * len(branches)
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
     for i, br in enumerate(branches):
         try:
-            profile, grid = _branch_setup(pre, br, n_points)
-            rmax, rrms = schrodinger_residual(profile, pre, grid,
+            profile, grid, phi = _branch_setup(pre, br, n_points)
+            rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi,
                                               stencil_order=stencil_order)
-            nodes = node_count(pre, br, grid)
+            nodes = node_count(phi)
             normalizable, norm_estimate = normalizability_check(pre, br, grid.component)
         except (GridError, DomainError, ValueError) as exc:
             results[i] = exc
@@ -416,10 +434,12 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         grid = make_grid(min(g.points[0] for g in grids),
                          max(g.points[-1] for g in grids), n_points,
                          grids[0].wall_lo, grids[0].wall_hi)
-        nodes = [fields["node_count"] for *_, fields in members]
-        lo = min(nodes)
+        # each node count with the energy of its first branch to look near
+        claims = {}
+        for _, profile, _, fields in members:
+            claims.setdefault(fields["node_count"], profile.energy)
         try:
-            levels = fd_spectrum(members[0][1], pre.cmap, grid, (lo, max(nodes)))
+            levels = fd_spectrum(members[0][1], pre.cmap, grid, claims)
         except (GridError, DomainError, ValueError) as exc:
             for i, *_ in members:
                 results[i] = exc
@@ -427,7 +447,7 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         tol = 1e-3 if grid.wall_lo is None and grid.wall_hi is None else 1e-2
         for i, profile, _, fields in members:
             energy = profile.energy
-            level = levels[fields["node_count"] - lo]
+            level = levels[fields["node_count"]]
             diff = abs(level - energy)
             results[i] = VerificationReport(
                 **fields, spectrum_matches=[(energy, float(level), float(diff))],

@@ -27,3 +27,20 @@ def fd_spectrum_grids(monkeypatch):
 
     monkeypatch.setattr(verify, "fd_spectrum", counted)
     return grids
+
+
+@pytest.fixture
+def fd_levels(monkeypatch):
+    """(matrix, index, level) of every verify.tridiag_eigenvalue call made
+    through the module, in call order."""
+    from qesf import verify
+    levels = []
+    real = verify.tridiag_eigenvalue
+
+    def recorded(t, index, near):
+        out = real(t, index, near)
+        levels.append((t, index, out))
+        return out
+
+    monkeypatch.setattr(verify, "tridiag_eigenvalue", recorded)
+    return levels

@@ -8,6 +8,9 @@ Morse models, computed independently of qesf.bae. dz/dx and dW0/dz are the
 derivatives that the coordinate map and the prepotential must reproduce:
 z'^2 = Q(z) and dW0/dz = P/Q; w0_of_z sums the prepotential's closed-form
 terms as written, so the tests can check them against known W0.
+sturm_count counts a tridiagonal matrix's eigenvalues below a value by the
+LDL^T recurrence, without LAPACK; norm1 is the matrix's |T|_1, the scale of
+the bisection tolerance.
 """
 
 import numpy as np
@@ -176,3 +179,24 @@ def laguerre_zeros(n: int, beta: float) -> np.ndarray:
     diag = 2.0 * ks + beta + 1.0
     off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + beta))
     return tridiag_eigenvalues(Tridiag(diag, off))
+
+
+def sturm_count(t: Tridiag, x: float) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal t below x: the
+    negative pivots of the LDL^T factorization of t - x I (Sylvester's law
+    of inertia), a zero pivot nudged to -tiny as in LAPACK's dstebz."""
+    count, q = 0, 1.0
+    tiny = np.finfo(float).tiny
+    e2 = np.r_[0.0, np.asarray(t.offdiag, dtype=float) ** 2].tolist()
+    for d, b2 in zip(np.asarray(t.diag, dtype=float).tolist(), e2):
+        q = d - x - b2 / q
+        if q == 0.0:
+            q = -tiny
+        count += q < 0.0
+    return count
+
+
+def norm1(t: Tridiag) -> float:
+    """|T|_1 of a symmetric tridiagonal matrix: its largest absolute row sum."""
+    e = np.abs(t.offdiag)
+    return float(np.max(np.abs(t.diag) + np.r_[e, 0.0] + np.r_[0.0, e]))

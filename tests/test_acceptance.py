@@ -57,9 +57,11 @@ def test_criterion_02_sextic_type1():
                 assert abs(p.U.poly.coeff(i) - base.poly.coeff(i)) < 1e-9
             assert p.U.boundary_poles == base.boundary_poles
         grid = verify.default_grid(pre, branches[-1].roots, n_points=4000)
-        levels = verify.fd_spectrum(profs[0], pre.cmap, grid, (0, 13))
-        for p in profs:
-            assert np.min(np.abs(levels - p.energy)) < 1e-3
+        # z = x^2: the ground state is nodeless, each root at z > 0 a node pair
+        claims = {2 * n: p.energy for n, p in enumerate(profs)}
+        levels = verify.fd_spectrum(profs[0], pre.cmap, grid, claims)
+        for k, e in claims.items():
+            assert abs(levels[k] - e) < 1e-3
         if N == 1:
             es = sorted(p.energy for p in profs)
             assert abs(es[0] + 2 * math.sqrt(2)) < 1e-10
@@ -210,8 +212,8 @@ def test_criterion_09_oracle_self_tests():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, (0, 4))
-    assert np.max(np.abs(levels - np.array([1.0, 3.0, 5.0, 7.0, 9.0]))) < 1e-4
+    levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)})
+    assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in range(5))
 
     # analytic Jacobian vs central differences
     rng = np.random.default_rng(99)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalues
+from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalue, tridiag_eigenvalues
 
-from oracles import hermite_zeros, laguerre_zeros
+from oracles import hermite_zeros, laguerre_zeros, norm1, sturm_count
 
 
 def test_eval_examples():
@@ -126,18 +127,6 @@ def test_tridiag_index_range_is_a_slice_of_the_spectrum():
 
 # -- independent Sturm-sequence oracle --------------------------------------
 
-def _count_below(d, e, x):
-    count = 0
-    q = d[0] - x
-    if q < 0:
-        count += 1
-    for i in range(1, len(d)):
-        q = d[i] - x - e[i - 1] ** 2 / (q if q != 0.0 else 1e-300)
-        if q < 0:
-            count += 1
-    return count
-
-
 def _sturm_eigenvalues(d, e):
     n = len(d)
     rad = np.zeros(n)
@@ -150,7 +139,7 @@ def _sturm_eigenvalues(d, e):
         lo, hi = lo0, hi0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if _count_below(d, e, mid) <= idx:
+            if sturm_count(Tridiag(d, e), mid) <= idx:
                 lo = mid
             else:
                 hi = mid
@@ -168,6 +157,58 @@ def test_tridiag_matches_sturm_bisection():
         got = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)))
         want = _sturm_eigenvalues(d, e)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+# -- one level near a claimed value ------------------------------------------
+
+@st.composite
+def fd_matrices(draw):
+    """2/h^2 + U beside -1/h^2 on a uniform grid: U random, or a symmetric
+    double well deep enough to pair its levels into near-degenerate
+    doublets; either end may carry a ghost-point wall shift of the
+    diagonal."""
+    n = draw(st.integers(2, 300))
+    x = np.linspace(-1.0, 1.0, n) * draw(st.floats(1.0, 6.0))
+    h = x[1] - x[0]
+    if draw(st.booleans()):
+        u = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-1.0, 1.0, n)
+        u *= draw(st.floats(0.0, 1e4))
+    else:
+        depth, well = draw(st.floats(10.0, 2e3)), draw(st.floats(0.3, 0.8)) * x[-1]
+        u = depth * ((x / well) ** 2 - 1.0) ** 2
+    diag = 2.0 / h ** 2 + u
+    for end in (0, -1):
+        diag[end] -= draw(st.sampled_from((0.0, 0.3, 0.7, 1.0))) / h ** 2
+    return Tridiag(diag, np.full(n - 1, -1.0 / h ** 2))
+
+
+@settings(derandomize=True, deadline=None)
+@given(fd_matrices(), st.data())
+def test_tridiag_eigenvalue_is_the_bisection_level_from_any_near(t, data):
+    k = data.draw(st.integers(0, t.n - 1))
+    spectrum = tridiag_eigenvalues(t)
+    want = tridiag_eigenvalues(t, (k, k))[0]
+    tol = 8.0 * np.finfo(float).eps * norm1(t)
+    # the level itself, midway to its nearer neighbour (a doublet partner
+    # when there is one), far outside the spectrum and at +-1e300
+    neighbours = [spectrum[j] for j in (k - 1, k + 1) if 0 <= j < t.n]
+    partner = min(neighbours, key=lambda v: abs(v - want), default=want)
+    span = spectrum[-1] - spectrum[0] + 1.0
+    nears = [want, 0.5 * (want + partner), spectrum[0] - 10.0 * span,
+             spectrum[-1] + 10.0 * span, 1e300, -1e300]
+    got = [tridiag_eigenvalue(t, k, near) for near in nears]
+    assert max(abs(v - want) for v in got) <= tol, (k, got, want)
+    assert max(got) - min(got) <= tol
+
+
+def test_tridiag_eigenvalue_index_bounds_and_one_row():
+    t = Tridiag(np.array([2.0, 3.0, 5.0]), np.array([1.0, 0.5]))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            tridiag_eigenvalue(t, bad, 3.0)
+    assert tridiag_eigenvalue(Tridiag(np.array([-4.5]), np.array([])), 0, 1e300) == -4.5
+    with pytest.raises(ValueError):
+        tridiag_eigenvalue(Tridiag(np.array([-4.5]), np.array([])), 1, -4.5)
 
 
 # -- classical zeros ---------------------------------------------------------

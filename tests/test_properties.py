@@ -1,6 +1,7 @@
 """Property tests of the branch finder on random type-2 and
 singularity-induced models, of the walls of parabolic models, of the
-coordinate images, and of which models over an irreducible Q build."""
+coordinate images and the equations the map and W0 solve, and of which
+models over an irreducible Q build."""
 
 import math
 
@@ -118,3 +119,35 @@ def test_over_an_irreducible_q_exactly_the_basis_models_build(Q, L, shifted, r):
                for target in (Poly([0.0]), -half_dq)) > 0.05)
     with pytest.raises(ModelError, match="closed pole basis"):
         prepot.integrate_w0(ModelSpec(Q, Q * Poly(list(L)) + R, (), 1))
+
+
+# a coefficient of Q that is zero or O(1): a map with z' ~ 1e-300 has no
+# resolvable derivative
+sized_coefficient = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
+
+
+def _central(f, x, h):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(st.tuples(*[sized_coefficient] * 3), double_zero),
+       st.tuples(coefficient, coefficient, coefficient), st.sampled_from((1, -1)),
+       st.floats(0.1, 0.9))
+def test_the_map_and_w0_solve_their_defining_equations(q, p, branch_sign, where):
+    # (dz/dx)^2 = Q(z) and dW0/dz = P/Q, with W0 = -log phi_0 (no roots), by
+    # central differences inside the x-domain, away from its ends
+    try:
+        pre = prepot.integrate_w0(ModelSpec(Poly(list(q)), Poly(list(p)), (), 1,
+                                            branch_sign=branch_sign))
+    except ModelError:
+        reject()  # no coordinate map, or V0 outside the pole basis
+    Q, P, cmap = pre.spec_ref.Q, pre.spec_ref.P, pre.cmap
+    lo, hi = (min(max(v, -2.0), 2.0) for v in cmap.x_domain)
+    x = lo + where * (hi - lo)
+    h = 1e-5 * (hi - lo)
+    z = float(cmap.z_of_x(x))
+    dz = _central(cmap.z_of_x, x, h)
+    assert dz ** 2 == pytest.approx(Q(z), rel=1e-6, abs=1e-8)
+    dw0 = _central(lambda v: -prepot.phi_log_sign(pre, (), v)[0], x, h) / dz
+    assert dw0 == pytest.approx(P(z) / Q(z), rel=1e-5, abs=1e-7)

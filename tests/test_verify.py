@@ -7,9 +7,9 @@ import pytest
 from qesf import bae, catalog, coords, model, potential, prepot, verify
 from qesf.errors import GridError
 from qesf.model import ModelSpec, Singularity
-from qesf.poly import Poly
+from qesf.poly import Poly, tridiag_eigenvalues
 
-from oracles import hermite_zeros
+from oracles import hermite_zeros, norm1, sturm_count
 
 
 def harmonic(b=1.0, N=2):
@@ -24,13 +24,22 @@ def _pipeline(spec, branch=None):
     return pre.cmap, pre, branch, prof
 
 
+def _phi(pre, branch, grid):
+    return prepot.phi_log_sign(pre, branch.roots, grid.points)
+
+
+def _residual(prof, pre, grid, **kwargs):
+    return verify.schrodinger_residual(prof, pre.cmap, grid, _phi(pre, prof.branch, grid),
+                                       **kwargs)
+
+
 def test_residual_harmonic_reference_grid():
     # b = 1, N = 2, Hermite-zero branch, h = 1e-3, 4th order
     spec = harmonic(N=2)
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 18001)
     assert grid.h == pytest.approx(1e-3)
-    rmax, rrms = verify.schrodinger_residual(prof, pre, grid)
+    rmax, rrms = _residual(prof, pre, grid)
     assert rmax < 1e-8
     assert rrms <= rmax
 
@@ -39,9 +48,9 @@ def test_residual_detects_wrong_energy():
     spec = harmonic(N=2)
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 18001)
-    base, _ = verify.schrodinger_residual(prof, pre, grid)
+    base, _ = _residual(prof, pre, grid)
     wrong = potential.PotentialProfile(prof.U, prof.energy + 0.1, br)
-    shifted, _ = verify.schrodinger_residual(wrong, pre, grid)
+    shifted, _ = _residual(wrong, pre, grid)
     # residual jumps to ~ 0.1 / (1 + max|U - E|)
     z = cmap.z_of_x(grid.points)
     scale = 1.0 + np.max(np.abs(prof.U(z) - prof.energy))
@@ -56,8 +65,7 @@ def test_residual_convergence_order():
         res = []
         for n in grids:
             grid = verify.make_grid(-9.0, 9.0, n)
-            rmax, _ = verify.schrodinger_residual(prof, pre, grid,
-                                                  stencil_order=order)
+            rmax, _ = _residual(prof, pre, grid, stencil_order=order)
             res.append(rmax)
         slope = math.log2(res[0] / res[1])
         assert abs(slope - order) < 0.2 * order
@@ -74,7 +82,7 @@ def test_residual_rejects_bad_stencil():
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 1001)
     with pytest.raises(ValueError):
-        verify.schrodinger_residual(prof, pre, grid, stencil_order=3)
+        _residual(prof, pre, grid, stencil_order=3)
 
 
 def test_fd_spectrum_harmonic_normal_form():
@@ -84,8 +92,9 @@ def test_fd_spectrum_harmonic_normal_form():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, (0, 4))
-    assert np.max(np.abs(levels - np.array([1, 3, 5, 7, 9]))) < 1e-4
+    levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)})
+    assert list(levels) == [0, 1, 2, 3, 4]
+    assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in range(5))
 
 
 def test_fd_spectrum_sextic_contains_branch_energies():
@@ -93,10 +102,12 @@ def test_fd_spectrum_sextic_contains_branch_energies():
     branches = bae.enumerate_branches(spec)
     cmap, pre, br, prof = _pipeline(spec, branches[0])
     grid = verify.default_grid(pre, br.roots, n_points=4001)
-    levels = verify.fd_spectrum(prof, cmap, grid, (0, 7))
-    for b in branches:
-        e = potential.split_energy(pre, b).energy
-        assert np.min(np.abs(levels - e)) < 1e-3
+    # z = x^2: the ground state is nodeless, the root at z > 0 a node pair
+    energies = [potential.split_energy(pre, b).energy for b in branches]
+    claims = dict(zip((0, 2), energies))
+    levels = verify.fd_spectrum(prof, cmap, grid, claims)
+    for k, e in claims.items():
+        assert abs(levels[k] - e) < 1e-3
 
 
 def test_fd_spectrum_morse_levels():
@@ -104,9 +115,10 @@ def test_fd_spectrum_morse_levels():
     spec = catalog.instantiate("morse-es", N=0)
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.default_grid(pre, br.roots, n_points=6001)
-    levels = verify.fd_spectrum(prof, cmap, grid, (0, 4))
-    want = np.array([A ** 2 - (A - n * alpha) ** 2 for n in range(5)])
-    assert np.max(np.abs(levels - want) / np.maximum(1.0, np.abs(want))) < 1e-3
+    want = {n: A ** 2 - (A - n * alpha) ** 2 for n in range(5)}
+    levels = verify.fd_spectrum(prof, cmap, grid, want)
+    for n, e in want.items():
+        assert abs(levels[n] - e) / max(1.0, abs(e)) < 1e-3
 
 
 def test_fd_spectrum_k_bounds():
@@ -115,7 +127,7 @@ def test_fd_spectrum_k_bounds():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0, "synthetic"))
     grid = verify.make_grid(-5.0, 5.0, 101)
-    for bad in ((0, 101), (-1, 3), (3, 2)):
+    for bad in ({0: 1.0, 101: 203.0}, {-1: 1.0, 3: 7.0}):
         with pytest.raises(ValueError):
             verify.fd_spectrum(prof, cmap, grid, bad)
 
@@ -125,19 +137,19 @@ def test_node_counts():
     spec0 = harmonic(N=0)
     cmap, pre, br, prof = _pipeline(spec0)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(pre, br, grid) == 0
+    assert verify.node_count(_phi(pre, br, grid)) == 0
     # harmonic N = 3: three nodes
     spec3 = harmonic(N=3)
     cmap, pre, br, prof = _pipeline(spec3)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(pre, br, grid) == 3
+    assert verify.node_count(_phi(pre, br, grid)) == 3
     # sextic N = 1 with negative root: no real preimage, nodeless
     spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (), 1)
     br_neg = bae.solve(spec, [-0.6])
     assert br_neg.roots[0] < 0
     cmap, pre, _, prof = _pipeline(spec, br_neg)
     grid = verify.default_grid(pre, br_neg.roots)
-    assert verify.node_count(pre, br_neg, grid) == 0
+    assert verify.node_count(_phi(pre, br_neg, grid)) == 0
 
 
 def test_normalizability_harmonic():
@@ -218,9 +230,9 @@ def test_a_grid_point_on_a_pole_raises_grid_error():
     grid = verify.make_grid(-1.0, 1.0, 201)
     assert 0.0 in grid.points
     with pytest.raises(GridError, match="pole"):
-        verify.fd_spectrum(profile, cmap, grid, (0, 3))
+        verify.fd_spectrum(profile, cmap, grid, {k: profile.energy for k in range(4)})
     with pytest.raises(GridError, match="pole"):
-        verify.schrodinger_residual(profile, pre, grid)
+        _residual(profile, pre, grid)
 
 
 def test_normalizability_on_the_certified_component():
@@ -398,7 +410,7 @@ def test_residual_arbitrates_quoted_trig_form():
             potential.v0_pfe(spec) + dv.without_constant().without_root_poles(),
             -dv.constant, br)
         grid = verify.default_grid(pre, br.roots, n_points=4001)
-        rmax, _ = verify.schrodinger_residual(prof, pre, grid)
+        rmax, _ = _residual(prof, pre, grid)
         return rmax
 
     assert forced_residual(1 / math.sqrt(2)) < 1e-6
@@ -461,7 +473,8 @@ def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
     ("sextic-halfline", 12, 1),
     ("trig-interval", 8, 1),
 ])
-def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectrum_grids):
+def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectrum_grids,
+                                                  fd_levels):
     # with all N+1 branches present, each one matches its own FD level, and
     # the node counts climb one level at a time (Sturm oscillation)
     spec = catalog.instantiate(name, N=N)
@@ -473,31 +486,57 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectru
     matched = [rep.spectrum_matches[0][1] for rep in reports]
     assert len(set(matched)) == N + 1
     assert [rep.node_count for rep in reports] == [node_step * n for n in range(N + 1)]
+    # each level on either grid is the bisection level of its index, to
+    # 8 eps |T|_1 (two grids, N + 1 levels each)
+    assert len(fd_levels) == 2 * (N + 1)
+    for t, k, level in fd_levels:
+        tol = 8.0 * np.finfo(float).eps * norm1(t)
+        assert abs(level - tridiag_eigenvalues(t, (k, k))[0]) <= tol, (t.n, k)
     # the matched level is the one whose index is the node count
     (grid,) = fd_spectrum_grids
-    levels = verify.fd_spectrum(potential.split_energy(pre, branches[0]), pre.cmap,
-                                grid, (0, node_step * N))
+    levels = verify.fd_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, grid,
+                                {rep.node_count: rep.spectrum_matches[0][0]
+                                 for rep in reports})
     assert matched == [levels[rep.node_count] for rep in reports]
 
 
-@pytest.mark.parametrize("name,N,per_grid", [("harmonic", 12, 1), ("sextic", 4, 9)])
-def test_fd_levels_computed_are_the_node_counts(monkeypatch, name, N, per_grid):
-    # harmonic N = 12 has one branch, so one level; sextic N = 4 has levels
-    # 0, 2, ..., 2N, so 2N + 1 of them
-    computed = []
-    real = verify.tridiag_eigenvalues
-
-    def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        computed.append(len(out))
-        return out
-
-    monkeypatch.setattr(verify, "tridiag_eigenvalues", counted)
+@pytest.mark.parametrize("name,N,per_grid", [("harmonic", 12, 1), ("sextic", 4, 5)])
+def test_fd_levels_computed_are_the_node_counts(fd_levels, name, N, per_grid):
+    # harmonic N = 12 has one branch, so one level; sextic N = 4 reads the
+    # levels 0, 2, ..., 2N, so N + 1 of them and none of the odd ones
     spec = catalog.instantiate(name, N=N)
     reports = verify.verify_branches(prepot.integrate_w0(spec),
                                      bae.enumerate_branches(spec))
     assert all(rep.verdict for rep in reports)
-    assert computed == [per_grid, per_grid]
+    assert sorted(t.n for t, _, _ in fd_levels) == [4001] * per_grid + [8001] * per_grid
+    assert sorted({k for _, k, _ in fd_levels}) == [rep.node_count for rep in reports]
+
+
+@pytest.mark.parametrize("config", [
+    {"catalog": "sextic", "N": 16},  # tunnelling doublets below the FD error
+    {"catalog": "sextic", "params": {"a": 0.908235, "b": 0.105165}, "N": 8},
+    {"catalog": "sextic-halfline", "N": 6},
+    {"catalog": "trig-interval", "N": 4},
+    {"catalog": "harmonic", "N": 5},
+], ids=lambda c: f"{c['catalog']}-N{c['N']}{'-vetted' if 'params' in c else ''}")
+def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, config):
+    # index certification by an independent Sturm count: on both grids the
+    # level behind E_fd has exactly node_count eigenvalues below it and an
+    # eigenvalue within 8 eps |T|_1 of it
+    spec = catalog.instantiate(config["catalog"], N=config["N"], **config.get("params", {}))
+    branches = bae.enumerate_branches(spec)
+    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+    assert reports and all(rep.verdict for rep in reports)
+    by_rows = {}
+    for t, k, level in fd_levels:
+        by_rows.setdefault(t.n, {})[k] = (t, level)
+    coarse, fine = (by_rows[n] for n in sorted(by_rows))
+    for rep in reports:
+        k = rep.node_count
+        for t, level in (coarse[k], fine[k]):
+            tol = 8.0 * np.finfo(float).eps * norm1(t)
+            assert sturm_count(t, level - tol) == k < sturm_count(t, level + tol)
+        assert rep.spectrum_matches[0][1] == (4.0 * fine[k][1] - coarse[k][1]) / 3.0
 
 
 def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
