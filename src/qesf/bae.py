@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-import scipy.linalg
 
 from .errors import CollisionError, ConvergenceError, ModelError
 from .model import ModelSpec, promoted_singularities
@@ -351,10 +350,13 @@ def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
     share a w_j), gives the candidates, and w_j follows from each
     eigenvector by least squares. A candidate is kept when its rectangular
     matrix has sigma_min <= RANK_TOL sigma_max; y is that singular vector.
+    scipy.linalg, for the generalized eig, is imported on the first call,
+    so a k = 1 model never loads scipy.
     """
     N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
     D0, Ds = _delta_operators(M0)
     c = np.random.default_rng(COMPRESSION_SEED).standard_normal(k)
+    import scipy.linalg
     lam, Z = scipy.linalg.eig(sum(cj * Dj for cj, Dj in zip(c, Ds)), D0)
     d0 = D0 @ Z[:, np.isfinite(lam)]
     norm = np.einsum("ij,ij->j", d0.conj(), d0).real

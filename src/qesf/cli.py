@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -298,7 +299,10 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. It holds no command
+    function: main dispatches on the parsed command name."""
     parser = argparse.ArgumentParser(
         prog="qesf",
         description="Construct, solve and certify exactly/quasi-exactly "
@@ -307,7 +311,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("classify", help="print the solvability class")
     p.add_argument("config")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="enumerate Bethe-ansatz branches to CSV")
     p.add_argument("config")
@@ -319,7 +322,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="ignored: accepted so that older scripts still run "
                         "(the branch finder uses no randomness)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="certify branches from a roots CSV")
     p.add_argument("config")
@@ -328,23 +330,25 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--stencil", type=int, default=4, choices=(2, 4, 6))
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--json-out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="print potential, energy and BAE forms")
     p.add_argument("config")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("catalog", help="list or show named presets")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
-    p.set_defaults(func=cmd_catalog)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "catalog" and args.action == "show" and not args.name:
         print("catalog show requires a name", file=sys.stderr)
         return EXIT_INPUT
+    commands = {"classify": cmd_classify, "solve": cmd_solve, "verify": cmd_verify,
+                "derive": cmd_derive, "catalog": cmd_catalog}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

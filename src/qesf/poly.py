@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError
 
@@ -178,7 +177,9 @@ def tridiag_eigenvalues(t: Tridiag,
     through hi (inclusive, counted from the smallest at 0) are computed by
     bisection, at a cost proportional to hi - lo + 1 (cheaper for large FD
     grids). Backed by LAPACK via scipy.linalg.eigh_tridiagonal, which is
-    deterministic for fixed input.
+    deterministic for fixed input; scipy.linalg is imported on the first
+    call that reaches it, so a process that never asks for an eigenvalue
+    does not load scipy.
     """
     n = t.n
     if n < 1:
@@ -189,6 +190,7 @@ def tridiag_eigenvalues(t: Tridiag,
             raise ValueError(f"index range {index_range} outside 0..{n - 1}")
     if n == 1:
         return t.diag.copy()
+    import scipy.linalg
     try:
         if index_range is None:
             w = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
@@ -234,7 +236,8 @@ def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
     the value, so a poor near costs time and never changes the result
     beyond the bisection tolerance. A near-degenerate pair inside the
     window is told apart by the count. An index outside 0..n - 1 raises
-    ValueError.
+    ValueError. scipy.linalg is imported on the first call that factors a
+    matrix, as in tridiag_eigenvalues.
     """
     n = t.n
     if not 0 <= index < n:
@@ -247,6 +250,7 @@ def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
     radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])
     floor, ceiling = float(np.min(d - radius)), float(np.max(d + radius))
     norm = float(np.max(np.abs(d) + radius))
+    import scipy.linalg
     lapack = scipy.linalg.lapack
     shift = min(max(near, floor), ceiling)
     *lu, info = lapack.dgttrf(e, d - shift, e)

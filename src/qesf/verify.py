@@ -17,7 +17,7 @@ costs time and can never change the level it is compared with.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -312,10 +312,19 @@ def normalizability_check(pre: prepot.Prepotential, branch,
     Unbounded sides are covered by geometrically growing windows, finite
     singular endpoints by geometrically shrinking ones; the verdict is True
     when the window contributions decay (tail bounded by a geometric
-    series), False as soon as they grow persistently.
+    series), False as soon as they grow persistently. On an unbounded side
+    a window that ends inside the state's bulk, short of its outermost
+    root preimage, is integrated but is no tail: phi's lobes still grow
+    there, up to the last one.
     """
     roots = np.asarray(branch.roots, dtype=float)
     a, b = component
+    cmap = pre.cmap
+    z_lo, z_hi = cmap.z_image
+    inside = roots[(roots > z_lo) & (roots < z_hi)]
+    xr = [x for m in (cmap, replace(cmap, branch_sign=-cmap.branch_sign))
+          for x in np.atleast_1d(m.x_of_z(inside)) if a < x < b]
+    bulk = {-1: min(xr, default=math.inf), +1: max(xr, default=-math.inf)}
 
     if math.isfinite(a) and math.isfinite(b):
         core_lo, core_hi = a + (b - a) / 4, b - (b - a) / 4
@@ -335,6 +344,9 @@ def normalizability_check(pre: prepot.Prepotential, branch,
         for lo, hi in zip(*_windows(edge, inner, outward)):
             seg = _segment_log_integral(pre, roots, lo, hi)
             total = np.logaddexp(total, seg)
+            outer = hi if outward > 0 else lo
+            if not math.isfinite(edge) and outward * (outer - bulk[outward]) < 0:
+                continue  # inside the bulk
             if seg < total - 36.0:
                 return True
             if seg > prev:

@@ -1,0 +1,74 @@
+"""Cold start: qesf loads scipy only where an eigenproblem runs.
+
+Each check runs in a fresh interpreter, because this process may already
+have scipy loaded. Setting sys.modules["scipy"] = None before qesf is
+imported makes any import of scipy raise ImportError."""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+
+from qesf import catalog, cli
+
+BLOCK = 'import sys; sys.modules["scipy"] = None\n'
+K1_PRESETS = [name for name in catalog.names() if name != "sextic-type2"]
+
+
+def _python(script: str, tmp_path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _config(tmp_path, name: str, N: int) -> str:
+    path = tmp_path / f"{name}-N{N}.json"
+    path.write_text(json.dumps({"catalog": name, "N": N}))
+    return str(path)
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    done = _python('import sys, qesf.cli\nassert "scipy" not in sys.modules\n', tmp_path)
+    assert done.returncode == 0, done.stderr
+    done = _python(BLOCK + "import qesf\n", tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_commands_without_an_eigenproblem_run_without_scipy(tmp_path):
+    config = _config(tmp_path, "sextic", 3)
+    # every wall limit-circle (nu < 1/2): verify skips the FD spectrum
+    walls = tmp_path / "limit-circle.json"
+    walls.write_text(json.dumps({"Q": [1.0], "P": [0.1, 1.0], "N": 1,
+                                 "singularities": [{"a": 0.05, "mu": 0.2}]}))
+    walls_csv = str(tmp_path / "limit-circle.csv")
+    calls = [["classify", config], ["derive", config], ["catalog", "show", "sextic"],
+             ["solve", str(walls), "--out", walls_csv], ["verify", str(walls), walls_csv]]
+    for name in K1_PRESETS:
+        calls.append(["solve", _config(tmp_path, name, 3),
+                      "--out", str(tmp_path / f"{name}.blocked.csv")])
+    done = _python(BLOCK + "from qesf.cli import main\n"
+                   f"for argv in {calls!r}:\n"
+                   "    assert main(argv) == 0, argv\n", tmp_path)
+    assert done.returncode == 0, done.stderr
+    for name in K1_PRESETS:
+        out = tmp_path / f"{name}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["solve", _config(tmp_path, name, 3), "--out", str(out)]) == 0
+        assert (tmp_path / f"{name}.blocked.csv").read_bytes() == out.read_bytes(), name
+
+
+def test_eigenproblems_load_scipy_linalg(tmp_path):
+    # k = 1 solve: no eigenproblem of scipy's; verify: the FD level finder
+    config, roots = _config(tmp_path, "sextic", 2), str(tmp_path / "sextic.csv")
+    done = _python("import sys\nfrom qesf.cli import main\n"
+                   f"assert main(['solve', {config!r}, '--out', {roots!r}]) == 0\n"
+                   "assert 'scipy.linalg' not in sys.modules\n"
+                   f"assert main(['verify', {config!r}, {roots!r}]) == 0\n"
+                   "assert 'scipy.linalg' in sys.modules\n", tmp_path)
+    assert done.returncode == 0, done.stderr
+    # k = 2 solve: the generalized eigenproblem
+    config = _config(tmp_path, "sextic-type2", 2)
+    done = _python("import sys\nfrom qesf.cli import main\n"
+                   f"assert main(['solve', {config!r}]) == 0\n"
+                   "assert 'scipy.linalg' in sys.modules\n", tmp_path)
+    assert done.returncode == 0, done.stderr

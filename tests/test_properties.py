@@ -1,15 +1,21 @@
 """Property tests of the branch finder on random type-2 and
 singularity-induced models, of the walls of parabolic models, of the
-coordinate images and the equations the map and W0 solve, and of which
-models over an irreducible Q build."""
+coordinate images and the equations the map and W0 solve, of which
+models over an irreducible Q build, and of the energies and CSV output of
+random type-1 models."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from qesf import bae, catalog, coords, prepot, verify
+from qesf import bae, catalog, cli, coords, potential, prepot, verify
 from qesf.errors import ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly, partial_fractions
@@ -151,3 +157,49 @@ def test_the_map_and_w0_solve_their_defining_equations(q, p, branch_sign, where)
     assert dz ** 2 == pytest.approx(Q(z), rel=1e-6, abs=1e-8)
     dw0 = _central(lambda v: -prepot.phi_log_sign(pre, (), v)[0], x, h) / dz
     assert dw0 == pytest.approx(P(z) / Q(z), rel=1e-5, abs=1e-7)
+
+
+# type-1 models at N <= 6, where enumeration finds all N + 1 branches
+type1_models = st.one_of(
+    st.builds(lambda a, b, N: catalog.instantiate("sextic", N=N, a=a, b=b),
+              st.floats(0.5, 2.0), st.floats(-1.0, 1.0), Ns),
+    st.builds(lambda a, b, p, N: catalog.instantiate("sextic-halfline", N=N, a=a, b=b, p=p),
+              st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(0.05, 0.45), Ns),
+    st.builds(lambda a, p1, p2, N: catalog.instantiate("trig-interval", N=N, a=a, p1=p1, p2=p2),
+              st.floats(0.5, 2.0), st.floats(0.1, 0.6), st.floats(0.1, 0.6), Ns))
+
+
+@settings(derandomize=True, deadline=None)
+@given(type1_models)
+def test_type1_energies_agree_three_ways(spec):
+    # split_energy's constant, the closed-form branch_energy and minus the
+    # Heine matrix's eigenvalues are one energy per branch
+    branches = bae.enumerate_branches(spec)
+    assume(len(branches) == spec.N + 1)
+    pre = prepot.integrate_w0(spec)
+    energies = [bae.branch_energy(spec, br.roots) for br in branches]
+    for br, e in zip(branches, energies):
+        assert abs(potential.split_energy(pre, br).energy - e) <= 1e-12 * max(1.0, abs(e))
+    lam = np.sort(-np.linalg.eigvals(bae._heine_matrix(spec)[0]).real)
+    for e, v in zip(sorted(energies), lam):
+        assert abs(v - e) <= 1e-10 * max(1.0, abs(e))
+
+
+@settings(derandomize=True, deadline=None)
+@given(type1_models)
+def test_solve_csv_is_deterministic(spec):
+    cfg = {"Q": list(spec.Q.coeffs), "P": list(spec.P.coeffs),
+           "singularities": [{"a": s.location, "mu": s.exponent} for s in spec.singularities],
+           "N": spec.N, "branch": spec.branch_sign}
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        csvs = []
+        for run in range(2):
+            out = os.path.join(d, f"run{run}.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["solve", path, "--out", out]) == 0
+            with open(out, "rb") as fh:
+                csvs.append(fh.read())
+    assert csvs[0] == csvs[1]

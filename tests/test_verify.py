@@ -164,6 +164,16 @@ def test_normalizability_harmonic():
     assert not ok
 
 
+@pytest.mark.parametrize("N", [18, 20, 30])
+def test_normalizability_of_high_oscillator_levels(N):
+    # the bulk of level N reaches x ~ sqrt(2N + 1) > 6, past the first four
+    # windows from x = 1, whose integrals grow lobe by lobe toward the
+    # last one: that is no tail growth
+    _, pre, br, _ = _pipeline(harmonic(b=1.0, N=N))
+    rep = verify.verify_branch(pre, br)
+    assert rep.normalizable and rep.verdict
+
+
 def test_normalizability_morse_p_threshold():
     # phi ~ z^(A/alpha - N) at the z -> 0 end: normalizable iff A/alpha > N
     good = catalog.instantiate("morse-p", N=1, A=1.7)
