@@ -51,6 +51,18 @@ class CoordinateMap:
         span = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 1.0
         return _DOMAIN_TOL * (1.0 + abs(span))
 
+    @property
+    def x_turn(self) -> float | None:
+        """x of the map's interior turning point, z'(x_t) = 0: the vertex
+        of a parabolic map, the centre of a cosh map. z(x) is even about
+        it. None for the monotone families, and for the trigonometric one,
+        whose turning points are the ends of its x-domain."""
+        if self.family == PARABOLIC:
+            return self.params["xv"]
+        if self.family == HYPERBOLIC and self.params["kind"] == "cosh":
+            return self.params["xc"]
+        return None
+
     # -- evaluation ---------------------------------------------------------
 
     def _check_x(self, x):

@@ -12,6 +12,16 @@ The claimed energy does enter the spectrum oracle, but only as the place
 to look for the level: the claim seeds the search, a Sturm count fixes the
 level's index, and bisection fixes its value. A wrong claim therefore
 costs time and can never change the level it is compared with.
+
+Where the coordinate map has a turning point x_t inside the certified
+component (parabolic or cosh maps, with no wall at x_t), z(x), the
+potential and every algebraic phi_N are even about x_t. The spectrum
+oracle then runs on the half component with a mirror end at x_t: its
+levels are the even sector, whose level m is the full line's level 2m. A
+branch there needs an even node count n and is matched against even-sector
+level n // 2; the odd partners of tunnelling doublets, never algebraic,
+are not in that operator at all. Residual, node count and normalizability
+stay on each branch's full-component grid.
 """
 
 from __future__ import annotations
@@ -31,6 +41,10 @@ W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
 WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
 MAX_WINDOWS = 120  # normalizability windows per side
+SIMPSON_POINTS = 129  # points per normalizability window
+_SIMPSON = np.ones(SIMPSON_POINTS)
+_SIMPSON[1:-1:2] = 4.0
+_SIMPSON[2:-1:2] = 2.0
 
 _STENCILS = {
     2: np.array([1.0, -2.0, 1.0]),
@@ -42,12 +56,16 @@ _STENCILS = {
 @dataclass(frozen=True)
 class Grid:
     """Uniform certification grid. An end that abuts a singular wall carries
-    it as (x of the wall, nu), with phi ~ |x - wall|^nu there."""
+    it as (x of the wall, nu), with phi ~ |x - wall|^nu there. A mirror
+    grid (mirror = x_t, from mirror_grid) is cell-centred on the half of a
+    component that is reflection-symmetric about x_t: its low end is the
+    mirror, h/2 below its first point, where phi is even."""
 
     points: np.ndarray
     h: float
     wall_lo: tuple[float, float] | None = None
     wall_hi: tuple[float, float] | None = None
+    mirror: float | None = None
 
     @property
     def n(self) -> int:
@@ -55,10 +73,11 @@ class Grid:
 
     @property
     def component(self) -> tuple[float, float]:
-        """The domain component the grid lies in: bounded by its walls,
-        unbounded at an end without one."""
-        return (-math.inf if self.wall_lo is None else self.wall_lo[0],
-                math.inf if self.wall_hi is None else self.wall_hi[0])
+        """The domain component the grid lies in: bounded by its walls (or
+        its mirror), unbounded at an end without one."""
+        lo = self.mirror if self.mirror is not None else (
+            -math.inf if self.wall_lo is None else self.wall_lo[0])
+        return lo, math.inf if self.wall_hi is None else self.wall_hi[0]
 
 
 @dataclass
@@ -85,6 +104,15 @@ def make_grid(x_lo: float, x_hi: float, n: int,
         raise GridError(f"empty grid interval [{x_lo}, {x_hi}]")
     pts = np.linspace(x_lo, x_hi, n)
     return Grid(pts, float(pts[1] - pts[0]), wall_lo, wall_hi)
+
+
+def mirror_grid(x_t: float, n: int, h: float,
+                wall_hi: tuple[float, float] | None = None) -> Grid:
+    """Cell-centred grid of the n points x_t + (i + 1/2) h, with a mirror
+    end at x_t."""
+    if n < 8:
+        raise GridError("grid needs at least 8 points")
+    return Grid(x_t + (np.arange(n) + 0.5) * h, h, None, wall_hi, x_t)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +255,7 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     """Eigenvalues of -d2/dx2 + U discretized on the grid, for
     levels = {index: energy to look near}, indices ascending from the
     ground level at 0. Returns {index: eigenvalue}. Only these levels are
-    computed; an index outside 0..grid.n - 1 raises ValueError.
+    computed; an index outside the grid's levels raises ValueError.
 
     Each level comes from poly.tridiag_eigenvalue: the energy only seeds
     the search, a Sturm count fixes the index and bisection fixes the
@@ -238,7 +266,18 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     extrapolated away. At singular walls (x^-2 endpoint behavior) a plain
     Dirichlet node badly perturbs the spectrum, so the boundary row instead
     uses a ghost point carrying the wall's behavior phi ~ |x - wall|^nu.
+
+    On a mirror grid the ghost point below the first one mirrors it
+    (phi(x_t - h/2) = phi(x_t + h/2)), so the operator is the even sector
+    of the symmetric component's: its level m is the full component's
+    level 2m. Indices still count the full component's levels, so only
+    even ones exist there, 0..2(grid.n - 1); an odd one raises ValueError.
     """
+    step = 1 if grid.mirror is None else 2
+    odd = [k for k in levels if k % step]
+    if odd:
+        raise ValueError(f"levels {odd} are odd about the mirror x = {grid.mirror}: "
+                         "a mirror grid holds only the even levels")
 
     def _levels(g: Grid) -> dict[int, float]:
         u = profile.U(cmap.z_of_x(g.points))
@@ -246,6 +285,8 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
             raise GridError("grid intersects a pole of the potential")
         diag = 2.0 / g.h ** 2 + u
         off = np.full(g.n - 1, -1.0 / g.h ** 2)
+        if g.mirror is not None:
+            diag[0] -= 1.0 / g.h ** 2
         for wall, end in ((g.wall_lo, 0), (g.wall_hi, -1)):
             if wall is not None:
                 x_wall, nu = wall
@@ -254,11 +295,15 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
                 if r > 0:
                     diag[end] -= r ** nu / g.h ** 2
         t = Tridiag(diag, off)
-        return {k: tridiag_eigenvalue(t, k, near) for k, near in levels.items()}
+        return {k: tridiag_eigenvalue(t, k // step, near) for k, near in levels.items()}
 
     e1 = _levels(grid)
-    e2 = _levels(make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
-                           grid.wall_lo, grid.wall_hi))
+    if grid.mirror is None:
+        fine = make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
+                         grid.wall_lo, grid.wall_hi)
+    else:
+        fine = mirror_grid(grid.mirror, 2 * grid.n, grid.h / 2.0, grid.wall_hi)
+    e2 = _levels(fine)
     return {k: (4.0 * e2[k] - e1[k]) / 3.0 for k in e1}
 
 
@@ -270,23 +315,33 @@ def node_count(phi) -> int:
     return int(np.sum(s[:-1] * s[1:] < 0))
 
 
-def _segment_log_integral(pre, roots, a: float, b: float) -> float:
-    """log of integral_a^b phi^2 dx by 129-point Simpson, computed in log space."""
+def _log_simpson(a: float, b: float, logphi: np.ndarray) -> float:
+    """log of integral_a^b phi^2 dx by Simpson's rule, computed in log space
+    from log|phi| on np.linspace(a, b, SIMPSON_POINTS)."""
     if not b > a:
         return -math.inf
-    n = 129
-    xs = np.linspace(a, b, n)
-    logphi, _ = prepot.phi_log_sign(pre, roots, xs)
     m = np.max(2.0 * logphi)
     if not math.isfinite(m):
         return -math.inf
     vals = np.exp(2.0 * logphi - m)
-    h = (b - a) / (n - 1)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    integral = h / 3.0 * float(np.dot(w, vals))
+    h = (b - a) / (SIMPSON_POINTS - 1)
+    integral = h / 3.0 * float(np.dot(_SIMPSON, vals))
     return m + math.log(integral) if integral > 0 else -math.inf
+
+
+def _window_log_integrals(pre, roots, lo: np.ndarray, hi: np.ndarray):
+    """Yield _log_simpson of each window (lo[i], hi[i]) in order. phi is
+    evaluated lazily for chunks of 8, 16, 32, ... windows, one
+    prepot.phi_log_sign call per chunk. A chunk runs past where its caller
+    stops, where z or W_N may overflow; those values are never used."""
+    start, size = 0, 8
+    while start < len(lo):
+        a, b = lo[start:start + size], hi[start:start + size]
+        xs = np.linspace(a, b, SIMPSON_POINTS, axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logphi, _ = prepot.phi_log_sign(pre, roots, xs.ravel())
+        yield from map(_log_simpson, a, b, logphi.reshape(xs.shape))
+        start, size = start + size, 2 * size
 
 
 def _windows(edge: float, inner: float, outward: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,15 +389,16 @@ def normalizability_check(pre: prepot.Prepotential, branch,
         core_lo, core_hi = b - 1.5, b - 0.5
     else:
         core_lo, core_hi = -1.0, 1.0
-    total = _segment_log_integral(pre, roots, core_lo, core_hi)
+    core = np.linspace(core_lo, core_hi, SIMPSON_POINTS)
+    total = _log_simpson(core_lo, core_hi, prepot.phi_log_sign(pre, roots, core)[0])
 
     def _side(edge: float, inner: float, outward: int) -> bool:
         nonlocal total
         patience = 6 if math.isfinite(edge) else 4
         grow = 0
         prev = -math.inf
-        for lo, hi in zip(*_windows(edge, inner, outward)):
-            seg = _segment_log_integral(pre, roots, lo, hi)
+        lo_w, hi_w = _windows(edge, inner, outward)
+        for lo, hi, seg in zip(lo_w, hi_w, _window_log_integrals(pre, roots, lo_w, hi_w)):
             total = np.logaddexp(total, seg)
             outer = hi if outward > 0 else lo
             if not math.isfinite(edge) and outward * (outer - bulk[outward]) < 0:
@@ -409,6 +465,14 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     its branch's claimed energy. The claim only seeds that search: the
     level's index comes from a Sturm count and its value from bisection,
     so the claim cannot choose the level it is compared with.
+
+    When the group's component holds the map's turning point x_t
+    (coords.CoordinateMap.x_turn), the spectrum runs on a mirror grid
+    instead: cell-centred on [x_t, x_t + L], L the largest half-width of
+    the members' boxes about x_t, with the same spacing as the full group
+    grid. Every algebraic state is even about x_t there, so the verdict
+    also requires an even node count n, matched against even-sector level
+    n // 2; a branch with an odd count fails, and spectrum_note says why.
     """
     results: list = [None] * len(branches)
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
@@ -441,15 +505,23 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
             groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append(
                 (i, profile, grid, fields))
 
+    x_t = pre.cmap.x_turn
     for members in groups.values():
         grids = [grid for _, _, grid, _ in members]
-        grid = make_grid(min(g.points[0] for g in grids),
-                         max(g.points[-1] for g in grids), n_points,
-                         grids[0].wall_lo, grids[0].wall_hi)
-        # each node count with the energy of its first branch to look near
+        lo, hi = min(g.points[0] for g in grids), max(g.points[-1] for g in grids)
+        c_lo, c_hi = grids[0].component
+        if x_t is not None and c_lo < x_t < c_hi:
+            h = float(hi - lo) / (n_points - 1)
+            grid = mirror_grid(x_t, math.ceil(max(x_t - lo, hi - x_t) / h + 0.5), h,
+                               grids[0].wall_hi)
+        else:
+            grid = make_grid(lo, hi, n_points, grids[0].wall_lo, grids[0].wall_hi)
+        # each node count with the energy of its first branch to look near;
+        # a mirror grid has no level for an odd count
         claims = {}
         for _, profile, _, fields in members:
-            claims.setdefault(fields["node_count"], profile.energy)
+            if grid.mirror is None or fields["node_count"] % 2 == 0:
+                claims.setdefault(fields["node_count"], profile.energy)
         try:
             levels = fd_spectrum(members[0][1], pre.cmap, grid, claims)
         except (GridError, DomainError, ValueError) as exc:
@@ -459,6 +531,13 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         tol = 1e-3 if grid.wall_lo is None and grid.wall_hi is None else 1e-2
         for i, profile, _, fields in members:
             energy = profile.energy
+            if fields["node_count"] not in levels:
+                results[i] = VerificationReport(
+                    **fields, spectrum_matches=[],
+                    spectrum_note=f"odd node count: U is even about x = {x_t:g}, "
+                                  "where every algebraic state is even",
+                    verdict=False)
+                continue
             level = levels[fields["node_count"]]
             diff = abs(level - energy)
             results[i] = VerificationReport(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qesf import bae, catalog, coords, model, potential, prepot, verify
+from qesf import bae, catalog, cli, coords, model, poly, potential, prepot, verify
 from qesf.errors import GridError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly, tridiag_eigenvalues
@@ -428,27 +428,42 @@ def test_residual_arbitrates_quoted_trig_form():
 
 
 def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids):
-    # type-1: the N+1 branches are eigenstates of one potential
-    spec = catalog.instantiate("sextic", N=3, a=1.0, b=0.0)
-    branches = bae.enumerate_branches(spec)
-    assert len(branches) == 4
-    pre = prepot.integrate_w0(spec)
-    alone = [verify.verify_branch(pre, br) for br in branches]
-    fd_spectrum_grids.clear()
-    reports = verify.verify_branches(pre, branches)
-    (grid,) = fd_spectrum_grids
-    # on the union of the branch boxes
-    boxes = [verify.default_grid(pre, br.roots).points for br in branches]
-    assert grid.points[0] == min(b[0] for b in boxes)
-    assert grid.points[-1] == max(b[-1] for b in boxes)
-    for rep, ref in zip(reports, alone):
-        assert rep.verdict
-        got, want = rep.as_dict(), ref.as_dict()
-        ((claimed, _, diff),) = got.pop("spectrum_matches")
-        assert got == {k: v for k, v in want.items() if k != "spectrum_matches"}
-        assert claimed == ref.spectrum_matches[0][0]
-        # the model grid moves E_fd at the FD error level only
-        assert diff < 1e-4 * max(1.0, abs(claimed))
+    # type-1: the N+1 branches are eigenstates of one potential. The
+    # sextic's z = x^2 is even about x = 0, so its spectrum runs on the half
+    # line; the half-line sextic has a wall at x = 0 and no mirror.
+    for spec, mirrored in ((catalog.instantiate("sextic", N=3, a=1.0, b=0.0), True),
+                           (catalog.instantiate("sextic-halfline", N=3), False)):
+        branches = bae.enumerate_branches(spec)
+        assert len(branches) == 4
+        pre = prepot.integrate_w0(spec)
+        alone = [verify.verify_branch(pre, br) for br in branches]
+        fd_spectrum_grids.clear()
+        reports = verify.verify_branches(pre, branches)
+        (grid,) = fd_spectrum_grids
+        boxes = [verify.default_grid(pre, br.roots).points for br in branches]
+        lo, hi = min(b[0] for b in boxes), max(b[-1] for b in boxes)
+        if mirrored:
+            # cell-centred from the mirror at x_t = 0 to the farthest box end,
+            # at the spacing of the union grid
+            assert grid.mirror == 0.0 and grid.wall_lo is None
+            assert grid.h == pytest.approx((hi - lo) / 4000, rel=1e-12)
+            assert grid.points[0] == pytest.approx(grid.h / 2, rel=1e-12)
+            assert grid.points[-2] < max(-lo, hi) <= grid.points[-1]
+        else:
+            # on the union of the branch boxes
+            assert grid.mirror is None
+            assert grid.points[0] == lo
+            assert grid.points[-1] == hi
+        for rep, ref in zip(reports, alone):
+            assert rep.verdict
+            got, want = rep.as_dict(), ref.as_dict()
+            ((claimed, _, diff),) = got.pop("spectrum_matches")
+            assert got == {k: v for k, v in want.items() if k != "spectrum_matches"}
+            assert claimed == ref.spectrum_matches[0][0]
+            # the model grid moves E_fd at the FD error level only: a tenth
+            # of the tolerance, 1e-3, or 1e-2 at the half-line's singular wall
+            bound = 1e-4 if grid.wall_lo is None and grid.wall_hi is None else 1e-3
+            assert diff < bound * max(1.0, abs(claimed))
 
 
 def test_verify_branches_distinct_potentials(fd_spectrum_grids):
@@ -511,15 +526,25 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectru
 
 
 @pytest.mark.parametrize("name,N,per_grid", [("harmonic", 12, 1), ("sextic", 4, 5)])
-def test_fd_levels_computed_are_the_node_counts(fd_levels, name, N, per_grid):
-    # harmonic N = 12 has one branch, so one level; sextic N = 4 reads the
-    # levels 0, 2, ..., 2N, so N + 1 of them and none of the odd ones
+def test_fd_levels_computed_are_the_node_counts(fd_levels, fd_spectrum_grids, name, N,
+                                                per_grid):
+    # harmonic N = 12 has one branch, so one level on the full line; sextic
+    # N = 4 reads the levels 0, 2, ..., 2N, which are the even-sector levels
+    # 0..N of its half line, so N + 1 of them and none of the odd ones
     spec = catalog.instantiate(name, N=N)
     reports = verify.verify_branches(prepot.integrate_w0(spec),
                                      bae.enumerate_branches(spec))
     assert all(rep.verdict for rep in reports)
-    assert sorted(t.n for t, _, _ in fd_levels) == [4001] * per_grid + [8001] * per_grid
-    assert sorted({k for _, k, _ in fd_levels}) == [rep.node_count for rep in reports]
+    (grid,) = fd_spectrum_grids
+    if grid.mirror is None:
+        rows, step = [4001] * per_grid + [8001] * per_grid, 1
+    else:
+        assert grid.n < 0.6 * 4001
+        rows, step = [grid.n] * per_grid + [2 * grid.n] * per_grid, 2
+    assert (grid.mirror is None) == (name == "harmonic")
+    assert sorted(t.n for t, _, _ in fd_levels) == rows
+    assert sorted({k for _, k, _ in fd_levels}) == [rep.node_count // step
+                                                   for rep in reports]
 
 
 @pytest.mark.parametrize("config", [
@@ -529,20 +554,24 @@ def test_fd_levels_computed_are_the_node_counts(fd_levels, name, N, per_grid):
     {"catalog": "trig-interval", "N": 4},
     {"catalog": "harmonic", "N": 5},
 ], ids=lambda c: f"{c['catalog']}-N{c['N']}{'-vetted' if 'params' in c else ''}")
-def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, config):
+def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, fd_spectrum_grids,
+                                                             config):
     # index certification by an independent Sturm count: on both grids the
     # level behind E_fd has exactly node_count eigenvalues below it and an
-    # eigenvalue within 8 eps |T|_1 of it
+    # eigenvalue within 8 eps |T|_1 of it; on a mirror grid, whose matrix
+    # holds only the even levels, exactly node_count // 2
     spec = catalog.instantiate(config["catalog"], N=config["N"], **config.get("params", {}))
     branches = bae.enumerate_branches(spec)
     reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
     assert reports and all(rep.verdict for rep in reports)
+    (grid,) = fd_spectrum_grids
+    assert (grid.mirror is not None) == (config["catalog"] == "sextic")
     by_rows = {}
     for t, k, level in fd_levels:
         by_rows.setdefault(t.n, {})[k] = (t, level)
     coarse, fine = (by_rows[n] for n in sorted(by_rows))
     for rep in reports:
-        k = rep.node_count
+        k = rep.node_count if grid.mirror is None else rep.node_count // 2
         for t, level in (coarse[k], fine[k]):
             tol = 8.0 * np.finfo(float).eps * norm1(t)
             assert sturm_count(t, level - tol) == k < sturm_count(t, level + tol)
@@ -550,14 +579,28 @@ def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, config)
 
 
 def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
-    # the level is chosen by node count (Sturm), not as the nearest one
-    spec = catalog.instantiate("sextic", N=2)
-    branches = bae.enumerate_branches(spec)
+    # the level is chosen by node count (Sturm), not as the nearest one. z =
+    # x^2 is even about x = 0, so the spectrum runs on the half line, where
+    # the deep wells' tunnelling doublets (N = 12, 16) have no odd partner:
+    # a count one too high is odd, which no algebraic state of the even
+    # potential has, and one two too high reads the next even level
     real = verify.node_count
-    monkeypatch.setattr(verify, "node_count", lambda *a: real(*a) + 1)
-    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
-    assert len(reports) == 3
-    assert not any(rep.verdict for rep in reports)
+    for N in (2, 12, 16):
+        spec = catalog.instantiate("sextic", N=N)
+        branches = bae.enumerate_branches(spec)
+        assert len(branches) == N + 1
+        pre = prepot.integrate_w0(spec)
+        for shift in (1, 2):
+            monkeypatch.setattr(verify, "node_count", lambda *a: real(*a) + shift)
+            reports = verify.verify_branches(pre, branches)
+            assert len(reports) == N + 1
+            assert not any(rep.verdict for rep in reports), (N, shift)
+            for rep in reports:
+                if shift == 1:
+                    assert rep.spectrum_matches == []
+                    assert "odd node count" in rep.spectrum_note
+                else:
+                    assert rep.spectrum_matches[0][2] > 1.0 and rep.spectrum_note == ""
 
 
 def test_the_verdict_requires_normalizable(monkeypatch):
@@ -586,3 +629,68 @@ def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_gr
     assert all(rep.verdict for rep in verify.verify_branches(prepot.integrate_w0(spec),
                                                              branches))
     assert len(fd_spectrum_grids) == 1
+
+
+@pytest.mark.parametrize("config", [
+    {"catalog": "sextic", "N": 2},
+    {"catalog": "sextic", "N": 8},
+    {"catalog": "sextic", "N": 16},
+    {"Q": [-1, 0, 1], "P": [0, -1, 1, 0], "N": 2},  # z = cosh x
+], ids=["sextic-N2", "sextic-N8", "sextic-N16", "cosh-N2"])
+def test_half_line_levels_are_the_even_full_line_levels(fd_spectrum_grids, config):
+    # level m of the mirror grid is level 2m of the full line: E_fd matches
+    # fd_spectrum on the union of the branch boxes, the full-line group grid
+    spec = cli.spec_from_config(config)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == spec.N + 1
+    reports = verify.verify_branches(pre, branches)
+    (grid,) = fd_spectrum_grids
+    assert grid.mirror == 0.0
+    boxes = [verify.default_grid(pre, br.roots).points for br in branches]
+    full = verify.make_grid(min(b[0] for b in boxes), max(b[-1] for b in boxes), 4001)
+    assert full.mirror is None
+    want = verify.fd_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, full,
+                              {rep.node_count: rep.spectrum_matches[0][0] for rep in reports})
+    assert [rep.node_count for rep in reports] == [2 * m for m in range(spec.N + 1)]
+    for rep in reports:
+        assert rep.verdict
+        e_fd = rep.spectrum_matches[0][1]
+        assert abs(e_fd - want[rep.node_count]) < 1e-7 * max(1.0, abs(e_fd))
+
+
+@pytest.mark.parametrize("config", [
+    {"catalog": "sextic", "N": 16},
+    {"catalog": "sextic", "params": {"a": 0.908235, "b": 0.105165}, "N": 8},
+], ids=["sextic-N16", "sextic-N8-vetted"])
+def test_sextic_levels_need_no_gershgorin_bisection(monkeypatch, config):
+    # without the odd doublet partners every level's search window names
+    # it, so poly.tridiag_eigenvalue never falls back to poly's
+    # tridiag_eigenvalues
+    calls = []
+    real = poly.tridiag_eigenvalues
+
+    def fallback(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(poly, "tridiag_eigenvalues", fallback)
+    spec = cli.spec_from_config(config)
+    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    assert len(reports) == spec.N + 1 and all(rep.verdict for rep in reports)
+    assert calls == []
+
+
+def test_a_mirror_grid_holds_only_the_even_levels():
+    # U = x^2 on the half line with a mirror at 0: levels 0, 2, 4 of the
+    # oscillator (1, 5, 9); an odd level is not there to ask for
+    cmap = coords.build(Poly([1.0]))
+    prof = potential.PotentialProfile(
+        potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
+        bae.BetheBranch((), 0.0, 0, "synthetic"))
+    grid = verify.mirror_grid(0.0, 2000, 0.005)
+    assert grid.points[0] == 0.0025 and grid.component == (0.0, math.inf)
+    levels = verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 2: 5.0, 4: 9.0})
+    assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in (0, 2, 4))
+    with pytest.raises(ValueError, match="odd"):
+        verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 1: 3.0})
