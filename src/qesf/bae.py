@@ -24,8 +24,10 @@ deg P <= 1, have k = 1: one square matrix (Turbiner, CMP 118 (1988) 467).
 Type-2 models, two walls, or a wall with deg P >= 2 give k >= 2: a
 rectangular multiparameter eigenproblem, solved through Atkinson's
 Delta-operators of k fixed compressions (Hochstenbach, Kosir and
-Plestenjak). Every eigen-solution of exact degree N gets one Newton polish
-from its roots.
+Plestenjak) as the standard eigenproblem of Delta_0^-1 Delta_c. Every
+eigen-solution of exact degree N gets one Newton polish from its roots,
+which come from one stacked companion-matrix eigenvalue call. Only numpy
+runs here.
 """
 
 from __future__ import annotations
@@ -342,26 +344,30 @@ def _delta_operators(M0: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return kron_det(cols), [kron_det(cols[:j] + [minus_a] + cols[j + 1:]) for j in range(k)]
 
 
-def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
+def _rank_deficient(M0: np.ndarray, complex_mode: bool) -> list[np.ndarray]:
     """Null vectors y of M0 + sum_j w_j S_j over the solutions w, k >= 2.
 
-    One generalized eigenproblem, Delta_c z = lam Delta_0 z for a fixed
-    combination Delta_c of the Delta_j (distinct lam even where solutions
-    share a w_j), gives the candidates, and w_j follows from each
-    eigenvector by least squares. A candidate is kept when its rectangular
-    matrix has sigma_min <= RANK_TOL sigma_max; y is that singular vector.
-    scipy.linalg, for the generalized eig, is imported on the first call,
-    so a k = 1 model never loads scipy.
+    The eigenvectors z of Delta_0^-1 Delta_c, Delta_c a fixed combination
+    of the Delta_j (distinct eigenvalues even where solutions share a w_j),
+    give the candidates, and w_j follows from each z by least squares on
+    Delta_j z = w_j Delta_0 z. Delta_0 depends only on (N, k) and the fixed
+    compressions, and its condition number stays below 5e4 wherever
+    MAX_ORDER admits (N, k), so the standard eigenproblem stands in for the
+    generalized one. A real solution w has the real eigenvalue c . w, which
+    LAPACK returns with imaginary part exactly 0 as for k = 1, so outside
+    complex_mode only those eigenvectors are candidates. A candidate is
+    kept when its rectangular matrix has sigma_min <= RANK_TOL sigma_max;
+    y is that singular vector.
     """
     N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
     D0, Ds = _delta_operators(M0)
     c = np.random.default_rng(COMPRESSION_SEED).standard_normal(k)
-    import scipy.linalg
-    lam, Z = scipy.linalg.eig(sum(cj * Dj for cj, Dj in zip(c, Ds)), D0)
-    d0 = D0 @ Z[:, np.isfinite(lam)]
+    lam, Z = np.linalg.eig(np.linalg.solve(D0, sum(cj * Dj for cj, Dj in zip(c, Ds))))
+    if not complex_mode:
+        Z = Z[:, lam.imag == 0.0]
+    d0 = D0 @ Z
     norm = np.einsum("ij,ij->j", d0.conj(), d0).real
-    Z, d0 = Z[:, np.isfinite(lam)][:, norm > 0], d0[:, norm > 0]
-    w = np.array([np.einsum("ij,ij->j", d0.conj(), Dj @ Z) for Dj in Ds]).T / norm[norm > 0, None]
+    w = np.array([np.einsum("ij,ij->j", d0.conj(), Dj @ Z) for Dj in Ds]).T / norm[:, None]
     M = np.repeat(M0[None].astype(complex), len(w), axis=0)
     cols = np.arange(N1)
     for j in range(k):
@@ -370,26 +376,57 @@ def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
     return list(Vh[sv[:, -1] <= RANK_TOL * sv[:, 0], -1].conj())
 
 
+def _roots(coeffs: list[np.ndarray]) -> list[np.ndarray]:
+    """np.roots(c[::-1]) of each ascending coefficient vector c, bit for
+    bit, for c with a nonzero top coefficient.
+
+    Like np.roots, a zero constant term (and any run of zeros above it) is
+    stripped from the companion matrix and its roots come back as exact
+    zeros at the end. The companion matrices of one dtype and size are
+    stacked into one np.linalg.eigvals call, which runs the same LAPACK
+    routine on each as np.roots would; a real c's roots are real when all
+    of its own imaginary parts are 0.
+    """
+    out: list = [None] * len(coeffs)
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(coeffs):
+        size = len(c) - 1 - int(np.flatnonzero(c)[0])  # degree without the zero roots
+        groups.setdefault((c.dtype, size), []).append(i)
+    for (dtype, size), members in groups.items():
+        w = np.zeros((len(members), 0))
+        if size:
+            p = np.array([coeffs[i][::-1][:size + 1] for i in members])
+            A = np.zeros((len(members), size, size), dtype)
+            A[:, np.arange(1, size), np.arange(size - 1)] = 1
+            A[:, 0, :] = -p[:, 1:] / p[:, :1]
+            w = np.linalg.eigvals(A)
+        for i, wi in zip(members, w):
+            if not np.iscomplexobj(coeffs[i]) and not wi.imag.any():
+                wi = wi.real
+            out[i] = np.hstack((wi, np.zeros(len(coeffs[i]) - 1 - size, wi.dtype)))
+    return out
+
+
 def _starts(M0: np.ndarray, s: float, complex_mode: bool):
     """Newton starts: the roots (times s) of every eigen-solution y of exact
-    degree N.
+    degree N, taken from one batch (_roots).
 
     k = 1: the eigenvectors of the square M0. A real eigenvalue's y is real
     and gets a real start: np.roots may return a close real pair as a +- ib
     (b = 0.014 in z/s at trig-interval N = 15), and a +- b is the better
-    start. k >= 2 (_rank_deficient): y is real when its roots are real to
-    REAL_TOL. Complex ones start only in complex_mode.
+    start. A complex eigenvalue's y is complex and is used only in
+    complex_mode. k >= 2 (_rank_deficient, which also leaves out complex
+    eigenvalues outside complex_mode): y is real when its roots are real
+    to REAL_TOL. Complex ones start only in complex_mode.
     """
     if M0.shape[0] == M0.shape[1]:
         lam, vec = np.linalg.eig(M0)
         cands = [(vec[:, i].real, True) if lam[i].imag == 0.0 else (vec[:, i], False)
-                 for i in range(len(lam))]
+                 for i in range(len(lam)) if complex_mode or lam[i].imag == 0.0]
     else:
-        cands = [(y, None) for y in _rank_deficient(M0)]
-    for c, real in cands:
-        if abs(c[-1]) <= DEGREE_TOL * np.max(np.abs(c)):
-            continue
-        w = np.roots(c[::-1])
+        cands = [(y, None) for y in _rank_deficient(M0, complex_mode)]
+    cands = [(c, real) for c, real in cands if abs(c[-1]) > DEGREE_TOL * np.max(np.abs(c))]
+    for (_, real), w in zip(cands, _roots([c for c, _ in cands])):
         if real or (real is None and np.max(np.abs(w.imag)) <= REAL_TOL):
             yield s * np.sort(w.real + w.imag)
         elif complex_mode:

@@ -42,6 +42,7 @@ NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
 WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
+_LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_threshold
 _SIMPSON = np.ones(SIMPSON_POINTS)
 _SIMPSON[1:-1:2] = 4.0
 _SIMPSON[2:-1:2] = 2.0
@@ -123,19 +124,23 @@ def _march_threshold(pre: prepot.Prepotential, roots, start: float,
                      direction: int) -> float:
     """First point of an outward x-ladder from start with W_N >= W_THRESHOLD.
 
-    The ladder's steps start at 0.25 and grow by 1.25, accumulated in
-    sequence. It is evaluated in one call, so it runs far past the
+    The ladder's 400 steps start at 0.25 and grow by 1.25, accumulated in
+    sequence. phi is evaluated lazily for chunks of 16, 32, 64, ... ladder
+    points, one prepot.phi_log_sign call per chunk. A chunk runs past the
     crossing, where z or W_N may overflow; those values are never used. A
     node (sign 0) is no crossing.
     """
-    steps = np.cumprod(np.r_[0.25, np.full(399, 1.25)])
-    xs = np.cumsum(np.r_[start, direction * steps])[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        logphi, sign = prepot.phi_log_sign(pre, roots, xs)
-    crossed = np.flatnonzero((-logphi >= W_THRESHOLD) & (sign != 0))
-    if not len(crossed):
-        raise GridError("truncation search exhausted")
-    return float(xs[crossed[0]])
+    xs = np.cumsum(np.concatenate(([start], direction * _LADDER_STEPS)))[1:]
+    lo, size = 0, 16
+    while lo < len(xs):
+        chunk = xs[lo:lo + size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            logphi, sign = prepot.phi_log_sign(pre, roots, chunk)
+        crossed = np.flatnonzero((-logphi >= W_THRESHOLD) & (sign != 0))
+        if len(crossed):
+            return float(chunk[crossed[0]])
+        lo, size = lo + size, 2 * size
+    raise GridError("truncation search exhausted")
 
 
 def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
@@ -156,14 +161,23 @@ def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
     if not components:
         raise GridError("empty coordinate domain")
     # The root preimages xr pull the box out far enough to contain the state.
-    xr = []
-    for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
-        try:
-            xk = pre.cmap.x_of_z(zk)
-        except DomainError:
-            continue
-        if math.isfinite(xk):
-            xr.append(xk)
+    # Roots outside the map's image have no preimage; the rest are mapped
+    # in one call, or one by one if that call still fails (an exponential
+    # map rejects its image's end).
+    cmap = pre.cmap
+    z_lo, z_hi = cmap.z_image
+    zr = np.atleast_1d(np.asarray(roots, dtype=float))
+    zr = zr[(zr >= z_lo - cmap.z_tol) & (zr <= z_hi + cmap.z_tol)]
+    try:
+        xs = np.atleast_1d(cmap.x_of_z(zr)).tolist()
+    except DomainError:
+        xs = []
+        for zk in zr:
+            try:
+                xs.append(cmap.x_of_z(zk))
+            except DomainError:
+                continue
+    xr = [xk for xk in xs if math.isfinite(xk)]
     bsign = pre.spec_ref.branch_sign
     admitted = [(a, b) for a, b in components
                 if not any(math.isfinite(e) and walls[e] <= 0.0 for e in (a, b))]

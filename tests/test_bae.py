@@ -305,6 +305,20 @@ def test_type2_branch_counts():
         assert sum(br.is_real for br in both) == real
 
 
+def test_delta0_depends_only_on_the_shape_and_is_well_conditioned():
+    # Delta_0 comes from the fixed compressions alone, so
+    # _rank_deficient's Delta_0^-1 has one condition number per (N, k)
+    rng = np.random.default_rng(3)
+    for k in range(2, 7):
+        shapes = [N for N in range(1, bae.MAX_ORDER) if (N + 1) ** k <= bae.MAX_ORDER]
+        assert shapes, k
+        for N in shapes:
+            D0, _ = bae._delta_operators(rng.standard_normal((N + k, N + 1)))
+            other, _ = bae._delta_operators(rng.standard_normal((N + k, N + 1)))
+            assert np.array_equal(D0, other), (N, k)
+            assert np.linalg.cond(D0) < 1e6, (N, k)
+
+
 def test_size_cap_names_the_largest_n():
     for spec, largest in ((type2(1), 10), (SHAPES[-1][0], 3), (singular(1), 120)):
         big = ModelSpec(spec.Q, spec.P, spec.singularities, largest + 1)

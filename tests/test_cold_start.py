@@ -1,4 +1,4 @@
-"""Cold start: qesf loads scipy only where an eigenproblem runs.
+"""Cold start: qesf loads scipy only for verify's FD level finder.
 
 Each check runs in a fresh interpreter, because this process may already
 have scipy loaded. Setting sys.modules["scipy"] = None before qesf is
@@ -13,7 +13,8 @@ import sys
 from qesf import catalog, cli
 
 BLOCK = 'import sys; sys.modules["scipy"] = None\n'
-K1_PRESETS = [name for name in catalog.names() if name != "sextic-type2"]
+# every preset at N = 3, and the k = 2 preset at N = 2 too
+SOLVES = [(name, 3) for name in catalog.names()] + [("sextic-type2", 2)]
 
 
 def _python(script: str, tmp_path) -> subprocess.CompletedProcess:
@@ -43,22 +44,22 @@ def test_commands_without_an_eigenproblem_run_without_scipy(tmp_path):
     walls_csv = str(tmp_path / "limit-circle.csv")
     calls = [["classify", config], ["derive", config], ["catalog", "show", "sextic"],
              ["solve", str(walls), "--out", walls_csv], ["verify", str(walls), walls_csv]]
-    for name in K1_PRESETS:
-        calls.append(["solve", _config(tmp_path, name, 3),
-                      "--out", str(tmp_path / f"{name}.blocked.csv")])
+    for name, N in SOLVES:
+        calls.append(["solve", _config(tmp_path, name, N),
+                      "--out", str(tmp_path / f"{name}-N{N}.blocked.csv")])
     done = _python(BLOCK + "from qesf.cli import main\n"
                    f"for argv in {calls!r}:\n"
                    "    assert main(argv) == 0, argv\n", tmp_path)
     assert done.returncode == 0, done.stderr
-    for name in K1_PRESETS:
-        out = tmp_path / f"{name}.csv"
+    for name, N in SOLVES:
+        out = tmp_path / f"{name}-N{N}.csv"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["solve", _config(tmp_path, name, 3), "--out", str(out)]) == 0
-        assert (tmp_path / f"{name}.blocked.csv").read_bytes() == out.read_bytes(), name
+            assert cli.main(["solve", _config(tmp_path, name, N), "--out", str(out)]) == 0
+        assert (tmp_path / f"{name}-N{N}.blocked.csv").read_bytes() == out.read_bytes(), name
 
 
 def test_eigenproblems_load_scipy_linalg(tmp_path):
-    # k = 1 solve: no eigenproblem of scipy's; verify: the FD level finder
+    # solve: numpy's eigenproblems only; verify: scipy's FD level finder
     config, roots = _config(tmp_path, "sextic", 2), str(tmp_path / "sextic.csv")
     done = _python("import sys\nfrom qesf.cli import main\n"
                    f"assert main(['solve', {config!r}, '--out', {roots!r}]) == 0\n"
@@ -66,9 +67,9 @@ def test_eigenproblems_load_scipy_linalg(tmp_path):
                    f"assert main(['verify', {config!r}, {roots!r}]) == 0\n"
                    "assert 'scipy.linalg' in sys.modules\n", tmp_path)
     assert done.returncode == 0, done.stderr
-    # k = 2 solve: the generalized eigenproblem
+    # k = 2 solve: the Delta-operator eigenproblem is numpy's too
     config = _config(tmp_path, "sextic-type2", 2)
     done = _python("import sys\nfrom qesf.cli import main\n"
                    f"assert main(['solve', {config!r}]) == 0\n"
-                   "assert 'scipy.linalg' in sys.modules\n", tmp_path)
+                   "assert 'scipy.linalg' not in sys.modules\n", tmp_path)
     assert done.returncode == 0, done.stderr

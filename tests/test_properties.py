@@ -1,8 +1,8 @@
-"""Property tests of the branch finder on random type-2 and
-singularity-induced models, of the walls of parabolic models, of the
-coordinate images and the equations the map and W0 solve, of which
-models over an irreducible Q build, and of the energies and CSV output of
-random type-1 models."""
+"""Property tests of the branch finder on random type-2, two-wall and
+singularity-induced models and of its batched root extraction, of the
+walls of parabolic models, of the coordinate images and the equations the
+map and W0 solve, of which models over an irreducible Q build, and of the
+energies and CSV output of random type-1 models."""
 
 import contextlib
 import io
@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from qesf import bae, catalog, cli, coords, potential, prepot, verify
 from qesf.errors import ModelError
@@ -44,6 +44,71 @@ def test_branches_solve_the_bae_and_are_distinct(model):
             assert np.max(np.abs(roots[i] - roots[j])) > 1e-6
     energies = [bae.branch_energy(spec, r) for r in roots]
     assert energies == sorted(energies)
+
+
+# Q = 1, P = c0 + z and a repelling wall (mu > 0) on each side of 0. The
+# roots are charges in equilibrium (Stieltjes): each way of placing N of
+# them in the three intervals the walls cut has exactly one, so all
+# C(N+2, 2) solutions of the two-parameter problem are real and differ in
+# their placements. N <= 6: at N = 7 and 8 the finder still loses one on
+# some draws (ROADMAP item 2).
+two_wall_models = st.builds(
+    lambda a1, a2, mu1, mu2, c0, N: ModelSpec(
+        Poly([1.0]), Poly([c0, 1.0]), (Singularity(a1, mu1), Singularity(a2, mu2)), N),
+    st.floats(-0.5, -0.1), st.floats(0.1, 0.5), st.floats(0.05, 0.45),
+    st.floats(0.05, 0.45), st.floats(-0.5, 0.5), Ns)
+
+
+@settings(derandomize=True, deadline=None)
+@given(two_wall_models)
+def test_two_wall_models_find_every_placement(spec):
+    branches = bae.enumerate_branches(spec)
+    assert len(branches) == math.comb(spec.N + 2, 2)
+    walls = [s.location for s in spec.singularities]
+    placements = {tuple(np.histogram(np.real(br.roots), [-np.inf, *walls, np.inf])[0])
+                  for br in branches}
+    assert all(br.is_real for br in branches)
+    assert len(placements) == len(branches)
+
+
+magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+entry = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+
+
+@st.composite
+def ascending_coefficients(draw, sizes):
+    """An ascending coefficient vector of degree 1..12 with a nonzero top
+    coefficient, real or complex, often with zeros from the constant term
+    up, and sometimes a top coefficient just above bae.DEGREE_TOL of the
+    largest, the smallest that enumeration extracts roots from."""
+    size = draw(sizes)
+    c = np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        c = c + 1j * np.array(draw(st.lists(entry, min_size=size, max_size=size)))
+    c[:draw(st.integers(0, size - 1))] = 0.0
+    largest = np.max(np.abs(c[:-1]))
+    if largest > 0.0 and draw(st.booleans()):
+        c[-1] = 1.000001 * bae.DEGREE_TOL * largest
+    assume(c[-1] != 0.0)
+    return c
+
+
+# batches whose vectors often share a length, so that one stacked
+# eigenvalue call holds several of them
+coefficient_batches = st.integers(2, 13).flatmap(lambda size: st.lists(
+    ascending_coefficients(st.one_of(st.just(size), st.integers(2, 13))),
+    min_size=1, max_size=8))
+
+
+@settings(derandomize=True, deadline=None)
+@given(coefficient_batches)
+# one stacked call for roots 1, 2 and +-i: the real pair comes back real
+@example([np.array([2.0, -3.0, 1.0]), np.array([1.0, 0.0, 1.0])])
+def test_batched_roots_are_np_roots_bit_for_bit(coeffs):
+    for c, got in zip(coeffs, bae._roots(coeffs), strict=True):
+        want = np.roots(c[::-1])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _parabolic_twins(q0, q1, c, p1, p2, N):
