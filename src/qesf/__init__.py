@@ -22,8 +22,8 @@ from .poly import Poly, Tridiag, tridiag_eigenvalues
 from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
                         split_energy, v0_pfe)
 from .prepot import Prepotential, integrate_w0, phi_log_sign
-from .verify import (Grid, VerificationReport, fd_spectrum, make_grid,
-                     node_count, normalizability_check, residual_check,
+from .verify import (Grid, VerificationReport, branch_setups, fd_spectrum,
+                     make_grid, node_count, normalizability_check,
                      schrodinger_residual, verify_branch, verify_branches)
 
 __version__ = "0.1.0"
@@ -33,11 +33,11 @@ __all__ = [
     "Diagnostic", "DomainError", "Grid", "GridError", "ModelError",
     "ModelSpec", "PFE", "Poly", "PotentialProfile", "Prepotential",
     "Singularity", "SolvabilityClass", "Tridiag", "VerificationReport",
-    "branch_energy", "build", "check_residues", "classify", "delta_v_pfe",
-    "enumerate_branches", "expected_energies", "fd_spectrum", "instantiate",
-    "integrate_w0", "jacobian", "make_grid",
+    "branch_energy", "branch_setups", "build", "check_residues", "classify",
+    "delta_v_pfe", "enumerate_branches", "expected_energies", "fd_spectrum",
+    "instantiate", "integrate_w0", "jacobian", "make_grid",
     "node_count", "normalizability_check", "phi_log_sign", "residual",
-    "residual_check", "schrodinger_residual", "solve", "split_energy",
+    "schrodinger_residual", "solve", "split_energy",
     "tridiag_eigenvalues", "v0_pfe", "validate", "verify_branch",
     "verify_branches",
 ]

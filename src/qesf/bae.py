@@ -61,6 +61,7 @@ MAX_ORDER = 121
 COMPRESSION_SEED = 0  # fixed compressions keep the k >= 2 results deterministic
 MAX_ITER = 80  # Newton steps to reach tol
 POLISH_ITER = 200  # further steps while the residual keeps improving
+ENERGY_TIE_ULPS = 4  # real branch energies this close, in ulps of their largest term, tie
 
 
 @dataclass(frozen=True)
@@ -138,13 +139,19 @@ def branch_energy(spec: ModelSpec, roots) -> float:
     E = 2 p3 sum z_k^2 + 2 p2 sum z_k + 2 p1 N - q2 N^2 - 2 q2 N sum_j mu_j
     """
     roots = np.asarray(roots)
+    t = _energy_terms(spec, roots)
+    e = t[0] + t[1] + t[2] + t[3] + t[4]
+    return complex(e) if np.iscomplexobj(roots) else float(e)
+
+
+def _energy_terms(spec: ModelSpec, roots: np.ndarray) -> tuple:
+    """The terms of branch_energy's sum, in its order."""
     N = spec.N
     p1, p2, p3 = spec.P.coeff(1), spec.P.coeff(2), spec.P.coeff(3)
     q2 = spec.Q.coeff(2)
     smu = sum(s.exponent for s in spec.singularities)
-    e = 2.0 * p3 * np.sum(roots ** 2) + 2.0 * p2 * np.sum(roots) + 2.0 * p1 * N \
-        - q2 * N * N - 2.0 * q2 * N * smu
-    return complex(e) if np.iscomplexobj(roots) else float(e)
+    return (2.0 * p3 * np.sum(roots ** 2), 2.0 * p2 * np.sum(roots), 2.0 * p1 * N,
+            -q2 * N * N, -2.0 * q2 * N * smu)
 
 
 def solve(spec: ModelSpec, init, tol: float = 1e-12,
@@ -433,17 +440,37 @@ def _starts(M0: np.ndarray, s: float, complex_mode: bool):
             yield s * np.sort_complex(w)
 
 
-def _energy_key(spec: ModelSpec, br: BetheBranch) -> tuple:
-    """Real branches first, then by extracted energy, then by roots."""
-    e = branch_energy(spec, np.asarray(br.roots))
-    return (0 if br.is_real else 1, np.real(e), np.imag(e),
-            tuple(np.real(np.asarray(br.roots))))
+def _energy_order(spec: ModelSpec, found: list[BetheBranch]) -> list[BetheBranch]:
+    """found with real branches first, by extracted energy, then the others
+    by (Re E, Im E, roots). A run of real branches whose energies agree
+    within ENERGY_TIE_ULPS ulps of the largest term of branch_energy's sum
+    (mirror branches, whose E differ only by rounding) is ordered by its
+    roots, so that no branch moves when E moves by an ulp."""
+    keyed = []
+    for br in found:
+        roots = np.asarray(br.roots)
+        e = branch_energy(spec, roots)
+        tie = ENERGY_TIE_ULPS * np.spacing(max(map(abs, _energy_terms(spec, roots))))
+        keyed.append(((0 if br.is_real else 1, np.real(e), np.imag(e),
+                       tuple(np.real(roots))), tie, br))
+    keyed.sort(key=lambda k: k[0])
+    out, run = [], []
+    for key, tie, br in keyed:
+        if run:
+            (_, e_prev, *_), tie_prev, _ = run[-1]
+            if not (key[0] == 0 and key[1] - e_prev <= max(tie, tie_prev)):
+                out += sorted(run, key=lambda k: k[0][3])
+                run = []
+        run.append((key, tie, br))
+    out += sorted(run, key=lambda k: k[0][3])
+    return [br for _, _, br in out]
 
 
 def enumerate_branches(spec: ModelSpec, tol: float = 1e-12,
                        complex_mode: bool = False) -> list[BetheBranch]:
     """Every branch of the model's eigenproblem, sorted by extracted energy
-    (real branches first).
+    (real branches first; energies equal but for rounding by roots, see
+    _energy_order).
 
     Each eigen-solution of _heine_matrix of exact degree N gets one Newton
     polish from its roots (_starts); polishes that collide or do not
@@ -473,7 +500,7 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12,
                 np.max(np.min(np.abs(roots[:, None] - np.asarray(old.roots)), axis=1))
                 < COLLISION_TOL for old in found):
             found.append(br)
-    return sorted(found, key=lambda br: _energy_key(spec, br))
+    return _energy_order(spec, found)
 
 
 def residue_bae_terms(spec: ModelSpec) -> dict:

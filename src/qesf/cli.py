@@ -142,12 +142,16 @@ def cmd_solve(args) -> int:
 
     # Real branches come back in ascending energy; bid is that position.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
-    for bid, br in enumerate(branches):
+    setups = verify.branch_setups(pre, branches, n_points=args.grid_points)
+    for bid, (br, setup) in enumerate(zip(branches, setups)):
         energy = bae.branch_energy(spec, np.asarray(br.roots, dtype=float))
-        try:
-            ok = verify.residual_check(pre, br, n_points=args.grid_points)[0] < 1e-6
-        except (GridError, DomainError, ValueError):
-            ok = False
+        ok = False
+        if not isinstance(setup, Exception):
+            profile, grid, phi = setup
+            try:
+                ok = verify.schrodinger_residual(profile, pre.cmap, grid, phi)[0] < 1e-6
+            except (GridError, DomainError, ValueError):
+                pass
         roots = list(enumerate(br.roots)) if br.n else [(-1, None)]
         for k, zk in roots:
             zs = "" if zk is None else _fmt(zk)

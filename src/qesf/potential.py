@@ -187,9 +187,19 @@ def delta_v_pfe(spec: ModelSpec, branch: bae.BetheBranch) -> PFE:
     N = spec.N
     q2 = spec.Q.coeff(2)
     smu = sum(s.exponent for s in spec.singularities)
-    poly = Poly([q2 * N * N + 2.0 * q2 * N * smu])
-    for zk in roots:
-        poly = poly + (-2.0) * spec.P.divided_difference(zk)
+    # Row 0 is the constant; row k + 1 is -2 (P(z) - P(z_k))/(z - z_k) by
+    # synthetic division, for every root at once. cumsum adds the rows in
+    # root order, as a sum of per-root Polys does.
+    c = spec.P.coeffs
+    d = len(c) - 1
+    rows = np.zeros((len(roots) + 1, max(d, 1)))
+    rows[0, 0] = q2 * N * N + 2.0 * q2 * N * smu
+    if d > 0:
+        rows[1:, d - 1] = c[d]
+        for i in range(d - 1, 0, -1):
+            rows[1:, i - 1] = c[i] + roots * rows[1:, i]
+        rows[1:] *= -2.0
+    poly = Poly(np.cumsum(rows, axis=0)[-1])
     bnd = []
     for s in spec.singularities:
         if roots.size and not is_turning_point(spec.Q, s.location):

@@ -11,8 +11,13 @@ so no numerical quadrature ever enters.
 The order-N prepotential adds -mu_j ln|z - a_j| per declared singularity and
 -ln|z - z_k| per root; the wave function exp(-W_N) is evaluated in
 sign/log-magnitude form because e.g. exp(-a x^4 / 4) underflows long before
-the certification boxes end. phi's power of |z - a| at every finite point a
-is algebraic: the declared mu at a minus the weight of W0's ln|z - a| term.
+the certification boxes end. It takes the roots of one branch, or rows of
+them (every branch of a model at once), and multiplies the root factors
+in chunks of ROOT_CHUNK before taking one log per chunk; a chunk whose
+product underflows to 0, overflows or hits a root exactly is redone root
+by root there, so a node is still exactly -inf with sign 0. phi's power
+of |z - a| at every finite point a is algebraic: the declared mu at a
+minus the weight of W0's ln|z - a| term.
 integrate_w0 builds the model once: the coordinate map, W0, the static
 potential V0, the table of these powers and the walls they cut in x. It is
 the one place that decides whether a model can be built: it runs
@@ -31,6 +36,8 @@ from . import coords, potential
 from .errors import DomainError, ModelError
 from .model import ModelSpec, is_turning_point, validate
 from .poly import Poly, divmod_poly, partial_fractions
+
+ROOT_CHUNK = 8  # root factors of phi multiplied before one log
 
 
 @dataclass(frozen=True)
@@ -169,19 +176,32 @@ def _finite_walls(cmap: coords.CoordinateMap, Q: Poly,
 def phi_log_sign(pre: Prepotential, roots, x):
     """phi_N = exp(-W_N) in (log-magnitude, sign) form, vectorized over x.
 
+    roots has shape (N,), with x of any shape; or it holds rows, shape
+    (B, N), with x of shape (B, n): row b of x is evaluated with row b of
+    roots, so one call serves every branch of a model.
+
     Zeros of phi come back as log-magnitude -inf with sign 0. Each entry of
     pre.powers adds p ln|z - a|, so a W0 log term and a declared singularity
     at one point never meet as inf - inf. Non-integer singularity exponents
     contribute to the magnitude only; on the physical domain z - a does not
     change sign, so this at most drops a constant prefactor sign.
+
+    The root factors z - z_k are multiplied in chunks of ROOT_CHUNK, one log
+    and one sign per chunk. Where a chunk's product is 0 or not finite (it
+    underflows or overflows far out, or a root is hit exactly) that chunk
+    is redone root by root at those points, so a genuine node still gives
+    -inf with sign 0.
     """
     z = np.asarray(pre.cmap.z_of_x(x), dtype=float)
     scalar = z.shape == ()
     za = np.atleast_1d(z)
+    r = np.asarray(roots, dtype=float)
+    # root k's entries, broadcast against za: a scalar, or a (B, 1) column
+    cols = r.T[..., None] if r.ndim == 2 else np.atleast_1d(r)
     sign = np.ones_like(za)
     # ln 0 at a power's point and z = inf give non-finite values, which
     # callers treat as out of range
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logmag = -np.asarray(pre.poly_part(za), dtype=float)
         for a, p in pre.powers:
             logmag = logmag + p * np.log(np.abs(za - a))
@@ -192,10 +212,21 @@ def phi_log_sign(pre: Prepotential, roots, x):
         for s in pre.spec_ref.singularities:
             if s.exponent == int(s.exponent):
                 sign = sign * np.where(za >= s.location, 1.0, -1.0) ** int(abs(s.exponent))
-        for zk in np.atleast_1d(np.asarray(roots, dtype=float)):
-            d = za - zk
-            logmag = logmag + np.log(np.abs(d))
-            sign = sign * np.sign(d)
+        for c in range(0, len(cols), ROOT_CHUNK):
+            chunk = cols[c:c + ROOT_CHUNK]
+            prod = za - chunk[0]
+            for zk in chunk[1:]:
+                prod *= za - zk
+            log_chunk, sign_chunk = np.log(np.abs(prod)), np.sign(prod)
+            redo = np.nonzero(~np.isfinite(log_chunk))
+            if len(redo[0]):
+                zr, lg, sg = za[redo], 0.0, 1.0
+                for zk in chunk:
+                    d = zr - np.broadcast_to(zk, za.shape)[redo]
+                    lg, sg = lg + np.log(np.abs(d)), sg * np.sign(d)
+                log_chunk[redo], sign_chunk[redo] = lg, sg
+            logmag += log_chunk
+            sign *= sign_chunk
     logmag = np.where(sign == 0, -np.inf, logmag)
     if scalar:
         return float(logmag[0]), float(sign[0])

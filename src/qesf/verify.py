@@ -22,6 +22,13 @@ branch there needs an even node count n and is matched against even-sector
 level n // 2; the odd partners of tunnelling doublets, never algebraic,
 are not in that operator at all. Residual, node count and normalizability
 stay on each branch's full-component grid.
+
+The setup the oracles start from (branch_setups: profile, grid and phi)
+is built for all branches of a model in one array pass: the truncation
+ladders of every branch and end are marched together, and phi on every
+grid comes from one prepot.phi_log_sign call with a row per branch. The
+residual, node count, normalizability and FD oracles then run per branch
+or per potential.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
 WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
-_LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_threshold
+_LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresholds
 _SIMPSON = np.ones(SIMPSON_POINTS)
 _SIMPSON[1:-1:2] = 4.0
 _SIMPSON[2:-1:2] = 2.0
@@ -120,31 +127,40 @@ def mirror_grid(x_t: float, n: int, h: float,
 # Domain determination
 
 
-def _march_threshold(pre: prepot.Prepotential, roots, start: float,
-                     direction: int) -> float:
-    """First point of an outward x-ladder from start with W_N >= W_THRESHOLD.
+def _march_thresholds(pre: prepot.Prepotential, roots: np.ndarray, starts,
+                      directions) -> np.ndarray:
+    """Per row i, the first point of an outward x-ladder from starts[i] in
+    directions[i] with W_N >= W_THRESHOLD, for the branch with roots[i]
+    (roots of shape (R, N)); nan where the ladder never gets there.
 
     The ladder's 400 steps start at 0.25 and grow by 1.25, accumulated in
     sequence. phi is evaluated lazily for chunks of 16, 32, 64, ... ladder
-    points, one prepot.phi_log_sign call per chunk. A chunk runs past the
-    crossing, where z or W_N may overflow; those values are never used. A
-    node (sign 0) is no crossing.
+    points, one prepot.phi_log_sign call per chunk over the rows not yet
+    crossed. A chunk runs past the crossing, where z or W_N may overflow;
+    those values are never used. A node (sign 0) is no crossing.
     """
-    xs = np.cumsum(np.concatenate(([start], direction * _LADDER_STEPS)))[1:]
+    steps = np.asarray(directions, dtype=float)[:, None] * _LADDER_STEPS
+    xs = np.cumsum(np.concatenate((np.asarray(starts, dtype=float)[:, None], steps),
+                                  axis=1), axis=1)[:, 1:]
+    found = np.full(len(xs), np.nan)
+    todo = np.arange(len(xs))
     lo, size = 0, 16
-    while lo < len(xs):
-        chunk = xs[lo:lo + size]
+    while len(todo) and lo < xs.shape[1]:
+        chunk = xs[todo, lo:lo + size]
         with np.errstate(over="ignore", invalid="ignore"):
-            logphi, sign = prepot.phi_log_sign(pre, roots, chunk)
-        crossed = np.flatnonzero((-logphi >= W_THRESHOLD) & (sign != 0))
-        if len(crossed):
-            return float(chunk[crossed[0]])
+            logphi, sign = prepot.phi_log_sign(pre, roots[todo], chunk)
+        crossed = (-logphi >= W_THRESHOLD) & (sign != 0)
+        hit = crossed.any(axis=1)
+        found[todo[hit]] = chunk[hit, crossed[hit].argmax(axis=1)]
+        todo = todo[~hit]
         lo, size = lo + size, 2 * size
-    raise GridError("truncation search exhausted")
+    return found
 
 
-def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
-    """Certification grid of n_points points for the branch with these roots.
+def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list:
+    """Certification grids of n_points points, one per branch, for roots of
+    shape (B, N) (a branch's roots per row): per branch, in order, its Grid
+    or the GridError that stopped it.
 
     The map's endpoints and the model's finite walls (pre.walls) cut the
     x-domain into components. A component is admitted when phi vanishes at
@@ -154,54 +170,92 @@ def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
     unbounded ends truncate is certified: an unbounded end is cut where
     W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box edge, and an
     end at a wall is inset by max(10h, 1e-3) and carries the wall's (x, nu).
+
+    The truncation ladders of every branch's preferred component, both ends,
+    run in one _march_thresholds pass; a branch whose component does not
+    truncate tries its next one in a further pass.
     """
+    roots = np.asarray(roots, dtype=float)
     walls = pre.walls
     cuts = sorted({*pre.cmap.x_domain, *walls})
     components = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-9]
     if not components:
-        raise GridError("empty coordinate domain")
+        return [GridError("empty coordinate domain") for _ in roots]
     # The root preimages xr pull the box out far enough to contain the state.
     # Roots outside the map's image have no preimage; the rest are mapped
     # in one call, or one by one if that call still fails (an exponential
     # map rejects its image's end).
     cmap = pre.cmap
     z_lo, z_hi = cmap.z_image
-    zr = np.atleast_1d(np.asarray(roots, dtype=float))
-    zr = zr[(zr >= z_lo - cmap.z_tol) & (zr <= z_hi + cmap.z_tol)]
+    xr = np.full(roots.shape, np.nan)
+    mapped = (roots >= z_lo - cmap.z_tol) & (roots <= z_hi + cmap.z_tol)
     try:
-        xs = np.atleast_1d(cmap.x_of_z(zr)).tolist()
+        xr[mapped] = cmap.x_of_z(roots[mapped])
     except DomainError:
-        xs = []
-        for zk in zr:
+        for i, j in zip(*np.nonzero(mapped)):
             try:
-                xs.append(cmap.x_of_z(zk))
+                xr[i, j] = cmap.x_of_z(roots[i, j])
             except DomainError:
                 continue
-    xr = [xk for xk in xs if math.isfinite(xk)]
     bsign = pre.spec_ref.branch_sign
     admitted = [(a, b) for a, b in components
                 if not any(math.isfinite(e) and walls[e] <= 0.0 for e in (a, b))]
-    admitted.sort(key=lambda c: (not all(c[0] < v < c[1] for v in xr),
-                                 -(min(c[1], 1e18) - max(c[0], -1e18)),
-                                 -bsign * (max(c[0], -1e18) + min(c[1], 1e18)) / 2.0))
-    for a, b in admitted:
-        inside = [v for v in xr if a < v < b]
-        x_lo, x_hi = a, b
-        try:
+    pending = {}  # branch -> (its root preimages, its components still to try)
+    for i, row in enumerate(xr):
+        xi = row[np.isfinite(row)].tolist()
+        pending[i] = xi, iter(sorted(
+            admitted, key=lambda c: (not all(c[0] < v < c[1] for v in xi),
+                                     -(min(c[1], 1e18) - max(c[0], -1e18)),
+                                     -bsign * (max(c[0], -1e18) + min(c[1], 1e18)) / 2.0)))
+    grids: list = [None] * len(roots)
+    while pending:
+        boxes, rows, starts, directions = {}, [], [], []
+        for i, (xi, comps) in list(pending.items()):
+            comp = next(comps, None)
+            if comp is None:
+                grids[i] = GridError("no normalizable domain component found")
+                del pending[i]
+                continue
+            a, b = boxes[i] = comp
+            inside = [v for v in xi if a < v < b]
             if not math.isfinite(b):
-                s0 = (max(inside) if inside else (a + 1.0 if math.isfinite(a) else 0.0)) + 0.5
-                x_hi = _march_threshold(pre, roots, s0, +1)
+                rows.append(i)
+                starts.append((max(inside) if inside else
+                               (a + 1.0 if math.isfinite(a) else 0.0)) + 0.5)
+                directions.append(+1)
             if not math.isfinite(a):
-                s0 = (min(inside) if inside else (b - 1.0 if math.isfinite(b) else 0.0)) - 0.5
-                x_lo = _march_threshold(pre, roots, s0, -1)
-        except (GridError, ValueError):
-            continue
-        inset = max(10.0 * ((x_hi - x_lo) / (n_points - 1)), 1e-3)
-        wall_lo = (a, walls[a]) if math.isfinite(a) else None
-        wall_hi = (b, walls[b]) if math.isfinite(b) else None
-        return make_grid(x_lo + inset if wall_lo else x_lo,
-                         x_hi - inset if wall_hi else x_hi, n_points, wall_lo, wall_hi)
-    raise GridError("no normalizable domain component found")
+                rows.append(i)
+                starts.append((min(inside) if inside else
+                               (b - 1.0 if math.isfinite(b) else 0.0)) - 0.5)
+                directions.append(-1)
+        ends = {i: list(box) for i, box in boxes.items()}
+        found = _march_thresholds(pre, roots[rows], starts, directions)
+        for i, direction, x_end in zip(rows, directions, found.tolist()):
+            ends[i][1 if direction > 0 else 0] = x_end
+        for i, (a, b) in boxes.items():
+            x_lo, x_hi = ends[i]
+            if math.isnan(x_lo) or math.isnan(x_hi):
+                continue  # no truncation: the next component
+            del pending[i]
+            inset = max(10.0 * ((x_hi - x_lo) / (n_points - 1)), 1e-3)
+            wall_lo = (a, walls[a]) if math.isfinite(a) else None
+            wall_hi = (b, walls[b]) if math.isfinite(b) else None
+            try:
+                grids[i] = make_grid(x_lo + inset if wall_lo else x_lo,
+                                     x_hi - inset if wall_hi else x_hi, n_points,
+                                     wall_lo, wall_hi)
+            except GridError as exc:
+                grids[i] = exc
+    return grids
+
+
+def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
+    """default_grids for the branch with these roots: its grid, or its
+    GridError raised."""
+    (grid,) = default_grids(pre, [roots], n_points)
+    if isinstance(grid, GridError):
+        raise grid
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +298,14 @@ def schrodinger_residual(profile: potential.PotentialProfile, cmap, grid: Grid, 
 
     mask = np.ones(len(res), dtype=bool)
     xi = x[interior]
-    # node exclusion zones
-    flips = np.where(phi[:-1] * phi[1:] < 0)[0]
-    delta = NODE_DELTA_STEPS * grid.h
-    for i in flips:
-        xn = 0.5 * (x[i] + x[i + 1])
-        mask &= np.abs(xi - xn) > delta
+    # node exclusion zones: each point against its nearest node on either side
+    flips = np.flatnonzero(phi[:-1] * phi[1:] < 0)
+    if len(flips):
+        xn = 0.5 * (x[flips] + x[flips + 1])
+        right = np.minimum(np.searchsorted(xn, xi), len(xn) - 1)
+        delta = NODE_DELTA_STEPS * grid.h
+        left = np.maximum(right - 1, 0)
+        mask = (np.abs(xi - xn[right]) > delta) & (np.abs(xi - xn[left]) > delta)
     # singular-wall exclusion zones
     wdelta = WALL_DELTA_STEPS * grid.h
     if grid.wall_lo is not None:
@@ -434,22 +490,38 @@ def normalizability_check(pre: prepot.Prepotential, branch,
     return bool(ok_lo and ok_hi), estimate
 
 
-def _branch_setup(pre: prepot.Prepotential, branch, n_points: int):
-    """Reported potential, certification grid and phi_N = (log|phi_N|,
-    sign) on its points, of one branch."""
-    profile = potential.split_energy(pre, branch)
-    grid = default_grid(pre, branch.roots, n_points=n_points)
-    roots = np.asarray(branch.roots, dtype=float)
-    return profile, grid, prepot.phi_log_sign(pre, roots, grid.points)
+def branch_setups(pre: prepot.Prepotential, branches, n_points: int = 4001) -> list:
+    """Certification setup of every branch of the built model, in one array
+    pass: per branch, in order, its (profile, grid, phi), or the ValueError
+    (a GridError, say) that stopped it. profile is the reported potential
+    and energy (potential.split_energy), grid the branch's default grid of
+    n_points points, and phi = (log|phi_N|, sign) on its points. The
+    branches share N, the model's.
 
-
-def residual_check(pre: prepot.Prepotential, branch, *,
-                   n_points: int = 4001) -> tuple[float, float]:
-    """Schrodinger residual (max, rms) of one branch of the built model on
-    its default grid: the residual oracle of verify_branch, at its default
-    stencil order."""
-    profile, grid, phi = _branch_setup(pre, branch, n_points)
-    return schrodinger_residual(profile, pre.cmap, grid, phi)
+    The grids come from default_grids, which marches every branch's
+    truncation ladders at once, and phi on all of them from one
+    prepot.phi_log_sign call with a row per branch.
+    """
+    setups: list = []
+    for br in branches:
+        try:
+            setups.append(potential.split_energy(pre, br))
+        except ValueError as exc:
+            setups.append(exc)
+    ok = [i for i, p in enumerate(setups) if not isinstance(p, Exception)]
+    roots = np.asarray([branches[i].roots for i in ok], dtype=float).reshape(
+        len(ok), pre.spec_ref.N)
+    grids = default_grids(pre, roots, n_points)
+    rows = [j for j, grid in enumerate(grids) if isinstance(grid, Grid)]
+    for i, grid in zip(ok, grids):
+        if not isinstance(grid, Grid):
+            setups[i] = grid
+    if rows:
+        logphi, sign = prepot.phi_log_sign(pre, roots[rows],
+                                           np.array([grids[j].points for j in rows]))
+        for j, lp, sg in zip(rows, logphi, sign):
+            setups[ok[j]] = (setups[ok[j]], grids[j], (lp, sg))
+    return setups
 
 
 def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
@@ -490,9 +562,12 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     """
     results: list = [None] * len(branches)
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
-    for i, br in enumerate(branches):
+    for i, (br, setup) in enumerate(zip(branches, branch_setups(pre, branches, n_points))):
+        if isinstance(setup, Exception):
+            results[i] = setup
+            continue
+        profile, grid, phi = setup
         try:
-            profile, grid, phi = _branch_setup(pre, br, n_points)
             rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi,
                                               stencil_order=stencil_order)
             nodes = node_count(phi)

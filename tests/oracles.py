@@ -10,14 +10,17 @@ z'^2 = Q(z) and dW0/dz = P/Q; w0_of_z sums the prepotential's closed-form
 terms as written, so the tests can check them against known W0.
 sturm_count counts a tridiagonal matrix's eigenvalues below a value by the
 LDL^T recurrence, without LAPACK; norm1 is the matrix's |T|_1, the scale of
-the bisection tolerance.
+the bisection tolerance. phi_log_sign adds one log and one sign per root
+factor, the plain form of prepot.phi_log_sign's chunked products, and
+delta_v_poly sums dV_N's polynomial part one root's Poly at a time, the
+plain form of potential.delta_v_pfe's arrays.
 """
 
 import numpy as np
 
 from qesf import coords
 from qesf.model import ModelSpec
-from qesf.poly import Tridiag, tridiag_eigenvalues
+from qesf.poly import Poly, Tridiag, tridiag_eigenvalues
 
 
 def dz_dx(cmap: coords.CoordinateMap, x):
@@ -200,3 +203,45 @@ def norm1(t: Tridiag) -> float:
     """|T|_1 of a symmetric tridiagonal matrix: its largest absolute row sum."""
     e = np.abs(t.offdiag)
     return float(np.max(np.abs(t.diag) + np.r_[e, 0.0] + np.r_[0.0, e]))
+
+
+def phi_log_sign(pre, roots, x):
+    """phi_N = exp(-W_N) as (log|phi_N|, sign), with one log and one sign
+    per root factor. roots has shape (N,) with x of any shape, or holds
+    rows, shape (B, N), with x of shape (B, n)."""
+    z = np.asarray(pre.cmap.z_of_x(x), dtype=float)
+    scalar = z.shape == ()
+    za = np.atleast_1d(z)
+    r = np.asarray(roots, dtype=float)
+    sign = np.ones_like(za)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logmag = -np.asarray(pre.poly_part(za), dtype=float)
+        for a, p in pre.powers:
+            logmag = logmag + p * np.log(np.abs(za - a))
+        for t in pre.quad_log_terms:
+            logmag = logmag - t.weight * np.log((za - t.center) ** 2 + t.imag ** 2)
+        for t in pre.pole_terms:
+            logmag = logmag - t.weight / (za - t.location)
+        for s in pre.spec_ref.singularities:
+            if s.exponent == int(s.exponent):
+                sign = sign * np.where(za >= s.location, 1.0, -1.0) ** int(abs(s.exponent))
+        for zk in (r.T[..., None] if r.ndim == 2 else np.atleast_1d(r)):
+            d = za - zk
+            logmag = logmag + np.log(np.abs(d))
+            sign = sign * np.sign(d)
+    logmag = np.where(sign == 0, -np.inf, logmag)
+    if scalar:
+        return float(logmag[0]), float(sign[0])
+    return logmag, sign
+
+
+def delta_v_poly(spec: ModelSpec, roots) -> Poly:
+    """Polynomial part of dV_N, q2 N^2 + 2 q2 N sum(mu) - 2 sum_k (P(z) -
+    P(z_k))/(z - z_k), summed one root's Poly at a time."""
+    N = spec.N
+    q2 = spec.Q.coeff(2)
+    smu = sum(s.exponent for s in spec.singularities)
+    poly = Poly([q2 * N * N + 2.0 * q2 * N * smu])
+    for zk in np.asarray(roots, dtype=float):
+        poly = poly + (-2.0) * spec.P.divided_difference(zk)
+    return poly

@@ -25,6 +25,12 @@ def _report(n, text):
     print(f"ACCEPTANCE {n}: PASS - {text}")
 
 
+def _residual_max(pre, br):
+    """Largest Schrodinger residual of one branch on its default grid."""
+    ((profile, grid, phi),) = verify.branch_setups(pre, [br])
+    return verify.schrodinger_residual(profile, pre.cmap, grid, phi)[0]
+
+
 def test_criterion_01_hermite_stieltjes_equivalence():
     t0 = time.perf_counter()
     for N in range(1, 11):
@@ -81,7 +87,7 @@ def test_criterion_03_sextic_type2():
         # the reported potential differs across branches exactly through
         # the linear-in-x coefficient -2 a sum(x_k)
         assert abs(prof.U.poly.coeff(1) - (-2.0 * sum_roots)) < 1e-12
-        rmax, _ = verify.residual_check(pre, br)
+        rmax = _residual_max(pre, br)
         assert rmax < 1e-7
         # energies coincide at the shifted zero point: the full V_N = U - E
         # annihilates phi_N, i.e. every branch sits at eigenvalue 0 of its
@@ -98,7 +104,7 @@ def test_criterion_03_sextic_type2():
         sum_roots = float(np.sum(np.asarray(br.roots)))
         assert abs(prof.U.poly.coeff(1) - (-2.0 * sum_roots)) < 1e-9
         lins.add(round(prof.U.poly.coeff(1), 9))
-        rmax, _ = verify.residual_check(pre3, br)
+        rmax = _residual_max(pre3, br)
         assert rmax < 1e-7
     assert len(lins) == 3
     _report(3, "type-2 sextic: linear coefficient -2a*sum(x_k) per branch, "
@@ -156,14 +162,14 @@ def test_criterion_06_halfline_sextic():
         prof = potential.split_energy(pre_half, br)
         # potential part equals the full-line sextic with (4N + 4p + 3) = 9
         assert np.allclose(prof.U.poly.coeffs, (0.0, -9.0, 0.0, 1.0), atol=1e-12)
-        rmax, _ = verify.residual_check(pre_half, br)
+        rmax = _residual_max(pre_half, br)
         assert rmax < 1e-6
     # general p = 0.3 on the half-line grid
     for N in (1, 2):
         spec = catalog.instantiate("sextic-halfline", N=N, a=1.0, b=0.0, p=0.3)
         pre = prepot.integrate_w0(spec)
         for br in bae.enumerate_branches(spec):
-            rmax, _ = verify.residual_check(pre, br)
+            rmax = _residual_max(pre, br)
             assert rmax < 1e-6
     _report(6, "half-line sextic: p=1/2 kills the 1/x^2 term exactly; "
                "p=0.3 certifies below 1e-6 on the half-line grid")
@@ -176,7 +182,7 @@ def test_criterion_07_trig_interval(tmp_path):
         assert len(branches) == N + 1
         pre = prepot.integrate_w0(spec)
         for br in branches:
-            rmax, _ = verify.residual_check(pre, br)
+            rmax = _residual_max(pre, br)
             assert rmax < 1e-6
     cfg = tmp_path / "trig.json"
     cfg.write_text(json.dumps({"catalog": "trig-interval", "N": 1}))

@@ -349,3 +349,22 @@ def test_degenerate_levels_give_no_branch():
     # one step inside the bound-state limit the single branch is there
     for name in ("morse-es", "morse-p"):
         assert len(bae.enumerate_branches(catalog.instantiate(name, N=4))) == 1
+
+
+def test_a_one_ulp_energy_move_keeps_the_branch_order(monkeypatch):
+    # the symmetric type-2 sextic's mirror branches have energies equal but
+    # for rounding; they are ordered by their roots, so moving any branch's
+    # E by one ulp either way (as rounding-level moves of the Newton starts
+    # do) swaps no two of them
+    real = bae.branch_energy
+    for N in (2, 4):
+        spec = catalog.instantiate("sextic-type2", N=N, a=1.0, b=-3.0)
+        order = [br.roots for br in bae.enumerate_branches(spec)]
+        for target in order:
+            for way in (-math.inf, math.inf):
+                def moved(spec_, roots, target=target, way=way):
+                    e = real(spec_, roots)
+                    return math.nextafter(e, way) if tuple(roots) == target else e
+
+                monkeypatch.setattr(bae, "branch_energy", moved)
+                assert [br.roots for br in bae.enumerate_branches(spec)] == order, (N, target)

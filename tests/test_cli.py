@@ -317,6 +317,32 @@ def test_solve_and_verify_build_the_model_once(tmp_path, monkeypatch):
         assert calls == {"build": 1, "v0_pfe": 1}, argv
 
 
+def test_solve_evaluates_phi_in_as_many_calls_for_any_branch_count(tmp_path, monkeypatch):
+    # the verified column's setup marches and evaluates phi for all branches
+    # at once: sextic N = 4 and N = 16 (5 and 17 branches) make the same
+    # number of prepot.phi_log_sign calls
+    from qesf import prepot
+    calls = []
+    real = prepot.phi_log_sign
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(prepot, "phi_log_sign", counted)
+    counts = {}
+    for N in (4, 16):
+        cfg = write_config(tmp_path, "s.json", {"catalog": "sextic", "N": N})
+        calls.clear()
+        code, out, _ = run_cli(["solve", cfg])
+        assert code == 0
+        assert {row.split(",")[0] for row in out.splitlines()[1:]} == {
+            str(b) for b in range(N + 1)}
+        assert out.count(",true\n") == N * (N + 1)
+        counts[N] = len(calls)
+    assert counts[4] == counts[16], counts
+
+
 @pytest.mark.parametrize("payload,message", [
     ({"Q": [-1], "P": [0, 1], "N": 1}, "constant Q must be positive"),
     ({"Q": [0, 0, -1], "P": [0, 1], "N": 1}, "no real trigonometric motion"),

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qesf import coords, model, prepot
+from qesf import bae, catalog, coords, model, prepot, verify
 from qesf.errors import ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
+import oracles
 from oracles import dw0_dz, dz_dx, w0_of_z
 
 
@@ -119,6 +120,50 @@ def test_phi_value_examples():
     lm, sg = prepot.phi_log_sign(pre2, [zk], x)
     want = (x * x - zk) * math.exp(-x ** 4 / 4)
     assert sg * math.exp(lm) == pytest.approx(want, rel=1e-12)
+
+
+def test_an_exact_root_hit_in_a_batched_setup_is_a_node():
+    # sextic-type2 N = 1, b = -1: the roots are 0 and +-1, and the grid of
+    # the branch at z = 0 runs through x = 0, where the product of its
+    # chunk is 0; redone root by root it is a node, as per-root logs give
+    spec = catalog.instantiate("sextic-type2", N=1, a=1.0, b=-1.0)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    setups = verify.branch_setups(pre, branches, n_points=2001)
+    (hit,) = [i for i, br in enumerate(branches) if br.roots == (0.0,)]
+    _, grid, (logphi, sign) = setups[hit]
+    (node,) = np.flatnonzero(grid.points == 0.0)
+    assert (logphi[node], sign[node]) == (-math.inf, 0.0)
+    roots = np.array([br.roots for br in branches])
+    points = np.array([g.points for _, g, _ in setups])
+    want = oracles.phi_log_sign(pre, roots, points)
+    got = prepot.phi_log_sign(pre, roots, points)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0])  # one root: the same single log
+
+
+def test_phi_redoes_chunk_products_that_overflow_or_underflow():
+    # sextic N = 16 far out on a truncation ladder: each of a chunk's eight
+    # factors z - z_k is ~1e60, so their product overflows; the chunk is
+    # redone root by root, within rounding of the per-root log sum
+    spec = catalog.instantiate("sextic", N=16)
+    pre = prepot.integrate_w0(spec)
+    roots = np.array([br.roots for br in bae.enumerate_branches(spec)])
+    x = np.outer(np.ones(len(roots)), [-1e30, -3.0, 2.5, 1e20, 1e30, 1e38])
+    z = pre.cmap.z_of_x(x[0])  # finite: 1e76 at most
+    with np.errstate(over="ignore"):
+        products = np.prod(np.subtract.outer(z, roots[0][:8]), axis=1)
+    assert not np.all(np.isfinite(products))
+    logphi, sign = prepot.phi_log_sign(pre, roots, x)
+    logphi_w, sign_w = oracles.phi_log_sign(pre, roots, x)
+    assert np.array_equal(sign, sign_w)
+    assert np.all(np.isfinite(logphi))
+    assert np.all(np.abs(logphi - logphi_w) <= 1e-12 * np.maximum(1.0, np.abs(logphi_w)))
+    # and one whose product underflows: eight roots within 1e-49 of z = 0
+    tiny = np.arange(1, 9) * 1e-50
+    logphi, sign = prepot.phi_log_sign(pre, tiny, 0.0)
+    assert math.isfinite(logphi) and sign == 1.0
+    assert logphi == pytest.approx(oracles.phi_log_sign(pre, tiny, 0.0)[0], rel=1e-12)
 
 
 def test_phi_log_space_handles_underflow():

@@ -1,8 +1,9 @@
 """Property tests of the branch finder on random type-2, two-wall and
 singularity-induced models and of its batched root extraction, of the
 walls of parabolic models, of the coordinate images and the equations the
-map and W0 solve, of which models over an irreducible Q build, and of the
-energies and CSV output of random type-1 models."""
+map and W0 solve, of which models over an irreducible Q build, of the
+energies and CSV output of random type-1 models, and of the batched
+certification setup against the per-branch, per-root one."""
 
 import contextlib
 import io
@@ -10,15 +11,18 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from qesf import bae, catalog, cli, coords, potential, prepot, verify
-from qesf.errors import ModelError
+from qesf.errors import GridError, ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly, partial_fractions
+
+import oracles
 
 Ns = st.integers(1, 6)
 # (spec, k): k free parameters of the eigenproblem, at most C(N+k, k) solutions
@@ -268,3 +272,61 @@ def test_solve_csv_is_deterministic(spec):
             with open(out, "rb") as fh:
                 csvs.append(fh.read())
     assert csvs[0] == csvs[1]
+
+
+# type-1, type-2 and one-wall models at N <= 8
+Ns8 = st.integers(1, 8)
+setup_models = st.one_of(
+    st.builds(lambda a, b, N: catalog.instantiate("sextic", N=N, a=a, b=b),
+              st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.integers(0, 8)),
+    st.builds(lambda a, b, p, N: catalog.instantiate("sextic-halfline", N=N, a=a, b=b, p=p),
+              st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(0.05, 0.45), Ns8),
+    st.builds(lambda a, p1, p2, N: catalog.instantiate("trig-interval", N=N, a=a, p1=p1, p2=p2),
+              st.floats(0.5, 2.0), st.floats(0.1, 0.6), st.floats(0.1, 0.6), Ns8),
+    st.builds(lambda a, b, N: catalog.instantiate("sextic-type2", N=N, a=a, b=b),
+              st.floats(0.5, 2.0), st.floats(-4.0, 4.0), Ns8),
+    st.builds(lambda c0, a, mu, N: ModelSpec(Poly([1.0]), Poly([c0, 1.0]),
+                                             (Singularity(a, mu),), N),
+              st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.05, 1.5), Ns8))
+
+
+def _setup_matches(pre, got, want):
+    """One branch's batched setup against its own, from per-root logs."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    (profile, grid, (logphi, sign)), (profile_w, grid_w, (logphi_w, sign_w)) = got, want
+    assert profile == profile_w
+    assert np.array_equal(grid.points, grid_w.points)
+    assert (grid.h, grid.wall_lo, grid.wall_hi) == (grid_w.h, grid_w.wall_lo, grid_w.wall_hi)
+    assert np.array_equal(sign, sign_w)
+    assert verify.node_count((logphi, sign)) == verify.node_count((logphi_w, sign_w))
+    finite = np.isfinite(logphi_w)
+    assert np.array_equal(np.isfinite(logphi), finite)
+    assert np.all(logphi[~finite] == logphi_w[~finite])
+    assert np.all(np.abs(logphi[finite] - logphi_w[finite])
+                  <= 1e-12 * np.maximum(1.0, np.abs(logphi_w[finite])))
+    try:
+        want_r = verify.schrodinger_residual(profile, pre.cmap, grid_w, (logphi_w, sign_w))
+    except GridError as exc:
+        with pytest.raises(GridError, match=str(exc)):
+            verify.schrodinger_residual(profile, pre.cmap, grid, (logphi, sign))
+        return
+    got_r = verify.schrodinger_residual(profile, pre.cmap, grid, (logphi, sign))
+    assert np.all(np.abs(np.subtract(got_r, want_r)) <= 1e-9)
+
+
+@settings(derandomize=True, deadline=None)
+@given(setup_models)
+def test_batched_setup_matches_the_per_branch_log_sum_setup(spec):
+    # every branch's grid, phi and residual from one setup of all branches
+    # are those of a setup of that branch alone with phi summed one root
+    # log at a time; dV_N's polynomial part is the per-root Poly sum
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    got = verify.branch_setups(pre, branches, n_points=2001)
+    with mock.patch.object(prepot, "phi_log_sign", oracles.phi_log_sign):
+        want = [verify.branch_setups(pre, [br], n_points=2001)[0] for br in branches]
+    for br, g, w in zip(branches, got, want, strict=True):
+        assert potential.delta_v_pfe(spec, br).poly == oracles.delta_v_poly(spec, br.roots)
+        _setup_matches(pre, g, w)

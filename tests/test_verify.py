@@ -261,8 +261,8 @@ def test_normalizability_on_the_certified_component():
 
 
 def test_march_threshold_matches_a_pointwise_march():
-    # the ladder evaluated in one call stops where a point-by-point march
-    # with the same recurrence stops
+    # the ladders of every branch and end, marched in one call, stop where a
+    # point-by-point march with the same recurrence stops
     def marched(pre, roots, x, direction):
         step = 0.25
         x += direction * step
@@ -273,13 +273,15 @@ def test_march_threshold_matches_a_pointwise_march():
             step *= 1.25
             x += direction * step
 
+    ends = ((0.5, 1), (-0.5, -1), (2.0, 1))
     for name, N in (("harmonic", 3), ("sextic", 4), ("morse-es", 2), ("sextic-halfline", 3)):
         spec = catalog.instantiate(name, N=N)
         pre = prepot.integrate_w0(spec)
-        for br in bae.enumerate_branches(spec):
-            for start, direction in ((0.5, 1), (-0.5, -1), (2.0, 1)):
-                assert (verify._march_threshold(pre, br.roots, start, direction)
-                        == marched(pre, br.roots, start, direction)), (name, br)
+        roots = np.array([br.roots for br in bae.enumerate_branches(spec) for _ in ends])
+        starts, directions = zip(*(ends * (len(roots) // len(ends))))
+        got = verify._march_thresholds(pre, roots, starts, directions)
+        for r, start, direction, x in zip(roots, starts, directions, got.tolist()):
+            assert x == marched(pre, r, start, direction), (name, r, start)
 
 
 @pytest.mark.parametrize("spec", [
@@ -290,13 +292,13 @@ def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec)
     # both models have two admitted components, each with one unbounded
     # end; only the preferred one is marched
     marches = []
-    real = verify._march_threshold
+    real = verify._march_thresholds
 
-    def counted(*args):
-        marches.append(args[2:])
-        return real(*args)
+    def counted(pre, roots, starts, directions):
+        marches.extend(zip(starts, directions))
+        return real(pre, roots, starts, directions)
 
-    monkeypatch.setattr(verify, "_march_threshold", counted)
+    monkeypatch.setattr(verify, "_march_thresholds", counted)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == spec.N + 1
@@ -305,6 +307,34 @@ def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec)
         grid = verify.default_grid(pre, br.roots)
         assert len(marches) == 1, (br, marches)  # (start, direction) per march
         assert math.isinf(grid.component[0]) != math.isinf(grid.component[1])
+    marches.clear()
+    grids = verify.default_grids(pre, [br.roots for br in branches])
+    assert len(marches) == len(branches)
+    for grid, br in zip(grids, branches):
+        alone = verify.default_grid(pre, br.roots)
+        assert np.array_equal(grid.points, alone.points)
+        assert (grid.h, grid.wall_lo, grid.wall_hi) == (alone.h, alone.wall_lo, alone.wall_hi)
+
+
+def test_residual_excludes_both_sides_of_every_node():
+    # phi is piecewise linear with U = E = 0, so its residual is rounding
+    # except at its kinks; each kink sits 3 steps from one of the two
+    # nodes, on either side, inside the NODE_DELTA_STEPS exclusion
+    cmap = coords.build(Poly([1.0]))
+    grid = verify.make_grid(-1.0, 1.0, 201)
+    n0, n1, d = -0.3033, 0.3366, 3 * grid.h
+    phi = np.interp(grid.points, [-1.0, n0 - d, n0 + d, n1 - d, n1 + d, 1.0],
+                    [-0.2, -0.06, 0.06, 0.09, -0.09, -0.3])
+    profile = potential.PotentialProfile(potential.PFE(Poly([0.0])), 0.0, None)
+    with np.errstate(divide="raise"):
+        rmax, _ = verify.schrodinger_residual(profile, cmap, grid,
+                                              (np.log(np.abs(phi)), np.sign(phi)))
+    assert rmax < 1e-9
+    # a kink away from the nodes is not excluded
+    phi[150:] += 0.5 * (grid.points[150:] - grid.points[150])
+    rmax, _ = verify.schrodinger_residual(profile, cmap, grid,
+                                          (np.log(np.abs(phi)), np.sign(phi)))
+    assert rmax > 1.0
 
 
 def test_windows_match_the_loop_recurrence():
@@ -370,14 +400,17 @@ def test_verify_branch_roots_from_hermite_all_n():
         assert rep.node_count == n
 
 
-def test_residual_check_matches_verify_branch():
-    # type-1, exactly solvable, and a singular wall
+def test_branch_setups_residual_matches_verify_branch():
+    # type-1, exactly solvable, and a singular wall: the residual qesf solve
+    # reads from the setup of all branches at once is each branch's own
     for name, N in (("sextic", 2), ("morse-es", 2), ("sextic-halfline", 1)):
         spec = catalog.instantiate(name, N=N)
         pre = prepot.integrate_w0(spec)
-        for br in bae.enumerate_branches(spec):
+        branches = bae.enumerate_branches(spec)
+        setups = verify.branch_setups(pre, branches, n_points=2001)
+        for br, (profile, grid, phi) in zip(branches, setups):
             rep = verify.verify_branch(pre, br, n_points=2001)
-            got = verify.residual_check(pre, br, n_points=2001)
+            got = verify.schrodinger_residual(profile, pre.cmap, grid, phi)
             assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
 
