@@ -11,7 +11,7 @@ normalizability.
 """
 
 from .bae import (BetheBranch, branch_energy, enumerate_branches, jacobian,
-                  residual, solve)
+                  residual, residuals, solve, solve_many)
 from .catalog import expected_energies, instantiate
 from .coords import CoordinateMap, build
 from .errors import (CollisionError, ConvergenceError, DomainError, GridError,
@@ -24,7 +24,8 @@ from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
 from .prepot import Prepotential, integrate_w0, phi_log_sign
 from .verify import (Grid, VerificationReport, branch_setups, fd_spectrum,
                      make_grid, node_count, normalizability_check,
-                     schrodinger_residual, verify_branch, verify_branches)
+                     normalizability_checks, schrodinger_residual, verify_branch,
+                     verify_branches)
 
 __version__ = "0.1.0"
 
@@ -36,8 +37,9 @@ __all__ = [
     "branch_energy", "branch_setups", "build", "check_residues", "classify",
     "delta_v_pfe", "enumerate_branches", "expected_energies", "fd_spectrum",
     "instantiate", "integrate_w0", "jacobian", "make_grid",
-    "node_count", "normalizability_check", "phi_log_sign", "residual",
-    "schrodinger_residual", "solve", "split_energy",
+    "node_count", "normalizability_check", "normalizability_checks",
+    "phi_log_sign", "residual", "residuals", "schrodinger_residual", "solve",
+    "solve_many", "split_energy",
     "tridiag_eigenvalues", "v0_pfe", "validate", "verify_branch",
     "verify_branches",
 ]

@@ -26,8 +26,11 @@ rectangular multiparameter eigenproblem, solved through Atkinson's
 Delta-operators of k fixed compressions (Hochstenbach, Kosir and
 Plestenjak) as the standard eigenproblem of Delta_0^-1 Delta_c. Every
 eigen-solution of exact degree N gets one Newton polish from its roots,
-which come from one stacked companion-matrix eigenvalue call. Only numpy
-runs here.
+which come from one stacked companion-matrix eigenvalue call. The polishes
+run in lock step as the rows of one damped Newton (solve_many): residuals
+of shape (B, N), Jacobians (B, N, N) and one batched linear solve per
+iteration, with each row's line search, polish phase and error its own.
+Only numpy runs here.
 """
 
 from __future__ import annotations
@@ -82,55 +85,103 @@ class BetheBranch:
         return not any(isinstance(r, complex) and abs(r.imag) > 0 for r in self.roots)
 
 
-def _pair_inverse(roots: np.ndarray, singularities) -> np.ndarray:
-    """Matrix 1/(z_k - z_l) with zero diagonal (real or complex safe).
+def _polys(spec: ModelSpec) -> tuple:
+    """P, Q, P' and Q', built once per batched call."""
+    return spec.P, spec.Q, spec.P.derivative(), spec.Q.derivative()
 
-    Raises CollisionError when two roots, or a root and a singularity, are
-    closer than COLLISION_TOL; of several colliding pairs the first in
-    row-major order is reported.
-    """
-    # float dtype so that integer roots can take the inf diagonal
-    diff = np.subtract.outer(roots, roots).astype(np.result_type(roots, 1.0), copy=False)
-    np.fill_diagonal(diff, np.inf)
+
+def _pair_inverses(roots: np.ndarray, singularities) -> tuple:
+    """For rows of roots, shape (B, N): (inv, bad). bad is None when no row
+    collides, else the mask of the rows in which two roots, or a root and
+    a singularity, are closer than COLLISION_TOL. inv holds the matrices
+    1/(z_k - z_l) with zero diagonal of the other rows, shape (B', N, N);
+    a colliding row's matrix is not computed."""
+    B, n = roots.shape
+    diff = roots[:, :, None] - roots[:, None, :]
+    diff.reshape(B, n * n)[:, ::n + 1] = np.inf
     close = np.abs(diff) < COLLISION_TOL
-    if close.any():
-        i, j = np.argwhere(close)[0]
-        raise CollisionError(f"roots {i} and {j} collide: |dz| = {abs(diff[i, j]):.2e}")
-    for s in singularities:
-        if roots.size and np.min(np.abs(roots - s.location)) < COLLISION_TOL:
-            raise CollisionError(f"a root coincides with the singularity at z = {s.location}")
-    return 1.0 / diff
+    near = [s for s in singularities if (np.abs(roots - s.location) < COLLISION_TOL).any()]
+    if not (near or close.any()):
+        return 1.0 / diff, None
+    bad = close.any(axis=(1, 2))
+    for s in near:
+        bad |= np.min(np.abs(roots - s.location), axis=1) < COLLISION_TOL
+    return 1.0 / diff[~bad], bad
+
+
+def _collision(roots: np.ndarray, singularities) -> CollisionError:
+    """The CollisionError of one colliding vector of roots: of several
+    colliding pairs the first in row-major order, else the first
+    singularity a root meets."""
+    diff = np.subtract.outer(roots, roots)
+    np.fill_diagonal(diff, np.inf)
+    close = np.argwhere(np.abs(diff) < COLLISION_TOL)
+    if len(close):
+        i, j = close[0]
+        return CollisionError(f"roots {i} and {j} collide: |dz| = {abs(diff[i, j]):.2e}")
+    s = next(s for s in singularities
+             if np.min(np.abs(roots - s.location)) < COLLISION_TOL)
+    return CollisionError(f"a root coincides with the singularity at z = {s.location}")
+
+
+def _evaluate(spec: ModelSpec, polys: tuple, roots: np.ndarray, inv: np.ndarray) -> list:
+    """[F, inv, S, Q(z), Q'(z)] of every row of roots (B, N), given their
+    pair inverses inv: the residual and the terms the Jacobian at the same
+    roots shares with it."""
+    P, Q, _, dQ = polys
+    S = inv.sum(axis=2)
+    for s in spec.singularities:
+        S = S + s.exponent / (roots - s.location)
+    q, dq = Q(roots), dQ(roots)
+    return [P(roots) - dq / 4.0 - q * S, inv, S, q, dq]
+
+
+def _jacobians(spec: ModelSpec, polys: tuple, roots: np.ndarray, ev: list) -> np.ndarray:
+    """dF_k/dz_j of every row of roots (B, N), from their _evaluate terms."""
+    _, inv, S, q, dq = ev
+    inv2 = inv * inv
+    S2 = inv2.sum(axis=2)
+    for s in spec.singularities:
+        S2 = S2 + s.exponent / (roots - s.location) ** 2
+    J = -q[:, :, None] * inv2
+    B, n = roots.shape
+    J.reshape(B, n * n)[:, ::n + 1] = (polys[2](roots) - spec.Q.coeff(2) / 2.0 - dq * S
+                                       + q * S2)
+    return J
+
+
+def _checked(spec: ModelSpec, roots) -> tuple:
+    """Rows of roots, as floats or complex numbers, their _polys and their
+    _evaluate terms; raises the CollisionError of the first row that
+    collides."""
+    roots = np.asarray(roots)
+    roots = roots.astype(np.result_type(roots, 1.0), copy=False)
+    inv, bad = _pair_inverses(roots, spec.singularities)
+    if bad is not None:
+        raise _collision(roots[np.argmax(bad)], spec.singularities)
+    polys = _polys(spec)
+    return roots, polys, _evaluate(spec, polys, roots, inv)
+
+
+def residuals(spec: ModelSpec, roots) -> np.ndarray:
+    """Residue-derived Bethe ansatz residual of each row of roots, shape
+    (B, N), in one array pass. Raises the CollisionError of the first row
+    in which two roots, or a root and a singularity, are closer than
+    COLLISION_TOL."""
+    return _checked(spec, roots)[2][0]
 
 
 def residual(spec: ModelSpec, roots) -> np.ndarray:
-    """Residue-derived Bethe ansatz residual F_k (length N)."""
-    roots = np.asarray(roots)
-    if roots.size == 0:
-        return np.zeros(0)
-    S = _pair_inverse(roots, spec.singularities).sum(axis=1)
-    P, Q = spec.P, spec.Q
-    Qp = Q.derivative()
-    for s in spec.singularities:
-        S = S + s.exponent / (roots - s.location)
-    return P(roots) - Qp(roots) / 4.0 - Q(roots) * S
+    """Residue-derived Bethe ansatz residual F_k (length N) of one vector
+    of roots: residuals' row, bit for bit."""
+    return residuals(spec, np.asarray(roots)[None])[0]
 
 
 def jacobian(spec: ModelSpec, roots) -> np.ndarray:
-    """Analytic Jacobian dF_k/dz_j of the residual."""
-    roots = np.asarray(roots)
-    inv = _pair_inverse(roots, spec.singularities)
-    P, Q = spec.P, spec.Q
-    Qp = Q.derivative()
-    q2 = Q.coeff(2)
-    inv2 = inv * inv
-    S = inv.sum(axis=1)
-    S2 = inv2.sum(axis=1)
-    for s in spec.singularities:
-        S = S + s.exponent / (roots - s.location)
-        S2 = S2 + s.exponent / (roots - s.location) ** 2
-    J = -Q(roots)[:, None] * inv2
-    np.fill_diagonal(J, P.derivative()(roots) - q2 / 2.0 - Qp(roots) * S + Q(roots) * S2)
-    return J
+    """Analytic Jacobian dF_k/dz_j of the residual at one vector of roots,
+    the batched Newton's row. Raises CollisionError as residual does."""
+    roots, polys, ev = _checked(spec, np.asarray(roots)[None])
+    return _jacobians(spec, polys, roots, ev)[0]
 
 
 def branch_energy(spec: ModelSpec, roots) -> float:
@@ -154,83 +205,173 @@ def _energy_terms(spec: ModelSpec, roots: np.ndarray) -> tuple:
             -q2 * N * N, -2.0 * q2 * N * smu)
 
 
-def solve(spec: ModelSpec, init, tol: float = 1e-12,
-          origin: str = "user") -> BetheBranch:
-    """Damped Newton iteration from a given starting vector.
+def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions dz of J dz = rhs for stacks J (B, N, N) and rhs (B, N), in
+    one np.linalg.solve call, and the mask of the singular rows (None when
+    there is none). LAPACK's singular flag fails the whole call, so only
+    then is each row solved alone, to tell which; every row gets the same
+    bits either way."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        dz, singular = np.zeros_like(rhs), np.zeros(len(J), dtype=bool)
+        for i, (Ji, bi) in enumerate(zip(J, rhs)):
+            try:
+                dz[i] = np.linalg.solve(Ji, bi)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return dz, singular
 
-    Steps are halved whenever the residual norm fails to decrease or any
-    pair of roots (or a root and a singularity) comes within the collision
-    tolerance. Raises ConvergenceError on stagnation, iteration exhaustion,
-    or a singular Jacobian.
 
-    Once below tol the iteration keeps polishing as long as the residual
-    strictly improves (up to POLISH_ITER extra steps): for simple roots that
-    is one or two steps to the machine floor, while for degenerate root
+def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
+               origin: str = "user") -> list:
+    """Damped Newton iteration from every row of inits, shape (B, N), in
+    lock step: per row, in order, its BetheBranch or the CollisionError or
+    ConvergenceError that stopped it.
+
+    Each iteration stacks the Jacobians of all running rows, (B, N, N), and
+    solves them in one batched np.linalg.solve call; the line-search trials
+    of all rows still searching are one residual evaluation. Every row does
+    exactly the arithmetic it would do alone.
+
+    Per row, steps are halved whenever the residual norm fails to decrease
+    or any pair of roots (or a root and a singularity) comes within the
+    collision tolerance. A start that collides gives CollisionError;
+    stagnation, iteration exhaustion or a singular Jacobian give
+    ConvergenceError.
+
+    Once below tol a row keeps polishing as long as its residual strictly
+    improves (up to POLISH_ITER extra steps): for simple roots that is one
+    or two steps to the machine floor, while for degenerate root
     configurations (where |F| < tol admits a wide ball) the linear tail of
     Newton contracts the ball so duplicate branches collapse in enumeration.
     """
-    z = np.asarray(init, dtype=complex if np.iscomplexobj(np.asarray(init)) else float)
+    z = np.asarray(inits)
+    z = z.astype(complex if np.iscomplexobj(z) else float)
+    if z.ndim != 2 or z.shape[1] != spec.N:
+        raise ValueError(f"inits must have shape (B, N = {spec.N})")
+    if spec.N == 0:
+        return [BetheBranch((), 0.0, 0, origin) for _ in z]
+    out: list = [None] * len(z)
+    sings, polys = spec.singularities, _polys(spec)
+
+    def _trial(trial):
+        """Max residual norms of the trial rows, and the _evaluate terms of
+        the rows ok (a mask, or every row) that are finite and collide with
+        nothing; the other rows' norm is inf, a rejected step."""
+        ok = slice(None)
+        if not np.isfinite(trial).all():
+            ok = np.isfinite(trial).all(axis=1)
+        inv_t, bad = _pair_inverses(trial[ok], sings)
+        if bad is not None:
+            ok = np.isfinite(trial).all(axis=1)
+            ok[ok] = ~bad
+        ev_t = _evaluate(spec, polys, trial[ok], inv_t)
+        if isinstance(ok, slice):
+            return np.abs(ev_t[0]).max(axis=1), ev_t, ok
+        nt = np.full(len(trial), np.inf)
+        nt[ok] = np.abs(ev_t[0]).max(axis=1)
+        return nt, ev_t, ok
+
+    inv, bad = _pair_inverses(z, sings)
+    idx = np.arange(len(z))  # the running rows' index in out
+    if bad is not None:
+        for i in np.flatnonzero(bad):
+            out[i] = _collision(z[i], sings)
+        idx, z = idx[~bad], z[~bad]
+    ev = _evaluate(spec, polys, z, inv)  # [F, inv, S, Q(z), Q'(z)] of the running rows
+    norm = np.abs(ev[0]).max(axis=1)
+    converged_at = np.full(len(idx), -1)
+
+    def _finish(stop, error=None):
+        """Record the rows in stop (a mask) and drop them from the state;
+        a row gets its branch when it has converged, else error(row).
+        Returns the mask of the rows kept."""
+        nonlocal idx, z, norm, converged_at, ev
+        for j in np.flatnonzero(stop):
+            if converged_at[j] >= 0:
+                order = np.lexsort((np.imag(z[j]), np.real(z[j])))
+                out[idx[j]] = BetheBranch(tuple(z[j][order].tolist()), float(norm[j]),
+                                          int(converged_at[j]), origin)
+            else:
+                out[idx[j]] = error(j)
+        keep = ~stop
+        idx, z, norm, converged_at = idx[keep], z[keep], norm[keep], converged_at[keep]
+        ev = [a[keep] for a in ev]
+        return keep
+
+    for it in range(MAX_ITER + POLISH_ITER):
+        if not len(idx):
+            break
+        # A row polishes from the iteration its norm first drops below tol;
+        # its norm only decreases from then on, so it stays below.
+        polishing = norm < tol
+        if polishing.any():
+            converged_at[polishing & (converged_at < 0)] = it
+            stop = polishing & ((norm == 0.0) | (it - converged_at >= POLISH_ITER))
+            if stop.any():
+                polishing = polishing[_finish(stop)]
+                if not len(idx):
+                    break
+            bar = np.where(polishing, 0.5 * norm, norm)
+        else:
+            bar = norm
+        J = _jacobians(spec, polys, z, ev)
+        dz, singular = _newton_steps(J, -ev[0])
+        if singular is not None:
+            keep = _finish(singular, lambda j: ConvergenceError(
+                f"singular Jacobian (cond ~ {np.linalg.cond(J[j]):.2e})"))
+            dz, polishing, bar = dz[keep], polishing[keep], bar[keep]
+        # Line search, every row at once: alpha = 1, 1/2, 1/4, ... A polishing
+        # row demands a strong decrease (below bar, half its norm) at alpha =
+        # 1 or 1/2 or stops (which keeps the degenerate-root tail alive and
+        # exits simple roots at once); any other row takes any decrease
+        # while alpha > 1e-12.
+        trial = z + dz  # alpha = 1
+        nt, ev_t, ok = _trial(trial)
+        took = nt < bar
+        if took.all():
+            z, norm, ev = trial, nt, ev_t
+            continue
+        searching = np.arange(len(idx))
+        moved = np.zeros(len(idx), dtype=bool)
+        alpha = 1.0
+        while True:
+            rows = searching[took]
+            moved[rows] = True
+            z[rows], norm[rows] = trial[took], nt[took]
+            for a, b in zip(ev, ev_t):
+                a[rows] = b[took[ok]]
+            searching = searching[~took]
+            if alpha == 0.5:
+                searching = searching[~polishing[searching]]
+            alpha *= 0.5
+            if not (alpha > 1e-12 and len(searching)):
+                break
+            trial = z[searching] + alpha * dz[searching]
+            nt, ev_t, ok = _trial(trial)
+            took = nt < bar[searching]
+        if not moved.all():
+            _finish(~moved, lambda j: ConvergenceError(
+                f"line search stalled at residual {norm[j]:.2e} after {it} iterations"))
+    else:
+        _finish(np.ones(len(idx), dtype=bool), lambda j: ConvergenceError(
+            f"no convergence in {MAX_ITER} iterations (residual {norm[j]:.2e})"))
+    return out
+
+
+def solve(spec: ModelSpec, init, tol: float = 1e-12,
+          origin: str = "user") -> BetheBranch:
+    """Damped Newton iteration from one starting vector: solve_many's one
+    row, whose error it raises. ValueError when init is not a vector of
+    length N."""
+    z = np.asarray(init)
     if z.ndim != 1 or z.size != spec.N:
         raise ValueError(f"init must have length N = {spec.N}")
-
-    def _evaluate(v):
-        """Residual at v and its max norm; the norm is inf (a rejected
-        step) when v is not finite or residual raises CollisionError."""
-        if np.all(np.isfinite(v)):
-            try:
-                Fv = residual(spec, v)
-                return Fv, np.max(np.abs(Fv))
-            except CollisionError:
-                pass
-        return None, np.inf
-
-    def _done(it):
-        order = np.lexsort((np.imag(z), np.real(z)))
-        return BetheBranch(tuple(z[order].tolist()), float(norm), it, origin)
-
-    F = residual(spec, z)
-    norm = np.max(np.abs(F)) if F.size else 0.0
-    converged_at = None
-    for it in range(MAX_ITER + POLISH_ITER):
-        if norm < tol and converged_at is None:
-            converged_at = it
-        polishing = converged_at is not None
-        if polishing and (norm == 0.0 or it - converged_at >= POLISH_ITER):
-            return _done(converged_at)
-        J = jacobian(spec, z)
-        try:
-            dz = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            if polishing:
-                return _done(converged_at)
-            cond = np.linalg.cond(J)
-            raise ConvergenceError(f"singular Jacobian (cond ~ {cond:.2e})") from exc
-        if polishing:
-            # cheap polish: demand a strong decrease or stop (keeps the
-            # degenerate-root tail alive, exits simple roots immediately)
-            for alpha in (1.0, 0.5):
-                trial = z + alpha * dz
-                Ft, nt = _evaluate(trial)
-                if nt < 0.5 * norm:
-                    z, F, norm = trial, Ft, nt
-                    break
-            else:
-                return _done(converged_at)
-            continue
-        alpha = 1.0
-        while alpha > 1e-12:
-            trial = z + alpha * dz
-            Ft, nt = _evaluate(trial)
-            if nt < norm:
-                z, F, norm = trial, Ft, nt
-                break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                f"line search stalled at residual {norm:.2e} after {it} iterations")
-    if converged_at is not None:
-        return _done(converged_at)
-    raise ConvergenceError(f"no convergence in {MAX_ITER} iterations (residual {norm:.2e})")
+    (br,) = solve_many(spec, z[None], tol=tol, origin=origin)
+    if isinstance(br, Exception):
+        raise br
+    return br
 
 
 def _poly_coeffs(spec: ModelSpec) -> list[float]:
@@ -474,11 +615,13 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12,
 
     Each eigen-solution of _heine_matrix of exact degree N gets one Newton
     polish from its roots (_starts); polishes that collide or do not
-    converge are dropped. For k >= 2, polishes within COLLISION_TOL of an
-    earlier one (a multiple eigen-solution) are one branch. Real branches
-    only, unless complex_mode. A model with k free parameters has at most
-    C(N+k, k) solutions (N + 1 for k = 1). Raises ModelError when
-    (N + 1)^k exceeds MAX_ORDER.
+    converge are dropped. The real starts are polished as the rows of one
+    solve_many call, and in complex_mode the complex ones in a second. For
+    k >= 2, polishes within COLLISION_TOL of an earlier one (a multiple
+    eigen-solution) are one branch. Real branches only, unless
+    complex_mode. A model with k free parameters has at most C(N+k, k)
+    solutions (N + 1 for k = 1). Raises ModelError when (N + 1)^k exceeds
+    MAX_ORDER.
 
     The result is deterministic: nothing is random, and the compressions
     of the k >= 2 problem are fixed.
@@ -486,11 +629,17 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12,
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0, "empty")]
     M0, s = _heine_matrix(spec)
+    starts = list(_starts(M0, s, complex_mode))
+    polished: list = [None] * len(starts)
+    for is_complex in (False, True):
+        rows = [i for i, start in enumerate(starts) if np.iscomplexobj(start) == is_complex]
+        if rows:
+            for i, br in zip(rows, solve_many(spec, [starts[i] for i in rows], tol=tol,
+                                              origin="matrix")):
+                polished[i] = br
     found: list[BetheBranch] = []
-    for start in _starts(M0, s, complex_mode):
-        try:
-            br = solve(spec, start, tol=tol, origin="matrix")
-        except (CollisionError, ConvergenceError):
+    for br in polished:
+        if isinstance(br, (CollisionError, ConvergenceError)):
             continue
         # k >= 2: a multiple eigen-solution (sextic-type2 at b = 0, N = 1:
         # z^3 = 0) polishes to its branch once per multiplicity. Roots are

@@ -199,15 +199,15 @@ def cmd_verify(args) -> int:
     if not roots_by_bid:
         raise ModelError(f"roots file {args.roots}: no branches")
     bids = sorted(roots_by_bid)
-    branches = []
     for bid in bids:
-        roots = roots_by_bid[bid]
-        if len(roots) != spec.N:
-            raise ModelError(
-                f"branch {bid} has {len(roots)} roots but the model has N = {spec.N}")
-        res = bae.residual(spec, np.asarray(roots))
-        norm = float(np.max(np.abs(res))) if len(res) else 0.0
-        branches.append(bae.BetheBranch(tuple(roots), norm, 0, "csv"))
+        if len(roots_by_bid[bid]) != spec.N:
+            raise ModelError(f"branch {bid} has {len(roots_by_bid[bid])} roots "
+                             f"but the model has N = {spec.N}")
+    res = bae.residuals(spec, np.array([roots_by_bid[bid] for bid in bids]).reshape(
+        len(bids), spec.N))
+    norms = np.max(np.abs(res), axis=1, initial=0.0).tolist()
+    branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), norm, 0, "csv")
+                for bid, norm in zip(bids, norms)]
     results = verify.verify_branches(pre, branches, n_points=args.grid_points,
                                      stencil_order=args.stencil, residual_tol=args.tol)
     reports = {}

@@ -168,6 +168,16 @@ class Tridiag:
     def n(self) -> int:
         return len(self.diag)
 
+    @functools.cached_property
+    def gershgorin(self) -> tuple[float, float, float]:
+        """(floor, ceiling, norm): the Gershgorin interval that holds every
+        eigenvalue, and the largest absolute row sum |T|_1. Computed on
+        first use and kept, so the arrays must not change after that."""
+        d, e = self.diag, self.offdiag
+        radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])
+        return (float(np.min(d - radius)), float(np.max(d + radius)),
+                float(np.max(np.abs(d) + radius)))
+
 
 def tridiag_eigenvalues(t: Tridiag,
                         index_range: tuple[int, int] | None = None) -> np.ndarray:
@@ -219,9 +229,10 @@ def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
     symmetric tridiagonal matrix, looked for near the value near.
 
     1. T - s I is factored once (LAPACK dgttrf), s being near clamped into
-       the Gershgorin interval, and INVERSE_STEPS inverse-iteration solves
-       (dgttrs) from a fixed start vector give a unit x with Rayleigh
-       quotient sigma. Some eigenvalue then lies within
+       the Gershgorin interval (t.gershgorin, computed once per matrix),
+       and INVERSE_STEPS inverse-iteration solves (dgttrs) from a fixed
+       start vector give a unit x with Rayleigh quotient sigma. Some
+       eigenvalue then lies within
        delta = |T x - sigma x| + 8 eps |T|_1 of sigma.
     2. Bisection (dstebz, RANGE='V', default tolerance) finds the m
        eigenvalues in the window (sigma - delta, sigma + delta].
@@ -247,9 +258,7 @@ def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
         return float(d[0])
     if n == 2:  # scipy's dgttrf wrapper rejects the empty second superdiagonal
         return float(tridiag_eigenvalues(t, (index, index))[0])
-    radius = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e])
-    floor, ceiling = float(np.min(d - radius)), float(np.max(d + radius))
-    norm = float(np.max(np.abs(d) + radius))
+    floor, ceiling, norm = t.gershgorin
     import scipy.linalg
     lapack = scipy.linalg.lapack
     shift = min(max(near, floor), ceiling)

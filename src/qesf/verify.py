@@ -27,8 +27,11 @@ The setup the oracles start from (branch_setups: profile, grid and phi)
 is built for all branches of a model in one array pass: the truncation
 ladders of every branch and end are marched together, and phi on every
 grid comes from one prepot.phi_log_sign call with a row per branch. The
-residual, node count, normalizability and FD oracles then run per branch
-or per potential.
+normalizability windows of all branches are rows of one pass too
+(normalizability_checks): one phi_log_sign call per chunk of windows over
+the branches still undecided, while each branch's scan of its windows
+stays sequential. The residual and node count then run per branch, and
+the FD oracle per potential.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ _LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresho
 _SIMPSON = np.ones(SIMPSON_POINTS)
 _SIMPSON[1:-1:2] = 4.0
 _SIMPSON[2:-1:2] = 2.0
+_SIMPSON_INDEX = np.arange(SIMPSON_POINTS, dtype=float)
+_HALVINGS = 2.0 ** np.arange(MAX_WINDOWS + 1)  # of _windows toward a finite end
+_WIDTHS = np.cumprod(np.r_[1.0, np.full(MAX_WINDOWS - 1, 1.4)])  # and toward an infinite one
 
 _STENCILS = {
     2: np.array([1.0, -2.0, 1.0]),
@@ -385,54 +391,73 @@ def node_count(phi) -> int:
     return int(np.sum(s[:-1] * s[1:] < 0))
 
 
-def _log_simpson(a: float, b: float, logphi: np.ndarray) -> float:
-    """log of integral_a^b phi^2 dx by Simpson's rule, computed in log space
-    from log|phi| on np.linspace(a, b, SIMPSON_POINTS)."""
-    if not b > a:
-        return -math.inf
-    m = np.max(2.0 * logphi)
-    if not math.isfinite(m):
-        return -math.inf
-    vals = np.exp(2.0 * logphi - m)
-    h = (b - a) / (SIMPSON_POINTS - 1)
-    integral = h / 3.0 * float(np.dot(_SIMPSON, vals))
-    return m + math.log(integral) if integral > 0 else -math.inf
+def _log_simpsons(lo: np.ndarray, hi: np.ndarray, logphi: np.ndarray) -> list:
+    """log of integral_lo^hi phi^2 dx by Simpson's rule for each window
+    (lo, hi), lo and hi of one shape S, computed in log space from log|phi|
+    on its SIMPSON_POINTS points, logphi of shape S + (SIMPSON_POINTS,).
+    Flat list in row-major order over S; -inf for an empty window or one
+    where phi vanishes. The Simpson sum is np.sum over the last axis, whose
+    bits do not depend on S."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = np.max(2.0 * logphi, axis=-1)
+        sums = np.sum(np.exp(2.0 * logphi - m[..., None]) * _SIMPSON, axis=-1)
+    integrals = (hi - lo) / (SIMPSON_POINTS - 1) / 3.0 * sums
+    return [mi + math.log(v) if b > a and math.isfinite(mi) and v > 0 else -math.inf
+            for a, b, mi, v in zip(lo.ravel().tolist(), hi.ravel().tolist(),
+                                   m.ravel().tolist(), integrals.ravel().tolist())]
 
 
-def _window_log_integrals(pre, roots, lo: np.ndarray, hi: np.ndarray):
-    """Yield _log_simpson of each window (lo[i], hi[i]) in order. phi is
-    evaluated lazily for chunks of 8, 16, 32, ... windows, one
-    prepot.phi_log_sign call per chunk. A chunk runs past where its caller
-    stops, where z or W_N may overflow; those values are never used."""
-    start, size = 0, 8
-    while start < len(lo):
-        a, b = lo[start:start + size], hi[start:start + size]
-        xs = np.linspace(a, b, SIMPSON_POINTS, axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            logphi, _ = prepot.phi_log_sign(pre, roots, xs.ravel())
-        yield from map(_log_simpson, a, b, logphi.reshape(xs.shape))
-        start, size = start + size, 2 * size
+def _simpson_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """np.linspace(lo, hi, SIMPSON_POINTS) of each window, as if alone:
+    shape lo.shape + (SIMPSON_POINTS,)."""
+    x = _SIMPSON_INDEX * ((hi - lo) / (SIMPSON_POINTS - 1))[..., None] + lo[..., None]
+    x[..., -1] = hi
+    return x
 
 
-def _windows(edge: float, inner: float, outward: int) -> tuple[np.ndarray, np.ndarray]:
-    """The MAX_WINDOWS integration windows (lo, hi) of one side of a
-    component, from inner outward: halving toward a finite endpoint edge
-    (outward < 0 when it is the left end), growing by 1.4 toward an
-    infinite one. Widths and edges accumulate in sequence, as a loop would."""
-    if math.isfinite(edge):
-        t = abs(inner - edge) / 2.0 ** np.arange(MAX_WINDOWS + 1)
-        if outward < 0:
-            return edge + t[1:], edge + t[:-1]
-        return edge - t[:-1], edge - t[1:]
-    widths = np.cumprod(np.r_[1.0, np.full(MAX_WINDOWS - 1, 1.4)])
-    x = np.cumsum(np.r_[inner, outward * widths])
-    return (x[:-1], x[1:]) if outward > 0 else (x[1:], x[:-1])
+def _windows(edge: np.ndarray, inner: np.ndarray, outward: int) -> tuple[np.ndarray, np.ndarray]:
+    """The MAX_WINDOWS integration windows (lo, hi) of one side of each
+    row's component, from inner outward, shape (R, MAX_WINDOWS) each:
+    halving toward a finite endpoint edge (outward < 0 when it is the left
+    end), growing by 1.4 toward an infinite one. Widths and edges
+    accumulate in sequence, as a loop would."""
+    lo, hi = np.empty((2, len(edge), MAX_WINDOWS))
+    fin = np.isfinite(edge)
+    for rows, finite in ((fin, True), (~fin, False)):
+        if not rows.any():
+            continue
+        rows = slice(None) if rows.all() else rows
+        if finite:
+            e = edge[rows][:, None]
+            t = np.abs(inner[rows] - edge[rows])[:, None] / _HALVINGS
+            lo[rows], hi[rows] = ((e + t[:, 1:], e + t[:, :-1]) if outward < 0
+                                  else (e - t[:, :-1], e - t[:, 1:]))
+        else:
+            x0 = inner[rows]
+            x = np.empty((len(x0), MAX_WINDOWS + 1))
+            x[:, 0], x[:, 1:] = x0, outward * _WIDTHS
+            x = np.cumsum(x, axis=1)
+            lo[rows], hi[rows] = (x[:, :-1], x[:, 1:]) if outward > 0 else (x[:, 1:], x[:, :-1])
+    return lo, hi
 
 
-def normalizability_check(pre: prepot.Prepotential, branch,
-                          component: tuple[float, float]) -> tuple[bool, float]:
+def _core(a: float, b: float) -> tuple[float, float]:
+    """The window a normalizability check starts from in the component (a, b)."""
+    if math.isfinite(a) and math.isfinite(b):
+        return a + (b - a) / 4, b - (b - a) / 4
+    if math.isfinite(a):
+        return a + 0.5, a + 1.5
+    if math.isfinite(b):
+        return b - 1.5, b - 0.5
+    return -1.0, 1.0
+
+
+def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
     """Adaptive test that the integral of phi^2 converges over the domain
-    component (a, b), the one default_grid certifies.
+    component (a, b) the branch's grid certifies, for every branch of the
+    built model at once: roots of shape (B, N), a branch per row, and
+    components[i] the component of row i. Per branch, in order,
+    (normalizable, norm estimate).
 
     Unbounded sides are covered by geometrically growing windows, finite
     singular endpoints by geometrically shrinking ones; the verdict is True
@@ -441,53 +466,100 @@ def normalizability_check(pre: prepot.Prepotential, branch,
     a window that ends inside the state's bulk, short of its outermost
     root preimage, is integrated but is no tail: phi's lobes still grow
     there, up to the last one.
+
+    The core windows of all branches take one prepot.phi_log_sign call.
+    Then the low sides and after them the high sides (the running total
+    carries over from one to the other) are evaluated lazily in chunks of
+    8, 16, 32, ... windows, one phi_log_sign call per chunk over the
+    branches whose side is not yet decided. Each branch scans its windows
+    in sequence; a chunk runs past where its scan stops, where z or W_N
+    may overflow, and those values are never used.
     """
-    roots = np.asarray(branch.roots, dtype=float)
-    a, b = component
+    roots = np.asarray(roots, dtype=float)
+    B = len(roots)
+    if not B:
+        return []
+    a, b = np.array(components, dtype=float).reshape(B, 2).T
     cmap = pre.cmap
     z_lo, z_hi = cmap.z_image
-    inside = roots[(roots > z_lo) & (roots < z_hi)]
-    xr = [x for m in (cmap, replace(cmap, branch_sign=-cmap.branch_sign))
-          for x in np.atleast_1d(m.x_of_z(inside)) if a < x < b]
-    bulk = {-1: min(xr, default=math.inf), +1: max(xr, default=-math.inf)}
+    # the preimages in (a, b) of the roots inside the image, on either branch
+    inside = (roots > z_lo) & (roots < z_hi)
+    xr = np.full((2,) + roots.shape, np.nan)
+    for x, m in zip(xr, (cmap, replace(cmap, branch_sign=-cmap.branch_sign))):
+        x[inside] = m.x_of_z(roots[inside])
+    within = (xr > a[:, None]) & (xr < b[:, None])
+    bulk = {-1: np.min(xr, axis=(0, 2), where=within, initial=math.inf).tolist(),
+            +1: np.max(xr, axis=(0, 2), where=within, initial=-math.inf).tolist()}
 
-    if math.isfinite(a) and math.isfinite(b):
-        core_lo, core_hi = a + (b - a) / 4, b - (b - a) / 4
-    elif math.isfinite(a):
-        core_lo, core_hi = a + 0.5, a + 1.5
-    elif math.isfinite(b):
-        core_lo, core_hi = b - 1.5, b - 0.5
-    else:
-        core_lo, core_hi = -1.0, 1.0
-    core = np.linspace(core_lo, core_hi, SIMPSON_POINTS)
-    total = _log_simpson(core_lo, core_hi, prepot.phi_log_sign(pre, roots, core)[0])
+    core_lo, core_hi = np.array([_core(*c) for c in zip(a.tolist(), b.tolist())]).reshape(B, 2).T
+    total = _log_simpsons(core_lo, core_hi, prepot.phi_log_sign(
+        pre, roots, _simpson_points(core_lo, core_hi))[0])
+    ok = [True] * B
+    for edges, inner, outward in ((a, core_lo, -1), (b, core_hi, +1)):
+        lo_w, hi_w = _windows(edges, inner, outward)
+        outer_w = hi_w if outward > 0 else lo_w
+        edge_l, bulk_l = edges.tolist(), bulk[outward]
+        # per row: [patience, growth run, previous window's integral]
+        state = [[6 if math.isfinite(e) else 4, 0, -math.inf] for e in edge_l]
+        todo = np.arange(B)
+        start, size = 0, 8
+        while len(todo) and start < MAX_WINDOWS:
+            rows = slice(None) if len(todo) == B else todo
+            cut = slice(start, start + size)
+            lo, hi = lo_w[rows, cut], hi_w[rows, cut]
+            xs = _simpson_points(lo, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                logphi, _ = prepot.phi_log_sign(pre, roots[rows], xs.reshape(len(todo), -1))
+            segs, k = _log_simpsons(lo, hi, logphi.reshape(xs.shape)), lo.shape[1]
+            undecided = []
+            for r, (i, outers) in enumerate(zip(todo.tolist(), outer_w[rows, cut].tolist())):
+                seg_i = segs[r * k:(r + 1) * k]
+                totals = np.logaddexp.accumulate([total[i]] + seg_i).tolist()
+                verdict = _scan(seg_i, totals, outers, edge_l[i], bulk_l[i], outward, state[i])
+                if verdict is None:
+                    total[i] = totals[-1]
+                    undecided.append(i)
+                else:
+                    total[i] = totals[verdict[1] + 1]
+                    ok[i] &= verdict[0]
+            todo = np.array(undecided, dtype=int)
+            start, size = start + size, 2 * size
+        for i in todo.tolist():
+            ok[i] = False
+    return [(ok_i, math.exp(t) if t < 700 else math.inf) for ok_i, t in zip(ok, total)]
 
-    def _side(edge: float, inner: float, outward: int) -> bool:
-        nonlocal total
-        patience = 6 if math.isfinite(edge) else 4
-        grow = 0
-        prev = -math.inf
-        lo_w, hi_w = _windows(edge, inner, outward)
-        for lo, hi, seg in zip(lo_w, hi_w, _window_log_integrals(pre, roots, lo_w, hi_w)):
-            total = np.logaddexp(total, seg)
-            outer = hi if outward > 0 else lo
-            if not math.isfinite(edge) and outward * (outer - bulk[outward]) < 0:
-                continue  # inside the bulk
-            if seg < total - 36.0:
-                return True
-            if seg > prev:
-                grow += 1
-                if grow >= patience:
-                    return False
-            else:
-                grow = 0
-            prev = seg
-        return False
 
-    ok_lo = _side(a, core_lo, -1)
-    ok_hi = _side(b, core_hi, +1)
-    estimate = math.exp(total) if total < 700 else math.inf
-    return bool(ok_lo and ok_hi), estimate
+def _scan(segs: list, totals: list, outers: list, edge: float, bulk: float,
+          outward: int, state: list):
+    """One branch's scan of consecutive windows of one side: segs their log
+    integrals, totals[j + 1] the running log total after window j, outers
+    their outer ends. state is [patience, growth run, previous integral],
+    updated in place. (verdict, index of the deciding window), or None
+    when these windows decide nothing."""
+    patience, grow, prev = state
+    for j, (seg, outer) in enumerate(zip(segs, outers)):
+        if not math.isfinite(edge) and outward * (outer - bulk) < 0:
+            continue  # inside the bulk
+        if seg < totals[j + 1] - 36.0:
+            return True, j
+        if seg > prev:
+            grow += 1
+            if grow >= patience:
+                return False, j
+        else:
+            grow = 0
+        prev = seg
+    state[1:] = grow, prev
+    return None
+
+
+def normalizability_check(pre: prepot.Prepotential, branch,
+                          component: tuple[float, float]) -> tuple[bool, float]:
+    """normalizability_checks for one branch: (normalizable, norm
+    estimate) of its phi over the domain component (a, b), the one
+    default_grid certifies."""
+    return normalizability_checks(pre, np.asarray(branch.roots, dtype=float)[None],
+                                  [component])[0]
 
 
 def branch_setups(pre: prepot.Prepotential, branches, n_points: int = 4001) -> list:
@@ -561,8 +633,8 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     n // 2; a branch with an odd count fails, and spectrum_note says why.
     """
     results: list = [None] * len(branches)
-    groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
-    for i, (br, setup) in enumerate(zip(branches, branch_setups(pre, branches, n_points))):
+    checked = []  # (index, profile, grid, fields)
+    for i, setup in enumerate(branch_setups(pre, branches, n_points)):
         if isinstance(setup, Exception):
             results[i] = setup
             continue
@@ -570,13 +642,17 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         try:
             rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi,
                                               stencil_order=stencil_order)
-            nodes = node_count(phi)
-            normalizable, norm_estimate = normalizability_check(pre, br, grid.component)
         except (GridError, DomainError, ValueError) as exc:
             results[i] = exc
             continue
-        fields = dict(residual_max=rmax, residual_rms=rrms, node_count=nodes,
-                      normalizable=normalizable, norm_estimate=norm_estimate)
+        checked.append((i, profile, grid, dict(residual_max=rmax, residual_rms=rrms,
+                                               node_count=node_count(phi))))
+    roots = np.asarray([branches[i].roots for i, *_ in checked], dtype=float)
+    norms = normalizability_checks(pre, roots.reshape(len(checked), pre.spec_ref.N),
+                                   [grid.component for _, _, grid, _ in checked])
+    groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
+    for (i, profile, grid, fields), (normalizable, norm_estimate) in zip(checked, norms):
+        fields.update(normalizable=normalizable, norm_estimate=norm_estimate)
         # At a limit-circle wall where the state follows the weaker
         # indicial root (nu < 1/2) the discrete operator mixes in the
         # conjugate solution and grows spurious corner modes: the FD
@@ -589,7 +665,7 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
                 **fields, spectrum_matches=[],
                 spectrum_note="FD spectrum oracle skipped: limit-circle wall "
                               "with endpoint exponent nu < 1/2",
-                verdict=bool(rmax < residual_tol))
+                verdict=bool(fields["residual_max"] < residual_tol))
         else:
             groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append(
                 (i, profile, grid, fields))

@@ -13,14 +13,25 @@ LDL^T recurrence, without LAPACK; norm1 is the matrix's |T|_1, the scale of
 the bisection tolerance. phi_log_sign adds one log and one sign per root
 factor, the plain form of prepot.phi_log_sign's chunked products, and
 delta_v_poly sums dV_N's polynomial part one root's Poly at a time, the
-plain form of potential.delta_v_pfe's arrays.
+plain form of potential.delta_v_pfe's arrays. bae_solve is the damped
+Newton polish of one start, with its own residual and Jacobian
+(bae_residual, bae_jacobian), the plain form of bae.solve_many's lock-step
+rows; normalizability_check tests one branch's windows with a lazy
+per-window Simpson sum (np.dot), the plain form of
+verify.normalizability_checks' rows.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
-from qesf import coords
+from qesf import coords, prepot
+from qesf.bae import COLLISION_TOL, MAX_ITER, POLISH_ITER, BetheBranch
+from qesf.errors import CollisionError, ConvergenceError
 from qesf.model import ModelSpec
 from qesf.poly import Poly, Tridiag, tridiag_eigenvalues
+from qesf.verify import MAX_WINDOWS, SIMPSON_POINTS
 
 
 def dz_dx(cmap: coords.CoordinateMap, x):
@@ -245,3 +256,210 @@ def delta_v_poly(spec: ModelSpec, roots) -> Poly:
     for zk in np.asarray(roots, dtype=float):
         poly = poly + (-2.0) * spec.P.divided_difference(zk)
     return poly
+
+
+def _pair_inverse(roots: np.ndarray, singularities) -> np.ndarray:
+    """Matrix 1/(z_k - z_l) with zero diagonal (real or complex safe).
+    Raises CollisionError when two roots, or a root and a singularity, are
+    closer than COLLISION_TOL; of several colliding pairs the first in
+    row-major order is reported."""
+    # float dtype so that integer roots can take the inf diagonal
+    diff = np.subtract.outer(roots, roots).astype(np.result_type(roots, 1.0), copy=False)
+    np.fill_diagonal(diff, np.inf)
+    close = np.abs(diff) < COLLISION_TOL
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise CollisionError(f"roots {i} and {j} collide: |dz| = {abs(diff[i, j]):.2e}")
+    for s in singularities:
+        if roots.size and np.min(np.abs(roots - s.location)) < COLLISION_TOL:
+            raise CollisionError(f"a root coincides with the singularity at z = {s.location}")
+    return 1.0 / diff
+
+
+def bae_residual(spec: ModelSpec, roots) -> np.ndarray:
+    """Residue-derived Bethe ansatz residual F_k of one vector of roots."""
+    roots = np.asarray(roots)
+    if roots.size == 0:
+        return np.zeros(0)
+    S = _pair_inverse(roots, spec.singularities).sum(axis=1)
+    P, Q = spec.P, spec.Q
+    Qp = Q.derivative()
+    for s in spec.singularities:
+        S = S + s.exponent / (roots - s.location)
+    return P(roots) - Qp(roots) / 4.0 - Q(roots) * S
+
+
+def bae_jacobian(spec: ModelSpec, roots) -> np.ndarray:
+    """Analytic Jacobian dF_k/dz_j of bae_residual."""
+    roots = np.asarray(roots)
+    inv = _pair_inverse(roots, spec.singularities)
+    P, Q = spec.P, spec.Q
+    Qp = Q.derivative()
+    q2 = Q.coeff(2)
+    inv2 = inv * inv
+    S = inv.sum(axis=1)
+    S2 = inv2.sum(axis=1)
+    for s in spec.singularities:
+        S = S + s.exponent / (roots - s.location)
+        S2 = S2 + s.exponent / (roots - s.location) ** 2
+    J = -Q(roots)[:, None] * inv2
+    np.fill_diagonal(J, P.derivative()(roots) - q2 / 2.0 - Qp(roots) * S + Q(roots) * S2)
+    return J
+
+
+def bae_solve(spec: ModelSpec, init, tol: float = 1e-12, origin: str = "user") -> BetheBranch:
+    """Damped Newton iteration from one start: steps halved until the
+    residual norm decreases and no roots collide; once below tol, polish
+    while a step at alpha = 1 or 1/2 halves the norm (up to POLISH_ITER
+    steps). Raises CollisionError for a colliding start, ConvergenceError
+    on stagnation, iteration exhaustion or a singular Jacobian."""
+    z = np.asarray(init, dtype=complex if np.iscomplexobj(np.asarray(init)) else float)
+    if z.ndim != 1 or z.size != spec.N:
+        raise ValueError(f"init must have length N = {spec.N}")
+
+    def _evaluate(v):
+        if np.all(np.isfinite(v)):
+            try:
+                Fv = bae_residual(spec, v)
+                return Fv, np.max(np.abs(Fv))
+            except CollisionError:
+                pass
+        return None, np.inf
+
+    def _done(it):
+        order = np.lexsort((np.imag(z), np.real(z)))
+        return BetheBranch(tuple(z[order].tolist()), float(norm), it, origin)
+
+    F = bae_residual(spec, z)
+    norm = np.max(np.abs(F)) if F.size else 0.0
+    converged_at = None
+    for it in range(MAX_ITER + POLISH_ITER):
+        if norm < tol and converged_at is None:
+            converged_at = it
+        polishing = converged_at is not None
+        if polishing and (norm == 0.0 or it - converged_at >= POLISH_ITER):
+            return _done(converged_at)
+        J = bae_jacobian(spec, z)
+        try:
+            dz = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError as exc:
+            if polishing:
+                return _done(converged_at)
+            cond = np.linalg.cond(J)
+            raise ConvergenceError(f"singular Jacobian (cond ~ {cond:.2e})") from exc
+        if polishing:
+            for alpha in (1.0, 0.5):
+                trial = z + alpha * dz
+                Ft, nt = _evaluate(trial)
+                if nt < 0.5 * norm:
+                    z, F, norm = trial, Ft, nt
+                    break
+            else:
+                return _done(converged_at)
+            continue
+        alpha = 1.0
+        while alpha > 1e-12:
+            trial = z + alpha * dz
+            Ft, nt = _evaluate(trial)
+            if nt < norm:
+                z, F, norm = trial, Ft, nt
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError(
+                f"line search stalled at residual {norm:.2e} after {it} iterations")
+    if converged_at is not None:
+        return _done(converged_at)
+    raise ConvergenceError(f"no convergence in {MAX_ITER} iterations (residual {norm:.2e})")
+
+
+_SIMPSON = np.ones(SIMPSON_POINTS)
+_SIMPSON[1:-1:2] = 4.0
+_SIMPSON[2:-1:2] = 2.0
+
+
+def _log_simpson(a: float, b: float, logphi: np.ndarray) -> float:
+    """log of integral_a^b phi^2 dx by Simpson's rule (np.dot), in log
+    space, from log|phi| on np.linspace(a, b, SIMPSON_POINTS)."""
+    if not b > a:
+        return -math.inf
+    m = np.max(2.0 * logphi)
+    if not math.isfinite(m):
+        return -math.inf
+    vals = np.exp(2.0 * logphi - m)
+    h = (b - a) / (SIMPSON_POINTS - 1)
+    integral = h / 3.0 * float(np.dot(_SIMPSON, vals))
+    return m + math.log(integral) if integral > 0 else -math.inf
+
+
+def windows(edge: float, inner: float, outward: int) -> list:
+    """The MAX_WINDOWS windows (lo, hi) of one side, from inner outward,
+    built by the loop: halving toward a finite edge, growing by 1.4
+    toward an infinite one."""
+    out = []
+    if math.isfinite(edge):
+        t = abs(inner - edge)
+        while len(out) < MAX_WINDOWS:
+            t2 = t / 2.0
+            out.append((edge + t2, edge + t) if outward < 0 else (edge - t, edge - t2))
+            t = t2
+    else:
+        width, x0 = 1.0, inner
+        while len(out) < MAX_WINDOWS:
+            x1 = x0 + outward * width
+            out.append((min(x0, x1), max(x0, x1)))
+            x0, width = x1, width * 1.4
+    return out
+
+
+def normalizability_check(pre, branch, component) -> tuple:
+    """(normalizable, norm estimate) of one branch over the component
+    (a, b): a core window, then the windows of the low side and of the high
+    side, each phi evaluated and integrated on its own, until the
+    contributions decay (a tail below e^-36 of the total) or grow
+    persistently; on an unbounded side a window short of the outermost
+    root preimage is no tail."""
+    roots = np.asarray(branch.roots, dtype=float)
+    a, b = component
+    cmap = pre.cmap
+    z_lo, z_hi = cmap.z_image
+    inside = roots[(roots > z_lo) & (roots < z_hi)]
+    xr = [x for m in (cmap, replace(cmap, branch_sign=-cmap.branch_sign))
+          for x in np.atleast_1d(m.x_of_z(inside)) if a < x < b]
+    bulk = {-1: min(xr, default=math.inf), +1: max(xr, default=-math.inf)}
+    if math.isfinite(a) and math.isfinite(b):
+        core = a + (b - a) / 4, b - (b - a) / 4
+    elif math.isfinite(a):
+        core = a + 0.5, a + 1.5
+    elif math.isfinite(b):
+        core = b - 1.5, b - 0.5
+    else:
+        core = -1.0, 1.0
+    total = _log_simpson(*core, prepot.phi_log_sign(
+        pre, roots, np.linspace(*core, SIMPSON_POINTS))[0])
+
+    def _side(edge, inner, outward):
+        nonlocal total
+        patience, grow, prev = (6 if math.isfinite(edge) else 4), 0, -math.inf
+        for lo, hi in windows(edge, inner, outward):
+            with np.errstate(over="ignore", invalid="ignore"):
+                logphi = prepot.phi_log_sign(pre, roots, np.linspace(lo, hi, SIMPSON_POINTS))[0]
+            seg = _log_simpson(lo, hi, logphi)
+            total = np.logaddexp(total, seg)
+            outer = hi if outward > 0 else lo
+            if not math.isfinite(edge) and outward * (outer - bulk[outward]) < 0:
+                continue
+            if seg < total - 36.0:
+                return True
+            if seg > prev:
+                grow += 1
+                if grow >= patience:
+                    return False
+            else:
+                grow = 0
+            prev = seg
+        return False
+
+    ok_lo = _side(a, core[0], -1)
+    ok_hi = _side(b, core[1], +1)
+    return bool(ok_lo and ok_hi), (math.exp(total) if total < 700 else math.inf)

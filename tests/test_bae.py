@@ -244,15 +244,16 @@ SHAPES = [
 
 @pytest.fixture
 def solve_origins(monkeypatch):
-    """The origin of every bae.solve call made through the module."""
+    """The origin of every Newton polish made through the module: one per
+    row of each bae.solve_many call."""
     origins = []
-    real_solve = bae.solve
+    real_solve_many = bae.solve_many
 
-    def counted(spec, init, **kwargs):
-        origins.append(kwargs.get("origin"))
-        return real_solve(spec, init, **kwargs)
+    def counted(spec, inits, **kwargs):
+        origins.extend([kwargs.get("origin")] * len(inits))
+        return real_solve_many(spec, inits, **kwargs)
 
-    monkeypatch.setattr(bae, "solve", counted)
+    monkeypatch.setattr(bae, "solve_many", counted)
     return origins
 
 

@@ -2,8 +2,10 @@
 singularity-induced models and of its batched root extraction, of the
 walls of parabolic models, of the coordinate images and the equations the
 map and W0 solve, of which models over an irreducible Q build, of the
-energies and CSV output of random type-1 models, and of the batched
-certification setup against the per-branch, per-root one."""
+energies and CSV output of random type-1 models, of the batched
+certification setup against the per-branch, per-root one, and of the
+lock-step Newton polish and the batched normalizability windows against
+their one-row oracles."""
 
 import contextlib
 import io
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from qesf import bae, catalog, cli, coords, potential, prepot, verify
-from qesf.errors import GridError, ModelError
+from qesf.errors import CollisionError, ConvergenceError, GridError, ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly, partial_fractions
 
@@ -46,8 +48,9 @@ def test_branches_solve_the_bae_and_are_distinct(model):
     for i in range(len(roots)):
         for j in range(i):
             assert np.max(np.abs(roots[i] - roots[j])) > 1e-6
-    energies = [bae.branch_energy(spec, r) for r in roots]
-    assert energies == sorted(energies)
+    # real branches in the documented order: ascending energy, with runs
+    # whose energies agree within ENERGY_TIE_ULPS ordered by their roots
+    assert bae._energy_order(spec, branches) == branches
 
 
 # Q = 1, P = c0 + z and a repelling wall (mu > 0) on each side of 0. The
@@ -330,3 +333,127 @@ def test_batched_setup_matches_the_per_branch_log_sum_setup(spec):
     for br, g, w in zip(branches, got, want, strict=True):
         assert potential.delta_v_pfe(spec, br).poly == oracles.delta_v_poly(spec, br.roots)
         _setup_matches(pre, g, w)
+
+
+# Newton starts for the lock-step polish: models without walls, with one
+# wall and with two, at N = 1..5; per batch one dtype and one tol (0 makes
+# every row stall at the rounding floor), rows drawn at random, at the
+# matrix starts, on a wall, with two equal roots, repeated, or (N = 1, one
+# wall, Q = 1, |P(0) + a| > 0.05) at z0 = a + 2 mu / (P(0) + a), whose full
+# Newton step lands on the wall
+polish_models = st.one_of(
+    st.builds(lambda a, b, N: catalog.instantiate("sextic", N=N, a=a, b=b),
+              st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.integers(1, 5)),
+    st.builds(lambda a, b, N: catalog.instantiate("sextic-type2", N=N, a=a, b=b),
+              st.floats(0.5, 2.0), st.floats(-4.0, 4.0), st.integers(1, 5)),
+    st.builds(lambda c0, a, mu, N: ModelSpec(Poly([1.0]), Poly([c0, 1.0]),
+                                             (Singularity(a, mu),), N),
+              st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.05, 0.45),
+              st.integers(1, 5)),
+    st.builds(lambda a1, a2, mu1, mu2, N: ModelSpec(
+        Poly([1.0]), Poly([0.0, 1.0]), (Singularity(a1, mu1), Singularity(a2, mu2)), N),
+        st.floats(-0.5, -0.05), st.floats(0.05, 0.5), st.floats(0.01, 0.45),
+        st.floats(0.01, 0.45), st.integers(1, 5)))
+
+
+@st.composite
+def polish_batches(draw):
+    spec = draw(polish_models)
+    N, walls = spec.N, [s.location for s in spec.singularities]
+    complex_starts = draw(st.booleans())
+    point = st.floats(-3.0, 3.0)
+    if complex_starts:
+        point = st.builds(complex, point, st.floats(-1.0, 1.0))
+    matrix = list(bae._starts(*bae._heine_matrix(spec), complex_starts))
+    aim = None
+    if N == 1 and len(walls) == 1 and spec.Q.degree == 0:
+        shift = spec.P.coeff(0) + walls[0]
+        if abs(shift) > 0.05:
+            aim = walls[0] + 2.0 * spec.singularities[0].exponent / shift
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "matrix", "wall", "equal", "repeat", "aim"]))
+        if kind == "aim" and aim is not None:
+            row = [aim]
+        elif kind == "matrix" and matrix:
+            row = list(draw(st.sampled_from(matrix)))
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            row = draw(st.lists(point, min_size=N, max_size=N))
+            if kind == "wall" and walls:
+                row[draw(st.integers(0, N - 1))] = draw(st.sampled_from(walls))
+            elif kind == "equal" and N >= 2:
+                row[1] = row[0]
+        rows.append(np.array(row, dtype=complex if complex_starts else float))
+    return spec, np.array(rows), draw(st.sampled_from([1e-12, 1e-6, 0.0]))
+
+
+def _same_outcome(got, want):
+    """A polished row against its one-row oracle: the same branch to the
+    bit (repr of the floats), or the same error."""
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert repr(got) == repr(want)
+
+
+def _two_wall_starts(N):
+    """A two-wall model whose matrix starts stall at N >= 6, with them."""
+    spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]),
+                     (Singularity(-0.1, 0.01), Singularity(0.1, 0.3)), N)
+    return spec, np.array(list(bae._starts(*bae._heine_matrix(spec), False))), 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(polish_batches())
+@example(_two_wall_starts(7))
+def test_lock_step_polish_is_the_one_start_polish_bit_for_bit(batch):
+    # each row of one lock-step polish gets the roots, residual_norm and
+    # newton_iters of its start polished alone, or its error; so does
+    # bae.solve, the one-row call
+    spec, starts, tol = batch
+    got = bae.solve_many(spec, starts, tol=tol, origin="matrix")
+    assert len(got) == len(starts)
+    for start, g in zip(starts, got):
+        try:
+            want = oracles.bae_solve(spec, start, tol=tol, origin="matrix")
+        except (CollisionError, ConvergenceError) as exc:
+            want = exc
+        _same_outcome(g, want)
+        try:
+            alone = bae.solve(spec, start, tol=tol, origin="matrix")
+        except (CollisionError, ConvergenceError) as exc:
+            alone = exc
+        _same_outcome(alone, want)
+
+
+# the setup models, and models whose branches are not all normalizable:
+# Morse with A below N (the wall end) and the inverted oscillator
+normalizability_models = st.one_of(
+    setup_models,
+    st.builds(lambda A, N: catalog.instantiate("morse-p", N=N, A=A),
+              st.floats(0.2, 3.0), st.integers(1, 3)),
+    st.builds(lambda b, N: ModelSpec(Poly([1.0]), Poly([0.0, b]), (), N),
+              st.floats(-2.0, -0.5), st.integers(0, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(normalizability_models)
+def test_batched_normalizability_matches_the_per_branch_windows(spec):
+    # every branch's verdict from one batched pass, on its grid's component
+    # or else the whole x-domain, is that of its windows integrated one at
+    # a time (np.dot Simpson sums), with the estimate within 1e-14
+    # relative; a branch checked alone gets the bits it gets in the batch
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
+    components = [g.component if isinstance(g, verify.Grid) else pre.cmap.x_domain
+                  for g in verify.default_grids(pre, roots)]
+    got = verify.normalizability_checks(pre, roots, components)
+    for br, component, (ok, estimate) in zip(branches, components, got, strict=True):
+        want_ok, want_estimate = oracles.normalizability_check(pre, br, component)
+        assert ok == want_ok
+        assert estimate == want_estimate or math.isclose(estimate, want_estimate,
+                                                         rel_tol=1e-14)
+        assert verify.normalizability_check(pre, br, component) == (ok, estimate)

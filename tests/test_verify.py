@@ -9,6 +9,7 @@ from qesf.errors import GridError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly, tridiag_eigenvalues
 
+import oracles
 from oracles import hermite_zeros, norm1, sturm_count
 
 
@@ -339,28 +340,35 @@ def test_residual_excludes_both_sides_of_every_node():
 
 def test_windows_match_the_loop_recurrence():
     # halving toward a finite edge and growth by 1.4 toward an infinite one,
-    # accumulated in sequence: the windows of the loop, bit for bit
-    def looped(edge, inner, outward):
-        out = []
-        if math.isfinite(edge):
-            t = abs(inner - edge)
-            while len(out) < verify.MAX_WINDOWS:
-                t2 = t / 2.0
-                out.append((edge + t2, edge + t) if outward < 0 else (edge - t, edge - t2))
-                t = t2
-        else:
-            width, x0 = 1.0, inner
-            while len(out) < verify.MAX_WINDOWS:
-                x1 = x0 + outward * width
-                out.append((min(x0, x1), max(x0, x1)))
-                x0, width = x1, width * 1.4
-        return out
+    # accumulated in sequence: the windows of the loop, bit for bit, for one
+    # row per side and for rows of finite and infinite edges in one call
+    cases = ((0.1, 0.6180339887, -1), (2.3, 1.0471975512, 1), (-0.37, -0.123456789, -1),
+             (math.inf, 1.7320508076, 1), (-math.inf, -0.3, -1))
+    for rows in [[case] for case in cases] + [
+            [case for case in cases if case[2] == outward] for outward in (-1, 1)]:
+        edges, inners, outwards = zip(*rows)
+        lo, hi = verify._windows(np.array(edges), np.array(inners), outwards[0])
+        for (edge, inner, outward), lo_i, hi_i in zip(rows, lo.tolist(), hi.tolist()):
+            assert list(zip(lo_i, hi_i)) == oracles.windows(edge, inner, outward)
 
-    for edge, inner, outward in ((0.1, 0.6180339887, -1), (2.3, 1.0471975512, 1),
-                                 (-0.37, -0.123456789, -1),
-                                 (math.inf, 1.7320508076, 1), (-math.inf, -0.3, -1)):
-        lo, hi = verify._windows(edge, inner, outward)
-        assert list(zip(lo.tolist(), hi.tolist())) == looped(edge, inner, outward)
+
+def test_a_side_scan_split_into_chunks_decides_as_one_scan():
+    # the growth run and the previous integral carry over from one chunk of
+    # windows to the next, so every split decides at the same window
+    growth = [-5.0, -4.0, -6.0, -3.0, -2.0, -1.5, -1.0, 0.0, 1.0]
+    decay = [-1.0, -2.0, -1.5, -3.0, -20.0, -30.0, -40.0, -50.0, -60.0]
+    for segs, total, want in ((growth, -100.0, (False, 6)), (decay, 0.0, (True, 6))):
+        totals = [total] * (len(segs) + 1)
+        outers = [-float(j) for j in range(len(segs))]
+        assert verify._scan(segs, totals, outers, 1.0, math.inf, -1, [4, 0, -math.inf]) == want
+        for k in range(1, len(segs)):
+            state = [4, 0, -math.inf]
+            assert verify._scan(segs[:k], totals[:k + 1], outers[:k], 1.0, math.inf, -1,
+                                state) is None or k > want[1]
+            if k <= want[1]:
+                verdict, j = verify._scan(segs[k:], totals[k:], outers[k:], 1.0, math.inf, -1,
+                                          state)
+                assert (verdict, k + j) == want, k
 
 
 def test_report_dict_keys_are_the_report_fields():
@@ -637,7 +645,8 @@ def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
 
 
 def test_the_verdict_requires_normalizable(monkeypatch):
-    monkeypatch.setattr(verify, "normalizability_check", lambda *a: (False, math.inf))
+    monkeypatch.setattr(verify, "normalizability_checks",
+                        lambda pre, roots, components: [(False, math.inf)] * len(components))
     spec = catalog.instantiate("sextic", N=2)
     reports = verify.verify_branches(prepot.integrate_w0(spec),
                                      bae.enumerate_branches(spec))
