@@ -25,12 +25,16 @@ Type-2 models, two walls, or a wall with deg P >= 2 give k >= 2: a
 rectangular multiparameter eigenproblem, solved through Atkinson's
 Delta-operators of k fixed compressions (Hochstenbach, Kosir and
 Plestenjak) as the standard eigenproblem of Delta_0^-1 Delta_c. Every
-eigen-solution of exact degree N gets one Newton polish from its roots,
-which come from one stacked companion-matrix eigenvalue call. The polishes
-run in lock step as the rows of one damped Newton (solve_many): residuals
-of shape (B, N), Jacobians (B, N, N) and one batched linear solve per
-iteration, with each row's line search, polish phase and error its own.
-Only numpy runs here.
+real eigen-solution of exact degree N that gives a real start (_starts)
+gets one Newton polish from its roots, which come from one stacked
+companion-matrix eigenvalue call. The polishes run in lock step as the rows of one damped
+Newton (solve_many): residuals of shape (B, N), Jacobians (B, N, N) and one
+batched linear solve per iteration, with each row's line search, polish
+phase and error its own. Only numpy runs here.
+
+A branch is real: each level's eigenfunction is built from the real zeros
+of its polynomial y, so enumeration seeks real roots only, and Newton and
+the energy run in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -189,10 +193,8 @@ def branch_energy(spec: ModelSpec, roots) -> float:
 
     E = 2 p3 sum z_k^2 + 2 p2 sum z_k + 2 p1 N - q2 N^2 - 2 q2 N sum_j mu_j
     """
-    roots = np.asarray(roots)
-    t = _energy_terms(spec, roots)
-    e = t[0] + t[1] + t[2] + t[3] + t[4]
-    return complex(e) if np.iscomplexobj(roots) else float(e)
+    t = _energy_terms(spec, np.asarray(roots))
+    return float(t[0] + t[1] + t[2] + t[3] + t[4])
 
 
 def _energy_terms(spec: ModelSpec, roots: np.ndarray) -> tuple:
@@ -225,9 +227,10 @@ def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
                origin: str = "user") -> list:
-    """Damped Newton iteration from every row of inits, shape (B, N), in
-    lock step: per row, in order, its BetheBranch or the CollisionError or
-    ConvergenceError that stopped it.
+    """Damped Newton iteration from every row of inits, real starts of
+    shape (B, N), in lock step: per row, in order, its BetheBranch (roots
+    ascending) or the CollisionError or ConvergenceError that stopped it.
+    ValueError for complex starts or another shape.
 
     Each iteration stacks the Jacobians of all running rows, (B, N, N), and
     solves them in one batched np.linalg.solve call; the line-search trials
@@ -247,7 +250,9 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
     Newton contracts the ball so duplicate branches collapse in enumeration.
     """
     z = np.asarray(inits)
-    z = z.astype(complex if np.iscomplexobj(z) else float)
+    if np.iscomplexobj(z):
+        raise ValueError("Newton starts must be real")
+    z = z.astype(float)
     if z.ndim != 2 or z.shape[1] != spec.N:
         raise ValueError(f"inits must have shape (B, N = {spec.N})")
     if spec.N == 0:
@@ -258,15 +263,18 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
     def _trial(trial):
         """Max residual norms of the trial rows, and the _evaluate terms of
         the rows ok (a mask, or every row) that are finite and collide with
-        nothing; the other rows' norm is inf, a rejected step."""
+        nothing; the other rows' norm is inf, a rejected step. A step that
+        overshoots far enough for the residual to overflow gets norm inf or
+        nan, also a rejected step."""
         ok = slice(None)
         if not np.isfinite(trial).all():
             ok = np.isfinite(trial).all(axis=1)
-        inv_t, bad = _pair_inverses(trial[ok], sings)
-        if bad is not None:
-            ok = np.isfinite(trial).all(axis=1)
-            ok[ok] = ~bad
-        ev_t = _evaluate(spec, polys, trial[ok], inv_t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_t, bad = _pair_inverses(trial[ok], sings)
+            if bad is not None:
+                ok = np.isfinite(trial).all(axis=1)
+                ok[ok] = ~bad
+            ev_t = _evaluate(spec, polys, trial[ok], inv_t)
         if isinstance(ok, slice):
             return np.abs(ev_t[0]).max(axis=1), ev_t, ok
         nt = np.full(len(trial), np.inf)
@@ -290,9 +298,8 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
         nonlocal idx, z, norm, converged_at, ev
         for j in np.flatnonzero(stop):
             if converged_at[j] >= 0:
-                order = np.lexsort((np.imag(z[j]), np.real(z[j])))
-                out[idx[j]] = BetheBranch(tuple(z[j][order].tolist()), float(norm[j]),
-                                          int(converged_at[j]), origin)
+                out[idx[j]] = BetheBranch(tuple(np.sort(z[j], kind="stable").tolist()),
+                                          float(norm[j]), int(converged_at[j]), origin)
             else:
                 out[idx[j]] = error(j)
         keep = ~stop
@@ -363,8 +370,8 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
 def solve(spec: ModelSpec, init, tol: float = 1e-12,
           origin: str = "user") -> BetheBranch:
     """Damped Newton iteration from one starting vector: solve_many's one
-    row, whose error it raises. ValueError when init is not a vector of
-    length N."""
+    row, whose error it raises. ValueError when init is complex or not a
+    vector of length N."""
     z = np.asarray(init)
     if z.ndim != 1 or z.size != spec.N:
         raise ValueError(f"init must have length N = {spec.N}")
@@ -492,8 +499,8 @@ def _delta_operators(M0: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return kron_det(cols), [kron_det(cols[:j] + [minus_a] + cols[j + 1:]) for j in range(k)]
 
 
-def _rank_deficient(M0: np.ndarray, complex_mode: bool) -> list[np.ndarray]:
-    """Null vectors y of M0 + sum_j w_j S_j over the solutions w, k >= 2.
+def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
+    """Null vectors y of M0 + sum_j w_j S_j over the real solutions w, k >= 2.
 
     The eigenvectors z of Delta_0^-1 Delta_c, Delta_c a fixed combination
     of the Delta_j (distinct eigenvalues even where solutions share a w_j),
@@ -502,17 +509,15 @@ def _rank_deficient(M0: np.ndarray, complex_mode: bool) -> list[np.ndarray]:
     compressions, and its condition number stays below 5e4 wherever
     MAX_ORDER admits (N, k), so the standard eigenproblem stands in for the
     generalized one. A real solution w has the real eigenvalue c . w, which
-    LAPACK returns with imaginary part exactly 0 as for k = 1, so outside
-    complex_mode only those eigenvectors are candidates. A candidate is
-    kept when its rectangular matrix has sigma_min <= RANK_TOL sigma_max;
-    y is that singular vector.
+    LAPACK returns with imaginary part exactly 0 as for k = 1, so only those
+    eigenvectors are candidates. A candidate is kept when its rectangular
+    matrix has sigma_min <= RANK_TOL sigma_max; y is that singular vector.
     """
     N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
     D0, Ds = _delta_operators(M0)
     c = np.random.default_rng(COMPRESSION_SEED).standard_normal(k)
     lam, Z = np.linalg.eig(np.linalg.solve(D0, sum(cj * Dj for cj, Dj in zip(c, Ds))))
-    if not complex_mode:
-        Z = Z[:, lam.imag == 0.0]
+    Z = Z[:, lam.imag == 0.0]
     d0 = D0 @ Z
     norm = np.einsum("ij,ij->j", d0.conj(), d0).real
     w = np.array([np.einsum("ij,ij->j", d0.conj(), Dj @ Z) for Dj in Ds]).T / norm[:, None]
@@ -555,72 +560,59 @@ def _roots(coeffs: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _starts(M0: np.ndarray, s: float, complex_mode: bool):
-    """Newton starts: the roots (times s) of every eigen-solution y of exact
-    degree N, taken from one batch (_roots).
+def _starts(M0: np.ndarray, s: float) -> list[np.ndarray]:
+    """Real Newton starts, ascending: the roots (times s) of every real
+    eigen-solution y of exact degree N, taken from one batch (_roots).
 
-    k = 1: the eigenvectors of the square M0. A real eigenvalue's y is real
-    and gets a real start: np.roots may return a close real pair as a +- ib
-    (b = 0.014 in z/s at trig-interval N = 15), and a +- b is the better
-    start. A complex eigenvalue's y is complex and is used only in
-    complex_mode. k >= 2 (_rank_deficient, which also leaves out complex
-    eigenvalues outside complex_mode): y is real when its roots are real
-    to REAL_TOL. Complex ones start only in complex_mode.
+    k = 1: the eigenvectors of the square M0's real eigenvalues. Each such
+    y is real and gets a real start: np.roots may return a close real pair
+    as a +- ib (b = 0.014 in z/s at trig-interval N = 15), and a +- b is
+    the better start. k >= 2 (_rank_deficient): y starts only when its
+    roots are real to REAL_TOL.
     """
-    if M0.shape[0] == M0.shape[1]:
+    square = M0.shape[0] == M0.shape[1]
+    if square:
         lam, vec = np.linalg.eig(M0)
-        cands = [(vec[:, i].real, True) if lam[i].imag == 0.0 else (vec[:, i], False)
-                 for i in range(len(lam)) if complex_mode or lam[i].imag == 0.0]
+        cands = [vec[:, i].real for i in range(len(lam)) if lam[i].imag == 0.0]
     else:
-        cands = [(y, None) for y in _rank_deficient(M0, complex_mode)]
-    cands = [(c, real) for c, real in cands if abs(c[-1]) > DEGREE_TOL * np.max(np.abs(c))]
-    for (_, real), w in zip(cands, _roots([c for c, _ in cands])):
-        if real or (real is None and np.max(np.abs(w.imag)) <= REAL_TOL):
-            yield s * np.sort(w.real + w.imag)
-        elif complex_mode:
-            yield s * np.sort_complex(w)
+        cands = _rank_deficient(M0)
+    cands = [c for c in cands if abs(c[-1]) > DEGREE_TOL * np.max(np.abs(c))]
+    return [s * np.sort(w.real + w.imag) for w in _roots(cands)
+            if square or np.max(np.abs(w.imag)) <= REAL_TOL]
 
 
 def _energy_order(spec: ModelSpec, found: list[BetheBranch]) -> list[BetheBranch]:
-    """found with real branches first, by extracted energy, then the others
-    by (Re E, Im E, roots). A run of real branches whose energies agree
+    """found by extracted energy. A run of branches whose energies agree
     within ENERGY_TIE_ULPS ulps of the largest term of branch_energy's sum
     (mirror branches, whose E differ only by rounding) is ordered by its
     roots, so that no branch moves when E moves by an ulp."""
     keyed = []
     for br in found:
         roots = np.asarray(br.roots)
-        e = branch_energy(spec, roots)
         tie = ENERGY_TIE_ULPS * np.spacing(max(map(abs, _energy_terms(spec, roots))))
-        keyed.append(((0 if br.is_real else 1, np.real(e), np.imag(e),
-                       tuple(np.real(roots))), tie, br))
-    keyed.sort(key=lambda k: k[0])
+        keyed.append((branch_energy(spec, roots), br.roots, tie, br))
+    keyed.sort(key=lambda k: k[:2])
     out, run = [], []
-    for key, tie, br in keyed:
-        if run:
-            (_, e_prev, *_), tie_prev, _ = run[-1]
-            if not (key[0] == 0 and key[1] - e_prev <= max(tie, tie_prev)):
-                out += sorted(run, key=lambda k: k[0][3])
-                run = []
-        run.append((key, tie, br))
-    out += sorted(run, key=lambda k: k[0][3])
-    return [br for _, _, br in out]
+    for e, roots, tie, br in keyed:
+        if run and not e - run[-1][0] <= max(tie, run[-1][2]):
+            out += sorted(run, key=lambda k: k[1])
+            run = []
+        run.append((e, roots, tie, br))
+    out += sorted(run, key=lambda k: k[1])
+    return [br for *_, br in out]
 
 
-def enumerate_branches(spec: ModelSpec, tol: float = 1e-12,
-                       complex_mode: bool = False) -> list[BetheBranch]:
-    """Every branch of the model's eigenproblem, sorted by extracted energy
-    (real branches first; energies equal but for rounding by roots, see
-    _energy_order).
+def enumerate_branches(spec: ModelSpec, tol: float = 1e-12) -> list[BetheBranch]:
+    """Every real branch of the model's eigenproblem, sorted by extracted
+    energy (energies equal but for rounding by roots, see _energy_order).
 
-    Each eigen-solution of _heine_matrix of exact degree N gets one Newton
-    polish from its roots (_starts); polishes that collide or do not
-    converge are dropped. The real starts are polished as the rows of one
-    solve_many call, and in complex_mode the complex ones in a second. For
-    k >= 2, polishes within COLLISION_TOL of an earlier one (a multiple
-    eigen-solution) are one branch. Real branches only, unless
-    complex_mode. A model with k free parameters has at most C(N+k, k)
-    solutions (N + 1 for k = 1). Raises ModelError when (N + 1)^k exceeds
+    Each real eigen-solution of _heine_matrix of exact degree N that gives
+    a real start gets one Newton polish from its roots (_starts): the
+    starts are the rows of one solve_many call, and polishes that collide or do not
+    converge are dropped. For k >= 2, polishes within COLLISION_TOL of an
+    earlier one (a multiple eigen-solution) are one branch. A model with k
+    free parameters has at most C(N+k, k) solutions (N + 1 for k = 1),
+    complex ones included. Raises ModelError when (N + 1)^k exceeds
     MAX_ORDER.
 
     The result is deterministic: nothing is random, and the compressions
@@ -629,21 +621,13 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12,
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0, "empty")]
     M0, s = _heine_matrix(spec)
-    starts = list(_starts(M0, s, complex_mode))
-    polished: list = [None] * len(starts)
-    for is_complex in (False, True):
-        rows = [i for i, start in enumerate(starts) if np.iscomplexobj(start) == is_complex]
-        if rows:
-            for i, br in zip(rows, solve_many(spec, [starts[i] for i in rows], tol=tol,
-                                              origin="matrix")):
-                polished[i] = br
+    starts = _starts(M0, s)
     found: list[BetheBranch] = []
-    for br in polished:
+    for br in solve_many(spec, starts, tol=tol, origin="matrix") if starts else []:
         if isinstance(br, (CollisionError, ConvergenceError)):
             continue
         # k >= 2: a multiple eigen-solution (sextic-type2 at b = 0, N = 1:
-        # z^3 = 0) polishes to its branch once per multiplicity. Roots are
-        # matched as sets: a conjugate pair's order can differ between polishes.
+        # z^3 = 0) polishes to its branch once per multiplicity.
         roots = np.asarray(br.roots)
         if M0.shape[0] == M0.shape[1] or not any(
                 np.max(np.min(np.abs(roots[:, None] - np.asarray(old.roots)), axis=1))

@@ -16,6 +16,8 @@ cannot be built is invalid input, and so is a config with a key outside
 these.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
+A --grid-points below verify.MIN_GRID_POINTS or a --tol that is not finite
+and positive is invalid input too.
 Nothing is random: the same config gives byte-identical CSV output.
 """
 
@@ -25,6 +27,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -117,6 +120,17 @@ def spec_from_config(cfg: dict) -> ModelSpec:
         return ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
 
 
+def _check_flags(grid_points: int, tol: float) -> None:
+    """Reject a --grid-points or --tol value that no run can use: a grid
+    needs verify.MIN_GRID_POINTS points, and a tolerance is finite and
+    positive."""
+    if grid_points < verify.MIN_GRID_POINTS:
+        raise ModelError(f"--grid-points must be at least {verify.MIN_GRID_POINTS} "
+                         f"(got {grid_points})")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ModelError(f"--tol must be finite and positive (got {tol:g})")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -130,6 +144,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_flags(args.grid_points, args.tol)
     cfg = load_config(args.config)
     if args.N is not None and isinstance(cfg, dict):
         cfg = dict(cfg, N=args.N)
@@ -193,6 +208,7 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
 
 
 def cmd_verify(args) -> int:
+    _check_flags(args.grid_points, args.tol)
     pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
     spec = pre.spec_ref
     roots_by_bid = _read_roots_csv(args.roots)

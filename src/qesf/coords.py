@@ -14,6 +14,12 @@ z = exp(w x) - q1/(2 q2), z = c cosh(w x) - q1/(2 q2) with c > 0,
 z = c sinh(w x) - q1/(2 q2), z = S - R cos(w x)). branch_sign picks the
 monotone branch used by the inverse map (and, for exponential maps, the
 growing vs. decaying solution).
+
+The inverse map has one set of per-family formulas (_inverse). x_of_z
+applies them on the declared branch and raises DomainError where z has
+no x there; preimages applies them on the declared branch and on the
+mirror one (the other branch_sign) at once, with nan where z has no x,
+which is what the walls, the grids and the normalizability windows read.
 """
 
 from __future__ import annotations
@@ -107,9 +113,29 @@ class CoordinateMap:
         if np.any(za < lo - tol) or np.any(za > hi + tol):
             raise DomainError(f"z outside branch image {self.z_image}")
         za = np.clip(za, lo, hi)
+        out = self._inverse(za, self.branch_sign)
+        if np.any(np.isnan(out) & ~np.isnan(za)):  # an exponential map's image end
+            raise DomainError("z outside exponential branch image")
+        return out[()].item() if out.shape == () else out
+
+    def preimages(self, z) -> np.ndarray:
+        """x of z on the declared branch and on the mirror one (the other
+        branch_sign), shape (2,) + z.shape. The two rows differ only where
+        the map is two-to-one (parabolic, cosh and trigonometric maps; the
+        trigonometric mirror lies outside the x-domain). nan where z lies
+        outside z_image +- z_tol, and at an exponential map's image end."""
+        lo, hi = self.z_image
+        za = np.asarray(z, dtype=float)
+        za = np.where((za >= lo - self.z_tol) & (za <= hi + self.z_tol),
+                      np.clip(za, lo, hi), np.nan)
+        return np.array([self._inverse(za, s) for s in (self.branch_sign, -self.branch_sign)])
+
+    def _inverse(self, za: np.ndarray, s: int) -> np.ndarray:
+        """x of z on the branch of sign s, for z inside z_image: the
+        per-family formulas of x_of_z and preimages. nan at an exponential
+        map's image end, where x is infinite."""
         p = self.params
         f = self.family
-        s = self.branch_sign
         if f == LINEAR:
             out = (za - p["intercept"]) / p["slope"]
         elif f == PARABOLIC:
@@ -117,9 +143,8 @@ class CoordinateMap:
             out = p["xv"] + s * np.sqrt(t)
         elif f == EXPONENTIAL:
             ratio = (za + p["shift"]) / p["amp"]
-            if np.any(ratio <= 0):
-                raise DomainError("z outside exponential branch image")
-            out = np.log(ratio) / (p["sign"] * p["omega"])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(ratio > 0, np.log(ratio) / (p["sign"] * p["omega"]), np.nan)
         elif f == HYPERBOLIC:
             y = (za + p["shift"]) / p["c"]
             if p["kind"] == "cosh":
@@ -131,8 +156,7 @@ class CoordinateMap:
             out = p["x0"] + s * np.arccos(u) / p["omega"]
         else:  # pragma: no cover
             raise ValueError(f"unknown family {f}")
-        out = np.asarray(out)
-        return out[()].item() if out.shape == () else out
+        return np.asarray(out)
 
 
 def build(Q: Poly, branch_sign: int = 1) -> CoordinateMap:

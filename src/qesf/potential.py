@@ -93,20 +93,26 @@ class PFE:
         return PFE(self.poly, self.boundary_poles, ())
 
     def __add__(self, other: "PFE") -> "PFE":
-        merged: list[list[float]] = []
-
-        def _push(loc, c1, c2):
-            for entry in merged:
-                if abs(entry[0] - loc) < _LOC_MERGE_TOL:
-                    entry[1] += c1
-                    entry[2] += c2
-                    return
-            merged.append([loc, c1, c2])
-
-        for b in self.boundary_poles + other.boundary_poles:
-            _push(b.location, b.c1, b.c2)
-        bnd = tuple(BoundaryPole(*e) for e in sorted(merged) if e[1] != 0.0 or e[2] != 0.0)
+        bnd = _merged_poles((b.location, b.c1, b.c2)
+                            for b in self.boundary_poles + other.boundary_poles)
         return PFE(self.poly + other.poly, bnd, self.root_poles + other.root_poles)
+
+
+def _merged_poles(terms) -> tuple[BoundaryPole, ...]:
+    """Boundary poles from (location, c1, c2) terms: each term is summed
+    into the first pole, in input order, within _LOC_MERGE_TOL of its
+    location; ascending in location, with the poles whose coefficients
+    cancel to 0 dropped."""
+    merged: list[list[float]] = []
+    for loc, c1, c2 in terms:
+        for entry in merged:
+            if abs(entry[0] - loc) < _LOC_MERGE_TOL:
+                entry[1] += c1
+                entry[2] += c2
+                break
+        else:
+            merged.append([loc, c1, c2])
+    return tuple(BoundaryPole(*e) for e in sorted(merged) if e[1] != 0.0 or e[2] != 0.0)
 
 
 @dataclass(frozen=True)
@@ -136,16 +142,6 @@ def v0_pfe(spec: ModelSpec) -> PFE:
     num = P * P + 0.5 * (P * Q.derivative())
     quot, rem = divmod_poly(num, Q)
     poly = quot - P.derivative()
-    poles: dict[float, list[float]] = {}
-
-    def _add(loc, c1=0.0, c2=0.0):
-        loc = loc + 0.0  # normalize -0.0
-        for known in poles:
-            if abs(known - loc) < _LOC_MERGE_TOL:
-                poles[known][0] += c1
-                poles[known][1] += c2
-                return
-        poles[loc] = [c1, c2]
 
     real, pair = partial_fractions(rem, Q)
     if pair is not None:
@@ -156,8 +152,7 @@ def v0_pfe(spec: ModelSpec) -> PFE:
             raise ModelError(
                 "potential outside the closed pole basis: P^2/Q leaves a "
                 "remainder over an irreducible Q")
-    for rho, c1, c2 in real:
-        _add(rho, c1=c1, c2=c2)
+    poles = list(real)  # (location, c1, c2)
 
     # Singularity couplings.
     PmQ4 = P - 0.25 * Q.derivative()
@@ -165,20 +160,18 @@ def v0_pfe(spec: ModelSpec) -> PFE:
     for s in spec.singularities:
         a, mu = s.location, s.exponent
         poly = poly + (-2.0 * mu) * PmQ4.divided_difference(a)
-        _add(a, c1=-2.0 * mu * PmQ4(a))
+        poles.append((a, -2.0 * mu * PmQ4(a), 0.0))
         poly = poly + Poly([mu * (mu - 1.0) * q2])
-        _add(a, c1=mu * (mu - 1.0) * Q.derivative()(a), c2=mu * (mu - 1.0) * Q(a))
+        poles.append((a, mu * (mu - 1.0) * Q.derivative()(a), mu * (mu - 1.0) * Q(a)))
     if len(spec.singularities) == 2:
         (s1, s2) = spec.singularities
         a1, a2 = s1.location, s2.location
         w = 2.0 * s1.exponent * s2.exponent
         poly = poly + Poly([w * q2])
-        _add(a1, c1=w * Q(a1) / (a1 - a2))
-        _add(a2, c1=w * Q(a2) / (a2 - a1))
+        poles += [(a1, w * Q(a1) / (a1 - a2), 0.0), (a2, w * Q(a2) / (a2 - a1), 0.0)]
 
-    bnd = tuple(BoundaryPole(loc, c1, c2) for loc, (c1, c2) in sorted(poles.items())
-                if c1 != 0.0 or c2 != 0.0)
-    return PFE(poly, bnd, ())
+    # + 0.0 makes every -0.0 location a 0.0
+    return PFE(poly, _merged_poles((loc + 0.0, c1, c2) for loc, c1, c2 in poles), ())
 
 
 def delta_v_pfe(spec: ModelSpec, branch: bae.BetheBranch) -> PFE:

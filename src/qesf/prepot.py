@@ -28,12 +28,12 @@ Prepotential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import coords, potential
-from .errors import DomainError, ModelError
+from .errors import ModelError
 from .model import ModelSpec, is_turning_point, validate
 from .poly import Poly, divmod_poly, partial_fractions
 
@@ -138,8 +138,11 @@ def _finite_walls(cmap: coords.CoordinateMap, Q: Poly,
 
     The cuts are the finite ends of the map's x-domain and, for every point
     a of powers inside the coordinate image, declared or from W0, each
-    x-preimage of a in the x-domain: where Q(a) != 0 the map's mirror
-    branch (the other branch_sign) may reach a at a second x. phi's power
+    x-preimage of a in the x-domain (CoordinateMap.preimages): where
+    Q(a) != 0 the map's mirror branch (the other branch_sign) may reach a
+    at a second x. A turning point takes its declared preimage only: where
+    0 < |Q(a)| <= 1e-12 the mirror one lies about sqrt|Q(a)| away, a
+    spurious second wall. phi's power
     p of |z - a| comes from powers; z - a vanishes to first order in x
     where Q(a) != 0 and to second order at a turning point Q(a) = 0, so
     nu = p or 2p. The model is the authority here: where the conjugate
@@ -158,17 +161,10 @@ def _finite_walls(cmap: coords.CoordinateMap, Q: Poly,
     for xa in cmap.x_domain:
         if math.isfinite(xa):
             _add(xa, cmap.z_of_x(xa))
-    mirror = replace(cmap, branch_sign=-cmap.branch_sign)
-    lo, hi = cmap.z_image
     for a, _ in powers:
-        if not lo - tol <= a <= hi + tol:
-            continue
-        for branch in (cmap,) if is_turning_point(Q, a) else (cmap, mirror):
-            try:
-                xa = branch.x_of_z(a)
-            except DomainError:
-                continue
-            if dlo <= xa <= dhi:
+        xs = cmap.preimages(a).tolist()
+        for xa in xs[:1] if is_turning_point(Q, a) else xs:
+            if dlo <= xa <= dhi:  # False for nan: a outside the image
                 _add(xa, a)
     return dict(sorted(walls.items()))
 

@@ -31,13 +31,15 @@ normalizability windows of all branches are rows of one pass too
 (normalizability_checks): one phi_log_sign call per chunk of windows over
 the branches still undecided, while each branch's scan of its windows
 stays sequential. The residual and node count then run per branch, and
-the FD oracle per potential.
+the FD oracle per potential. Every x-preimage of a root, on the map's
+declared branch or its mirror, comes from coords.CoordinateMap.preimages
+in one call per pass, nan where a root has none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from .poly import Tridiag, tridiag_eigenvalue, tridiag_eigenvalues
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
 WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
+MIN_GRID_POINTS = 8  # fewest points of a certification grid
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
 _LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresholds
@@ -112,8 +115,8 @@ class VerificationReport:
 def make_grid(x_lo: float, x_hi: float, n: int,
               wall_lo: tuple[float, float] | None = None,
               wall_hi: tuple[float, float] | None = None) -> Grid:
-    if n < 8:
-        raise GridError("grid needs at least 8 points")
+    if n < MIN_GRID_POINTS:
+        raise GridError(f"grid needs at least {MIN_GRID_POINTS} points")
     if not (x_hi > x_lo):
         raise GridError(f"empty grid interval [{x_lo}, {x_hi}]")
     pts = np.linspace(x_lo, x_hi, n)
@@ -124,8 +127,8 @@ def mirror_grid(x_t: float, n: int, h: float,
                 wall_hi: tuple[float, float] | None = None) -> Grid:
     """Cell-centred grid of the n points x_t + (i + 1/2) h, with a mirror
     end at x_t."""
-    if n < 8:
-        raise GridError("grid needs at least 8 points")
+    if n < MIN_GRID_POINTS:
+        raise GridError(f"grid needs at least {MIN_GRID_POINTS} points")
     return Grid(x_t + (np.arange(n) + 0.5) * h, h, None, wall_hi, x_t)
 
 
@@ -187,22 +190,10 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list
     components = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-9]
     if not components:
         return [GridError("empty coordinate domain") for _ in roots]
-    # The root preimages xr pull the box out far enough to contain the state.
-    # Roots outside the map's image have no preimage; the rest are mapped
-    # in one call, or one by one if that call still fails (an exponential
-    # map rejects its image's end).
-    cmap = pre.cmap
-    z_lo, z_hi = cmap.z_image
-    xr = np.full(roots.shape, np.nan)
-    mapped = (roots >= z_lo - cmap.z_tol) & (roots <= z_hi + cmap.z_tol)
-    try:
-        xr[mapped] = cmap.x_of_z(roots[mapped])
-    except DomainError:
-        for i, j in zip(*np.nonzero(mapped)):
-            try:
-                xr[i, j] = cmap.x_of_z(roots[i, j])
-            except DomainError:
-                continue
+    # The root preimages xr pull the box out far enough to contain the
+    # state; a root outside the map's image, or at an exponential map's
+    # image end, has none (nan).
+    xr = pre.cmap.preimages(roots)[0]
     bsign = pre.spec_ref.branch_sign
     admitted = [(a, b) for a, b in components
                 if not any(math.isfinite(e) and walls[e] <= 0.0 for e in (a, b))]
@@ -480,13 +471,10 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
     if not B:
         return []
     a, b = np.array(components, dtype=float).reshape(B, 2).T
-    cmap = pre.cmap
-    z_lo, z_hi = cmap.z_image
-    # the preimages in (a, b) of the roots inside the image, on either branch
-    inside = (roots > z_lo) & (roots < z_hi)
-    xr = np.full((2,) + roots.shape, np.nan)
-    for x, m in zip(xr, (cmap, replace(cmap, branch_sign=-cmap.branch_sign))):
-        x[inside] = m.x_of_z(roots[inside])
+    z_lo, z_hi = pre.cmap.z_image
+    # the preimages in (a, b) of the roots strictly inside the image, on
+    # either branch
+    xr = np.where((roots > z_lo) & (roots < z_hi), pre.cmap.preimages(roots), np.nan)
     within = (xr > a[:, None]) & (xr < b[:, None])
     bulk = {-1: np.min(xr, axis=(0, 2), where=within, initial=math.inf).tolist(),
             +1: np.max(xr, axis=(0, 2), where=within, initial=-math.inf).tolist()}

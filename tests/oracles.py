@@ -320,7 +320,8 @@ def bae_solve(spec: ModelSpec, init, tol: float = 1e-12, origin: str = "user") -
     def _evaluate(v):
         if np.all(np.isfinite(v)):
             try:
-                Fv = bae_residual(spec, v)
+                with np.errstate(over="ignore", invalid="ignore"):  # overshoot: inf or nan
+                    Fv = bae_residual(spec, v)
                 return Fv, np.max(np.abs(Fv))
             except CollisionError:
                 pass

@@ -119,6 +119,17 @@ def test_solve_rejects_duplicate_init():
         bae.solve(harmonic(N=2), [0.3, 0.3])
 
 
+def test_solve_rejects_complex_starts():
+    # Newton runs in real arithmetic only: a complex start is an input error,
+    # even one whose imaginary parts are all 0
+    spec = harmonic(N=2)
+    for start in ([-0.7 + 0.1j, 0.7], [-0.7 + 0j, 0.7 + 0j]):
+        with pytest.raises(ValueError, match="real"):
+            bae.solve(spec, start)
+        with pytest.raises(ValueError, match="real"):
+            bae.solve_many(spec, [start, [-0.7, 0.7]])
+
+
 def test_enumerate_sextic_branches():
     specs = {1: 2, 2: 3, 3: 4}
     for N, want in specs.items():
@@ -184,18 +195,6 @@ def test_branch_energy_formula():
     spec = catalog.instantiate("morse-es", N=3)
     e = bae.branch_energy(spec, [0.1, 0.2, 0.4])
     assert e == pytest.approx(2 * 5 * 3 - 9, abs=1e-12)
-
-
-def test_complex_mode_finds_imaginary_pair():
-    # type-2 sextic with b = 1: z^3 + z = 0 has z = 0 real and z = +-i
-    spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0, 0.0, 1.0]), (), 1)
-    real_only = bae.enumerate_branches(spec)
-    assert len(real_only) == 1
-    assert abs(real_only[0].roots[0]) < 1e-10
-    both = bae.enumerate_branches(spec, complex_mode=True)
-    imag = [b for b in both if not b.is_real]
-    assert imag, "complex mode should find the imaginary roots"
-    assert any(abs(abs(complex(b.roots[0]).imag) - 1.0) < 1e-9 for b in imag)
 
 
 def test_bae_comparison_tables():
@@ -293,17 +292,21 @@ def test_singular_models_have_n_plus_1_certified_branches():
         assert all(rep.verdict for rep in reports), N
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the k = 2 eigenproblem loses "
+                   "two-wall branches from N = 7; it finds 35 of these 36")
+def test_two_wall_model_at_n7_finds_every_branch():
+    spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]),
+                     (Singularity(-0.1, 0.05), Singularity(0.1, 0.45)), 7)
+    assert len(bae.enumerate_branches(spec)) == math.comb(7 + 2, 2)
+
+
 def test_type2_branch_counts():
-    # real branches at a = 1, b = -3; every one of the (N+1)(N+2)/2
-    # solutions of the two-parameter problem in complex mode
+    # real branches at a = 1, b = -3
     for N, real in zip(range(1, 5), (3, 5, 3, 5)):
         assert len(bae.enumerate_branches(type2(N))) == real, N
-        both = bae.enumerate_branches(type2(N), complex_mode=True)
-        assert len(both) == (N + 1) * (N + 2) // 2, N
-        roots = [np.asarray(br.roots) for br in both]
-        assert all(np.max(np.abs(roots[i] - roots[j])) > 1e-6
-                   for i in range(len(roots)) for j in range(i)), N
-        assert sum(br.is_real for br in both) == real
+    # b = 1: of z^3 + z = 0 only the root z = 0 is real (z = +-i is no branch)
+    (br,) = bae.enumerate_branches(ModelSpec(Poly([1.0]), Poly([0.0, 1.0, 0.0, 1.0]), (), 1))
+    assert abs(br.roots[0]) < 1e-10
 
 
 def test_delta0_depends_only_on_the_shape_and_is_well_conditioned():

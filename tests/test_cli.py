@@ -411,6 +411,53 @@ def test_solve_determinism_byte_identical(tmp_path, payload, seed_args):
     assert len(a.read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("solve", ["--grid-points", "5"], "--grid-points must be at least 8 (got 5)"),
+    ("solve", ["--grid-points", "-3"], "--grid-points must be at least 8 (got -3)"),
+    ("verify", ["--grid-points", "7"], "--grid-points must be at least 8 (got 7)"),
+    ("solve", ["--tol", "0"], "--tol must be finite and positive (got 0)"),
+    ("solve", ["--tol", "nan"], "--tol must be finite and positive (got nan)"),
+    ("solve", ["--tol", "inf"], "--tol must be finite and positive (got inf)"),
+    ("verify", ["--tol", "-1"], "--tol must be finite and positive (got -1)"),
+    ("verify", ["--tol", "nan"], "--tol must be finite and positive (got nan)"),
+])
+def test_out_of_range_flags_exit_4(tmp_path, command, flags, message):
+    # a grid needs 8 points and a tolerance is finite and positive: anything
+    # else is invalid input, not a run that reports every branch unverified
+    cfg = write_config(tmp_path, "h.json", HARMONIC)
+    out_csv = tmp_path / "roots.csv"
+    assert run_cli(["solve", cfg, "--out", str(out_csv)])[0] == 0
+    code, out, err = run_cli([command, cfg] + [str(out_csv)] * (command == "verify") + flags)
+    assert code == 4, (out, err)
+    assert out == "" and f"error: {message}" in err
+
+
+def test_the_smallest_grid_is_accepted(tmp_path):
+    cfg = write_config(tmp_path, "h.json", HARMONIC)
+    code, out, _ = run_cli(["solve", cfg, "--grid-points", "8"])
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+# Defects still open: each test states the behaviour wanted and fails today
+# (strict), so it fails loudly once the ROADMAP item that fixes it lands.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: at trig-interval's nu = 1/2 "
+                   "walls branch 3 misses its FD level by 0.01123 against 0.01")
+def test_trig_interval_n15_certifies(tmp_path):
+    solve_code, _, code, out, err, _ = _solve_and_verify(
+        tmp_path, "t", {"catalog": "trig-interval", "N": 15})
+    assert solve_code == 0
+    assert code == 0, (out, err)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the FD ghost-point row at a "
+                   "wall with Q(a) != 0; branch 2 misses its FD level by 0.1706")
+def test_a_wall_off_the_turning_points_certifies(tmp_path):
+    solve_code, _, code, out, err, _ = _solve_and_verify(tmp_path, "w", dict(
+        MIRROR, singularities=[{"a": 1, "mu": 0.7}]))
+    assert solve_code == 0
+    assert code == 0, (out, err)
+
+
 def test_solve_failure_exits_2(tmp_path):
     # P - Q'/4 = z^2 + 1 has no real zero: the N=1 equations are unsolvable
     cfg = write_config(tmp_path, "nosol.json",

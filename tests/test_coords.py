@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,3 +144,54 @@ def test_domain_errors():
     me = coords.build(Poly([0.0, 0.0, 4.0]))
     with pytest.raises(DomainError):
         me.x_of_z(-0.5)
+
+
+# every map family, each two-to-one one with both branch signs
+FAMILIES = [([1.0], 1), ([0.0, 4.0], 1), ([0.0, 4.0], -1), ([2.0, -3.0], 1),
+            ([0.0, 0.0, 4.0], 1), ([0.0, 0.0, 4.0], -1), ([-1.0, 0.0, 1.0], 1),
+            ([-1.0, 0.0, 1.0], -1), ([1.0, 0.0, 1.0], 1), ([0.0, 4.0, -4.0], 1),
+            ([0.0, 4.0, -4.0], -1)]
+
+
+@pytest.mark.parametrize("q,branch", FAMILIES)
+def test_preimages_are_the_declared_and_the_mirror_inverse(q, branch):
+    m = coords.build(Poly(q), branch_sign=branch)
+    mirror = replace(m, branch_sign=-branch)
+    lo, hi = m.z_image
+    lo, hi = max(lo, -20.0), min(hi, 20.0)
+    # inside the image and, but for the exponential map's end (see below),
+    # at its finite ends and within z_tol past them
+    zs = np.linspace(lo, hi, 41)[1:-1]
+    if m.family != coords.EXPONENTIAL:
+        ends = [v for v in m.z_image if math.isfinite(v)]
+        zs = np.r_[zs, ends, [v - 0.5 * m.z_tol if v == m.z_image[0] else v + 0.5 * m.z_tol
+                              for v in ends]]
+    got = m.preimages(zs)
+    assert got.shape == (2,) + zs.shape
+    assert np.array_equal(got[0], m.x_of_z(zs))
+    assert np.array_equal(got[1], mirror.x_of_z(zs))
+    # one point at a time, and a 2-d array, give the same bits
+    assert np.array_equal(np.array([m.preimages(z) for z in zs]).T, got)
+    assert np.array_equal(m.preimages(zs.reshape(-1, 1))[:, :, 0], got)
+
+
+@pytest.mark.parametrize("q,branch", FAMILIES)
+def test_preimages_are_nan_outside_the_image(q, branch):
+    m = coords.build(Poly(q), branch_sign=branch)
+    outside = [v - 2.0 * m.z_tol - 1.0 if v == m.z_image[0] else v + 2.0 * m.z_tol + 1.0
+               for v in m.z_image if math.isfinite(v)]
+    outside += [v - 2.0 * m.z_tol if v == m.z_image[0] else v + 2.0 * m.z_tol
+                for v in m.z_image if math.isfinite(v)]
+    assert np.isnan(m.preimages(np.array(outside))).all()
+    assert np.isnan(m.preimages(np.nan)).all()
+
+
+def test_preimages_are_nan_at_the_exponential_image_end():
+    # z = exp(2x) has no x at z = 0, where x_of_z raises
+    for branch in (1, -1):
+        m = coords.build(Poly([0.0, 0.0, 4.0]), branch_sign=branch)
+        assert m.z_image[0] == 0.0
+        got = m.preimages(np.array([0.0, -0.25 * m.z_tol, 1.0]))
+        assert np.isnan(got[:, :2]).all() and np.isfinite(got[:, 2]).all()
+        with pytest.raises(DomainError):
+            m.x_of_z(0.0)
