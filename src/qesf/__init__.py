@@ -21,7 +21,7 @@ from .model import (Diagnostic, ModelSpec, Singularity, SolvabilityClass,
 from .poly import Poly, Tridiag, tridiag_eigenvalues
 from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
                         split_energy, v0_pfe)
-from .prepot import Prepotential, integrate_w0, phi_log_sign
+from .prepot import Prepotential, integrate_w0, phi_log_sign, unbound_ends
 from .verify import (Grid, VerificationReport, branch_setups, fd_spectrum,
                      make_grid, node_count, normalizability_check,
                      normalizability_checks, schrodinger_residual, verify_branch,
@@ -40,6 +40,6 @@ __all__ = [
     "node_count", "normalizability_check", "normalizability_checks",
     "phi_log_sign", "residual", "residuals", "schrodinger_residual", "solve",
     "solve_many", "split_energy",
-    "tridiag_eigenvalues", "v0_pfe", "validate", "verify_branch",
+    "tridiag_eigenvalues", "unbound_ends", "v0_pfe", "validate", "verify_branch",
     "verify_branches",
 ]

@@ -78,7 +78,6 @@ class BetheBranch:
     roots: tuple
     residual_norm: float
     newton_iters: int
-    origin: str
 
     @property
     def n(self) -> int:
@@ -225,8 +224,7 @@ def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return dz, singular
 
 
-def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
-               origin: str = "user") -> list:
+def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
     """Damped Newton iteration from every row of inits, real starts of
     shape (B, N), in lock step: per row, in order, its BetheBranch (roots
     ascending) or the CollisionError or ConvergenceError that stopped it.
@@ -256,7 +254,7 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
     if z.ndim != 2 or z.shape[1] != spec.N:
         raise ValueError(f"inits must have shape (B, N = {spec.N})")
     if spec.N == 0:
-        return [BetheBranch((), 0.0, 0, origin) for _ in z]
+        return [BetheBranch((), 0.0, 0) for _ in z]
     out: list = [None] * len(z)
     sings, polys = spec.singularities, _polys(spec)
 
@@ -299,7 +297,7 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
         for j in np.flatnonzero(stop):
             if converged_at[j] >= 0:
                 out[idx[j]] = BetheBranch(tuple(np.sort(z[j], kind="stable").tolist()),
-                                          float(norm[j]), int(converged_at[j]), origin)
+                                          float(norm[j]), int(converged_at[j]))
             else:
                 out[idx[j]] = error(j)
         keep = ~stop
@@ -367,15 +365,14 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12,
     return out
 
 
-def solve(spec: ModelSpec, init, tol: float = 1e-12,
-          origin: str = "user") -> BetheBranch:
+def solve(spec: ModelSpec, init, tol: float = 1e-12) -> BetheBranch:
     """Damped Newton iteration from one starting vector: solve_many's one
     row, whose error it raises. ValueError when init is complex or not a
     vector of length N."""
     z = np.asarray(init)
     if z.ndim != 1 or z.size != spec.N:
         raise ValueError(f"init must have length N = {spec.N}")
-    (br,) = solve_many(spec, z[None], tol=tol, origin=origin)
+    (br,) = solve_many(spec, z[None], tol=tol)
     if isinstance(br, Exception):
         raise br
     return br
@@ -445,7 +442,9 @@ def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
     s balances the bands. Like _root_scale it is a Cauchy-type bound, here
     on the band maxima against the band with the highest power of s, and
     it is never below _root_scale. It keeps the eigenvectors' roots O(1)
-    in z/s. ModelError when (N+1)^k exceeds MAX_ORDER, before any work.
+    in z/s. ModelError when (N+1)^k exceeds MAX_ORDER, before any work, and
+    when a power of s overflows (s past about 1e154: a P many orders of
+    magnitude below Q, such as P = 3e-251 over Q = 1).
     """
     N = spec.N
     a, b = _operator(spec)
@@ -468,9 +467,13 @@ def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
     s = max([_root_scale(spec)] + [(m / mags[top]) ** (1.0 / (top - j))
                                    for j, m in enumerate(mags[:top]) if m != 0.0])
     M0 = np.zeros((N + k, N + 1))
-    for j, band in enumerate(bands, start=-2):
-        cols = np.arange(max(0, -j), min(N + 1, N + k - j))
-        M0[cols + j, cols] = (band / s ** -j if j < 0 else band * s ** j)[cols]
+    try:
+        for j, band in enumerate(bands, start=-2):
+            cols = np.arange(max(0, -j), min(N + 1, N + k - j))
+            M0[cols + j, cols] = (band / s ** -j if j < 0 else band * s ** j)[cols]
+    except OverflowError:
+        raise ModelError(f"P and Q span too wide a range of scales: the eigenproblem's "
+                         f"basis scale s = {s:.3g} overflows") from None
     # eig's output depends on the sign of zeros: + 0.0 makes every -0.0 a 0.0
     return M0 + 0.0, s
 
@@ -613,17 +616,17 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12) -> list[BetheBranch]
     earlier one (a multiple eigen-solution) are one branch. A model with k
     free parameters has at most C(N+k, k) solutions (N + 1 for k = 1),
     complex ones included. Raises ModelError when (N + 1)^k exceeds
-    MAX_ORDER.
+    MAX_ORDER, or when the eigenproblem's scale overflows (_heine_matrix).
 
     The result is deterministic: nothing is random, and the compressions
     of the k >= 2 problem are fixed.
     """
     if spec.N == 0:
-        return [BetheBranch((), 0.0, 0, "empty")]
+        return [BetheBranch((), 0.0, 0)]
     M0, s = _heine_matrix(spec)
     starts = _starts(M0, s)
     found: list[BetheBranch] = []
-    for br in solve_many(spec, starts, tol=tol, origin="matrix") if starts else []:
+    for br in solve_many(spec, starts, tol=tol) if starts else []:
         if isinstance(br, (CollisionError, ConvergenceError)):
             continue
         # k >= 2: a multiple eigen-solution (sextic-type2 at b = 0, N = 1:

@@ -135,10 +135,10 @@ def _check_flags(grid_points: int, tol: float) -> None:
 
 
 def cmd_classify(args) -> int:
-    spec = prepot.integrate_w0(spec_from_config(load_config(args.config))).spec_ref
-    cls = model.classify(spec)
+    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
+    cls = model.classify(pre.spec_ref)
     print(f"{cls.tag}: {cls.rationale}")
-    for d in model.validate(spec):
+    for d in prepot.unbound_ends(pre) + model.validate(pre.spec_ref):
         print(f"  [{d.level}] {d.message}")
     return EXIT_OK
 
@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
     res = bae.residuals(spec, np.array([roots_by_bid[bid] for bid in bids]).reshape(
         len(bids), spec.N))
     norms = np.max(np.abs(res), axis=1, initial=0.0).tolist()
-    branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), norm, 0, "csv")
+    branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), norm, 0)
                 for bid, norm in zip(bids, norms)]
     results = verify.verify_branches(pre, branches, n_points=args.grid_points,
                                      stencil_order=args.stencil, residual_tol=args.tol)

@@ -14,6 +14,9 @@ the singularities:
 A singularity at a point where Q does not vanish couples the roots into the
 potential (a pole of weight 2 mu Q(a) sum_k 1/(a - z_k)) and makes an
 otherwise ES or type-1 model singularity-induced.
+
+Whether phi_N is square-integrable is not decided here but on the built
+model, by one rule over every end (prepot.unbound_ends).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    level: str  # "error" | "warning" | "info"
+    level: str  # "error" | "warning"
     message: str
 
 
@@ -65,12 +68,12 @@ class SolvabilityClass:
 
 
 def validate(spec: ModelSpec) -> list[Diagnostic]:
-    """Structural checks plus advisory normalizability screening.
+    """Structural checks plus the negative-exponent advisory.
 
-    Structural violations come back at level "error". Sign conditions known
-    for the catalog families are advisory ("warning"); when the shape is not
-    recognized a deferred flag ("info") points at the numerical check in the
-    verify module. An empty list means clean.
+    Structural violations come back at level "error"; a negative
+    singularity exponent other than the documented mu = -N is a "warning".
+    An empty list means clean. Whether level N is bound is read from the
+    built model: prepot.unbound_ends.
     """
     out: list[Diagnostic] = []
 
@@ -105,85 +108,13 @@ def validate(spec: ModelSpec) -> list[Diagnostic]:
     if any(d.level == "error" for d in out):
         return out
 
-    # Advisory normalizability screening for recognized shapes.
-    q0 = spec.Q.coeff(0)
-    q1 = spec.Q.coeff(1)
-    q2 = spec.Q.coeff(2)
-    m = spec.P.degree
-    lead = spec.P.coeffs[-1]
-    recognized = False
-    if q2 == 0.0 and q1 == 0.0:
-        # Linear coordinate z ~ x: ground state exp(-lead*x^(m+1)/...)
-        if m >= 1:
-            recognized = True
-            if lead < 0:
-                out.append(Diagnostic(
-                    "warning",
-                    "phi0 not square-integrable: leading coefficient of P "
-                    "must be positive for a linear coordinate"))
-    elif q2 == 0.0 and q1 != 0.0:
-        # Parabolic coordinate: image is a half-line in the sign of q1.
-        if m >= 1:
-            recognized = True
-            if lead * q1 < 0:
-                out.append(Diagnostic(
-                    "warning",
-                    "phi0 not square-integrable: leading coefficient of P "
-                    "must carry the sign of q1 for a parabolic coordinate"))
-    elif q2 > 0.0 and q1 == 0.0 and q0 == 0.0:
-        # Pure exponential coordinate (Morse family).
-        recognized = True
-        if m == 2 and spec.P.coeff(2) < 0:
-            out.append(Diagnostic(
-                "warning", "phi0 not square-integrable: quadratic P coefficient "
-                "must be positive for an exponential coordinate"))
-        elif m <= 1 and lead <= 0:
-            out.append(Diagnostic(
-                "warning", "no normalizable ground state: linear P coefficient "
-                "must be positive for an exponential coordinate"))
-        elif all(s.location == 0.0 for s in sings):
-            out.extend(_exponential_level_bound(spec))
-        if spec.P.coeff(0) > 0:
-            out.append(Diagnostic(
-                "warning", "no normalizable ground state: phi0 ~ exp(p0/(q2 z)) "
-                "blows up as z -> 0 when the constant P coefficient p0 > 0 "
-                "on an exponential coordinate"))
     for s in sings:
         if s.exponent < 0 and s.exponent != -float(spec.N):
             out.append(Diagnostic(
                 "warning",
                 f"negative singularity exponent mu={s.exponent}: only the "
                 f"mu = -N case is a documented construction"))
-    if not recognized:
-        out.append(Diagnostic(
-            "info",
-            "normalizability not decided structurally; resolve numerically "
-            "with verify.normalizability_check"))
     return out
-
-
-def _exponential_level_bound(spec: ModelSpec) -> list[Diagnostic]:
-    """Warnings for the ends at which level N is not bound on the
-    exponential coordinate Q = q2 z^2.
-
-    With every singularity at z = 0 (total exponent mu), W0 = int P/Q dz
-    gives phi_N = z^(mu - p1/q2) exp(p0/(q2 z) - p2 z/q2) prod_k (z - z_k),
-    and dx = dz / (sqrt(q2) z). Where the exponential factor is 1 (p0 = 0
-    at z -> 0, deg P <= 1 at z -> infinity), phi_N is a power z^e there,
-    square-integrable only for e > 0 at z -> 0 and e < 0 at z -> infinity.
-    For the Morse presets both conditions read A > N alpha.
-    """
-    P, q2, N = spec.P, spec.Q.coeff(2), spec.N
-    mu = sum(s.exponent for s in spec.singularities)
-    ends = []
-    if P.degree <= 1 and P.coeff(1) <= q2 * (N + mu):
-        ends.append(("z -> infinity", N + mu - P.coeff(1) / q2, "p1 > q2 (N + mu)"))
-    if P.coeff(0) == 0.0 and P.coeff(1) >= q2 * mu:
-        ends.append(("z -> 0", mu - P.coeff(1) / q2, "p1 < q2 mu"))
-    return [Diagnostic(
-        "warning", f"level N = {N} is not bound: phi_N ~ z^{e + 0.0:g} as {end} is not "
-        f"square-integrable on the exponential coordinate (needs {need}, "
-        f"A > N alpha for the Morse presets)") for end, e, need in ends]
 
 
 def is_turning_point(Q: Poly, a: float) -> bool:

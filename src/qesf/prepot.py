@@ -22,7 +22,8 @@ integrate_w0 builds the model once: the coordinate map, W0, the static
 potential V0, the table of these powers and the walls they cut in x. It is
 the one place that decides whether a model can be built: it runs
 model.validate's structural check first, and every caller reads that one
-Prepotential.
+Prepotential. unbound_ends reads it to name every end at which phi_N is
+not square-integrable: one rule over the image's ends and the walls.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import coords, potential
 from .errors import ModelError
-from .model import ModelSpec, is_turning_point, validate
+from .model import Diagnostic, ModelSpec, is_turning_point, validate
 from .poly import Poly, divmod_poly, partial_fractions
 
 ROOT_CHUNK = 8  # root factors of phi multiplied before one log
@@ -167,6 +168,52 @@ def _finite_walls(cmap: coords.CoordinateMap, Q: Poly,
             if dlo <= xa <= dhi:  # False for nan: a outside the image
                 _add(xa, a)
     return dict(sorted(walls.items()))
+
+
+def unbound_ends(pre: Prepotential) -> list[Diagnostic]:
+    """A "warning" for each end where phi_N is not square-integrable over
+    dx = dz / sqrt(Q), read from the built model alone:
+
+    - an infinite end of the coordinate image: phi_N is bound there iff
+      W0's polynomial part tends to +infinity. With none, phi_N ~ |z|^e,
+      e = N + sum(powers) - 2 sum(conjugate-pair log weights), and
+      dx ~ |z|^(-deg Q / 2) dz, so it is bound iff 2e - deg Q / 2 < -1;
+    - a finite image end that no finite x reaches (the double zero of Q
+      at an exponential map's end, where dx ~ dz / |z - a|): bound iff
+      W0's pole term there sends phi_N to 0, or, with none, iff phi's
+      power there is positive;
+    - each wall, phi_N ~ |x - wall|^nu: bound iff nu > -1/2.
+
+    verify.normalizability_checks stays the independent numerical oracle.
+    """
+    spec, cmap, unbound = pre.spec_ref, pre.cmap, []  # (phi_N's form, the end)
+    for end, inward in zip(cmap.z_image, (1.0, -1.0)):
+        if math.isinf(end):
+            where = "z -> infinity" if end > 0 else "z -> -infinity"
+            w, deg = pre.poly_part.coeffs[-1], pre.poly_part.degree
+            e = (spec.N + sum(p for _, p in pre.powers)
+                 - 2 * sum(t.weight for t in pre.quad_log_terms))
+            if deg and w * (-inward) ** deg < 0:  # W0 -> -infinity
+                unbound.append((f"exp({_g(-w)} z^{deg})", where))
+            elif not deg and 2 * e - spec.Q.degree / 2 >= -1:
+                unbound.append((f"{'z' if end > 0 else '|z|'}^{_g(e)}", where))
+        elif np.isnan(cmap.preimages(end)).all():
+            where, base = f"z -> {_g(end)}", "z" if end == 0 else f"(z - {_g(end)})"
+            poles = [t.weight for t in pre.pole_terms if abs(t.location - end) <= cmap.z_tol]
+            p = sum(p for a, p in pre.powers if abs(a - end) <= cmap.z_tol)
+            if poles and poles[0] * inward < 0:  # -w / (z - end) -> +infinity
+                unbound.append((f"exp({_g(-poles[0])}/{base})", where))
+            elif not poles and p <= 0:
+                unbound.append((f"{base}^{_g(p)}", where))
+    unbound += [(f"|x - {_g(x)}|^{_g(nu)}", f"x -> {_g(x)}")
+                for x, nu in pre.walls.items() if nu <= -0.5]
+    return [Diagnostic("warning", f"level N = {spec.N} is not bound: phi_N ~ {form} as {where} "
+                                  f"is not square-integrable in x") for form, where in unbound]
+
+
+def _g(v: float) -> str:
+    """v in %g form, -0.0 as 0."""
+    return format(v + 0.0, "g")
 
 
 def phi_log_sign(pre: Prepotential, roots, x):

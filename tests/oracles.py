@@ -307,7 +307,7 @@ def bae_jacobian(spec: ModelSpec, roots) -> np.ndarray:
     return J
 
 
-def bae_solve(spec: ModelSpec, init, tol: float = 1e-12, origin: str = "user") -> BetheBranch:
+def bae_solve(spec: ModelSpec, init, tol: float = 1e-12) -> BetheBranch:
     """Damped Newton iteration from one start: steps halved until the
     residual norm decreases and no roots collide; once below tol, polish
     while a step at alpha = 1 or 1/2 halves the norm (up to POLISH_ITER
@@ -329,7 +329,7 @@ def bae_solve(spec: ModelSpec, init, tol: float = 1e-12, origin: str = "user") -
 
     def _done(it):
         order = np.lexsort((np.imag(z), np.real(z)))
-        return BetheBranch(tuple(z[order].tolist()), float(norm), it, origin)
+        return BetheBranch(tuple(z[order].tolist()), float(norm), it)
 
     F = bae_residual(spec, z)
     norm = np.max(np.abs(F)) if F.size else 0.0

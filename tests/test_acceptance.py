@@ -216,7 +216,7 @@ def test_criterion_09_oracle_self_tests():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
-        bae.BetheBranch((), 0.0, 0, "synthetic"))
+        bae.BetheBranch((), 0.0, 0))
     grid = verify.make_grid(-10.0, 10.0, 4000)
     levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)})
     assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in range(5))

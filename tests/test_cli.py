@@ -458,6 +458,47 @@ def test_a_wall_off_the_turning_points_certifies(tmp_path):
     assert code == 0, (out, err)
 
 
+# The one rule of prepot.unbound_ends against the numerical oracle, on
+# models the family screens it replaced got wrong: on a parabolic map with
+# q1 < 0, W0 = -z/8 -> +infinity as z -> -infinity, so phi is bound there,
+# while a screen read the sign of P's lead alone; and phi0 = exp(-x^3/3)
+# grows as x -> -infinity, which no screen looked at.
+@pytest.mark.parametrize("payload,warned", [
+    ({"Q": [0, -4], "P": [0.3, 0.5], "N": 1}, False),
+    ({"Q": [0, -4], "P": [0.3, -0.5], "N": 1}, True),
+    ({"Q": [1], "P": [0, 0, 1], "N": 1}, True),
+])
+def test_classify_warns_where_verify_finds_no_normalizable_end(tmp_path, payload, warned):
+    code, out, _ = run_cli(["classify", write_config(tmp_path, "c.json", payload)])
+    assert code == 0
+    assert ("[warning]" in out) == warned, out
+    assert ("[warning] level N = 1 is not bound: phi_N ~ exp(" in out
+            and "as z -> -infinity" in out) == warned, out
+    solve_code, _, code, out, err, _ = _solve_and_verify(tmp_path, "c", payload)
+    assert solve_code == 0
+    if warned:
+        assert code == 3 and "no normalizable domain component found" in err, (out, err)
+    else:
+        assert code == 0 and "normalizable=True" in out, (out, err)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the double-well ground state "
+                   "exp(x^2/2 - x^4/200) peaks at x = +-10; its windows grow from the "
+                   "core [-1, 1] four times before the peak and use up the patience")
+def test_a_ground_state_peaked_far_out_is_normalizable(tmp_path):
+    # The branch is correct (residual 2.4e-12, FD level within 4.8e-11 of
+    # E = 0, W0 -> +infinity at both ends), and unbound_ends flags no end.
+    # A fix must not just scan past the patience: a window whose phi
+    # overflows reads as a -inf log integral, which counts as negligible,
+    # so a divergent phi would then pass too.
+    payload = {"Q": [1], "P": [0, -1, 0, 0.02], "N": 0}
+    code, out, _ = run_cli(["classify", write_config(tmp_path, "d.json", payload)])
+    assert code == 0 and "[warning]" not in out
+    solve_code, _, code, out, err, _ = _solve_and_verify(tmp_path, "d", payload)
+    assert solve_code == 0
+    assert code == 0, (out, err)
+
+
 def test_solve_failure_exits_2(tmp_path):
     # P - Q'/4 = z^2 + 1 has no real zero: the N=1 equations are unsolvable
     cfg = write_config(tmp_path, "nosol.json",

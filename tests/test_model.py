@@ -6,6 +6,7 @@ from qesf.errors import ModelError
 from qesf.model import (EXACTLY_SOLVABLE, QES_SINGULAR, QES_TYPE1, QES_TYPE2,
                         ModelSpec, Singularity, classify, validate)
 from qesf.poly import Poly
+from qesf.prepot import integrate_w0, unbound_ends
 
 
 def harmonic(b=1.0, N=2):
@@ -64,8 +65,8 @@ def test_classify_scale_invariance():
 
 def test_validate_advisories():
     assert any("square-integrable" in d.message
-               for d in validate(harmonic(b=-1.0)) if d.level == "warning")
-    assert validate(sextic(a=1.0)) == []
+               for d in unbound_ends(integrate_w0(harmonic(b=-1.0))) if d.level == "warning")
+    assert unbound_ends(integrate_w0(sextic(a=1.0))) == []
     dup = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]),
                     (Singularity(0.5, 0.1), Singularity(0.5, 0.2)), 1)
     assert any(d.level == "error" for d in validate(dup))
@@ -91,7 +92,7 @@ def test_validate_negative_mu_warning():
     ("morse-es", 5, 4.999, False), ("morse-p", 5, 4.999, False),
 ])
 def test_validate_exponential_level_bound(name, N, A, bound):
-    diags = validate(catalog.instantiate(name, N=N, A=A))
+    diags = unbound_ends(integrate_w0(catalog.instantiate(name, N=N, A=A)))
     warned = [d for d in diags if "is not bound" in d.message]
     assert bool(warned) != bound, diags
     assert all(d.level == "warning" for d in diags)
@@ -101,9 +102,9 @@ def test_validate_exponential_level_bound(name, N, A, bound):
 def test_validate_exponential_level_bound_ends():
     # phi_N ~ z^(N - p1/q2) at z -> infinity for linear P (morse-es), and
     # ~ z^(mu - p1/q2) at z -> 0 for P without a constant term (morse-p)
-    (es,) = validate(catalog.instantiate("morse-es", N=6))
+    (es,) = unbound_ends(integrate_w0(catalog.instantiate("morse-es", N=6)))
     assert "z^1 as z -> infinity" in es.message
-    (p,) = validate(catalog.instantiate("morse-p", N=6))
+    (p,) = unbound_ends(integrate_w0(catalog.instantiate("morse-p", N=6)))
     assert "z^-1 as z -> 0" in p.message
 
 
@@ -112,12 +113,12 @@ def test_validate_exponential_level_bound_ends():
 def test_validate_exponential_p0_sign(p0, warned):
     # Q = z^2, P = p0 + 5 z: phi0 ~ exp(p0/z) z^-5 blows up as z -> 0 when p0 > 0
     spec = ModelSpec(Poly([0.0, 0.0, 1.0]), Poly([p0, 5.0]), (), 1)
-    msgs = [d.message for d in validate(spec) if d.level == "warning"]
-    assert any("phi0 ~ exp(p0/(q2 z)) blows up" in m for m in msgs) == warned, msgs
+    msgs = [d.message for d in unbound_ends(integrate_w0(spec)) if d.level == "warning"]
+    assert any("exp(0.5/z) as z -> 0" in m for m in msgs) == warned, msgs
 
 
 def test_validate_morse_presets_have_no_p0_warning():
     # morse-es has p0 = -alpha B < 0 and morse-p has p0 = 0
     for spec in (catalog.instantiate("morse-es", N=2), catalog.instantiate("morse-es", N=2, B=2.7),
                  catalog.instantiate("morse-p", N=2)):
-        assert validate(spec) == [], spec
+        assert unbound_ends(integrate_w0(spec)) == [], spec

@@ -100,7 +100,7 @@ def test_check_residues_detects_perturbation():
     dv_ok = potential.delta_v_pfe(spec, br)
     assert potential.check_residues(dv_ok)[0]
     bad_roots = tuple(np.asarray(br.roots) + np.array([1e-3, 0.0]))
-    bad = bae.BetheBranch(bad_roots, 1.0, 0, "perturbed")
+    bad = bae.BetheBranch(bad_roots, 1.0, 0)
     dv_bad = potential.delta_v_pfe(spec, bad)
     ok, worst = potential.check_residues(dv_bad)
     assert not ok
@@ -148,7 +148,7 @@ def test_split_energy_sextic_branches():
 
 def test_split_energy_requires_converged_branch():
     spec = harmonic(N=2)
-    bad = bae.BetheBranch((0.3, 0.9), 0.5, 0, "bogus")
+    bad = bae.BetheBranch((0.3, 0.9), 0.5, 0)
     with pytest.raises(ValueError):
         potential.split_energy(prepot.integrate_w0(spec), bad)
 

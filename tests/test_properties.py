@@ -414,16 +414,16 @@ def test_lock_step_polish_is_the_one_start_polish_bit_for_bit(batch):
     # newton_iters of its start polished alone, or its error; so does
     # bae.solve, the one-row call
     spec, starts, tol = batch
-    got = bae.solve_many(spec, starts, tol=tol, origin="matrix")
+    got = bae.solve_many(spec, starts, tol=tol)
     assert len(got) == len(starts)
     for start, g in zip(starts, got):
         try:
-            want = oracles.bae_solve(spec, start, tol=tol, origin="matrix")
+            want = oracles.bae_solve(spec, start, tol=tol)
         except (CollisionError, ConvergenceError) as exc:
             want = exc
         _same_outcome(g, want)
         try:
-            alone = bae.solve(spec, start, tol=tol, origin="matrix")
+            alone = bae.solve(spec, start, tol=tol)
         except (CollisionError, ConvergenceError) as exc:
             alone = exc
         _same_outcome(alone, want)
@@ -458,3 +458,37 @@ def test_batched_normalizability_matches_the_per_branch_windows(spec):
         assert estimate == want_estimate or math.isclose(estimate, want_estimate,
                                                          rel_tol=1e-14)
         assert verify.normalizability_check(pre, br, component) == (ok, estimate)
+
+
+@st.composite
+def unwalled_models(draw):
+    """A model with no declared wall: Q one of seven map shapes, deg P <= 3
+    with coefficients of either sign, N <= 3. Over the irreducible Q only
+    the pole-basis models build, so there P = Q L or Q L - Q'/2."""
+    Q = Poly(draw(st.sampled_from(([1], [0, 4], [0, -4], [0, 0, 1], [-1, 0, 1], [1, 0, 1],
+                                   [0, 4, -4]))))
+    if Q.coeffs == (1.0, 0.0, 1.0):
+        L = Poly(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2)))
+        P = Q * L - (0.5 * Q.derivative() if draw(st.booleans()) else Poly([0.0]))
+    else:
+        P = Poly(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)))
+    return ModelSpec(Q, P, (), draw(st.integers(0, 3)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(unwalled_models())
+def test_no_branch_is_certified_normalizable_at_an_end_the_rule_flags(spec):
+    # prepot.unbound_ends decides from the two polynomials alone; the
+    # numerical windows of verify are the independent oracle. Only this
+    # direction is asserted: the oracle has false negatives (ROADMAP item 12)
+    try:
+        pre = prepot.integrate_w0(spec)
+    except ModelError:
+        reject()  # no coordinate map
+    assume(prepot.unbound_ends(pre))
+    try:
+        branches = bae.enumerate_branches(spec)
+    except ModelError:
+        reject()  # P many orders of magnitude below Q: no eigenproblem scale
+    for report in verify.verify_branches(pre, branches):
+        assert isinstance(report, Exception) or not report.normalizable, (spec, report)

@@ -91,7 +91,7 @@ def test_fd_spectrum_harmonic_normal_form():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
-        bae.BetheBranch((), 0.0, 0, "synthetic"))
+        bae.BetheBranch((), 0.0, 0))
     grid = verify.make_grid(-10.0, 10.0, 4000)
     levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)})
     assert list(levels) == [0, 1, 2, 3, 4]
@@ -126,7 +126,7 @@ def test_fd_spectrum_k_bounds():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
-        bae.BetheBranch((), 0.0, 0, "synthetic"))
+        bae.BetheBranch((), 0.0, 0))
     grid = verify.make_grid(-5.0, 5.0, 101)
     for bad in ({0: 1.0, 101: 203.0}, {-1: 1.0, 3: 7.0}):
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ def test_normalizability_harmonic():
     assert ok and math.isfinite(est) and est > 0
     bad = harmonic(b=-1.0, N=0)
     preb = prepot.integrate_w0(bad)
-    brb = bae.BetheBranch((), 0.0, 0, "empty")
+    brb = bae.BetheBranch((), 0.0, 0)
     ok, est = verify.normalizability_check(preb, brb, preb.cmap.x_domain)
     assert not ok
 
@@ -402,7 +402,7 @@ def test_verify_branch_full_pipeline():
 def test_verify_branch_roots_from_hermite_all_n():
     for n in (1, 4, 7):
         spec = harmonic(N=n)
-        br = bae.BetheBranch(tuple(hermite_zeros(n)), 0.0, 0, "oracle")
+        br = bae.BetheBranch(tuple(hermite_zeros(n)), 0.0, 0)
         rep = verify.verify_branch(prepot.integrate_w0(spec), br)
         assert rep.residual_max < 1e-7
         assert rep.node_count == n
@@ -455,7 +455,7 @@ def test_residual_arbitrates_quoted_trig_form():
     pre = prepot.integrate_w0(spec)
 
     def forced_residual(root):
-        br = bae.BetheBranch((root,), 0.0, 0, "forced")
+        br = bae.BetheBranch((root,), 0.0, 0)
         dv = potential.delta_v_pfe(spec, br)
         prof = potential.PotentialProfile(
             potential.v0_pfe(spec) + dv.without_constant().without_root_poles(),
@@ -522,7 +522,7 @@ def test_verify_branches_distinct_potentials(fd_spectrum_grids):
 def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
     spec = catalog.instantiate("sextic", N=1)
     good, other = bae.enumerate_branches(spec)
-    bad = bae.BetheBranch(tuple(z + 0.05 for z in other.roots), 0.0, 0, "perturbed")
+    bad = bae.BetheBranch(tuple(z + 0.05 for z in other.roots), 0.0, 0)
     pre = prepot.integrate_w0(spec)
     alone = verify.verify_branch(pre, good)
     fd_spectrum_grids.clear()
@@ -729,7 +729,7 @@ def test_a_mirror_grid_holds_only_the_even_levels():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
-        bae.BetheBranch((), 0.0, 0, "synthetic"))
+        bae.BetheBranch((), 0.0, 0))
     grid = verify.mirror_grid(0.0, 2000, 0.005)
     assert grid.points[0] == 0.0025 and grid.component == (0.0, math.inf)
     levels = verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 2: 5.0, 4: 9.0})

@@ -1,4 +1,4 @@
-"""Record what `qesf solve` and `qesf verify` output over the parity set.
+"""Record what `qesf classify`, `solve` and `verify` output over the parity set.
 
     python tools/parity.py SRC OUTDIR
 
@@ -7,10 +7,10 @@ process. The parity set is every config of SRC's `perfbench/vetted.json`
 (built with `perfbench/workloads.build_config`), the seven catalog presets
 at N = 0, 1, 2, 3, 5 and 8, and the wall and cosh configs of the CI
 console-script step. For each config, OUTDIR/<name>/ gets the solve CSV
-bytes, the stdout and stderr of both commands (the work directory replaced
-by <WORK>, warnings as one `Category: message` line each), their exit codes
-and the verify JSON; verify runs when solve exits 0. Two trees give the
-same outputs when
+bytes, the stdout and stderr of the three commands (the work directory
+replaced by <WORK>, warnings as one `Category: message` line each), their
+exit codes and the verify JSON; verify runs when solve exits 0. Two trees
+give the same outputs when
 
     diff -r OUTDIR_A OUTDIR_B
 
@@ -82,17 +82,19 @@ def _run(argv: list[str], work: str) -> tuple[str, str, str]:
 
 
 def record(name: str, cfg: dict, work: str, outdir: str) -> None:
-    """Run solve, and verify when solve succeeds, on one config; write what
-    they output to outdir/name/."""
+    """Run classify, solve, and verify when solve succeeds, on one config;
+    write what they output to outdir/name/."""
     dest = os.path.join(outdir, name)
     os.makedirs(dest)
     config, csv_path, json_path = (os.path.join(work, f"{name}{ext}")
                                    for ext in (".json", ".csv", ".report.json"))
     with open(config, "w") as fh:
         json.dump(cfg, fh)
-    codes = {}
+    codes, outputs = {}, {}
+    codes["classify"], *streams = _run(["classify", config], work)
+    outputs.update(zip(("classify.stdout", "classify.stderr"), streams))
     codes["solve"], *streams = _run(["solve", config, "--out", csv_path], work)
-    outputs = dict(zip(("solve.stdout", "solve.stderr"), streams))
+    outputs.update(zip(("solve.stdout", "solve.stderr"), streams))
     if codes["solve"] == "0":
         codes["verify"], *streams = _run(["verify", config, csv_path, "--json-out", json_path],
                                          work)
