@@ -10,8 +10,8 @@ Schrodinger residual, finite-difference spectrum, node count and
 normalizability.
 """
 
-from .bae import (BetheBranch, branch_energy, enumerate_branches, jacobian,
-                  residual, residuals, solve, solve_many)
+from .bae import (BetheBranch, branch_energies, branch_energy, enumerate_branches,
+                  jacobian, residual, residuals, solve, solve_many)
 from .catalog import expected_energies, instantiate
 from .coords import CoordinateMap, build
 from .errors import (CollisionError, ConvergenceError, DomainError, GridError,
@@ -19,8 +19,7 @@ from .errors import (CollisionError, ConvergenceError, DomainError, GridError,
 from .model import (Diagnostic, ModelSpec, Singularity, SolvabilityClass,
                     classify, validate)
 from .poly import Poly, Tridiag, tridiag_eigenvalues
-from .potential import (PFE, PotentialProfile, check_residues, delta_v_pfe,
-                        split_energy, v0_pfe)
+from .potential import PFE, PotentialProfile, split_energies, split_energy, v0_pfe
 from .prepot import Prepotential, integrate_w0, phi_log_sign, unbound_ends
 from .verify import (Grid, VerificationReport, branch_setups, fd_spectrum,
                      make_grid, node_count, normalizability_check,
@@ -34,12 +33,12 @@ __all__ = [
     "Diagnostic", "DomainError", "Grid", "GridError", "ModelError",
     "ModelSpec", "PFE", "Poly", "PotentialProfile", "Prepotential",
     "Singularity", "SolvabilityClass", "Tridiag", "VerificationReport",
-    "branch_energy", "branch_setups", "build", "check_residues", "classify",
-    "delta_v_pfe", "enumerate_branches", "expected_energies", "fd_spectrum",
+    "branch_energies", "branch_energy", "branch_setups", "build", "classify",
+    "enumerate_branches", "expected_energies", "fd_spectrum",
     "instantiate", "integrate_w0", "jacobian", "make_grid",
     "node_count", "normalizability_check", "normalizability_checks",
     "phi_log_sign", "residual", "residuals", "schrodinger_residual", "solve",
-    "solve_many", "split_energy",
+    "solve_many", "split_energies", "split_energy",
     "tridiag_eigenvalues", "unbound_ends", "v0_pfe", "validate", "verify_branch",
     "verify_branches",
 ]

@@ -187,23 +187,30 @@ def jacobian(spec: ModelSpec, roots) -> np.ndarray:
     return _jacobians(spec, polys, roots, ev)[0]
 
 
-def branch_energy(spec: ModelSpec, roots) -> float:
-    """Energy extracted from the constant part of the pole-free potential shift.
+def branch_energies(spec: ModelSpec, roots) -> np.ndarray:
+    """Energy of each row of roots, shape (B, N), extracted from the
+    constant part of its pole-free potential shift, in one array pass:
 
     E = 2 p3 sum z_k^2 + 2 p2 sum z_k + 2 p1 N - q2 N^2 - 2 q2 N sum_j mu_j
     """
     t = _energy_terms(spec, np.asarray(roots))
-    return float(t[0] + t[1] + t[2] + t[3] + t[4])
+    return t[0] + t[1] + t[2] + t[3] + t[4]
+
+
+def branch_energy(spec: ModelSpec, roots) -> float:
+    """branch_energies of one vector of roots, bit for bit."""
+    return float(branch_energies(spec, np.asarray(roots)[None])[0])
 
 
 def _energy_terms(spec: ModelSpec, roots: np.ndarray) -> tuple:
-    """The terms of branch_energy's sum, in its order."""
+    """The terms of branch_energies' sum, in its order: two row sums over
+    roots (B, N) and three constants."""
     N = spec.N
     p1, p2, p3 = spec.P.coeff(1), spec.P.coeff(2), spec.P.coeff(3)
     q2 = spec.Q.coeff(2)
     smu = sum(s.exponent for s in spec.singularities)
-    return (2.0 * p3 * np.sum(roots ** 2), 2.0 * p2 * np.sum(roots), 2.0 * p1 * N,
-            -q2 * N * N, -2.0 * q2 * N * smu)
+    return (2.0 * p3 * np.sum(roots ** 2, axis=1), 2.0 * p2 * np.sum(roots, axis=1),
+            2.0 * p1 * N, -q2 * N * N, -2.0 * q2 * N * smu)
 
 
 def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,7 +443,7 @@ def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
     z^(N+d) coefficient fixes v_d, which leaves k = max(d, 1) free ones. y
     solves the BAE when (M0 + sum_{j<k} v_j s^j S_j) y = 0, S_j shifting the
     basis by j, so M0 has N + k rows. For k = 1 v_0 = -eigenvalue, and
-    without promoted walls v_0 = E (branch_energy). Column n holds
+    without promoted walls v_0 = E (branch_energies). Column n holds
     (n(n-1) a_{j+2} + n b_{j+1}) s^j at row n + j, for j = -2..d.
 
     s balances the bands. Like _root_scale it is a Cauchy-type bound, here
@@ -586,15 +593,15 @@ def _starts(M0: np.ndarray, s: float) -> list[np.ndarray]:
 
 def _energy_order(spec: ModelSpec, found: list[BetheBranch]) -> list[BetheBranch]:
     """found by extracted energy. A run of branches whose energies agree
-    within ENERGY_TIE_ULPS ulps of the largest term of branch_energy's sum
+    within ENERGY_TIE_ULPS ulps of the largest term of branch_energies' sum
     (mirror branches, whose E differ only by rounding) is ordered by its
-    roots, so that no branch moves when E moves by an ulp."""
-    keyed = []
-    for br in found:
-        roots = np.asarray(br.roots)
-        tie = ENERGY_TIE_ULPS * np.spacing(max(map(abs, _energy_terms(spec, roots))))
-        keyed.append((branch_energy(spec, roots), br.roots, tie, br))
-    keyed.sort(key=lambda k: k[:2])
+    roots, so that no branch moves when E moves by an ulp. Every energy
+    and tie comes from one array pass."""
+    z = np.array([br.roots for br in found], dtype=float).reshape(len(found), spec.N)
+    terms = np.broadcast_arrays(*_energy_terms(spec, z))
+    ties = ENERGY_TIE_ULPS * np.spacing(np.max(np.abs(terms), axis=0))
+    keyed = sorted(zip(branch_energies(spec, z).tolist(), (br.roots for br in found),
+                       ties, found), key=lambda k: k[:2])
     out, run = [], []
     for e, roots, tie, br in keyed:
         if run and not e - run[-1][0] <= max(tie, run[-1][2]):

@@ -158,8 +158,9 @@ def cmd_solve(args) -> int:
     # Real branches come back in ascending energy; bid is that position.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
     setups = verify.branch_setups(pre, branches, n_points=args.grid_points)
-    for bid, (br, setup) in enumerate(zip(branches, setups)):
-        energy = bae.branch_energy(spec, np.asarray(br.roots, dtype=float))
+    energies = bae.branch_energies(spec, np.array([br.roots for br in branches], dtype=float)
+                                   .reshape(len(branches), spec.N)).tolist()
+    for bid, (br, setup, energy) in enumerate(zip(branches, setups, energies)):
         ok = False
         if not isinstance(setup, Exception):
             profile, grid, phi = setup
@@ -167,12 +168,10 @@ def cmd_solve(args) -> int:
                 ok = verify.schrodinger_residual(profile, pre.cmap, grid, phi)[0] < 1e-6
             except (GridError, DomainError, ValueError):
                 pass
+        tail = f"{_fmt(br.residual_norm)},{_fmt(energy)},{'true' if ok else 'false'}"
         roots = list(enumerate(br.roots)) if br.n else [(-1, None)]
         for k, zk in roots:
-            zs = "" if zk is None else _fmt(zk)
-            out_lines.append(
-                f"{bid},{k},{zs},{_fmt(br.residual_norm)},{_fmt(energy)},"
-                f"{'true' if ok else 'false'}")
+            out_lines.append(f"{bid},{k},{'' if zk is None else _fmt(zk)},{tail}")
     text = "\n".join(out_lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

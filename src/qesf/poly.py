@@ -53,8 +53,9 @@ class Poly:
     def __call__(self, z):
         arr = np.asarray(z)
         acc = np.zeros(arr.shape, dtype=np.result_type(arr.dtype, float))
-        for c in reversed(self.coeffs):
-            acc = acc * arr + c
+        for c in reversed(self.coeffs):  # in place: acc * arr + c, bit for bit
+            acc *= arr
+            acc += c
         if arr.shape == ():
             return acc[()].item()
         return acc

@@ -1,6 +1,6 @@
 """Potential assembly in a closed partial-fraction basis.
 
-Everything reported lives in the basis
+V_N lives in the basis
 
     polynomial in z  +  poles of order <= 2 at boundary locations
                      +  simple poles at the Bethe roots,
@@ -20,8 +20,9 @@ and the root-dependent shift reduces, by exact divided differences, to
            - 2 sum_k F_k / (z - z_k)
 
 with F_k the Bethe residual, so a converged branch kills every root pole and
-the residue coefficients d_k = -2 F_k are directly assertable. The energy is
-the negated constant of the dV_N polynomial part; the remaining constant
+the residue coefficients d_k = -2 F_k are directly assertable:
+split_energies checks them and reports a PFE without root poles. The energy
+is the negated constant of the dV_N polynomial part; the remaining constant
 (inherited from V0) stays in the reported potential.
 """
 
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bae
-from .errors import ModelError
+from .errors import CollisionError, ModelError
 from .model import ModelSpec, is_turning_point
 from .poly import Poly, divmod_poly, partial_fractions
 
@@ -41,7 +42,7 @@ if TYPE_CHECKING:  # prepot builds V0 with this module
     from . import prepot
 
 _LOC_MERGE_TOL = 1e-9
-RESIDUE_TOL = 1e-8  # largest root-pole coefficient split_energy accepts
+RESIDUE_TOL = 1e-8  # largest root-pole coefficient split_energies accepts
 BASIS_TOL = 1e-12  # relative size of P's remainder over an irreducible Q taken as 0
 
 
@@ -54,19 +55,11 @@ class BoundaryPole:
 
 
 @dataclass(frozen=True)
-class RootPole:
-    """weight/(z - location), location a Bethe root"""
-    location: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class PFE:
-    """Partial-fraction expansion: polynomial + boundary poles + root poles."""
+    """Partial-fraction expansion: polynomial + boundary poles."""
 
     poly: Poly
     boundary_poles: tuple[BoundaryPole, ...] = ()
-    root_poles: tuple[RootPole, ...] = ()
 
     def __call__(self, z):
         za = np.asarray(z, dtype=float)
@@ -76,26 +69,12 @@ class PFE:
             for b in self.boundary_poles:
                 d = za - b.location
                 val = val + b.c1 / d + b.c2 / d ** 2
-            for r in self.root_poles:
-                val = val + r.weight / (za - r.location)
         return val[()].item() if val.shape == () else val
-
-    @property
-    def constant(self) -> float:
-        return self.poly.coeff(0)
-
-    def without_constant(self) -> "PFE":
-        cs = list(self.poly.coeffs)
-        cs[0] = 0.0
-        return PFE(Poly(cs), self.boundary_poles, self.root_poles)
-
-    def without_root_poles(self) -> "PFE":
-        return PFE(self.poly, self.boundary_poles, ())
 
     def __add__(self, other: "PFE") -> "PFE":
         bnd = _merged_poles((b.location, b.c1, b.c2)
                             for b in self.boundary_poles + other.boundary_poles)
-        return PFE(self.poly + other.poly, bnd, self.root_poles + other.root_poles)
+        return PFE(self.poly + other.poly, bnd)
 
 
 def _merged_poles(terms) -> tuple[BoundaryPole, ...]:
@@ -171,59 +150,90 @@ def v0_pfe(spec: ModelSpec) -> PFE:
         poles += [(a1, w * Q(a1) / (a1 - a2), 0.0), (a2, w * Q(a2) / (a2 - a1), 0.0)]
 
     # + 0.0 makes every -0.0 location a 0.0
-    return PFE(poly, _merged_poles((loc + 0.0, c1, c2) for loc, c1, c2 in poles), ())
+    return PFE(poly, _merged_poles((loc + 0.0, c1, c2) for loc, c1, c2 in poles))
 
 
-def delta_v_pfe(spec: ModelSpec, branch: bae.BetheBranch) -> PFE:
-    """Partial-fraction expansion of the root-dependent potential shift."""
-    roots = np.asarray(branch.roots, dtype=float)
+def _shift_rows(spec: ModelSpec, roots: np.ndarray) -> tuple[np.ndarray, list]:
+    """The parts of dV_N that need no Bethe residual, for rows of roots
+    (B, N): its polynomial part, one ascending coefficient row per branch
+    (B, max(deg P, 1)), and per boundary pole, (a, c1 of every row).
+
+    Synthetic division gives -2 (P(z) - P(z_k))/(z - z_k) for every root of
+    every row at once; the cumsum along the root axis adds them to the
+    constant in root order, as a sum of per-root Polys does. Each c1 is
+    one row sum of 1/(a - z_k).
+    """
+    B, n = roots.shape
     N = spec.N
     q2 = spec.Q.coeff(2)
     smu = sum(s.exponent for s in spec.singularities)
-    # Row 0 is the constant; row k + 1 is -2 (P(z) - P(z_k))/(z - z_k) by
-    # synthetic division, for every root at once. cumsum adds the rows in
-    # root order, as a sum of per-root Polys does.
     c = spec.P.coeffs
     d = len(c) - 1
-    rows = np.zeros((len(roots) + 1, max(d, 1)))
-    rows[0, 0] = q2 * N * N + 2.0 * q2 * N * smu
+    rows = np.zeros((B, n + 1, max(d, 1)))
+    rows[:, 0, 0] = q2 * N * N + 2.0 * q2 * N * smu
     if d > 0:
-        rows[1:, d - 1] = c[d]
+        rows[:, 1:, d - 1] = c[d]
         for i in range(d - 1, 0, -1):
-            rows[1:, i - 1] = c[i] + roots * rows[1:, i]
-        rows[1:] *= -2.0
-    poly = Poly(np.cumsum(rows, axis=0)[-1])
-    bnd = []
-    for s in spec.singularities:
-        if roots.size and not is_turning_point(spec.Q, s.location):
-            c1 = (2.0 * s.exponent * spec.Q(s.location)
-                  * float(np.sum(1.0 / (s.location - roots))))
-            bnd.append(BoundaryPole(s.location, c1, 0.0))
-    d = -2.0 * bae.residual(spec, roots)
-    root_poles = tuple(RootPole(float(zk), float(dk)) for zk, dk in zip(roots, d))
-    return PFE(poly, tuple(bnd), root_poles)
+            rows[:, 1:, i - 1] = c[i] + roots * rows[:, 1:, i]
+        rows[:, 1:] *= -2.0
+    poles = [(s.location, 2.0 * s.exponent * spec.Q(s.location)
+              * np.sum(1.0 / (s.location - roots), axis=1))
+             for s in spec.singularities if n and not is_turning_point(spec.Q, s.location)]
+    return np.cumsum(rows, axis=1)[:, -1], poles
 
 
-def check_residues(pfe: PFE, tol: float = 1e-10) -> tuple[bool, float]:
-    """Pass iff every root-pole coefficient is below tol (max reported)."""
-    worst = max((abs(r.weight) for r in pfe.root_poles), default=0.0)
-    return worst < tol, worst
-
-
-def split_energy(pre: prepot.Prepotential, branch: bae.BetheBranch) -> PotentialProfile:
-    """Split V_N of one branch of the built model into a reported potential
-    and an energy constant.
+def split_energies(pre: prepot.Prepotential, branches) -> list:
+    """Split V_N of every branch of the built model into a reported
+    potential and an energy constant, in one array pass: per branch, in
+    order, its PotentialProfile, or the ValueError that stopped it (the
+    CollisionError of a branch whose roots collide, or uncancelled root
+    residues). The branches share N, the model's.
 
     E is the negated constant of the dV_N polynomial part; U keeps V0's own
     constant (pre.v0), so V_N = U - E + (root-pole remainder, ~0 for a
-    converged branch).
+    converged branch). The root-pole coefficients are -2 times the Bethe
+    residuals of one bae.residuals call. Branches whose U has the same
+    polynomial and boundary poles, bit for bit (every branch of a type-1
+    model), share one PFE.
     """
-    dv = delta_v_pfe(pre.spec_ref, branch)
-    ok, worst = check_residues(dv, RESIDUE_TOL)
-    if not ok:
-        raise ValueError(
-            f"branch residues not cancelled (max |d_k| = {worst:.2e}): solve "
-            f"the Bethe ansatz equations first")
-    energy = -dv.constant
-    U = pre.v0 + dv.without_constant().without_root_poles()
-    return PotentialProfile(U, energy, branch)
+    spec = pre.spec_ref
+    roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
+    out: list = [None] * len(branches)
+    ok = np.arange(len(branches))
+    try:
+        residuals = bae.residuals(spec, roots)
+    except CollisionError:  # rare: find the colliding rows one by one
+        for i, row in enumerate(roots):
+            try:
+                bae.residual(spec, row)
+            except CollisionError as exc:
+                out[i] = exc
+        ok = np.flatnonzero([o is None for o in out])
+        residuals = bae.residuals(spec, roots[ok])
+    rows, poles = _shift_rows(spec, roots[ok])
+    worst = (2.0 * np.max(np.abs(residuals), axis=1, initial=0.0)).tolist()  # max |d_k|
+    shared: dict = {}  # bits of U's polynomial and pole coefficients -> U
+    for j, i in enumerate(ok.tolist()):
+        if not worst[j] < RESIDUE_TOL:
+            out[i] = ValueError(
+                f"branch residues not cancelled (max |d_k| = {worst[j]:.2e}): solve "
+                f"the Bethe ansatz equations first")
+            continue
+        cs = list(Poly(rows[j]).coeffs)
+        energy = -cs[0]
+        cs[0] = 0.0
+        c1s = [c1[j].item() for _, c1 in poles]
+        key = np.array(cs + c1s).tobytes()
+        if key not in shared:
+            shared[key] = pre.v0 + PFE(Poly(cs), tuple(
+                BoundaryPole(a, c1, 0.0) for (a, _), c1 in zip(poles, c1s)))
+        out[i] = PotentialProfile(shared[key], energy, branches[i])
+    return out
+
+
+def split_energy(pre: prepot.Prepotential, branch: bae.BetheBranch) -> PotentialProfile:
+    """split_energies of one branch: its profile, or its error raised."""
+    (profile,) = split_energies(pre, [branch])
+    if isinstance(profile, Exception):
+        raise profile
+    return profile

@@ -31,9 +31,13 @@ normalizability windows of all branches are rows of one pass too
 (normalizability_checks): one phi_log_sign call per chunk of windows over
 the branches still undecided, while each branch's scan of its windows
 stays sequential. The residual and node count then run per branch, and
-the FD oracle per potential. Every x-preimage of a root, on the map's
-declared branch or its mirror, comes from coords.CoordinateMap.preimages
-in one call per pass, nan where a root has none.
+the FD oracle per potential. The residual stays per branch because rows
+of one pass were measured slower: stacking every branch's stencil,
+masks and U(z) took a type-1 benchmark pass from 27.3 to 36.2 ms at 4001
+points and from 16.6 to 20.9 ms at 2001 (2-core machine). Every
+x-preimage of a root or of phi's peak, on the map's declared branch or
+its mirror, comes from coords.CoordinateMap.preimages in one call per
+pass, nan where it has none.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import potential, prepot
+from . import bae, potential, prepot
 from .errors import DomainError, GridError
 # tridiag_eigenvalues is bound here, though unused, because the benchmark's
 # tracer (perfbench/tracing.py) wraps verify.tridiag_eigenvalues.
-from .poly import Tridiag, tridiag_eigenvalue, tridiag_eigenvalues
+from .poly import Poly, Tridiag, tridiag_eigenvalue, tridiag_eigenvalues
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
@@ -386,14 +390,16 @@ def _log_simpsons(lo: np.ndarray, hi: np.ndarray, logphi: np.ndarray) -> list:
     """log of integral_lo^hi phi^2 dx by Simpson's rule for each window
     (lo, hi), lo and hi of one shape S, computed in log space from log|phi|
     on its SIMPSON_POINTS points, logphi of shape S + (SIMPSON_POINTS,).
-    Flat list in row-major order over S; -inf for an empty window or one
-    where phi vanishes. The Simpson sum is np.sum over the last axis, whose
-    bits do not depend on S."""
+    Flat list in row-major order over S; +inf for a window where phi
+    overflows, -inf for an empty window or one where phi vanishes. The
+    Simpson sum is np.sum over the last axis, whose bits do not depend on
+    S."""
     with np.errstate(invalid="ignore", over="ignore"):
         m = np.max(2.0 * logphi, axis=-1)
         sums = np.sum(np.exp(2.0 * logphi - m[..., None]) * _SIMPSON, axis=-1)
     integrals = (hi - lo) / (SIMPSON_POINTS - 1) / 3.0 * sums
-    return [mi + math.log(v) if b > a and math.isfinite(mi) and v > 0 else -math.inf
+    return [math.inf if mi == math.inf else
+            mi + math.log(v) if b > a and math.isfinite(mi) and v > 0 else -math.inf
             for a, b, mi, v in zip(lo.ravel().tolist(), hi.ravel().tolist(),
                                    m.ravel().tolist(), integrals.ravel().tolist())]
 
@@ -432,6 +438,48 @@ def _windows(edge: np.ndarray, inner: np.ndarray, outward: int) -> tuple[np.ndar
     return lo, hi
 
 
+def _peaks(pre: prepot.Prepotential, roots: np.ndarray) -> np.ndarray:
+    """z of the real zeros of W_N' strictly inside the coordinate image, for
+    rows of roots (B, N), nan-padded to shape (B, M): where |phi_N| peaks
+    (or dips) away from its nodes.
+
+    W_N' = P/Q - sum_j mu_j/(z - a_j) - y'/y with y = prod_k (z - z_k); times
+    Q A y, A = prod_j (z - a_j), it is the polynomial P A y - Q M y - Q A y',
+    M = sum_j mu_j A/(z - a_j). Its trailing coefficients at or below 1e-12
+    of the sum of their terms' magnitudes are cancellation, so dropped; the
+    zeros of all rows come from one bae._roots batch.
+    """
+    spec, (z_lo, z_hi) = pre.spec_ref, pre.cmap.z_image
+    B, n = roots.shape
+    A, M = Poly([1.0]), Poly([0.0])
+    for s in spec.singularities:
+        M = M * Poly([-s.location, 1.0]) + s.exponent * A
+        A = A * Poly([-s.location, 1.0])
+    y = np.zeros((B, n + 1))
+    y[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):  # y (z - z_k)
+            y[:, 1:k + 2] = y[:, :k + 1] - roots[:, k:k + 1] * y[:, 1:k + 2]
+            y[:, 0] *= -roots[:, k]
+        dy = y[:, 1:] * np.arange(1, n + 1) if n else np.zeros((B, 1))
+        factors = ((spec.P * A, y), (-(spec.Q * M), y), (-(spec.Q * A), dy))
+        terms = np.zeros((3, B, max(len(f.coeffs) + r.shape[1] - 1 for f, r in factors)))
+        for t, (f, r) in zip(terms, factors):
+            for i, c in enumerate(f.coeffs):
+                t[:, i:i + r.shape[1]] += c * r
+        num = terms.sum(axis=0)
+        live = np.abs(num) > 1e-12 * np.abs(terms).sum(axis=0)
+    # a row whose coefficients overflow (roots far out at high N) gets none
+    live &= np.isfinite(num).all(axis=1)[:, None]
+    degree = np.where(live.any(axis=1), live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), 0)
+    rows = np.flatnonzero(degree).tolist()
+    w = np.full((B, live.shape[1] - 1), np.nan, dtype=complex)
+    for i, zeros in zip(rows, bae._roots([num[i, :degree[i] + 1] for i in rows])):
+        w[i, :len(zeros)] = zeros
+    z = np.where(np.abs(w.imag) <= 1e-9 * (1.0 + np.abs(w.real)), w.real, np.nan)
+    return np.where((z > z_lo) & (z < z_hi), z, np.nan)
+
+
 def _core(a: float, b: float) -> tuple[float, float]:
     """The window a normalizability check starts from in the component (a, b)."""
     if math.isfinite(a) and math.isfinite(b):
@@ -453,10 +501,13 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
     Unbounded sides are covered by geometrically growing windows, finite
     singular endpoints by geometrically shrinking ones; the verdict is True
     when the window contributions decay (tail bounded by a geometric
-    series), False as soon as they grow persistently. On an unbounded side
-    a window that ends inside the state's bulk, short of its outermost
-    root preimage, is integrated but is no tail: phi's lobes still grow
-    there, up to the last one.
+    series), False as soon as they grow persistently or, on an unbounded
+    side, phi overflows in a window. A window toward a wall whose lo rounds
+    onto the wall itself gets no weight, as phi's pole there has none. On
+    an unbounded side a window that ends inside the state's
+    bulk, short of the outermost preimage of a root or of a peak of phi
+    (_peaks), is integrated but is no tail: phi still grows there, up to
+    its last peak.
 
     The core windows of all branches take one prepot.phi_log_sign call.
     Then the low sides and after them the high sides (the running total
@@ -472,9 +523,15 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
         return []
     a, b = np.array(components, dtype=float).reshape(B, 2).T
     z_lo, z_hi = pre.cmap.z_image
-    # the preimages in (a, b) of the roots strictly inside the image, on
-    # either branch
-    xr = np.where((roots > z_lo) & (roots < z_hi), pre.cmap.preimages(roots), np.nan)
+    # the preimages in (a, b) of the roots strictly inside the image and,
+    # toward an infinite end (the only place the bulk is read), of phi's
+    # peaks, on either branch
+    unbounded = np.isinf(a) | np.isinf(b)
+    peaks = _peaks(pre, roots[unbounded])
+    zs = np.hstack((np.where((roots > z_lo) & (roots < z_hi), roots, np.nan),
+                    np.full((B, peaks.shape[1]), np.nan)))
+    zs[unbounded, roots.shape[1]:] = peaks
+    xr = pre.cmap.preimages(zs)
     within = (xr > a[:, None]) & (xr < b[:, None])
     bulk = {-1: np.min(xr, axis=(0, 2), where=within, initial=math.inf).tolist(),
             +1: np.max(xr, axis=(0, 2), where=within, initial=-math.inf).tolist()}
@@ -502,6 +559,9 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
             undecided = []
             for r, (i, outers) in enumerate(zip(todo.tolist(), outer_w[rows, cut].tolist())):
                 seg_i = segs[r * k:(r + 1) * k]
+                if math.isfinite(edge_l[i]):  # a window whose lo rounds onto
+                    # the wall samples phi's pole there: it has no weight
+                    seg_i = [-math.inf if s == math.inf else s for s in seg_i]
                 totals = np.logaddexp.accumulate([total[i]] + seg_i).tolist()
                 verdict = _scan(seg_i, totals, outers, edge_l[i], bulk_l[i], outward, state[i])
                 if verdict is None:
@@ -526,6 +586,8 @@ def _scan(segs: list, totals: list, outers: list, edge: float, bulk: float,
     when these windows decide nothing."""
     patience, grow, prev = state
     for j, (seg, outer) in enumerate(zip(segs, outers)):
+        if seg == math.inf:
+            return False, j  # phi overflows toward an infinite end: divergent
         if not math.isfinite(edge) and outward * (outer - bulk) < 0:
             continue  # inside the bulk
         if seg < totals[j + 1] - 36.0:
@@ -554,20 +616,15 @@ def branch_setups(pre: prepot.Prepotential, branches, n_points: int = 4001) -> l
     """Certification setup of every branch of the built model, in one array
     pass: per branch, in order, its (profile, grid, phi), or the ValueError
     (a GridError, say) that stopped it. profile is the reported potential
-    and energy (potential.split_energy), grid the branch's default grid of
-    n_points points, and phi = (log|phi_N|, sign) on its points. The
-    branches share N, the model's.
+    and energy (potential.split_energies), grid the branch's default grid
+    of n_points points, and phi = (log|phi_N|, sign) on its points. The branches share
+    N, the model's.
 
     The grids come from default_grids, which marches every branch's
     truncation ladders at once, and phi on all of them from one
     prepot.phi_log_sign call with a row per branch.
     """
-    setups: list = []
-    for br in branches:
-        try:
-            setups.append(potential.split_energy(pre, br))
-        except ValueError as exc:
-            setups.append(exc)
+    setups = potential.split_energies(pre, branches)
     ok = [i for i, p in enumerate(setups) if not isinstance(p, Exception)]
     roots = np.asarray([branches[i].roots for i in ok], dtype=float).reshape(
         len(ok), pre.spec_ref.N)

@@ -13,23 +13,31 @@ LDL^T recurrence, without LAPACK; norm1 is the matrix's |T|_1, the scale of
 the bisection tolerance. phi_log_sign adds one log and one sign per root
 factor, the plain form of prepot.phi_log_sign's chunked products, and
 delta_v_poly sums dV_N's polynomial part one root's Poly at a time, the
-plain form of potential.delta_v_pfe's arrays. bae_solve is the damped
+plain form of potential.split_energies' synthetic division. split_energy splits one
+branch's V_N into (U, E) from its own synthetic division, pole sums and
+bae.residual row, and branch_energy and energy_order take one branch's
+energy terms at a time: the per-branch loops that
+potential.split_energies, bae.branch_energies and bae._energy_order run
+as array passes. bae_solve is the damped
 Newton polish of one start, with its own residual and Jacobian
 (bae_residual, bae_jacobian), the plain form of bae.solve_many's lock-step
 rows; normalizability_check tests one branch's windows with a lazy
 per-window Simpson sum (np.dot), the plain form of
-verify.normalizability_checks' rows.
+verify.normalizability_checks' rows, and its bulk reaches phi's peaks,
+which peaks finds with numpy's polynomial products and np.roots.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
-from qesf import coords, prepot
-from qesf.bae import COLLISION_TOL, MAX_ITER, POLISH_ITER, BetheBranch
+from qesf import bae, coords, prepot
+from qesf.bae import COLLISION_TOL, ENERGY_TIE_ULPS, MAX_ITER, POLISH_ITER, BetheBranch
 from qesf.errors import CollisionError, ConvergenceError
-from qesf.model import ModelSpec
+from qesf.model import ModelSpec, is_turning_point
+from qesf.potential import PFE, RESIDUE_TOL, BoundaryPole, PotentialProfile
 from qesf.poly import Poly, Tridiag, tridiag_eigenvalues
 from qesf.verify import MAX_WINDOWS, SIMPSON_POINTS
 
@@ -258,6 +266,80 @@ def delta_v_poly(spec: ModelSpec, roots) -> Poly:
     return poly
 
 
+def split_energy(pre, branch, residue_tol: float = RESIDUE_TOL) -> PotentialProfile:
+    """One branch's (U, E): dV_N's polynomial part by synthetic division
+    over its roots, its boundary poles and its residues from one
+    bae.residual row; ValueError when a residue is not below residue_tol,
+    and the CollisionError of colliding roots."""
+    spec = pre.spec_ref
+    roots = np.asarray(branch.roots, dtype=float)
+    N = spec.N
+    q2 = spec.Q.coeff(2)
+    smu = sum(s.exponent for s in spec.singularities)
+    c = spec.P.coeffs
+    d = len(c) - 1
+    rows = np.zeros((len(roots) + 1, max(d, 1)))
+    rows[0, 0] = q2 * N * N + 2.0 * q2 * N * smu
+    if d > 0:
+        rows[1:, d - 1] = c[d]
+        for i in range(d - 1, 0, -1):
+            rows[1:, i - 1] = c[i] + roots * rows[1:, i]
+        rows[1:] *= -2.0
+    poly = Poly(np.cumsum(rows, axis=0)[-1])
+    bnd = []
+    for s in spec.singularities:
+        if roots.size and not is_turning_point(spec.Q, s.location):
+            with np.errstate(divide="ignore"):  # a root on the wall: CollisionError below
+                c1 = (2.0 * s.exponent * spec.Q(s.location)
+                      * float(np.sum(1.0 / (s.location - roots))))
+            bnd.append(BoundaryPole(s.location, c1, 0.0))
+    d_k = -2.0 * bae.residual(spec, roots)
+    worst = max((abs(float(dk)) for dk in d_k), default=0.0)
+    if not worst < residue_tol:
+        raise ValueError(
+            f"branch residues not cancelled (max |d_k| = {worst:.2e}): solve "
+            f"the Bethe ansatz equations first")
+    cs = list(poly.coeffs)
+    energy, cs[0] = -cs[0], 0.0
+    return PotentialProfile(pre.v0 + PFE(Poly(cs), tuple(bnd)), energy, branch)
+
+
+def _energy_terms(spec: ModelSpec, roots: np.ndarray) -> tuple:
+    N = spec.N
+    p1, p2, p3 = spec.P.coeff(1), spec.P.coeff(2), spec.P.coeff(3)
+    q2 = spec.Q.coeff(2)
+    smu = sum(s.exponent for s in spec.singularities)
+    return (2.0 * p3 * np.sum(roots ** 2), 2.0 * p2 * np.sum(roots), 2.0 * p1 * N,
+            -q2 * N * N, -2.0 * q2 * N * smu)
+
+
+def branch_energy(spec: ModelSpec, roots) -> float:
+    """E = 2 p3 sum z_k^2 + 2 p2 sum z_k + 2 p1 N - q2 N^2 - 2 q2 N sum_j mu_j
+    of one vector of roots."""
+    t = _energy_terms(spec, np.asarray(roots))
+    return float(t[0] + t[1] + t[2] + t[3] + t[4])
+
+
+def energy_order(spec: ModelSpec, found: list) -> list:
+    """found by branch_energy, one branch at a time; a run of energies
+    within ENERGY_TIE_ULPS ulps of the largest energy term ordered by its
+    roots."""
+    keyed = []
+    for br in found:
+        roots = np.asarray(br.roots)
+        tie = ENERGY_TIE_ULPS * np.spacing(max(map(abs, _energy_terms(spec, roots))))
+        keyed.append((branch_energy(spec, roots), br.roots, tie, br))
+    keyed.sort(key=lambda k: k[:2])
+    out, run = [], []
+    for e, roots, tie, br in keyed:
+        if run and not e - run[-1][0] <= max(tie, run[-1][2]):
+            out += sorted(run, key=lambda k: k[1])
+            run = []
+        run.append((e, roots, tie, br))
+    out += sorted(run, key=lambda k: k[1])
+    return [br for *_, br in out]
+
+
 def _pair_inverse(roots: np.ndarray, singularities) -> np.ndarray:
     """Matrix 1/(z_k - z_l) with zero diagonal (real or complex safe).
     Raises CollisionError when two roots, or a root and a singularity, are
@@ -381,10 +463,13 @@ _SIMPSON[2:-1:2] = 2.0
 
 def _log_simpson(a: float, b: float, logphi: np.ndarray) -> float:
     """log of integral_a^b phi^2 dx by Simpson's rule (np.dot), in log
-    space, from log|phi| on np.linspace(a, b, SIMPSON_POINTS)."""
+    space, from log|phi| on np.linspace(a, b, SIMPSON_POINTS); +inf where
+    phi overflows."""
+    m = np.max(2.0 * logphi)
+    if m == math.inf:
+        return math.inf
     if not b > a:
         return -math.inf
-    m = np.max(2.0 * logphi)
     if not math.isfinite(m):
         return -math.inf
     vals = np.exp(2.0 * logphi - m)
@@ -413,18 +498,46 @@ def windows(edge: float, inner: float, outward: int) -> list:
     return out
 
 
+def peaks(pre, roots) -> np.ndarray:
+    """z of the real zeros of W_N' = P/Q - sum_j mu_j/(z - a_j) - sum_k
+    1/(z - z_k) strictly inside the image, for one vector of roots: the
+    numerator P A y - Q M y - Q A y' (A = prod_j (z - a_j), M = sum_j mu_j
+    A/(z - a_j), y = prod_k (z - z_k)) from numpy's polynomial products,
+    less trailing coefficients at or below 1e-12 of their terms'
+    magnitudes, and its zeros from np.roots."""
+    spec = pre.spec_ref
+    A, M = np.array([1.0]), np.array([0.0])
+    for s in spec.singularities:
+        M = npoly.polyadd(npoly.polymul(M, [-s.location, 1.0]), s.exponent * A)
+        A = npoly.polymul(A, [-s.location, 1.0])
+    y = npoly.polyfromroots(roots) if len(roots) else np.array([1.0])
+    P, Q = spec.P.coeffs, spec.Q.coeffs
+    terms = [npoly.polymul(npoly.polymul(P, A), y), -npoly.polymul(npoly.polymul(Q, M), y),
+             -npoly.polymul(npoly.polymul(Q, A), npoly.polyder(y))]
+    size = max(len(t) for t in terms)
+    terms = [np.pad(t, (0, size - len(t))) for t in terms]
+    num, mag = sum(terms), sum(np.abs(t) for t in terms)
+    live = np.flatnonzero(np.abs(num) > 1e-12 * mag)
+    if not len(live) or live[-1] == 0:
+        return np.array([])
+    w = np.roots(num[:live[-1] + 1][::-1])
+    z = w[np.abs(w.imag) <= 1e-9 * (1.0 + np.abs(w.real))].real
+    z_lo, z_hi = pre.cmap.z_image
+    return z[(z > z_lo) & (z < z_hi)]
+
+
 def normalizability_check(pre, branch, component) -> tuple:
     """(normalizable, norm estimate) of one branch over the component
     (a, b): a core window, then the windows of the low side and of the high
     side, each phi evaluated and integrated on its own, until the
     contributions decay (a tail below e^-36 of the total) or grow
-    persistently; on an unbounded side a window short of the outermost
-    root preimage is no tail."""
+    persistently, or phi overflows; on an unbounded side a window short of
+    the outermost preimage of a root or of phi's peak is no tail."""
     roots = np.asarray(branch.roots, dtype=float)
     a, b = component
     cmap = pre.cmap
     z_lo, z_hi = cmap.z_image
-    inside = roots[(roots > z_lo) & (roots < z_hi)]
+    inside = np.concatenate((roots[(roots > z_lo) & (roots < z_hi)], peaks(pre, roots)))
     xr = [x for m in (cmap, replace(cmap, branch_sign=-cmap.branch_sign))
           for x in np.atleast_1d(m.x_of_z(inside)) if a < x < b]
     bulk = {-1: min(xr, default=math.inf), +1: max(xr, default=-math.inf)}
@@ -446,8 +559,12 @@ def normalizability_check(pre, branch, component) -> tuple:
             with np.errstate(over="ignore", invalid="ignore"):
                 logphi = prepot.phi_log_sign(pre, roots, np.linspace(lo, hi, SIMPSON_POINTS))[0]
             seg = _log_simpson(lo, hi, logphi)
+            if seg == math.inf and math.isfinite(edge):
+                seg = -math.inf  # lo on the wall itself: phi's pole has no weight
             total = np.logaddexp(total, seg)
             outer = hi if outward > 0 else lo
+            if seg == math.inf:
+                return False
             if not math.isfinite(edge) and outward * (outer - bulk[outward]) < 0:
                 continue
             if seg < total - 36.0:

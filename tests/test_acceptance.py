@@ -250,8 +250,7 @@ def test_criterion_09_oracle_self_tests():
         N = 2 if name != "sextic-type2" else 1
         spec = catalog.instantiate(name, N=N)
         br = bae.enumerate_branches(spec)[0]
-        v0 = potential.v0_pfe(spec)
-        dv = potential.delta_v_pfe(spec, br)
+        prof = potential.split_energy(prepot.integrate_w0(spec), br)
         roots = np.asarray(br.roots)
         locs = [s.location for s in spec.singularities]
         done = 0
@@ -264,7 +263,7 @@ def test_criterion_09_oracle_self_tests():
             done += 1
             direct = (oracles.v0_direct(spec, z)
                       + oracles.delta_v_direct(spec, roots, z))
-            assert v0(z) + dv(z) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+            assert prof.U(z) - prof.energy == pytest.approx(direct, rel=1e-9, abs=1e-9)
     _report(9, "FD oracle reproduces odd integers; Jacobian matches finite "
                "differences; PFE re-sums to the defining expressions")
 

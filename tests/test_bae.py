@@ -366,7 +366,7 @@ def test_a_one_ulp_energy_move_keeps_the_branch_order(monkeypatch):
     # for rounding; they are ordered by their roots, so moving any branch's
     # E by one ulp either way (as rounding-level moves of the Newton starts
     # do) swaps no two of them
-    real = bae.branch_energy
+    real = bae.branch_energies
     for N in (2, 4):
         spec = catalog.instantiate("sextic-type2", N=N, a=1.0, b=-3.0)
         order = [br.roots for br in bae.enumerate_branches(spec)]
@@ -374,7 +374,8 @@ def test_a_one_ulp_energy_move_keeps_the_branch_order(monkeypatch):
             for way in (-math.inf, math.inf):
                 def moved(spec_, roots, target=target, way=way):
                     e = real(spec_, roots)
-                    return math.nextafter(e, way) if tuple(roots) == target else e
+                    hit = [tuple(row) == target for row in roots.tolist()]
+                    return np.where(hit, np.nextafter(e, way), e)
 
-                monkeypatch.setattr(bae, "branch_energy", moved)
+                monkeypatch.setattr(bae, "branch_energies", moved)
                 assert [br.roots for br in bae.enumerate_branches(spec)] == order, (N, target)

@@ -482,15 +482,12 @@ def test_classify_warns_where_verify_finds_no_normalizable_end(tmp_path, payload
         assert code == 0 and "normalizable=True" in out, (out, err)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the double-well ground state "
-                   "exp(x^2/2 - x^4/200) peaks at x = +-10; its windows grow from the "
-                   "core [-1, 1] four times before the peak and use up the patience")
 def test_a_ground_state_peaked_far_out_is_normalizable(tmp_path):
     # The branch is correct (residual 2.4e-12, FD level within 4.8e-11 of
     # E = 0, W0 -> +infinity at both ends), and unbound_ends flags no end.
-    # A fix must not just scan past the patience: a window whose phi
-    # overflows reads as a -inf log integral, which counts as negligible,
-    # so a divergent phi would then pass too.
+    # phi0 = exp(x^2/2 - x^4/200) peaks at x = +-sqrt(50), where W0' = P
+    # vanishes; the windows grow from the core [-1, 1] four times before
+    # the peak, which is the state's bulk, not tail growth.
     payload = {"Q": [1], "P": [0, -1, 0, 0.02], "N": 0}
     code, out, _ = run_cli(["classify", write_config(tmp_path, "d.json", payload)])
     assert code == 0 and "[warning]" not in out

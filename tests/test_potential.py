@@ -66,54 +66,62 @@ def test_v0_rejects_undeclared_interior_pole():
         potential.v0_pfe(spec)
 
 
+def _split(spec, br):
+    """The profile of br and U less V0, dV_N's non-constant part."""
+    pre = prepot.integrate_w0(spec)
+    prof = potential.split_energy(pre, br)
+    return prof, prof.U.poly - pre.v0.poly
+
+
 def test_delta_v_harmonic_constant():
+    # dV_N = -2 b N: all of it is the energy, and U is V0
     b, N = 1.3, 3
     spec = harmonic(b=b, N=N)
     br = bae.enumerate_branches(spec)[0]
-    dv = potential.delta_v_pfe(spec, br)
-    assert np.allclose(dv.poly.coeffs, (-2 * b * N,))
-    ok, worst = potential.check_residues(dv)
-    assert ok and worst < 1e-10
+    prof, shift = _split(spec, br)
+    assert prof.energy == pytest.approx(2 * b * N) and shift.is_zero()
+    assert 2.0 * np.max(np.abs(bae.residual(spec, br.roots))) < 1e-10
 
 
 def test_delta_v_morse_constant():
     A, alpha, N = 5.0, 1.0, 2
     spec = catalog.instantiate("morse-es", N=N, A=A, alpha=alpha, B=0.5)
     br = bae.enumerate_branches(spec)[0]
-    dv = potential.delta_v_pfe(spec, br)
-    assert np.allclose(dv.poly.coeffs, (alpha ** 2 * N ** 2 - 2 * alpha * A * N,))
+    prof, shift = _split(spec, br)
+    assert prof.energy == pytest.approx(-(alpha ** 2 * N ** 2 - 2 * alpha * A * N))
+    assert shift.is_zero()
 
 
 def test_delta_v_sextic_linear_part():
     spec = sextic(N=1)
     zk = 1 / math.sqrt(2)
     br = bae.solve(spec, [0.6])
-    dv = potential.delta_v_pfe(spec, br)
+    prof, shift = _split(spec, br)
     # poly part: -2 (2 a z + 2 a z_k) = -4 z - 4 z_k for a=1, b=0
-    assert dv.poly.coeff(1) == pytest.approx(-4.0, abs=1e-12)
-    assert dv.poly.coeff(0) == pytest.approx(-4.0 * zk, abs=1e-10)
+    assert shift.coeff(1) == pytest.approx(-4.0, abs=1e-12)
+    assert -prof.energy == pytest.approx(-4.0 * zk, abs=1e-10)
 
 
 def test_check_residues_detects_perturbation():
     spec = harmonic(N=2)
+    pre = prepot.integrate_w0(spec)
     br = bae.enumerate_branches(spec)[0]
-    dv_ok = potential.delta_v_pfe(spec, br)
-    assert potential.check_residues(dv_ok)[0]
     bad_roots = tuple(np.asarray(br.roots) + np.array([1e-3, 0.0]))
     bad = bae.BetheBranch(bad_roots, 1.0, 0)
-    dv_bad = potential.delta_v_pfe(spec, bad)
-    ok, worst = potential.check_residues(dv_bad)
-    assert not ok
+    good, err = potential.split_energies(pre, [br, bad])
+    assert isinstance(good, potential.PotentialProfile)
+    assert isinstance(err, ValueError) and "residues not cancelled" in str(err)
     # linear response: d_k = -2 F_k, F ~ J * dz
+    worst = 2.0 * np.max(np.abs(bae.residual(spec, bad_roots)))
     assert 1e-4 < worst < 1e-1
+    assert f"max |d_k| = {worst:.2e}" in str(err)
 
 
 def test_check_residues_vacuous_for_n0():
     spec = harmonic(N=0)
     br = bae.enumerate_branches(spec)[0]
-    dv = potential.delta_v_pfe(spec, br)
-    ok, worst = potential.check_residues(dv)
-    assert ok and worst == 0.0
+    prof, shift = _split(spec, br)
+    assert prof.energy == 0.0 and shift.is_zero()
 
 
 def test_split_energy_harmonic():
@@ -223,8 +231,8 @@ def test_pfe_resummation_against_direct():
                     ("sextic-halfline", 1), ("trig-interval", 2), ("morse-p", 2)]:
         spec = catalog.instantiate(name, N=N)
         br = bae.enumerate_branches(spec)[0]
-        v0 = potential.v0_pfe(spec)
-        dv = potential.delta_v_pfe(spec, br)
+        # V_N = U - E up to the root poles, ~0 for a converged branch
+        prof = potential.split_energy(prepot.integrate_w0(spec), br)
         roots = np.asarray(br.roots)
         locs = [s.location for s in spec.singularities]
         checked = 0
@@ -236,7 +244,7 @@ def test_pfe_resummation_against_direct():
                 continue
             checked += 1
             direct = oracles.v0_direct(spec, z) + oracles.delta_v_direct(spec, roots, z)
-            got = v0(z) + dv(z)
+            got = prof.U(z) - prof.energy
             assert got == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 def test_v0_of_a_small_scale_model_matches_the_direct_sum():

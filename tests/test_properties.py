@@ -4,14 +4,17 @@ walls of parabolic models, of the coordinate images and the equations the
 map and W0 solve, of which models over an irreducible Q build, of the
 energies and CSV output of random type-1 models, of the batched
 certification setup against the per-branch, per-root one, and of the
-lock-step Newton polish and the batched normalizability windows against
-their one-row oracles."""
+lock-step Newton polish, the batched normalizability windows, the batched
+energy split, the branch energies and their order against their one-row
+oracles."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import random
+import re
 import tempfile
 from unittest import mock
 
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from qesf import bae, catalog, cli, coords, potential, prepot, verify
+from qesf import bae, catalog, cli, coords, model, potential, prepot, verify
 from qesf.errors import CollisionError, ConvergenceError, GridError, ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly, partial_fractions
@@ -331,7 +334,10 @@ def test_batched_setup_matches_the_per_branch_log_sum_setup(spec):
     with mock.patch.object(prepot, "phi_log_sign", oracles.phi_log_sign):
         want = [verify.branch_setups(pre, [br], n_points=2001)[0] for br in branches]
     for br, g, w in zip(branches, got, want, strict=True):
-        assert potential.delta_v_pfe(spec, br).poly == oracles.delta_v_poly(spec, br.roots)
+        dv = list(oracles.delta_v_poly(spec, br.roots).coeffs)
+        assert g[0].energy == -dv[0]
+        dv[0] = 0.0
+        assert g[0].U.poly == pre.v0.poly + Poly(dv)
         _setup_matches(pre, g, w)
 
 
@@ -436,11 +442,16 @@ normalizability_models = st.one_of(
     st.builds(lambda A, N: catalog.instantiate("morse-p", N=N, A=A),
               st.floats(0.2, 3.0), st.integers(1, 3)),
     st.builds(lambda b, N: ModelSpec(Poly([1.0]), Poly([0.0, b]), (), N),
-              st.floats(-2.0, -0.5), st.integers(0, 3)))
+              st.floats(-2.0, -0.5), st.integers(0, 3)),
+    # double wells phi0 ~ exp(c x^2/2 - d x^4/4), peaked far out at
+    # x = +-sqrt(c/d), and their excited levels
+    st.builds(lambda c, d, N: ModelSpec(Poly([1.0]), Poly([0.0, -c, 0.0, d]), (), N),
+              st.floats(0.2, 2.0), st.floats(0.005, 0.1), st.integers(0, 2)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(normalizability_models)
+@example(ModelSpec(Poly([1.0]), Poly([0.0, -1.0, 0.0, 0.02]), (), 0))
 def test_batched_normalizability_matches_the_per_branch_windows(spec):
     # every branch's verdict from one batched pass, on its grid's component
     # or else the whole x-domain, is that of its windows integrated one at
@@ -492,3 +503,108 @@ def test_no_branch_is_certified_normalizable_at_an_end_the_rule_flags(spec):
         reject()  # P many orders of magnitude below Q: no eigenproblem scale
     for report in verify.verify_branches(pre, branches):
         assert isinstance(report, Exception) or not report.normalizable, (spec, report)
+
+
+# Models with walls for the batched split, at N <= 5: one declared wall,
+# two walls, the walled type-1 presets, and parabolic maps with a wall
+# where Q(a) != 0, which gives U a root-dependent boundary pole
+walled_models = st.one_of(
+    st.builds(lambda c0, a, mu, N: ModelSpec(Poly([1.0]), Poly([c0, 1.0]),
+                                             (Singularity(a, mu),), N),
+              st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.05, 1.5),
+              st.integers(0, 5)),
+    st.builds(lambda a1, a2, mu1, mu2, c0, N: ModelSpec(
+        Poly([1.0]), Poly([c0, 1.0]), (Singularity(a1, mu1), Singularity(a2, mu2)), N),
+        st.floats(-0.5, -0.1), st.floats(0.1, 0.5), st.floats(0.05, 0.45),
+        st.floats(0.05, 0.45), st.floats(-0.5, 0.5), st.integers(1, 4)),
+    st.builds(lambda a, b, p, N: catalog.instantiate("sextic-halfline", N=N, a=a, b=b, p=p),
+              st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(0.05, 0.45), Ns),
+    st.builds(lambda a, p1, p2, N: catalog.instantiate("trig-interval", N=N, a=a, p1=p1, p2=p2),
+              st.floats(0.5, 2.0), st.floats(0.1, 0.6), st.floats(0.1, 0.6), Ns),
+    st.builds(lambda q, P, mu, N: ModelSpec(Poly([0.0, 4.0]), Poly(P), (Singularity(q, mu),), N),
+              st.floats(0.5, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+              st.floats(0.1, 0.9), st.integers(1, 3)))
+
+
+@st.composite
+def split_batches(draw):
+    """A walled model and rows of roots: its branches, and rows that are
+    not branches (roots moved off a branch, so residues stay uncancelled)
+    or collide (two equal roots, or a root on a wall), in random order."""
+    spec = draw(walled_models)
+    try:
+        found = [list(br.roots) for br in bae.enumerate_branches(spec)]
+    except ModelError:
+        reject()
+    rows = list(found)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("moved", "collide", "wall")))
+        row = list(draw(st.sampled_from(found))) if found else []
+        if not row:
+            continue
+        k = draw(st.integers(0, len(row) - 1))
+        if kind == "moved":
+            row[k] += draw(st.sampled_from((1e-9, 1e-6, 1e-3, 0.5)))
+        elif kind == "collide" and len(row) > 1:
+            row[k - 1] = row[k]
+        elif kind == "wall" and spec.singularities:
+            row[k] = draw(st.sampled_from(spec.singularities)).location
+        rows.append(row)
+    order = draw(st.permutations(range(len(rows))))
+    return spec, [bae.BetheBranch(tuple(rows[i]), 0.0, 0) for i in order]
+
+
+def _same_bits(x: float, y: float) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(split_batches())
+def test_split_energies_is_the_per_branch_split_bit_for_bit(batch):
+    # every branch's (U, E) from one array pass is the one-branch split's:
+    # equal U, the same energy bits, the same error type and message; a
+    # type-1 model's branches share one U
+    spec, branches = batch
+    pre = prepot.integrate_w0(spec)
+    got = potential.split_energies(pre, branches)
+    for br, g in zip(branches, got, strict=True):
+        try:
+            want = oracles.split_energy(pre, br)
+        except ValueError as exc:
+            assert (type(g), str(g)) == (type(exc), str(exc))
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                potential.split_energy(pre, br)
+            continue
+        assert isinstance(g, potential.PotentialProfile), g
+        assert g.U == want.U and g.branch is br
+        assert _same_bits(g.energy, want.energy)
+        assert potential.split_energy(pre, br) == g
+    profiles = [g for g in got if not isinstance(g, Exception)]
+    if profiles and model.classify(spec).tag in (model.EXACTLY_SOLVABLE, model.QES_TYPE1):
+        assert len({id(g.U) for g in profiles}) == 1
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(walled_models, type1_models, setup_models), st.integers(0, 6), st.data())
+def test_branch_energies_is_branch_energy_row_by_row(spec, B, data):
+    roots = np.array(data.draw(st.lists(
+        st.lists(st.floats(-50.0, 50.0), min_size=spec.N, max_size=spec.N),
+        min_size=B, max_size=B)), dtype=float).reshape(B, spec.N)
+    got = bae.branch_energies(spec, roots)
+    assert got.shape == (B,)
+    for row, e in zip(roots, got.tolist()):
+        assert _same_bits(e, oracles.branch_energy(spec, row))
+        assert _same_bits(e, bae.branch_energy(spec, row))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.builds(lambda a, b, N: catalog.instantiate("sextic-type2", N=N, a=a, b=b),
+                 st.floats(0.5, 2.0), st.floats(-4.0, 4.0), st.integers(1, 5)),
+       st.randoms(use_true_random=False))
+@example(catalog.instantiate("sextic-type2", N=2, a=1.0, b=-3.0), random.Random(0))
+def test_energy_order_is_the_per_branch_order(spec, rng):
+    # the batched order, mirror ties included, is the one-branch-at-a-time
+    # order from any input order
+    branches = bae.enumerate_branches(spec)
+    shuffled = rng.sample(branches, len(branches))
+    assert bae._energy_order(spec, shuffled) == oracles.energy_order(spec, shuffled) == branches

@@ -189,6 +189,73 @@ def test_normalizability_morse_p_threshold():
     assert not ok
 
 
+@pytest.mark.parametrize("spec", [
+    *(harmonic(b=-1.0, N=N) for N in (0, 1)),
+    *(catalog.instantiate(name, N=N, A=A) for name in ("morse-es", "morse-p")
+      for N, A in ((1, 0.7), (2, 2.0), (3, 3.0), (5, 5.0)))])
+def test_unbound_states_stay_unnormalizable_with_their_peaks_in_the_bulk(spec):
+    # harmonic with b < 0 and Morse with A <= N alpha have no bound state:
+    # phi grows past its outermost peak, so the windows beyond the bulk
+    # still fail
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert branches
+    roots = np.array([br.roots for br in branches]).reshape(len(branches), spec.N)
+    checks = verify.normalizability_checks(pre, roots, [pre.cmap.x_domain] * len(branches))
+    assert not any(ok for ok, _ in checks)
+
+
+def test_the_peaks_are_where_w_n_prime_vanishes():
+    # double well phi0 = exp(x^2/2 - x^4/200): W0' = P = -z + 0.02 z^3
+    spec = ModelSpec(Poly([1.0]), Poly([0.0, -1.0, 0.0, 0.02]), (), 0)
+    peaks = verify._peaks(prepot.integrate_w0(spec), np.zeros((1, 0)))
+    assert np.sort(peaks[0]) == pytest.approx([-math.sqrt(50.0), 0.0, math.sqrt(50.0)],
+                                              abs=1e-12)
+    # harmonic N = 2 (roots +-1/sqrt(2)): W_2' = z - 2z/(z^2 - 1/2) vanishes
+    # at 0 and +-sqrt(5/2), outside both nodes
+    spec = harmonic(N=2)
+    (br,) = bae.enumerate_branches(spec)
+    peaks = verify._peaks(prepot.integrate_w0(spec), np.array([br.roots]))
+    assert np.sort(peaks[0]) == pytest.approx([-math.sqrt(2.5), 0.0, math.sqrt(2.5)])
+    # y's coefficients overflow for 120 roots near 1e4: that row gets none
+    peaks = verify._peaks(prepot.integrate_w0(harmonic(N=120)),
+                          np.vstack((np.linspace(1e4, 2e4, 120), np.linspace(-1.0, 1.0, 120))))
+    assert np.isnan(peaks[0]).all() and np.isfinite(peaks[1]).any()
+
+
+def test_a_window_where_phi_overflows_is_divergent():
+    # an overflowing phi reads as +inf, never as a negligible tail, even
+    # inside the bulk
+    lo, hi = np.array([[1.0, 2.0]]), np.array([[2.0, 3.0]])
+    logphi = np.zeros((1, 2, verify.SIMPSON_POINTS))
+    logphi[0, 1, -1] = math.inf
+    segs = verify._log_simpsons(lo, hi, logphi)
+    assert segs[1] == math.inf and math.isfinite(segs[0])
+    totals = np.logaddexp.accumulate([0.0] + segs).tolist()
+    for bulk in (-math.inf, 10.0):
+        assert verify._scan(segs, totals, [2.0, 3.0], math.inf, bulk, 1,
+                            [4, 0, -math.inf]) == (False, 1)
+
+
+@pytest.mark.parametrize("mu", [-0.1, -0.2])
+def test_a_wall_with_negative_nu_at_nonzero_x_stays_normalizable(mu):
+    # z = sin^2 x puts the z = 1 wall at x = pi/2 with nu = 2 mu in (-1/2, 0):
+    # phi ~ |x - pi/2|^nu is square-integrable. After about 52 halvings the
+    # windows' lo rounds onto pi/2, where log|phi| is +inf; that sample of
+    # the wall's pole is no overflow
+    spec = ModelSpec(Poly([0.0, 4.0, -4.0]), Poly([0.0, -4.0, 4.0]),
+                     (Singularity(0.0, 0.25), Singularity(1.0, mu)), 1)
+    pre = prepot.integrate_w0(spec)
+    assert pre.walls[math.pi / 2] == pytest.approx(2.0 * mu)
+    assert not prepot.unbound_ends(pre)
+    branches = bae.enumerate_branches(spec)
+    roots = np.array([br.roots for br in branches]).reshape(len(branches), 1)
+    checks = verify.normalizability_checks(pre, roots, [(0.0, math.pi / 2)] * len(branches))
+    assert len(checks) == 2 and all(ok and math.isfinite(est) for ok, est in checks)
+    for br, got in zip(branches, checks):
+        assert oracles.normalizability_check(pre, br, (0.0, math.pi / 2)) == got
+
+
 def test_wall_exponents_include_the_w0_log_weight():
     # P(0) = P(1) = -0.4 gives W0 the terms -0.1 ln z and +0.1 ln|z - 1|, so
     # phi ~ z^(0.3 + 0.1) and |z - 1|^(0.3 - 0.1); z - a ~ x^2 at both
@@ -456,10 +523,7 @@ def test_residual_arbitrates_quoted_trig_form():
 
     def forced_residual(root):
         br = bae.BetheBranch((root,), 0.0, 0)
-        dv = potential.delta_v_pfe(spec, br)
-        prof = potential.PotentialProfile(
-            potential.v0_pfe(spec) + dv.without_constant().without_root_poles(),
-            -dv.constant, br)
+        prof = oracles.split_energy(pre, br, residue_tol=math.inf)
         grid = verify.default_grid(pre, br.roots, n_points=4001)
         rmax, _ = _residual(prof, pre, grid)
         return rmax
