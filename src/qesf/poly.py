@@ -17,6 +17,7 @@ from .errors import ConvergenceError
 
 TRIM_TOL = 1e-14  # relative: to the largest finite |coefficient|
 INVERSE_STEPS = 3  # inverse-iteration solves per tridiag_eigenvalue call
+WINDOW = 1e-2  # least width of _enclosed's window, relative to max(1, |shift|)
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -225,6 +226,72 @@ def _start_vector(n: int) -> np.ndarray:
     return x
 
 
+def _sturm_count(dl, d, du, du2, ipiv) -> int | None:
+    """Number of eigenvalues of a symmetric tridiagonal T below s, read off
+    the LAPACK dgttrf factors (dl, d, du, du2, ipiv) of T - s I; None when
+    a leading minor of T - s I is 0.
+
+    Steps j < k of the pivoted elimination combine only rows <= k, so after
+    them the leading (k+1)-block is upper triangular with diagonal
+    U_00 .. U_{k-1,k-1}, r_k, where r_k is U_kk, or dl_k U_kk when step k
+    swapped rows k and k+1. Each swap flips a determinant's sign, so the
+    leading minor D_{k+1} has the sign of r_k prod_{j<k} (-1)^swap_j U_jj,
+    and D_{k+1} / D_k that of r_k r_{k-1} (-1)^swap_{k-1} U_{k-1,k-1}. The
+    count is the number of sign changes in 1, D_1, .., D_n (Sylvester's law
+    of inertia), and without swaps the number of negative pivots U_kk.
+    """
+    swap = ipiv[:-1] != np.arange(1, len(d), dtype=ipiv.dtype)
+    r = d.copy()
+    r[:-1] *= np.where(swap, dl, 1.0)
+    if not r.all():
+        return None
+    neg = r < 0.0
+    flips = (d[:-1] < 0.0) != swap  # (-1)^swap_j U_jj < 0
+    return int(neg[0]) + int(np.count_nonzero(neg[1:] ^ neg[:-1] ^ flips))
+
+
+def _enclosed(t: Tridiag, index: int, shift: float, lu, sigma: float,
+              delta: float) -> float | None:
+    """Eigenvalue of the given index from two Sturm counts and the
+    Kato-Temple bound, or None when they do not settle it.
+
+    lu factors T - shift I, and x of unit norm (the caller's inverse
+    iteration from lu) has Rayleigh quotient sigma and |T x - sigma x| <=
+    delta. The count at shift puts the level below shift (count index + 1)
+    or above it (count index). A window (a, b) then runs from shift to its
+    far end on that side, WINDOW max(1, |shift|) or 2 |sigma - shift| away,
+    whichever is further, and a second factorization there must count the
+    level inside, so the window holds that eigenvalue and no other. With
+    (sigma - delta, sigma + delta) strictly inside (a, b), x is not a
+    neighbour's vector, and Kato-Temple puts the eigenvalue in
+    [sigma - delta^2 / (b - sigma), sigma + delta^2 / (sigma - a)]. sigma
+    is returned when that interval is no wider than 8 eps |T|_1; otherwise
+    bisection (dstebz) of the interval, when it finds the one eigenvalue
+    there.
+    """
+    d, e = t.diag, t.offdiag
+    c = _sturm_count(*lu)
+    width = max(WINDOW * max(1.0, abs(shift)), 2.0 * abs(sigma - shift))
+    if c == index + 1:
+        a, b, end, inside = shift - width, shift, shift - width, index
+    elif c == index:
+        a, b, end, inside = shift, shift + width, shift + width, index + 1
+    else:
+        return None
+    if not a < sigma - delta < sigma + delta < b:
+        return None
+    import scipy.linalg
+    lapack = scipy.linalg.lapack
+    if _sturm_count(*lapack.dgttrf(e, d - end, e)[:-1]) != inside:
+        return None
+    # delta < b - sigma and delta < sigma - a: no product overflows
+    lo, hi = sigma - delta * (delta / (b - sigma)), sigma + delta * (delta / (sigma - a))
+    if hi - lo <= 8.0 * np.finfo(float).eps * t.gershgorin[2]:
+        return sigma
+    m, w, *_ = lapack.dstebz(d, e, 1, lo, hi, 0, 0, 0.0, "E")
+    return float(w[0]) if m == 1 else None
+
+
 def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
     """Eigenvalue of the given index (counted from the smallest at 0) of a
     symmetric tridiagonal matrix, looked for near the value near.
@@ -235,21 +302,26 @@ def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
        start vector give a unit x with Rayleigh quotient sigma. Some
        eigenvalue then lies within
        delta = |T x - sigma x| + 8 eps |T|_1 of sigma.
-    2. Bisection (dstebz, RANGE='V', default tolerance) finds the m
-       eigenvalues in the window (sigma - delta, sigma + delta].
-    3. One Sturm count c at sigma + delta (dstebz from below the spectrum,
+    2. The Sturm count read off that factorization, and one more at the
+       far end of a window beside s, certify a window that holds the
+       level alone; with sigma +- delta inside it, the Kato-Temple bound
+       fixes the value (_enclosed). Most levels end here, without
+       bisection.
+    3. Otherwise bisection (dstebz, RANGE='V', default tolerance) finds
+       the m eigenvalues in the window (sigma - delta, sigma + delta], and
+       one Sturm count c at sigma + delta (dstebz from below the spectrum,
        with a tolerance wider than that interval, so it bisects nothing)
        gives them the indices c - m .. c - 1.
     4. If index is among them, its eigenvalue is returned; otherwise
        tridiag_eigenvalues(t, (index, index)) bisects it from the
        Gershgorin bounds.
 
-    near only picks where to look: the count fixes the index and bisection
-    the value, so a poor near costs time and never changes the result
-    beyond the bisection tolerance. A near-degenerate pair inside the
-    window is told apart by the count. An index outside 0..n - 1 raises
-    ValueError. scipy.linalg is imported on the first call that factors a
-    matrix, as in tridiag_eigenvalues.
+    near only picks where to look: counts fix the index, and the
+    Kato-Temple bound or bisection the value, so a poor near costs time
+    and never changes the result beyond 8 eps |T|_1. A near-degenerate
+    pair inside the window is told apart by the counts. An index outside
+    0..n - 1 raises ValueError. scipy.linalg is imported on the first call
+    that factors a matrix, as in tridiag_eigenvalues.
     """
     n = t.n
     if not 0 <= index < n:
@@ -275,6 +347,9 @@ def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
         sigma = float(x @ tx)
         delta = float(np.linalg.norm(tx - sigma * x)) + 8.0 * np.finfo(float).eps * norm
         if math.isfinite(sigma) and math.isfinite(delta):
+            level = _enclosed(t, index, shift, lu, sigma, delta)
+            if level is not None:
+                return level
             m, w, *_ = lapack.dstebz(d, e, 1, sigma - delta, sigma + delta, 0, 0, 0.0, "E")
             below = floor - 1.0 - abs(floor)
             c, *_ = lapack.dstebz(d, e, 1, below, sigma + delta, 0, 0,

@@ -9,9 +9,10 @@ and normalizability comes from adaptive quadrature of phi^2. These are the
 arbiters for every sign or convention ambiguity upstream.
 
 The claimed energy does enter the spectrum oracle, but only as the place
-to look for the level: the claim seeds the search, a Sturm count fixes the
-level's index, and bisection fixes its value. A wrong claim therefore
-costs time and can never change the level it is compared with.
+to look for the level: the claim seeds the search, two Sturm counts fix
+the level's index in a window that holds it alone, and the Kato-Temple
+bound fixes its value, with bisection as the fallback. A wrong claim
+therefore costs time and can never change the level it is compared with.
 
 Where the coordinate map has a turning point x_t inside the certified
 component (parabolic or cosh maps, with no wall at x_t), z(x), the
@@ -177,12 +178,15 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list
 
     The map's endpoints and the model's finite walls (pre.walls) cut the
     x-domain into components. A component is admitted when phi vanishes at
-    each of its walls (nu > 0). Admitted components are preferred in this
-    order: the one holding every root preimage, then the widest, then the
-    one on the side of the spec's branch_sign. The first of them whose
-    unbounded ends truncate is certified: an unbounded end is cut where
-    W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box edge, and an
-    end at a wall is inset by max(10h, 1e-3) and carries the wall's (x, nu).
+    each of its walls (nu > 0), which the FD oracle needs; a wall with
+    nu <= 0 (bound, and normalizable, for nu > -1/2) is named in the
+    GridError of a branch left with no component. Admitted components are
+    preferred in this order: the one holding every root preimage, then the
+    widest, then the one on the side of the spec's branch_sign. The first
+    of them whose unbounded ends truncate is certified: an unbounded end is
+    cut where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box
+    edge, and an end at a wall is inset by max(10h, 1e-3) and carries the
+    wall's (x, nu).
 
     The truncation ladders of every branch's preferred component, both ends,
     run in one _march_thresholds pass; a branch whose component does not
@@ -199,8 +203,12 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list
     # image end, has none (nan).
     xr = pre.cmap.preimages(roots)[0]
     bsign = pre.spec_ref.branch_sign
-    admitted = [(a, b) for a, b in components
-                if not any(math.isfinite(e) and walls[e] <= 0.0 for e in (a, b))]
+    weak = {e for c in components for e in c if math.isfinite(e) and walls[e] <= 0.0}
+    admitted = [c for c in components if weak.isdisjoint(c)]
+    exhausted = "no normalizable domain component found"
+    if weak:  # named, as the reason their components were not tried
+        exhausted += "; the FD oracle needs nu > 0 at each wall, and " + ", ".join(
+            f"the wall at x = {x:.6g} has nu = {walls[x]:.6g}" for x in sorted(weak))
     pending = {}  # branch -> (its root preimages, its components still to try)
     for i, row in enumerate(xr):
         xi = row[np.isfinite(row)].tolist()
@@ -214,7 +222,7 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list
         for i, (xi, comps) in list(pending.items()):
             comp = next(comps, None)
             if comp is None:
-                grids[i] = GridError("no normalizable domain component found")
+                grids[i] = GridError(exhausted)
                 del pending[i]
                 continue
             a, b = boxes[i] = comp
@@ -329,8 +337,9 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     computed; an index outside the grid's levels raises ValueError.
 
     Each level comes from poly.tridiag_eigenvalue: the energy only seeds
-    the search, a Sturm count fixes the index and bisection fixes the
-    value, so a wrong energy costs time and never moves the level.
+    the search, two Sturm counts fix the index in a window that holds the
+    level alone and the Kato-Temple bound fixes the value (bisection where
+    they do not), so a wrong energy costs time and never moves the level.
 
     Second-order stencil with Dirichlet truncation, Richardson-extrapolated:
     the computation repeats on a doubled grid and the O(h^2) error is
@@ -666,8 +675,9 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     boxes, which for a branch alone is its own grid. Only the levels whose
     indices are the group's node counts are computed, each looked for near
     its branch's claimed energy. The claim only seeds that search: the
-    level's index comes from a Sturm count and its value from bisection,
-    so the claim cannot choose the level it is compared with.
+    level's index comes from Sturm counts and its value from the
+    Kato-Temple bound or bisection, so the claim cannot choose the level
+    it is compared with.
 
     When the group's component holds the map's turning point x_t
     (coords.CoordinateMap.x_turn), the spectrum runs on a mirror grid

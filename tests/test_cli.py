@@ -281,6 +281,21 @@ def test_w0_log_wall_at_a_cosh_turning_point_rejects_both_sides(tmp_path):
     assert "no normalizable domain component found" in err
 
 
+# z = sin^2 x: the wall z = 1 at x = pi/2 has nu = -0.2, so phi is bound and
+# normalizable there, but the FD oracle needs nu > 0 at each wall
+NEGATIVE_NU_WALL = {"Q": [0, 4, -4], "P": [0, -4, 4], "N": 1,
+                    "singularities": [{"a": 0, "mu": 0.25}, {"a": 1, "mu": -0.1}]}
+
+
+def test_a_wall_the_fd_oracle_cannot_take_is_named(tmp_path):
+    solve_code, csv_text, code, out, err, _ = _solve_and_verify(tmp_path, "n", NEGATIVE_NU_WALL)
+    assert solve_code == 0 and len(csv_text.splitlines()) == 3
+    assert code == 3
+    reason = ("no normalizable domain component found; the FD oracle needs nu > 0 at "
+              "each wall, and the wall at x = 1.5708 has nu = -0.2")
+    assert err.count(f"verification error: {reason}") == 2, (out, err)
+
+
 # z = x^2 reaches the wall a = 1, where Q(1) = 4 != 0, at x = -1 and x = 1
 MIRROR = {"Q": [0, 4], "P": [0, 0, 2], "singularities": [{"a": 1, "mu": 0.3}], "N": 1}
 

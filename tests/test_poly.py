@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from qesf import poly
 from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalue, tridiag_eigenvalues
 
 from oracles import hermite_zeros, laguerre_zeros, norm1, sturm_count
@@ -199,6 +201,93 @@ def test_tridiag_eigenvalue_is_the_bisection_level_from_any_near(t, data):
     got = [tridiag_eigenvalue(t, k, near) for near in nears]
     assert max(abs(v - want) for v in got) <= tol, (k, got, want)
     assert max(got) - min(got) <= tol
+
+
+@st.composite
+def random_tridiagonals(draw):
+    """Symmetric tridiagonals with normal entries, off-diagonals of either
+    sign, on scales that make pivoted LU swap rows at some shifts."""
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = rng.normal(size=n) * draw(st.sampled_from((0.01, 1.0, 100.0, 1e4)))
+    e = rng.normal(size=n - 1) * draw(st.sampled_from((0.01, 1.0, 100.0)))
+    return Tridiag(d, e)
+
+
+def _dstebz_count(t, s):
+    """Eigenvalues of t at or below s, from LAPACK's own Sturm count: dstebz
+    over (below the spectrum, s] with a tolerance wider than that interval,
+    so it bisects nothing."""
+    floor = t.gershgorin[0]
+    below = floor - 1.0 - abs(floor)
+    if s <= below:
+        return 0
+    m, *_ = scipy.linalg.lapack.dstebz(t.diag, t.offdiag, 1, below, s, 0, 0,
+                                       2.0 * (s - below), "E")
+    return m
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(random_tridiagonals(), fd_matrices().filter(lambda t: t.n >= 3)), st.data())
+def test_lu_sturm_count_is_the_dstebz_count(t, data):
+    # the count read off dgttrf's pivots lies between dstebz's counts
+    # 4 eps |T|_1 below and above the shift. Where the shift is further than
+    # that from every eigenvalue (between two levels, outside the Gershgorin
+    # interval) the two are one count, so the LU count is dstebz's. At an
+    # eigenvalue, or 1 ulp from one, each recurrence puts the level on
+    # either side by its own rounding.
+    spectrum = tridiag_eigenvalues(t)
+    k = data.draw(st.integers(0, t.n - 1))
+    floor, ceiling, norm = t.gershgorin
+    tol = 4.0 * np.finfo(float).eps * norm
+    level = spectrum[k]
+    shifts = [level, np.nextafter(level, np.inf), np.nextafter(level, -np.inf),
+              floor - 1.0 - abs(floor), ceiling + 1.0 + abs(ceiling)]
+    if k + 1 < t.n:
+        shifts.append(0.5 * (level + spectrum[k + 1]))
+    for s in shifts:
+        *lu, _ = scipy.linalg.lapack.dgttrf(t.offdiag, t.diag - s, t.offdiag)
+        c = poly._sturm_count(*lu)
+        if c is None:  # a zero leading minor: the caller falls back
+            continue
+        lo, hi = _dstebz_count(t, s - tol), _dstebz_count(t, s + tol)
+        assert lo <= c <= hi, (s, c, lo, hi)
+
+
+def test_lu_sturm_count_sees_a_zero_leading_minor():
+    # [[1, 1, 0], [1, 1, 1], [0, 1, 1]] - 1 I has a zero first pivot, and
+    # dgttrf swaps past it
+    t = Tridiag(np.ones(3), np.ones(2))
+    *lu, _ = scipy.linalg.lapack.dgttrf(t.offdiag, t.diag - 1.0, t.offdiag)
+    assert poly._sturm_count(*lu) is None
+    assert tridiag_eigenvalue(t, 1, 1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def _double_well(depth):
+    """Full-line FD operator of U = depth (x^2 - 1)^2 on [-3, 3]: its low
+    levels pair into tunnelling doublets whose splitting shrinks as the
+    barrier deepens."""
+    x = np.linspace(-3.0, 3.0, 3001)
+    h = x[1] - x[0]
+    return Tridiag(2.0 / h ** 2 + depth * (x ** 2 - 1.0) ** 2, np.full(len(x) - 1, -1.0 / h ** 2))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_doublet_partner_in_the_window_never_stands_in_for_the_level(k):
+    # each level's partner lies well inside the window of WINDOW max(1, |s|)
+    # beside any claim near the pair, yet further from the level than the
+    # 8 eps |T|_1 the result must keep: the counts then name no window
+    # holding the level alone, and the level, not its partner, comes back
+    t = _double_well(200.0)
+    spectrum = tridiag_eigenvalues(t, (0, 5))
+    tol = 8.0 * np.finfo(float).eps * norm1(t)
+    want = spectrum[k]
+    partner = spectrum[k ^ 1]
+    assert 1e2 * tol < abs(partner - want) < 0.1 * poly.WINDOW * max(1.0, abs(want))
+    for near in (want, partner, 0.5 * (want + partner), np.nextafter(want, np.inf),
+                 np.nextafter(want, -np.inf)):
+        got = tridiag_eigenvalue(t, k, near)
+        assert abs(got - want) <= tol, (near, got, want, partner)
 
 
 def test_tridiag_eigenvalue_index_bounds_and_one_row():

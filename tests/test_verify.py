@@ -787,6 +787,32 @@ def test_sextic_levels_need_no_gershgorin_bisection(monkeypatch, config):
     assert calls == []
 
 
+@pytest.mark.parametrize("name,N", [("sextic", 16), ("trig-interval", 8)])
+def test_catalog_levels_certify_without_bisection(monkeypatch, fd_levels, name, N):
+    # at catalog defaults each claim's window holds its level alone and the
+    # Kato-Temple bound fixes the value, so no level reaches dstebz, neither
+    # in poly.tridiag_eigenvalue's fallback window nor through poly's
+    # tridiag_eigenvalues
+    import scipy.linalg
+    calls = []
+
+    def recorded(module, attr):
+        real = getattr(module, attr)
+
+        def call(*args):
+            calls.append(attr)
+            return real(*args)
+        monkeypatch.setattr(module, attr, call)
+
+    recorded(scipy.linalg.lapack, "dstebz")
+    recorded(poly, "tridiag_eigenvalues")
+    spec = catalog.instantiate(name, N=N)
+    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    assert len(reports) == N + 1 and all(rep.verdict for rep in reports)
+    assert len(fd_levels) == 2 * (N + 1)  # every level, on both Richardson grids
+    assert calls == []
+
+
 def test_a_mirror_grid_holds_only_the_even_levels():
     # U = x^2 on the half line with a mirror at 0: levels 0, 2, 4 of the
     # oscillator (1, 5, 9); an odd level is not there to ask for
