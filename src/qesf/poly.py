@@ -8,7 +8,11 @@ is both exact enough and fast.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceError
 
 TRIM_TOL = 1e-14  # relative: to the largest finite |coefficient|
-INVERSE_STEPS = 3  # inverse-iteration solves per tridiag_eigenvalue call
+INVERSE_STEPS = 3  # inverse-iteration solves per level of tridiag_levels
 WINDOW = 1e-2  # least width of _enclosed's window, relative to max(1, |shift|)
 
 
@@ -181,17 +185,51 @@ class Tridiag:
                 float(np.max(np.abs(d) + radius)))
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's LAPACK extension module, scipy.linalg._flapack, the one
+    source of the LAPACK routines below (dgttrf, dgttrs, dstebz, dstevd).
+
+    It is loaded on first use straight from its file in scipy's package
+    directory (importlib's ExtensionFileLoader), without running
+    scipy/linalg/__init__.py (about 6 ms against 230 ms for the package
+    import on a 2-core machine), and registered under its own name in
+    sys.modules. A copy already there is reused, and a later import of
+    scipy.linalg reuses this one, so both call the same routines.
+    The scipy.linalg package itself is never imported here. ImportError
+    when scipy or the extension is not installed.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(_FLAPACK)
+    if spec is None:
+        raise ImportError(f"{_FLAPACK}, scipy's LAPACK extension, is not installed")
+    module = sys.modules[_FLAPACK] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def tridiag_eigenvalues(t: Tridiag,
                         index_range: tuple[int, int] | None = None) -> np.ndarray:
     """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     With index_range = (lo, hi) given, only the eigenvalues of indices lo
     through hi (inclusive, counted from the smallest at 0) are computed by
-    bisection, at a cost proportional to hi - lo + 1 (cheaper for large FD
-    grids). Backed by LAPACK via scipy.linalg.eigh_tridiagonal, which is
-    deterministic for fixed input; scipy.linalg is imported on the first
-    call that reaches it, so a process that never asks for an eigenvalue
-    does not load scipy.
+    bisection (LAPACK dstebz), at a cost proportional to hi - lo + 1
+    (cheaper for large FD grids); without it, all of them by divide and
+    conquer (dstevd). Both get the arguments scipy.linalg.eigh_tridiagonal
+    passes, so the bits are that function's, and are deterministic for
+    fixed input. The routines come from scipy's LAPACK extension, loaded on
+    the first call that reaches it (_lapack); the scipy.linalg package is
+    never imported. Non-finite entries raise ValueError, and a LAPACK
+    failure ConvergenceError.
     """
     n = t.n
     if n < 1:
@@ -202,15 +240,17 @@ def tridiag_eigenvalues(t: Tridiag,
             raise ValueError(f"index range {index_range} outside 0..{n - 1}")
     if n == 1:
         return t.diag.copy()
-    import scipy.linalg
-    try:
-        if index_range is None:
-            w = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True)
-        else:
-            w = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
-                                              select="i", select_range=index_range)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    d, e = t.diag, t.offdiag
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lapack = _lapack()
+    if index_range is None:
+        w, _, info = lapack.dstevd(d, e, compute_v=0)
+    else:
+        m, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+        w = w[:m]
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"tridiagonal eigensolver failed (LAPACK info {info})")
     return np.sort(w)
 
 
@@ -250,18 +290,23 @@ def _sturm_count(dl, d, du, du2, ipiv) -> int | None:
     return int(neg[0]) + int(np.count_nonzero(neg[1:] ^ neg[:-1] ^ flips))
 
 
-def _enclosed(t: Tridiag, index: int, shift: float, lu, sigma: float,
-              delta: float) -> float | None:
+def _enclosed(t: Tridiag, index: int, shift: float, count: int | None, sigma: float,
+              delta: float, ends: list) -> float | None:
     """Eigenvalue of the given index from two Sturm counts and the
     Kato-Temple bound, or None when they do not settle it.
 
-    lu factors T - shift I, and x of unit norm (the caller's inverse
-    iteration from lu) has Rayleigh quotient sigma and |T x - sigma x| <=
-    delta. The count at shift puts the level below shift (count index + 1)
-    or above it (count index). A window (a, b) then runs from shift to its
-    far end on that side, WINDOW max(1, |shift|) or 2 |sigma - shift| away,
-    whichever is further, and a second factorization there must count the
-    level inside, so the window holds that eigenvalue and no other. With
+    count is the number of eigenvalues below shift, and x of unit norm (the
+    caller's inverse iteration at shift) has Rayleigh quotient sigma and
+    |T x - sigma x| <= delta. The count puts the level below shift (count
+    index + 1) or above it (count index). A window (a, b) then runs from
+    shift to a far end on that side whose count (index for a far end below
+    the level, index + 1 above it) leaves the level alone between the two,
+    so the window holds that eigenvalue and no other. The far end is the
+    nearest of ends, (shift, count) pairs already known, beyond
+    sigma +- delta with that count. Without one, one more factorization
+    counts at WINDOW max(1, |shift|) or 2 |sigma - shift| from shift,
+    whichever is further; when that finds a second level, a doublet partner
+    say, once more at 2 |sigma - shift| + 2 delta, if that is nearer. With
     (sigma - delta, sigma + delta) strictly inside (a, b), x is not a
     neighbour's vector, and Kato-Temple puts the eigenvalue in
     [sigma - delta^2 / (b - sigma), sigma + delta^2 / (sigma - a)]. sigma
@@ -269,21 +314,32 @@ def _enclosed(t: Tridiag, index: int, shift: float, lu, sigma: float,
     bisection (dstebz) of the interval, when it finds the one eigenvalue
     there.
     """
-    d, e = t.diag, t.offdiag
-    c = _sturm_count(*lu)
-    width = max(WINDOW * max(1.0, abs(shift)), 2.0 * abs(sigma - shift))
-    if c == index + 1:
-        a, b, end, inside = shift - width, shift, shift - width, index
-    elif c == index:
-        a, b, end, inside = shift, shift + width, shift + width, index + 1
+    if count == index + 1:
+        side, inside = -1.0, index
+    elif count == index:
+        side, inside = 1.0, index + 1
     else:
         return None
-    if not a < sigma - delta < sigma + delta < b:
+    if not side * (sigma - shift) > delta:  # sigma +- delta on the level's side of shift
         return None
-    import scipy.linalg
-    lapack = scipy.linalg.lapack
-    if _sturm_count(*lapack.dgttrf(e, d - end, e)[:-1]) != inside:
-        return None
+    d, e = t.diag, t.offdiag
+    lapack = _lapack()
+    listed = [s for s, c in ends if c == inside and side * (s - sigma) > delta]
+    if listed:
+        far = min(listed, key=lambda s: side * s)
+    else:
+        far = None
+        wide = max(WINDOW * max(1.0, abs(shift)), 2.0 * abs(sigma - shift))
+        narrow = 2.0 * abs(sigma - shift) + 2.0 * delta
+        for width in (wide, narrow) if narrow < wide else (wide,):
+            end = shift + side * width
+            if (side * (end - sigma) > delta
+                    and _sturm_count(*lapack.dgttrf(e, d - end, e)[:-1]) == inside):
+                far = end
+                break
+        if far is None:
+            return None
+    a, b = sorted((shift, far))
     # delta < b - sigma and delta < sigma - a: no product overflows
     lo, hi = sigma - delta * (delta / (b - sigma)), sigma + delta * (delta / (sigma - a))
     if hi - lo <= 8.0 * np.finfo(float).eps * t.gershgorin[2]:
@@ -292,69 +348,100 @@ def _enclosed(t: Tridiag, index: int, shift: float, lu, sigma: float,
     return float(w[0]) if m == 1 else None
 
 
-def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
-    """Eigenvalue of the given index (counted from the smallest at 0) of a
-    symmetric tridiagonal matrix, looked for near the value near.
+def _bisected(t: Tridiag, index: int, sigma: float, delta: float) -> float | None:
+    """Eigenvalue of the given index by bisection (dstebz, RANGE='V',
+    default tolerance) of the window (sigma - delta, sigma + delta], or
+    None when the level is not among the m eigenvalues there. One Sturm
+    count c at sigma + delta (dstebz from below the spectrum, with a
+    tolerance wider than that interval, so it bisects nothing) gives them
+    the indices c - m .. c - 1."""
+    d, e = t.diag, t.offdiag
+    lapack = _lapack()
+    m, w, *_ = lapack.dstebz(d, e, 1, sigma - delta, sigma + delta, 0, 0, 0.0, "E")
+    floor = t.gershgorin[0]
+    below = floor - 1.0 - abs(floor)
+    c, *_ = lapack.dstebz(d, e, 1, below, sigma + delta, 0, 0,
+                          2.0 * (sigma + delta - below), "E")
+    j = index - (c - m)
+    return float(w[j]) if 0 <= j < m else None
 
-    1. T - s I is factored once (LAPACK dgttrf), s being near clamped into
-       the Gershgorin interval (t.gershgorin, computed once per matrix),
-       and INVERSE_STEPS inverse-iteration solves (dgttrs) from a fixed
-       start vector give a unit x with Rayleigh quotient sigma. Some
-       eigenvalue then lies within
-       delta = |T x - sigma x| + 8 eps |T|_1 of sigma.
-    2. The Sturm count read off that factorization, and one more at the
-       far end of a window beside s, certify a window that holds the
-       level alone; with sigma +- delta inside it, the Kato-Temple bound
-       fixes the value (_enclosed). Most levels end here, without
+
+def tridiag_levels(t: Tridiag, wanted) -> list[float]:
+    """Eigenvalues of a symmetric tridiagonal matrix, one for each
+    (index, near) pair of wanted, in that order: the eigenvalue of that
+    index (counted from the smallest at 0), looked for near the value near.
+
+    1. For each level, T - s I is factored once (LAPACK dgttrf), s being
+       near clamped into the Gershgorin interval (t.gershgorin, computed
+       once per matrix), and INVERSE_STEPS inverse-iteration solves
+       (dgttrs) from a fixed start vector give a unit x with Rayleigh
+       quotient sigma. Some eigenvalue then lies within
+       delta = |T x - sigma x| + 8 eps |T|_1 of sigma. The factorization
+       also gives the Sturm count at s.
+    2. Those counts, one per level, and the Gershgorin floor and ceiling
+       (counts 0 and n) are the ends from which each level's window is
+       cut: one end at its own shift, the other at the nearest listed
+       shift beyond sigma +- delta whose count leaves the level alone in
+       between. Only a level with no such end pays a factorization of its
+       own there. With sigma +- delta inside the window, the Kato-Temple
+       bound fixes the value (_enclosed). Most levels end here, without
        bisection.
-    3. Otherwise bisection (dstebz, RANGE='V', default tolerance) finds
-       the m eigenvalues in the window (sigma - delta, sigma + delta], and
-       one Sturm count c at sigma + delta (dstebz from below the spectrum,
-       with a tolerance wider than that interval, so it bisects nothing)
-       gives them the indices c - m .. c - 1.
-    4. If index is among them, its eigenvalue is returned; otherwise
-       tridiag_eigenvalues(t, (index, index)) bisects it from the
-       Gershgorin bounds.
+    3. Otherwise bisection (dstebz) of (sigma - delta, sigma + delta] and
+       one Sturm count at its top index the eigenvalues there
+       (_bisected).
+    4. If index is not among them, tridiag_eigenvalues(t, (index, index))
+       bisects it from the Gershgorin bounds.
 
     near only picks where to look: counts fix the index, and the
     Kato-Temple bound or bisection the value, so a poor near costs time
     and never changes the result beyond 8 eps |T|_1. A near-degenerate
     pair inside the window is told apart by the counts. An index outside
-    0..n - 1 raises ValueError. scipy.linalg is imported on the first call
-    that factors a matrix, as in tridiag_eigenvalues.
+    0..n - 1 raises ValueError. The routines come from scipy's LAPACK
+    extension, loaded on the first call that factors a matrix (_lapack).
     """
     n = t.n
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} outside 0..{n - 1}")
+    for index, _ in wanted:
+        if not 0 <= index < n:
+            raise ValueError(f"index {index} outside 0..{n - 1}")
+    if n <= 2:  # scipy's dgttrf wrapper rejects the empty second superdiagonal
+        return [float(tridiag_eigenvalues(t, (index, index))[0]) for index, _ in wanted]
     d, e = t.diag, t.offdiag
-    if n == 1:
-        return float(d[0])
-    if n == 2:  # scipy's dgttrf wrapper rejects the empty second superdiagonal
-        return float(tridiag_eigenvalues(t, (index, index))[0])
     floor, ceiling, norm = t.gershgorin
-    import scipy.linalg
-    lapack = scipy.linalg.lapack
-    shift = min(max(near, floor), ceiling)
-    *lu, info = lapack.dgttrf(e, d - shift, e)
-    if info == 0:
-        x = _start_vector(n)
-        for _ in range(INVERSE_STEPS):
-            x, _ = lapack.dgttrs(*lu, x)
-            x /= np.linalg.norm(x)
-        tx = d * x
-        tx[:-1] += e * x[1:]
-        tx[1:] += e * x[:-1]
-        sigma = float(x @ tx)
-        delta = float(np.linalg.norm(tx - sigma * x)) + 8.0 * np.finfo(float).eps * norm
+    lapack = _lapack()
+    probes = []  # (shift, count, sigma, delta) per level
+    for _, near in wanted:
+        shift = min(max(near, floor), ceiling)
+        *lu, info = lapack.dgttrf(e, d - shift, e)
+        sigma = delta = math.nan
+        if info == 0:
+            x = _start_vector(n)
+            for _ in range(INVERSE_STEPS):
+                x, _ = lapack.dgttrs(*lu, x)
+                x /= np.linalg.norm(x)
+            tx = d * x
+            tx[:-1] += e * x[1:]
+            tx[1:] += e * x[:-1]
+            sigma = float(x @ tx)
+            delta = float(np.linalg.norm(tx - sigma * x)) + 8.0 * np.finfo(float).eps * norm
+        probes.append((shift, _sturm_count(*lu), sigma, delta))
+    ends = [(floor, 0), (ceiling, n)] + [(s, c) for s, c, _, _ in probes if c is not None]
+    out = []
+    for (index, _), (shift, count, sigma, delta) in zip(wanted, probes):
+        level = None
         if math.isfinite(sigma) and math.isfinite(delta):
-            level = _enclosed(t, index, shift, lu, sigma, delta)
-            if level is not None:
-                return level
-            m, w, *_ = lapack.dstebz(d, e, 1, sigma - delta, sigma + delta, 0, 0, 0.0, "E")
-            below = floor - 1.0 - abs(floor)
-            c, *_ = lapack.dstebz(d, e, 1, below, sigma + delta, 0, 0,
-                                  2.0 * (sigma + delta - below), "E")
-            j = index - (c - m)  # the window holds the indices c - m .. c - 1
-            if 0 <= j < m:
-                return float(w[j])
-    return float(tridiag_eigenvalues(t, (index, index))[0])
+            level = _enclosed(t, index, shift, count, sigma, delta, ends)
+            if level is None:
+                level = _bisected(t, index, sigma, delta)
+        if level is None:
+            level = float(tridiag_eigenvalues(t, (index, index))[0])
+        out.append(level)
+    return out
+
+
+def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
+    """Eigenvalue of the given index (counted from the smallest at 0) of a
+    symmetric tridiagonal matrix, looked for near the value near: the
+    one-level call of tridiag_levels, which describes the search. Its
+    window's far end is the Gershgorin floor or ceiling or a factorization
+    of its own."""
+    return tridiag_levels(t, [(index, near)])[0]

@@ -13,6 +13,10 @@ to look for the level: the claim seeds the search, two Sturm counts fix
 the level's index in a window that holds it alone, and the Kato-Temple
 bound fixes its value, with bisection as the fallback. A wrong claim
 therefore costs time and can never change the level it is compared with.
+All levels of one FD matrix are found in one poly.tridiag_levels call, so
+the Sturm count at each claim's shift can end the other levels' windows.
+The LAPACK routines come from scipy's LAPACK extension, loaded on the
+first level found; the scipy.linalg package is never imported.
 
 Where the coordinate map has a turning point x_t inside the certified
 component (parabolic or cosh maps, with no wall at x_t), z(x), the
@@ -52,7 +56,7 @@ from . import bae, potential, prepot
 from .errors import DomainError, GridError
 # tridiag_eigenvalues is bound here, though unused, because the benchmark's
 # tracer (perfbench/tracing.py) wraps verify.tridiag_eigenvalues.
-from .poly import Poly, Tridiag, tridiag_eigenvalue, tridiag_eigenvalues
+from .poly import Poly, Tridiag, tridiag_eigenvalues, tridiag_levels
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
@@ -336,10 +340,14 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     ground level at 0. Returns {index: eigenvalue}. Only these levels are
     computed; an index outside the grid's levels raises ValueError.
 
-    Each level comes from poly.tridiag_eigenvalue: the energy only seeds
-    the search, two Sturm counts fix the index in a window that holds the
-    level alone and the Kato-Temple bound fixes the value (bisection where
-    they do not), so a wrong energy costs time and never moves the level.
+    The levels of each matrix come from one poly.tridiag_levels call: each
+    energy only seeds its level's search, two Sturm counts fix the index in
+    a window that holds the level alone and the Kato-Temple bound fixes the
+    value (bisection where they do not), so a wrong energy costs time and
+    never moves the level. The count that each level's factorization gives
+    at its own shift is shared: it ends another level's window where it
+    leaves that level alone, and only a level that finds no such count
+    factors the matrix a second time for its window's far end.
 
     Second-order stencil with Dirichlet truncation, Richardson-extrapolated:
     the computation repeats on a doubled grid and the O(h^2) error is
@@ -375,7 +383,8 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
                 if r > 0:
                     diag[end] -= r ** nu / g.h ** 2
         t = Tridiag(diag, off)
-        return {k: tridiag_eigenvalue(t, k // step, near) for k, near in levels.items()}
+        return dict(zip(levels, tridiag_levels(t, [(k // step, near)
+                                                    for k, near in levels.items()])))
 
     e1 = _levels(grid)
     if grid.mirror is None:

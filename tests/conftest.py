@@ -31,16 +31,32 @@ def fd_spectrum_grids(monkeypatch):
 
 @pytest.fixture
 def fd_levels(monkeypatch):
-    """(matrix, index, level) of every verify.tridiag_eigenvalue call made
-    through the module, in call order."""
+    """(matrix, index, level) of every level computed by a
+    verify.tridiag_levels call made through the module, in call order."""
     from qesf import verify
     levels = []
-    real = verify.tridiag_eigenvalue
+    real = verify.tridiag_levels
 
-    def recorded(t, index, near):
-        out = real(t, index, near)
-        levels.append((t, index, out))
+    def recorded(t, wanted):
+        out = real(t, wanted)
+        levels.extend((t, index, level) for (index, _), level in zip(wanted, out))
         return out
 
-    monkeypatch.setattr(verify, "tridiag_eigenvalue", recorded)
+    monkeypatch.setattr(verify, "tridiag_levels", recorded)
     return levels
+
+
+@pytest.fixture
+def bisections(monkeypatch):
+    """Name of every bisecting call, in call order: dstebz of scipy's LAPACK
+    extension, the object poly calls it through, and poly's Gershgorin
+    bisection tridiag_eigenvalues."""
+    from qesf import poly
+    calls = []
+    for module, attr in ((poly._lapack(), "dstebz"), (poly, "tridiag_eigenvalues")):
+        def call(*args, _real=getattr(module, attr), _attr=attr):
+            calls.append(_attr)
+            return _real(*args)
+
+        monkeypatch.setattr(module, attr, call)
+    return calls

@@ -1,14 +1,19 @@
-"""Cold start: qesf loads scipy only for verify's FD level finder.
+"""Cold start: qesf loads scipy only for verify's FD level finder, and
+then only scipy's LAPACK extension, scipy.linalg._flapack: the
+scipy.linalg package is never imported.
 
 Each check runs in a fresh interpreter, because this process may already
 have scipy loaded. Setting sys.modules["scipy"] = None before qesf is
-imported makes any import of scipy raise ImportError."""
+imported makes any import of scipy raise ImportError, and
+sys.modules["scipy.linalg"] = None any import of scipy.linalg."""
 
 import contextlib
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from qesf import catalog, cli
 
@@ -58,18 +63,41 @@ def test_commands_without_an_eigenproblem_run_without_scipy(tmp_path):
         assert (tmp_path / f"{name}-N{N}.blocked.csv").read_bytes() == out.read_bytes(), name
 
 
-def test_eigenproblems_load_scipy_linalg(tmp_path):
-    # solve: numpy's eigenproblems only; verify: scipy's FD level finder
-    config, roots = _config(tmp_path, "sextic", 2), str(tmp_path / "sextic.csv")
-    done = _python("import sys\nfrom qesf.cli import main\n"
-                   f"assert main(['solve', {config!r}, '--out', {roots!r}]) == 0\n"
-                   "assert 'scipy.linalg' not in sys.modules\n"
-                   f"assert main(['verify', {config!r}, {roots!r}]) == 0\n"
-                   "assert 'scipy.linalg' in sys.modules\n", tmp_path)
-    assert done.returncode == 0, done.stderr
-    # k = 2 solve: the Delta-operator eigenproblem is numpy's too
-    config = _config(tmp_path, "sextic-type2", 2)
-    done = _python("import sys\nfrom qesf.cli import main\n"
-                   f"assert main(['solve', {config!r}]) == 0\n"
-                   "assert 'scipy.linalg' not in sys.modules\n", tmp_path)
+def test_eigenproblems_never_load_scipy_linalg(tmp_path):
+    # solve: numpy's eigenproblems only; verify: scipy's LAPACK extension
+    # alone, for a half-line mirror grid (sextic), two walls with ghost-point
+    # rows (trig-interval) and a k = 2 model's per-branch potentials
+    for name in ("sextic", "trig-interval", "sextic-type2"):
+        config = _config(tmp_path, name, 2)
+        roots, report = str(tmp_path / f"{name}.csv"), tmp_path / f"{name}.json"
+        solve = f"assert main(['solve', {config!r}, '--out', {roots!r}]) == 0\n"
+        verify = (f"assert main(['verify', {config!r}, {roots!r}, '--json-out', "
+                  f"{str(report)!r}]) == 0\n")
+        done = _python("import sys\nfrom qesf.cli import main\n" + solve
+                       + "assert 'scipy.linalg' not in sys.modules\n" + verify
+                       + "assert 'scipy.linalg._flapack' in sys.modules\n"
+                       "assert 'scipy.linalg' not in sys.modules\n", tmp_path)
+        assert done.returncode == 0, (name, done.stderr)
+        assert all(rep["spectrum_matches"] for rep in json.loads(report.read_text()).values())
+        unblocked = report.read_bytes()
+        report.unlink()
+        done = _python('import sys; sys.modules["scipy.linalg"] = None\n'
+                       "from qesf.cli import main\n" + verify, tmp_path)
+        assert done.returncode == 0, (name, done.stderr)
+        assert report.read_bytes() == unblocked, name
+
+
+LOAD_ORDERS = {
+    "extension first": "lapack = poly._lapack()\nimport scipy.linalg\n",
+    "package first": "import scipy.linalg\nlapack = poly._lapack()\n",
+}
+
+
+@pytest.mark.parametrize("order", LOAD_ORDERS)
+def test_the_extension_is_one_copy_in_either_load_order(tmp_path, order):
+    # scipy.linalg.lapack and poly call the same routines whichever loads first
+    done = _python("import sys\nfrom qesf import poly\n" + LOAD_ORDERS[order]
+                   + "assert sys.modules['scipy.linalg._flapack'] is lapack\n"
+                   "assert scipy.linalg.lapack.dgttrf is lapack.dgttrf\n"
+                   "assert scipy.linalg.lapack.dstebz is lapack.dstebz\n", tmp_path)
     assert done.returncode == 0, done.stderr

@@ -203,6 +203,29 @@ def test_tridiag_eigenvalue_is_the_bisection_level_from_any_near(t, data):
     assert max(got) - min(got) <= tol
 
 
+@settings(derandomize=True, deadline=None)
+@given(fd_matrices(), st.data())
+def test_tridiag_levels_share_counts_and_keep_each_level(t, data):
+    # several levels of one matrix in one call: each level's Sturm count at
+    # its own shift may end another level's window, and every level is
+    # still the bisection level of its index, whatever the nears, a
+    # neighbour's level or a doublet partner among them
+    spectrum = tridiag_eigenvalues(t)
+    tol = 8.0 * np.finfo(float).eps * norm1(t)
+    span = spectrum[-1] - spectrum[0] + 1.0
+    indices = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=8))
+    wanted = []
+    for k in indices:
+        j = data.draw(st.sampled_from([i for i in (k - 1, k, k + 1) if 0 <= i < t.n]))
+        wanted.append((k, data.draw(st.sampled_from(
+            [spectrum[k], 0.5 * (spectrum[k] + spectrum[j]), spectrum[j],
+             spectrum[0] - span, spectrum[-1] + span]))))
+    got = poly.tridiag_levels(t, wanted)
+    for (k, near), level in zip(wanted, got):
+        want = tridiag_eigenvalues(t, (k, k))[0]
+        assert abs(level - want) <= tol, (k, near, level, want)
+
+
 @st.composite
 def random_tridiagonals(draw):
     """Symmetric tridiagonals with normal entries, off-diagonals of either
@@ -212,6 +235,29 @@ def random_tridiagonals(draw):
     d = rng.normal(size=n) * draw(st.sampled_from((0.01, 1.0, 100.0, 1e4)))
     e = rng.normal(size=n - 1) * draw(st.sampled_from((0.01, 1.0, 100.0)))
     return Tridiag(d, e)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(random_tridiagonals(), fd_matrices()), st.data())
+def test_tridiag_eigenvalues_are_the_bits_of_eigh_tridiagonal(t, data):
+    # poly calls scipy's LAPACK extension with the arguments
+    # eigh_tridiagonal passes it: the full spectrum (dstevd) and an index
+    # range (dstebz) come out bit for bit
+    lo = data.draw(st.integers(0, t.n - 1))
+    hi = data.draw(st.integers(lo, t.n - 1))
+    for index_range, kwargs in ((None, {}), ((lo, hi), {"select": "i",
+                                                         "select_range": (lo, hi)})):
+        want = np.sort(scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
+                                                     **kwargs))
+        assert tridiag_eigenvalues(t, index_range).tobytes() == want.tobytes(), index_range
+
+
+def test_tridiag_eigenvalues_reject_non_finite_entries():
+    for d, e in (([1.0, np.nan, 2.0], [0.5, 0.5]), ([1.0, 2.0, 3.0], [np.inf, 0.5])):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tridiag_eigenvalues(Tridiag(np.array(d), np.array(e)))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            scipy.linalg.eigh_tridiagonal(np.array(d), np.array(e), eigvals_only=True)
 
 
 def _dstebz_count(t, s):
@@ -288,6 +334,19 @@ def test_a_doublet_partner_in_the_window_never_stands_in_for_the_level(k):
                  np.nextafter(want, -np.inf)):
         got = tridiag_eigenvalue(t, k, near)
         assert abs(got - want) <= tol, (near, got, want, partner)
+
+
+def test_the_bisection_hook_sees_a_doublet_partner_in_the_window(bisections):
+    # positive control of the `bisections` hook that test_verify's
+    # no-bisection tests read: on the doublet matrices above, a claim at
+    # the partner leaves each level to dstebz, and the hook records it
+    t = _double_well(200.0)
+    spectrum = tridiag_eigenvalues(t, (0, 5))
+    bisections.clear()
+    for k in range(4):
+        tridiag_eigenvalue(t, k, spectrum[k ^ 1])
+        assert "dstebz" in bisections, k
+        bisections.clear()
 
 
 def test_tridiag_eigenvalue_index_bounds_and_one_row():

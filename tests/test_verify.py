@@ -788,29 +788,51 @@ def test_sextic_levels_need_no_gershgorin_bisection(monkeypatch, config):
 
 
 @pytest.mark.parametrize("name,N", [("sextic", 16), ("trig-interval", 8)])
-def test_catalog_levels_certify_without_bisection(monkeypatch, fd_levels, name, N):
+def test_catalog_levels_certify_without_bisection(bisections, fd_levels, name, N):
     # at catalog defaults each claim's window holds its level alone and the
     # Kato-Temple bound fixes the value, so no level reaches dstebz, neither
-    # in poly.tridiag_eigenvalue's fallback window nor through poly's
-    # tridiag_eigenvalues
-    import scipy.linalg
-    calls = []
-
-    def recorded(module, attr):
-        real = getattr(module, attr)
-
-        def call(*args):
-            calls.append(attr)
-            return real(*args)
-        monkeypatch.setattr(module, attr, call)
-
-    recorded(scipy.linalg.lapack, "dstebz")
-    recorded(poly, "tridiag_eigenvalues")
+    # in poly's fallback window nor through poly's tridiag_eigenvalues
+    # (test_poly's doublet matrices show that the hook sees those calls)
     spec = catalog.instantiate(name, N=N)
     reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
     assert len(reports) == N + 1 and all(rep.verdict for rep in reports)
     assert len(fd_levels) == 2 * (N + 1)  # every level, on both Richardson grids
-    assert calls == []
+    assert bisections == []
+
+
+@pytest.mark.parametrize("params,N,partner_gap", [
+    ({"a": 0.986243, "b": -3.006455}, 1, 0.0016),  # level 1 at E = -6.01
+    ({"a": 0.969061, "b": -3.034484}, 2, 0.036),   # level 2 at E = -5.34
+])
+def test_a_doublet_partner_below_the_far_end_does_not_force_bisection(
+        monkeypatch, fd_levels, params, N, partner_gap):
+    # in these type-2 double wells a doublet partner lies below a claimed
+    # level, inside the first far-end window of WINDOW max(1, |s|) beside
+    # the claim, so that window counts two levels; the far end is then cut
+    # again 2 |sigma - s| + 2 delta from s, beyond the level and short of
+    # its partner, and no level bisects its whole (sigma - delta, sigma +
+    # delta] window
+    windows = []
+    real = poly._bisected
+
+    def bisected(t, index, sigma, delta):
+        windows.append((t.n, index))
+        return real(t, index, sigma, delta)
+
+    monkeypatch.setattr(poly, "_bisected", bisected)
+    spec = catalog.instantiate("sextic-type2", N=N, **params)
+    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    assert reports and all(rep.verdict for rep in reports)
+    assert windows == []
+    partnered = 0
+    for t, k, level in fd_levels:
+        tol = 8.0 * np.finfo(float).eps * norm1(t)
+        assert abs(level - tridiag_eigenvalues(t, (k, k))[0]) <= tol, (t.n, k)
+        if k > 0:
+            gap = level - tridiag_eigenvalues(t, (k - 1, k - 1))[0]
+            partnered += abs(gap - partner_gap) < 0.2 * partner_gap
+            assert gap > 0.0
+    assert partnered >= 2  # the doublet level, on both Richardson grids
 
 
 def test_a_mirror_grid_holds_only_the_even_levels():
