@@ -10,10 +10,12 @@ or a catalog reference:
 
     {"catalog": "sextic", "params": {"a": 1.0, "b": 0.0}, "N": 2}
 
+A config is one schema or the other: a catalog config takes catalog,
+params, N and branch, an explicit one Q, P, singularities, N and branch.
 Every command builds the model once (prepot.integrate_w0: coordinate map,
 W0, V0 and walls) right after reading the config; a config whose model
 cannot be built is invalid input, and so is a config with a key outside
-these.
+its schema, and a file that cannot be read or written.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
 A --grid-points below verify.MIN_GRID_POINTS or a --tol that is not finite
@@ -42,7 +44,8 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 EXIT_INPUT = 4
 
-CONFIG_KEYS = ("catalog", "params", "N", "branch", "Q", "P", "singularities")
+CATALOG_KEYS = ("catalog", "params", "N", "branch")
+MODEL_KEYS = ("Q", "P", "singularities", "N", "branch")
 SINGULARITY_KEYS = ("a", "mu")
 
 
@@ -54,8 +57,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ModelError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ModelError(f"cannot read config {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ModelError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
@@ -88,7 +91,7 @@ def spec_from_config(cfg: dict) -> ModelSpec:
     where the model is built, in prepot.integrate_w0."""
     if not isinstance(cfg, dict):
         raise ModelError("config must be a JSON object")
-    _known_keys(cfg, CONFIG_KEYS, "")
+    _known_keys(cfg, CATALOG_KEYS if "catalog" in cfg else MODEL_KEYS, "")
     branch = cfg.get("branch")
     if branch is not None and (isinstance(branch, bool) or branch not in (1, -1)):
         raise ModelError('config key "branch" must be +1 or -1')
@@ -174,19 +177,26 @@ def cmd_solve(args) -> int:
             out_lines.append(f"{bid},{k},{'' if zk is None else _fmt(zk)},{tail}")
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"{len(branches)} branch(es) -> {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc.strerror}")
+
+
 def _read_roots_csv(path: str) -> dict[int, list[float]]:
     try:
         fh = open(path, newline="")
-    except FileNotFoundError:
-        raise ModelError(f"roots file not found: {path}")
+    except OSError as exc:
+        raise ModelError(f"cannot read roots file {path}: {exc.strerror}")
     with fh:
         reader = csv.DictReader(fh)
         need = {"branch_id", "k", "z_k"}
@@ -245,8 +255,7 @@ def cmd_verify(args) -> int:
     payload = json.dumps({str(b): r.as_dict() for b, r in reports.items()},
                          indent=2, sort_keys=True)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(payload + "\n")
+        _write(args.json_out, payload + "\n")
         print(f"report -> {args.json_out}")
     else:
         print(payload)

@@ -15,11 +15,10 @@ z = c sinh(w x) - q1/(2 q2), z = S - R cos(w x)). branch_sign picks the
 monotone branch used by the inverse map (and, for exponential maps, the
 growing vs. decaying solution).
 
-The inverse map has one set of per-family formulas (_inverse). x_of_z
-applies them on the declared branch and raises DomainError where z has
-no x there; preimages applies them on the declared branch and on the
-mirror one (the other branch_sign) at once, with nan where z has no x,
-which is what the walls, the grids and the normalizability windows read.
+The inverse map is preimages: one set of per-family formulas (_inverse)
+applied on the declared branch and on the mirror one (the other
+branch_sign) at once, with nan where z has no x. The walls, the grids and
+the normalizability windows all read it.
 """
 
 from __future__ import annotations
@@ -105,19 +104,6 @@ class CoordinateMap:
             raise ValueError(f"unknown family {f}")
         return out[()].item() if out.shape == () else out
 
-    def x_of_z(self, z):
-        """Inverse on the declared monotone branch."""
-        lo, hi = self.z_image
-        tol = self.z_tol
-        za = np.asarray(z, dtype=float)
-        if np.any(za < lo - tol) or np.any(za > hi + tol):
-            raise DomainError(f"z outside branch image {self.z_image}")
-        za = np.clip(za, lo, hi)
-        out = self._inverse(za, self.branch_sign)
-        if np.any(np.isnan(out) & ~np.isnan(za)):  # an exponential map's image end
-            raise DomainError("z outside exponential branch image")
-        return out[()].item() if out.shape == () else out
-
     def preimages(self, z) -> np.ndarray:
         """x of z on the declared branch and on the mirror one (the other
         branch_sign), shape (2,) + z.shape. The two rows differ only where
@@ -132,8 +118,8 @@ class CoordinateMap:
 
     def _inverse(self, za: np.ndarray, s: int) -> np.ndarray:
         """x of z on the branch of sign s, for z inside z_image: the
-        per-family formulas of x_of_z and preimages. nan at an exponential
-        map's image end, where x is infinite."""
+        per-family formulas of preimages. nan at an exponential map's
+        image end, where x is infinite."""
         p = self.params
         f = self.family
         if f == LINEAR:

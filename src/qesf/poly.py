@@ -21,7 +21,6 @@ from .errors import ConvergenceError
 
 TRIM_TOL = 1e-14  # relative: to the largest finite |coefficient|
 INVERSE_STEPS = 3  # inverse-iteration solves per level of tridiag_levels
-WINDOW = 1e-2  # least width of _enclosed's window, relative to max(1, |shift|)
 
 
 def _trim(coeffs) -> tuple[float, ...]:
@@ -190,7 +189,7 @@ _FLAPACK = "scipy.linalg._flapack"
 
 def _lapack():
     """scipy's LAPACK extension module, scipy.linalg._flapack, the one
-    source of the LAPACK routines below (dgttrf, dgttrs, dstebz, dstevd).
+    source of the LAPACK routines below (dgttrf, dgttrs, dstebz).
 
     It is loaded on first use straight from its file in scipy's package
     directory (importlib's ExtensionFileLoader), without running
@@ -216,42 +215,32 @@ def _lapack():
     return module
 
 
-def tridiag_eigenvalues(t: Tridiag,
-                        index_range: tuple[int, int] | None = None) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix, ascending.
-
-    With index_range = (lo, hi) given, only the eigenvalues of indices lo
-    through hi (inclusive, counted from the smallest at 0) are computed by
-    bisection (LAPACK dstebz), at a cost proportional to hi - lo + 1
-    (cheaper for large FD grids); without it, all of them by divide and
-    conquer (dstevd). Both get the arguments scipy.linalg.eigh_tridiagonal
-    passes, so the bits are that function's, and are deterministic for
-    fixed input. The routines come from scipy's LAPACK extension, loaded on
-    the first call that reaches it (_lapack); the scipy.linalg package is
-    never imported. Non-finite entries raise ValueError, and a LAPACK
-    failure ConvergenceError.
+def tridiag_eigenvalues(t: Tridiag, index_range: tuple[int, int]) -> np.ndarray:
+    """Eigenvalues lo through hi of a symmetric tridiagonal matrix,
+    ascending, for index_range = (lo, hi): indices inclusive, counted from
+    the smallest at 0. They come from bisection (LAPACK dstebz) at a cost
+    proportional to hi - lo + 1, with the arguments
+    scipy.linalg.eigh_tridiagonal passes, so the bits are that function's,
+    and are deterministic for fixed input. The routine comes from scipy's
+    LAPACK extension, loaded on the first call that reaches it (_lapack);
+    the scipy.linalg package is never imported. Non-finite entries raise
+    ValueError, and a LAPACK failure ConvergenceError.
     """
     n = t.n
     if n < 1:
         raise ValueError("empty matrix")
-    if index_range is not None:
-        lo, hi = index_range
-        if not 0 <= lo <= hi < n:
-            raise ValueError(f"index range {index_range} outside 0..{n - 1}")
+    lo, hi = index_range
+    if not 0 <= lo <= hi < n:
+        raise ValueError(f"index range {index_range} outside 0..{n - 1}")
     if n == 1:
         return t.diag.copy()
     d, e = t.diag, t.offdiag
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("array must not contain infs or NaNs")
-    lapack = _lapack()
-    if index_range is None:
-        w, _, info = lapack.dstevd(d, e, compute_v=0)
-    else:
-        m, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
-        w = w[:m]
+    m, w, _, _, info = _lapack().dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
     if info != 0:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"tridiagonal eigensolver failed (LAPACK info {info})")
-    return np.sort(w)
+    return w[:m]
 
 
 @functools.lru_cache(maxsize=8)
@@ -303,10 +292,9 @@ def _enclosed(t: Tridiag, index: int, shift: float, count: int | None, sigma: fl
     the level, index + 1 above it) leaves the level alone between the two,
     so the window holds that eigenvalue and no other. The far end is the
     nearest of ends, (shift, count) pairs already known, beyond
-    sigma +- delta with that count. Without one, one more factorization
-    counts at WINDOW max(1, |shift|) or 2 |sigma - shift| from shift,
-    whichever is further; when that finds a second level, a doublet partner
-    say, once more at 2 |sigma - shift| + 2 delta, if that is nearer. With
+    sigma +- delta with that count; without one, one more factorization
+    counts at 2 |sigma - shift| + 2 delta from shift, just beyond the
+    level and short of a doublet partner further out. With
     (sigma - delta, sigma + delta) strictly inside (a, b), x is not a
     neighbour's vector, and Kato-Temple puts the eigenvalue in
     [sigma - delta^2 / (b - sigma), sigma + delta^2 / (sigma - a)]. sigma
@@ -327,17 +315,9 @@ def _enclosed(t: Tridiag, index: int, shift: float, count: int | None, sigma: fl
     listed = [s for s, c in ends if c == inside and side * (s - sigma) > delta]
     if listed:
         far = min(listed, key=lambda s: side * s)
-    else:
-        far = None
-        wide = max(WINDOW * max(1.0, abs(shift)), 2.0 * abs(sigma - shift))
-        narrow = 2.0 * abs(sigma - shift) + 2.0 * delta
-        for width in (wide, narrow) if narrow < wide else (wide,):
-            end = shift + side * width
-            if (side * (end - sigma) > delta
-                    and _sturm_count(*lapack.dgttrf(e, d - end, e)[:-1]) == inside):
-                far = end
-                break
-        if far is None:
+    else:  # |sigma - shift| + 2 delta beyond sigma
+        far = shift + side * (2.0 * abs(sigma - shift) + 2.0 * delta)
+        if _sturm_count(*lapack.dgttrf(e, d - far, e)[:-1]) != inside:
             return None
     a, b = sorted((shift, far))
     # delta < b - sigma and delta < sigma - a: no product overflows
@@ -346,24 +326,6 @@ def _enclosed(t: Tridiag, index: int, shift: float, count: int | None, sigma: fl
         return sigma
     m, w, *_ = lapack.dstebz(d, e, 1, lo, hi, 0, 0, 0.0, "E")
     return float(w[0]) if m == 1 else None
-
-
-def _bisected(t: Tridiag, index: int, sigma: float, delta: float) -> float | None:
-    """Eigenvalue of the given index by bisection (dstebz, RANGE='V',
-    default tolerance) of the window (sigma - delta, sigma + delta], or
-    None when the level is not among the m eigenvalues there. One Sturm
-    count c at sigma + delta (dstebz from below the spectrum, with a
-    tolerance wider than that interval, so it bisects nothing) gives them
-    the indices c - m .. c - 1."""
-    d, e = t.diag, t.offdiag
-    lapack = _lapack()
-    m, w, *_ = lapack.dstebz(d, e, 1, sigma - delta, sigma + delta, 0, 0, 0.0, "E")
-    floor = t.gershgorin[0]
-    below = floor - 1.0 - abs(floor)
-    c, *_ = lapack.dstebz(d, e, 1, below, sigma + delta, 0, 0,
-                          2.0 * (sigma + delta - below), "E")
-    j = index - (c - m)
-    return float(w[j]) if 0 <= j < m else None
 
 
 def tridiag_levels(t: Tridiag, wanted) -> list[float]:
@@ -383,14 +345,10 @@ def tridiag_levels(t: Tridiag, wanted) -> list[float]:
        cut: one end at its own shift, the other at the nearest listed
        shift beyond sigma +- delta whose count leaves the level alone in
        between. Only a level with no such end pays a factorization of its
-       own there. With sigma +- delta inside the window, the Kato-Temple
-       bound fixes the value (_enclosed). Most levels end here, without
-       bisection.
-    3. Otherwise bisection (dstebz) of (sigma - delta, sigma + delta] and
-       one Sturm count at its top index the eigenvalues there
-       (_bisected).
-    4. If index is not among them, tridiag_eigenvalues(t, (index, index))
-       bisects it from the Gershgorin bounds.
+       own, just beyond sigma. With sigma +- delta inside the window, the
+       Kato-Temple bound fixes the value (_enclosed).
+    3. Otherwise tridiag_eigenvalues(t, (index, index)) bisects the level
+       from the Gershgorin bounds.
 
     near only picks where to look: counts fix the index, and the
     Kato-Temple bound or bisection the value, so a poor near costs time
@@ -427,21 +385,6 @@ def tridiag_levels(t: Tridiag, wanted) -> list[float]:
     ends = [(floor, 0), (ceiling, n)] + [(s, c) for s, c, _, _ in probes if c is not None]
     out = []
     for (index, _), (shift, count, sigma, delta) in zip(wanted, probes):
-        level = None
-        if math.isfinite(sigma) and math.isfinite(delta):
-            level = _enclosed(t, index, shift, count, sigma, delta, ends)
-            if level is None:
-                level = _bisected(t, index, sigma, delta)
-        if level is None:
-            level = float(tridiag_eigenvalues(t, (index, index))[0])
-        out.append(level)
+        level = _enclosed(t, index, shift, count, sigma, delta, ends)
+        out.append(float(tridiag_eigenvalues(t, (index, index))[0]) if level is None else level)
     return out
-
-
-def tridiag_eigenvalue(t: Tridiag, index: int, near: float) -> float:
-    """Eigenvalue of the given index (counted from the smallest at 0) of a
-    symmetric tridiagonal matrix, looked for near the value near: the
-    one-level call of tridiag_levels, which describes the search. Its
-    window's far end is the Gershgorin floor or ceiling or a factorization
-    of its own."""
-    return tridiag_levels(t, [(index, near)])[0]

@@ -60,3 +60,21 @@ def bisections(monkeypatch):
 
         monkeypatch.setattr(module, attr, call)
     return calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Order n of every dgttrf call of scipy's LAPACK extension, the LU
+    factorization of T - s I that poly reads a Sturm count from, in call
+    order."""
+    from qesf import poly
+    lapack = poly._lapack()
+    calls = []
+    real = lapack.dgttrf
+
+    def factor(dl, d, du, *args):
+        calls.append(len(d))
+        return real(dl, d, du, *args)
+
+    monkeypatch.setattr(lapack, "dgttrf", factor)
+    return calls

@@ -28,7 +28,6 @@ which peaks finds with numpy's polynomial products and np.roots.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -38,7 +37,7 @@ from qesf.bae import COLLISION_TOL, ENERGY_TIE_ULPS, MAX_ITER, POLISH_ITER, Beth
 from qesf.errors import CollisionError, ConvergenceError
 from qesf.model import ModelSpec, is_turning_point
 from qesf.potential import PFE, RESIDUE_TOL, BoundaryPole, PotentialProfile
-from qesf.poly import Poly, Tridiag, tridiag_eigenvalues
+from qesf.poly import Poly, Tridiag
 from qesf.verify import MAX_WINDOWS, SIMPSON_POINTS
 
 
@@ -181,7 +180,7 @@ def hermite_zeros(n: int) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
     off = np.sqrt(np.arange(1, n) / 2.0)
-    w = tridiag_eigenvalues(Tridiag(np.zeros(n), off))
+    w = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     return (w - w[::-1]) / 2.0
 
 
@@ -200,7 +199,7 @@ def laguerre_zeros(n: int, beta: float) -> np.ndarray:
     ks = np.arange(n, dtype=float)
     diag = 2.0 * ks + beta + 1.0
     off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + beta))
-    return tridiag_eigenvalues(Tridiag(diag, off))
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def sturm_count(t: Tridiag, x: float) -> int:
@@ -538,8 +537,7 @@ def normalizability_check(pre, branch, component) -> tuple:
     cmap = pre.cmap
     z_lo, z_hi = cmap.z_image
     inside = np.concatenate((roots[(roots > z_lo) & (roots < z_hi)], peaks(pre, roots)))
-    xr = [x for m in (cmap, replace(cmap, branch_sign=-cmap.branch_sign))
-          for x in np.atleast_1d(m.x_of_z(inside)) if a < x < b]
+    xr = [x for x in cmap.preimages(inside).ravel() if a < x < b]
     bulk = {-1: min(xr, default=math.inf), +1: max(xr, default=-math.inf)}
     if math.isfinite(a) and math.isfinite(b):
         core = a + (b - a) / 4, b - (b - a) / 4

@@ -381,7 +381,14 @@ def test_an_unbuildable_model_exits_4_from_every_command(tmp_path, payload, mess
     ({"catalog": "sextic", "N": 1, "param": {"a": 2.0}}, "param"),
     ({"Q": [0, 4], "P": [0, 0, 2], "singularities": [{"a": 1, "mu": 0.3, "nu": 1}],
       "N": 1}, "singularities[0].nu"),
-], ids=["misspelt-singularities", "anchor", "misspelt-params", "singularity-key"])
+    # a key of the other schema: a catalog config would drop the wall or
+    # the polynomials, and an explicit one the parameters
+    ({"catalog": "sextic", "singularities": [{"a": 0, "mu": 0.3}], "N": 1},
+     "singularities"),
+    ({"catalog": "sextic", "Q": [1], "P": [0, 1]}, "Q"),
+    ({"Q": [1], "P": [0, 1], "params": {"a": 2.0}, "N": 1}, "params"),
+], ids=["misspelt-singularities", "anchor", "misspelt-params", "singularity-key",
+        "catalog-with-singularities", "catalog-with-polynomials", "explicit-with-params"])
 def test_an_unknown_config_key_exits_4_from_every_command(tmp_path, payload, key):
     cfg = write_config(tmp_path, "k.json", payload)
     roots = tmp_path / "roots.csv"
@@ -391,6 +398,29 @@ def test_an_unknown_config_key_exits_4_from_every_command(tmp_path, payload, key
         code, out, err = run_cli(argv)
         assert code == 4 and out == "", (argv, out, err)
         assert f'unknown config key "{key}"' in err, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{cfg}", "--out", "{missing}/x.csv"],
+    ["verify", "{cfg}", "{roots}", "--json-out", "{missing}/r.json"],
+    ["classify", "{dir}"],
+    ["solve", "{dir}"],
+    ["verify", "{dir}", "{roots}"],
+    ["derive", "{dir}"],
+    ["verify", "{cfg}", "{dir}"],
+], ids=["solve-out", "verify-json-out", "classify-config-dir", "solve-config-dir",
+        "verify-config-dir", "derive-config-dir", "verify-roots-dir"])
+def test_a_path_that_cannot_be_read_or_written_exits_4(tmp_path, argv):
+    cfg = write_config(tmp_path, "h.json", HARMONIC)
+    roots = tmp_path / "roots.csv"
+    code, _, _ = run_cli(["solve", cfg, "--out", str(roots)])
+    assert code == 0
+    paths = {"cfg": cfg, "roots": str(roots), "missing": str(tmp_path / "missing"),
+             "dir": str(tmp_path)}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
+    assert code == 4, (code, out, err)
+    assert err.startswith("error: cannot ") and err.count("\n") == 1, err
+    assert "report ->" not in out and "branch(es) ->" not in out
 
 
 def test_a_sinh_model_in_the_pole_basis_is_certified(tmp_path):

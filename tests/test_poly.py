@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qesf import poly
-from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalue, tridiag_eigenvalues
+from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalues, tridiag_levels
 
 from oracles import hermite_zeros, laguerre_zeros, norm1, sturm_count
 
@@ -89,24 +89,30 @@ def test_poly_algebra_and_division():
 
 
 def test_tridiag_examples():
-    assert np.allclose(tridiag_eigenvalues(Tridiag((0.0,), ())), [0.0])
-    w = tridiag_eigenvalues(Tridiag((0.0, 0.0), (1.0,)))
+    assert np.allclose(tridiag_eigenvalues(Tridiag((0.0,), ()), (0, 0)), [0.0])
+    w = tridiag_eigenvalues(Tridiag((0.0, 0.0), (1.0,)), (0, 1))
     assert np.allclose(w, [-1.0, 1.0])
     # Jacobi matrix of monic Hermite, n=2: eigenvalues +-1/sqrt(2)
-    w = tridiag_eigenvalues(Tridiag((0.0, 0.0), (np.sqrt(0.5),)))
+    w = tridiag_eigenvalues(Tridiag((0.0, 0.0), (np.sqrt(0.5),)), (0, 1))
     assert np.allclose(w, [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
     t = Tridiag(np.zeros(2), np.array([np.sqrt(0.5)]))
     assert t.n == 2 and t.diag.dtype == np.float64
-    assert np.array_equal(tridiag_eigenvalues(t), w)
+    assert np.array_equal(tridiag_eigenvalues(t, (0, 1)), w)
     with pytest.raises(ValueError, match="n-1 entries"):
         Tridiag(np.zeros(3), np.ones(3))
+
+
+def _dense_spectrum(t):
+    """Every eigenvalue of t, ascending, from numpy's dense symmetric
+    eigensolver: a reference independent of LAPACK's tridiagonal routines."""
+    return np.linalg.eigvalsh(np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1))
 
 
 def test_tridiag_lowest_k():
     rng = np.random.default_rng(3)
     d = rng.normal(size=30)
     e = rng.normal(size=29)
-    full = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)))
+    full = _dense_spectrum(Tridiag(d, e))
     low = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)), (0, 4))
     assert np.allclose(full[:5], low, atol=1e-12)
 
@@ -117,7 +123,7 @@ def test_tridiag_index_range_is_a_slice_of_the_spectrum():
     x = np.arange(-5.0, 5.0, h)
     t = Tridiag(2.0 / h ** 2 + x ** 2 + np.sin(3 * x), np.full(len(x) - 1, -1.0 / h ** 2))
     scale = np.max(np.abs(t.diag)) + 2.0 / h ** 2
-    full = tridiag_eigenvalues(t)
+    full = _dense_spectrum(t)
     for lo, hi in ((0, 0), (3, 3), (2, 9), (0, 27), (len(x) - 2, len(x) - 1)):
         got = tridiag_eigenvalues(t, (lo, hi))
         assert len(got) == hi - lo + 1
@@ -156,7 +162,7 @@ def test_tridiag_matches_sturm_bisection():
     for n in (3, 10, 25, 50):
         d = rng.normal(size=n) * 3
         e = rng.normal(size=n - 1)
-        got = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)))
+        got = tridiag_eigenvalues(Tridiag(tuple(d), tuple(e)), (0, n - 1))
         want = _sturm_eigenvalues(d, e)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -188,7 +194,7 @@ def fd_matrices(draw):
 @given(fd_matrices(), st.data())
 def test_tridiag_eigenvalue_is_the_bisection_level_from_any_near(t, data):
     k = data.draw(st.integers(0, t.n - 1))
-    spectrum = tridiag_eigenvalues(t)
+    spectrum = tridiag_eigenvalues(t, (0, t.n - 1))
     want = tridiag_eigenvalues(t, (k, k))[0]
     tol = 8.0 * np.finfo(float).eps * norm1(t)
     # the level itself, midway to its nearer neighbour (a doublet partner
@@ -198,7 +204,7 @@ def test_tridiag_eigenvalue_is_the_bisection_level_from_any_near(t, data):
     span = spectrum[-1] - spectrum[0] + 1.0
     nears = [want, 0.5 * (want + partner), spectrum[0] - 10.0 * span,
              spectrum[-1] + 10.0 * span, 1e300, -1e300]
-    got = [tridiag_eigenvalue(t, k, near) for near in nears]
+    got = [tridiag_levels(t, [(k, near)])[0] for near in nears]
     assert max(abs(v - want) for v in got) <= tol, (k, got, want)
     assert max(got) - min(got) <= tol
 
@@ -210,7 +216,7 @@ def test_tridiag_levels_share_counts_and_keep_each_level(t, data):
     # its own shift may end another level's window, and every level is
     # still the bisection level of its index, whatever the nears, a
     # neighbour's level or a doublet partner among them
-    spectrum = tridiag_eigenvalues(t)
+    spectrum = tridiag_eigenvalues(t, (0, t.n - 1))
     tol = 8.0 * np.finfo(float).eps * norm1(t)
     span = spectrum[-1] - spectrum[0] + 1.0
     indices = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=8))
@@ -220,7 +226,7 @@ def test_tridiag_levels_share_counts_and_keep_each_level(t, data):
         wanted.append((k, data.draw(st.sampled_from(
             [spectrum[k], 0.5 * (spectrum[k] + spectrum[j]), spectrum[j],
              spectrum[0] - span, spectrum[-1] + span]))))
-    got = poly.tridiag_levels(t, wanted)
+    got = tridiag_levels(t, wanted)
     for (k, near), level in zip(wanted, got):
         want = tridiag_eigenvalues(t, (k, k))[0]
         assert abs(level - want) <= tol, (k, near, level, want)
@@ -241,21 +247,18 @@ def random_tridiagonals(draw):
 @given(st.one_of(random_tridiagonals(), fd_matrices()), st.data())
 def test_tridiag_eigenvalues_are_the_bits_of_eigh_tridiagonal(t, data):
     # poly calls scipy's LAPACK extension with the arguments
-    # eigh_tridiagonal passes it: the full spectrum (dstevd) and an index
-    # range (dstebz) come out bit for bit
+    # eigh_tridiagonal passes it: an index range (dstebz) comes out bit for bit
     lo = data.draw(st.integers(0, t.n - 1))
     hi = data.draw(st.integers(lo, t.n - 1))
-    for index_range, kwargs in ((None, {}), ((lo, hi), {"select": "i",
-                                                         "select_range": (lo, hi)})):
-        want = np.sort(scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
-                                                     **kwargs))
-        assert tridiag_eigenvalues(t, index_range).tobytes() == want.tobytes(), index_range
+    want = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
+                                         select="i", select_range=(lo, hi))
+    assert tridiag_eigenvalues(t, (lo, hi)).tobytes() == want.tobytes(), (lo, hi)
 
 
 def test_tridiag_eigenvalues_reject_non_finite_entries():
     for d, e in (([1.0, np.nan, 2.0], [0.5, 0.5]), ([1.0, 2.0, 3.0], [np.inf, 0.5])):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            tridiag_eigenvalues(Tridiag(np.array(d), np.array(e)))
+            tridiag_eigenvalues(Tridiag(np.array(d), np.array(e)), (0, 2))
         with pytest.raises(ValueError, match="infs or NaNs"):
             scipy.linalg.eigh_tridiagonal(np.array(d), np.array(e), eigvals_only=True)
 
@@ -282,7 +285,7 @@ def test_lu_sturm_count_is_the_dstebz_count(t, data):
     # interval) the two are one count, so the LU count is dstebz's. At an
     # eigenvalue, or 1 ulp from one, each recurrence puts the level on
     # either side by its own rounding.
-    spectrum = tridiag_eigenvalues(t)
+    spectrum = tridiag_eigenvalues(t, (0, t.n - 1))
     k = data.draw(st.integers(0, t.n - 1))
     floor, ceiling, norm = t.gershgorin
     tol = 4.0 * np.finfo(float).eps * norm
@@ -306,7 +309,7 @@ def test_lu_sturm_count_sees_a_zero_leading_minor():
     t = Tridiag(np.ones(3), np.ones(2))
     *lu, _ = scipy.linalg.lapack.dgttrf(t.offdiag, t.diag - 1.0, t.offdiag)
     assert poly._sturm_count(*lu) is None
-    assert tridiag_eigenvalue(t, 1, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert tridiag_levels(t, [(1, 1.0)])[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def _double_well(depth):
@@ -320,19 +323,20 @@ def _double_well(depth):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_a_doublet_partner_in_the_window_never_stands_in_for_the_level(k):
-    # each level's partner lies well inside the window of WINDOW max(1, |s|)
-    # beside any claim near the pair, yet further from the level than the
-    # 8 eps |T|_1 the result must keep: the counts then name no window
-    # holding the level alone, and the level, not its partner, comes back
+    # each level's partner lies within 1e-3 max(1, |level|) of it, so a
+    # window beside a claim near the pair may hold both, yet further from
+    # the level than the 8 eps |T|_1 the result must keep: the counts then
+    # name no window holding the level alone, and the level, not its
+    # partner, comes back
     t = _double_well(200.0)
     spectrum = tridiag_eigenvalues(t, (0, 5))
     tol = 8.0 * np.finfo(float).eps * norm1(t)
     want = spectrum[k]
     partner = spectrum[k ^ 1]
-    assert 1e2 * tol < abs(partner - want) < 0.1 * poly.WINDOW * max(1.0, abs(want))
+    assert 1e2 * tol < abs(partner - want) < 1e-3 * max(1.0, abs(want))
     for near in (want, partner, 0.5 * (want + partner), np.nextafter(want, np.inf),
                  np.nextafter(want, -np.inf)):
-        got = tridiag_eigenvalue(t, k, near)
+        got = tridiag_levels(t, [(k, near)])[0]
         assert abs(got - want) <= tol, (near, got, want, partner)
 
 
@@ -344,7 +348,7 @@ def test_the_bisection_hook_sees_a_doublet_partner_in_the_window(bisections):
     spectrum = tridiag_eigenvalues(t, (0, 5))
     bisections.clear()
     for k in range(4):
-        tridiag_eigenvalue(t, k, spectrum[k ^ 1])
+        tridiag_levels(t, [(k, spectrum[k ^ 1])])
         assert "dstebz" in bisections, k
         bisections.clear()
 
@@ -353,10 +357,10 @@ def test_tridiag_eigenvalue_index_bounds_and_one_row():
     t = Tridiag(np.array([2.0, 3.0, 5.0]), np.array([1.0, 0.5]))
     for bad in (-1, 3):
         with pytest.raises(ValueError, match="outside 0..2"):
-            tridiag_eigenvalue(t, bad, 3.0)
-    assert tridiag_eigenvalue(Tridiag(np.array([-4.5]), np.array([])), 0, 1e300) == -4.5
+            tridiag_levels(t, [(bad, 3.0)])
+    assert tridiag_levels(Tridiag(np.array([-4.5]), np.array([])), [(0, 1e300)]) == [-4.5]
     with pytest.raises(ValueError):
-        tridiag_eigenvalue(Tridiag(np.array([-4.5]), np.array([])), 1, -4.5)
+        tridiag_levels(Tridiag(np.array([-4.5]), np.array([])), [(1, -4.5)])
 
 
 # -- classical zeros ---------------------------------------------------------

@@ -771,7 +771,7 @@ def test_half_line_levels_are_the_even_full_line_levels(fd_spectrum_grids, confi
 ], ids=["sextic-N16", "sextic-N8-vetted"])
 def test_sextic_levels_need_no_gershgorin_bisection(monkeypatch, config):
     # without the odd doublet partners every level's search window names
-    # it, so poly.tridiag_eigenvalue never falls back to poly's
+    # it, so poly.tridiag_levels never falls back to poly's
     # tridiag_eigenvalues
     calls = []
     real = poly.tridiag_eigenvalues
@@ -788,16 +788,22 @@ def test_sextic_levels_need_no_gershgorin_bisection(monkeypatch, config):
 
 
 @pytest.mark.parametrize("name,N", [("sextic", 16), ("trig-interval", 8)])
-def test_catalog_levels_certify_without_bisection(bisections, fd_levels, name, N):
+def test_catalog_levels_certify_without_bisection(bisections, factorizations, fd_levels,
+                                                  name, N):
     # at catalog defaults each claim's window holds its level alone and the
     # Kato-Temple bound fixes the value, so no level reaches dstebz, neither
-    # in poly's fallback window nor through poly's tridiag_eigenvalues
-    # (test_poly's doublet matrices show that the hook sees those calls)
+    # in poly's Kato-Temple interval nor through poly's tridiag_eigenvalues
+    # (test_poly's doublet matrices show that the hook sees those calls).
+    # Each level is factored at its claim and at most once more for its
+    # window's far end
     spec = catalog.instantiate(name, N=N)
-    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    branches = bae.enumerate_branches(spec)
+    factorizations.clear()
+    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
     assert len(reports) == N + 1 and all(rep.verdict for rep in reports)
     assert len(fd_levels) == 2 * (N + 1)  # every level, on both Richardson grids
     assert bisections == []
+    assert len(factorizations) <= 2 * len(fd_levels)
 
 
 @pytest.mark.parametrize("params,N,partner_gap", [
@@ -805,25 +811,19 @@ def test_catalog_levels_certify_without_bisection(bisections, fd_levels, name, N
     ({"a": 0.969061, "b": -3.034484}, 2, 0.036),   # level 2 at E = -5.34
 ])
 def test_a_doublet_partner_below_the_far_end_does_not_force_bisection(
-        monkeypatch, fd_levels, params, N, partner_gap):
+        bisections, factorizations, fd_levels, params, N, partner_gap):
     # in these type-2 double wells a doublet partner lies below a claimed
-    # level, inside the first far-end window of WINDOW max(1, |s|) beside
-    # the claim, so that window counts two levels; the far end is then cut
-    # again 2 |sigma - s| + 2 delta from s, beyond the level and short of
-    # its partner, and no level bisects its whole (sigma - delta, sigma +
-    # delta] window
-    windows = []
-    real = poly._bisected
-
-    def bisected(t, index, sigma, delta):
-        windows.append((t.n, index))
-        return real(t, index, sigma, delta)
-
-    monkeypatch.setattr(poly, "_bisected", bisected)
+    # level. A level with no listed far end is counted once more, at
+    # 2 |sigma - s| + 2 delta from its shift s: beyond the level and short
+    # of its partner. So each level costs at most two factorizations, and
+    # none is bisected from the Gershgorin bounds
     spec = catalog.instantiate("sextic-type2", N=N, **params)
-    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    branches = bae.enumerate_branches(spec)
+    factorizations.clear()
+    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
     assert reports and all(rep.verdict for rep in reports)
-    assert windows == []
+    assert len(factorizations) <= 2 * len(fd_levels)
+    assert "tridiag_eigenvalues" not in bisections
     partnered = 0
     for t, k, level in fd_levels:
         tol = 8.0 * np.finfo(float).eps * norm1(t)
