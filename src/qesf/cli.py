@@ -30,6 +30,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -148,6 +149,7 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_flags(args.grid_points, args.tol)
+    _check_writable(args.out)
     cfg = load_config(args.config)
     if args.N is not None and isinstance(cfg, dict):
         cfg = dict(cfg, N=args.N)
@@ -184,6 +186,20 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail before any work when the directory of an output path is
+    missing or not writable; the file itself is neither created nor
+    truncated, so a run that exits 2 or 3 leaves it as it was. _write
+    stays the backstop (a path that is itself a directory, say)."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ModelError(f"cannot write {path}: No such directory")
+    if not os.access(folder, os.W_OK):
+        raise ModelError(f"cannot write {path}: Permission denied")
+
+
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -218,6 +234,7 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
 
 def cmd_verify(args) -> int:
     _check_flags(args.grid_points, args.tol)
+    _check_writable(args.json_out)
     pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
     spec = pre.spec_ref
     roots_by_bid = _read_roots_csv(args.roots)

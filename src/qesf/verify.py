@@ -8,15 +8,25 @@ is the node count (a state with n nodes is level n, by Sturm oscillation),
 and normalizability comes from adaptive quadrature of phi^2. These are the
 arbiters for every sign or convention ambiguity upstream.
 
-The claimed energy does enter the spectrum oracle, but only as the place
-to look for the level: the claim seeds the search, two Sturm counts fix
-the level's index in a window that holds it alone, and the Kato-Temple
-bound fixes its value, with bisection as the fallback. A wrong claim
-therefore costs time and can never change the level it is compared with.
-All levels of one FD matrix are found in one poly.tridiag_levels call, so
-the Sturm count at each claim's shift can end the other levels' windows.
-The LAPACK routines come from scipy's LAPACK extension, loaded on the
-first level found; the scipy.linalg package is never imported.
+The spectrum oracle has two discretizations. On a component with no wall
+it is the sinc discrete variable representation (dvr_spectrum): one
+np.linalg.eigvalsh of a dense matrix of a few dozen to a few hundred
+rows gives every level, spectrally accurate, with its own error estimate
+from a second solve on 0.8 times the points. The claimed energies enter
+it only through the largest one, which seeds the matrix size; the size is
+re-checked against the solve's own top level, so a wrong claim costs time
+and can never change a level. At a wall the oracle stays the
+second-order finite-difference (FD) operator with a ghost-point row for
+the wall, Richardson-extrapolated (fd_spectrum). There the claim seeds
+each level's search: two Sturm counts fix the level's index in a window
+that holds it alone, and the Kato-Temple bound fixes its value, with
+bisection as the fallback, so again a wrong claim costs time and never
+changes the level. All levels of one FD matrix are found in one
+poly.tridiag_levels call, so the Sturm count at each claim's shift can
+end the other levels' windows. Those LAPACK routines come from scipy's
+LAPACK extension, loaded on the first FD level found; the scipy.linalg
+package is never imported, and a verify with no wall imports no scipy
+module at all.
 
 Where the coordinate map has a turning point x_t inside the certified
 component (parabolic or cosh maps, with no wall at x_t), z(x), the
@@ -36,7 +46,7 @@ normalizability windows of all branches are rows of one pass too
 (normalizability_checks): one phi_log_sign call per chunk of windows over
 the branches still undecided, while each branch's scan of its windows
 stays sequential. The residual and node count then run per branch, and
-the FD oracle per potential. The residual stays per branch because rows
+the spectrum oracle per potential. The residual stays per branch because rows
 of one pass were measured slower: stacking every branch's stencil,
 masks and U(z) took a type-1 benchmark pass from 27.3 to 36.2 ms at 4001
 points and from 16.6 to 20.9 ms at 2001 (2-core machine). Every
@@ -47,6 +57,9 @@ pass, nan where it has none.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -64,6 +77,11 @@ WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid ste
 MIN_GRID_POINTS = 8  # fewest points of a certification grid
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
+DVR_BOX_LOG = 18.0  # DVR box: where log|phi| >= its max - DVR_BOX_LOG
+DVR_STEP = 0.8  # largest h sqrt(E_top - min U) of a DVR solve
+DVR_MARGIN = 1.1  # n is sized for DVR_STEP / DVR_MARGIN
+DVR_AGREE = 1e-9  # relative agreement of the two solves, and the verdict's floor
+DVR_MAX_POINTS = 2000  # largest DVR matrix
 _LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresholds
 _SIMPSON = np.ones(SIMPSON_POINTS)
 _SIMPSON[1:-1:2] = 4.0
@@ -113,7 +131,7 @@ class VerificationReport:
     node_count: int
     normalizable: bool
     norm_estimate: float
-    spectrum_matches: list  # (E_claimed, E_fd, |diff|)
+    spectrum_matches: list  # (E_claimed, E_fd, |diff|), E_fd the oracle's level, DVR or FD
     spectrum_note: str
     verdict: bool
 
@@ -396,6 +414,163 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     return {k: (4.0 * e2[k] - e1[k]) / 3.0 for k in e1}
 
 
+# (get, set) thread-count functions of OpenBLAS builds: numpy's and scipy's
+# wheels (scipy-openblas, 64- and 32-bit integers) and a plain OpenBLAS
+_BLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS library mapped
+    into this process when first called (numpy's is mapped by import), read
+    off /proc/self/maps; none where that file does not exist."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, put in _BLAS_THREADS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                controls.append((getattr(lib, get), getattr(lib, put)))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS at one thread, then restore the
+    thread counts. So a DVR level has the same bits whatever thread count
+    the process runs with (sextic N = 40's 238-row levels differ in their
+    last bits between one and two threads), and a matrix of at most a few
+    hundred rows pays no thread wake-up: on a 2-core VM, waking OpenBLAS's
+    second thread at times cost 5-13 ms per np.linalg.eigvalsh of 72-120
+    rows, against 0.2-0.6 ms for the whole call on one thread."""
+    controls = _blas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, before):
+            put(n)
+
+
+def _sinc_t(k: np.ndarray) -> np.ndarray:
+    """Colbert-Miller kinetic entries at unit spacing for index offsets k:
+    pi^2/3 at 0, 2 (-1)^k / k^2 elsewhere."""
+    t = np.where(k % 2, -2.0, 2.0) / np.maximum(np.abs(k), 1).astype(float) ** 2
+    return np.where(k == 0, math.pi ** 2 / 3.0, t)
+
+
+@functools.lru_cache(maxsize=32)
+def _sinc_kinetic(n: int, mirror: bool) -> np.ndarray:
+    """The n x n sinc kinetic matrix at unit spacing, read-only. On a
+    mirror the points are i = 0..n-1 from the mirror, and the even sector
+    of the full line's 2n - 1 points is T(i - j) + T(i + j) with row 0
+    and column 0 scaled by 1/sqrt(2)."""
+    i = np.arange(n)
+    t = _sinc_t(i[:, None] - i[None, :])
+    if mirror:
+        t += _sinc_t(i[:, None] + i[None, :])
+        t[0, :] /= math.sqrt(2.0)
+        t[:, 0] /= math.sqrt(2.0)
+    t.flags.writeable = False
+    return t
+
+
+def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, float],
+                 levels: dict[int, float], mirror: float | None = None) -> dict:
+    """Eigenvalues of -d2/dx2 + U by the sinc discrete variable
+    representation on box = (lo, hi), for levels = {index: energy}, indices
+    ascending from the ground level at 0. Returns {index: (eigenvalue, est)},
+    est the level's move between the two solves below.
+
+    The matrix is H = T / h^2 + diag(U(z(x_i))) on the n points
+    x_i = lo + i h, h = (hi - lo) / (n - 1), T the Colbert-Miller kinetic
+    matrix (J. Chem. Phys. 96 (1992) 1982); its levels converge
+    spectrally once h sqrt(E - min U) is below about 1. With a mirror
+    (lo = mirror = x_t) H is the even sector of the component symmetric
+    about x_t: its level m is the full component's level 2m, so indices
+    count the full component's levels and an odd one raises ValueError.
+
+    The largest energy only seeds n, at h sqrt(E_top - min U) =
+    DVR_STEP / DVR_MARGIN, min U over the points; n is re-checked against
+    the solve's own level at the largest index, so a wrong energy costs
+    time and never moves a level. A second solve at ceil(0.8 n) points
+    must then agree to DVR_AGREE max(1, |E|) on every wanted level, or n
+    grows to floor(1.25 n), whose check is the solve just made. More than
+    DVR_MAX_POINTS points raise GridError. The unscaled T is cached per
+    (n, mirror), and the solves run with OpenBLAS at one thread
+    (_one_blas_thread).
+    """
+    step = 1 if mirror is None else 2
+    odd = [k for k in levels if k % step]
+    if odd:
+        raise ValueError(f"levels {odd} are odd about the mirror x = {mirror}: "
+                         "a mirror component holds only the even levels")
+    if not levels:
+        return {}
+    if min(levels) < 0:
+        raise ValueError(f"level indices {sorted(levels)} must be at least 0")
+    lo, hi = box
+    if not hi > lo:
+        raise GridError(f"empty DVR box [{lo}, {hi}]")
+    top = max(levels) // step  # the largest wanted row of the sector
+
+    @functools.cache
+    def _potential(n: int) -> tuple[float, np.ndarray]:
+        h = (hi - lo) / (n - 1)
+        u = profile.U(cmap.z_of_x(lo + h * np.arange(n)))
+        if not np.all(np.isfinite(u)):
+            raise GridError("a DVR point lies on a pole of the potential")
+        return h, u
+
+    @functools.cache
+    def _levels(n: int) -> np.ndarray:
+        h, u = _potential(n)
+        H = _sinc_kinetic(n, mirror is not None) / h ** 2
+        H.flat[::n + 1] += u
+        return np.linalg.eigvalsh(H)
+
+    def _size(e_top: float, u_min: float) -> int:
+        span = (hi - lo) * math.sqrt(max(e_top - u_min, 0.0))
+        return max(MIN_GRID_POINTS, 2 * top + 2, math.ceil(span * DVR_MARGIN / DVR_STEP) + 1)
+
+    e_top, n = max(levels.values()), MIN_GRID_POINTS
+    with _one_blas_thread():
+        while True:
+            if n > DVR_MAX_POINTS:
+                raise GridError(f"the sinc DVR on [{lo:.6g}, {hi:.6g}] needs more "
+                                f"than {DVR_MAX_POINTS} points")
+            h, u = _potential(n)
+            u_min = float(np.min(u))
+            if _size(e_top, u_min) > n:
+                n = _size(e_top, u_min)
+                continue
+            fine = _levels(n)
+            if h * math.sqrt(max(fine[top] - u_min, 0.0)) > DVR_STEP:
+                e_top = float(fine[top])  # the solve's own top level resizes n
+                n = max(_size(e_top, u_min), n + 1)
+                continue
+            coarse = _levels((4 * n + 4) // 5)  # ceil(0.8 n)
+            out = {k: (float(fine[k // step]), float(abs(fine[k // step] - coarse[k // step])))
+                   for k in levels}
+            if all(est <= DVR_AGREE * max(1.0, abs(e)) for e, est in out.values()):
+                return out
+            n = 5 * n // 4  # whose ceil(0.8 n) is this n: its levels are the next check
+
+
 def node_count(phi) -> int:
     """Number of sign changes of phi_N on the grid, for phi = (log|phi_N|,
     sign) on its points."""
@@ -670,34 +845,37 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     Each branch gets its profile and grid from the built model, then the
     residual, node count and normalizability oracles. The verdict requires
     the residual below tolerance, phi normalizable, and the claimed energy
-    matched by the Richardson-extrapolated FD eigenvalue whose index is the
-    branch's node count: by Sturm oscillation a state with n nodes is
-    level n. At a limit-circle wall the spectrum oracle is skipped,
-    spectrum_note says so, and the residual alone carries the verdict.
-    Singular-endpoint models carry a documented FD accuracy downgrade
-    (relative tolerance 1e-2 instead of 1e-3).
+    matched by the spectrum oracle's level whose index is the branch's
+    node count: by Sturm oscillation a state with n nodes is level n. At a
+    limit-circle wall the spectrum oracle is skipped, spectrum_note says
+    so, and the residual alone carries the verdict.
 
-    The FD spectrum runs once per potential: branches with the same FD
-    operator up to the grid span (equal potential U, as type-1 and ES
-    models share, and equal walls with their exponents) are matched
-    against one spectrum on a grid of n_points points spanning all their
-    boxes, which for a branch alone is its own grid. Only the levels whose
-    indices are the group's node counts are computed, each looked for near
-    its branch's claimed energy. The claim only seeds that search: the
-    level's index comes from Sturm counts and its value from the
-    Kato-Temple bound or bisection, so the claim cannot choose the level
-    it is compared with.
+    The spectrum runs once per potential: branches with the same operator
+    (equal potential U, as type-1 and ES models share, and equal walls
+    with their exponents) form one group, matched against one spectrum.
+    Only the levels whose indices are the group's node counts are
+    compared, and a claim cannot choose its level. On a group with no
+    wall the levels come from dvr_spectrum, on the box where some
+    member's log|phi| is within DVR_BOX_LOG of its maximum (read off the
+    phi its setup computed), and the match must be within the level's own
+    estimate plus DVR_AGREE max(1, |E|). On a group with a wall they come
+    from fd_spectrum, on a grid of n_points points spanning all the
+    members' grids (for a branch alone its own grid), each level looked
+    for near its branch's claimed energy, and the match must be within
+    1e-2 max(1, |E|), FD's accuracy at a wall.
 
     When the group's component holds the map's turning point x_t
-    (coords.CoordinateMap.x_turn), the spectrum runs on a mirror grid
-    instead: cell-centred on [x_t, x_t + L], L the largest half-width of
-    the members' boxes about x_t, with the same spacing as the full group
-    grid. Every algebraic state is even about x_t there, so the verdict
-    also requires an even node count n, matched against even-sector level
-    n // 2; a branch with an odd count fails, and spectrum_note says why.
+    (coords.CoordinateMap.x_turn), the spectrum is the even sector of the
+    component, with a mirror end at x_t: from x_t to the farthest member
+    box end for the DVR, and a cell-centred mirror grid at the spacing of
+    the full group grid for FD. Every algebraic state is even about x_t
+    there, so the verdict also requires an even node count n, matched
+    against even-sector level n // 2; a branch with an odd count fails,
+    and spectrum_note says why.
     """
     results: list = [None] * len(branches)
     checked = []  # (index, profile, grid, fields)
+    boxes = {}  # index -> where log|phi| >= its max - DVR_BOX_LOG, on its grid
     for i, setup in enumerate(branch_setups(pre, branches, n_points)):
         if isinstance(setup, Exception):
             results[i] = setup
@@ -711,6 +889,11 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
             continue
         checked.append((i, profile, grid, dict(residual_max=rmax, residual_rms=rrms,
                                                node_count=node_count(phi))))
+        if grid.wall_lo is None and grid.wall_hi is None:
+            logphi = phi[0]
+            peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
+            inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
+            boxes[i] = float(grid.points[inside[0]]), float(grid.points[inside[-1]])
     roots = np.asarray([branches[i].roots for i, *_ in checked], dtype=float)
     norms = normalizability_checks(pre, roots.reshape(len(checked), pre.spec_ref.N),
                                    [grid.component for _, _, grid, _ in checked])
@@ -737,27 +920,38 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     x_t = pre.cmap.x_turn
     for members in groups.values():
         grids = [grid for _, _, grid, _ in members]
-        lo, hi = min(g.points[0] for g in grids), max(g.points[-1] for g in grids)
         c_lo, c_hi = grids[0].component
-        if x_t is not None and c_lo < x_t < c_hi:
-            h = float(hi - lo) / (n_points - 1)
-            grid = mirror_grid(x_t, math.ceil(max(x_t - lo, hi - x_t) / h + 0.5), h,
-                               grids[0].wall_hi)
-        else:
-            grid = make_grid(lo, hi, n_points, grids[0].wall_lo, grids[0].wall_hi)
-        # each node count with the energy of its first branch to look near;
-        # a mirror grid has no level for an odd count
+        mirror = x_t if x_t is not None and c_lo < x_t < c_hi else None
+        # each node count with the energy of its first branch; a mirror
+        # component has no level for an odd count
         claims = {}
         for _, profile, _, fields in members:
-            if grid.mirror is None or fields["node_count"] % 2 == 0:
+            if mirror is None or fields["node_count"] % 2 == 0:
                 claims.setdefault(fields["node_count"], profile.energy)
         try:
-            levels = fd_spectrum(members[0][1], pre.cmap, grid, claims)
+            if grids[0].wall_lo is None and grids[0].wall_hi is None:
+                lo = min(boxes[i][0] for i, *_ in members)
+                hi = max(boxes[i][1] for i, *_ in members)
+                if mirror is not None:
+                    lo, hi = mirror, mirror + max(mirror - lo, hi - mirror)
+                levels = dvr_spectrum(members[0][1], pre.cmap, (lo, hi), claims, mirror)
+                floor = DVR_AGREE
+            else:
+                lo = min(g.points[0] for g in grids)
+                hi = max(g.points[-1] for g in grids)
+                if mirror is not None:
+                    h = float(hi - lo) / (n_points - 1)
+                    grid = mirror_grid(mirror, math.ceil(max(mirror - lo, hi - mirror) / h + 0.5),
+                                       h, grids[0].wall_hi)
+                else:
+                    grid = make_grid(lo, hi, n_points, grids[0].wall_lo, grids[0].wall_hi)
+                levels = {k: (e, 0.0) for k, e in
+                          fd_spectrum(members[0][1], pre.cmap, grid, claims).items()}
+                floor = 1e-2  # FD's accuracy at a wall
         except (GridError, DomainError, ValueError) as exc:
             for i, *_ in members:
                 results[i] = exc
             continue
-        tol = 1e-3 if grid.wall_lo is None and grid.wall_hi is None else 1e-2
         for i, profile, _, fields in members:
             energy = profile.energy
             if fields["node_count"] not in levels:
@@ -767,14 +961,14 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
                                   "where every algebraic state is even",
                     verdict=False)
                 continue
-            level = levels[fields["node_count"]]
+            level, est = levels[fields["node_count"]]
             diff = abs(level - energy)
             results[i] = VerificationReport(
                 **fields, spectrum_matches=[(energy, float(level), float(diff))],
                 spectrum_note="",
                 verdict=bool(fields["residual_max"] < residual_tol
                              and fields["normalizable"]
-                             and diff < tol * max(1.0, abs(energy))))
+                             and diff < est + floor * max(1.0, abs(energy))))
     return results
 
 

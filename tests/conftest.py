@@ -30,6 +30,22 @@ def fd_spectrum_grids(monkeypatch):
 
 
 @pytest.fixture
+def dvr_spectra(monkeypatch):
+    """(box, mirror) of every verify.dvr_spectrum call made through the
+    module."""
+    from qesf import verify
+    calls = []
+    real = verify.dvr_spectrum
+
+    def counted(profile, cmap, box, levels, mirror=None):
+        calls.append((box, mirror))
+        return real(profile, cmap, box, levels, mirror)
+
+    monkeypatch.setattr(verify, "dvr_spectrum", counted)
+    return calls
+
+
+@pytest.fixture
 def fd_levels(monkeypatch):
     """(matrix, index, level) of every level computed by a
     verify.tridiag_levels call made through the module, in call order."""

@@ -129,17 +129,17 @@ def test_verify_corrupted_root_exits_3(tmp_path):
     assert code == 3
 
 
-def test_verify_one_spectrum_for_a_shared_potential(tmp_path, fd_spectrum_grids):
+def test_verify_one_spectrum_for_a_shared_potential(tmp_path, dvr_spectra):
     cfg = write_config(tmp_path, "s.json", dict(SEXTIC, N=3))
     out_csv = tmp_path / "roots.csv"
     run_cli(["solve", cfg, "--out", str(out_csv)])
     code, out, _ = run_cli(["verify", cfg, str(out_csv)])
     assert code == 0
     assert out.count(": pass") == 4
-    assert len(fd_spectrum_grids) == 1
+    assert len(dvr_spectra) == 1
 
 
-def test_verify_error_in_one_branch_leaves_the_others(tmp_path, fd_spectrum_grids):
+def test_verify_error_in_one_branch_leaves_the_others(tmp_path, dvr_spectra):
     cfg = write_config(tmp_path, "s.json", SEXTIC)
     out_csv = tmp_path / "roots.csv"
     run_cli(["solve", cfg, "--out", str(out_csv)])
@@ -151,12 +151,12 @@ def test_verify_error_in_one_branch_leaves_the_others(tmp_path, fd_spectrum_grid
     mixed_csv.write_text(f"{header}\n{good}\n{','.join(parts)}\n")
     code, out_good, _ = run_cli(["verify", cfg, str(good_csv)])
     assert code == 0
-    fd_spectrum_grids.clear()
+    dvr_spectra.clear()
     code, out, err = run_cli(["verify", cfg, str(mixed_csv)])
     assert code == 3
     assert "branch 1: verification error: branch residues not cancelled" in err
     assert out == out_good  # branch 0's lines and report are unchanged
-    assert len(fd_spectrum_grids) == 1
+    assert len(dvr_spectra) == 1
 
 
 def test_verify_missing_file_exits_4(tmp_path):
@@ -423,6 +423,28 @@ def test_a_path_that_cannot_be_read_or_written_exits_4(tmp_path, argv):
     assert "report ->" not in out and "branch(es) ->" not in out
 
 
+@pytest.mark.parametrize("argv,work", [
+    (["solve", "{cfg}", "--out", "{missing}/x.csv"], (bae, "enumerate_branches")),
+    (["verify", "{cfg}", "{roots}", "--json-out", "{missing}/r.json"],
+     (cli.verify, "verify_branches")),
+], ids=["solve-out", "verify-json-out"])
+def test_an_output_path_in_a_missing_directory_fails_before_any_work(
+        tmp_path, monkeypatch, argv, work):
+    cfg = write_config(tmp_path, "h.json", HARMONIC)
+    roots = tmp_path / "roots.csv"
+    assert run_cli(["solve", cfg, "--out", str(roots)])[0] == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work[1]} ran before the output path was checked")
+
+    monkeypatch.setattr(*work, never)
+    paths = {"cfg": cfg, "roots": str(roots), "missing": str(tmp_path / "missing")}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
+    assert code == 4 and out == "", (code, out, err)
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_a_sinh_model_in_the_pole_basis_is_certified(tmp_path):
     # P = Q (0.3 + 0.7 z): V0 is a polynomial although P^2/Q leaves a
     # rounding-level remainder
@@ -598,3 +620,21 @@ def test_config_parse_round_trip(tmp_path):
         "N": spec1.N, "branch": spec1.branch_sign})
     spec2 = cli.spec_from_config(cli.load_config(redumped))
     assert spec1 == spec2
+
+
+def test_verify_writes_the_same_bytes_at_any_blas_thread_count(tmp_path, monkeypatch):
+    # the sinc DVR's solves run with OpenBLAS at one thread, so its levels,
+    # and the report, do not depend on the thread count a run asks for
+    # (sextic N = 40: its 238-row matrix differs in the last bits otherwise)
+    cfg = write_config(tmp_path, "s.json", {"catalog": "sextic", "N": 40})
+    roots = tmp_path / "roots.csv"
+    assert run_cli(["solve", cfg, "--out", str(roots)])[0] == 0
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        report = tmp_path / f"report-{threads}.json"
+        done = subprocess.run([sys.executable, "-m", "qesf.cli", "verify", cfg, str(roots),
+                               "--json-out", str(report)], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]

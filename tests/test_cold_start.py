@@ -1,6 +1,7 @@
-"""Cold start: qesf loads scipy only for verify's FD level finder, and
-then only scipy's LAPACK extension, scipy.linalg._flapack: the
-scipy.linalg package is never imported.
+"""Cold start: qesf loads scipy only for verify's FD level finder at a
+wall, and then only scipy's LAPACK extension, scipy.linalg._flapack: the
+scipy.linalg package is never imported. A verify with no wall (its
+spectra from the sinc DVR, numpy's eigvalsh) loads no scipy module.
 
 Each check runs in a fresh interpreter, because this process may already
 have scipy loaded. Setting sys.modules["scipy"] = None before qesf is
@@ -64,19 +65,22 @@ def test_commands_without_an_eigenproblem_run_without_scipy(tmp_path):
 
 
 def test_eigenproblems_never_load_scipy_linalg(tmp_path):
-    # solve: numpy's eigenproblems only; verify: scipy's LAPACK extension
-    # alone, for a half-line mirror grid (sextic), two walls with ghost-point
-    # rows (trig-interval) and a k = 2 model's per-branch potentials
-    for name in ("sextic", "trig-interval", "sextic-type2"):
+    # solve: numpy's eigenproblems only; verify: numpy's eigvalsh for the
+    # wall-free DVR spectra of a half-line mirror (sextic) and of a k = 2
+    # model's per-branch potentials (sextic-type2), and scipy's LAPACK
+    # extension alone for FD at two walls with ghost-point rows
+    # (trig-interval)
+    for name, fd in (("sextic", False), ("trig-interval", True), ("sextic-type2", False)):
         config = _config(tmp_path, name, 2)
         roots, report = str(tmp_path / f"{name}.csv"), tmp_path / f"{name}.json"
         solve = f"assert main(['solve', {config!r}, '--out', {roots!r}]) == 0\n"
         verify = (f"assert main(['verify', {config!r}, {roots!r}, '--json-out', "
                   f"{str(report)!r}]) == 0\n")
+        loaded = ("assert 'scipy.linalg._flapack' in sys.modules\n" if fd else
+                  "assert not [m for m in sys.modules if m.startswith('scipy')]\n")
         done = _python("import sys\nfrom qesf.cli import main\n" + solve
-                       + "assert 'scipy.linalg' not in sys.modules\n" + verify
-                       + "assert 'scipy.linalg._flapack' in sys.modules\n"
-                       "assert 'scipy.linalg' not in sys.modules\n", tmp_path)
+                       + "assert 'scipy.linalg' not in sys.modules\n" + verify + loaded
+                       + "assert 'scipy.linalg' not in sys.modules\n", tmp_path)
         assert done.returncode == 0, (name, done.stderr)
         assert all(rep["spectrum_matches"] for rep in json.loads(report.read_text()).values())
         unblocked = report.read_bytes()
@@ -85,6 +89,25 @@ def test_eigenproblems_never_load_scipy_linalg(tmp_path):
                        "from qesf.cli import main\n" + verify, tmp_path)
         assert done.returncode == 0, (name, done.stderr)
         assert report.read_bytes() == unblocked, name
+
+
+def test_a_wall_free_verify_loads_no_scipy(tmp_path):
+    # sextic N = 16: every level from the sinc DVR on the half line, so
+    # verify imports no scipy module, and with scipy blocked it writes the
+    # same report
+    config = _config(tmp_path, "sextic", 16)
+    roots, report = str(tmp_path / "sextic.csv"), tmp_path / "sextic.json"
+    verify = (f"assert main(['verify', {config!r}, {roots!r}, '--json-out', "
+              f"{str(report)!r}]) == 0\n")
+    done = _python(f"import sys\nfrom qesf.cli import main\n"
+                   f"assert main(['solve', {config!r}, '--out', {roots!r}]) == 0\n" + verify
+                   + "assert not [m for m in sys.modules if m.startswith('scipy')]\n", tmp_path)
+    assert done.returncode == 0, done.stderr
+    unblocked = report.read_bytes()
+    report.unlink()
+    done = _python(BLOCK + "from qesf.cli import main\n" + verify, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert report.read_bytes() == unblocked
 
 
 LOAD_ORDERS = {

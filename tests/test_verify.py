@@ -34,6 +34,31 @@ def _residual(prof, pre, grid, **kwargs):
                                        **kwargs)
 
 
+def _fd_group(pre, members, reports):
+    """verify.fd_spectrum, called through the module, on the grid that
+    verify_branches gave a group before wall-free groups moved to the sinc
+    DVR: 4001 points over the union of the members' default grids, or the
+    mirror grid at that spacing where the component holds the map's
+    turning point, with each node count's first claimed energy. Returns
+    (grid, levels)."""
+    grids = [verify.default_grid(pre, br.roots) for br in members]
+    lo, hi = min(g.points[0] for g in grids), max(g.points[-1] for g in grids)
+    x_t = pre.cmap.x_turn
+    c_lo, c_hi = grids[0].component
+    if x_t is not None and c_lo < x_t < c_hi:
+        h = float(hi - lo) / 4000
+        grid = verify.mirror_grid(x_t, math.ceil(max(x_t - lo, hi - x_t) / h + 0.5), h,
+                                  grids[0].wall_hi)
+    else:
+        grid = verify.make_grid(lo, hi, 4001, grids[0].wall_lo, grids[0].wall_hi)
+    claims = {}
+    for rep in reports:
+        if grid.mirror is None or rep.node_count % 2 == 0:
+            claims.setdefault(rep.node_count, rep.spectrum_matches[0][0])
+    return grid, verify.fd_spectrum(potential.split_energy(pre, members[0]), pre.cmap, grid,
+                                    claims)
+
+
 def test_residual_harmonic_reference_grid():
     # b = 1, N = 2, Hermite-zero branch, h = 1e-3, 4th order
     spec = harmonic(N=2)
@@ -532,10 +557,11 @@ def test_residual_arbitrates_quoted_trig_form():
     assert forced_residual(0.5) > 1e-4
 
 
-def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids):
+def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dvr_spectra):
     # type-1: the N+1 branches are eigenstates of one potential. The
     # sextic's z = x^2 is even about x = 0, so its spectrum runs on the half
-    # line; the half-line sextic has a wall at x = 0 and no mirror.
+    # line, by the sinc DVR; the half-line sextic has a wall at x = 0 and no
+    # mirror, and keeps FD.
     for spec, mirrored in ((catalog.instantiate("sextic", N=3, a=1.0, b=0.0), True),
                            (catalog.instantiate("sextic-halfline", N=3), False)):
         branches = bae.enumerate_branches(spec)
@@ -543,18 +569,27 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids):
         pre = prepot.integrate_w0(spec)
         alone = [verify.verify_branch(pre, br) for br in branches]
         fd_spectrum_grids.clear()
+        dvr_spectra.clear()
         reports = verify.verify_branches(pre, branches)
-        (grid,) = fd_spectrum_grids
         boxes = [verify.default_grid(pre, br.roots).points for br in branches]
         lo, hi = min(b[0] for b in boxes), max(b[-1] for b in boxes)
         if mirrored:
-            # cell-centred from the mirror at x_t = 0 to the farthest box end,
-            # at the spacing of the union grid
+            # from the mirror at x_t = 0 to the farthest end of the members'
+            # e^-18 boxes, inside their e^-40 grids
+            assert fd_spectrum_grids == []
+            (((box_lo, box_hi), mirror),) = dvr_spectra
+            assert mirror == 0.0 and box_lo == 0.0
+            assert 0.0 < box_hi < max(-lo, hi)
+            # and on the FD grid they had before: cell-centred from the
+            # mirror, at the spacing of the union grid
+            grid, _ = _fd_group(pre, branches, reports)
             assert grid.mirror == 0.0 and grid.wall_lo is None
             assert grid.h == pytest.approx((hi - lo) / 4000, rel=1e-12)
             assert grid.points[0] == pytest.approx(grid.h / 2, rel=1e-12)
             assert grid.points[-2] < max(-lo, hi) <= grid.points[-1]
         else:
+            (grid,) = fd_spectrum_grids
+            assert dvr_spectra == []
             # on the union of the branch boxes
             assert grid.mirror is None
             assert grid.points[0] == lo
@@ -566,12 +601,13 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids):
             assert got == {k: v for k, v in want.items() if k != "spectrum_matches"}
             assert claimed == ref.spectrum_matches[0][0]
             # the model grid moves E_fd at the FD error level only: a tenth
-            # of the tolerance, 1e-3, or 1e-2 at the half-line's singular wall
+            # of FD's old wall-free tolerance, 1e-3, or of 1e-2 at the
+            # half-line's singular wall
             bound = 1e-4 if grid.wall_lo is None and grid.wall_hi is None else 1e-3
             assert diff < bound * max(1.0, abs(claimed))
 
 
-def test_verify_branches_distinct_potentials(fd_spectrum_grids):
+def test_verify_branches_distinct_potentials(dvr_spectra):
     # type-2: every branch has its own potential, so its own spectrum
     spec = catalog.instantiate("sextic-type2", N=1, b=-1.0)
     branches = bae.enumerate_branches(spec)
@@ -579,19 +615,19 @@ def test_verify_branches_distinct_potentials(fd_spectrum_grids):
     pre = prepot.integrate_w0(spec)
     assert len({potential.split_energy(pre, br).U for br in branches}) == 3
     reports = verify.verify_branches(pre, branches)
-    assert len(fd_spectrum_grids) == 3
+    assert len(dvr_spectra) == 3
     assert reports == [verify.verify_branch(pre, br) for br in branches]
 
 
-def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
+def test_verify_branches_isolates_a_failing_branch(dvr_spectra):
     spec = catalog.instantiate("sextic", N=1)
     good, other = bae.enumerate_branches(spec)
     bad = bae.BetheBranch(tuple(z + 0.05 for z in other.roots), 0.0, 0)
     pre = prepot.integrate_w0(spec)
     alone = verify.verify_branch(pre, good)
-    fd_spectrum_grids.clear()
+    dvr_spectra.clear()
     rep, err = verify.verify_branches(pre, [good, bad])
-    assert len(fd_spectrum_grids) == 1
+    assert len(dvr_spectra) == 1
     assert rep == alone
     assert isinstance(err, ValueError) and "residues not cancelled" in str(err)
     with pytest.raises(ValueError, match="residues not cancelled"):
@@ -604,8 +640,8 @@ def test_verify_branches_isolates_a_failing_branch(fd_spectrum_grids):
     ("trig-interval", 8, 1),
 ])
 def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectrum_grids,
-                                                  fd_levels):
-    # with all N+1 branches present, each one matches its own FD level, and
+                                                  fd_levels, dvr_spectra):
+    # with all N+1 branches present, each one matches its own level, and
     # the node counts climb one level at a time (Sturm oscillation)
     spec = catalog.instantiate(name, N=N)
     branches = bae.enumerate_branches(spec)
@@ -616,6 +652,16 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectru
     matched = [rep.spectrum_matches[0][1] for rep in reports]
     assert len(set(matched)) == N + 1
     assert [rep.node_count for rep in reports] == [node_step * n for n in range(N + 1)]
+    if dvr_spectra:
+        # wall-free (sextic): the matched levels are the sinc DVR's, on its
+        # box; FD runs on the grid it had before, for its own checks
+        ((box, mirror),) = dvr_spectra
+        claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
+        dvr = verify.dvr_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, box,
+                                  claims, mirror)
+        assert matched == [dvr[rep.node_count][0] for rep in reports]
+        fd = _fd_group(pre, branches, reports)[1]
+        matched = [fd[rep.node_count] for rep in reports]
     # each level on either grid is the bisection level of its index, to
     # 8 eps |T|_1 (two grids, N + 1 levels each)
     assert len(fd_levels) == 2 * (N + 1)
@@ -637,9 +683,10 @@ def test_fd_levels_computed_are_the_node_counts(fd_levels, fd_spectrum_grids, na
     # N = 4 reads the levels 0, 2, ..., 2N, which are the even-sector levels
     # 0..N of its half line, so N + 1 of them and none of the odd ones
     spec = catalog.instantiate(name, N=N)
-    reports = verify.verify_branches(prepot.integrate_w0(spec),
-                                     bae.enumerate_branches(spec))
+    pre, branches = prepot.integrate_w0(spec), bae.enumerate_branches(spec)
+    reports = verify.verify_branches(pre, branches)
     assert all(rep.verdict for rep in reports)
+    _fd_group(pre, branches, reports)  # wall-free: the FD grid verify had before the DVR
     (grid,) = fd_spectrum_grids
     if grid.mirror is None:
         rows, step = [4001] * per_grid + [8001] * per_grid, 1
@@ -667,8 +714,12 @@ def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, fd_spec
     # holds only the even levels, exactly node_count // 2
     spec = catalog.instantiate(config["catalog"], N=config["N"], **config.get("params", {}))
     branches = bae.enumerate_branches(spec)
-    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+    pre = prepot.integrate_w0(spec)
+    reports = verify.verify_branches(pre, branches)
     assert reports and all(rep.verdict for rep in reports)
+    e_fd = {rep.node_count: rep.spectrum_matches[0][1] for rep in reports}
+    if not fd_spectrum_grids:  # wall-free: FD on the grid verify had before the DVR
+        e_fd = _fd_group(pre, branches, reports)[1]
     (grid,) = fd_spectrum_grids
     assert (grid.mirror is not None) == (config["catalog"] == "sextic")
     by_rows = {}
@@ -680,7 +731,7 @@ def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, fd_spec
         for t, level in (coarse[k], fine[k]):
             tol = 8.0 * np.finfo(float).eps * norm1(t)
             assert sturm_count(t, level - tol) == k < sturm_count(t, level + tol)
-        assert rep.spectrum_matches[0][1] == (4.0 * fine[k][1] - coarse[k][1]) / 3.0
+        assert e_fd[rep.node_count] == (4.0 * fine[k][1] - coarse[k][1]) / 3.0
 
 
 def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
@@ -751,6 +802,7 @@ def test_half_line_levels_are_the_even_full_line_levels(fd_spectrum_grids, confi
     branches = bae.enumerate_branches(spec)
     assert len(branches) == spec.N + 1
     reports = verify.verify_branches(pre, branches)
+    _, e_fd = _fd_group(pre, branches, reports)  # the mirror FD grid verify had before the DVR
     (grid,) = fd_spectrum_grids
     assert grid.mirror == 0.0
     boxes = [verify.default_grid(pre, br.roots).points for br in branches]
@@ -761,8 +813,8 @@ def test_half_line_levels_are_the_even_full_line_levels(fd_spectrum_grids, confi
     assert [rep.node_count for rep in reports] == [2 * m for m in range(spec.N + 1)]
     for rep in reports:
         assert rep.verdict
-        e_fd = rep.spectrum_matches[0][1]
-        assert abs(e_fd - want[rep.node_count]) < 1e-7 * max(1.0, abs(e_fd))
+        level = e_fd[rep.node_count]
+        assert abs(level - want[rep.node_count]) < 1e-7 * max(1.0, abs(level))
 
 
 @pytest.mark.parametrize("config", [
@@ -782,8 +834,10 @@ def test_sextic_levels_need_no_gershgorin_bisection(monkeypatch, config):
 
     monkeypatch.setattr(poly, "tridiag_eigenvalues", fallback)
     spec = cli.spec_from_config(config)
-    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    pre, branches = prepot.integrate_w0(spec), bae.enumerate_branches(spec)
+    reports = verify.verify_branches(pre, branches)
     assert len(reports) == spec.N + 1 and all(rep.verdict for rep in reports)
+    _fd_group(pre, branches, reports)  # the FD grid verify had before the DVR
     assert calls == []
 
 
@@ -798,9 +852,12 @@ def test_catalog_levels_certify_without_bisection(bisections, factorizations, fd
     # window's far end
     spec = catalog.instantiate(name, N=N)
     branches = bae.enumerate_branches(spec)
+    pre = prepot.integrate_w0(spec)
     factorizations.clear()
-    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+    reports = verify.verify_branches(pre, branches)
     assert len(reports) == N + 1 and all(rep.verdict for rep in reports)
+    if not fd_levels:  # wall-free: the FD grid verify had before the DVR
+        _fd_group(pre, branches, reports)
     assert len(fd_levels) == 2 * (N + 1)  # every level, on both Richardson grids
     assert bisections == []
     assert len(factorizations) <= 2 * len(fd_levels)
@@ -819,9 +876,12 @@ def test_a_doublet_partner_below_the_far_end_does_not_force_bisection(
     # none is bisected from the Gershgorin bounds
     spec = catalog.instantiate("sextic-type2", N=N, **params)
     branches = bae.enumerate_branches(spec)
-    factorizations.clear()
-    reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+    pre = prepot.integrate_w0(spec)
+    reports = verify.verify_branches(pre, branches)
     assert reports and all(rep.verdict for rep in reports)
+    factorizations.clear()
+    for br, rep in zip(branches, reports):  # each its own potential, on the FD
+        _fd_group(pre, [br], [rep])        # grid verify had before the DVR
     assert len(factorizations) <= 2 * len(fd_levels)
     assert "tridiag_eigenvalues" not in bisections
     partnered = 0
@@ -848,3 +908,107 @@ def test_a_mirror_grid_holds_only_the_even_levels():
     assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in (0, 2, 4))
     with pytest.raises(ValueError, match="odd"):
         verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 1: 3.0})
+
+
+@pytest.mark.parametrize("name,params,Ns", [
+    ("harmonic", {"b": 1.0}, (0, 5, 12)),
+    ("morse-es", {"A": 5.0, "alpha": 1.0}, (0, 2, 4)),  # bound: A > N alpha
+])
+def test_dvr_levels_are_the_closed_form_energies(dvr_spectra, name, params, Ns):
+    # wall-free exactly solvable models: the sinc DVR's level, shifted to
+    # the catalog's normal form, is the closed-form energy to 1e-10
+    for N in Ns:
+        spec = catalog.instantiate(name, N=N, **params)
+        (rep,) = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+        assert rep.verdict
+        (want,) = catalog.expected_energies(name, params, N)
+        level = rep.spectrum_matches[0][1] + catalog.reference_shift(name, params, N)
+        assert abs(level - want) <= 1e-10 * max(1.0, abs(want)), (N, level, want)
+    assert len(dvr_spectra) == len(Ns)
+
+
+@pytest.mark.parametrize("config", [
+    {"catalog": "sextic", "N": 16},
+    {"Q": [-1, 0, 1], "P": [0, -1, 1, 0], "N": 2},  # z = cosh x
+    {"catalog": "sextic-type2", "N": 2},
+], ids=["sextic-N16", "cosh-N2", "sextic-type2-N2"])
+def test_dvr_and_fd_levels_agree(config):
+    # on the FD grid verify had before the DVR, each potential's FD level
+    # is the DVR's to FD's own accuracy
+    spec = cli.spec_from_config(config)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    reports = verify.verify_branches(pre, branches)
+    assert reports and all(rep.verdict for rep in reports)
+    groups = {}
+    for br, rep in zip(branches, reports):
+        groups.setdefault(potential.split_energy(pre, br).U, []).append((br, rep))
+    for members in groups.values():
+        _, fd = _fd_group(pre, *zip(*members))
+        for _, rep in members:
+            level = rep.spectrum_matches[0][1]
+            assert abs(fd[rep.node_count] - level) < 1e-6 * max(1.0, abs(level))
+
+
+def test_the_dvr_mirror_sector_is_the_even_full_line_levels():
+    # sextic N = 8 is even about x = 0: the mirror sector on [0, L] holds
+    # the levels 0, 2, 4, ... of the full line's [-L, L]
+    spec = catalog.instantiate("sextic", N=8)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    profile = potential.split_energy(pre, branches[0])
+    L = max(np.max(np.abs(verify.default_grid(pre, br.roots).points)) for br in branches)
+    claims = {2 * m: potential.split_energy(pre, br).energy for m, br in enumerate(branches)}
+    half = verify.dvr_spectrum(profile, pre.cmap, (0.0, L), claims, mirror=0.0)
+    full = verify.dvr_spectrum(profile, pre.cmap, (-L, L), claims)
+    assert sorted(half) == sorted(full) == sorted(claims)
+    for k, (level, est) in half.items():
+        assert abs(level - full[k][0]) <= 1e-10 * max(1.0, abs(level)), k
+        assert est <= 1e-9 * max(1.0, abs(level))
+    with pytest.raises(ValueError, match="odd"):
+        verify.dvr_spectrum(profile, pre.cmap, (0.0, L), {1: 0.0}, mirror=0.0)
+
+
+def test_a_wrong_claim_moves_no_dvr_level(dvr_spectra):
+    # the claims only seed the DVR's size: moved by 10% either way, or all
+    # set to 0, every level stays where it was, to rounding
+    spec = catalog.instantiate("sextic", N=16)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    reports = verify.verify_branches(pre, branches)
+    ((box, mirror),) = dvr_spectra
+    profile = potential.split_energy(pre, branches[0])
+    claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
+    for factor in (0.9, 1.1, 0.0):
+        moved = verify.dvr_spectrum(profile, pre.cmap, box,
+                                    {k: factor * e for k, e in claims.items()}, mirror)
+        for rep in reports:
+            level = rep.spectrum_matches[0][1]
+            assert abs(moved[rep.node_count][0] - level) <= 1e-12 * max(1.0, abs(level))
+
+
+@pytest.mark.parametrize("name,N", [("sextic", 8), ("harmonic", 12)])
+def test_a_claim_off_by_1e_7_fails_the_dvr_bound(monkeypatch, name, N):
+    # E (1 + 1e-7) keeps the residual below tolerance and sits well inside
+    # FD's old 1e-3 bound, but not inside the DVR's est + 1e-9 max(1, |E|)
+    spec = catalog.instantiate(name, N=N)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert all(rep.verdict for rep in verify.verify_branches(pre, branches))
+    real = potential.split_energies
+
+    def scaled(pre, branches):
+        return [p if isinstance(p, Exception) else
+                dataclasses.replace(p, energy=p.energy * (1.0 + 1e-7))
+                for p in real(pre, branches)]
+
+    monkeypatch.setattr(potential, "split_energies", scaled)
+    reports = verify.verify_branches(pre, branches)
+    _, fd = _fd_group(pre, branches, reports)
+    for rep in reports:
+        claimed, level, diff = rep.spectrum_matches[0]
+        assert rep.residual_max < 1e-6 and rep.normalizable
+        assert abs(fd[rep.node_count] - claimed) < 1e-3 * max(1.0, abs(claimed))
+        # claims below 0.01 in size move by less than the 1e-9 floor
+        assert rep.verdict == (abs(claimed) < 0.01), (claimed, level, diff)
+    assert not all(rep.verdict for rep in reports)
