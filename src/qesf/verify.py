@@ -57,8 +57,6 @@ pass, nan where it has none.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 from dataclasses import asdict, dataclass
@@ -414,58 +412,6 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     return {k: (4.0 * e2[k] - e1[k]) / 3.0 for k in e1}
 
 
-# (get, set) thread-count functions of OpenBLAS builds: numpy's and scipy's
-# wheels (scipy-openblas, 64- and 32-bit integers) and a plain OpenBLAS
-_BLAS_THREADS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                 ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-                 ("openblas_get_num_threads", "openblas_set_num_threads"))
-
-
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS library mapped
-    into this process when first called (numpy's is mapped by import), read
-    off /proc/self/maps; none where that file does not exist."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get, put in _BLAS_THREADS:
-            if hasattr(lib, get) and hasattr(lib, put):
-                controls.append((getattr(lib, get), getattr(lib, put)))
-                break
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every OpenBLAS at one thread, then restore the
-    thread counts. So a DVR level has the same bits whatever thread count
-    the process runs with (sextic N = 40's 238-row levels differ in their
-    last bits between one and two threads), and a matrix of at most a few
-    hundred rows pays no thread wake-up: on a 2-core VM, waking OpenBLAS's
-    second thread at times cost 5-13 ms per np.linalg.eigvalsh of 72-120
-    rows, against 0.2-0.6 ms for the whole call on one thread."""
-    controls = _blas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(controls, before):
-            put(n)
-
-
 def _sinc_t(k: np.ndarray) -> np.ndarray:
     """Colbert-Miller kinetic entries at unit spacing for index offsets k:
     pi^2/3 at 0, 2 (-1)^k / k^2 elsewhere."""
@@ -473,9 +419,8 @@ def _sinc_t(k: np.ndarray) -> np.ndarray:
     return np.where(k == 0, math.pi ** 2 / 3.0, t)
 
 
-@functools.lru_cache(maxsize=32)
 def _sinc_kinetic(n: int, mirror: bool) -> np.ndarray:
-    """The n x n sinc kinetic matrix at unit spacing, read-only. On a
+    """The n x n sinc kinetic matrix at unit spacing. On a
     mirror the points are i = 0..n-1 from the mirror, and the even sector
     of the full line's 2n - 1 points is T(i - j) + T(i + j) with row 0
     and column 0 scaled by 1/sqrt(2)."""
@@ -485,7 +430,6 @@ def _sinc_kinetic(n: int, mirror: bool) -> np.ndarray:
         t += _sinc_t(i[:, None] + i[None, :])
         t[0, :] /= math.sqrt(2.0)
         t[:, 0] /= math.sqrt(2.0)
-    t.flags.writeable = False
     return t
 
 
@@ -510,9 +454,7 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
     time and never moves a level. A second solve at ceil(0.8 n) points
     must then agree to DVR_AGREE max(1, |E|) on every wanted level, or n
     grows to floor(1.25 n), whose check is the solve just made. More than
-    DVR_MAX_POINTS points raise GridError. The unscaled T is cached per
-    (n, mirror), and the solves run with OpenBLAS at one thread
-    (_one_blas_thread).
+    DVR_MAX_POINTS points raise GridError.
     """
     step = 1 if mirror is None else 2
     odd = [k for k in levels if k % step]
@@ -539,7 +481,8 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
     @functools.cache
     def _levels(n: int) -> np.ndarray:
         h, u = _potential(n)
-        H = _sinc_kinetic(n, mirror is not None) / h ** 2
+        H = _sinc_kinetic(n, mirror is not None)
+        H /= h ** 2
         H.flat[::n + 1] += u
         return np.linalg.eigvalsh(H)
 
@@ -548,27 +491,26 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
         return max(MIN_GRID_POINTS, 2 * top + 2, math.ceil(span * DVR_MARGIN / DVR_STEP) + 1)
 
     e_top, n = max(levels.values()), MIN_GRID_POINTS
-    with _one_blas_thread():
-        while True:
-            if n > DVR_MAX_POINTS:
-                raise GridError(f"the sinc DVR on [{lo:.6g}, {hi:.6g}] needs more "
-                                f"than {DVR_MAX_POINTS} points")
-            h, u = _potential(n)
-            u_min = float(np.min(u))
-            if _size(e_top, u_min) > n:
-                n = _size(e_top, u_min)
-                continue
-            fine = _levels(n)
-            if h * math.sqrt(max(fine[top] - u_min, 0.0)) > DVR_STEP:
-                e_top = float(fine[top])  # the solve's own top level resizes n
-                n = max(_size(e_top, u_min), n + 1)
-                continue
-            coarse = _levels((4 * n + 4) // 5)  # ceil(0.8 n)
-            out = {k: (float(fine[k // step]), float(abs(fine[k // step] - coarse[k // step])))
-                   for k in levels}
-            if all(est <= DVR_AGREE * max(1.0, abs(e)) for e, est in out.values()):
-                return out
-            n = 5 * n // 4  # whose ceil(0.8 n) is this n: its levels are the next check
+    while True:
+        if n > DVR_MAX_POINTS:
+            raise GridError(f"the sinc DVR on [{lo:.6g}, {hi:.6g}] needs more "
+                            f"than {DVR_MAX_POINTS} points")
+        h, u = _potential(n)
+        u_min = float(np.min(u))
+        if _size(e_top, u_min) > n:
+            n = _size(e_top, u_min)
+            continue
+        fine = _levels(n)
+        if h * math.sqrt(max(fine[top] - u_min, 0.0)) > DVR_STEP:
+            e_top = float(fine[top])  # the solve's own top level resizes n
+            n = max(_size(e_top, u_min), n + 1)
+            continue
+        coarse = _levels((4 * n + 4) // 5)  # ceil(0.8 n)
+        out = {k: (float(fine[k // step]), float(abs(fine[k // step] - coarse[k // step])))
+               for k in levels}
+        if all(est <= DVR_AGREE * max(1.0, abs(e)) for e, est in out.values()):
+            return out
+        n = 5 * n // 4  # whose ceil(0.8 n) is this n: its levels are the next check
 
 
 def node_count(phi) -> int:

@@ -580,13 +580,6 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dv
             (((box_lo, box_hi), mirror),) = dvr_spectra
             assert mirror == 0.0 and box_lo == 0.0
             assert 0.0 < box_hi < max(-lo, hi)
-            # and on the FD grid they had before: cell-centred from the
-            # mirror, at the spacing of the union grid
-            grid, _ = _fd_group(pre, branches, reports)
-            assert grid.mirror == 0.0 and grid.wall_lo is None
-            assert grid.h == pytest.approx((hi - lo) / 4000, rel=1e-12)
-            assert grid.points[0] == pytest.approx(grid.h / 2, rel=1e-12)
-            assert grid.points[-2] < max(-lo, hi) <= grid.points[-1]
         else:
             (grid,) = fd_spectrum_grids
             assert dvr_spectra == []
@@ -603,7 +596,7 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dv
             # the model grid moves E_fd at the FD error level only: a tenth
             # of FD's old wall-free tolerance, 1e-3, or of 1e-2 at the
             # half-line's singular wall
-            bound = 1e-4 if grid.wall_lo is None and grid.wall_hi is None else 1e-3
+            bound = 1e-4 if mirrored else 1e-3
             assert diff < bound * max(1.0, abs(claimed))
 
 
@@ -903,7 +896,10 @@ def test_a_mirror_grid_holds_only_the_even_levels():
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
         bae.BetheBranch((), 0.0, 0))
     grid = verify.mirror_grid(0.0, 2000, 0.005)
+    # cell-centred from the mirror at the given spacing
     assert grid.points[0] == 0.0025 and grid.component == (0.0, math.inf)
+    assert grid.h == 0.005 and grid.mirror == 0.0 and grid.wall_lo is None
+    assert np.allclose(np.diff(grid.points), 0.005, rtol=1e-12, atol=0.0)
     levels = verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 2: 5.0, 4: 9.0})
     assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in (0, 2, 4))
     with pytest.raises(ValueError, match="odd"):
