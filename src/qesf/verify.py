@@ -8,25 +8,20 @@ is the node count (a state with n nodes is level n, by Sturm oscillation),
 and normalizability comes from adaptive quadrature of phi^2. These are the
 arbiters for every sign or convention ambiguity upstream.
 
-The spectrum oracle has two discretizations. On a component with no wall
-it is the sinc discrete variable representation (dvr_spectrum): one
-np.linalg.eigvalsh of a dense matrix of a few dozen to a few hundred
-rows gives every level, spectrally accurate, with its own error estimate
-from a second solve on 0.8 times the points. The claimed energies enter
-it only through the largest one, which seeds the matrix size; the size is
-re-checked against the solve's own top level, so a wrong claim costs time
-and can never change a level. At a wall the oracle stays the
-second-order finite-difference (FD) operator with a ghost-point row for
-the wall, Richardson-extrapolated (fd_spectrum). There the claim seeds
-each level's search: two Sturm counts fix the level's index in a window
-that holds it alone, and the Kato-Temple bound fixes its value, with
-bisection as the fallback, so again a wrong claim costs time and never
-changes the level. All levels of one FD matrix are found in one
-poly.tridiag_levels call, so the Sturm count at each claim's shift can
-end the other levels' windows. Those LAPACK routines come from scipy's
-LAPACK extension, loaded on the first FD level found; the scipy.linalg
-package is never imported, and a verify with no wall imports no scipy
-module at all.
+The spectrum oracle is one family: a spectral basis whose n-row matrix
+takes one np.linalg.eigvalsh, sized by one loop (_agreed_levels). On a
+component with no wall the basis is the sinc discrete variable
+representation (dvr_spectrum); at a wall it is a Gauss-Jacobi Lagrange
+mesh in z with the wall's power of |z - a| factored out (wall_spectrum),
+which converges spectrally at x^-2 endpoints. Each level comes with its
+own error estimate from a second solve on 0.8 times the rows. The claimed
+energies enter only through the largest one, which seeds the matrix size;
+the size is re-checked against the solve's own top level, so a wrong
+claim costs time and can never change a level. No scipy module is
+loaded. fd_spectrum, the second-order finite-difference operator with a
+ghost-point row at a wall, Richardson-extrapolated, whose levels
+poly.tridiag_levels finds from Sturm counts and the Kato-Temple bound,
+stays as a cross-check for the tests; verify_branches no longer calls it.
 
 Where the coordinate map has a turning point x_t inside the certified
 component (parabolic or cosh maps, with no wall at x_t), z(x), the
@@ -65,8 +60,10 @@ import numpy as np
 
 from . import bae, potential, prepot
 from .errors import DomainError, GridError
+from .model import is_turning_point
 # tridiag_eigenvalues is bound here, though unused, because the benchmark's
-# tracer (perfbench/tracing.py) wraps verify.tridiag_eigenvalues.
+# tracer (perfbench/tracing.py) wraps verify.tridiag_eigenvalues, as it
+# wraps fd_spectrum and Tridiag, which no verify path calls any more.
 from .poly import Poly, Tridiag, tridiag_eigenvalues, tridiag_levels
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
@@ -76,10 +73,12 @@ MIN_GRID_POINTS = 8  # fewest points of a certification grid
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
 DVR_BOX_LOG = 18.0  # DVR box: where log|phi| >= its max - DVR_BOX_LOG
-DVR_STEP = 0.8  # largest h sqrt(E_top - min U) of a DVR solve
+DVR_STEP = 0.8  # largest phase step h sqrt(E_top - u) of a sinc-DVR solve
+WALL_STEP = 2.0  # and of a wall-basis solve
 DVR_MARGIN = 1.1  # n is sized for DVR_STEP / DVR_MARGIN
+DVR_TAIL = 5.0  # a step above the potential counts 1/DVR_TAIL of one below it
 DVR_AGREE = 1e-9  # relative agreement of the two solves, and the verdict's floor
-DVR_MAX_POINTS = 2000  # largest DVR matrix
+DVR_MAX_POINTS = 2000  # largest DVR or wall-basis matrix
 _LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresholds
 _SIMPSON = np.ones(SIMPSON_POINTS)
 _SIMPSON[1:-1:2] = 4.0
@@ -129,7 +128,7 @@ class VerificationReport:
     node_count: int
     normalizable: bool
     norm_estimate: float
-    spectrum_matches: list  # (E_claimed, E_fd, |diff|), E_fd the oracle's level, DVR or FD
+    spectrum_matches: list  # (E_claimed, E_fd, |diff|), E_fd the spectrum oracle's level
     spectrum_note: str
     verdict: bool
 
@@ -198,7 +197,7 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list
 
     The map's endpoints and the model's finite walls (pre.walls) cut the
     x-domain into components. A component is admitted when phi vanishes at
-    each of its walls (nu > 0), which the FD oracle needs; a wall with
+    each of its walls (nu > 0), which verify still requires; a wall with
     nu <= 0 (bound, and normalizable, for nu > -1/2) is named in the
     GridError of a branch left with no component. Admitted components are
     preferred in this order: the one holding every root preimage, then the
@@ -227,7 +226,7 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list
     admitted = [c for c in components if weak.isdisjoint(c)]
     exhausted = "no normalizable domain component found"
     if weak:  # named, as the reason their components were not tried
-        exhausted += "; the FD oracle needs nu > 0 at each wall, and " + ", ".join(
+        exhausted += "; verify needs nu > 0 at each wall, and " + ", ".join(
             f"the wall at x = {x:.6g} has nu = {walls[x]:.6g}" for x in sorted(weak))
     pending = {}  # branch -> (its root preimages, its components still to try)
     for i, row in enumerate(xr):
@@ -433,12 +432,77 @@ def _sinc_kinetic(n: int, mirror: bool) -> np.ndarray:
     return t
 
 
+def _agreed_levels(levels: dict[int, float], step: int, box: tuple[float, float],
+                   points, solve, largest_step: float, name: str) -> dict:
+    """The sizing loop of both spectrum oracles: {index: (level, est)} for
+    levels = {index: energy}, indices counting the full component's levels
+    (step 2 on a mirror, whose sector level m is level 2m), est a level's
+    move between the two solves below.
+
+    points(n) gives, at size n, the x step h of each point (or one for
+    all) and the potential u the solve sees there; solve(n) the ascending
+    levels of the sector's n-row matrix. A point's phase step is h times
+    sqrt(E - u) where u < E, and times sqrt(u - E) / DVR_TAIL where u > E,
+    so the decay into a truncated box end is resolved too. The largest
+    energy only seeds n, at a largest phase step of largest_step / DVR_MARGIN;
+    n is re-checked against the solve's own level at the largest index
+    (largest_step), so a wrong energy costs time and never moves a level. A
+    second solve at ceil(0.8 n) must then agree to DVR_AGREE max(1, |E|)
+    on every wanted level, or n grows to floor(1.25 n), whose check is the
+    solve just made. More than DVR_MAX_POINTS rows raise GridError.
+    """
+    lo, hi = box
+    top = max(levels) // step  # the largest wanted row of the sector
+
+    def _phase(n: int, e: float) -> float:
+        h, u = points(n)
+        return float(np.max(h * np.sqrt(np.maximum(e - u, (u - e) / DVR_TAIL ** 2))))
+
+    def _size(n: int, e: float) -> int:
+        return max(MIN_GRID_POINTS, 2 * top + 2,
+                   math.ceil((n - 1) * _phase(n, e) * DVR_MARGIN / largest_step) + 1)
+
+    e_top, n = max(levels.values()), MIN_GRID_POINTS
+    while True:
+        if n > DVR_MAX_POINTS:
+            raise GridError(f"the {name} on [{lo:.6g}, {hi:.6g}] needs more "
+                            f"than {DVR_MAX_POINTS} points")
+        if _size(n, e_top) > n:
+            n = _size(n, e_top)
+            continue
+        fine = solve(n)
+        if _phase(n, float(fine[top])) > largest_step:
+            e_top = float(fine[top])  # the solve's own top level resizes n
+            n = max(_size(n, e_top), n + 1)
+            continue
+        coarse = solve((4 * n + 4) // 5)  # ceil(0.8 n)
+        out = {k: (float(fine[k // step]), float(abs(fine[k // step] - coarse[k // step])))
+               for k in levels}
+        if all(est <= DVR_AGREE * max(1.0, abs(e)) for e, est in out.values()):
+            return out
+        n = 5 * n // 4  # whose ceil(0.8 n) is this n: its levels are the next check
+
+
+def _checked_levels(levels: dict[int, float], mirror: float | None) -> int:
+    """The index step of levels on a component with this mirror (2 with
+    one, where only even indices exist), after checking the indices."""
+    step = 1 if mirror is None else 2
+    odd = [k for k in levels if k % step]
+    if odd:
+        raise ValueError(f"levels {odd} are odd about the mirror x = {mirror}: "
+                         "a mirror component holds only the even levels")
+    if levels and min(levels) < 0:
+        raise ValueError(f"level indices {sorted(levels)} must be at least 0")
+    return step
+
+
 def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, float],
                  levels: dict[int, float], mirror: float | None = None) -> dict:
     """Eigenvalues of -d2/dx2 + U by the sinc discrete variable
     representation on box = (lo, hi), for levels = {index: energy}, indices
     ascending from the ground level at 0. Returns {index: (eigenvalue, est)},
-    est the level's move between the two solves below.
+    est the level's move between the two solves of _agreed_levels, which
+    sizes the matrix.
 
     The matrix is H = T / h^2 + diag(U(z(x_i))) on the n points
     x_i = lo + i h, h = (hi - lo) / (n - 1), T the Colbert-Miller kinetic
@@ -447,31 +511,16 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
     (lo = mirror = x_t) H is the even sector of the component symmetric
     about x_t: its level m is the full component's level 2m, so indices
     count the full component's levels and an odd one raises ValueError.
-
-    The largest energy only seeds n, at h sqrt(E_top - min U) =
-    DVR_STEP / DVR_MARGIN, min U over the points; n is re-checked against
-    the solve's own level at the largest index, so a wrong energy costs
-    time and never moves a level. A second solve at ceil(0.8 n) points
-    must then agree to DVR_AGREE max(1, |E|) on every wanted level, or n
-    grows to floor(1.25 n), whose check is the solve just made. More than
-    DVR_MAX_POINTS points raise GridError.
     """
-    step = 1 if mirror is None else 2
-    odd = [k for k in levels if k % step]
-    if odd:
-        raise ValueError(f"levels {odd} are odd about the mirror x = {mirror}: "
-                         "a mirror component holds only the even levels")
+    step = _checked_levels(levels, mirror)
     if not levels:
         return {}
-    if min(levels) < 0:
-        raise ValueError(f"level indices {sorted(levels)} must be at least 0")
     lo, hi = box
     if not hi > lo:
         raise GridError(f"empty DVR box [{lo}, {hi}]")
-    top = max(levels) // step  # the largest wanted row of the sector
 
     @functools.cache
-    def _potential(n: int) -> tuple[float, np.ndarray]:
+    def _points(n: int) -> tuple[float, np.ndarray]:
         h = (hi - lo) / (n - 1)
         u = profile.U(cmap.z_of_x(lo + h * np.arange(n)))
         if not np.all(np.isfinite(u)):
@@ -480,37 +529,143 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
 
     @functools.cache
     def _levels(n: int) -> np.ndarray:
-        h, u = _potential(n)
+        h, u = _points(n)
         H = _sinc_kinetic(n, mirror is not None)
         H /= h ** 2
         H.flat[::n + 1] += u
         return np.linalg.eigvalsh(H)
 
-    def _size(e_top: float, u_min: float) -> int:
-        span = (hi - lo) * math.sqrt(max(e_top - u_min, 0.0))
-        return max(MIN_GRID_POINTS, 2 * top + 2, math.ceil(span * DVR_MARGIN / DVR_STEP) + 1)
+    return _agreed_levels(levels, step, box, _points, _levels, DVR_STEP, "sinc DVR")
 
-    e_top, n = max(levels.values()), MIN_GRID_POINTS
-    while True:
-        if n > DVR_MAX_POINTS:
-            raise GridError(f"the sinc DVR on [{lo:.6g}, {hi:.6g}] needs more "
-                            f"than {DVR_MAX_POINTS} points")
-        h, u = _potential(n)
-        u_min = float(np.min(u))
-        if _size(e_top, u_min) > n:
-            n = _size(e_top, u_min)
-            continue
-        fine = _levels(n)
-        if h * math.sqrt(max(fine[top] - u_min, 0.0)) > DVR_STEP:
-            e_top = float(fine[top])  # the solve's own top level resizes n
-            n = max(_size(e_top, u_min), n + 1)
-            continue
-        coarse = _levels((4 * n + 4) // 5)  # ceil(0.8 n)
-        out = {k: (float(fine[k // step]), float(abs(fine[k // step] - coarse[k // step])))
-               for k in levels}
-        if all(est <= DVR_AGREE * max(1.0, abs(e)) for e, est in out.values()):
-            return out
-        n = 5 * n // 4  # whose ceil(0.8 n) is this n: its levels are the next check
+
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of weight (1 - t)^alpha (1 + t)^beta on
+    (-1, 1): its nodes (ascending), from the eigenvalues of its Jacobi
+    matrix (Golub and Welsch, Math. Comp. 23 (1969) 221), their
+    Christoffel numbers and the nodes' barycentric weights, both of these
+    up to a common factor. The orthonormal polynomials p_k at the nodes
+    come from their three-term recurrence: the Christoffel number is
+    1 / sum_k p_k^2, and the barycentric weight is proportional to it
+    times p_(n-1)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha + beta
+    a = np.empty(n)
+    a[0] = (beta - alpha) / (alpha + beta + 2.0)
+    a[1:] = (beta ** 2 - alpha ** 2) / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    b = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+                / (s ** 2 * (s + 1.0) * (s - 1.0)))
+    t = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+    p = np.ones((n, n))
+    for j in range(n - 1):
+        p[j + 1] = ((t - a[j]) * p[j] - (b[j - 1] * p[j - 1] if j else 0.0)) / b[j]
+    christoffel = 1.0 / np.sum(p * p, axis=0)
+    return t, christoffel, christoffel * p[-1]
+
+
+def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
+                  box: tuple[float, float], walls, levels: dict[int, float],
+                  mirror: float | None = None) -> dict:
+    """Eigenvalues of -d2/dx2 + U on box = (lo, hi) with a singular wall at
+    one end or both, for levels = {index: energy}, indices ascending from
+    the ground level at 0; z'^2 = Q(z) is the map's polynomial and z is
+    monotone on the box. walls = (wall_lo, wall_hi) as a Grid carries
+    them: (x of the wall, nu) at a wall end, whose box end is the wall
+    itself, with nu >= 1/2 (the Friedrichs extension's states go as
+    |x - wall|^nu there); None at a truncated end. Returns
+    {index: (eigenvalue, est)}, est the level's move between the two
+    solves of _agreed_levels, which sizes the basis.
+
+    The basis is phi = w chi, chi a polynomial in z and
+    w = prod_j |z - a_j|^s_j over the walls' z = a_j, s_j = nu_j / 2 at a
+    turning point (Q(a_j) = 0, where z - a_j goes as (x - wall)^2) and
+    nu_j elsewhere, so w goes as |x - wall|^nu. With
+    L = sum_j s_j / (z - a_j), w''/w = Q L^2 + Q dL/dz + L Q'/2 and chi
+    solves -(w^2 chi')' / w^2 + (U - w''/w) chi = E chi. A state is w
+    times a function analytic in z, and U - w''/w is analytic at a
+    turning-point wall: the map's w cancels U's x^-2 and the pole a bare
+    |x - wall|^nu would leave. Where Q(a_j) != 0 a simple pole of
+    U - w''/w remains (its residue goes with phi's slope past the wall).
+    The quadrature is the Gauss-Jacobi rule of weight
+    (1 - t)^alpha (1 + t)^beta, t linear in z from -1 at lo to 1 at hi,
+    whose exponent at an end is that of the measure w^2 dx = w^2 dz /
+    sqrt(Q): nu - 1/2 at a turning-point wall; 2 nu - 1 at a wall where
+    Q(a) != 0, one power less, to absorb the pole; 0 at a truncated end,
+    where chi carries a (1 -+ t) factor so that phi vanishes. chi is the
+    Lagrange basis at the n nodes (a Lagrange mesh, Baye, Phys. Rep. 565
+    (2015) 1), so the overlap is diagonal and the n-row matrix takes one
+    eigvalsh.
+
+    With a mirror (lo = mirror = x_t) the component is symmetric about
+    x_t and walled at both ends by wall_hi; a polynomial in z is even
+    about x_t, so the basis spans the even sector, whose level m is the
+    full component's level 2m: indices count the full component's levels
+    and an odd one raises ValueError. x_t is a turning point of the map
+    with no wall, so its exponent is -1/2.
+    """
+    step = _checked_levels(levels, mirror)
+    if not levels:
+        return {}
+    lo, hi = box
+    if not hi > lo:
+        raise GridError(f"empty wall box [{lo}, {hi}]")
+    z_lo, z_hi = float(cmap.z_of_x(lo)), float(cmap.z_of_x(hi))
+    exponents, powers = [], {}  # per end (lo, hi) its weight exponent; a -> s
+    for end, wall in zip((lo, hi), walls):
+        if end == mirror:
+            exponents.append(-0.5)
+        elif wall is None:
+            exponents.append(0.0)
+        else:
+            a, nu = float(cmap.z_of_x(wall[0])), wall[1]
+            turning = is_turning_point(Q, a)
+            powers[a] = nu / 2.0 if turning else nu
+            exponents.append(nu - 0.5 if turning else 2.0 * nu - 1.0)
+    beta, alpha = exponents
+    dz_dt = (z_hi - z_lo) / 2.0
+    dQ = Q.derivative()
+
+    @functools.cache
+    def _nodes(n: int) -> tuple:
+        """Per node of the size-n rule: the x step and the potential
+        U - w''/w, all that sizing reads; then t, its Christoffel numbers and
+        barycentric weights, z and Q(z)."""
+        t, christoffel, bary = _gauss_jacobi(n, alpha, beta)
+        z = z_lo + dz_dt * (1.0 + t)
+        qz = Q(z)
+        L = sum(s / (z - a) for a, s in powers.items())
+        dL = sum(-s / (z - a) ** 2 for a, s in powers.items())
+        u = profile.U(z) - (qz * L * L + qz * dL + L * dQ(z) / 2.0)
+        if not np.all(np.isfinite(u)):
+            raise GridError("a wall-basis node lies on a pole of the potential")
+        t_gaps = np.diff(np.concatenate(([-1.0], t, [1.0])))
+        h = np.maximum(t_gaps[:-1], t_gaps[1:]) * abs(dz_dt) / np.sqrt(qz)
+        return h, u, t, christoffel, bary, z, qz
+
+    @functools.cache
+    def _levels(n: int) -> np.ndarray:
+        _, u, t, christoffel, bary, z, qz = _nodes(n)
+        gaps = t[:, None] - t[None, :]
+        np.fill_diagonal(gaps, 1.0)
+        D = bary[None, :] / bary[:, None] / gaps  # derivative of chi's basis in t
+        np.fill_diagonal(D, 0.0)
+        np.fill_diagonal(D, -D.sum(axis=1))  # each row of a derivative sums to 0
+        for side, end, wall in ((-1.0, lo, walls[0]), (1.0, hi, walls[1])):
+            if wall is None and end != mirror:  # chi_i = (1 - side t) l_i / (1 - side t_i)
+                f = 1.0 - side * t
+                D = (f[:, None] * D - side * np.eye(n)) / f[None, :]
+        # the quadrature weight of w^2 dx at each node
+        log_m = (np.log(christoffel * abs(dz_dt)) - 0.5 * np.log(qz)
+                 + sum(2.0 * s * np.log(np.abs(z - a)) for a, s in powers.items())
+                 - alpha * np.log1p(-t) - beta * np.log1p(t))
+        m = np.exp(log_m - np.max(log_m))
+        H = (D.T * (m * qz / dz_dt ** 2)) @ D  # (dt/dx)^2 = Q / (dz/dt)^2
+        H.flat[::n + 1] += m * u
+        scale = 1.0 / np.sqrt(m)
+        return np.linalg.eigvalsh(H * scale[:, None] * scale[None, :])
+
+    return _agreed_levels(levels, step, box, lambda n: _nodes(n)[:2], _levels, WALL_STEP,
+                          "wall basis")
 
 
 def node_count(phi) -> int:
@@ -526,14 +681,15 @@ def _log_simpsons(lo: np.ndarray, hi: np.ndarray, logphi: np.ndarray) -> list:
     (lo, hi), lo and hi of one shape S, computed in log space from log|phi|
     on its SIMPSON_POINTS points, logphi of shape S + (SIMPSON_POINTS,).
     Flat list in row-major order over S; +inf for a window where phi
-    overflows, -inf for an empty window or one where phi vanishes. The
-    Simpson sum is np.sum over the last axis, whose bits do not depend on
-    S."""
+    overflows, nan for one where phi is nan (inf - inf in W_N where z
+    overflows), which no scan can decide, -inf for an empty window or one
+    where phi vanishes. The Simpson sum is np.sum over the last axis, whose
+    bits do not depend on S."""
     with np.errstate(invalid="ignore", over="ignore"):
         m = np.max(2.0 * logphi, axis=-1)
         sums = np.sum(np.exp(2.0 * logphi - m[..., None]) * _SIMPSON, axis=-1)
     integrals = (hi - lo) / (SIMPSON_POINTS - 1) / 3.0 * sums
-    return [math.inf if mi == math.inf else
+    return [mi if math.isnan(mi) or mi == math.inf else
             mi + math.log(v) if b > a and math.isfinite(mi) and v > 0 else -math.inf
             for a, b, mi, v in zip(lo.ravel().tolist(), hi.ravel().tolist(),
                                    m.ravel().tolist(), integrals.ravel().tolist())]
@@ -674,7 +830,7 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
     core_lo, core_hi = np.array([_core(*c) for c in zip(a.tolist(), b.tolist())]).reshape(B, 2).T
     total = _log_simpsons(core_lo, core_hi, prepot.phi_log_sign(
         pre, roots, _simpson_points(core_lo, core_hi))[0])
-    ok = [True] * B
+    ok = [not math.isnan(t) for t in total]  # a nan core window is undecidable
     for edges, inner, outward in ((a, core_lo, -1), (b, core_hi, +1)):
         lo_w, hi_w = _windows(edges, inner, outward)
         outer_w = hi_w if outward > 0 else lo_w
@@ -697,7 +853,8 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
                 if math.isfinite(edge_l[i]):  # a window whose lo rounds onto
                     # the wall samples phi's pole there: it has no weight
                     seg_i = [-math.inf if s == math.inf else s for s in seg_i]
-                totals = np.logaddexp.accumulate([total[i]] + seg_i).tolist()
+                with np.errstate(invalid="ignore"):  # a nan window
+                    totals = np.logaddexp.accumulate([total[i]] + seg_i).tolist()
                 verdict = _scan(seg_i, totals, outers, edge_l[i], bulk_l[i], outward, state[i])
                 if verdict is None:
                     total[i] = totals[-1]
@@ -723,6 +880,8 @@ def _scan(segs: list, totals: list, outers: list, edge: float, bulk: float,
     for j, (seg, outer) in enumerate(zip(segs, outers)):
         if seg == math.inf:
             return False, j  # phi overflows toward an infinite end: divergent
+        if math.isnan(seg):
+            return False, j  # phi is nan there: undecidable, so not shown normalizable
         if not math.isfinite(edge) and outward * (outer - bulk) < 0:
             continue  # inside the bulk
         if seg < totals[j + 1] - 36.0:
@@ -796,24 +955,22 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     (equal potential U, as type-1 and ES models share, and equal walls
     with their exponents) form one group, matched against one spectrum.
     Only the levels whose indices are the group's node counts are
-    compared, and a claim cannot choose its level. On a group with no
-    wall the levels come from dvr_spectrum, on the box where some
-    member's log|phi| is within DVR_BOX_LOG of its maximum (read off the
-    phi its setup computed), and the match must be within the level's own
-    estimate plus DVR_AGREE max(1, |E|). On a group with a wall they come
-    from fd_spectrum, on a grid of n_points points spanning all the
-    members' grids (for a branch alone its own grid), each level looked
-    for near its branch's claimed energy, and the match must be within
-    1e-2 max(1, |E|), FD's accuracy at a wall.
+    compared, and a claim cannot choose its level. The levels come from
+    one oracle family, each level with its own error estimate est, and the
+    match must be within est + DVR_AGREE max(1, |E|) on every group: from
+    dvr_spectrum on a group with no wall, and from wall_spectrum on a
+    group with a wall (nu >= 1/2). Each end of the spectrum's box is a
+    wall of the group's component, or where some member's log|phi| is
+    within DVR_BOX_LOG of its maximum (read off the phi its setup
+    computed). n_points sizes the members' grids, not the spectrum.
 
     When the group's component holds the map's turning point x_t
     (coords.CoordinateMap.x_turn), the spectrum is the even sector of the
-    component, with a mirror end at x_t: from x_t to the farthest member
-    box end for the DVR, and a cell-centred mirror grid at the spacing of
-    the full group grid for FD. Every algebraic state is even about x_t
-    there, so the verdict also requires an even node count n, matched
-    against even-sector level n // 2; a branch with an odd count fails,
-    and spectrum_note says why.
+    component, with a mirror end at x_t, from x_t to the farthest box end
+    or to the wall. Every algebraic state is even about x_t there, so the
+    verdict also requires an even node count n, matched against
+    even-sector level n // 2; a branch with an odd count fails, and
+    spectrum_note says why.
     """
     results: list = [None] * len(branches)
     checked = []  # (index, profile, grid, fields)
@@ -831,11 +988,10 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
             continue
         checked.append((i, profile, grid, dict(residual_max=rmax, residual_rms=rrms,
                                                node_count=node_count(phi))))
-        if grid.wall_lo is None and grid.wall_hi is None:
-            logphi = phi[0]
-            peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
-            inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
-            boxes[i] = float(grid.points[inside[0]]), float(grid.points[inside[-1]])
+        logphi = phi[0]
+        peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
+        inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
+        boxes[i] = float(grid.points[inside[0]]), float(grid.points[inside[-1]])
     roots = np.asarray([branches[i].roots for i, *_ in checked], dtype=float)
     norms = normalizability_checks(pre, roots.reshape(len(checked), pre.spec_ref.N),
                                    [grid.component for _, _, grid, _ in checked])
@@ -843,16 +999,15 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     for (i, profile, grid, fields), (normalizable, norm_estimate) in zip(checked, norms):
         fields.update(normalizable=normalizable, norm_estimate=norm_estimate)
         # At a limit-circle wall where the state follows the weaker
-        # indicial root (nu < 1/2) the discrete operator mixes in the
-        # conjugate solution and grows spurious corner modes: the FD
-        # spectrum is not a trustworthy oracle there, so the residual
-        # alone carries the verdict.
+        # indicial root (nu < 1/2) both roots are square-integrable and the
+        # wall basis, which selects the Friedrichs one, is no oracle for
+        # it, so the residual alone carries the verdict.
         limit_circle = any(wall is not None and wall[1] < 0.5 - 1e-12
                            for wall in (grid.wall_lo, grid.wall_hi))
         if limit_circle:
             results[i] = VerificationReport(
                 **fields, spectrum_matches=[],
-                spectrum_note="FD spectrum oracle skipped: limit-circle wall "
+                spectrum_note="spectrum oracle skipped: limit-circle wall "
                               "with endpoint exponent nu < 1/2",
                 verdict=bool(fields["residual_max"] < residual_tol))
         else:
@@ -861,8 +1016,8 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
 
     x_t = pre.cmap.x_turn
     for members in groups.values():
-        grids = [grid for _, _, grid, _ in members]
-        c_lo, c_hi = grids[0].component
+        walls = members[0][2].wall_lo, members[0][2].wall_hi
+        c_lo, c_hi = members[0][2].component
         mirror = x_t if x_t is not None and c_lo < x_t < c_hi else None
         # each node count with the energy of its first branch; a mirror
         # component has no level for an odd count
@@ -870,26 +1025,18 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         for _, profile, _, fields in members:
             if mirror is None or fields["node_count"] % 2 == 0:
                 claims.setdefault(fields["node_count"], profile.energy)
+        # the box: a wall end is the wall; a truncated one the farthest
+        # member box end; a mirror component runs from x_t
+        lo = c_lo if walls[0] else min(boxes[i][0] for i, *_ in members)
+        hi = c_hi if walls[1] else max(boxes[i][1] for i, *_ in members)
+        if mirror is not None:
+            lo, hi = mirror, mirror + max(mirror - lo, hi - mirror)
         try:
-            if grids[0].wall_lo is None and grids[0].wall_hi is None:
-                lo = min(boxes[i][0] for i, *_ in members)
-                hi = max(boxes[i][1] for i, *_ in members)
-                if mirror is not None:
-                    lo, hi = mirror, mirror + max(mirror - lo, hi - mirror)
+            if walls == (None, None):
                 levels = dvr_spectrum(members[0][1], pre.cmap, (lo, hi), claims, mirror)
-                floor = DVR_AGREE
             else:
-                lo = min(g.points[0] for g in grids)
-                hi = max(g.points[-1] for g in grids)
-                if mirror is not None:
-                    h = float(hi - lo) / (n_points - 1)
-                    grid = mirror_grid(mirror, math.ceil(max(mirror - lo, hi - mirror) / h + 0.5),
-                                       h, grids[0].wall_hi)
-                else:
-                    grid = make_grid(lo, hi, n_points, grids[0].wall_lo, grids[0].wall_hi)
-                levels = {k: (e, 0.0) for k, e in
-                          fd_spectrum(members[0][1], pre.cmap, grid, claims).items()}
-                floor = 1e-2  # FD's accuracy at a wall
+                levels = wall_spectrum(members[0][1], pre.cmap, pre.spec_ref.Q, (lo, hi),
+                                       walls, claims, mirror)
         except (GridError, DomainError, ValueError) as exc:
             for i, *_ in members:
                 results[i] = exc
@@ -910,7 +1057,7 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
                 spectrum_note="",
                 verdict=bool(fields["residual_max"] < residual_tol
                              and fields["normalizable"]
-                             and diff < est + floor * max(1.0, abs(energy))))
+                             and diff < est + DVR_AGREE * max(1.0, abs(energy))))
     return results
 
 

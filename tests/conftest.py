@@ -46,6 +46,22 @@ def dvr_spectra(monkeypatch):
 
 
 @pytest.fixture
+def wall_spectra(monkeypatch):
+    """(box, walls, mirror) of every verify.wall_spectrum call made through
+    the module."""
+    from qesf import verify
+    calls = []
+    real = verify.wall_spectrum
+
+    def counted(profile, cmap, Q, box, walls, levels, mirror=None):
+        calls.append((box, walls, mirror))
+        return real(profile, cmap, Q, box, walls, levels, mirror)
+
+    monkeypatch.setattr(verify, "wall_spectrum", counted)
+    return calls
+
+
+@pytest.fixture
 def fd_levels(monkeypatch):
     """(matrix, index, level) of every level computed by a
     verify.tridiag_levels call made through the module, in call order."""

@@ -282,7 +282,7 @@ def test_w0_log_wall_at_a_cosh_turning_point_rejects_both_sides(tmp_path):
 
 
 # z = sin^2 x: the wall z = 1 at x = pi/2 has nu = -0.2, so phi is bound and
-# normalizable there, but the FD oracle needs nu > 0 at each wall
+# normalizable there, but verify needs nu > 0 at each wall
 NEGATIVE_NU_WALL = {"Q": [0, 4, -4], "P": [0, -4, 4], "N": 1,
                     "singularities": [{"a": 0, "mu": 0.25}, {"a": 1, "mu": -0.1}]}
 
@@ -291,7 +291,7 @@ def test_a_wall_the_fd_oracle_cannot_take_is_named(tmp_path):
     solve_code, csv_text, code, out, err, _ = _solve_and_verify(tmp_path, "n", NEGATIVE_NU_WALL)
     assert solve_code == 0 and len(csv_text.splitlines()) == 3
     assert code == 3
-    reason = ("no normalizable domain component found; the FD oracle needs nu > 0 at "
+    reason = ("no normalizable domain component found; verify needs nu > 0 at "
               "each wall, and the wall at x = 1.5708 has nu = -0.2")
     assert err.count(f"verification error: {reason}") == 2, (out, err)
 
@@ -505,10 +505,9 @@ def test_the_smallest_grid_is_accepted(tmp_path):
     assert code == 0 and len(out.splitlines()) == 3
 
 
-# Defects still open: each test states the behaviour wanted and fails today
-# (strict), so it fails loudly once the ROADMAP item that fixes it lands.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: at trig-interval's nu = 1/2 "
-                   "walls branch 3 misses its FD level by 0.01123 against 0.01")
+# Configs whose FD level at a wall missed its claim by more than FD's 1e-2
+# bound: the wall basis certifies them (trig-interval's nu = 1/2 walls; a
+# wall where Q(a) != 0, cut at both of its x-preimages).
 def test_trig_interval_n15_certifies(tmp_path):
     solve_code, _, code, out, err, _ = _solve_and_verify(
         tmp_path, "t", {"catalog": "trig-interval", "N": 15})
@@ -516,8 +515,6 @@ def test_trig_interval_n15_certifies(tmp_path):
     assert code == 0, (out, err)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the FD ghost-point row at a "
-                   "wall with Q(a) != 0; branch 2 misses its FD level by 0.1706")
 def test_a_wall_off_the_turning_points_certifies(tmp_path):
     solve_code, _, code, out, err, _ = _solve_and_verify(tmp_path, "w", dict(
         MIRROR, singularities=[{"a": 1, "mu": 0.7}]))

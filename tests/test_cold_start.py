@@ -1,7 +1,8 @@
-"""Cold start: qesf loads scipy only for verify's FD level finder at a
-wall, and then only scipy's LAPACK extension, scipy.linalg._flapack: the
-scipy.linalg package is never imported. A verify with no wall (its
-spectra from the sinc DVR, numpy's eigvalsh) loads no scipy module.
+"""Cold start: no command loads scipy. verify's spectra come from numpy's
+eigvalsh, the sinc DVR's on a component with no wall and the wall basis's
+at a wall; only poly's FD level finder, which no command runs, loads
+scipy's LAPACK extension, scipy.linalg._flapack, and never the
+scipy.linalg package.
 
 Each check runs in a fresh interpreter, because this process may already
 have scipy loaded. Setting sys.modules["scipy"] = None before qesf is
@@ -43,7 +44,7 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 def test_commands_without_an_eigenproblem_run_without_scipy(tmp_path):
     config = _config(tmp_path, "sextic", 3)
-    # every wall limit-circle (nu < 1/2): verify skips the FD spectrum
+    # every wall limit-circle (nu < 1/2): verify skips the spectrum oracle
     walls = tmp_path / "limit-circle.json"
     walls.write_text(json.dumps({"Q": [1.0], "P": [0.1, 1.0], "N": 1,
                                  "singularities": [{"a": 0.05, "mu": 0.2}]}))
@@ -66,21 +67,20 @@ def test_commands_without_an_eigenproblem_run_without_scipy(tmp_path):
 
 def test_eigenproblems_never_load_scipy_linalg(tmp_path):
     # solve: numpy's eigenproblems only; verify: numpy's eigvalsh for the
-    # wall-free DVR spectra of a half-line mirror (sextic) and of a k = 2
-    # model's per-branch potentials (sextic-type2), and scipy's LAPACK
-    # extension alone for FD at two walls with ghost-point rows
-    # (trig-interval)
-    for name, fd in (("sextic", False), ("trig-interval", True), ("sextic-type2", False)):
+    # sinc DVR spectra of a half-line mirror (sextic) and of a k = 2
+    # model's per-branch potentials (sextic-type2), and for the wall basis
+    # at two walls (trig-interval). No scipy module is loaded, and with
+    # scipy.linalg blocked verify writes the same report
+    for name in ("sextic", "trig-interval", "sextic-type2"):
         config = _config(tmp_path, name, 2)
         roots, report = str(tmp_path / f"{name}.csv"), tmp_path / f"{name}.json"
         solve = f"assert main(['solve', {config!r}, '--out', {roots!r}]) == 0\n"
         verify = (f"assert main(['verify', {config!r}, {roots!r}, '--json-out', "
                   f"{str(report)!r}]) == 0\n")
-        loaded = ("assert 'scipy.linalg._flapack' in sys.modules\n" if fd else
-                  "assert not [m for m in sys.modules if m.startswith('scipy')]\n")
         done = _python("import sys\nfrom qesf.cli import main\n" + solve
-                       + "assert 'scipy.linalg' not in sys.modules\n" + verify + loaded
-                       + "assert 'scipy.linalg' not in sys.modules\n", tmp_path)
+                       + "assert 'scipy.linalg' not in sys.modules\n" + verify
+                       + "assert not [m for m in sys.modules if m.startswith('scipy')]\n",
+                       tmp_path)
         assert done.returncode == 0, (name, done.stderr)
         assert all(rep["spectrum_matches"] for rep in json.loads(report.read_text()).values())
         unblocked = report.read_bytes()

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +38,8 @@ def _residual(prof, pre, grid, **kwargs):
 
 def _fd_group(pre, members, reports):
     """verify.fd_spectrum, called through the module, on the grid that
-    verify_branches gave a group before wall-free groups moved to the sinc
-    DVR: 4001 points over the union of the members' default grids, or the
+    verify_branches gave a group before the sinc DVR and the wall basis
+    replaced FD: 4001 points over the union of the members' default grids, or the
     mirror grid at that spacing where the component holds the map's
     turning point, with each node count's first claimed energy. Returns
     (grid, levels)."""
@@ -557,11 +559,12 @@ def test_residual_arbitrates_quoted_trig_form():
     assert forced_residual(0.5) > 1e-4
 
 
-def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dvr_spectra):
+def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dvr_spectra,
+                                                           wall_spectra):
     # type-1: the N+1 branches are eigenstates of one potential. The
     # sextic's z = x^2 is even about x = 0, so its spectrum runs on the half
     # line, by the sinc DVR; the half-line sextic has a wall at x = 0 and no
-    # mirror, and keeps FD.
+    # mirror, and runs on the wall basis. Neither runs FD.
     for spec, mirrored in ((catalog.instantiate("sextic", N=3, a=1.0, b=0.0), True),
                            (catalog.instantiate("sextic-halfline", N=3), False)):
         branches = bae.enumerate_branches(spec)
@@ -570,34 +573,33 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dv
         alone = [verify.verify_branch(pre, br) for br in branches]
         fd_spectrum_grids.clear()
         dvr_spectra.clear()
+        wall_spectra.clear()
         reports = verify.verify_branches(pre, branches)
         boxes = [verify.default_grid(pre, br.roots).points for br in branches]
         lo, hi = min(b[0] for b in boxes), max(b[-1] for b in boxes)
+        assert fd_spectrum_grids == []
         if mirrored:
             # from the mirror at x_t = 0 to the farthest end of the members'
             # e^-18 boxes, inside their e^-40 grids
-            assert fd_spectrum_grids == []
+            assert wall_spectra == []
             (((box_lo, box_hi), mirror),) = dvr_spectra
             assert mirror == 0.0 and box_lo == 0.0
             assert 0.0 < box_hi < max(-lo, hi)
         else:
-            (grid,) = fd_spectrum_grids
+            # from the wall at x = 0, which the grids stop short of, to the
+            # farthest end of the members' e^-18 boxes
             assert dvr_spectra == []
-            # on the union of the branch boxes
-            assert grid.mirror is None
-            assert grid.points[0] == lo
-            assert grid.points[-1] == hi
+            (((box_lo, box_hi), walls, mirror),) = wall_spectra
+            assert mirror is None and walls[1] is None and walls[0][0] == 0.0
+            assert box_lo == 0.0 < lo and 0.0 < box_hi < hi
         for rep, ref in zip(reports, alone):
             assert rep.verdict
             got, want = rep.as_dict(), ref.as_dict()
             ((claimed, _, diff),) = got.pop("spectrum_matches")
             assert got == {k: v for k, v in want.items() if k != "spectrum_matches"}
             assert claimed == ref.spectrum_matches[0][0]
-            # the model grid moves E_fd at the FD error level only: a tenth
-            # of FD's old wall-free tolerance, 1e-3, or of 1e-2 at the
-            # half-line's singular wall
-            bound = 1e-4 if mirrored else 1e-3
-            assert diff < bound * max(1.0, abs(claimed))
+            # the group's box moves E_fd at the oracle's error level only
+            assert diff < 1e-9 * max(1.0, abs(claimed))
 
 
 def test_verify_branches_distinct_potentials(dvr_spectra):
@@ -633,7 +635,7 @@ def test_verify_branches_isolates_a_failing_branch(dvr_spectra):
     ("trig-interval", 8, 1),
 ])
 def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectrum_grids,
-                                                  fd_levels, dvr_spectra):
+                                                  fd_levels, dvr_spectra, wall_spectra):
     # with all N+1 branches present, each one matches its own level, and
     # the node counts climb one level at a time (Sturm oscillation)
     spec = catalog.instantiate(name, N=N)
@@ -645,16 +647,21 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectru
     matched = [rep.spectrum_matches[0][1] for rep in reports]
     assert len(set(matched)) == N + 1
     assert [rep.node_count for rep in reports] == [node_step * n for n in range(N + 1)]
+    # the matched levels are the sinc DVR's (sextic: no wall) or the wall
+    # basis's, on its box; FD runs on the grid it had before, for its own
+    # checks
+    claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
+    profile = potential.split_energy(pre, branches[0])
     if dvr_spectra:
-        # wall-free (sextic): the matched levels are the sinc DVR's, on its
-        # box; FD runs on the grid it had before, for its own checks
         ((box, mirror),) = dvr_spectra
-        claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
-        dvr = verify.dvr_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, box,
-                                  claims, mirror)
-        assert matched == [dvr[rep.node_count][0] for rep in reports]
-        fd = _fd_group(pre, branches, reports)[1]
-        matched = [fd[rep.node_count] for rep in reports]
+        oracle = verify.dvr_spectrum(profile, pre.cmap, box, claims, mirror)
+    else:
+        ((box, walls, mirror),) = wall_spectra
+        oracle = verify.wall_spectrum(profile, pre.cmap, spec.Q, box, walls, claims, mirror)
+    assert matched == [oracle[rep.node_count][0] for rep in reports]
+    assert fd_spectrum_grids == []
+    fd = _fd_group(pre, branches, reports)[1]
+    matched = [fd[rep.node_count] for rep in reports]
     # each level on either grid is the bisection level of its index, to
     # 8 eps |T|_1 (two grids, N + 1 levels each)
     assert len(fd_levels) == 2 * (N + 1)
@@ -710,9 +717,8 @@ def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, fd_spec
     pre = prepot.integrate_w0(spec)
     reports = verify.verify_branches(pre, branches)
     assert reports and all(rep.verdict for rep in reports)
-    e_fd = {rep.node_count: rep.spectrum_matches[0][1] for rep in reports}
-    if not fd_spectrum_grids:  # wall-free: FD on the grid verify had before the DVR
-        e_fd = _fd_group(pre, branches, reports)[1]
+    assert fd_spectrum_grids == []
+    e_fd = _fd_group(pre, branches, reports)[1]  # FD on the grid verify had before
     (grid,) = fd_spectrum_grids
     assert (grid.mirror is not None) == (config["catalog"] == "sextic")
     by_rows = {}
@@ -769,7 +775,8 @@ def test_the_verdict_requires_normalizable(monkeypatch):
                            for rep in reports)
 
 
-def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_grids):
+def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_grids,
+                                                                 wall_spectra):
     # |Q(a)| = 4e-14 is a turning point: the model is type-1 and its three
     # branches share one potential, as at a = 0
     spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (Singularity(1e-14, 0.3),), 2)
@@ -778,7 +785,7 @@ def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_gr
     assert len(branches) == 3
     assert all(rep.verdict for rep in verify.verify_branches(prepot.integrate_w0(spec),
                                                              branches))
-    assert len(fd_spectrum_grids) == 1
+    assert len(wall_spectra) == 1 and fd_spectrum_grids == []
 
 
 @pytest.mark.parametrize("config", [
@@ -846,11 +853,11 @@ def test_catalog_levels_certify_without_bisection(bisections, factorizations, fd
     spec = catalog.instantiate(name, N=N)
     branches = bae.enumerate_branches(spec)
     pre = prepot.integrate_w0(spec)
-    factorizations.clear()
     reports = verify.verify_branches(pre, branches)
     assert len(reports) == N + 1 and all(rep.verdict for rep in reports)
-    if not fd_levels:  # wall-free: the FD grid verify had before the DVR
-        _fd_group(pre, branches, reports)
+    assert fd_levels == []
+    factorizations.clear()
+    _fd_group(pre, branches, reports)  # the FD grid verify had before
     assert len(fd_levels) == 2 * (N + 1)  # every level, on both Richardson grids
     assert bisections == []
     assert len(factorizations) <= 2 * len(fd_levels)
@@ -1008,3 +1015,156 @@ def test_a_claim_off_by_1e_7_fails_the_dvr_bound(monkeypatch, name, N):
         # claims below 0.01 in size move by less than the 1e-9 floor
         assert rep.verdict == (abs(claimed) < 0.01), (claimed, level, diff)
     assert not all(rep.verdict for rep in reports)
+
+
+def _poeschl_teller(kappa, lam):
+    """U = kappa (kappa - 1) / sin^2 x + lam (lam - 1) / cos^2 x on the
+    trigonometric map z = sin^2 x of (0, pi/2), Q = 4 z (1 - z), with its
+    walls: levels (kappa + lam + 2n)^2."""
+    Q = Poly([0.0, 4.0, -4.0])
+    cmap = coords.build(Q)
+    U = potential.PFE(Poly([0.0]), (potential.BoundaryPole(0.0, kappa * (kappa - 1.0), 0.0),
+                                    potential.BoundaryPole(1.0, -lam * (lam - 1.0), 0.0)))
+    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    return prof, cmap, Q, (0.0, math.pi / 2.0), ((0.0, kappa), (math.pi / 2.0, lam))
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.6, 0.9, 1.5])
+@pytest.mark.parametrize("lam", [0.5, 0.6, 0.9, 1.5])
+def test_wall_levels_are_the_poeschl_teller_energies(kappa, lam):
+    # two turning-point walls, nu = kappa and lam: the wall basis gives
+    # the closed-form levels to 1e-10, with claims off by 10%
+    prof, cmap, Q, box, walls = _poeschl_teller(kappa, lam)
+    want = {n: (kappa + lam + 2.0 * n) ** 2 for n in range(6)}
+    got = verify.wall_spectrum(prof, cmap, Q, box, walls, {n: 1.1 * e for n, e in want.items()})
+    for n, e in want.items():
+        assert abs(got[n][0] - e) <= 1e-10 * e, (n, got[n], e)
+        assert got[n][1] <= 1e-9 * e
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.6, 0.9, 1.5])
+def test_wall_levels_are_the_radial_oscillator_energies(nu):
+    # U = x^2 + nu (nu - 1) / x^2 on (0, oo), z = x^2, a wall at x = 0 and
+    # a truncated end at x = 12: levels 4n + 2 nu + 1 to 1e-10
+    Q = Poly([0.0, 4.0])
+    cmap = coords.build(Q)
+    U = potential.PFE(Poly([0.0, 1.0]), (potential.BoundaryPole(0.0, nu * (nu - 1.0), 0.0),))
+    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    want = {n: 4.0 * n + 2.0 * nu + 1.0 for n in range(6)}
+    got = verify.wall_spectrum(prof, cmap, Q, (0.0, 12.0), ((0.0, nu), None), want)
+    for n, e in want.items():
+        assert abs(got[n][0] - e) <= 1e-10 * e, (n, got[n], e)
+
+
+@pytest.mark.parametrize("config", [
+    {"catalog": "trig-interval", "N": 8},
+    {"catalog": "sextic-halfline", "N": 6},
+    {"Q": [0, 4], "P": [0, 0, 2], "N": 1, "singularities": [{"a": 1, "mu": 0.7}]},
+], ids=["trig-interval-N8", "sextic-halfline-N6", "mirror-wall"])
+def test_a_walled_verify_runs_no_fd(monkeypatch, wall_spectra, config):
+    # every walled group takes the wall basis: neither verify.fd_spectrum
+    # nor poly.tridiag_levels (under either name) is called
+    def refused(*args, **kwargs):
+        raise AssertionError("FD at a wall")
+
+    for module, name in ((verify, "fd_spectrum"), (verify, "tridiag_levels"),
+                         (poly, "tridiag_levels")):
+        monkeypatch.setattr(module, name, refused)
+    spec = cli.spec_from_config(config)
+    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    assert reports and all(rep.verdict for rep in reports)
+    assert wall_spectra and all(any(walls) for _, walls, _ in wall_spectra)
+
+
+def test_a_wrong_claim_moves_no_wall_level(wall_spectra):
+    # the claims only seed the wall basis's size: moved by 10% either way,
+    # or all set to 0, every level stays where it was, to rounding
+    spec = catalog.instantiate("trig-interval", N=8)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    reports = verify.verify_branches(pre, branches)
+    ((box, walls, mirror),) = wall_spectra
+    profile = potential.split_energy(pre, branches[0])
+    claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
+    for factor in (0.9, 1.1, 0.0):
+        moved = verify.wall_spectrum(profile, pre.cmap, spec.Q, box, walls,
+                                     {k: factor * e for k, e in claims.items()}, mirror)
+        for rep in reports:
+            level = rep.spectrum_matches[0][1]
+            assert abs(moved[rep.node_count][0] - level) <= 1e-12 * max(1.0, abs(level))
+
+
+@pytest.mark.parametrize("name,N", [("trig-interval", 8), ("sextic-halfline", 6)])
+def test_a_claim_off_by_1e_7_fails_the_wall_bound(monkeypatch, name, N):
+    # E (1 + 1e-7) keeps the residual below tolerance and sits well inside
+    # FD's old 1e-2 wall bound, but not inside the wall basis's
+    # est + 1e-9 max(1, |E|)
+    spec = catalog.instantiate(name, N=N)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    assert all(rep.verdict for rep in verify.verify_branches(pre, branches))
+    real = potential.split_energies
+
+    def scaled(pre, branches):
+        return [p if isinstance(p, Exception) else
+                dataclasses.replace(p, energy=p.energy * (1.0 + 1e-7))
+                for p in real(pre, branches)]
+
+    monkeypatch.setattr(potential, "split_energies", scaled)
+    reports = verify.verify_branches(pre, branches)
+    _, fd = _fd_group(pre, branches, reports)
+    for rep in reports:
+        claimed, level, diff = rep.spectrum_matches[0]
+        assert rep.residual_max < 1e-6 and rep.normalizable
+        assert abs(fd[rep.node_count] - claimed) < 1e-2 * max(1.0, abs(claimed))
+        # claims below 0.01 in size move by less than the 1e-9 floor
+        assert rep.verdict == (abs(claimed) < 0.01), (claimed, level, diff)
+    assert not all(rep.verdict for rep in reports)
+
+
+def _vetted(*tags):
+    with open(Path(__file__).resolve().parent.parent / "perfbench" / "vetted.json") as fh:
+        slots = json.load(fh)["slots"]
+    return [(tag, params) for tag in tags for params in slots[tag]["params"]]
+
+
+@pytest.mark.parametrize("tag", ["sextic-halfline-N6", "sextic-halfline-N12",
+                                 "trig-interval-N4", "trig-interval-N8"])
+def test_wall_and_fd_levels_agree_on_every_vetted_walled_config(tag):
+    # on the FD grid verify had before the wall basis, each level is the
+    # wall basis's to within FD's own miss of the claim (and the wall
+    # basis's, which the verdict holds to est + 1e-9 max(1, |E|)), and FD
+    # misses by less than its old 1e-2 bound at a wall
+    family, N = tag.rsplit("-N", 1)
+    for _, params in _vetted(tag):
+        spec = catalog.instantiate(family, N=int(N), **params)
+        pre = prepot.integrate_w0(spec)
+        branches = bae.enumerate_branches(spec)
+        reports = verify.verify_branches(pre, branches)
+        assert reports and all(rep.verdict for rep in reports), params
+        _, fd = _fd_group(pre, branches, reports)
+        for rep in reports:
+            claimed, level, diff = rep.spectrum_matches[0]
+            fd_miss = abs(fd[rep.node_count] - claimed)
+            assert abs(fd[rep.node_count] - level) <= fd_miss + diff, params
+            assert fd_miss < 1e-2 * max(1.0, abs(claimed)), params
+
+
+def test_a_nan_window_is_undecided_and_fails():
+    # inf - inf in W_N, where z overflows toward an exponential end, makes
+    # phi nan: such a window is no negligible tail (-inf) but fails the scan
+    logphi = np.zeros((3, verify.SIMPSON_POINTS))
+    logphi[1, 5] = np.nan
+    logphi[2] = -np.inf
+    lo, hi = np.zeros(3), np.ones(3)
+    ok, nan, vanishing = verify._log_simpsons(lo, hi, logphi)
+    assert math.isfinite(ok) and math.isnan(nan) and vanishing == -math.inf
+    state = [4, 0, -math.inf]
+    with np.errstate(invalid="ignore"):
+        totals = np.logaddexp.accumulate([0.0, -50.0, nan]).tolist()
+    assert verify._scan([-50.0, nan], totals, [1.0, 2.0], math.inf, 0.0, +1,
+                        list(state)) == (True, 0)
+    assert verify._scan([nan, -50.0], [0.0, nan, nan], [1.0, 2.0], math.inf, 0.0, +1,
+                        list(state)) == (False, 0)
+    # inside the bulk a nan window fails too: it is no reading of phi at all
+    assert verify._scan([nan], [0.0, nan], [1.0], math.inf, 5.0, +1, list(state)) == (False, 0)
