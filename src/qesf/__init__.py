@@ -6,8 +6,8 @@ exponents. The package classifies the model, builds the closed-form
 coordinate and prepotential, solves the Bethe ansatz equations for the
 polynomial-factor roots, assembles the potential and energy, and certifies
 every (potential, energy, eigenfunction) triple with independent checks:
-Schrodinger residual, finite-difference spectrum, node count and
-normalizability.
+Schrodinger residual, spectrum (sinc DVR, or a Gauss-Jacobi wall basis),
+node count and normalizability.
 """
 
 from .bae import (BetheBranch, branch_energies, branch_energy, enumerate_branches,

@@ -19,9 +19,9 @@ energies enter only through the largest one, which seeds the matrix size;
 the size is re-checked against the solve's own top level, so a wrong
 claim costs time and can never change a level. No scipy module is
 loaded. fd_spectrum, the second-order finite-difference operator with a
-ghost-point row at a wall, Richardson-extrapolated, whose levels
-poly.tridiag_levels finds from Sturm counts and the Kato-Temple bound,
-stays as a cross-check for the tests; verify_branches no longer calls it.
+ghost-point row at a wall, Richardson-extrapolated, stays as a
+cross-check that only the tests call: one bisection per Richardson grid
+(poly.tridiag_eigenvalues, which imports scipy).
 
 Where the coordinate map has a turning point x_t inside the certified
 component (parabolic or cosh maps, with no wall at x_t), z(x), the
@@ -61,10 +61,7 @@ import numpy as np
 from . import bae, potential, prepot
 from .errors import DomainError, GridError
 from .model import is_turning_point
-# tridiag_eigenvalues is bound here, though unused, because the benchmark's
-# tracer (perfbench/tracing.py) wraps verify.tridiag_eigenvalues, as it
-# wraps fd_spectrum and Tridiag, which no verify path calls any more.
-from .poly import Poly, Tridiag, tridiag_eigenvalues, tridiag_levels
+from .poly import Poly, Tridiag, tridiag_eigenvalues
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
@@ -351,18 +348,15 @@ def schrodinger_residual(profile: potential.PotentialProfile, cmap, grid: Grid, 
 def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
                 levels: dict[int, float]) -> dict[int, float]:
     """Eigenvalues of -d2/dx2 + U discretized on the grid, for
-    levels = {index: energy to look near}, indices ascending from the
-    ground level at 0. Returns {index: eigenvalue}. Only these levels are
-    computed; an index outside the grid's levels raises ValueError.
+    levels = {index: energy}, indices ascending from the ground level at 0.
+    Returns {index: eigenvalue}. An index outside the grid's levels raises
+    ValueError. Only the tests call it, as a cross-check of the spectral
+    oracles.
 
-    The levels of each matrix come from one poly.tridiag_levels call: each
-    energy only seeds its level's search, two Sturm counts fix the index in
-    a window that holds the level alone and the Kato-Temple bound fixes the
-    value (bisection where they do not), so a wrong energy costs time and
-    never moves the level. The count that each level's factorization gives
-    at its own shift is shared: it ends another level's window where it
-    leaves that level alone, and only a level that finds no such count
-    factors the matrix a second time for its window's far end.
+    Each matrix's levels come from one bisection: tridiag_eigenvalues over
+    the indices from the smallest wanted to the largest. The energies are
+    not read, so a wrong one cannot move a level. scipy is imported on the
+    first bisection: without it, ImportError.
 
     Second-order stencil with Dirichlet truncation, Richardson-extrapolated:
     the computation repeats on a doubled grid and the O(h^2) error is
@@ -376,11 +370,10 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
     level 2m. Indices still count the full component's levels, so only
     even ones exist there, 0..2(grid.n - 1); an odd one raises ValueError.
     """
-    step = 1 if grid.mirror is None else 2
-    odd = [k for k in levels if k % step]
-    if odd:
-        raise ValueError(f"levels {odd} are odd about the mirror x = {grid.mirror}: "
-                         "a mirror grid holds only the even levels")
+    step = _checked_levels(levels, grid.mirror)
+    if not levels:
+        return {}
+    lo, hi = min(levels) // step, max(levels) // step
 
     def _levels(g: Grid) -> dict[int, float]:
         u = profile.U(cmap.z_of_x(g.points))
@@ -397,9 +390,8 @@ def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
                 r = (d - g.h) / d
                 if r > 0:
                     diag[end] -= r ** nu / g.h ** 2
-        t = Tridiag(diag, off)
-        return dict(zip(levels, tridiag_levels(t, [(k // step, near)
-                                                    for k, near in levels.items()])))
+        sector = tridiag_eigenvalues(Tridiag(diag, off), (lo, hi))
+        return {k: float(sector[k // step - lo]) for k in levels}
 
     e1 = _levels(grid)
     if grid.mirror is None:

@@ -64,49 +64,16 @@ def wall_spectra(monkeypatch):
 @pytest.fixture
 def fd_levels(monkeypatch):
     """(matrix, index, level) of every level computed by a
-    verify.tridiag_levels call made through the module, in call order."""
+    verify.tridiag_eigenvalues call made through the module, every index
+    of each call's range, in call order."""
     from qesf import verify
     levels = []
-    real = verify.tridiag_levels
+    real = verify.tridiag_eigenvalues
 
-    def recorded(t, wanted):
-        out = real(t, wanted)
-        levels.extend((t, index, level) for (index, _), level in zip(wanted, out))
+    def recorded(t, index_range):
+        out = real(t, index_range)
+        levels.extend((t, k, float(level)) for k, level in enumerate(out, index_range[0]))
         return out
 
-    monkeypatch.setattr(verify, "tridiag_levels", recorded)
+    monkeypatch.setattr(verify, "tridiag_eigenvalues", recorded)
     return levels
-
-
-@pytest.fixture
-def bisections(monkeypatch):
-    """Name of every bisecting call, in call order: dstebz of scipy's LAPACK
-    extension, the object poly calls it through, and poly's Gershgorin
-    bisection tridiag_eigenvalues."""
-    from qesf import poly
-    calls = []
-    for module, attr in ((poly._lapack(), "dstebz"), (poly, "tridiag_eigenvalues")):
-        def call(*args, _real=getattr(module, attr), _attr=attr):
-            calls.append(_attr)
-            return _real(*args)
-
-        monkeypatch.setattr(module, attr, call)
-    return calls
-
-
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Order n of every dgttrf call of scipy's LAPACK extension, the LU
-    factorization of T - s I that poly reads a Sturm count from, in call
-    order."""
-    from qesf import poly
-    lapack = poly._lapack()
-    calls = []
-    real = lapack.dgttrf
-
-    def factor(dl, d, du, *args):
-        calls.append(len(d))
-        return real(dl, d, du, *args)
-
-    monkeypatch.setattr(lapack, "dgttrf", factor)
-    return calls

@@ -1,21 +1,19 @@
 """Cold start: no command loads scipy. verify's spectra come from numpy's
 eigvalsh, the sinc DVR's on a component with no wall and the wall basis's
-at a wall; only poly's FD level finder, which no command runs, loads
-scipy's LAPACK extension, scipy.linalg._flapack, and never the
-scipy.linalg package.
+at a wall. Only verify.fd_spectrum, the finite-difference cross-check that
+the tests call and no command runs, imports scipy, for its bisection
+(scipy.linalg.eigh_tridiagonal), on its first level.
 
 Each check runs in a fresh interpreter, because this process may already
 have scipy loaded. Setting sys.modules["scipy"] = None before qesf is
-imported makes any import of scipy raise ImportError, and
-sys.modules["scipy.linalg"] = None any import of scipy.linalg."""
+imported makes any import of scipy, or of a scipy submodule, raise
+ImportError."""
 
 import contextlib
 import io
 import json
 import subprocess
 import sys
-
-import pytest
 
 from qesf import catalog, cli
 
@@ -70,7 +68,7 @@ def test_eigenproblems_never_load_scipy_linalg(tmp_path):
     # sinc DVR spectra of a half-line mirror (sextic) and of a k = 2
     # model's per-branch potentials (sextic-type2), and for the wall basis
     # at two walls (trig-interval). No scipy module is loaded, and with
-    # scipy.linalg blocked verify writes the same report
+    # scipy blocked verify writes the same report
     for name in ("sextic", "trig-interval", "sextic-type2"):
         config = _config(tmp_path, name, 2)
         roots, report = str(tmp_path / f"{name}.csv"), tmp_path / f"{name}.json"
@@ -85,8 +83,7 @@ def test_eigenproblems_never_load_scipy_linalg(tmp_path):
         assert all(rep["spectrum_matches"] for rep in json.loads(report.read_text()).values())
         unblocked = report.read_bytes()
         report.unlink()
-        done = _python('import sys; sys.modules["scipy.linalg"] = None\n'
-                       "from qesf.cli import main\n" + verify, tmp_path)
+        done = _python(BLOCK + "from qesf.cli import main\n" + verify, tmp_path)
         assert done.returncode == 0, (name, done.stderr)
         assert report.read_bytes() == unblocked, name
 
@@ -110,17 +107,18 @@ def test_a_wall_free_verify_loads_no_scipy(tmp_path):
     assert report.read_bytes() == unblocked
 
 
-LOAD_ORDERS = {
-    "extension first": "lapack = poly._lapack()\nimport scipy.linalg\n",
-    "package first": "import scipy.linalg\nlapack = poly._lapack()\n",
-}
-
-
-@pytest.mark.parametrize("order", LOAD_ORDERS)
-def test_the_extension_is_one_copy_in_either_load_order(tmp_path, order):
-    # scipy.linalg.lapack and poly call the same routines whichever loads first
-    done = _python("import sys\nfrom qesf import poly\n" + LOAD_ORDERS[order]
-                   + "assert sys.modules['scipy.linalg._flapack'] is lapack\n"
-                   "assert scipy.linalg.lapack.dgttrf is lapack.dgttrf\n"
-                   "assert scipy.linalg.lapack.dstebz is lapack.dstebz\n", tmp_path)
+def test_fd_needs_scipy_on_its_first_level(tmp_path):
+    # with scipy blocked qesf imports, and fd_spectrum, the one caller of
+    # scipy, raises ImportError on the first level it bisects
+    done = _python(BLOCK + "import qesf\n"
+                   "from qesf import potential\n"
+                   "U = potential.PFE(qesf.Poly([0.0, 0.0, 1.0]))\n"
+                   "profile = potential.PotentialProfile(U, 0.0, qesf.BetheBranch((), 0.0, 0))\n"
+                   "grid = qesf.make_grid(-8.0, 8.0, 401)\n"
+                   "try:\n"
+                   "    qesf.fd_spectrum(profile, qesf.build(qesf.Poly([1.0])), grid, {0: 1.0})\n"
+                   "except ImportError:\n"
+                   "    pass\n"
+                   "else:\n"
+                   "    raise AssertionError('fd_spectrum ran without scipy')\n", tmp_path)
     assert done.returncode == 0, done.stderr

@@ -3,10 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qesf import poly
-from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalues, tridiag_levels
+from qesf.poly import Poly, Tridiag, divmod_poly, tridiag_eigenvalues
 
-from oracles import hermite_zeros, laguerre_zeros, norm1, sturm_count
+from oracles import hermite_zeros, laguerre_zeros, sturm_count
 
 
 def test_eval_examples():
@@ -167,7 +166,7 @@ def test_tridiag_matches_sturm_bisection():
         assert np.max(np.abs(got - want)) < 1e-10
 
 
-# -- one level near a claimed value ------------------------------------------
+# -- the finite-difference matrices of verify.fd_spectrum ---------------------
 
 @st.composite
 def fd_matrices(draw):
@@ -190,52 +189,10 @@ def fd_matrices(draw):
     return Tridiag(diag, np.full(n - 1, -1.0 / h ** 2))
 
 
-@settings(derandomize=True, deadline=None)
-@given(fd_matrices(), st.data())
-def test_tridiag_eigenvalue_is_the_bisection_level_from_any_near(t, data):
-    k = data.draw(st.integers(0, t.n - 1))
-    spectrum = tridiag_eigenvalues(t, (0, t.n - 1))
-    want = tridiag_eigenvalues(t, (k, k))[0]
-    tol = 8.0 * np.finfo(float).eps * norm1(t)
-    # the level itself, midway to its nearer neighbour (a doublet partner
-    # when there is one), far outside the spectrum and at +-1e300
-    neighbours = [spectrum[j] for j in (k - 1, k + 1) if 0 <= j < t.n]
-    partner = min(neighbours, key=lambda v: abs(v - want), default=want)
-    span = spectrum[-1] - spectrum[0] + 1.0
-    nears = [want, 0.5 * (want + partner), spectrum[0] - 10.0 * span,
-             spectrum[-1] + 10.0 * span, 1e300, -1e300]
-    got = [tridiag_levels(t, [(k, near)])[0] for near in nears]
-    assert max(abs(v - want) for v in got) <= tol, (k, got, want)
-    assert max(got) - min(got) <= tol
-
-
-@settings(derandomize=True, deadline=None)
-@given(fd_matrices(), st.data())
-def test_tridiag_levels_share_counts_and_keep_each_level(t, data):
-    # several levels of one matrix in one call: each level's Sturm count at
-    # its own shift may end another level's window, and every level is
-    # still the bisection level of its index, whatever the nears, a
-    # neighbour's level or a doublet partner among them
-    spectrum = tridiag_eigenvalues(t, (0, t.n - 1))
-    tol = 8.0 * np.finfo(float).eps * norm1(t)
-    span = spectrum[-1] - spectrum[0] + 1.0
-    indices = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=8))
-    wanted = []
-    for k in indices:
-        j = data.draw(st.sampled_from([i for i in (k - 1, k, k + 1) if 0 <= i < t.n]))
-        wanted.append((k, data.draw(st.sampled_from(
-            [spectrum[k], 0.5 * (spectrum[k] + spectrum[j]), spectrum[j],
-             spectrum[0] - span, spectrum[-1] + span]))))
-    got = tridiag_levels(t, wanted)
-    for (k, near), level in zip(wanted, got):
-        want = tridiag_eigenvalues(t, (k, k))[0]
-        assert abs(level - want) <= tol, (k, near, level, want)
-
-
 @st.composite
 def random_tridiagonals(draw):
     """Symmetric tridiagonals with normal entries, off-diagonals of either
-    sign, on scales that make pivoted LU swap rows at some shifts."""
+    sign, on diagonal and off-diagonal scales up to 1e6 apart."""
     n = draw(st.integers(3, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = rng.normal(size=n) * draw(st.sampled_from((0.01, 1.0, 100.0, 1e4)))
@@ -246,8 +203,7 @@ def random_tridiagonals(draw):
 @settings(derandomize=True, deadline=None)
 @given(st.one_of(random_tridiagonals(), fd_matrices()), st.data())
 def test_tridiag_eigenvalues_are_the_bits_of_eigh_tridiagonal(t, data):
-    # poly calls scipy's LAPACK extension with the arguments
-    # eigh_tridiagonal passes it: an index range (dstebz) comes out bit for bit
+    # poly's bisection is eigh_tridiagonal's over the index range, bit for bit
     lo = data.draw(st.integers(0, t.n - 1))
     hi = data.draw(st.integers(lo, t.n - 1))
     want = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag, eigvals_only=True,
@@ -263,104 +219,15 @@ def test_tridiag_eigenvalues_reject_non_finite_entries():
             scipy.linalg.eigh_tridiagonal(np.array(d), np.array(e), eigvals_only=True)
 
 
-def _dstebz_count(t, s):
-    """Eigenvalues of t at or below s, from LAPACK's own Sturm count: dstebz
-    over (below the spectrum, s] with a tolerance wider than that interval,
-    so it bisects nothing."""
-    floor = t.gershgorin[0]
-    below = floor - 1.0 - abs(floor)
-    if s <= below:
-        return 0
-    m, *_ = scipy.linalg.lapack.dstebz(t.diag, t.offdiag, 1, below, s, 0, 0,
-                                       2.0 * (s - below), "E")
-    return m
-
-
-@settings(derandomize=True, deadline=None)
-@given(st.one_of(random_tridiagonals(), fd_matrices().filter(lambda t: t.n >= 3)), st.data())
-def test_lu_sturm_count_is_the_dstebz_count(t, data):
-    # the count read off dgttrf's pivots lies between dstebz's counts
-    # 4 eps |T|_1 below and above the shift. Where the shift is further than
-    # that from every eigenvalue (between two levels, outside the Gershgorin
-    # interval) the two are one count, so the LU count is dstebz's. At an
-    # eigenvalue, or 1 ulp from one, each recurrence puts the level on
-    # either side by its own rounding.
-    spectrum = tridiag_eigenvalues(t, (0, t.n - 1))
-    k = data.draw(st.integers(0, t.n - 1))
-    floor, ceiling, norm = t.gershgorin
-    tol = 4.0 * np.finfo(float).eps * norm
-    level = spectrum[k]
-    shifts = [level, np.nextafter(level, np.inf), np.nextafter(level, -np.inf),
-              floor - 1.0 - abs(floor), ceiling + 1.0 + abs(ceiling)]
-    if k + 1 < t.n:
-        shifts.append(0.5 * (level + spectrum[k + 1]))
-    for s in shifts:
-        *lu, _ = scipy.linalg.lapack.dgttrf(t.offdiag, t.diag - s, t.offdiag)
-        c = poly._sturm_count(*lu)
-        if c is None:  # a zero leading minor: the caller falls back
-            continue
-        lo, hi = _dstebz_count(t, s - tol), _dstebz_count(t, s + tol)
-        assert lo <= c <= hi, (s, c, lo, hi)
-
-
-def test_lu_sturm_count_sees_a_zero_leading_minor():
-    # [[1, 1, 0], [1, 1, 1], [0, 1, 1]] - 1 I has a zero first pivot, and
-    # dgttrf swaps past it
-    t = Tridiag(np.ones(3), np.ones(2))
-    *lu, _ = scipy.linalg.lapack.dgttrf(t.offdiag, t.diag - 1.0, t.offdiag)
-    assert poly._sturm_count(*lu) is None
-    assert tridiag_levels(t, [(1, 1.0)])[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def _double_well(depth):
-    """Full-line FD operator of U = depth (x^2 - 1)^2 on [-3, 3]: its low
-    levels pair into tunnelling doublets whose splitting shrinks as the
-    barrier deepens."""
-    x = np.linspace(-3.0, 3.0, 3001)
-    h = x[1] - x[0]
-    return Tridiag(2.0 / h ** 2 + depth * (x ** 2 - 1.0) ** 2, np.full(len(x) - 1, -1.0 / h ** 2))
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_a_doublet_partner_in_the_window_never_stands_in_for_the_level(k):
-    # each level's partner lies within 1e-3 max(1, |level|) of it, so a
-    # window beside a claim near the pair may hold both, yet further from
-    # the level than the 8 eps |T|_1 the result must keep: the counts then
-    # name no window holding the level alone, and the level, not its
-    # partner, comes back
-    t = _double_well(200.0)
-    spectrum = tridiag_eigenvalues(t, (0, 5))
-    tol = 8.0 * np.finfo(float).eps * norm1(t)
-    want = spectrum[k]
-    partner = spectrum[k ^ 1]
-    assert 1e2 * tol < abs(partner - want) < 1e-3 * max(1.0, abs(want))
-    for near in (want, partner, 0.5 * (want + partner), np.nextafter(want, np.inf),
-                 np.nextafter(want, -np.inf)):
-        got = tridiag_levels(t, [(k, near)])[0]
-        assert abs(got - want) <= tol, (near, got, want, partner)
-
-
-def test_the_bisection_hook_sees_a_doublet_partner_in_the_window(bisections):
-    # positive control of the `bisections` hook that test_verify's
-    # no-bisection tests read: on the doublet matrices above, a claim at
-    # the partner leaves each level to dstebz, and the hook records it
-    t = _double_well(200.0)
-    spectrum = tridiag_eigenvalues(t, (0, 5))
-    bisections.clear()
-    for k in range(4):
-        tridiag_levels(t, [(k, spectrum[k ^ 1])])
-        assert "dstebz" in bisections, k
-        bisections.clear()
-
-
 def test_tridiag_eigenvalue_index_bounds_and_one_row():
     t = Tridiag(np.array([2.0, 3.0, 5.0]), np.array([1.0, 0.5]))
     for bad in (-1, 3):
         with pytest.raises(ValueError, match="outside 0..2"):
-            tridiag_levels(t, [(bad, 3.0)])
-    assert tridiag_levels(Tridiag(np.array([-4.5]), np.array([])), [(0, 1e300)]) == [-4.5]
+            tridiag_eigenvalues(t, (bad, bad))
+    one = Tridiag(np.array([-4.5]), np.array([]))
+    assert tridiag_eigenvalues(one, (0, 0)).tolist() == [-4.5]
     with pytest.raises(ValueError):
-        tridiag_levels(Tridiag(np.array([-4.5]), np.array([])), [(1, -4.5)])
+        tridiag_eigenvalues(one, (1, 1))
 
 
 # -- classical zeros ---------------------------------------------------------

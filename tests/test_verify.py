@@ -681,7 +681,9 @@ def test_fd_levels_computed_are_the_node_counts(fd_levels, fd_spectrum_grids, na
                                                 per_grid):
     # harmonic N = 12 has one branch, so one level on the full line; sextic
     # N = 4 reads the levels 0, 2, ..., 2N, which are the even-sector levels
-    # 0..N of its half line, so N + 1 of them and none of the odd ones
+    # 0..N of its half line, so N + 1 of them and none of the odd ones. Both
+    # wanted ranges are contiguous, so each grid's one bisection computes
+    # exactly these levels
     spec = catalog.instantiate(name, N=N)
     pre, branches = prepot.integrate_w0(spec), bae.enumerate_branches(spec)
     reports = verify.verify_branches(pre, branches)
@@ -817,73 +819,21 @@ def test_half_line_levels_are_the_even_full_line_levels(fd_spectrum_grids, confi
         assert abs(level - want[rep.node_count]) < 1e-7 * max(1.0, abs(level))
 
 
-@pytest.mark.parametrize("config", [
-    {"catalog": "sextic", "N": 16},
-    {"catalog": "sextic", "params": {"a": 0.908235, "b": 0.105165}, "N": 8},
-], ids=["sextic-N16", "sextic-N8-vetted"])
-def test_sextic_levels_need_no_gershgorin_bisection(monkeypatch, config):
-    # without the odd doublet partners every level's search window names
-    # it, so poly.tridiag_levels never falls back to poly's
-    # tridiag_eigenvalues
-    calls = []
-    real = poly.tridiag_eigenvalues
-
-    def fallback(*args):
-        calls.append(args[1:])
-        return real(*args)
-
-    monkeypatch.setattr(poly, "tridiag_eigenvalues", fallback)
-    spec = cli.spec_from_config(config)
-    pre, branches = prepot.integrate_w0(spec), bae.enumerate_branches(spec)
-    reports = verify.verify_branches(pre, branches)
-    assert len(reports) == spec.N + 1 and all(rep.verdict for rep in reports)
-    _fd_group(pre, branches, reports)  # the FD grid verify had before the DVR
-    assert calls == []
-
-
-@pytest.mark.parametrize("name,N", [("sextic", 16), ("trig-interval", 8)])
-def test_catalog_levels_certify_without_bisection(bisections, factorizations, fd_levels,
-                                                  name, N):
-    # at catalog defaults each claim's window holds its level alone and the
-    # Kato-Temple bound fixes the value, so no level reaches dstebz, neither
-    # in poly's Kato-Temple interval nor through poly's tridiag_eigenvalues
-    # (test_poly's doublet matrices show that the hook sees those calls).
-    # Each level is factored at its claim and at most once more for its
-    # window's far end
-    spec = catalog.instantiate(name, N=N)
-    branches = bae.enumerate_branches(spec)
-    pre = prepot.integrate_w0(spec)
-    reports = verify.verify_branches(pre, branches)
-    assert len(reports) == N + 1 and all(rep.verdict for rep in reports)
-    assert fd_levels == []
-    factorizations.clear()
-    _fd_group(pre, branches, reports)  # the FD grid verify had before
-    assert len(fd_levels) == 2 * (N + 1)  # every level, on both Richardson grids
-    assert bisections == []
-    assert len(factorizations) <= 2 * len(fd_levels)
-
-
 @pytest.mark.parametrize("params,N,partner_gap", [
     ({"a": 0.986243, "b": -3.006455}, 1, 0.0016),  # level 1 at E = -6.01
     ({"a": 0.969061, "b": -3.034484}, 2, 0.036),   # level 2 at E = -5.34
 ])
-def test_a_doublet_partner_below_the_far_end_does_not_force_bisection(
-        bisections, factorizations, fd_levels, params, N, partner_gap):
-    # in these type-2 double wells a doublet partner lies below a claimed
-    # level. A level with no listed far end is counted once more, at
-    # 2 |sigma - s| + 2 delta from its shift s: beyond the level and short
-    # of its partner. So each level costs at most two factorizations, and
-    # none is bisected from the Gershgorin bounds
+def test_fd_reads_the_level_above_its_doublet_partner(fd_levels, params, N, partner_gap):
+    # in these type-2 double wells a doublet partner lies partner_gap below
+    # a claimed level: FD's bisection returns the level of the node count's
+    # index, on both Richardson grids, and not its partner
     spec = catalog.instantiate("sextic-type2", N=N, **params)
     branches = bae.enumerate_branches(spec)
     pre = prepot.integrate_w0(spec)
     reports = verify.verify_branches(pre, branches)
     assert reports and all(rep.verdict for rep in reports)
-    factorizations.clear()
     for br, rep in zip(branches, reports):  # each its own potential, on the FD
         _fd_group(pre, [br], [rep])        # grid verify had before the DVR
-    assert len(factorizations) <= 2 * len(fd_levels)
-    assert "tridiag_eigenvalues" not in bisections
     partnered = 0
     for t, k, level in fd_levels:
         tol = 8.0 * np.finfo(float).eps * norm1(t)
@@ -1063,12 +1013,12 @@ def test_wall_levels_are_the_radial_oscillator_energies(nu):
 ], ids=["trig-interval-N8", "sextic-halfline-N6", "mirror-wall"])
 def test_a_walled_verify_runs_no_fd(monkeypatch, wall_spectra, config):
     # every walled group takes the wall basis: neither verify.fd_spectrum
-    # nor poly.tridiag_levels (under either name) is called
+    # nor tridiag_eigenvalues (under either module's name) is called
     def refused(*args, **kwargs):
         raise AssertionError("FD at a wall")
 
-    for module, name in ((verify, "fd_spectrum"), (verify, "tridiag_levels"),
-                         (poly, "tridiag_levels")):
+    for module, name in ((verify, "fd_spectrum"), (verify, "tridiag_eigenvalues"),
+                         (poly, "tridiag_eigenvalues")):
         monkeypatch.setattr(module, name, refused)
     spec = cli.spec_from_config(config)
     reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
