@@ -10,8 +10,8 @@ This residue form is the implementation's ground truth. Commonly quoted
 closed forms for specific families disagree with it in two places (the sign
 of the mu*q0/z_k term when q0 != 0, and the constant of the two-singularity
 trigonometric family); reference_bae_terms exposes those transcriptions so
-the derive command can print a term-by-term diff, and the finite-difference
-certification in the verify module arbitrates.
+the derive command can print a term-by-term diff, and the verify module's
+Schrodinger residual and spectrum oracle arbitrate.
 
 Enumeration has one finder for every model class (Heine 1878, Stieltjes
 1885; B. Shapiro, J. London Math. Soc. 83 (2011) 36). y = prod_k (z - z_k)

@@ -204,7 +204,7 @@ _register(CatalogEntry(
     defaults={"a": 1.0, "p1": 0.25, "p2": 0.25},
     preset_N=1,
     build=_trig_build,
-    energy_formula="no closed form; certified against the FD spectrum",
+    energy_formula="no closed form; certified against the wall basis's spectrum",
     expected=lambda p, N: ORACLE_REQUIRED,
     reference_shift=lambda p, N: 8.0 * p["p1"] * p["p2"],
     check=lambda p: _need_positive(p, "p1", "p2"),

@@ -18,8 +18,9 @@ cannot be built is invalid input, and so is a config with a key outside
 its schema, and a file that cannot be read or written.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
-A --grid-points below verify.MIN_GRID_POINTS or a --tol that is not finite
-and positive is invalid input too.
+A --grid-points below verify.MIN_GRID_POINTS, a --tol that is not finite
+and positive, and a roots CSV row whose z_k is not a finite number are
+invalid input too.
 Nothing is random: the same config gives byte-identical CSV output.
 """
 
@@ -113,8 +114,10 @@ def spec_from_config(cfg: dict) -> ModelSpec:
             if not isinstance(cfg[key], list):
                 raise ModelError(f'config key "{key}" must be a list of numbers')
             polys.append(Poly([_number(v, f"{key}[{i}]") for i, v in enumerate(cfg[key])]))
-        sings = []
-        for i, s in enumerate(cfg.get("singularities", [])):
+        sings, entries = [], cfg.get("singularities", [])
+        if not isinstance(entries, list):
+            raise ModelError('config key "singularities" must be a list of objects')
+        for i, s in enumerate(entries):
             if not isinstance(s, dict) or "a" not in s or "mu" not in s:
                 raise ModelError(
                     f'config key "singularities[{i}]" must be an object with "a" and "mu"')
@@ -224,7 +227,10 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
                 bid = int(row["branch_id"])
                 k = int(row["k"])
                 if k >= 0:
-                    branches.setdefault(bid, []).append((k, float(row["z_k"])))
+                    z = float(row["z_k"])
+                    if not math.isfinite(z):
+                        raise ValueError(z)
+                    branches.setdefault(bid, []).append((k, z))
                 else:
                     branches.setdefault(bid, [])
             except (TypeError, ValueError):
@@ -251,7 +257,7 @@ def cmd_verify(args) -> int:
     branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), norm, 0)
                 for bid, norm in zip(bids, norms)]
     results = verify.verify_branches(pre, branches, n_points=args.grid_points,
-                                     stencil_order=args.stencil, residual_tol=args.tol)
+                                     residual_tol=args.tol)
     reports = {}
     all_ok = True
     for bid, rep in zip(bids, results):
@@ -372,7 +378,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("roots")
     p.add_argument("--grid-points", type=int, default=4001)
-    p.add_argument("--stencil", type=int, default=4, choices=(2, 4, 6))
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--json-out", default=None)
 

@@ -12,8 +12,8 @@ The spectrum oracle is one family: a spectral basis whose n-row matrix
 takes one np.linalg.eigvalsh, sized by one loop (_agreed_levels). On a
 component with no wall the basis is the sinc discrete variable
 representation (dvr_spectrum); at a wall it is a Gauss-Jacobi Lagrange
-mesh in z with the wall's power of |z - a| factored out (wall_spectrum),
-which converges spectrally at x^-2 endpoints. Each level comes with its
+mesh in z with each box end's power of |z - a| factored out
+(wall_spectrum), which converges spectrally at x^-2 endpoints. Each level comes with its
 own error estimate from a second solve on 0.8 times the rows. The claimed
 energies enter only through the largest one, which seeds the matrix size;
 the size is re-checked against the solve's own top level, so a wrong
@@ -83,12 +83,7 @@ _SIMPSON[2:-1:2] = 2.0
 _SIMPSON_INDEX = np.arange(SIMPSON_POINTS, dtype=float)
 _HALVINGS = 2.0 ** np.arange(MAX_WINDOWS + 1)  # of _windows toward a finite end
 _WIDTHS = np.cumprod(np.r_[1.0, np.full(MAX_WINDOWS - 1, 1.4)])  # and toward an infinite one
-
-_STENCILS = {
-    2: np.array([1.0, -2.0, 1.0]),
-    4: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
-    6: np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0,
-}
+_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # the residual's fourth-order d2/dx2
 
 
 @dataclass(frozen=True)
@@ -287,21 +282,20 @@ def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
 # Certification operations
 
 
-def schrodinger_residual(profile: potential.PotentialProfile, cmap, grid: Grid, phi,
-                         stencil_order: int = 4) -> tuple[float, float]:
+def schrodinger_residual(profile: potential.PotentialProfile, cmap, grid: Grid,
+                         phi) -> tuple[float, float]:
     """Normalized residual of (-d2/dx2 + U - E) phi_N on the grid, phi_N
     the wave function of the profile's branch, given on the grid points as
     phi = (log|phi_N|, sign) from prepot.phi_log_sign.
 
     phi is normalized to max 1 from its log magnitude; the residual is
     scaled by 1 + max|U - E| so that it is dimensionless and converges at
-    the stencil order. Neighborhoods of wave-function nodes (radius
-    NODE_DELTA_STEPS * h) and of singular walls (WALL_DELTA_STEPS * h) are
-    excluded: phi ~ 0 there makes the normalized residual ill-conditioned
-    without carrying certification content.
+    fourth order, the order of its second-difference stencil.
+    Neighborhoods of wave-function nodes (radius NODE_DELTA_STEPS * h) and
+    of singular walls (WALL_DELTA_STEPS * h) are excluded: phi ~ 0 there
+    makes the normalized residual ill-conditioned without carrying
+    certification content.
     """
-    if stencil_order not in _STENCILS:
-        raise ValueError(f"stencil_order must be one of {sorted(_STENCILS)}")
     x = grid.points
     logphi, sign = phi
     finite = np.isfinite(logphi)
@@ -315,10 +309,8 @@ def schrodinger_residual(profile: potential.PotentialProfile, cmap, grid: Grid, 
     if not np.all(np.isfinite(u_minus_e)):
         raise GridError("grid intersects a pole of the potential")
 
-    w = _STENCILS[stencil_order]
-    half = len(w) // 2
-    d2 = np.convolve(phi, w[::-1], mode="valid") / grid.h ** 2
-    interior = slice(half, len(x) - half)
+    d2 = np.convolve(phi, _STENCIL, mode="valid") / grid.h ** 2
+    interior = slice(2, len(x) - 2)
     res = -d2 + u_minus_e[interior] * phi[interior]
 
     mask = np.ones(len(res), dtype=bool)
@@ -558,42 +550,43 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
 def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
                   box: tuple[float, float], walls, levels: dict[int, float],
                   mirror: float | None = None) -> dict:
-    """Eigenvalues of -d2/dx2 + U on box = (lo, hi) with a singular wall at
-    one end or both, for levels = {index: energy}, indices ascending from
-    the ground level at 0; z'^2 = Q(z) is the map's polynomial and z is
-    monotone on the box. walls = (wall_lo, wall_hi) as a Grid carries
-    them: (x of the wall, nu) at a wall end, whose box end is the wall
-    itself, with nu >= 1/2 (the Friedrichs extension's states go as
-    |x - wall|^nu there); None at a truncated end. Returns
-    {index: (eigenvalue, est)}, est the level's move between the two
-    solves of _agreed_levels, which sizes the basis.
+    """Eigenvalues of -d2/dx2 + U on box = (lo, hi), for
+    levels = {index: energy}, indices ascending from the ground level at
+    0; z'^2 = Q(z) is the map's polynomial and z is monotone on the box.
+    walls = (wall_lo, wall_hi) as a Grid carries them: (x of the wall, nu)
+    at a wall end, whose box end is the wall itself, with nu >= 1/2 (the
+    Friedrichs extension's states go as |x - wall|^nu there); None at a
+    truncated end. Returns {index: (eigenvalue, est)}, est the level's move
+    between the two solves of _agreed_levels, which sizes the basis.
 
-    The basis is phi = w chi, chi a polynomial in z and
-    w = prod_j |z - a_j|^s_j over the walls' z = a_j, s_j = nu_j / 2 at a
-    turning point (Q(a_j) = 0, where z - a_j goes as (x - wall)^2) and
-    nu_j elsewhere, so w goes as |x - wall|^nu. With
-    L = sum_j s_j / (z - a_j), w''/w = Q L^2 + Q dL/dz + L Q'/2 and chi
-    solves -(w^2 chi')' / w^2 + (U - w''/w) chi = E chi. A state is w
-    times a function analytic in z, and U - w''/w is analytic at a
-    turning-point wall: the map's w cancels U's x^-2 and the pole a bare
-    |x - wall|^nu would leave. Where Q(a_j) != 0 a simple pole of
-    U - w''/w remains (its residue goes with phi's slope past the wall).
-    The quadrature is the Gauss-Jacobi rule of weight
-    (1 - t)^alpha (1 + t)^beta, t linear in z from -1 at lo to 1 at hi,
-    whose exponent at an end is that of the measure w^2 dx = w^2 dz /
-    sqrt(Q): nu - 1/2 at a turning-point wall; 2 nu - 1 at a wall where
-    Q(a) != 0, one power less, to absorb the pole; 0 at a truncated end,
-    where chi carries a (1 -+ t) factor so that phi vanishes. chi is the
+    One rule takes every box end, described by an exponent nu: a wall's
+    own nu, 0 at a mirror, and 1 at a truncated end, where phi = 0 is a
+    Dirichlet cut, a nu = 1 wall where Q != 0. The basis is phi = w chi,
+    chi a polynomial in z and w = prod_j |z - a_j|^s_j over the ends'
+    z = a_j, s_j = nu_j / 2 at a turning point (Q(a_j) = 0, where z - a_j
+    goes as (x - a)^2) and nu_j elsewhere, so w goes as |x - a|^nu; an
+    end with nu = 0 has no power. With L = sum_j s_j / (z - a_j),
+    w''/w = Q L^2 + Q dL/dz + L Q'/2 and chi solves
+    -(w^2 chi')' / w^2 + (U - w''/w) chi = E chi. A state is w times a
+    function analytic in z, and U - w''/w is analytic at a turning point:
+    the map's w cancels U's x^-2 and the pole a bare |x - a|^nu would
+    leave. Where Q(a_j) != 0 a simple pole of U - w''/w remains (its
+    residue goes with phi's slope past the end). The quadrature is the
+    Gauss-Jacobi rule of weight (1 - t)^alpha (1 + t)^beta, t linear in z
+    from -1 at lo to 1 at hi, whose exponent at an end is that of the
+    measure w^2 dx = w^2 dz / sqrt(Q): nu - 1/2 at a turning point, and
+    2 nu - 1 where Q != 0, one power less, to absorb the pole. The n-node
+    rule then integrates the kinetic term exactly wherever deg Q <= 1,
+    two truncated ends included, so no spurious level enters. chi is the
     Lagrange basis at the n nodes (a Lagrange mesh, Baye, Phys. Rep. 565
     (2015) 1), so the overlap is diagonal and the n-row matrix takes one
     eigvalsh.
 
     With a mirror (lo = mirror = x_t) the component is symmetric about
-    x_t and walled at both ends by wall_hi; a polynomial in z is even
-    about x_t, so the basis spans the even sector, whose level m is the
-    full component's level 2m: indices count the full component's levels
-    and an odd one raises ValueError. x_t is a turning point of the map
-    with no wall, so its exponent is -1/2.
+    x_t, a turning point of the map with no wall; a polynomial in z is
+    even about x_t, so the basis spans the even sector, whose level m is
+    the full component's level 2m: indices count the full component's
+    levels and an odd one raises ValueError.
     """
     step = _checked_levels(levels, mirror)
     if not levels:
@@ -603,16 +596,12 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
         raise GridError(f"empty wall box [{lo}, {hi}]")
     z_lo, z_hi = float(cmap.z_of_x(lo)), float(cmap.z_of_x(hi))
     exponents, powers = [], {}  # per end (lo, hi) its weight exponent; a -> s
-    for end, wall in zip((lo, hi), walls):
-        if end == mirror:
-            exponents.append(-0.5)
-        elif wall is None:
-            exponents.append(0.0)
-        else:
-            a, nu = float(cmap.z_of_x(wall[0])), wall[1]
-            turning = is_turning_point(Q, a)
+    for end, a, wall in zip(box, (z_lo, z_hi), walls):
+        nu = 0.0 if end == mirror else 1.0 if wall is None else wall[1]
+        turning = is_turning_point(Q, a)
+        if nu:
             powers[a] = nu / 2.0 if turning else nu
-            exponents.append(nu - 0.5 if turning else 2.0 * nu - 1.0)
+        exponents.append(nu - 0.5 if turning else 2.0 * nu - 1.0)
     beta, alpha = exponents
     dz_dt = (z_hi - z_lo) / 2.0
     dQ = Q.derivative()
@@ -642,10 +631,6 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
         D = bary[None, :] / bary[:, None] / gaps  # derivative of chi's basis in t
         np.fill_diagonal(D, 0.0)
         np.fill_diagonal(D, -D.sum(axis=1))  # each row of a derivative sums to 0
-        for side, end, wall in ((-1.0, lo, walls[0]), (1.0, hi, walls[1])):
-            if wall is None and end != mirror:  # chi_i = (1 - side t) l_i / (1 - side t_i)
-                f = 1.0 - side * t
-                D = (f[:, None] * D - side * np.eye(n)) / f[None, :]
         # the quadrature weight of w^2 dx at each node
         log_m = (np.log(christoffel * abs(dz_dt)) - 0.5 * np.log(qz)
                  + sum(2.0 * s * np.log(np.abs(z - a)) for a, s in powers.items())
@@ -928,7 +913,7 @@ def branch_setups(pre: prepot.Prepotential, branches, n_points: int = 4001) -> l
 
 
 def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
-                    stencil_order: int = 4, residual_tol: float = 1e-6) -> list:
+                    residual_tol: float = 1e-6) -> list:
     """Full certification pipeline for the branches of one built model.
 
     Returns, per branch and in order, its VerificationReport or the
@@ -973,8 +958,7 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
             continue
         profile, grid, phi = setup
         try:
-            rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi,
-                                              stencil_order=stencil_order)
+            rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi)
         except (GridError, DomainError, ValueError) as exc:
             results[i] = exc
             continue
@@ -1054,11 +1038,9 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
 
 
 def verify_branch(pre: prepot.Prepotential, branch, *, n_points: int = 4001,
-                  stencil_order: int = 4,
                   residual_tol: float = 1e-6) -> VerificationReport:
     """verify_branches for one branch: its report, or its error raised."""
-    (rep,) = verify_branches(pre, [branch], n_points=n_points,
-                             stencil_order=stencil_order, residual_tol=residual_tol)
+    (rep,) = verify_branches(pre, [branch], n_points=n_points, residual_tol=residual_tol)
     if isinstance(rep, Exception):
         raise rep
     return rep

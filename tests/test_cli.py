@@ -362,7 +362,15 @@ def test_solve_evaluates_phi_in_as_many_calls_for_any_branch_count(tmp_path, mon
     ({"Q": [-1], "P": [0, 1], "N": 1}, "constant Q must be positive"),
     ({"Q": [0, 0, -1], "P": [0, 1], "N": 1}, "no real trigonometric motion"),
     ({"Q": [1, 0, 1], "P": [1, 2, 0.5], "N": 1}, "outside the closed pole basis"),
-], ids=["negative-Q", "negative-square-Q", "irreducible-Q"])
+    # singularities that are no list: no TypeError traceback
+    ({"Q": [0, 4], "P": [0, 0, 2], "singularities": 5, "N": 1},
+     'config key "singularities" must be a list'),
+    ({"Q": [0, 4], "P": [0, 0, 2], "singularities": None, "N": 1},
+     'config key "singularities" must be a list'),
+    ({"Q": [0, 4], "P": [0, 0, 2], "singularities": {"a": 1, "mu": 0.3}, "N": 1},
+     'config key "singularities" must be a list'),
+], ids=["negative-Q", "negative-square-Q", "irreducible-Q", "singularities-number",
+        "singularities-null", "singularities-object"])
 def test_an_unbuildable_model_exits_4_from_every_command(tmp_path, payload, message):
     cfg = write_config(tmp_path, "u.json", payload)
     roots = tmp_path / "roots.csv"
@@ -372,6 +380,20 @@ def test_an_unbuildable_model_exits_4_from_every_command(tmp_path, payload, mess
         code, out, err = run_cli(argv)
         assert code == 4 and out == "", (argv, out, err)
         assert err.startswith("error: ") and message in err, (argv, err)
+
+
+@pytest.mark.parametrize("z_k", ["inf", "-inf", "1e999", "nan"])
+def test_a_root_that_is_not_finite_is_a_malformed_row(tmp_path, z_k):
+    # rejected before any work: no RuntimeWarning from the residuals or
+    # the polynomials, and exit 4, not a verification failure
+    cfg = write_config(tmp_path, "h.json", HARMONIC)
+    roots = tmp_path / "roots.csv"
+    roots.write_text(f"branch_id,k,z_k\n0,0,0.5\n0,1,{z_k}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["verify", cfg, str(roots)])
+    assert code == 4 and out == "", (out, err)
+    assert "malformed row at line 3" in err, err
 
 
 @pytest.mark.parametrize("payload,key", [

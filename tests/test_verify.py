@@ -31,9 +31,8 @@ def _phi(pre, branch, grid):
     return prepot.phi_log_sign(pre, branch.roots, grid.points)
 
 
-def _residual(prof, pre, grid, **kwargs):
-    return verify.schrodinger_residual(prof, pre.cmap, grid, _phi(pre, prof.branch, grid),
-                                       **kwargs)
+def _residual(prof, pre, grid):
+    return verify.schrodinger_residual(prof, pre.cmap, grid, _phi(pre, prof.branch, grid))
 
 
 def _fd_group(pre, members, reports):
@@ -89,28 +88,19 @@ def test_residual_detects_wrong_energy():
 def test_residual_convergence_order():
     spec = harmonic(N=1)
     cmap, pre, br, prof = _pipeline(spec)
-    for order, grids in ((2, (901, 1801)), (4, (901, 1801)), (6, (301, 601))):
-        res = []
-        for n in grids:
-            grid = verify.make_grid(-9.0, 9.0, n)
-            rmax, _ = _residual(prof, pre, grid, stencil_order=order)
-            res.append(rmax)
-        slope = math.log2(res[0] / res[1])
-        assert abs(slope - order) < 0.2 * order
+    res = []
+    for n in (901, 1801):
+        grid = verify.make_grid(-9.0, 9.0, n)
+        rmax, _ = _residual(prof, pre, grid)
+        res.append(rmax)
+    slope = math.log2(res[0] / res[1])
+    assert abs(slope - 4) < 0.2 * 4
 
 
 def test_grid_uniform_spacing():
     grid = verify.make_grid(-3.0, 7.0, 4001)
     gaps = np.diff(grid.points)
     assert np.max(np.abs(gaps - grid.h)) < 1e-14
-
-
-def test_residual_rejects_bad_stencil():
-    spec = harmonic(N=1)
-    cmap, pre, br, prof = _pipeline(spec)
-    grid = verify.make_grid(-9.0, 9.0, 1001)
-    with pytest.raises(ValueError):
-        _residual(prof, pre, grid, stencil_order=3)
 
 
 def test_fd_spectrum_harmonic_normal_form():
@@ -1004,6 +994,36 @@ def test_wall_levels_are_the_radial_oscillator_energies(nu):
     got = verify.wall_spectrum(prof, cmap, Q, (0.0, 12.0), ((0.0, nu), None), want)
     for n, e in want.items():
         assert abs(got[n][0] - e) <= 1e-10 * e, (n, got[n], e)
+
+
+@pytest.mark.parametrize("N", [4, 8, 12, 16])
+def test_two_truncated_ends_hold_no_spurious_level(N):
+    # U = x^2 on the linear map over (-9, 9), both ends truncated (nu = 1
+    # walls): level N is 2N + 1, with nothing spurious below it
+    Q = Poly([1.0])
+    U = potential.PFE(Poly([0.0, 0.0, 1.0]))
+    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    e = 2.0 * N + 1.0
+    level, est = verify.wall_spectrum(prof, coords.build(Q), Q, (-9.0, 9.0), (None, None),
+                                      {N: e})[N]
+    assert abs(level - e) <= est + 1e-9 * max(1.0, e), (level, est)
+
+
+@pytest.mark.parametrize("kappa,lam", [(1.5, 8.0), (0.75, 12.0), (2.0, 20.0)])
+def test_wall_levels_are_the_hyperbolic_poeschl_teller_energies(kappa, lam):
+    # U = kappa (kappa - 1) / sinh^2 x - lam (lam + 1) / cosh^2 x on the
+    # cosh map z = cosh x, Q = z^2 - 1 (deg Q = 2), over (0, 4): a wall at
+    # x = 0 with nu = kappa and a truncated end, levels -(lam - kappa - 2n)^2
+    Q = Poly([-1.0, 0.0, 1.0])
+    c = kappa * (kappa - 1.0) / 2.0  # 1 / (z^2 - 1) = (1/(z - 1) - 1/(z + 1)) / 2
+    U = potential.PFE(Poly([0.0]), (potential.BoundaryPole(1.0, c, 0.0),
+                                    potential.BoundaryPole(-1.0, -c, 0.0),
+                                    potential.BoundaryPole(0.0, 0.0, -lam * (lam + 1.0))))
+    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    want = {n: -(lam - kappa - 2.0 * n) ** 2 for n in (0, 1)}
+    got = verify.wall_spectrum(prof, coords.build(Q), Q, (0.0, 4.0), ((0.0, kappa), None), want)
+    for n, e in want.items():
+        assert abs(got[n][0] - e) <= 1e-10 * abs(e), (n, got[n], e)
 
 
 @pytest.mark.parametrize("config", [

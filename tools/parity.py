@@ -1,6 +1,8 @@
-"""Record what `qesf classify`, `solve` and `verify` output over the parity set.
+"""Record what `qesf classify`, `solve` and `verify` output over the parity set,
+and compare two such records.
 
     python tools/parity.py SRC OUTDIR
+    python tools/parity.py --compare OUTDIR_A OUTDIR_B
 
 SRC is a checkout of this repository; its `src/qesf` is imported and run in
 process. The parity set is every config of SRC's `perfbench/vetted.json`
@@ -15,6 +17,13 @@ give the same outputs when
     diff -r OUTDIR_A OUTDIR_B
 
 prints nothing.
+
+--compare holds OUTDIR_B to OUTDIR_A where a change may move a spectrum
+level by its rounding but nothing else that counts: it exits 1 when a
+config is in one tree only, or when a config's solve CSV bytes, exit codes
+or verify verdicts differ. It prints every config with an output that
+differs, the files that differ, and the largest move of a matched level
+(E_fd) relative to max(1, |E_fd|), the scale of the verdict's bound.
 """
 
 from __future__ import annotations
@@ -108,9 +117,63 @@ def record(name: str, cfg: dict, work: str, outdir: str) -> None:
             shutil.copyfile(src_path, os.path.join(dest, fname))
 
 
+def _read(path: str) -> bytes | None:
+    """The bytes of a file, None where there is none."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def _matches(config_dir: str) -> dict:
+    """branch id -> (verdict, matched level or None) of a config's verify
+    JSON; empty when verify did not run."""
+    text = _read(os.path.join(config_dir, "verify.json"))
+    reports = json.loads(text) if text is not None else {}
+    return {bid: (rep["verdict"], rep["spectrum_matches"][0][1] if rep["spectrum_matches"]
+                  else None) for bid, rep in reports.items()}
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    """Print how the parity record dir_b differs from dir_a; 1 when a
+    solve CSV, an exit code or a verdict differs, or a config is in one
+    tree only, else 0."""
+    names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
+    faults = [f"{name}: only in {dir_a if name in names_a else dir_b}"
+              for name in sorted(names_a ^ names_b)]
+    changed, worst = 0, (0.0, "")
+    for name in sorted(names_a & names_b):
+        a, b = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        differ = [f for f in sorted(set(os.listdir(a)) | set(os.listdir(b)))
+                  if _read(os.path.join(a, f)) != _read(os.path.join(b, f))]
+        if not differ:
+            continue
+        changed += 1
+        print(f"{name}: {' '.join(differ)}")
+        faults += [f"{name}: {what} differ" for fname, what in
+                   (("solve.csv", "solve CSV bytes"), ("exit_codes", "exit codes"))
+                   if fname in differ]
+        match_a, match_b = _matches(a), _matches(b)
+        if {k: v[0] for k, v in match_a.items()} != {k: v[0] for k, v in match_b.items()}:
+            faults.append(f"{name}: verify verdicts differ")
+        for bid in match_a.keys() & match_b.keys():
+            level_a, level_b = match_a[bid][1], match_b[bid][1]
+            if level_a is not None and level_b is not None:
+                move = abs(level_b - level_a) / max(1.0, abs(level_a))
+                worst = max(worst, (move, f"{name} branch {bid}"))
+    print(f"{changed} of {len(names_a & names_b)} configs changed; largest relative move "
+          f"of a matched level (E_fd): {worst[0]:.3g}{' at ' + worst[1] if worst[1] else ''}")
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return 1 if faults else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("\n".join(line.strip() for line in __doc__.splitlines()[3:5]), file=sys.stderr)
         return 2
     src, outdir = (os.path.abspath(a) for a in argv)
     if os.path.exists(outdir) and os.listdir(outdir):
