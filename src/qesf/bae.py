@@ -154,36 +154,45 @@ def _jacobians(spec: ModelSpec, polys: tuple, roots: np.ndarray, ev: list) -> np
 
 
 def _checked(spec: ModelSpec, roots) -> tuple:
-    """Rows of roots, as floats or complex numbers, their _polys and their
-    _evaluate terms; raises the CollisionError of the first row that
-    collides."""
+    """Rows of roots, as floats or complex numbers: per row None or its
+    CollisionError, then the _polys, the rows that collide with nothing
+    and their _evaluate terms."""
     roots = np.asarray(roots)
     roots = roots.astype(np.result_type(roots, 1.0), copy=False)
     inv, bad = _pair_inverses(roots, spec.singularities)
-    if bad is not None:
-        raise _collision(roots[np.argmax(bad)], spec.singularities)
+    bad = np.zeros(len(roots), dtype=bool) if bad is None else bad
+    errors = [_collision(row, spec.singularities) if b else None
+              for row, b in zip(roots, bad.tolist())]
     polys = _polys(spec)
-    return roots, polys, _evaluate(spec, polys, roots, inv)
+    return errors, polys, roots[~bad], _evaluate(spec, polys, roots[~bad], inv)
 
 
-def residuals(spec: ModelSpec, roots) -> np.ndarray:
+def residuals(spec: ModelSpec, roots) -> tuple[np.ndarray, list]:
     """Residue-derived Bethe ansatz residual of each row of roots, shape
-    (B, N), in one array pass. Raises the CollisionError of the first row
-    in which two roots, or a root and a singularity, are closer than
-    COLLISION_TOL."""
-    return _checked(spec, roots)[2][0]
+    (B, N), in one array pass, and per row None or its CollisionError: two
+    roots, or a root and a singularity, closer than COLLISION_TOL. A
+    colliding row's residuals are nan."""
+    errors, _, ok, ev = _checked(spec, roots)
+    F = np.full((len(errors),) + ok.shape[1:], np.nan, dtype=ok.dtype)
+    F[[e is None for e in errors]] = ev[0]
+    return F, errors
 
 
 def residual(spec: ModelSpec, roots) -> np.ndarray:
     """Residue-derived Bethe ansatz residual F_k (length N) of one vector
-    of roots: residuals' row, bit for bit."""
-    return residuals(spec, np.asarray(roots)[None])[0]
+    of roots: residuals' row, bit for bit. Raises its CollisionError."""
+    F, (error,) = residuals(spec, np.asarray(roots)[None])
+    if error is not None:
+        raise error
+    return F[0]
 
 
 def jacobian(spec: ModelSpec, roots) -> np.ndarray:
     """Analytic Jacobian dF_k/dz_j of the residual at one vector of roots,
     the batched Newton's row. Raises CollisionError as residual does."""
-    roots, polys, ev = _checked(spec, np.asarray(roots)[None])
+    (error,), polys, roots, ev = _checked(spec, np.asarray(roots)[None])
+    if error is not None:
+        raise error
     return _jacobians(spec, polys, roots, ev)[0]
 
 
@@ -262,8 +271,7 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
         raise ValueError(f"inits must have shape (B, N = {spec.N})")
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0) for _ in z]
-    out: list = [None] * len(z)
-    sings, polys = spec.singularities, _polys(spec)
+    sings = spec.singularities
 
     def _trial(trial):
         """Max residual norms of the trial rows, and the _evaluate terms of
@@ -286,13 +294,10 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
         nt[ok] = np.abs(ev_t[0]).max(axis=1)
         return nt, ev_t, ok
 
-    inv, bad = _pair_inverses(z, sings)
-    idx = np.arange(len(z))  # the running rows' index in out
-    if bad is not None:
-        for i in np.flatnonzero(bad):
-            out[i] = _collision(z[i], sings)
-        idx, z = idx[~bad], z[~bad]
-    ev = _evaluate(spec, polys, z, inv)  # [F, inv, S, Q(z), Q'(z)] of the running rows
+    # a start that collides is its row's CollisionError; ev holds
+    # [F, inv, S, Q(z), Q'(z)] of the running rows
+    out, polys, z, ev = _checked(spec, z)
+    idx = np.flatnonzero([e is None for e in out])  # the running rows' index in out
     norm = np.abs(ev[0]).max(axis=1)
     converged_at = np.full(len(idx), -1)
 

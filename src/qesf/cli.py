@@ -18,9 +18,10 @@ cannot be built is invalid input, and so is a config with a key outside
 its schema, and a file that cannot be read or written.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
-A --grid-points below verify.MIN_GRID_POINTS, a --tol that is not finite
-and positive, and a roots CSV row whose z_k is not a finite number are
-invalid input too.
+A --grid-points below verify.MIN_GRID_POINTS, a solve --tol that is not
+finite and positive, and a roots CSV row whose z_k is not a finite number
+are invalid input too. verify judges every residual by verify.RESIDUAL_TOL,
+which solve's verified column reads too.
 Nothing is random: the same config gives byte-identical CSV output.
 """
 
@@ -127,15 +128,12 @@ def spec_from_config(cfg: dict) -> ModelSpec:
         return ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
 
 
-def _check_flags(grid_points: int, tol: float) -> None:
-    """Reject a --grid-points or --tol value that no run can use: a grid
-    needs verify.MIN_GRID_POINTS points, and a tolerance is finite and
-    positive."""
+def _check_grid_points(grid_points: int) -> None:
+    """Reject a --grid-points value that no run can use: a grid needs
+    verify.MIN_GRID_POINTS points."""
     if grid_points < verify.MIN_GRID_POINTS:
         raise ModelError(f"--grid-points must be at least {verify.MIN_GRID_POINTS} "
                          f"(got {grid_points})")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ModelError(f"--tol must be finite and positive (got {tol:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +149,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_flags(args.grid_points, args.tol)
+    _check_grid_points(args.grid_points)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ModelError(f"--tol must be finite and positive (got {args.tol:g})")
     _check_writable(args.out)
     cfg = load_config(args.config)
     if args.N is not None and isinstance(cfg, dict):
@@ -173,7 +173,8 @@ def cmd_solve(args) -> int:
         if not isinstance(setup, Exception):
             profile, grid, phi = setup
             try:
-                ok = verify.schrodinger_residual(profile, pre.cmap, grid, phi)[0] < 1e-6
+                ok = (verify.schrodinger_residual(profile, pre.cmap, grid, phi)[0]
+                      < verify.RESIDUAL_TOL)
             except (GridError, DomainError, ValueError):
                 pass
         tail = f"{_fmt(br.residual_norm)},{_fmt(energy)},{'true' if ok else 'false'}"
@@ -239,7 +240,7 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
 
 
 def cmd_verify(args) -> int:
-    _check_flags(args.grid_points, args.tol)
+    _check_grid_points(args.grid_points)
     _check_writable(args.json_out)
     pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
     spec = pre.spec_ref
@@ -251,13 +252,9 @@ def cmd_verify(args) -> int:
         if len(roots_by_bid[bid]) != spec.N:
             raise ModelError(f"branch {bid} has {len(roots_by_bid[bid])} roots "
                              f"but the model has N = {spec.N}")
-    res = bae.residuals(spec, np.array([roots_by_bid[bid] for bid in bids]).reshape(
-        len(bids), spec.N))
-    norms = np.max(np.abs(res), axis=1, initial=0.0).tolist()
-    branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), norm, 0)
-                for bid, norm in zip(bids, norms)]
-    results = verify.verify_branches(pre, branches, n_points=args.grid_points,
-                                     residual_tol=args.tol)
+    # residual_norm is not read: split_energies evaluates each branch's residuals
+    branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), math.nan, 0) for bid in bids]
+    results = verify.verify_branches(pre, branches, n_points=args.grid_points)
     reports = {}
     all_ok = True
     for bid, rep in zip(bids, results):
@@ -378,7 +375,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("roots")
     p.add_argument("--grid-points", type=int, default=4001)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--json-out", default=None)
 
     p = sub.add_parser("derive", help="print potential, energy and BAE forms")

@@ -22,8 +22,9 @@ and the root-dependent shift reduces, by exact divided differences, to
 with F_k the Bethe residual, so a converged branch kills every root pole and
 the residue coefficients d_k = -2 F_k are directly assertable:
 split_energies checks them and reports a PFE without root poles. The energy
-is the negated constant of the dV_N polynomial part; the remaining constant
-(inherited from V0) stays in the reported potential.
+is the negated constant of the dV_N polynomial part, which
+bae.branch_energies gives in closed form (the E that solve writes); the
+remaining constant (inherited from V0) stays in the reported potential.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bae
-from .errors import CollisionError, ModelError
+from .errors import ModelError
 from .model import ModelSpec, is_turning_point
 from .poly import Poly, divmod_poly, partial_fractions
 
@@ -155,31 +156,30 @@ def v0_pfe(spec: ModelSpec) -> PFE:
 
 def _shift_rows(spec: ModelSpec, roots: np.ndarray) -> tuple[np.ndarray, list]:
     """The parts of dV_N that need no Bethe residual, for rows of roots
-    (B, N): its polynomial part, one ascending coefficient row per branch
-    (B, max(deg P, 1)), and per boundary pole, (a, c1 of every row).
+    (B, N): its polynomial part without the constant, one ascending
+    coefficient row per branch (B, max(deg P, 1)) whose constant is left
+    to bae.branch_energies, and per boundary pole, (a, c1 of every row).
 
     Synthetic division gives -2 (P(z) - P(z_k))/(z - z_k) for every root of
-    every row at once; the cumsum along the root axis adds them to the
-    constant in root order, as a sum of per-root Polys does. Each c1 is
-    one row sum of 1/(a - z_k).
+    every row at once; the cumsum along the root axis adds them in root
+    order, as a sum of per-root Polys does. Each c1 is one row sum of
+    1/(a - z_k).
     """
     B, n = roots.shape
-    N = spec.N
-    q2 = spec.Q.coeff(2)
-    smu = sum(s.exponent for s in spec.singularities)
     c = spec.P.coeffs
     d = len(c) - 1
     rows = np.zeros((B, n + 1, max(d, 1)))
-    rows[:, 0, 0] = q2 * N * N + 2.0 * q2 * N * smu
     if d > 0:
         rows[:, 1:, d - 1] = c[d]
         for i in range(d - 1, 0, -1):
             rows[:, 1:, i - 1] = c[i] + roots * rows[:, 1:, i]
         rows[:, 1:] *= -2.0
+    rows = np.cumsum(rows, axis=1)[:, -1]
+    rows[:, 0] = 0.0
     poles = [(s.location, 2.0 * s.exponent * spec.Q(s.location)
               * np.sum(1.0 / (s.location - roots), axis=1))
              for s in spec.singularities if n and not is_turning_point(spec.Q, s.location)]
-    return np.cumsum(rows, axis=1)[:, -1], poles
+    return rows, poles
 
 
 def split_energies(pre: prepot.Prepotential, branches) -> list:
@@ -189,29 +189,21 @@ def split_energies(pre: prepot.Prepotential, branches) -> list:
     CollisionError of a branch whose roots collide, or uncancelled root
     residues). The branches share N, the model's.
 
-    E is the negated constant of the dV_N polynomial part; U keeps V0's own
-    constant (pre.v0), so V_N = U - E + (root-pole remainder, ~0 for a
-    converged branch). The root-pole coefficients are -2 times the Bethe
-    residuals of one bae.residuals call. Branches whose U has the same
-    polynomial and boundary poles, bit for bit (every branch of a type-1
-    model), share one PFE.
+    E is bae.branch_energies, the negated constant of the dV_N polynomial
+    part in closed form, which solve writes; U keeps V0's own constant
+    (pre.v0), so V_N = U - E + (root-pole remainder, ~0 for a converged
+    branch). The root-pole coefficients are -2 times the Bethe residuals
+    of one bae.residuals call. Branches whose U has the same polynomial
+    and boundary poles, bit for bit (every branch of a type-1 model),
+    share one PFE.
     """
     spec = pre.spec_ref
     roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
-    out: list = [None] * len(branches)
-    ok = np.arange(len(branches))
-    try:
-        residuals = bae.residuals(spec, roots)
-    except CollisionError:  # rare: find the colliding rows one by one
-        for i, row in enumerate(roots):
-            try:
-                bae.residual(spec, row)
-            except CollisionError as exc:
-                out[i] = exc
-        ok = np.flatnonzero([o is None for o in out])
-        residuals = bae.residuals(spec, roots[ok])
+    residuals, out = bae.residuals(spec, roots)
+    ok = np.flatnonzero([e is None for e in out])
     rows, poles = _shift_rows(spec, roots[ok])
-    worst = (2.0 * np.max(np.abs(residuals), axis=1, initial=0.0)).tolist()  # max |d_k|
+    energies = bae.branch_energies(spec, roots[ok]).tolist()
+    worst = (2.0 * np.max(np.abs(residuals[ok]), axis=1, initial=0.0)).tolist()  # max |d_k|
     shared: dict = {}  # bits of U's polynomial and pole coefficients -> U
     for j, i in enumerate(ok.tolist()):
         if not worst[j] < RESIDUE_TOL:
@@ -219,15 +211,13 @@ def split_energies(pre: prepot.Prepotential, branches) -> list:
                 f"branch residues not cancelled (max |d_k| = {worst[j]:.2e}): solve "
                 f"the Bethe ansatz equations first")
             continue
-        cs = list(Poly(rows[j]).coeffs)
-        energy = -cs[0]
-        cs[0] = 0.0
+        cs = rows[j].tolist()
         c1s = [c1[j].item() for _, c1 in poles]
         key = np.array(cs + c1s).tobytes()
         if key not in shared:
             shared[key] = pre.v0 + PFE(Poly(cs), tuple(
                 BoundaryPole(a, c1, 0.0) for (a, _), c1 in zip(poles, c1s)))
-        out[i] = PotentialProfile(shared[key], energy, branches[i])
+        out[i] = PotentialProfile(shared[key], energies[j], branches[i])
     return out
 
 

@@ -67,6 +67,7 @@ W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
 WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
 MIN_GRID_POINTS = 8  # fewest points of a certification grid
+RESIDUAL_TOL = 1e-6  # largest Schrodinger residual a verdict (and solve's verified) accepts
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
 DVR_BOX_LOG = 18.0  # DVR box: where log|phi| >= its max - DVR_BOX_LOG
@@ -653,6 +654,29 @@ def node_count(phi) -> int:
     return int(np.sum(s[:-1] * s[1:] < 0))
 
 
+def _wall_insets(pre: prepot.Prepotential, roots: np.ndarray, grids: list) -> list:
+    """Per grid, phi = (log|phi_N|, sign) between each wall and the grid's
+    end there, which default_grids insets: (lo side, hi side), each
+    ascending in x, for roots of shape (B, N), a branch's roots per row.
+    The points are at most h apart, and halve their distance to the wall
+    down to 2^-30 h, so a node next to the wall is seen too; one
+    prepot.phi_log_sign call serves every grid. An end without a wall
+    repeats the grid's end point, which adds no sign change."""
+    ends = np.array([(g.points[0], g.points[-1]) for g in grids]).reshape(len(grids), 2)
+    walls = np.array([((g.wall_lo or e[:1])[0], (g.wall_hi or e[1:])[0])
+                      for g, e in zip(grids, ends)]).reshape(len(grids), 2)
+    h = np.reshape([g.h for g in grids], (-1, 1))
+    steps = math.ceil(np.max(np.abs(walls - ends) / h, initial=0.0))
+    if steps < 2:  # no wall
+        return [((np.empty(0),) * 2,) * 2] * len(grids)
+    # fractions of the way from the wall to the grid's end
+    t = np.concatenate((2.0 ** -np.arange(30.0, 0.0, -1.0), np.arange(1.0, steps))) / steps
+    x = walls[..., None] + (ends - walls)[..., None] * t
+    logphi, sign = (a.reshape(x.shape) for a in prepot.phi_log_sign(
+        pre, roots, x.reshape(len(grids), -1)))
+    return [((lp[0], sg[0]), (lp[1, ::-1], sg[1, ::-1])) for lp, sg in zip(logphi, sign)]
+
+
 def _log_simpsons(lo: np.ndarray, hi: np.ndarray, logphi: np.ndarray) -> list:
     """log of integral_lo^hi phi^2 dx by Simpson's rule for each window
     (lo, hi), lo and hi of one shape S, computed in log space from log|phi|
@@ -772,10 +796,11 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
     series), False as soon as they grow persistently or, on an unbounded
     side, phi overflows in a window. A window toward a wall whose lo rounds
     onto the wall itself gets no weight, as phi's pole there has none. On
-    an unbounded side a window that ends inside the state's
-    bulk, short of the outermost preimage of a root or of a peak of phi
-    (_peaks), is integrated but is no tail: phi still grows there, up to
-    its last peak.
+    an unbounded side a window that starts inside the state's bulk, short
+    of the outermost preimage of a root or of a peak of phi (_peaks), is
+    integrated but is no tail: phi may grow there, up to its last peak,
+    and a window across the outermost dip of |phi| cannot show that phi
+    does not grow again past it.
 
     The core windows of all branches take one prepot.phi_log_sign call.
     Then the low sides and after them the high sides (the running total
@@ -810,7 +835,7 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
     ok = [not math.isnan(t) for t in total]  # a nan core window is undecidable
     for edges, inner, outward in ((a, core_lo, -1), (b, core_hi, +1)):
         lo_w, hi_w = _windows(edges, inner, outward)
-        outer_w = hi_w if outward > 0 else lo_w
+        inner_w = lo_w if outward > 0 else hi_w
         edge_l, bulk_l = edges.tolist(), bulk[outward]
         # per row: [patience, growth run, previous window's integral]
         state = [[6 if math.isfinite(e) else 4, 0, -math.inf] for e in edge_l]
@@ -825,14 +850,14 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
                 logphi, _ = prepot.phi_log_sign(pre, roots[rows], xs.reshape(len(todo), -1))
             segs, k = _log_simpsons(lo, hi, logphi.reshape(xs.shape)), lo.shape[1]
             undecided = []
-            for r, (i, outers) in enumerate(zip(todo.tolist(), outer_w[rows, cut].tolist())):
+            for r, (i, inners) in enumerate(zip(todo.tolist(), inner_w[rows, cut].tolist())):
                 seg_i = segs[r * k:(r + 1) * k]
                 if math.isfinite(edge_l[i]):  # a window whose lo rounds onto
                     # the wall samples phi's pole there: it has no weight
                     seg_i = [-math.inf if s == math.inf else s for s in seg_i]
                 with np.errstate(invalid="ignore"):  # a nan window
                     totals = np.logaddexp.accumulate([total[i]] + seg_i).tolist()
-                verdict = _scan(seg_i, totals, outers, edge_l[i], bulk_l[i], outward, state[i])
+                verdict = _scan(seg_i, totals, inners, edge_l[i], bulk_l[i], outward, state[i])
                 if verdict is None:
                     total[i] = totals[-1]
                     undecided.append(i)
@@ -846,21 +871,21 @@ def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
     return [(ok_i, math.exp(t) if t < 700 else math.inf) for ok_i, t in zip(ok, total)]
 
 
-def _scan(segs: list, totals: list, outers: list, edge: float, bulk: float,
+def _scan(segs: list, totals: list, inners: list, edge: float, bulk: float,
           outward: int, state: list):
     """One branch's scan of consecutive windows of one side: segs their log
-    integrals, totals[j + 1] the running log total after window j, outers
-    their outer ends. state is [patience, growth run, previous integral],
+    integrals, totals[j + 1] the running log total after window j, inners
+    their inner ends. state is [patience, growth run, previous integral],
     updated in place. (verdict, index of the deciding window), or None
     when these windows decide nothing."""
     patience, grow, prev = state
-    for j, (seg, outer) in enumerate(zip(segs, outers)):
+    for j, (seg, inner) in enumerate(zip(segs, inners)):
         if seg == math.inf:
             return False, j  # phi overflows toward an infinite end: divergent
         if math.isnan(seg):
             return False, j  # phi is nan there: undecidable, so not shown normalizable
-        if not math.isfinite(edge) and outward * (outer - bulk) < 0:
-            continue  # inside the bulk
+        if not math.isfinite(edge) and outward * (inner - bulk) < 0:
+            continue  # reaches into the bulk
         if seg < totals[j + 1] - 36.0:
             return True, j
         if seg > prev:
@@ -912,8 +937,7 @@ def branch_setups(pre: prepot.Prepotential, branches, n_points: int = 4001) -> l
     return setups
 
 
-def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
-                    residual_tol: float = 1e-6) -> list:
+def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001) -> list:
     """Full certification pipeline for the branches of one built model.
 
     Returns, per branch and in order, its VerificationReport or the
@@ -921,12 +945,16 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     branch stops no other.
 
     Each branch gets its profile and grid from the built model, then the
-    residual, node count and normalizability oracles. The verdict requires
-    the residual below tolerance, phi normalizable, and the claimed energy
-    matched by the spectrum oracle's level whose index is the branch's
-    node count: by Sturm oscillation a state with n nodes is level n. At a
-    limit-circle wall the spectrum oracle is skipped, spectrum_note says
-    so, and the residual alone carries the verdict.
+    residual, node count and normalizability oracles. The claimed energy
+    is bae.branch_energies of the branch's roots, the E solve writes. The
+    node count takes phi's sign changes on the grid and, at a wall end,
+    at points at most h apart between the wall and the grid's inset end.
+    The verdict requires the residual below RESIDUAL_TOL, phi
+    normalizable, and the claimed energy matched by the spectrum oracle's
+    level whose index is the branch's node count: by Sturm oscillation a
+    state with n nodes is level n. At a limit-circle wall the spectrum
+    oracle is skipped, spectrum_note says so, and the verdict is the same
+    rule without the spectrum match.
 
     The spectrum runs once per potential: branches with the same operator
     (equal potential U, as type-1 and ES models share, and equal walls
@@ -949,27 +977,28 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
     even-sector level n // 2; a branch with an odd count fails, and
     spectrum_note says why.
     """
-    results: list = [None] * len(branches)
+    results = branch_setups(pre, branches, n_points)
+    roots = np.asarray([br.roots for br in branches], dtype=float).reshape(
+        len(branches), pre.spec_ref.N)
+    live = [i for i, setup in enumerate(results) if not isinstance(setup, Exception)]
+    insets = _wall_insets(pre, roots[live], [results[i][1] for i in live])
     checked = []  # (index, profile, grid, fields)
     boxes = {}  # index -> where log|phi| >= its max - DVR_BOX_LOG, on its grid
-    for i, setup in enumerate(branch_setups(pre, branches, n_points)):
-        if isinstance(setup, Exception):
-            results[i] = setup
-            continue
-        profile, grid, phi = setup
+    for i, (lo_side, hi_side) in zip(live, insets):
+        profile, grid, phi = results[i]
         try:
             rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi)
         except (GridError, DomainError, ValueError) as exc:
             results[i] = exc
             continue
+        nodes = node_count(tuple(np.concatenate(parts) for parts in zip(lo_side, phi, hi_side)))
         checked.append((i, profile, grid, dict(residual_max=rmax, residual_rms=rrms,
-                                               node_count=node_count(phi))))
+                                               node_count=nodes)))
         logphi = phi[0]
         peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
         inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
         boxes[i] = float(grid.points[inside[0]]), float(grid.points[inside[-1]])
-    roots = np.asarray([branches[i].roots for i, *_ in checked], dtype=float)
-    norms = normalizability_checks(pre, roots.reshape(len(checked), pre.spec_ref.N),
+    norms = normalizability_checks(pre, roots[[i for i, *_ in checked]],
                                    [grid.component for _, _, grid, _ in checked])
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
     for (i, profile, grid, fields), (normalizable, norm_estimate) in zip(checked, norms):
@@ -977,15 +1006,12 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         # At a limit-circle wall where the state follows the weaker
         # indicial root (nu < 1/2) both roots are square-integrable and the
         # wall basis, which selects the Friedrichs one, is no oracle for
-        # it, so the residual alone carries the verdict.
+        # it, so the verdict goes without the spectrum match.
         limit_circle = any(wall is not None and wall[1] < 0.5 - 1e-12
                            for wall in (grid.wall_lo, grid.wall_hi))
         if limit_circle:
-            results[i] = VerificationReport(
-                **fields, spectrum_matches=[],
-                spectrum_note="spectrum oracle skipped: limit-circle wall "
-                              "with endpoint exponent nu < 1/2",
-                verdict=bool(fields["residual_max"] < residual_tol))
+            results[i] = _report(fields, [], "spectrum oracle skipped: limit-circle wall "
+                                             "with endpoint exponent nu < 1/2")
         else:
             groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append(
                 (i, profile, grid, fields))
@@ -1020,27 +1046,30 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001,
         for i, profile, _, fields in members:
             energy = profile.energy
             if fields["node_count"] not in levels:
-                results[i] = VerificationReport(
-                    **fields, spectrum_matches=[],
-                    spectrum_note=f"odd node count: U is even about x = {x_t:g}, "
-                                  "where every algebraic state is even",
-                    verdict=False)
+                results[i] = _report(fields, [], f"odd node count: U is even about x = "
+                                     f"{x_t:g}, where every algebraic state is even", False)
                 continue
             level, est = levels[fields["node_count"]]
             diff = abs(level - energy)
-            results[i] = VerificationReport(
-                **fields, spectrum_matches=[(energy, float(level), float(diff))],
-                spectrum_note="",
-                verdict=bool(fields["residual_max"] < residual_tol
-                             and fields["normalizable"]
-                             and diff < est + DVR_AGREE * max(1.0, abs(energy))))
+            results[i] = _report(fields, [(energy, float(level), float(diff))], "",
+                                 diff < est + DVR_AGREE * max(1.0, abs(energy)))
     return results
 
 
-def verify_branch(pre: prepot.Prepotential, branch, *, n_points: int = 4001,
-                  residual_tol: float = 1e-6) -> VerificationReport:
+def _report(fields: dict, matches: list, note: str,
+            matched: bool = True) -> VerificationReport:
+    """A branch's report from its oracle fields, the one verdict rule: the
+    residual below RESIDUAL_TOL, phi normalizable, and its spectrum match
+    (matched) where the spectrum oracle ran."""
+    return VerificationReport(**fields, spectrum_matches=matches, spectrum_note=note,
+                              verdict=bool(fields["residual_max"] < RESIDUAL_TOL
+                                           and fields["normalizable"] and matched))
+
+
+def verify_branch(pre: prepot.Prepotential, branch, *,
+                  n_points: int = 4001) -> VerificationReport:
     """verify_branches for one branch: its report, or its error raised."""
-    (rep,) = verify_branches(pre, [branch], n_points=n_points, residual_tol=residual_tol)
+    (rep,) = verify_branches(pre, [branch], n_points=n_points)
     if isinstance(rep, Exception):
         raise rep
     return rep

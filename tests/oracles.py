@@ -13,12 +13,12 @@ LDL^T recurrence, without LAPACK; norm1 is the matrix's |T|_1, the scale of
 the bisection tolerance. phi_log_sign adds one log and one sign per root
 factor, the plain form of prepot.phi_log_sign's chunked products, and
 delta_v_poly sums dV_N's polynomial part one root's Poly at a time, the
-plain form of potential.split_energies' synthetic division. split_energy splits one
-branch's V_N into (U, E) from its own synthetic division, pole sums and
-bae.residual row, and branch_energy and energy_order take one branch's
-energy terms at a time: the per-branch loops that
-potential.split_energies, bae.branch_energies and bae._energy_order run
-as array passes. bae_solve is the damped
+plain form of potential.split_energies' synthetic division. split_energy
+splits one branch's V_N into U from its own synthetic division, pole sums
+and bae.residual row, with E from bae.branch_energy, and branch_energy and
+energy_order take one branch's energy terms at a time: the per-branch
+loops that potential.split_energies, bae.branch_energies and
+bae._energy_order run as array passes. bae_solve is the damped
 Newton polish of one start, with its own residual and Jacobian
 (bae_residual, bae_jacobian), the plain form of bae.solve_many's lock-step
 rows; normalizability_check tests one branch's windows with a lazy
@@ -268,17 +268,14 @@ def delta_v_poly(spec: ModelSpec, roots) -> Poly:
 def split_energy(pre, branch, residue_tol: float = RESIDUE_TOL) -> PotentialProfile:
     """One branch's (U, E): dV_N's polynomial part by synthetic division
     over its roots, its boundary poles and its residues from one
-    bae.residual row; ValueError when a residue is not below residue_tol,
-    and the CollisionError of colliding roots."""
+    bae.residual row, and E from bae.branch_energy; ValueError when a
+    residue is not below residue_tol, and the CollisionError of colliding
+    roots."""
     spec = pre.spec_ref
     roots = np.asarray(branch.roots, dtype=float)
-    N = spec.N
-    q2 = spec.Q.coeff(2)
-    smu = sum(s.exponent for s in spec.singularities)
     c = spec.P.coeffs
     d = len(c) - 1
     rows = np.zeros((len(roots) + 1, max(d, 1)))
-    rows[0, 0] = q2 * N * N + 2.0 * q2 * N * smu
     if d > 0:
         rows[1:, d - 1] = c[d]
         for i in range(d - 1, 0, -1):
@@ -299,8 +296,9 @@ def split_energy(pre, branch, residue_tol: float = RESIDUE_TOL) -> PotentialProf
             f"branch residues not cancelled (max |d_k| = {worst:.2e}): solve "
             f"the Bethe ansatz equations first")
     cs = list(poly.coeffs)
-    energy, cs[0] = -cs[0], 0.0
-    return PotentialProfile(pre.v0 + PFE(Poly(cs), tuple(bnd)), energy, branch)
+    cs[0] = 0.0
+    return PotentialProfile(pre.v0 + PFE(Poly(cs), tuple(bnd)),
+                            bae.branch_energy(spec, roots), branch)
 
 
 def _energy_terms(spec: ModelSpec, roots: np.ndarray) -> tuple:
@@ -530,8 +528,9 @@ def normalizability_check(pre, branch, component) -> tuple:
     (a, b): a core window, then the windows of the low side and of the high
     side, each phi evaluated and integrated on its own, until the
     contributions decay (a tail below e^-36 of the total) or grow
-    persistently, or phi overflows; on an unbounded side a window short of
-    the outermost preimage of a root or of phi's peak is no tail."""
+    persistently, or phi overflows; on an unbounded side a window that
+    starts short of the outermost preimage of a root or of phi's peak is no
+    tail."""
     roots = np.asarray(branch.roots, dtype=float)
     a, b = component
     cmap = pre.cmap
@@ -560,10 +559,10 @@ def normalizability_check(pre, branch, component) -> tuple:
             if seg == math.inf and math.isfinite(edge):
                 seg = -math.inf  # lo on the wall itself: phi's pole has no weight
             total = np.logaddexp(total, seg)
-            outer = hi if outward > 0 else lo
+            inner = lo if outward > 0 else hi
             if seg == math.inf:
                 return False
-            if not math.isfinite(edge) and outward * (outer - bulk[outward]) < 0:
+            if not math.isfinite(edge) and outward * (inner - bulk[outward]) < 0:
                 continue
             if seg < total - 36.0:
                 return True

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +7,7 @@ import warnings
 
 import pytest
 
-from qesf import bae, cli
+from qesf import bae, cli, potential, prepot
 
 
 def write_config(tmp_path, name, payload):
@@ -507,8 +509,6 @@ def test_solve_determinism_byte_identical(tmp_path, payload, seed_args):
     ("solve", ["--tol", "0"], "--tol must be finite and positive (got 0)"),
     ("solve", ["--tol", "nan"], "--tol must be finite and positive (got nan)"),
     ("solve", ["--tol", "inf"], "--tol must be finite and positive (got inf)"),
-    ("verify", ["--tol", "-1"], "--tol must be finite and positive (got -1)"),
-    ("verify", ["--tol", "nan"], "--tol must be finite and positive (got nan)"),
 ])
 def test_out_of_range_flags_exit_4(tmp_path, command, flags, message):
     # a grid needs 8 points and a tolerance is finite and positive: anything
@@ -519,6 +519,70 @@ def test_out_of_range_flags_exit_4(tmp_path, command, flags, message):
     code, out, err = run_cli([command, cfg] + [str(out_csv)] * (command == "verify") + flags)
     assert code == 4, (out, err)
     assert out == "" and f"error: {message}" in err
+
+
+def test_verify_has_no_tol_flag(tmp_path):
+    # verify judges every residual by verify.RESIDUAL_TOL: --tol is an
+    # unknown argument, a usage error
+    cfg = write_config(tmp_path, "h.json", HARMONIC)
+    out_csv = tmp_path / "roots.csv"
+    assert run_cli(["solve", cfg, "--out", str(out_csv)])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", cfg, str(out_csv), "--tol", "1e-6"])
+    assert exc.value.code == 2
+
+
+def test_verify_certifies_the_csv_energy_bit_for_bit(tmp_path):
+    # the E verify certifies is the E solve wrote, to the last bit: the
+    # profile's energy of every branch, and the claim of every match
+    for i, payload in enumerate([
+            {"catalog": "sextic", "N": 3}, {"catalog": "trig-interval", "N": 8},
+            {"catalog": "sextic-type2", "params": {"a": 1.0, "b": -3.0}, "N": 4}, SINGULAR]):
+        solve_code, csv_text, code, out, err, report = _solve_and_verify(tmp_path, f"c{i}",
+                                                                         payload)
+        assert solve_code == 0 and code == 0, (payload, out, err)
+        energies = {row["branch_id"]: float(row["E"])
+                    for row in csv.DictReader(io.StringIO(csv_text))}
+        pre = prepot.integrate_w0(cli.spec_from_config(payload))
+        roots = cli._read_roots_csv(str(tmp_path / f"c{i}.csv"))
+        profiles = potential.split_energies(
+            pre, [bae.BetheBranch(tuple(roots[int(b)]), 0.0, 0) for b in energies])
+        assert [p.energy for p in profiles] == list(energies.values()), payload
+        reports = json.loads(report)
+        assert reports.keys() == energies.keys()
+        for bid, rep in reports.items():
+            for claimed, _, _ in rep["spectrum_matches"]:
+                assert claimed == energies[bid], (payload, bid)
+
+
+def test_a_colliding_branch_stops_no_other(tmp_path):
+    # branch 1 of the roots CSV has two equal roots: verify names the pair,
+    # reports every other branch and exits 3
+    solve_code, csv_text, *_ = _solve_and_verify(tmp_path, "s", {"catalog": "sextic", "N": 3})
+    assert solve_code == 0
+    rows = csv_text.splitlines()
+    z = {row.split(",")[1]: row.split(",")[2] for row in rows[1:] if row.startswith("1,")}
+    roots = tmp_path / "collide.csv"
+    roots.write_text("\n".join(row.replace(f"1,1,{z['1']},", f"1,1,{z['0']},")
+                               for row in rows) + "\n")
+    cfg = str(tmp_path / "s.json")
+    code, out, err = run_cli(["verify", cfg, str(roots)])
+    assert code == 3, (out, err)
+    assert "branch 1: verification error: roots 0 and 1 collide" in err, err
+    report = json.loads(out[out.index("{"):])
+    assert sorted(report) == ["0", "2", "3"] and all(r["verdict"] for r in report.values())
+
+
+def test_verify_evaluates_the_bae_residuals_once(tmp_path, monkeypatch):
+    # split_energies' one bae.residuals pass is the only one
+    solve_code, *_ = _solve_and_verify(tmp_path, "s", {"catalog": "sextic", "N": 3})
+    assert solve_code == 0
+    calls = []
+    real = bae.residuals
+    monkeypatch.setattr(bae, "residuals", lambda *a: calls.append(a) or real(*a))
+    code, out, err = run_cli(["verify", str(tmp_path / "s.json"), str(tmp_path / "s.csv")])
+    assert code == 0, (out, err)
+    assert len(calls) == 1
 
 
 def test_the_smallest_grid_is_accepted(tmp_path):

@@ -77,3 +77,26 @@ def test_compare_reports_the_largest_level_move(tmp_path, tree, capsys):
         "spectrum_matches"][0][1]
     move = 3e-11 / max(1.0, abs(level))
     assert f"(E_fd): {move:.3g} at harmonic branch 0" in capsys.readouterr().out
+
+
+def test_compare_reports_claim_moves_and_node_count_changes(tmp_path, tree, capsys):
+    # neither is a fault: a claimed energy moves by its rounding when its
+    # formula changes, and a node count when the count sees more of phi
+    other = tmp_path / "b"
+    shutil.copytree(tree, other)
+
+    def edit(report):
+        report["spectrum_matches"][0][0] += 3e-11
+        report["node_count"] += 1
+
+    _edit_report(other / "harmonic" / "verify.json", edit)
+    assert parity.main(["--compare", str(tree), str(other)]) == 0
+    out, err = capsys.readouterr()
+    nodes = json.loads((tree / "harmonic" / "verify.json").read_text())["0"]["node_count"]
+    claim = json.loads((tree / "harmonic" / "verify.json").read_text())["0"][
+        "spectrum_matches"][0][0]
+    move = 3e-11 / max(1.0, abs(claim))
+    assert out.splitlines()[:2] == ["harmonic: verify.json",
+                                    f"  branch 0: node_count {nodes} -> {nodes + 1}"], out
+    assert "(E_fd): 0;" in out
+    assert f"(E_claimed): {move:.3g} at harmonic branch 0" in out and err == ""

@@ -759,12 +759,47 @@ def test_the_verdict_requires_normalizable(monkeypatch):
     assert reports and not any(rep.verdict for rep in reports)
     assert all(rep.residual_max < 1e-6 and rep.spectrum_matches[0][2] < 1e-3
                for rep in reports)
-    # a limit-circle wall keeps its residual-only verdict
+    # a limit-circle wall skips only the spectrum match: a branch there
+    # that is not normalizable fails too
     spec = ModelSpec(Poly([1.0]), Poly([-0.0794, 1.0]), (Singularity(0.4177, 0.003),), 2)
     reports = verify.verify_branches(prepot.integrate_w0(spec),
                                      bae.enumerate_branches(spec))
-    assert reports and all(rep.verdict and "limit-circle" in rep.spectrum_note
-                           for rep in reports)
+    assert reports and all(not rep.verdict and "limit-circle" in rep.spectrum_note
+                           and rep.residual_max < 1e-6 for rep in reports)
+
+
+def test_a_state_that_regrows_past_its_outermost_dip_is_not_normalizable():
+    # phi = exp(-z^2/2 + 0.00025 z^4) dips to e^-250 at z = +-31.6 and then
+    # grows without bound: the window across the dip is still bulk, so the
+    # scan reaches the regrowth instead of reading that window as a tail
+    spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0, 0.0, -0.001]), (), 0)
+    pre = prepot.integrate_w0(spec)
+    branch = bae.BetheBranch((), 0.0, 0)
+    (rep,) = verify.verify_branches(pre, [branch])
+    assert rep.residual_max < 1e-6 and not rep.normalizable and not rep.verdict
+    assert not oracles.normalizability_check(pre, branch, (-math.inf, math.inf))[0]
+    # a state that decays past its last peak stays normalizable
+    spec = ModelSpec(Poly([1.0]), Poly([0.0, -1.0, 0.0, 0.02]), (), 0)
+    assert verify.verify_branch(prepot.integrate_w0(spec), branch).normalizable
+
+
+@pytest.mark.parametrize("mu1,mu2", [(0.05, 0.45), (0.01, 0.3)],
+                         ids=["two-wall", "two-wall-stall"])
+def test_nodes_inside_a_walls_grid_inset_are_counted(mu1, mu2):
+    # on the linear map x = z every root inside the certified component is
+    # a node, those between a wall and the grid's inset end included
+    # (two-wall branches 0 and 27, two-wall-stall branch 0)
+    spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]),
+                     (Singularity(-0.1, mu1), Singularity(0.1, mu2)), 7)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    inset = 0
+    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
+        grid = verify.default_grid(pre, br.roots)
+        lo, hi = grid.component
+        assert rep.node_count == sum(lo < z < hi for z in br.roots), br.roots
+        inset += any(lo < z < grid.points[0] or grid.points[-1] < z < hi for z in br.roots)
+    assert inset
 
 
 def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_grids,
@@ -994,6 +1029,25 @@ def test_wall_levels_are_the_radial_oscillator_energies(nu):
     got = verify.wall_spectrum(prof, cmap, Q, (0.0, 12.0), ((0.0, nu), None), want)
     for n, e in want.items():
         assert abs(got[n][0] - e) <= 1e-10 * e, (n, got[n], e)
+
+
+def test_wall_levels_over_random_exponents():
+    # seeded draws of the wall exponents: trigonometric Poeschl-Teller
+    # levels (kappa + lam + 2n)^2 and radial-oscillator levels
+    # 4n + 2 nu + 1 on (0, 12), each to 1e-10 relative
+    rng = np.random.default_rng(34)
+    Q = Poly([0.0, 4.0])
+    for kappa, lam, nu in rng.uniform(0.5, 4.0, (100, 3)).tolist():
+        prof, cmap, Q_pt, box, walls = _poeschl_teller(kappa, lam)
+        want = {n: (kappa + lam + 2.0 * n) ** 2 for n in range(6)}
+        got = verify.wall_spectrum(prof, cmap, Q_pt, box, walls,
+                                   {n: 1.1 * e for n, e in want.items()})
+        assert all(abs(got[n][0] - e) <= 1e-10 * e for n, e in want.items()), (kappa, lam)
+        U = potential.PFE(Poly([0.0, 1.0]), (potential.BoundaryPole(0.0, nu * (nu - 1.0), 0.0),))
+        prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+        want = {n: 4.0 * n + 2.0 * nu + 1.0 for n in range(6)}
+        got = verify.wall_spectrum(prof, coords.build(Q), Q, (0.0, 12.0), ((0.0, nu), None), want)
+        assert all(abs(got[n][0] - e) <= 1e-10 * e for n, e in want.items()), nu
 
 
 @pytest.mark.parametrize("N", [4, 8, 12, 16])

@@ -19,11 +19,13 @@ give the same outputs when
 prints nothing.
 
 --compare holds OUTDIR_B to OUTDIR_A where a change may move a spectrum
-level by its rounding but nothing else that counts: it exits 1 when a
-config is in one tree only, or when a config's solve CSV bytes, exit codes
-or verify verdicts differ. It prints every config with an output that
-differs, the files that differ, and the largest move of a matched level
-(E_fd) relative to max(1, |E_fd|), the scale of the verdict's bound.
+level or a claimed energy by its rounding, or a node count, but nothing
+else that counts: it exits 1 when a config is in one tree only, or when a
+config's solve CSV bytes, exit codes or verify verdicts differ. It prints
+every config with an output that differs, the files that differ, under it
+every branch whose node count changed, and the largest moves of a matched
+level (E_fd) and of a claimed energy (E_claimed), each relative to
+max(1, |E|), the scale of the verdict's bound.
 """
 
 from __future__ import annotations
@@ -126,13 +128,11 @@ def _read(path: str) -> bytes | None:
         return None
 
 
-def _matches(config_dir: str) -> dict:
-    """branch id -> (verdict, matched level or None) of a config's verify
-    JSON; empty when verify did not run."""
+def _reports(config_dir: str) -> dict:
+    """branch id -> report of a config's verify JSON; empty when verify did
+    not run."""
     text = _read(os.path.join(config_dir, "verify.json"))
-    reports = json.loads(text) if text is not None else {}
-    return {bid: (rep["verdict"], rep["spectrum_matches"][0][1] if rep["spectrum_matches"]
-                  else None) for bid, rep in reports.items()}
+    return json.loads(text) if text is not None else {}
 
 
 def compare(dir_a: str, dir_b: str) -> int:
@@ -142,7 +142,8 @@ def compare(dir_a: str, dir_b: str) -> int:
     names_a, names_b = set(os.listdir(dir_a)), set(os.listdir(dir_b))
     faults = [f"{name}: only in {dir_a if name in names_a else dir_b}"
               for name in sorted(names_a ^ names_b)]
-    changed, worst = 0, (0.0, "")
+    changed = 0
+    worst = {"E_fd": (0.0, ""), "E_claimed": (0.0, "")}  # largest move, and where
     for name in sorted(names_a & names_b):
         a, b = os.path.join(dir_a, name), os.path.join(dir_b, name)
         differ = [f for f in sorted(set(os.listdir(a)) | set(os.listdir(b)))
@@ -154,16 +155,24 @@ def compare(dir_a: str, dir_b: str) -> int:
         faults += [f"{name}: {what} differ" for fname, what in
                    (("solve.csv", "solve CSV bytes"), ("exit_codes", "exit codes"))
                    if fname in differ]
-        match_a, match_b = _matches(a), _matches(b)
-        if {k: v[0] for k, v in match_a.items()} != {k: v[0] for k, v in match_b.items()}:
+        rep_a, rep_b = _reports(a), _reports(b)
+        if {k: r["verdict"] for k, r in rep_a.items()} != {k: r["verdict"]
+                                                          for k, r in rep_b.items()}:
             faults.append(f"{name}: verify verdicts differ")
-        for bid in match_a.keys() & match_b.keys():
-            level_a, level_b = match_a[bid][1], match_b[bid][1]
-            if level_a is not None and level_b is not None:
-                move = abs(level_b - level_a) / max(1.0, abs(level_a))
-                worst = max(worst, (move, f"{name} branch {bid}"))
+        for bid in sorted(rep_a.keys() & rep_b.keys(), key=int):
+            ra, rb = rep_a[bid], rep_b[bid]
+            if ra["node_count"] != rb["node_count"]:
+                print(f"  branch {bid}: node_count {ra['node_count']} -> {rb['node_count']}")
+            if ra["spectrum_matches"] and rb["spectrum_matches"]:
+                for col, key in ((1, "E_fd"), (0, "E_claimed")):
+                    e_a, e_b = ra["spectrum_matches"][0][col], rb["spectrum_matches"][0][col]
+                    move = abs(e_b - e_a) / max(1.0, abs(e_a))
+                    worst[key] = max(worst[key], (move, f"{name} branch {bid}"))
+    moves = (f"of a {what} ({key}): {worst[key][0]:.3g}"
+             + (f" at {worst[key][1]}" if worst[key][0] else "")
+             for key, what in (("E_fd", "matched level"), ("E_claimed", "claimed energy")))
     print(f"{changed} of {len(names_a & names_b)} configs changed; largest relative move "
-          f"of a matched level (E_fd): {worst[0]:.3g}{' at ' + worst[1] if worst[1] else ''}")
+          + "; ".join(moves))
     for fault in faults:
         print(fault, file=sys.stderr)
     return 1 if faults else 0
