@@ -18,10 +18,11 @@ cannot be built is invalid input, and so is a config with a key outside
 its schema, and a file that cannot be read or written.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
-A --grid-points below verify.MIN_GRID_POINTS, a solve --tol that is not
-finite and positive, and a roots CSV row whose z_k is not a finite number
-are invalid input too. verify judges every residual by verify.RESIDUAL_TOL,
-which solve's verified column reads too.
+A usage error (an unknown command or flag, a missing argument), a solve
+--tol that is not finite and positive, and a roots CSV row whose z_k is
+not a finite number are invalid input too. verify judges every residual by
+verify.RESIDUAL_TOL on grids of verify.GRID_POINTS points; solve's verified
+column reads the same bound on SOLVE_GRID_POINTS.
 Nothing is random: the same config gives byte-identical CSV output.
 """
 
@@ -50,6 +51,9 @@ EXIT_INPUT = 4
 CATALOG_KEYS = ("catalog", "params", "N", "branch")
 MODEL_KEYS = ("Q", "P", "singularities", "N", "branch")
 SINGULARITY_KEYS = ("a", "mu")
+# the grid of solve's verified column: half of verify's, since the column
+# runs inside every solve
+SOLVE_GRID_POINTS = 2001
 
 
 def _fmt(x: float) -> str:
@@ -128,14 +132,6 @@ def spec_from_config(cfg: dict) -> ModelSpec:
         return ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
 
 
-def _check_grid_points(grid_points: int) -> None:
-    """Reject a --grid-points value that no run can use: a grid needs
-    verify.MIN_GRID_POINTS points."""
-    if grid_points < verify.MIN_GRID_POINTS:
-        raise ModelError(f"--grid-points must be at least {verify.MIN_GRID_POINTS} "
-                         f"(got {grid_points})")
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -149,7 +145,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_grid_points(args.grid_points)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ModelError(f"--tol must be finite and positive (got {args.tol:g})")
     _check_writable(args.out)
@@ -165,7 +160,7 @@ def cmd_solve(args) -> int:
 
     # Real branches come back in ascending energy; bid is that position.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
-    setups = verify.branch_setups(pre, branches, n_points=args.grid_points)
+    setups = verify.branch_setups(pre, branches, n_points=SOLVE_GRID_POINTS)
     energies = bae.branch_energies(spec, np.array([br.roots for br in branches], dtype=float)
                                    .reshape(len(branches), spec.N)).tolist()
     for bid, (br, setup, energy) in enumerate(zip(branches, setups, energies)):
@@ -240,7 +235,6 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
 
 
 def cmd_verify(args) -> int:
-    _check_grid_points(args.grid_points)
     _check_writable(args.json_out)
     pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
     spec = pre.spec_ref
@@ -254,7 +248,7 @@ def cmd_verify(args) -> int:
                              f"but the model has N = {spec.N}")
     # residual_norm is not read: split_energies evaluates each branch's residuals
     branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), math.nan, 0) for bid in bids]
-    results = verify.verify_branches(pre, branches, n_points=args.grid_points)
+    results = verify.verify_branches(pre, branches)
     reports = {}
     all_ok = True
     for bid, rep in zip(bids, results):
@@ -364,8 +358,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--N", type=int, default=None, help="override the config N")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--grid-points", type=int, default=2001,
-                   help="grid size for the verified column")
     p.add_argument("--seed", type=int, default=None,
                    help="ignored: accepted so that older scripts still run "
                         "(the branch finder uses no randomness)")
@@ -374,7 +366,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify branches from a roots CSV")
     p.add_argument("config")
     p.add_argument("roots")
-    p.add_argument("--grid-points", type=int, default=4001)
     p.add_argument("--json-out", default=None)
 
     p = sub.add_parser("derive", help="print potential, energy and BAE forms")
@@ -387,7 +378,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help, or a usage error on stderr
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     if args.command == "catalog" and args.action == "show" and not args.name:
         print("catalog show requires a name", file=sys.stderr)
         return EXIT_INPUT

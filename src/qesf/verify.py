@@ -2,11 +2,13 @@
 
 Nothing here reuses the algebra that produced the claims: the Schrodinger
 residual applies a finite-difference second derivative to the log-space wave
-function, node counts come from raw sign changes of the same sampled phi,
-the spectrum oracle computes the discretized operator's level whose index
-is the node count (a state with n nodes is level n, by Sturm oscillation),
-and normalizability comes from adaptive quadrature of phi^2. These are the
-arbiters for every sign or convention ambiguity upstream.
+function, the spectrum oracle computes the discretized operator's level
+whose index is the node count (a state with n nodes is level n, by Sturm
+oscillation), and normalizability comes from adaptive quadrature of
+phi^2. These are the arbiters for every sign or convention ambiguity
+upstream. The node count itself is exact, not sampled: phi_N =
+e^-W0 prod_k (z - z_k) changes sign exactly at the x-preimages of the
+Bethe roots inside the certified component (node_count).
 
 The spectrum oracle is one family: a spectral basis whose n-row matrix
 takes one np.linalg.eigvalsh, sized by one loop (_agreed_levels). On a
@@ -31,7 +33,7 @@ levels are the even sector, whose level m is the full line's level 2m. A
 branch there needs an even node count n and is matched against even-sector
 level n // 2; the odd partners of tunnelling doublets, never algebraic,
 are not in that operator at all. Residual, node count and normalizability
-stay on each branch's full-component grid.
+stay on each branch's full component (the residual on its grid).
 
 The setup the oracles start from (branch_setups: profile, grid and phi)
 is built for all branches of a model in one array pass: the truncation
@@ -67,6 +69,7 @@ W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
 WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
 MIN_GRID_POINTS = 8  # fewest points of a certification grid
+GRID_POINTS = 4001  # points of verify's certification grids
 RESIDUAL_TOL = 1e-6  # largest Schrodinger residual a verdict (and solve's verified) accepts
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
@@ -183,7 +186,7 @@ def _march_thresholds(pre: prepot.Prepotential, roots: np.ndarray, starts,
     return found
 
 
-def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list:
+def default_grids(pre: prepot.Prepotential, roots, n_points: int = GRID_POINTS) -> list:
     """Certification grids of n_points points, one per branch, for roots of
     shape (B, N) (a branch's roots per row): per branch, in order, its Grid
     or the GridError that stopped it.
@@ -270,7 +273,7 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = 4001) -> list
     return grids
 
 
-def default_grid(pre: prepot.Prepotential, roots, n_points: int = 4001) -> Grid:
+def default_grid(pre: prepot.Prepotential, roots, n_points: int = GRID_POINTS) -> Grid:
     """default_grids for the branch with these roots: its grid, or its
     GridError raised."""
     (grid,) = default_grids(pre, [roots], n_points)
@@ -646,35 +649,22 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
                           "wall basis")
 
 
-def node_count(phi) -> int:
-    """Number of sign changes of phi_N on the grid, for phi = (log|phi_N|,
-    sign) on its points."""
-    _, sign = phi
-    s = sign[sign != 0]
-    return int(np.sum(s[:-1] * s[1:] < 0))
+def node_count(pre: prepot.Prepotential, roots, component: tuple[float, float]) -> int:
+    """Number of nodes of phi_N in the open domain component (a, b): the
+    distinct x there at which z(x) is a root strictly inside the open
+    coordinate image.
 
-
-def _wall_insets(pre: prepot.Prepotential, roots: np.ndarray, grids: list) -> list:
-    """Per grid, phi = (log|phi_N|, sign) between each wall and the grid's
-    end there, which default_grids insets: (lo side, hi side), each
-    ascending in x, for roots of shape (B, N), a branch's roots per row.
-    The points are at most h apart, and halve their distance to the wall
-    down to 2^-30 h, so a node next to the wall is seen too; one
-    prepot.phi_log_sign call serves every grid. An end without a wall
-    repeats the grid's end point, which adds no sign change."""
-    ends = np.array([(g.points[0], g.points[-1]) for g in grids]).reshape(len(grids), 2)
-    walls = np.array([((g.wall_lo or e[:1])[0], (g.wall_hi or e[1:])[0])
-                      for g, e in zip(grids, ends)]).reshape(len(grids), 2)
-    h = np.reshape([g.h for g in grids], (-1, 1))
-    steps = math.ceil(np.max(np.abs(walls - ends) / h, initial=0.0))
-    if steps < 2:  # no wall
-        return [((np.empty(0),) * 2,) * 2] * len(grids)
-    # fractions of the way from the wall to the grid's end
-    t = np.concatenate((2.0 ** -np.arange(30.0, 0.0, -1.0), np.arange(1.0, steps))) / steps
-    x = walls[..., None] + (ends - walls)[..., None] * t
-    logphi, sign = (a.reshape(x.shape) for a in prepot.phi_log_sign(
-        pre, roots, x.reshape(len(grids), -1)))
-    return [((lp[0], sg[0]), (lp[1, ::-1], sg[1, ::-1])) for lp, sg in zip(logphi, sign)]
+    phi_N = e^-W0 prod_k (z - z_k), and its other factors keep their sign
+    inside a component (a point where they could flip is a wall, a zero
+    of Q or outside the image), so phi_N changes sign exactly where z
+    crosses a root. The x-preimages of all roots come from one
+    CoordinateMap.preimages call; the declared and the mirror row count
+    once where they are equal (the linear, exponential and sinh maps)."""
+    lo, hi = pre.cmap.z_image
+    z = np.asarray(roots, dtype=float)
+    x = pre.cmap.preimages(np.where((z > lo) & (z < hi), z, np.nan))
+    a, b = component
+    return len({v for v in x.ravel().tolist() if a < v < b})
 
 
 def _log_simpsons(lo: np.ndarray, hi: np.ndarray, logphi: np.ndarray) -> list:
@@ -908,7 +898,7 @@ def normalizability_check(pre: prepot.Prepotential, branch,
                                   [component])[0]
 
 
-def branch_setups(pre: prepot.Prepotential, branches, n_points: int = 4001) -> list:
+def branch_setups(pre: prepot.Prepotential, branches, n_points: int = GRID_POINTS) -> list:
     """Certification setup of every branch of the built model, in one array
     pass: per branch, in order, its (profile, grid, phi), or the ValueError
     (a GridError, say) that stopped it. profile is the reported potential
@@ -937,7 +927,7 @@ def branch_setups(pre: prepot.Prepotential, branches, n_points: int = 4001) -> l
     return setups
 
 
-def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001) -> list:
+def verify_branches(pre: prepot.Prepotential, branches) -> list:
     """Full certification pipeline for the branches of one built model.
 
     Returns, per branch and in order, its VerificationReport or the
@@ -947,14 +937,13 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001)
     Each branch gets its profile and grid from the built model, then the
     residual, node count and normalizability oracles. The claimed energy
     is bae.branch_energies of the branch's roots, the E solve writes. The
-    node count takes phi's sign changes on the grid and, at a wall end,
-    at points at most h apart between the wall and the grid's inset end.
-    The verdict requires the residual below RESIDUAL_TOL, phi
-    normalizable, and the claimed energy matched by the spectrum oracle's
-    level whose index is the branch's node count: by Sturm oscillation a
-    state with n nodes is level n. At a limit-circle wall the spectrum
-    oracle is skipped, spectrum_note says so, and the verdict is the same
-    rule without the spectrum match.
+    node count is node_count's: the x-preimages of the roots in the grid's
+    component, whatever the grid's step. The verdict requires the residual
+    below RESIDUAL_TOL, phi normalizable, and the claimed energy matched
+    by the spectrum oracle's level whose index is the branch's node count:
+    by Sturm oscillation a state with n nodes is level n. At a
+    limit-circle wall the spectrum oracle is skipped, spectrum_note says
+    so, and the verdict is the same rule without the spectrum match.
 
     The spectrum runs once per potential: branches with the same operator
     (equal potential U, as type-1 and ES models share, and equal walls
@@ -967,7 +956,7 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001)
     group with a wall (nu >= 1/2). Each end of the spectrum's box is a
     wall of the group's component, or where some member's log|phi| is
     within DVR_BOX_LOG of its maximum (read off the phi its setup
-    computed). n_points sizes the members' grids, not the spectrum.
+    computed). GRID_POINTS sizes the members' grids, not the spectrum.
 
     When the group's component holds the map's turning point x_t
     (coords.CoordinateMap.x_turn), the spectrum is the even sector of the
@@ -977,23 +966,23 @@ def verify_branches(pre: prepot.Prepotential, branches, *, n_points: int = 4001)
     even-sector level n // 2; a branch with an odd count fails, and
     spectrum_note says why.
     """
-    results = branch_setups(pre, branches, n_points)
+    results = branch_setups(pre, branches)
     roots = np.asarray([br.roots for br in branches], dtype=float).reshape(
         len(branches), pre.spec_ref.N)
-    live = [i for i, setup in enumerate(results) if not isinstance(setup, Exception)]
-    insets = _wall_insets(pre, roots[live], [results[i][1] for i in live])
     checked = []  # (index, profile, grid, fields)
     boxes = {}  # index -> where log|phi| >= its max - DVR_BOX_LOG, on its grid
-    for i, (lo_side, hi_side) in zip(live, insets):
-        profile, grid, phi = results[i]
+    for i, setup in enumerate(results):
+        if isinstance(setup, Exception):
+            continue
+        profile, grid, phi = setup
         try:
             rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi)
         except (GridError, DomainError, ValueError) as exc:
             results[i] = exc
             continue
-        nodes = node_count(tuple(np.concatenate(parts) for parts in zip(lo_side, phi, hi_side)))
         checked.append((i, profile, grid, dict(residual_max=rmax, residual_rms=rrms,
-                                               node_count=nodes)))
+                                               node_count=node_count(pre, roots[i],
+                                                                     grid.component))))
         logphi = phi[0]
         peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
         inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
@@ -1066,10 +1055,9 @@ def _report(fields: dict, matches: list, note: str,
                                            and fields["normalizable"] and matched))
 
 
-def verify_branch(pre: prepot.Prepotential, branch, *,
-                  n_points: int = 4001) -> VerificationReport:
+def verify_branch(pre: prepot.Prepotential, branch) -> VerificationReport:
     """verify_branches for one branch: its report, or its error raised."""
-    (rep,) = verify_branches(pre, [branch], n_points=n_points)
+    (rep,) = verify_branches(pre, [branch])
     if isinstance(rep, Exception):
         raise rep
     return rep

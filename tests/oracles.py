@@ -8,6 +8,8 @@ Morse models, computed independently of qesf.bae. dz/dx and dW0/dz are the
 derivatives that the coordinate map and the prepotential must reproduce:
 z'^2 = Q(z) and dW0/dz = P/Q; w0_of_z sums the prepotential's closed-form
 terms as written, so the tests can check them against known W0.
+sign_changes counts phi's sign changes on sampled_points (a grid and its
+wall insets), the sampled form of verify.node_count's preimage count.
 sturm_count counts a tridiagonal matrix's eigenvalues below a value by the
 LDL^T recurrence, without LAPACK; norm1 is the matrix's |T|_1, the scale of
 the bisection tolerance. phi_log_sign adds one log and one sign per root
@@ -251,6 +253,29 @@ def phi_log_sign(pre, roots, x):
     if scalar:
         return float(logmag[0]), float(sign[0])
     return logmag, sign
+
+
+def sign_changes(phi) -> int:
+    """Number of sign changes of phi_N, for phi = (log|phi_N|, sign) on
+    ascending points, zeros skipped: the sampled node count."""
+    _, sign = phi
+    s = sign[sign != 0]
+    return int(np.sum(s[:-1] * s[1:] < 0))
+
+
+def sampled_points(grid) -> np.ndarray:
+    """The grid's points and, between each wall and the grid's end there
+    (which verify.default_grids insets), points at most h apart that halve
+    their distance to the wall down to 2^-30 h, ascending: where the
+    sampled node count read phi."""
+    parts = [grid.points]
+    for wall, end in ((grid.wall_lo, grid.points[0]), (grid.wall_hi, grid.points[-1])):
+        if wall is not None:
+            steps = max(math.ceil(abs(end - wall[0]) / grid.h), 1)
+            t = np.concatenate((2.0 ** -np.arange(30.0, 0.0, -1.0),
+                                np.arange(1.0, steps))) / steps
+            parts.append(wall[0] + (end - wall[0]) * t)
+    return np.sort(np.concatenate(parts))
 
 
 def delta_v_poly(spec: ModelSpec, roots) -> Poly:

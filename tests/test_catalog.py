@@ -72,7 +72,7 @@ def test_every_entry_defaults_pass_full_pipeline():
         for br in branches:
             prof = potential.split_energy(pre, br)
             assert math.isfinite(prof.energy)
-            rep = verify.verify_branch(pre, br, n_points=3001)
+            rep = verify.verify_branch(pre, br)
             assert rep.verdict, (name, rep.residual_max, rep.spectrum_matches)
             exp = catalog.expected_energies(name, cfg["params"], cfg["N"])
             if exp != catalog.ORACLE_REQUIRED:

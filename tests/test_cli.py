@@ -110,8 +110,7 @@ def test_verify_roundtrip_pass(tmp_path):
     cfg = write_config(tmp_path, "h.json", HARMONIC)
     out_csv = tmp_path / "roots.csv"
     run_cli(["solve", cfg, "--out", str(out_csv)])
-    code, out, _ = run_cli(["verify", cfg, str(out_csv),
-                            "--grid-points", "2001"])
+    code, out, _ = run_cli(["verify", cfg, str(out_csv)])
     assert code == 0
     assert "pass" in out
     assert '"verdict": true' in out
@@ -127,7 +126,7 @@ def test_verify_corrupted_root_exits_3(tmp_path):
     lines[1] = ",".join(parts)
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(["verify", cfg, str(bad_csv), "--grid-points", "2001"])
+    code, _, err = run_cli(["verify", cfg, str(bad_csv)])
     assert code == 3
 
 
@@ -182,8 +181,7 @@ def test_verify_catalog_defaults_pass(tmp_path):
         out_csv = tmp_path / f"{name}.csv"
         code, _, _ = run_cli(["solve", cfg, "--out", str(out_csv)])
         assert code == 0
-        code, out, err = run_cli(["verify", cfg, str(out_csv),
-                                  "--grid-points", "3001"])
+        code, out, err = run_cli(["verify", cfg, str(out_csv)])
         assert code == 0, (name, out, err)
 
 
@@ -503,16 +501,17 @@ def test_solve_determinism_byte_identical(tmp_path, payload, seed_args):
 
 
 @pytest.mark.parametrize("command,flags,message", [
-    ("solve", ["--grid-points", "5"], "--grid-points must be at least 8 (got 5)"),
-    ("solve", ["--grid-points", "-3"], "--grid-points must be at least 8 (got -3)"),
-    ("verify", ["--grid-points", "7"], "--grid-points must be at least 8 (got 7)"),
+    ("solve", ["--grid-points", "2001"], "unrecognized arguments: --grid-points 2001"),
+    ("solve", ["--grid-points", "-3"], "unrecognized arguments: --grid-points -3"),
+    ("verify", ["--grid-points", "4001"], "unrecognized arguments: --grid-points 4001"),
     ("solve", ["--tol", "0"], "--tol must be finite and positive (got 0)"),
     ("solve", ["--tol", "nan"], "--tol must be finite and positive (got nan)"),
     ("solve", ["--tol", "inf"], "--tol must be finite and positive (got inf)"),
 ])
 def test_out_of_range_flags_exit_4(tmp_path, command, flags, message):
-    # a grid needs 8 points and a tolerance is finite and positive: anything
-    # else is invalid input, not a run that reports every branch unverified
+    # a tolerance is finite and positive: anything else is invalid input,
+    # not a run that reports every branch unverified; and a flag qesf no
+    # longer has is a usage error, invalid input too
     cfg = write_config(tmp_path, "h.json", HARMONIC)
     out_csv = tmp_path / "roots.csv"
     assert run_cli(["solve", cfg, "--out", str(out_csv)])[0] == 0
@@ -523,13 +522,23 @@ def test_out_of_range_flags_exit_4(tmp_path, command, flags, message):
 
 def test_verify_has_no_tol_flag(tmp_path):
     # verify judges every residual by verify.RESIDUAL_TOL: --tol is an
-    # unknown argument, a usage error
+    # unknown argument, a usage error, which is invalid input
     cfg = write_config(tmp_path, "h.json", HARMONIC)
     out_csv = tmp_path / "roots.csv"
     assert run_cli(["solve", cfg, "--out", str(out_csv)])[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["verify", cfg, str(out_csv), "--tol", "1e-6"])
-    assert exc.value.code == 2
+    assert run_cli(["verify", cfg, str(out_csv), "--tol", "1e-6"])[0] == 4
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["frobnicate"], 4), (["verify", "h.json"], 4), (["solve"], 4),
+    (["--help"], 0), (["verify", "--help"], 0),
+], ids=["unknown-command", "missing-roots", "missing-config", "help", "verify-help"])
+def test_a_usage_error_returns_4(argv, code):
+    # main returns argparse's outcome, with its usage line and message on
+    # stderr, instead of raising SystemExit(2), the solver-failure code
+    got, out, err = run_cli(argv)
+    assert got == code
+    assert (err if code else out).startswith("usage: qesf")
 
 
 def test_verify_certifies_the_csv_energy_bit_for_bit(tmp_path):
@@ -583,12 +592,6 @@ def test_verify_evaluates_the_bae_residuals_once(tmp_path, monkeypatch):
     code, out, err = run_cli(["verify", str(tmp_path / "s.json"), str(tmp_path / "s.csv")])
     assert code == 0, (out, err)
     assert len(calls) == 1
-
-
-def test_the_smallest_grid_is_accepted(tmp_path):
-    cfg = write_config(tmp_path, "h.json", HARMONIC)
-    code, out, _ = run_cli(["solve", cfg, "--grid-points", "8"])
-    assert code == 0 and len(out.splitlines()) == 3
 
 
 # Configs whose FD level at a wall missed its claim by more than FD's 1e-2

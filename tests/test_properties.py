@@ -144,8 +144,7 @@ parabolic_twins = st.builds(
 def _verdicts(spec):
     branches = bae.enumerate_branches(spec)
     return [str(rep) if isinstance(rep, Exception) else rep.verdict
-            for rep in verify.verify_branches(prepot.integrate_w0(spec), branches,
-                                              n_points=2001)]
+            for rep in verify.verify_branches(prepot.integrate_w0(spec), branches)]
 
 
 @settings(derandomize=True, deadline=None)
@@ -306,7 +305,6 @@ def _setup_matches(pre, got, want):
     assert np.array_equal(grid.points, grid_w.points)
     assert (grid.h, grid.wall_lo, grid.wall_hi) == (grid_w.h, grid_w.wall_lo, grid_w.wall_hi)
     assert np.array_equal(sign, sign_w)
-    assert verify.node_count((logphi, sign)) == verify.node_count((logphi_w, sign_w))
     finite = np.isfinite(logphi_w)
     assert np.array_equal(np.isfinite(logphi), finite)
     assert np.all(logphi[~finite] == logphi_w[~finite])

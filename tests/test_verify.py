@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -155,19 +157,104 @@ def test_node_counts():
     spec0 = harmonic(N=0)
     cmap, pre, br, prof = _pipeline(spec0)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(_phi(pre, br, grid)) == 0
+    assert verify.node_count(pre, br.roots, grid.component) == 0
     # harmonic N = 3: three nodes
     spec3 = harmonic(N=3)
     cmap, pre, br, prof = _pipeline(spec3)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(_phi(pre, br, grid)) == 3
+    assert verify.node_count(pre, br.roots, grid.component) == 3
     # sextic N = 1 with negative root: no real preimage, nodeless
     spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (), 1)
     br_neg = bae.solve(spec, [-0.6])
     assert br_neg.roots[0] < 0
     cmap, pre, _, prof = _pipeline(spec, br_neg)
     grid = verify.default_grid(pre, br_neg.roots)
-    assert verify.node_count(_phi(pre, br_neg, grid)) == 0
+    assert verify.node_count(pre, br_neg.roots, grid.component) == 0
+
+
+def test_node_count_counts_every_root_preimage_in_the_component():
+    # z = x^2: the roots 1e-14 and 0.5 are nodes at x = +-1e-7 and
+    # +-sqrt(0.5), the first two closer than any grid step
+    spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (), 2)
+    pre = prepot.integrate_w0(spec)
+    line = (-math.inf, math.inf)
+    assert verify.node_count(pre, (1e-14, 0.5), line) == 4
+    assert verify.default_grid(pre, (1e-14, 0.5)).h > 2e-7
+    # a root at the image's end z = 0 (a double zero of phi in x) or
+    # outside the image is no node
+    assert verify.node_count(pre, (0.0, -0.6), line) == 0
+    # x = z with a wall at 0: each root counts in its own component
+    spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]), (Singularity(0.0, 0.5),), 3)
+    pre = prepot.integrate_w0(spec)
+    assert list(pre.walls) == [0.0]
+    roots = (-0.3, 0.2, 0.7)
+    assert verify.node_count(pre, roots, (0.0, math.inf)) == 2
+    assert verify.node_count(pre, roots, (-math.inf, 0.0)) == 1
+    # trigonometric map: the mirror preimage lies outside the x-domain
+    pre = prepot.integrate_w0(catalog.instantiate("trig-interval", N=1))
+    lo, hi = pre.cmap.x_domain
+    z = sum(pre.cmap.z_image) / 2.0
+    declared, mirror = pre.cmap.preimages(z).tolist()
+    assert lo < declared < hi and math.isfinite(mirror) and not lo <= mirror <= hi
+    assert verify.node_count(pre, (z,), (lo, hi)) == 1
+
+
+def test_verify_counts_nodes_once_per_branch_whose_residual_ran(monkeypatch):
+    spec = catalog.instantiate("sextic", N=4)
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    # a branch whose roots solve no BAE stops before its residual
+    bad = bae.BetheBranch(tuple(z + 0.1 for z in branches[0].roots), math.nan, 0)
+    calls, residuals = [], []
+    real_count, real_residual = verify.node_count, verify.schrodinger_residual
+    monkeypatch.setattr(verify, "node_count",
+                        lambda *a: calls.append(a[2]) or real_count(*a))
+    monkeypatch.setattr(verify, "schrodinger_residual",
+                        lambda *a: residuals.append(real_residual(*a)) or residuals[-1])
+    reports = verify.verify_branches(pre, [bad] + branches)
+    assert isinstance(reports[0], ValueError)
+    assert len(calls) == len(residuals) == len(branches)
+    assert calls == [verify.default_grid(pre, br.roots).component for br in branches]
+    assert [rep.node_count for rep in reports[1:]] == list(range(0, 2 * len(branches), 2))
+
+
+def _load(monkeypatch, name, *parts):
+    """The module at parts from the repository root, loaded under name
+    for the test's duration."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent.joinpath(*parts))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_node_count_is_the_sampled_count_on_every_vetted_and_ci_config(monkeypatch):
+    # the vetted benchmark table (drawn with its own seed) and the CI wall,
+    # mirror, cosh and two-wall configs: on every branch with a grid, the
+    # preimage count is the sign changes of phi on the grid and its wall
+    # insets
+    workloads = _load(monkeypatch, "perfbench_workloads", "perfbench", "workloads.py")
+    ci = _load(monkeypatch, "parity_tool", "tools", "parity.py").CI_CONFIGS
+    with open(workloads.VETTED_PATH) as fh:
+        vetted = json.load(fh)["slots"]
+    configs = [workloads.build_config(slot, params)
+               for slots in workloads.SLOTS.values() for slot in slots
+               for params in vetted[slot.tag]["params"]]
+    configs += [ci[name] for name in ("w0-wall", "mirror", "cosh", "two-wall", "two-wall-stall")]
+    counted = 0
+    for cfg in configs:
+        pre = prepot.integrate_w0(cli.spec_from_config(cfg))
+        branches = bae.enumerate_branches(pre.spec_ref)
+        for br, setup in zip(branches, verify.branch_setups(pre, branches)):
+            if isinstance(setup, Exception):
+                continue
+            grid = setup[1]
+            sampled = oracles.sign_changes(prepot.phi_log_sign(
+                pre, br.roots, oracles.sampled_points(grid)))
+            assert verify.node_count(pre, br.roots, grid.component) == sampled, (cfg, br.roots)
+            counted += 1
+    assert counted > 3000
 
 
 def test_normalizability_harmonic():
@@ -499,9 +586,9 @@ def test_branch_setups_residual_matches_verify_branch():
         spec = catalog.instantiate(name, N=N)
         pre = prepot.integrate_w0(spec)
         branches = bae.enumerate_branches(spec)
-        setups = verify.branch_setups(pre, branches, n_points=2001)
+        setups = verify.branch_setups(pre, branches, n_points=verify.GRID_POINTS)
         for br, (profile, grid, phi) in zip(branches, setups):
-            rep = verify.verify_branch(pre, br, n_points=2001)
+            rep = verify.verify_branch(pre, br)
             got = verify.schrodinger_residual(profile, pre.cmap, grid, phi)
             assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
