@@ -21,8 +21,9 @@ Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
 A usage error (an unknown command or flag, a missing argument), a solve
 --tol that is not finite and positive, and a roots CSV row whose z_k is
 not a finite number are invalid input too. verify judges every residual by
-verify.RESIDUAL_TOL on grids of verify.GRID_POINTS points; solve's verified
-column reads the same bound on SOLVE_GRID_POINTS.
+verify.RESIDUAL_TOL, and solve's verified column reads the same residual
+(verify.schrodinger_residual, on the z-range of the branch's grid) and
+the same bound.
 Nothing is random: the same config gives byte-identical CSV output.
 """
 
@@ -38,7 +39,7 @@ import sys
 
 import numpy as np
 
-from . import bae, catalog, model, prepot, verify
+from . import bae, catalog, model, potential, prepot, verify
 from .errors import CollisionError, ConvergenceError, DomainError, GridError, ModelError
 from .model import ModelSpec, Singularity
 from .poly import Poly
@@ -51,9 +52,6 @@ EXIT_INPUT = 4
 CATALOG_KEYS = ("catalog", "params", "N", "branch")
 MODEL_KEYS = ("Q", "P", "singularities", "N", "branch")
 SINGULARITY_KEYS = ("a", "mu")
-# the grid of solve's verified column: half of verify's, since the column
-# runs inside every solve
-SOLVE_GRID_POINTS = 2001
 
 
 def _fmt(x: float) -> str:
@@ -160,21 +158,19 @@ def cmd_solve(args) -> int:
 
     # Real branches come back in ascending energy; bid is that position.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
-    setups = verify.branch_setups(pre, branches, n_points=SOLVE_GRID_POINTS)
-    energies = bae.branch_energies(spec, np.array([br.roots for br in branches], dtype=float)
-                                   .reshape(len(branches), spec.N)).tolist()
-    for bid, (br, setup, energy) in enumerate(zip(branches, setups, energies)):
-        ok = False
-        if not isinstance(setup, Exception):
-            profile, grid, phi = setup
-            try:
-                ok = (verify.schrodinger_residual(profile, pre.cmap, grid, phi)[0]
-                      < verify.RESIDUAL_TOL)
-            except (GridError, DomainError, ValueError):
-                pass
+    roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
+    profiles = potential.split_energies(pre, branches)
+    split = [i for i, p in enumerate(profiles) if not isinstance(p, Exception)]
+    grids = dict(zip(split, verify.default_grids(pre, roots[split])))
+    rows = [i for i in split if isinstance(grids[i], verify.Grid)]
+    residuals = dict(zip(rows, verify.schrodinger_residual(
+        pre, roots[rows], [profiles[i] for i in rows], [grids[i] for i in rows])))
+    for bid, (br, energy) in enumerate(zip(branches, bae.branch_energies(spec, roots).tolist())):
+        residual = residuals.get(bid)
+        ok = isinstance(residual, tuple) and residual[0] < verify.RESIDUAL_TOL
         tail = f"{_fmt(br.residual_norm)},{_fmt(energy)},{'true' if ok else 'false'}"
-        roots = list(enumerate(br.roots)) if br.n else [(-1, None)]
-        for k, zk in roots:
+        roots_k = list(enumerate(br.roots)) if br.n else [(-1, None)]
+        for k, zk in roots_k:
             out_lines.append(f"{bid},{k},{'' if zk is None else _fmt(zk)},{tail}")
     text = "\n".join(out_lines) + "\n"
     if args.out:
@@ -312,7 +308,8 @@ def cmd_derive(args) -> int:
             print("term-by-term difference (reference - residue):")
             print("    " + _terms_str(cmp["diff"]))
             print("    NOTE: forms disagree; the residue-derived form is the "
-                  "implementation truth and is arbitrated by the FD residual")
+                  "implementation truth and is arbitrated by verify's Schrodinger "
+                  "residual")
         else:
             print("term-by-term difference: none (forms agree)")
     return EXIT_OK

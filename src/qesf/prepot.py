@@ -170,7 +170,16 @@ def _finite_walls(cmap: coords.CoordinateMap, Q: Poly,
     return dict(sorted(walls.items()))
 
 
-def unbound_ends(pre: Prepotential) -> list[Diagnostic]:
+@dataclass(frozen=True)
+class UnboundEnd(Diagnostic):
+    """A warning of unbound_ends, with x, the ends of the map's x-domain
+    or the wall at which phi_N is not square-integrable: the x of the
+    wall, or each infinite end of the x-domain where z(x) tends to the
+    image end named."""
+    x: tuple[float, ...] = ()
+
+
+def unbound_ends(pre: Prepotential) -> list[UnboundEnd]:
     """A "warning" for each end where phi_N is not square-integrable over
     dx = dz / sqrt(Q), read from the built model alone:
 
@@ -184,31 +193,34 @@ def unbound_ends(pre: Prepotential) -> list[Diagnostic]:
       power there is positive;
     - each wall, phi_N ~ |x - wall|^nu: bound iff nu > -1/2.
 
-    verify.normalizability_checks stays the independent numerical oracle.
+    verify reads the ends' x: a branch whose certified component ends at
+    one is not normalizable, whatever its numerical scan says.
     """
-    spec, cmap, unbound = pre.spec_ref, pre.cmap, []  # (phi_N's form, the end)
+    spec, cmap, unbound = pre.spec_ref, pre.cmap, []  # (phi_N's form, the end, its x)
     for end, inward in zip(cmap.z_image, (1.0, -1.0)):
+        xs = tuple(x for x in cmap.x_domain if math.isinf(x) and cmap.z_of_x(x) == end)
         if math.isinf(end):
             where = "z -> infinity" if end > 0 else "z -> -infinity"
             w, deg = pre.poly_part.coeffs[-1], pre.poly_part.degree
             e = (spec.N + sum(p for _, p in pre.powers)
                  - 2 * sum(t.weight for t in pre.quad_log_terms))
             if deg and w * (-inward) ** deg < 0:  # W0 -> -infinity
-                unbound.append((f"exp({_g(-w)} z^{deg})", where))
+                unbound.append((f"exp({_g(-w)} z^{deg})", where, xs))
             elif not deg and 2 * e - spec.Q.degree / 2 >= -1:
-                unbound.append((f"{'z' if end > 0 else '|z|'}^{_g(e)}", where))
+                unbound.append((f"{'z' if end > 0 else '|z|'}^{_g(e)}", where, xs))
         elif np.isnan(cmap.preimages(end)).all():
             where, base = f"z -> {_g(end)}", "z" if end == 0 else f"(z - {_g(end)})"
             poles = [t.weight for t in pre.pole_terms if abs(t.location - end) <= cmap.z_tol]
             p = sum(p for a, p in pre.powers if abs(a - end) <= cmap.z_tol)
             if poles and poles[0] * inward < 0:  # -w / (z - end) -> +infinity
-                unbound.append((f"exp({_g(-poles[0])}/{base})", where))
+                unbound.append((f"exp({_g(-poles[0])}/{base})", where, xs))
             elif not poles and p <= 0:
-                unbound.append((f"{base}^{_g(p)}", where))
-    unbound += [(f"|x - {_g(x)}|^{_g(nu)}", f"x -> {_g(x)}")
+                unbound.append((f"{base}^{_g(p)}", where, xs))
+    unbound += [(f"|x - {_g(x)}|^{_g(nu)}", f"x -> {_g(x)}", (x,))
                 for x, nu in pre.walls.items() if nu <= -0.5]
-    return [Diagnostic("warning", f"level N = {spec.N} is not bound: phi_N ~ {form} as {where} "
-                                  f"is not square-integrable in x") for form, where in unbound]
+    return [UnboundEnd("warning", f"level N = {spec.N} is not bound: phi_N ~ {form} as {where} "
+                                  f"is not square-integrable in x", xs)
+            for form, where, xs in unbound]
 
 
 def _g(v: float) -> str:

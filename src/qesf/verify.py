@@ -1,12 +1,14 @@
 """Independent certification of (potential, energy, eigenfunction) triples.
 
 Nothing here reuses the algebra that produced the claims: the Schrodinger
-residual applies a finite-difference second derivative to the log-space wave
-function, the spectrum oracle computes the discretized operator's level
-whose index is the node count (a state with n nodes is level n, by Sturm
-oscillation), and normalizability comes from adaptive quadrature of
-phi^2. These are the arbiters for every sign or convention ambiguity
-upstream. The node count itself is exact, not sampled: phi_N =
+residual checks U - E = Q (g' + g^2) + Q' g / 2, g = d ln phi_N/dz, as the
+rational identity in z it is, from the reported U and E and the roots
+alone (schrodinger_residual); the spectrum oracle computes the
+discretized operator's level whose index is the node count (a state with
+n nodes is level n, by Sturm oscillation); and normalizability comes from
+adaptive quadrature of phi^2, together with the exact end rule of
+prepot.unbound_ends. These are the arbiters for every sign or convention
+ambiguity upstream. The node count itself is exact, not sampled: phi_N =
 e^-W0 prod_k (z - z_k) changes sign exactly at the x-preimages of the
 Bethe roots inside the certified component (node_count).
 
@@ -33,7 +35,7 @@ levels are the even sector, whose level m is the full line's level 2m. A
 branch there needs an even node count n and is matched against even-sector
 level n // 2; the odd partners of tunnelling doublets, never algebraic,
 are not in that operator at all. Residual, node count and normalizability
-stay on each branch's full component (the residual on its grid).
+stay on each branch's full component (the residual on its grid's z-range).
 
 The setup the oracles start from (branch_setups: profile, grid and phi)
 is built for all branches of a model in one array pass: the truncation
@@ -42,14 +44,14 @@ grid comes from one prepot.phi_log_sign call with a row per branch. The
 normalizability windows of all branches are rows of one pass too
 (normalizability_checks): one phi_log_sign call per chunk of windows over
 the branches still undecided, while each branch's scan of its windows
-stays sequential. The residual and node count then run per branch, and
-the spectrum oracle per potential. The residual stays per branch because rows
-of one pass were measured slower: stacking every branch's stencil,
-masks and U(z) took a type-1 benchmark pass from 27.3 to 36.2 ms at 4001
-points and from 16.6 to 20.9 ms at 2001 (2-core machine). Every
-x-preimage of a root or of phi's peak, on the map's declared branch or
-its mirror, comes from coords.CoordinateMap.preimages in one call per
-pass, nan where it has none.
+stays sequential. The residual is one (B, 4N + 8) array pass over all
+branches, and the node counts one preimages call; the spectrum oracle
+runs per potential. phi on the grid serves the spectrum box alone:
+qesf solve's verified column reads the residual from the split and the
+grids, with no phi. Every x-preimage of a root or of phi's peak, on the
+map's declared branch or its mirror, comes from
+coords.CoordinateMap.preimages in one call per pass, nan where it has
+none.
 """
 
 from __future__ import annotations
@@ -66,11 +68,9 @@ from .model import is_turning_point
 from .poly import Poly, Tridiag, tridiag_eigenvalues
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
-NODE_DELTA_STEPS = 10  # residual exclusion radius around nodes, in grid steps
-WALL_DELTA_STEPS = 50  # residual exclusion width at singular walls, in grid steps
 MIN_GRID_POINTS = 8  # fewest points of a certification grid
 GRID_POINTS = 4001  # points of verify's certification grids
-RESIDUAL_TOL = 1e-6  # largest Schrodinger residual a verdict (and solve's verified) accepts
+RESIDUAL_TOL = 1e-10  # largest relative Schrodinger residual of a verdict and of verified
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
 DVR_BOX_LOG = 18.0  # DVR box: where log|phi| >= its max - DVR_BOX_LOG
@@ -87,7 +87,6 @@ _SIMPSON[2:-1:2] = 2.0
 _SIMPSON_INDEX = np.arange(SIMPSON_POINTS, dtype=float)
 _HALVINGS = 2.0 ** np.arange(MAX_WINDOWS + 1)  # of _windows toward a finite end
 _WIDTHS = np.cumprod(np.r_[1.0, np.full(MAX_WINDOWS - 1, 1.4)])  # and toward an infinite one
-_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # the residual's fourth-order d2/dx2
 
 
 @dataclass(frozen=True)
@@ -286,59 +285,58 @@ def default_grid(pre: prepot.Prepotential, roots, n_points: int = GRID_POINTS) -
 # Certification operations
 
 
-def schrodinger_residual(profile: potential.PotentialProfile, cmap, grid: Grid,
-                         phi) -> tuple[float, float]:
-    """Normalized residual of (-d2/dx2 + U - E) phi_N on the grid, phi_N
-    the wave function of the profile's branch, given on the grid points as
-    phi = (log|phi_N|, sign) from prepot.phi_log_sign.
+def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> list:
+    """The Schrodinger equation as the rational identity it is, for rows of
+    roots (B, N), a branch per row, with its profile (reported U and E)
+    and its certification grid: per row, in order, (max, rms) of the
+    relative residual, or the GridError of a row with a non-finite value.
 
-    phi is normalized to max 1 from its log magnitude; the residual is
-    scaled by 1 + max|U - E| so that it is dimensionless and converges at
-    fourth order, the order of its second-difference stencil.
-    Neighborhoods of wave-function nodes (radius NODE_DELTA_STEPS * h) and
-    of singular walls (WALL_DELTA_STEPS * h) are excluded: phi ~ 0 there
-    makes the normalized residual ill-conditioned without carrying
-    certification content.
+    With g = d ln phi_N/dz = -P/Q + sum_j mu_j/(z - a_j) + sum_k 1/(z - z_k)
+    and (dz/dx)^2 = Q, phi''/phi in x is Q (g' + g^2) + Q' g / 2, so
+    U - E must equal it as rational functions of z. g and g' are summed
+    from the built model's terms (W0's polynomial, conjugate-pair and pole
+    terms, then phi's power table, which holds W0's log terms and the
+    declared mu_j), so a wall from W0 and its declared twin give the same
+    bits. The residual at a point is
+        |Q (g' + g^2) + Q' g / 2 - (U - E)| / (|Q| (|g'| + g^2) + |Q' g| / 2 + |U| + |E|),
+    taken at the 4N + 8 Chebyshev nodes in z of the z-range the row's grid
+    covers: its two ends, and z(x_t) where the grid holds the map's
+    turning point x_t. All rows are one (B, 4N + 8) array pass; U is
+    evaluated once per distinct potential (a type-1 model's branches share
+    one). The map x <-> z and phi itself are not read.
     """
-    x = grid.points
-    logphi, sign = phi
-    finite = np.isfinite(logphi)
-    if not np.any(finite):
-        raise GridError("phi vanishes identically on the grid")
-    logphi = logphi - np.max(logphi[finite])
-    phi = np.where(finite, sign * np.exp(logphi), 0.0)
-
-    z = cmap.z_of_x(x)
-    u_minus_e = profile.U(z) - profile.energy
-    if not np.all(np.isfinite(u_minus_e)):
-        raise GridError("grid intersects a pole of the potential")
-
-    d2 = np.convolve(phi, _STENCIL, mode="valid") / grid.h ** 2
-    interior = slice(2, len(x) - 2)
-    res = -d2 + u_minus_e[interior] * phi[interior]
-
-    mask = np.ones(len(res), dtype=bool)
-    xi = x[interior]
-    # node exclusion zones: each point against its nearest node on either side
-    flips = np.flatnonzero(phi[:-1] * phi[1:] < 0)
-    if len(flips):
-        xn = 0.5 * (x[flips] + x[flips + 1])
-        right = np.minimum(np.searchsorted(xn, xi), len(xn) - 1)
-        delta = NODE_DELTA_STEPS * grid.h
-        left = np.maximum(right - 1, 0)
-        mask = (np.abs(xi - xn[right]) > delta) & (np.abs(xi - xn[left]) > delta)
-    # singular-wall exclusion zones
-    wdelta = WALL_DELTA_STEPS * grid.h
-    if grid.wall_lo is not None:
-        mask &= xi > x[0] + wdelta
-    if grid.wall_hi is not None:
-        mask &= xi < x[-1] - wdelta
-    if not np.any(mask):
-        raise GridError("all grid points excluded")
-
-    scale = 1.0 + np.max(np.abs(u_minus_e))
-    r = np.abs(res[mask]) / scale
-    return float(np.max(r)), float(np.sqrt(np.mean(r ** 2)))
+    spec, cmap, M = pre.spec_ref, pre.cmap, 4 * pre.spec_ref.N + 8
+    roots = np.asarray(roots, dtype=float).reshape(len(grids), spec.N)
+    ends = np.array([(g.points[0], g.points[-1]) for g in grids]).reshape(-1, 2)
+    zs = cmap.z_of_x(ends)
+    if cmap.x_turn is not None:  # z(x) turns inside a grid that holds x_t
+        held = (ends[:, :1] < cmap.x_turn) & (cmap.x_turn < ends[:, 1:])
+        zs = np.hstack((zs, np.where(held, cmap.z_of_x(cmap.x_turn), zs[:, :1])))
+    lo, hi = zs.min(axis=1, keepdims=True), zs.max(axis=1, keepdims=True)
+    z = (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos((2 * np.arange(M) + 1) * math.pi / (2 * M))
+    # phi's power table, then the roots, as poles of g with their weights
+    poles = np.hstack((np.tile([a for a, _ in pre.powers], (len(roots), 1)), roots))
+    weights = np.r_[[p for _, p in pre.powers], np.ones(spec.N)]
+    dw = pre.poly_part.derivative()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g, dg = -dw(z), -dw.derivative()(z)
+        for t in pre.quad_log_terms:
+            c, s2 = z - t.center, (z - t.center) ** 2 + t.imag ** 2
+            g, dg = g - 2.0 * t.weight * c / s2, dg - 2.0 * t.weight * (s2 - 2.0 * c * c) / s2 ** 2
+        for t in pre.pole_terms:
+            g, dg = g + t.weight / (z - t.location) ** 2, dg - 2 * t.weight / (z - t.location) ** 3
+        d = 1.0 / (z[:, :, None] - poles[:, None, :])
+        g, dg = g + (weights * d).sum(axis=2), dg - (weights * d * d).sum(axis=2)
+        u = np.empty_like(z)
+        for U in {id(p.U): p.U for p in profiles}.values():  # once per distinct potential
+            rows = [i for i, p in enumerate(profiles) if p.U is U]
+            u[rows] = U(z[rows])
+        e = np.array([p.energy for p in profiles])[:, None]
+        q, dq = spec.Q(z), spec.Q.derivative()(z)
+        r = (np.abs(q * (dg + g * g) + dq * g / 2.0 - (u - e))
+             / (np.abs(q) * (np.abs(dg) + g * g) + np.abs(dq * g) / 2.0 + np.abs(u) + np.abs(e)))
+    return [(float(row.max()), math.sqrt(float(np.mean(row * row)))) if np.isfinite(row).all()
+            else GridError("a residual point lies on a pole of the potential") for row in r]
 
 
 def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
@@ -649,22 +647,25 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
                           "wall basis")
 
 
-def node_count(pre: prepot.Prepotential, roots, component: tuple[float, float]) -> int:
+def node_count(pre: prepot.Prepotential, roots, components):
     """Number of nodes of phi_N in the open domain component (a, b): the
     distinct x there at which z(x) is a root strictly inside the open
-    coordinate image.
+    coordinate image. roots has shape (N,), with one component; or it
+    holds rows, shape (B, N), with one component per row, and the counts
+    come back as a list.
 
     phi_N = e^-W0 prod_k (z - z_k), and its other factors keep their sign
     inside a component (a point where they could flip is a wall, a zero
     of Q or outside the image), so phi_N changes sign exactly where z
-    crosses a root. The x-preimages of all roots come from one
+    crosses a root. The x-preimages of all roots of all rows come from one
     CoordinateMap.preimages call; the declared and the mirror row count
     once where they are equal (the linear, exponential and sinh maps)."""
     lo, hi = pre.cmap.z_image
     z = np.asarray(roots, dtype=float)
-    x = pre.cmap.preimages(np.where((z > lo) & (z < hi), z, np.nan))
-    a, b = component
-    return len({v for v in x.ravel().tolist() if a < v < b})
+    rows, comps = (z, components) if z.ndim == 2 else (z[None], [components])
+    x = np.hstack(pre.cmap.preimages(np.where((rows > lo) & (rows < hi), rows, np.nan)))
+    counts = [len({v for v in row if a < v < b}) for row, (a, b) in zip(x.tolist(), comps)]
+    return counts if z.ndim == 2 else counts[0]
 
 
 def _log_simpsons(lo: np.ndarray, hi: np.ndarray, logphi: np.ndarray) -> list:
@@ -935,10 +936,13 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     branch stops no other.
 
     Each branch gets its profile and grid from the built model, then the
-    residual, node count and normalizability oracles. The claimed energy
-    is bae.branch_energies of the branch's roots, the E solve writes. The
-    node count is node_count's: the x-preimages of the roots in the grid's
-    component, whatever the grid's step. The verdict requires the residual
+    residual, node count and normalizability oracles, each one pass over
+    all branches. The claimed energy is bae.branch_energies of the
+    branch's roots, the E solve writes. The node count is node_count's:
+    the x-preimages of the roots in the grid's component, whatever the
+    grid's step. phi is normalizable when the windows of
+    normalizability_checks say so and no end of the component is one that
+    prepot.unbound_ends flags. The verdict requires the residual
     below RESIDUAL_TOL, phi normalizable, and the claimed energy matched
     by the spectrum oracle's level whose index is the branch's node count:
     by Sturm oscillation a state with n nodes is level n. At a
@@ -969,20 +973,20 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     results = branch_setups(pre, branches)
     roots = np.asarray([br.roots for br in branches], dtype=float).reshape(
         len(branches), pre.spec_ref.N)
+    ok = [i for i, setup in enumerate(results) if not isinstance(setup, Exception)]
+    grids = [results[i][1] for i in ok]
+    residuals = schrodinger_residual(pre, roots[ok], [results[i][0] for i in ok], grids)
+    counts = node_count(pre, roots[ok], [grid.component for grid in grids])
+    unbound = {x for end in prepot.unbound_ends(pre) for x in end.x}
     checked = []  # (index, profile, grid, fields)
     boxes = {}  # index -> where log|phi| >= its max - DVR_BOX_LOG, on its grid
-    for i, setup in enumerate(results):
-        if isinstance(setup, Exception):
+    for i, residual, count in zip(ok, residuals, counts):
+        if isinstance(residual, GridError):
+            results[i] = residual
             continue
-        profile, grid, phi = setup
-        try:
-            rmax, rrms = schrodinger_residual(profile, pre.cmap, grid, phi)
-        except (GridError, DomainError, ValueError) as exc:
-            results[i] = exc
-            continue
-        checked.append((i, profile, grid, dict(residual_max=rmax, residual_rms=rrms,
-                                               node_count=node_count(pre, roots[i],
-                                                                     grid.component))))
+        profile, grid, phi = results[i]
+        checked.append((i, profile, grid, dict(residual_max=residual[0],
+                                               residual_rms=residual[1], node_count=count)))
         logphi = phi[0]
         peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
         inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
@@ -991,7 +995,9 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
                                    [grid.component for _, _, grid, _ in checked])
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
     for (i, profile, grid, fields), (normalizable, norm_estimate) in zip(checked, norms):
-        fields.update(normalizable=normalizable, norm_estimate=norm_estimate)
+        # the scan's verdict, and no end of the component that the rule flags
+        fields.update(normalizable=normalizable and unbound.isdisjoint(grid.component),
+                      norm_estimate=norm_estimate)
         # At a limit-circle wall where the state follows the weaker
         # indicial root (nu < 1/2) both roots are square-integrable and the
         # wall basis, which selects the Friedrichs one, is no oracle for

@@ -8,6 +8,10 @@ Morse models, computed independently of qesf.bae. dz/dx and dW0/dz are the
 derivatives that the coordinate map and the prepotential must reproduce:
 z'^2 = Q(z) and dW0/dz = P/Q; w0_of_z sums the prepotential's closed-form
 terms as written, so the tests can check them against known W0.
+grid_residual applies a fourth-order finite-difference second derivative
+to phi on a grid: the Schrodinger residual sampled in x, through the map
+and phi, which verify.schrodinger_residual's rational identity in z does
+not read.
 sign_changes counts phi's sign changes on sampled_points (a grid and its
 wall insets), the sampled form of verify.node_count's preimage count.
 sturm_count counts a tridiagonal matrix's eigenvalues below a value by the
@@ -36,7 +40,7 @@ import numpy.polynomial.polynomial as npoly
 
 from qesf import bae, coords, prepot
 from qesf.bae import COLLISION_TOL, ENERGY_TIE_ULPS, MAX_ITER, POLISH_ITER, BetheBranch
-from qesf.errors import CollisionError, ConvergenceError
+from qesf.errors import CollisionError, ConvergenceError, GridError
 from qesf.model import ModelSpec, is_turning_point
 from qesf.potential import PFE, RESIDUE_TOL, BoundaryPole, PotentialProfile
 from qesf.poly import Poly, Tridiag
@@ -253,6 +257,66 @@ def phi_log_sign(pre, roots, x):
     if scalar:
         return float(logmag[0]), float(sign[0])
     return logmag, sign
+
+
+NODE_DELTA_STEPS = 10  # grid_residual's exclusion radius around nodes, in grid steps
+WALL_DELTA_STEPS = 50  # and its exclusion width at singular walls
+GRID_RESIDUAL_TOL = 1e-6  # the bound grid_residual was held to on verify's 4001-point grids
+_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # fourth-order d2/dx2
+
+
+def grid_residual(profile, cmap, grid, phi) -> tuple:
+    """(max, rms) of the normalized residual of (-d2/dx2 + U - E) phi_N on
+    the grid, phi_N the wave function of the profile's branch, given on the
+    grid points as phi = (log|phi_N|, sign) from prepot.phi_log_sign.
+
+    phi is normalized to max 1 from its log magnitude; the residual is
+    scaled by 1 + max|U - E| so that it is dimensionless and converges at
+    fourth order, the order of its second-difference stencil.
+    Neighborhoods of wave-function nodes (radius NODE_DELTA_STEPS * h) and
+    of singular walls (WALL_DELTA_STEPS * h) are excluded: phi ~ 0 there
+    makes the normalized residual ill-conditioned without carrying
+    certification content.
+    """
+    x = grid.points
+    logphi, sign = phi
+    finite = np.isfinite(logphi)
+    if not np.any(finite):
+        raise GridError("phi vanishes identically on the grid")
+    logphi = logphi - np.max(logphi[finite])
+    phi = np.where(finite, sign * np.exp(logphi), 0.0)
+
+    z = cmap.z_of_x(x)
+    u_minus_e = profile.U(z) - profile.energy
+    if not np.all(np.isfinite(u_minus_e)):
+        raise GridError("grid intersects a pole of the potential")
+
+    d2 = np.convolve(phi, _STENCIL, mode="valid") / grid.h ** 2
+    interior = slice(2, len(x) - 2)
+    res = -d2 + u_minus_e[interior] * phi[interior]
+
+    mask = np.ones(len(res), dtype=bool)
+    xi = x[interior]
+    # node exclusion zones: each point against its nearest node on either side
+    flips = np.flatnonzero(phi[:-1] * phi[1:] < 0)
+    if len(flips):
+        xn = 0.5 * (x[flips] + x[flips + 1])
+        right = np.minimum(np.searchsorted(xn, xi), len(xn) - 1)
+        delta = NODE_DELTA_STEPS * grid.h
+        left = np.maximum(right - 1, 0)
+        mask = (np.abs(xi - xn[right]) > delta) & (np.abs(xi - xn[left]) > delta)
+    # singular-wall exclusion zones
+    wdelta = WALL_DELTA_STEPS * grid.h
+    if grid.wall_lo is not None:
+        mask &= xi > x[0] + wdelta
+    if grid.wall_hi is not None:
+        mask &= xi < x[-1] - wdelta
+    if not np.any(mask):
+        raise GridError("all grid points excluded")
+
+    scale = 1.0 + np.max(np.abs(u_minus_e))
+    r = np.abs(res[mask]) / scale
+    return float(np.max(r)), float(np.sqrt(np.mean(r ** 2)))
 
 
 def sign_changes(phi) -> int:

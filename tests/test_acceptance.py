@@ -26,9 +26,9 @@ def _report(n, text):
 
 
 def _residual_max(pre, br):
-    """Largest Schrodinger residual of one branch on its default grid."""
+    """Largest grid residual of one branch on its default grid."""
     ((profile, grid, phi),) = verify.branch_setups(pre, [br])
-    return verify.schrodinger_residual(profile, pre.cmap, grid, phi)[0]
+    return oracles.grid_residual(profile, pre.cmap, grid, phi)[0]
 
 
 def test_criterion_01_hermite_stieltjes_equivalence():

@@ -635,6 +635,22 @@ def test_classify_warns_where_verify_finds_no_normalizable_end(tmp_path, payload
         assert code == 0 and "normalizable=True" in out, (out, err)
 
 
+def test_verify_passes_no_branch_at_an_end_the_rule_flags(tmp_path):
+    # phi_1 ~ exp(3.6e-190/z) as z -> 0, that is x -> -infinity on z = e^x:
+    # not bound, though phi starts to grow only near x = ln(3.6e-190), far
+    # beyond the numerical scan's windows. normalizable is the scan's
+    # verdict and the rule's, so verify passes no branch; solve's verified
+    # column reads the residual alone
+    payload = {"Q": [0, 0, 1], "P": [3.6e-190, -1.27, 0, 0.5], "N": 1}
+    code, out, _ = run_cli(["classify", write_config(tmp_path, "far.json", payload)])
+    assert code == 0
+    assert "phi_N ~ exp(3.6e-190/z) as z -> 0 is not square-integrable" in out, out
+    solve_code, _, code, out, err, _ = _solve_and_verify(tmp_path, "far", payload)
+    assert solve_code == 0
+    assert code == 3, (out, err)
+    assert ": pass" not in out and out.count("normalizable=False") == 2, out
+
+
 def test_a_ground_state_peaked_far_out_is_normalizable(tmp_path):
     # The branch is correct (residual 2.4e-12, FD level within 4.8e-11 of
     # E = 0, W0 -> +infinity at both ends), and unbound_ends flags no end.

@@ -100,3 +100,16 @@ def test_compare_reports_claim_moves_and_node_count_changes(tmp_path, tree, caps
                                     f"  branch 0: node_count {nodes} -> {nodes + 1}"], out
     assert "(E_fd): 0;" in out
     assert f"(E_claimed): {move:.3g} at harmonic branch 0" in out and err == ""
+
+
+def test_compare_reports_the_largest_residual_of_each_tree(tmp_path, tree, capsys):
+    # the headroom of each tree against verify.RESIDUAL_TOL; a residual
+    # that moves is no fault
+    other = tmp_path / "b"
+    shutil.copytree(tree, other)
+    _edit_report(other / "harmonic" / "verify.json", lambda r: r.update(residual_max=2.5e-11))
+    assert parity.main(["--compare", str(tree), str(other)]) == 0
+    rmax = json.loads((tree / "harmonic" / "verify.json").read_text())["0"]["residual_max"]
+    assert capsys.readouterr().out.endswith(
+        f"; largest residual_max {rmax:.3g} at harmonic branch 0 -> 2.5e-11 at harmonic "
+        "branch 0\n")

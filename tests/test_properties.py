@@ -1,7 +1,8 @@
 """Property tests of the branch finder on random type-2, two-wall and
 singularity-induced models and of its batched root extraction, of the
 walls of parabolic models, of the coordinate images and the equations the
-map and W0 solve, of which models over an irreducible Q build, of the
+map, W0 and log|phi| solve (with declared singularities), of which models
+over an irreducible Q build, of the
 energies and CSV output of random type-1 models, of the batched
 certification setup against the per-branch, per-root one, and of the
 lock-step Newton polish, the batched normalizability windows, the batched
@@ -210,27 +211,37 @@ def _central(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+# up to two declared singularities (a, mu)
+declared = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-1.5, 1.5)), max_size=2)
+
+
 @settings(derandomize=True, deadline=None)
 @given(st.one_of(st.tuples(*[sized_coefficient] * 3), double_zero),
        st.tuples(coefficient, coefficient, coefficient), st.sampled_from((1, -1)),
-       st.floats(0.1, 0.9))
-def test_the_map_and_w0_solve_their_defining_equations(q, p, branch_sign, where):
-    # (dz/dx)^2 = Q(z) and dW0/dz = P/Q, with W0 = -log phi_0 (no roots), by
-    # central differences inside the x-domain, away from its ends
+       st.floats(0.1, 0.9), declared)
+def test_the_map_and_w0_solve_their_defining_equations(q, p, branch_sign, where, sings):
+    # (dz/dx)^2 = Q(z) and dW0/dz = P/Q, with W0 = -log phi_0 + sum_j mu_j
+    # ln|z - a_j| (no roots), by central differences inside the x-domain,
+    # away from its ends and from the walls the declared singularities cut
     try:
-        pre = prepot.integrate_w0(ModelSpec(Poly(list(q)), Poly(list(p)), (), 1,
+        pre = prepot.integrate_w0(ModelSpec(Poly(list(q)), Poly(list(p)),
+                                            tuple(Singularity(a, mu) for a, mu in sings), 1,
                                             branch_sign=branch_sign))
     except ModelError:
-        reject()  # no coordinate map, or V0 outside the pole basis
+        reject()  # no coordinate map, V0 outside the pole basis, or walls too close
     Q, P, cmap = pre.spec_ref.Q, pre.spec_ref.P, pre.cmap
     lo, hi = (min(max(v, -2.0), 2.0) for v in cmap.x_domain)
     x = lo + where * (hi - lo)
     h = 1e-5 * (hi - lo)
+    assume(all(abs(x - w) > 1e3 * h for w in pre.walls))
     z = float(cmap.z_of_x(x))
+    assume(all(abs(z - a) > 1e-3 for a, _ in sings))
     dz = _central(cmap.z_of_x, x, h)
     assert dz ** 2 == pytest.approx(Q(z), rel=1e-6, abs=1e-8)
-    dw0 = _central(lambda v: -prepot.phi_log_sign(pre, (), v)[0], x, h) / dz
-    assert dw0 == pytest.approx(P(z) / Q(z), rel=1e-5, abs=1e-7)
+    dlog = _central(lambda v: prepot.phi_log_sign(pre, (), v)[0], x, h) / dz
+    poles = [mu / (z - a) for a, mu in sings]
+    scale = abs(P(z) / Q(z)) + sum(map(abs, poles))
+    assert abs(sum(poles) - dlog - P(z) / Q(z)) <= 1e-5 * scale + 1e-7
 
 
 # type-1 models at N <= 6, where enumeration finds all N + 1 branches
@@ -311,12 +322,12 @@ def _setup_matches(pre, got, want):
     assert np.all(np.abs(logphi[finite] - logphi_w[finite])
                   <= 1e-12 * np.maximum(1.0, np.abs(logphi_w[finite])))
     try:
-        want_r = verify.schrodinger_residual(profile, pre.cmap, grid_w, (logphi_w, sign_w))
+        want_r = oracles.grid_residual(profile, pre.cmap, grid_w, (logphi_w, sign_w))
     except GridError as exc:
         with pytest.raises(GridError, match=str(exc)):
-            verify.schrodinger_residual(profile, pre.cmap, grid, (logphi, sign))
+            oracles.grid_residual(profile, pre.cmap, grid, (logphi, sign))
         return
-    got_r = verify.schrodinger_residual(profile, pre.cmap, grid, (logphi, sign))
+    got_r = oracles.grid_residual(profile, pre.cmap, grid, (logphi, sign))
     assert np.all(np.abs(np.subtract(got_r, want_r)) <= 1e-9)
 
 
@@ -338,6 +349,37 @@ def test_batched_setup_matches_the_per_branch_log_sum_setup(spec):
         dv[0] = 0.0
         assert g[0].U.poly == pre.v0.poly + Poly(dv)
         _setup_matches(pre, g, w)
+
+
+@settings(derandomize=True, deadline=None)
+@given(setup_models, st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_log_phi_has_the_slope_of_z_prime_times_g(spec, where):
+    # the central difference of phi_log_sign's log|phi_N| in x is
+    # z'(x) g(z), g = -P/Q + sum_j mu_j/(z - a_j) + sum_k 1/(z - z_k), at
+    # points of each branch's certified box, away from its nodes and walls:
+    # the check of the map and of phi that the rational residual leaves out
+    pre = prepot.integrate_w0(spec)
+    branches = bae.enumerate_branches(spec)
+    P, Q = spec.P, spec.Q
+    for br, grid in zip(branches, verify.default_grids(pre, [br.roots for br in branches])):
+        if not isinstance(grid, verify.Grid):
+            continue
+        lo, hi = grid.points[0], grid.points[-1]
+        h = 1e-6 * (hi - lo)
+        nodes = pre.cmap.preimages(br.roots).ravel()
+        # nodes, walls, and the turning point, where z' g is 0 times a pole
+        ends = [*nodes[np.isfinite(nodes)], *pre.walls,
+                *([] if pre.cmap.x_turn is None else [pre.cmap.x_turn])]
+        for x in (lo + t * (hi - lo) for t in where):
+            if any(abs(x - e) < 1e3 * h for e in ends):
+                continue
+            z = pre.cmap.z_of_x(x)
+            terms = [-P(z) / Q(z), *(s.exponent / (z - s.location) for s in spec.singularities),
+                     *(1.0 / (z - zk) for zk in br.roots)]
+            slope = _central(lambda v: prepot.phi_log_sign(pre, br.roots, v)[0], x, h)
+            dz = oracles.dz_dx(pre.cmap, x)
+            assert abs(slope - dz * sum(terms)) <= 1e-6 * abs(dz) * sum(map(abs, terms)), (
+                spec, br.roots, x)
 
 
 # Newton starts for the lock-step polish: models without walls, with one

@@ -34,7 +34,7 @@ def _phi(pre, branch, grid):
 
 
 def _residual(prof, pre, grid):
-    return verify.schrodinger_residual(prof, pre.cmap, grid, _phi(pre, prof.branch, grid))
+    return oracles.grid_residual(prof, pre.cmap, grid, _phi(pre, prof.branch, grid))
 
 
 def _fd_group(pre, members, reports):
@@ -208,13 +208,15 @@ def test_verify_counts_nodes_once_per_branch_whose_residual_ran(monkeypatch):
     calls, residuals = [], []
     real_count, real_residual = verify.node_count, verify.schrodinger_residual
     monkeypatch.setattr(verify, "node_count",
-                        lambda *a: calls.append(a[2]) or real_count(*a))
+                        lambda *a: calls.append(a[1:]) or real_count(*a))
     monkeypatch.setattr(verify, "schrodinger_residual",
-                        lambda *a: residuals.append(real_residual(*a)) or residuals[-1])
+                        lambda *a: residuals.append(a[1]) or real_residual(*a))
     reports = verify.verify_branches(pre, [bad] + branches)
     assert isinstance(reports[0], ValueError)
-    assert len(calls) == len(residuals) == len(branches)
-    assert calls == [verify.default_grid(pre, br.roots).component for br in branches]
+    ((roots, components),), (rows,) = calls, residuals
+    good = np.array([br.roots for br in branches])
+    assert np.array_equal(roots, good) and np.array_equal(rows, good)
+    assert components == [verify.default_grid(pre, br.roots).component for br in branches]
     assert [rep.node_count for rep in reports[1:]] == list(range(0, 2 * len(branches), 2))
 
 
@@ -229,21 +231,27 @@ def _load(monkeypatch, name, *parts):
     return module
 
 
-def test_node_count_is_the_sampled_count_on_every_vetted_and_ci_config(monkeypatch):
-    # the vetted benchmark table (drawn with its own seed) and the CI wall,
-    # mirror, cosh and two-wall configs: on every branch with a grid, the
-    # preimage count is the sign changes of phi on the grid and its wall
-    # insets
+def _vetted_and_ci_configs(monkeypatch) -> dict:
+    """tag -> configs of the vetted benchmark table (drawn with its own
+    seed), and name -> [config] of the CI wall, mirror, cosh and two-wall
+    configs."""
     workloads = _load(monkeypatch, "perfbench_workloads", "perfbench", "workloads.py")
     ci = _load(monkeypatch, "parity_tool", "tools", "parity.py").CI_CONFIGS
     with open(workloads.VETTED_PATH) as fh:
         vetted = json.load(fh)["slots"]
-    configs = [workloads.build_config(slot, params)
-               for slots in workloads.SLOTS.values() for slot in slots
-               for params in vetted[slot.tag]["params"]]
-    configs += [ci[name] for name in ("w0-wall", "mirror", "cosh", "two-wall", "two-wall-stall")]
+    configs = {slot.tag: [workloads.build_config(slot, params)
+                          for params in vetted[slot.tag]["params"]]
+               for slots in workloads.SLOTS.values() for slot in slots}
+    return configs | {name: [ci[name]] for name in ("w0-wall", "mirror", "cosh", "two-wall",
+                                                    "two-wall-stall")}
+
+
+def test_node_count_is_the_sampled_count_on_every_vetted_and_ci_config(monkeypatch):
+    # the vetted benchmark table and the CI configs: on every branch with a
+    # grid, the preimage count is the sign changes of phi on the grid and
+    # its wall insets
     counted = 0
-    for cfg in configs:
+    for cfg in (cfg for cfgs in _vetted_and_ci_configs(monkeypatch).values() for cfg in cfgs):
         pre = prepot.integrate_w0(cli.spec_from_config(cfg))
         branches = bae.enumerate_branches(pre.spec_ref)
         for br, setup in zip(branches, verify.branch_setups(pre, branches)):
@@ -255,6 +263,73 @@ def test_node_count_is_the_sampled_count_on_every_vetted_and_ci_config(monkeypat
             assert verify.node_count(pre, br.roots, grid.component) == sampled, (cfg, br.roots)
             counted += 1
     assert counted > 3000
+
+
+@pytest.fixture(scope="module")
+def gridded():
+    """tag -> [(pre, branches, roots, profiles, grids)] of every vetted and
+    CI config, over its branches whose split and grid succeed."""
+    with pytest.MonkeyPatch.context() as mp:
+        configs = _vetted_and_ci_configs(mp)
+    out = {}
+    for tag, cfgs in configs.items():
+        for cfg in cfgs:
+            pre = prepot.integrate_w0(cli.spec_from_config(cfg))
+            branches = bae.enumerate_branches(pre.spec_ref)
+            profiles = potential.split_energies(pre, branches)
+            grids = verify.default_grids(pre, [br.roots for br in branches])
+            kept = [i for i, (p, g) in enumerate(zip(profiles, grids))
+                    if isinstance(g, verify.Grid) and not isinstance(p, Exception)]
+            roots = np.array([branches[i].roots for i in kept]).reshape(len(kept), pre.spec_ref.N)
+            out.setdefault(tag, []).append((pre, [branches[i] for i in kept], roots,
+                                            [profiles[i] for i in kept], [grids[i] for i in kept]))
+    return out
+
+
+def test_both_residuals_pass_on_every_vetted_and_ci_branch(gridded):
+    # the rational identity at 4N + 8 points, and the fourth-order stencil
+    # on the 4001-point grid that it replaced, each within its own bound
+    checked = 0
+    for pre, _, roots, profiles, grids in (row for rows in gridded.values() for row in rows):
+        for profile, grid, got in zip(profiles, grids, verify.schrodinger_residual(
+                pre, roots, profiles, grids), strict=True):
+            assert got[0] < verify.RESIDUAL_TOL and got[1] <= got[0], (pre.spec_ref, got)
+            phi = prepot.phi_log_sign(pre, profile.branch.roots, grid.points)
+            stencil = oracles.grid_residual(profile, pre.cmap, grid, phi)
+            assert stencil[0] < oracles.GRID_RESIDUAL_TOL, (pre.spec_ref, stencil)
+            checked += 1
+    assert checked > 3000
+
+
+def test_an_energy_moved_by_1e_6_fails_the_residual_on_every_vetted_and_ci_branch(gridded):
+    # a claim off by 1e-6 max(1, |E|) breaks the identity on every branch
+    for pre, _, roots, profiles, grids in (row for rows in gridded.values() for row in rows):
+        moved = [dataclasses.replace(p, energy=p.energy + 1e-6 * max(1.0, abs(p.energy)))
+                 for p in profiles]
+        for got in verify.schrodinger_residual(pre, roots, moved, grids):
+            assert got[0] > verify.RESIDUAL_TOL, (pre.spec_ref, got)
+
+
+@pytest.mark.parametrize("tag", ["two-wall", "singular-N2"])
+def test_a_split_without_its_wall_pole_coefficient_fails_the_residual(gridded, monkeypatch,
+                                                                       tag):
+    # U's root-dependent pole at a wall where Q(a) != 0,
+    # 2 mu Q(a) sum_k 1/(a - z_k) / (z - a), dropped from the split: every
+    # branch's residual sees it
+    real = potential._shift_rows
+
+    def without_wall_poles(spec, roots):
+        rows, poles = real(spec, roots)
+        return rows, [(a, 0.0 * c1) for a, c1 in poles]
+
+    monkeypatch.setattr(potential, "_shift_rows", without_wall_poles)
+    checked = 0
+    for pre, branches, roots, _, grids in gridded[tag]:
+        profiles = potential.split_energies(pre, branches)
+        for got in verify.schrodinger_residual(pre, roots, profiles, grids):
+            assert got[0] > verify.RESIDUAL_TOL, (pre.spec_ref, got)
+            checked += 1
+    assert checked == sum(len(branches) for _, branches, *_ in gridded[tag]) > 0
 
 
 def test_normalizability_harmonic():
@@ -491,7 +566,7 @@ def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec)
 def test_residual_excludes_both_sides_of_every_node():
     # phi is piecewise linear with U = E = 0, so its residual is rounding
     # except at its kinks; each kink sits 3 steps from one of the two
-    # nodes, on either side, inside the NODE_DELTA_STEPS exclusion
+    # nodes, on either side, inside the oracle's NODE_DELTA_STEPS exclusion
     cmap = coords.build(Poly([1.0]))
     grid = verify.make_grid(-1.0, 1.0, 201)
     n0, n1, d = -0.3033, 0.3366, 3 * grid.h
@@ -499,13 +574,13 @@ def test_residual_excludes_both_sides_of_every_node():
                     [-0.2, -0.06, 0.06, 0.09, -0.09, -0.3])
     profile = potential.PotentialProfile(potential.PFE(Poly([0.0])), 0.0, None)
     with np.errstate(divide="raise"):
-        rmax, _ = verify.schrodinger_residual(profile, cmap, grid,
-                                              (np.log(np.abs(phi)), np.sign(phi)))
+        rmax, _ = oracles.grid_residual(profile, cmap, grid,
+                                        (np.log(np.abs(phi)), np.sign(phi)))
     assert rmax < 1e-9
     # a kink away from the nodes is not excluded
     phi[150:] += 0.5 * (grid.points[150:] - grid.points[150])
-    rmax, _ = verify.schrodinger_residual(profile, cmap, grid,
-                                          (np.log(np.abs(phi)), np.sign(phi)))
+    rmax, _ = oracles.grid_residual(profile, cmap, grid,
+                                    (np.log(np.abs(phi)), np.sign(phi)))
     assert rmax > 1.0
 
 
@@ -580,16 +655,18 @@ def test_verify_branch_roots_from_hermite_all_n():
 
 
 def test_branch_setups_residual_matches_verify_branch():
-    # type-1, exactly solvable, and a singular wall: the residual qesf solve
-    # reads from the setup of all branches at once is each branch's own
+    # type-1, exactly solvable, and a singular wall: the residual rows qesf
+    # solve reads, from its split and grids of all branches at once, are
+    # each branch's own report fields
     for name, N in (("sextic", 2), ("morse-es", 2), ("sextic-halfline", 1)):
         spec = catalog.instantiate(name, N=N)
         pre = prepot.integrate_w0(spec)
         branches = bae.enumerate_branches(spec)
-        setups = verify.branch_setups(pre, branches, n_points=verify.GRID_POINTS)
-        for br, (profile, grid, phi) in zip(branches, setups):
+        roots = np.array([br.roots for br in branches]).reshape(len(branches), N)
+        rows = verify.schrodinger_residual(pre, roots, potential.split_energies(pre, branches),
+                                           verify.default_grids(pre, roots))
+        for br, got in zip(branches, rows, strict=True):
             rep = verify.verify_branch(pre, br)
-            got = verify.schrodinger_residual(profile, pre.cmap, grid, phi)
             assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
 
@@ -825,7 +902,8 @@ def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
         assert len(branches) == N + 1
         pre = prepot.integrate_w0(spec)
         for shift in (1, 2):
-            monkeypatch.setattr(verify, "node_count", lambda *a: real(*a) + shift)
+            monkeypatch.setattr(verify, "node_count",
+                                lambda *a: [n + shift for n in real(*a)])
             reports = verify.verify_branches(pre, branches)
             assert len(reports) == N + 1
             assert not any(rep.verdict for rep in reports), (N, shift)
@@ -1053,9 +1131,10 @@ def test_a_wrong_claim_moves_no_dvr_level(dvr_spectra):
 
 
 @pytest.mark.parametrize("name,N", [("sextic", 8), ("harmonic", 12)])
-def test_a_claim_off_by_1e_7_fails_the_dvr_bound(monkeypatch, name, N):
-    # E (1 + 1e-7) keeps the residual below tolerance and sits well inside
-    # FD's old 1e-3 bound, but not inside the DVR's est + 1e-9 max(1, |E|)
+def test_a_claim_off_by_1e_7_fails_the_dvr_bound(monkeypatch, dvr_spectra, name, N):
+    # E (1 + 1e-7) sits well inside FD's old 1e-3 bound, but not inside the
+    # DVR's est + 1e-9 max(1, |E|); the Schrodinger residual, which the
+    # verdict reads too, catches it by itself
     spec = catalog.instantiate(name, N=N)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
@@ -1070,12 +1149,20 @@ def test_a_claim_off_by_1e_7_fails_the_dvr_bound(monkeypatch, name, N):
     monkeypatch.setattr(potential, "split_energies", scaled)
     reports = verify.verify_branches(pre, branches)
     _, fd = _fd_group(pre, branches, reports)
+    box, mirror = dvr_spectra[-1]
+    levels = verify.dvr_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, box,
+                                 {rep.node_count: rep.spectrum_matches[0][0] for rep in reports},
+                                 mirror)
     for rep in reports:
         claimed, level, diff = rep.spectrum_matches[0]
         assert rep.residual_max < 1e-6 and rep.normalizable
         assert abs(fd[rep.node_count] - claimed) < 1e-3 * max(1.0, abs(claimed))
         # claims below 0.01 in size move by less than the 1e-9 floor
+        assert levels[rep.node_count][0] == level
+        assert (diff < levels[rep.node_count][1] + verify.DVR_AGREE * max(1.0, abs(claimed))
+                ) == (abs(claimed) < 0.01), (claimed, level, diff)
         assert rep.verdict == (abs(claimed) < 0.01), (claimed, level, diff)
+        assert (rep.residual_max < verify.RESIDUAL_TOL) == (abs(claimed) < 0.01), rep
     assert not all(rep.verdict for rep in reports)
 
 
@@ -1206,10 +1293,10 @@ def test_a_wrong_claim_moves_no_wall_level(wall_spectra):
 
 
 @pytest.mark.parametrize("name,N", [("trig-interval", 8), ("sextic-halfline", 6)])
-def test_a_claim_off_by_1e_7_fails_the_wall_bound(monkeypatch, name, N):
-    # E (1 + 1e-7) keeps the residual below tolerance and sits well inside
-    # FD's old 1e-2 wall bound, but not inside the wall basis's
-    # est + 1e-9 max(1, |E|)
+def test_a_claim_off_by_1e_7_fails_the_wall_bound(monkeypatch, wall_spectra, name, N):
+    # E (1 + 1e-7) sits well inside FD's old 1e-2 wall bound, but not inside
+    # the wall basis's est + 1e-9 max(1, |E|); the Schrodinger residual,
+    # which the verdict reads too, catches it by itself
     spec = catalog.instantiate(name, N=N)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
@@ -1224,12 +1311,21 @@ def test_a_claim_off_by_1e_7_fails_the_wall_bound(monkeypatch, name, N):
     monkeypatch.setattr(potential, "split_energies", scaled)
     reports = verify.verify_branches(pre, branches)
     _, fd = _fd_group(pre, branches, reports)
+    box, walls, mirror = wall_spectra[-1]
+    levels = verify.wall_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, spec.Q,
+                                  box, walls,
+                                  {rep.node_count: rep.spectrum_matches[0][0] for rep in reports},
+                                  mirror)
     for rep in reports:
         claimed, level, diff = rep.spectrum_matches[0]
         assert rep.residual_max < 1e-6 and rep.normalizable
         assert abs(fd[rep.node_count] - claimed) < 1e-2 * max(1.0, abs(claimed))
         # claims below 0.01 in size move by less than the 1e-9 floor
+        assert levels[rep.node_count][0] == level
+        assert (diff < levels[rep.node_count][1] + verify.DVR_AGREE * max(1.0, abs(claimed))
+                ) == (abs(claimed) < 0.01), (claimed, level, diff)
         assert rep.verdict == (abs(claimed) < 0.01), (claimed, level, diff)
+        assert (rep.residual_max < verify.RESIDUAL_TOL) == (abs(claimed) < 0.01), rep
     assert not all(rep.verdict for rep in reports)
 
 

@@ -23,9 +23,11 @@ level or a claimed energy by its rounding, or a node count, but nothing
 else that counts: it exits 1 when a config is in one tree only, or when a
 config's solve CSV bytes, exit codes or verify verdicts differ. It prints
 every config with an output that differs, the files that differ, under it
-every branch whose node count changed, and the largest moves of a matched
+every branch whose node count changed, the largest moves of a matched
 level (E_fd) and of a claimed energy (E_claimed), each relative to
-max(1, |E|), the scale of the verdict's bound.
+max(1, |E|), the scale of the verdict's bound, and the largest
+residual_max of each tree and where it is, the headroom against
+verify.RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -135,6 +137,15 @@ def _reports(config_dir: str) -> dict:
     return json.loads(text) if text is not None else {}
 
 
+def _largest_residual(tree: str) -> tuple[float, str]:
+    """The largest residual_max of a parity record's verify reports, and
+    where it is: its headroom against verify.RESIDUAL_TOL."""
+    return max(((report["residual_max"], f"{name} branch {bid}")
+                for name in sorted(os.listdir(tree))
+                for bid, report in _reports(os.path.join(tree, name)).items()),
+               default=(0.0, ""))
+
+
 def compare(dir_a: str, dir_b: str) -> int:
     """Print how the parity record dir_b differs from dir_a; 1 when a
     solve CSV, an exit code or a verdict differs, or a config is in one
@@ -171,8 +182,10 @@ def compare(dir_a: str, dir_b: str) -> int:
     moves = (f"of a {what} ({key}): {worst[key][0]:.3g}"
              + (f" at {worst[key][1]}" if worst[key][0] else "")
              for key, what in (("E_fd", "matched level"), ("E_claimed", "claimed energy")))
+    residuals = (f"{rmax:.3g}" + (f" at {where}" if where else "")
+                 for rmax, where in map(_largest_residual, (dir_a, dir_b)))
     print(f"{changed} of {len(names_a & names_b)} configs changed; largest relative move "
-          + "; ".join(moves))
+          + "; ".join(moves) + "; largest residual_max " + " -> ".join(residuals))
     for fault in faults:
         print(fault, file=sys.stderr)
     return 1 if faults else 0
