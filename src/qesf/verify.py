@@ -5,10 +5,11 @@ residual checks U - E = Q (g' + g^2) + Q' g / 2, g = d ln phi_N/dz, as the
 rational identity in z it is, from the reported U and E and the roots
 alone (schrodinger_residual); the spectrum oracle computes the
 discretized operator's level whose index is the node count (a state with
-n nodes is level n, by Sturm oscillation); and normalizability comes from
-adaptive quadrature of phi^2, together with the exact end rule of
-prepot.unbound_ends. These are the arbiters for every sign or convention
-ambiguity upstream. The node count itself is exact, not sampled: phi_N =
+n nodes is level n, by Sturm oscillation); and normalizability is the
+exact end rule of prepot.unbound_ends, read off the two polynomials: phi
+is normalizable on its certified component unless an end of it is one the
+rule flags. These are the arbiters for every sign or convention ambiguity
+upstream. The node count itself is exact, not sampled: phi_N =
 e^-W0 prod_k (z - z_k) changes sign exactly at the x-preimages of the
 Bethe roots inside the certified component (node_count).
 
@@ -37,21 +38,21 @@ level n // 2; the odd partners of tunnelling doublets, never algebraic,
 are not in that operator at all. Residual, node count and normalizability
 stay on each branch's full component (the residual on its grid's z-range).
 
-The setup the oracles start from (branch_setups: profile, grid and phi)
-is built for all branches of a model in one array pass: the truncation
-ladders of every branch and end are marched together, and phi on every
-grid comes from one prepot.phi_log_sign call with a row per branch. The
-normalizability windows of all branches are rows of one pass too
-(normalizability_checks): one phi_log_sign call per chunk of windows over
-the branches still undecided, while each branch's scan of its windows
-stays sequential. The residual is one (B, 4N + 8) array pass over all
-branches, and the node counts one preimages call; the spectrum oracle
-runs per potential. phi on the grid serves the spectrum box alone:
-qesf solve's verified column reads the residual from the split and the
-grids, with no phi. Every x-preimage of a root or of phi's peak, on the
-map's declared branch or its mirror, comes from
-coords.CoordinateMap.preimages in one call per pass, nan where it has
-none.
+The setup the oracles start from (branch_setups: profile, grid and
+spectrum box) is built for all branches of a model in one array pass: the
+truncation ladders of every branch and end are marched together, and the
+boxes come from three prepot.phi_log_sign calls with a row per branch, at
+about 300 of each grid's GRID_POINTS points (_spectrum_boxes). The
+residual is one (B, 4N + 8) array pass over all branches, and the node
+counts one preimages call; the spectrum oracle runs per potential. qesf
+solve's verified column reads the residual from the split and the grids
+alone. Every x-preimage of a root, on the map's declared branch or its
+mirror, comes from coords.CoordinateMap.preimages in one call per pass,
+nan where it has none.
+
+normalizability_checks, an adaptive scan of phi^2 over growing windows,
+is on no command's path: the tests keep it as the end rule's numerical
+cross-check, as they keep fd_spectrum for the spectrum oracles.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ RESIDUAL_TOL = 1e-10  # largest relative Schrodinger residual of a verdict and o
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
 DVR_BOX_LOG = 18.0  # DVR box: where log|phi| >= its max - DVR_BOX_LOG
+BOX_STRIDE = 16  # grid points between the values of phi that first place the box
 DVR_STEP = 0.8  # largest phase step h sqrt(E_top - u) of a sinc-DVR solve
 WALL_STEP = 2.0  # and of a wall-basis solve
 DVR_MARGIN = 1.1  # n is sized for DVR_STEP / DVR_MARGIN
@@ -122,7 +124,6 @@ class VerificationReport:
     residual_rms: float
     node_count: int
     normalizable: bool
-    norm_estimate: float
     spectrum_matches: list  # (E_claimed, E_fd, |diff|), E_fd the spectrum oracle's level
     spectrum_note: str
     verdict: bool
@@ -185,8 +186,8 @@ def _march_thresholds(pre: prepot.Prepotential, roots: np.ndarray, starts,
     return found
 
 
-def default_grids(pre: prepot.Prepotential, roots, n_points: int = GRID_POINTS) -> list:
-    """Certification grids of n_points points, one per branch, for roots of
+def default_grids(pre: prepot.Prepotential, roots) -> list:
+    """Certification grids of GRID_POINTS points, one per branch, for roots of
     shape (B, N) (a branch's roots per row): per branch, in order, its Grid
     or the GridError that stopped it.
 
@@ -260,22 +261,22 @@ def default_grids(pre: prepot.Prepotential, roots, n_points: int = GRID_POINTS) 
             if math.isnan(x_lo) or math.isnan(x_hi):
                 continue  # no truncation: the next component
             del pending[i]
-            inset = max(10.0 * ((x_hi - x_lo) / (n_points - 1)), 1e-3)
+            inset = max(10.0 * ((x_hi - x_lo) / (GRID_POINTS - 1)), 1e-3)
             wall_lo = (a, walls[a]) if math.isfinite(a) else None
             wall_hi = (b, walls[b]) if math.isfinite(b) else None
             try:
                 grids[i] = make_grid(x_lo + inset if wall_lo else x_lo,
-                                     x_hi - inset if wall_hi else x_hi, n_points,
+                                     x_hi - inset if wall_hi else x_hi, GRID_POINTS,
                                      wall_lo, wall_hi)
             except GridError as exc:
                 grids[i] = exc
     return grids
 
 
-def default_grid(pre: prepot.Prepotential, roots, n_points: int = GRID_POINTS) -> Grid:
+def default_grid(pre: prepot.Prepotential, roots) -> Grid:
     """default_grids for the branch with these roots: its grid, or its
     GridError raised."""
-    (grid,) = default_grids(pre, [roots], n_points)
+    (grid,) = default_grids(pre, [roots])
     if isinstance(grid, GridError):
         raise grid
     return grid
@@ -289,7 +290,9 @@ def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> li
     """The Schrodinger equation as the rational identity it is, for rows of
     roots (B, N), a branch per row, with its profile (reported U and E)
     and its certification grid: per row, in order, (max, rms) of the
-    relative residual, or the GridError of a row with a non-finite value.
+    relative residual, or the GridError of a row with a non-finite value:
+    a point on a pole, or one so close to a root that 1/(z - z_k)^2
+    overflows, which names the point and the root.
 
     With g = d ln phi_N/dz = -P/Q + sum_j mu_j/(z - a_j) + sum_k 1/(z - z_k)
     and (dz/dx)^2 = Q, phi''/phi in x is Q (g' + g^2) + Q' g / 2, so
@@ -335,8 +338,18 @@ def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> li
         q, dq = spec.Q(z), spec.Q.derivative()(z)
         r = (np.abs(q * (dg + g * g) + dq * g / 2.0 - (u - e))
              / (np.abs(q) * (np.abs(dg) + g * g) + np.abs(dq * g) / 2.0 + np.abs(u) + np.abs(e)))
+
+    def _overflow(i: int) -> GridError:
+        j = int(np.argmin(np.isfinite(r[i])))  # the row's first non-finite point
+        if not spec.N or z[i, j] in poles[i] or z[i, j] in [t.location for t in pre.pole_terms]:
+            return GridError("a residual point lies on a pole of the potential")
+        gap = np.abs(z[i, j] - roots[i])
+        k = int(np.argmin(gap))  # 1/(z - z_k)^2 overflows this close to a root
+        return GridError(f"the residual overflows at z = {z[i, j]:.6g}, {gap[k]:.3g} from "
+                         f"the root z = {roots[i, k]:.6g}")
+
     return [(float(row.max()), math.sqrt(float(np.mean(row * row)))) if np.isfinite(row).all()
-            else GridError("a residual point lies on a pole of the potential") for row in r]
+            else _overflow(i) for i, row in enumerate(r)]
 
 
 def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
@@ -899,32 +912,68 @@ def normalizability_check(pre: prepot.Prepotential, branch,
                                   [component])[0]
 
 
-def branch_setups(pre: prepot.Prepotential, branches, n_points: int = GRID_POINTS) -> list:
+def _spectrum_boxes(pre: prepot.Prepotential, roots: np.ndarray, grids: list) -> list:
+    """Per row of roots (B, N) and its grid, the spectrum box: the first and
+    last grid points where log|phi_N| >= its max - DVR_BOX_LOG. phi is read
+    at every BOX_STRIDE-th grid point and the last one, then on the
+    2 BOX_STRIDE - 1 points around the largest of them, whose largest
+    value is the max, then on the BOX_STRIDE points outward of the
+    outermost coarse point at each end within DVR_BOX_LOG of the max: one
+    prepot.phi_log_sign call each, with a row per branch."""
+    points = np.array([g.points for g in grids])
+    rows, n = np.arange(len(grids))[:, None], points.shape[1]
+    coarse = np.unique(np.r_[0:n:BOX_STRIDE, n - 1])
+
+    def _logphi(idx):
+        return prepot.phi_log_sign(pre, roots, points[rows, idx])[0]
+
+    lc = _logphi(np.broadcast_to(coarse, (len(grids), len(coarse))))
+    finite = np.where(np.isfinite(lc), lc, -math.inf)
+    top = coarse[np.argmax(finite, axis=1)]
+    lp = _logphi(np.clip(top[:, None] + np.arange(1 - BOX_STRIDE, BOX_STRIDE), 0, n - 1))
+    floor = (np.maximum(finite.max(axis=1), np.max(lp, axis=1, where=np.isfinite(lp),
+                                                   initial=-math.inf)) - DVR_BOX_LOG)[:, None]
+    above = lc >= floor
+    coarse_ends = np.stack((coarse[np.argmax(above, axis=1)],
+                            coarse[len(coarse) - 1 - np.argmax(above[:, ::-1], axis=1)]), axis=1)
+    # each end's BOX_STRIDE points outward of its coarse point, outermost
+    # first, and the coarse point itself: the first of them within
+    # DVR_BOX_LOG of the max is the box end
+    steps = np.array([-1, 1])[:, None] * np.arange(BOX_STRIDE, 0, -1)
+    ends = np.clip(coarse_ends[..., None] + steps, 0, n - 1)
+    inside = (_logphi(ends.reshape(len(grids), -1)) >= floor).reshape(ends.shape)
+    idx = np.take_along_axis(np.dstack((ends, coarse_ends)), np.argmax(
+        np.dstack((inside, np.ones_like(coarse_ends, dtype=bool))), axis=2)[..., None], 2)[..., 0]
+    return [(float(p[i]), float(p[j])) for p, (i, j) in zip(points, idx)]
+
+
+def branch_setups(pre: prepot.Prepotential, branches) -> list:
     """Certification setup of every branch of the built model, in one array
-    pass: per branch, in order, its (profile, grid, phi), or the ValueError
+    pass: per branch, in order, its (profile, grid, box), or the ValueError
     (a GridError, say) that stopped it. profile is the reported potential
-    and energy (potential.split_energies), grid the branch's default grid
-    of n_points points, and phi = (log|phi_N|, sign) on its points. The branches share
-    N, the model's.
+    and energy (potential.split_energies), grid the branch's default grid,
+    and box = (lo, hi) the first and last of its points where log|phi_N|
+    is within DVR_BOX_LOG of its max, where the spectrum box ends. The
+    branches share N, the model's.
 
     The grids come from default_grids, which marches every branch's
-    truncation ladders at once, and phi on all of them from one
-    prepot.phi_log_sign call with a row per branch.
+    truncation ladders at once, and the boxes of all of them from
+    _spectrum_boxes' three prepot.phi_log_sign calls with a row per
+    branch, about GRID_POINTS / BOX_STRIDE + 3 BOX_STRIDE points a row.
     """
     setups = potential.split_energies(pre, branches)
     ok = [i for i, p in enumerate(setups) if not isinstance(p, Exception)]
     roots = np.asarray([branches[i].roots for i in ok], dtype=float).reshape(
         len(ok), pre.spec_ref.N)
-    grids = default_grids(pre, roots, n_points)
+    grids = default_grids(pre, roots)
     rows = [j for j, grid in enumerate(grids) if isinstance(grid, Grid)]
     for i, grid in zip(ok, grids):
         if not isinstance(grid, Grid):
             setups[i] = grid
     if rows:
-        logphi, sign = prepot.phi_log_sign(pre, roots[rows],
-                                           np.array([grids[j].points for j in rows]))
-        for j, lp, sg in zip(rows, logphi, sign):
-            setups[ok[j]] = (setups[ok[j]], grids[j], (lp, sg))
+        boxes = _spectrum_boxes(pre, roots[rows], [grids[j] for j in rows])
+        for j, box in zip(rows, boxes):
+            setups[ok[j]] = (setups[ok[j]], grids[j], box)
     return setups
 
 
@@ -935,15 +984,15 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     GridError, DomainError or ValueError that stopped its checks; a failed
     branch stops no other.
 
-    Each branch gets its profile and grid from the built model, then the
-    residual, node count and normalizability oracles, each one pass over
+    Each branch gets its profile, grid and spectrum box from the built
+    model, then the residual and node count oracles, each one pass over
     all branches. The claimed energy is bae.branch_energies of the
     branch's roots, the E solve writes. The node count is node_count's:
     the x-preimages of the roots in the grid's component, whatever the
-    grid's step. phi is normalizable when the windows of
-    normalizability_checks say so and no end of the component is one that
-    prepot.unbound_ends flags. The verdict requires the residual
-    below RESIDUAL_TOL, phi normalizable, and the claimed energy matched
+    grid's step. phi is normalizable when no end of the component is one
+    that prepot.unbound_ends flags; the grid exists only where phi falls
+    below e^-W_THRESHOLD at each unbounded end. The verdict requires the
+    residual below RESIDUAL_TOL, phi normalizable, and the claimed energy matched
     by the spectrum oracle's level whose index is the branch's node count:
     by Sturm oscillation a state with n nodes is level n. At a
     limit-circle wall the spectrum oracle is skipped, spectrum_note says
@@ -959,7 +1008,7 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     dvr_spectrum on a group with no wall, and from wall_spectrum on a
     group with a wall (nu >= 1/2). Each end of the spectrum's box is a
     wall of the group's component, or where some member's log|phi| is
-    within DVR_BOX_LOG of its maximum (read off the phi its setup
+    within DVR_BOX_LOG of its maximum on its grid (the box its setup
     computed). GRID_POINTS sizes the members' grids, not the spectrum.
 
     When the group's component holds the map's turning point x_t
@@ -978,26 +1027,15 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     residuals = schrodinger_residual(pre, roots[ok], [results[i][0] for i in ok], grids)
     counts = node_count(pre, roots[ok], [grid.component for grid in grids])
     unbound = {x for end in prepot.unbound_ends(pre) for x in end.x}
-    checked = []  # (index, profile, grid, fields)
-    boxes = {}  # index -> where log|phi| >= its max - DVR_BOX_LOG, on its grid
+    boxes = {i: results[i][2] for i in ok}  # index -> its setup's spectrum box
+    groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
     for i, residual, count in zip(ok, residuals, counts):
         if isinstance(residual, GridError):
             results[i] = residual
             continue
-        profile, grid, phi = results[i]
-        checked.append((i, profile, grid, dict(residual_max=residual[0],
-                                               residual_rms=residual[1], node_count=count)))
-        logphi = phi[0]
-        peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
-        inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
-        boxes[i] = float(grid.points[inside[0]]), float(grid.points[inside[-1]])
-    norms = normalizability_checks(pre, roots[[i for i, *_ in checked]],
-                                   [grid.component for _, _, grid, _ in checked])
-    groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
-    for (i, profile, grid, fields), (normalizable, norm_estimate) in zip(checked, norms):
-        # the scan's verdict, and no end of the component that the rule flags
-        fields.update(normalizable=normalizable and unbound.isdisjoint(grid.component),
-                      norm_estimate=norm_estimate)
+        profile, grid, _ = results[i]
+        fields = dict(residual_max=residual[0], residual_rms=residual[1], node_count=count,
+                      normalizable=unbound.isdisjoint(grid.component))
         # At a limit-circle wall where the state follows the weaker
         # indicial root (nu < 1/2) both roots are square-integrable and the
         # wall basis, which selects the Friedrichs one, is no oracle for

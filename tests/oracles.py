@@ -12,6 +12,11 @@ grid_residual applies a fourth-order finite-difference second derivative
 to phi on a grid: the Schrodinger residual sampled in x, through the map
 and phi, which verify.schrodinger_residual's rational identity in z does
 not read.
+phi_setups gives each branch its verify.branch_setups profile and grid
+with phi on every grid point, the phi those grid-sampled oracles read, and
+spectrum_box places the spectrum box from that phi: the first and last
+grid points within DVR_BOX_LOG of log|phi|'s max, which
+verify.branch_setups finds from about 300 of the points.
 sign_changes counts phi's sign changes on sampled_points (a grid and its
 wall insets), the sampled form of verify.node_count's preimage count.
 sturm_count counts a tridiagonal matrix's eigenvalues below a value by the
@@ -38,13 +43,13 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from qesf import bae, coords, prepot
+from qesf import bae, coords, prepot, verify
 from qesf.bae import COLLISION_TOL, ENERGY_TIE_ULPS, MAX_ITER, POLISH_ITER, BetheBranch
 from qesf.errors import CollisionError, ConvergenceError, GridError
 from qesf.model import ModelSpec, is_turning_point
 from qesf.potential import PFE, RESIDUE_TOL, BoundaryPole, PotentialProfile
 from qesf.poly import Poly, Tridiag
-from qesf.verify import MAX_WINDOWS, SIMPSON_POINTS
+from qesf.verify import DVR_BOX_LOG, MAX_WINDOWS, SIMPSON_POINTS
 
 
 def dz_dx(cmap: coords.CoordinateMap, x):
@@ -317,6 +322,30 @@ def grid_residual(profile, cmap, grid, phi) -> tuple:
     scale = 1.0 + np.max(np.abs(u_minus_e))
     r = np.abs(res[mask]) / scale
     return float(np.max(r)), float(np.sqrt(np.mean(r ** 2)))
+
+
+def phi_setups(pre, branches) -> list:
+    """verify.branch_setups with each box replaced by phi = (log|phi_N|,
+    sign) on every point of the branch's grid, from one
+    prepot.phi_log_sign call with a row per branch: per branch its
+    (profile, grid, phi), or the error that stopped it."""
+    setups = verify.branch_setups(pre, branches)
+    rows = [i for i, setup in enumerate(setups) if not isinstance(setup, Exception)]
+    if rows:
+        roots = np.array([branches[i].roots for i in rows]).reshape(len(rows), pre.spec_ref.N)
+        logphi, sign = prepot.phi_log_sign(pre, roots, np.array([setups[i][1].points
+                                                                 for i in rows]))
+        for i, lp, sg in zip(rows, logphi, sign):
+            setups[i] = setups[i][0], setups[i][1], (lp, sg)
+    return setups
+
+
+def spectrum_box(grid, logphi) -> tuple:
+    """The first and last of the grid's points where logphi, log|phi_N| on
+    every point, is within DVR_BOX_LOG of its finite max."""
+    peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
+    inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
+    return float(grid.points[inside[0]]), float(grid.points[inside[-1]])
 
 
 def sign_changes(phi) -> int:

@@ -27,7 +27,7 @@ def _report(n, text):
 
 def _residual_max(pre, br):
     """Largest grid residual of one branch on its default grid."""
-    ((profile, grid, phi),) = verify.branch_setups(pre, [br])
+    ((profile, grid, phi),) = oracles.phi_setups(pre, [br])
     return oracles.grid_residual(profile, pre.cmap, grid, phi)[0]
 
 
@@ -62,7 +62,8 @@ def test_criterion_02_sextic_type1():
             for i in range(deg + 1):
                 assert abs(p.U.poly.coeff(i) - base.poly.coeff(i)) < 1e-9
             assert p.U.boundary_poles == base.boundary_poles
-        grid = verify.default_grid(pre, branches[-1].roots, n_points=4000)
+        box = verify.default_grid(pre, branches[-1].roots)
+        grid = verify.make_grid(box.points[0], box.points[-1], 4000)
         # z = x^2: the ground state is nodeless, each root at z > 0 a node pair
         claims = {2 * n: p.energy for n, p in enumerate(profs)}
         levels = verify.fd_spectrum(profs[0], pre.cmap, grid, claims)

@@ -638,9 +638,10 @@ def test_classify_warns_where_verify_finds_no_normalizable_end(tmp_path, payload
 def test_verify_passes_no_branch_at_an_end_the_rule_flags(tmp_path):
     # phi_1 ~ exp(3.6e-190/z) as z -> 0, that is x -> -infinity on z = e^x:
     # not bound, though phi starts to grow only near x = ln(3.6e-190), far
-    # beyond the numerical scan's windows. normalizable is the scan's
-    # verdict and the rule's, so verify passes no branch; solve's verified
-    # column reads the residual alone
+    # beyond the numerical scan's windows. normalizable is the rule's, so
+    # verify passes no branch; solve's verified column reads the residual
+    # alone. Branch 0's root 2.03e-190 lies within 1e-154 of every residual
+    # point, where 1/(z - z_k)^2 overflows: the error names it, not a pole
     payload = {"Q": [0, 0, 1], "P": [3.6e-190, -1.27, 0, 0.5], "N": 1}
     code, out, _ = run_cli(["classify", write_config(tmp_path, "far.json", payload)])
     assert code == 0
@@ -649,14 +650,16 @@ def test_verify_passes_no_branch_at_an_end_the_rule_flags(tmp_path):
     assert solve_code == 0
     assert code == 3, (out, err)
     assert ": pass" not in out and out.count("normalizable=False") == 2, out
+    assert "from the root z = 2.0339e-190" in err and "pole" not in err, err
 
 
 def test_a_ground_state_peaked_far_out_is_normalizable(tmp_path):
     # The branch is correct (residual 2.4e-12, FD level within 4.8e-11 of
     # E = 0, W0 -> +infinity at both ends), and unbound_ends flags no end.
     # phi0 = exp(x^2/2 - x^4/200) peaks at x = +-sqrt(50), where W0' = P
-    # vanishes; the windows grow from the core [-1, 1] four times before
-    # the peak, which is the state's bulk, not tail growth.
+    # vanishes; the tests' normalizability scan grows its windows from the
+    # core [-1, 1] four times before the peak, the state's bulk, not tail
+    # growth.
     payload = {"Q": [1], "P": [0, -1, 0, 0.02], "N": 0}
     code, out, _ = run_cli(["classify", write_config(tmp_path, "d.json", payload)])
     assert code == 0 and "[warning]" not in out

@@ -129,7 +129,7 @@ def test_an_exact_root_hit_in_a_batched_setup_is_a_node():
     spec = catalog.instantiate("sextic-type2", N=1, a=1.0, b=-1.0)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
-    setups = verify.branch_setups(pre, branches, n_points=2001)
+    setups = oracles.phi_setups(pre, branches)
     (hit,) = [i for i, br in enumerate(branches) if br.roots == (0.0,)]
     _, grid, (logphi, sign) = setups[hit]
     (node,) = np.flatnonzero(grid.points == 0.0)

@@ -340,9 +340,9 @@ def test_batched_setup_matches_the_per_branch_log_sum_setup(spec):
     # E the branch's closed-form energy, the one solve writes
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
-    got = verify.branch_setups(pre, branches, n_points=2001)
+    got = oracles.phi_setups(pre, branches)
     with mock.patch.object(prepot, "phi_log_sign", oracles.phi_log_sign):
-        want = [verify.branch_setups(pre, [br], n_points=2001)[0] for br in branches]
+        want = [oracles.phi_setups(pre, [br])[0] for br in branches]
     for br, g, w in zip(branches, got, want, strict=True):
         dv = list(oracles.delta_v_poly(spec, br.roots).coeffs)
         assert _same_bits(g[0].energy, oracles.branch_energy(spec, br.roots))
@@ -530,9 +530,9 @@ def unwalled_models(draw):
 @settings(derandomize=True, deadline=None)
 @given(unwalled_models())
 def test_no_branch_is_certified_normalizable_at_an_end_the_rule_flags(spec):
-    # prepot.unbound_ends decides from the two polynomials alone; the
-    # numerical windows of verify are the independent oracle. Only this
-    # direction is asserted: the oracle has false negatives (ROADMAP item 12)
+    # prepot.unbound_ends decides from the two polynomials alone, and
+    # verify's normalizable is its verdict on each certified component: no
+    # branch whose component ends at a flagged end reads normalizable
     try:
         pre = prepot.integrate_w0(spec)
     except ModelError:
@@ -565,6 +565,28 @@ walled_models = st.one_of(
     st.builds(lambda q, P, mu, N: ModelSpec(Poly([0.0, 4.0]), Poly(P), (Singularity(q, mu),), N),
               st.floats(0.5, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
               st.floats(0.1, 0.9), st.integers(1, 3)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(walled_models, unwalled_models()))
+def test_the_spectrum_box_holds_the_full_grid_box(spec):
+    # the box from about 300 values of phi holds the first and last grid
+    # points within DVR_BOX_LOG of log|phi|'s max on the whole grid, and
+    # each of its ends is within BOX_STRIDE points of that box's
+    try:
+        pre = prepot.integrate_w0(spec)
+        branches = bae.enumerate_branches(spec)
+    except ModelError:
+        reject()
+    for setup, full in zip(verify.branch_setups(pre, branches), oracles.phi_setups(pre, branches),
+                           strict=True):
+        if isinstance(setup, Exception):
+            continue
+        _, grid, box = setup
+        (lo, hi), (want_lo, want_hi) = (np.searchsorted(grid.points, b) for b in (
+            box, oracles.spectrum_box(grid, full[2][0])))
+        assert want_lo - verify.BOX_STRIDE <= lo <= want_lo <= want_hi <= hi <= (
+            want_hi + verify.BOX_STRIDE), (spec, box)
 
 
 @st.composite

@@ -121,7 +121,7 @@ def test_fd_spectrum_sextic_contains_branch_energies():
     spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (), 1)
     branches = bae.enumerate_branches(spec)
     cmap, pre, br, prof = _pipeline(spec, branches[0])
-    grid = verify.default_grid(pre, br.roots, n_points=4001)
+    grid = verify.default_grid(pre, br.roots)
     # z = x^2: the ground state is nodeless, the root at z > 0 a node pair
     energies = [potential.split_energy(pre, b).energy for b in branches]
     claims = dict(zip((0, 2), energies))
@@ -134,7 +134,8 @@ def test_fd_spectrum_morse_levels():
     A, alpha = 5.0, 1.0
     spec = catalog.instantiate("morse-es", N=0)
     cmap, pre, br, prof = _pipeline(spec)
-    grid = verify.default_grid(pre, br.roots, n_points=6001)
+    box = verify.default_grid(pre, br.roots)
+    grid = verify.make_grid(box.points[0], box.points[-1], 6001)
     want = {n: A ** 2 - (A - n * alpha) ** 2 for n in range(5)}
     levels = verify.fd_spectrum(prof, cmap, grid, want)
     for n, e in want.items():
@@ -286,6 +287,85 @@ def gridded():
     return out
 
 
+def test_the_spectrum_box_is_the_full_grid_box_on_every_vetted_and_ci_branch(gridded):
+    # the box from about 300 values of phi is, bit for bit, the first and
+    # last grid points within DVR_BOX_LOG of log|phi|'s max on all
+    # GRID_POINTS points, wherever that max is reached within a stride of
+    # the largest coarse value; elsewhere (a lobe a little higher than the
+    # one the coarse values picked) it holds that box within a stride. The
+    # box each spectrum reads, the union over the branches of one
+    # potential, is the full-grid one on every config
+    exact = total = 0
+    for pre, branches, _, profiles, grids in (row for rows in gridded.values() for row in rows):
+        groups = {}  # (U, walls) -> [(box, full-grid box)]
+        for br, profile, setup, grid in zip(branches, profiles, verify.branch_setups(
+                pre, branches), grids, strict=True):
+            logphi, _ = prepot.phi_log_sign(pre, br.roots, grid.points)
+            want = oracles.spectrum_box(grid, logphi)
+            groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append((setup[2], want))
+            total += 1
+            finite = np.where(np.isfinite(logphi), logphi, -np.inf)
+            top = verify.BOX_STRIDE * np.argmax(finite[::verify.BOX_STRIDE])
+            if finite[max(top - verify.BOX_STRIDE + 1, 0):top + verify.BOX_STRIDE].max() == (
+                    finite.max()):
+                assert setup[2] == want, (pre.spec_ref, br.roots)
+                exact += 1
+            (lo, hi), (want_lo, want_hi) = (np.searchsorted(grid.points, b) for b in (setup[2],
+                                                                                      want))
+            assert want_lo - verify.BOX_STRIDE <= lo <= want_lo <= want_hi <= hi <= (
+                want_hi + verify.BOX_STRIDE), (pre.spec_ref, br.roots)
+        for members in groups.values():
+            got, want = zip(*members)
+            assert (min(b[0] for b in got), max(b[1] for b in got)) == (
+                min(b[0] for b in want), max(b[1] for b in want)), pre.spec_ref
+    assert total > 3000 and exact > 2500, (total, exact)
+
+
+def test_the_scan_agrees_with_the_end_rule_on_every_vetted_and_ci_branch(gridded):
+    # normalizability_checks' windows, off verify's path, read every
+    # certified component as the end rule does
+    checked = 0
+    for pre, _, roots, _, grids in (row for rows in gridded.values() for row in rows):
+        unbound = {x for end in prepot.unbound_ends(pre) for x in end.x}
+        components = [grid.component for grid in grids]
+        for component, (ok, _) in zip(components, verify.normalizability_checks(
+                pre, roots, components), strict=True):
+            assert ok == unbound.isdisjoint(component), (pre.spec_ref, component)
+            checked += 1
+    assert checked > 3000
+
+
+def test_verify_certifies_with_the_scan_off_its_path(monkeypatch):
+    def _off_path(*args):
+        raise AssertionError("verify ran the normalizability scan")
+
+    monkeypatch.setattr(verify, "normalizability_checks", _off_path)
+    monkeypatch.setattr(verify, "_peaks", _off_path)
+    for name, N in (("sextic", 16), ("trig-interval", 8)):
+        spec = catalog.instantiate(name, N=N)
+        reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+        assert len(reports) == N + 1 and all(rep.verdict for rep in reports), (name, reports)
+
+
+def test_one_verify_reads_phi_at_most_1000_points_per_branch(monkeypatch):
+    # the truncation ladders and the spectrum boxes are all of verify's phi
+    phi_log_sign, points = prepot.phi_log_sign, []
+
+    def _counted(pre, roots, x):
+        points.append(np.size(x))
+        return phi_log_sign(pre, roots, x)
+
+    monkeypatch.setattr(prepot, "phi_log_sign", _counted)
+    for name, N in (("sextic", 40), ("sextic-halfline", 30), ("trig-interval", 15),
+                    ("morse-es", 4), ("sextic-type2", 3)):
+        spec = catalog.instantiate(name, N=N)
+        branches = bae.enumerate_branches(spec)
+        points.clear()
+        reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+        assert all(rep.verdict for rep in reports), name
+        assert sum(points) <= 1000 * len(branches), (name, sum(points) / len(branches))
+
+
 def test_both_residuals_pass_on_every_vetted_and_ci_branch(gridded):
     # the rational identity at 4N + 8 points, and the fourth-order stencil
     # on the 4001-point grid that it replaced, each within its own bound
@@ -348,10 +428,11 @@ def test_normalizability_harmonic():
 def test_normalizability_of_high_oscillator_levels(N):
     # the bulk of level N reaches x ~ sqrt(2N + 1) > 6, past the first four
     # windows from x = 1, whose integrals grow lobe by lobe toward the
-    # last one: that is no tail growth
+    # last one: that is no tail growth, for the scan as for the end rule
     _, pre, br, _ = _pipeline(harmonic(b=1.0, N=N))
     rep = verify.verify_branch(pre, br)
     assert rep.normalizable and rep.verdict
+    assert verify.normalizability_check(pre, br, pre.cmap.x_domain)[0]
 
 
 def test_normalizability_morse_p_threshold():
@@ -503,7 +584,7 @@ def test_normalizability_on_the_certified_component():
     assert verify.default_grid(pre, br.roots).component == (a, math.inf)
     rep = verify.verify_branch(pre, br)
     certified = verify.normalizability_check(pre, br, (a, math.inf))
-    assert (rep.normalizable, rep.norm_estimate) == certified
+    assert rep.normalizable == certified[0]
     assert verify.normalizability_check(pre, br, (-math.inf, a))[1] != certified[1]
 
 
@@ -705,7 +786,7 @@ def test_residual_arbitrates_quoted_trig_form():
     def forced_residual(root):
         br = bae.BetheBranch((root,), 0.0, 0)
         prof = oracles.split_energy(pre, br, residue_tol=math.inf)
-        grid = verify.default_grid(pre, br.roots, n_points=4001)
+        grid = verify.default_grid(pre, br.roots)
         rmax, _ = _residual(prof, pre, grid)
         return rmax
 
@@ -916,8 +997,9 @@ def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
 
 
 def test_the_verdict_requires_normalizable(monkeypatch):
-    monkeypatch.setattr(verify, "normalizability_checks",
-                        lambda pre, roots, components: [(False, math.inf)] * len(components))
+    # the end rule flags every end of every component
+    monkeypatch.setattr(prepot, "unbound_ends", lambda pre: [prepot.UnboundEnd(
+        "warning", "flagged", (-math.inf, math.inf, *pre.walls))])
     spec = catalog.instantiate("sextic", N=2)
     reports = verify.verify_branches(prepot.integrate_w0(spec),
                                      bae.enumerate_branches(spec))
@@ -935,8 +1017,9 @@ def test_the_verdict_requires_normalizable(monkeypatch):
 
 def test_a_state_that_regrows_past_its_outermost_dip_is_not_normalizable():
     # phi = exp(-z^2/2 + 0.00025 z^4) dips to e^-250 at z = +-31.6 and then
-    # grows without bound: the window across the dip is still bulk, so the
-    # scan reaches the regrowth instead of reading that window as a tail
+    # grows without bound. W0 -> -infinity at both ends, so the end rule
+    # flags them; the window across the dip is still bulk, so the scan
+    # reaches the regrowth instead of reading that window as a tail
     spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0, 0.0, -0.001]), (), 0)
     pre = prepot.integrate_w0(spec)
     branch = bae.BetheBranch((), 0.0, 0)
@@ -944,8 +1027,9 @@ def test_a_state_that_regrows_past_its_outermost_dip_is_not_normalizable():
     assert rep.residual_max < 1e-6 and not rep.normalizable and not rep.verdict
     assert not oracles.normalizability_check(pre, branch, (-math.inf, math.inf))[0]
     # a state that decays past its last peak stays normalizable
-    spec = ModelSpec(Poly([1.0]), Poly([0.0, -1.0, 0.0, 0.02]), (), 0)
-    assert verify.verify_branch(prepot.integrate_w0(spec), branch).normalizable
+    pre = prepot.integrate_w0(ModelSpec(Poly([1.0]), Poly([0.0, -1.0, 0.0, 0.02]), (), 0))
+    assert verify.verify_branch(pre, branch).normalizable
+    assert oracles.normalizability_check(pre, branch, (-math.inf, math.inf))[0]
 
 
 @pytest.mark.parametrize("mu1,mu2", [(0.05, 0.45), (0.01, 0.3)],

@@ -23,7 +23,7 @@ level or a claimed energy by its rounding, or a node count, but nothing
 else that counts: it exits 1 when a config is in one tree only, or when a
 config's solve CSV bytes, exit codes or verify verdicts differ. It prints
 every config with an output that differs, the files that differ, under it
-every branch whose node count changed, the largest moves of a matched
+every branch whose node count or normalizable flag changed, the largest moves of a matched
 level (E_fd) and of a claimed energy (E_claimed), each relative to
 max(1, |E|), the scale of the verdict's bound, and the largest
 residual_max of each tree and where it is, the headroom against
@@ -172,8 +172,9 @@ def compare(dir_a: str, dir_b: str) -> int:
             faults.append(f"{name}: verify verdicts differ")
         for bid in sorted(rep_a.keys() & rep_b.keys(), key=int):
             ra, rb = rep_a[bid], rep_b[bid]
-            if ra["node_count"] != rb["node_count"]:
-                print(f"  branch {bid}: node_count {ra['node_count']} -> {rb['node_count']}")
+            for key in ("node_count", "normalizable"):
+                if ra[key] != rb[key]:
+                    print(f"  branch {bid}: {key} {ra[key]} -> {rb[key]}")
             if ra["spectrum_matches"] and rb["spectrum_matches"]:
                 for col, key in ((1, "E_fd"), (0, "E_claimed")):
                     e_a, e_b = ra["spectrum_matches"][0][col], rb["spectrum_matches"][0][col]
