@@ -23,8 +23,7 @@ from .potential import PFE, PotentialProfile, split_energies, split_energy, v0_p
 from .prepot import Prepotential, integrate_w0, phi_log_sign, unbound_ends
 from .verify import (Grid, VerificationReport, branch_setups, fd_spectrum,
                      make_grid, node_count, normalizability_check,
-                     normalizability_checks, schrodinger_residual, verify_branch,
-                     verify_branches)
+                     schrodinger_residual, verify_branch, verify_branches)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "branch_energies", "branch_energy", "branch_setups", "build", "classify",
     "enumerate_branches", "expected_energies", "fd_spectrum",
     "instantiate", "integrate_w0", "jacobian", "make_grid",
-    "node_count", "normalizability_check", "normalizability_checks",
+    "node_count", "normalizability_check",
     "phi_log_sign", "residual", "residuals", "schrodinger_residual", "solve",
     "solve_many", "split_energies", "split_energy",
     "tridiag_eigenvalues", "unbound_ends", "v0_pfe", "validate", "verify_branch",

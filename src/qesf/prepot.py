@@ -193,8 +193,9 @@ def unbound_ends(pre: Prepotential) -> list[UnboundEnd]:
       power there is positive;
     - each wall, phi_N ~ |x - wall|^nu: bound iff nu > -1/2.
 
-    verify reads the ends' x: a branch whose certified component ends at
-    one is not normalizable, whatever its numerical scan says.
+    verify reads the ends' x (verify.normalizability_check): a branch
+    whose certified component ends at one is not normalizable, and one
+    whose component ends at none is.
     """
     spec, cmap, unbound = pre.spec_ref, pre.cmap, []  # (phi_N's form, the end, its x)
     for end, inward in zip(cmap.z_image, (1.0, -1.0)):

@@ -48,11 +48,10 @@ counts one preimages call; the spectrum oracle runs per potential. qesf
 solve's verified column reads the residual from the split and the grids
 alone. Every x-preimage of a root, on the map's declared branch or its
 mirror, comes from coords.CoordinateMap.preimages in one call per pass,
-nan where it has none.
-
-normalizability_checks, an adaptive scan of phi^2 over growing windows,
-is on no command's path: the tests keep it as the end rule's numerical
-cross-check, as they keep fd_spectrum for the spectrum oracles.
+nan where it has none. normalizability_check applies the end rule to
+every certified component with one unbound_ends call; its numerical
+cross-check, a scan of phi^2 over growing windows, is the tests'
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import bae, potential, prepot
+from . import potential, prepot
 from .errors import DomainError, GridError
 from .model import is_turning_point
 from .poly import Poly, Tridiag, tridiag_eigenvalues
@@ -72,8 +71,6 @@ W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
 MIN_GRID_POINTS = 8  # fewest points of a certification grid
 GRID_POINTS = 4001  # points of verify's certification grids
 RESIDUAL_TOL = 1e-10  # largest relative Schrodinger residual of a verdict and of verified
-MAX_WINDOWS = 120  # normalizability windows per side
-SIMPSON_POINTS = 129  # points per normalizability window
 DVR_BOX_LOG = 18.0  # DVR box: where log|phi| >= its max - DVR_BOX_LOG
 BOX_STRIDE = 16  # grid points between the values of phi that first place the box
 DVR_STEP = 0.8  # largest phase step h sqrt(E_top - u) of a sinc-DVR solve
@@ -83,12 +80,6 @@ DVR_TAIL = 5.0  # a step above the potential counts 1/DVR_TAIL of one below it
 DVR_AGREE = 1e-9  # relative agreement of the two solves, and the verdict's floor
 DVR_MAX_POINTS = 2000  # largest DVR or wall-basis matrix
 _LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresholds
-_SIMPSON = np.ones(SIMPSON_POINTS)
-_SIMPSON[1:-1:2] = 4.0
-_SIMPSON[2:-1:2] = 2.0
-_SIMPSON_INDEX = np.arange(SIMPSON_POINTS, dtype=float)
-_HALVINGS = 2.0 ** np.arange(MAX_WINDOWS + 1)  # of _windows toward a finite end
-_WIDTHS = np.cumprod(np.r_[1.0, np.full(MAX_WINDOWS - 1, 1.4)])  # and toward an infinite one
 
 
 @dataclass(frozen=True)
@@ -681,235 +672,13 @@ def node_count(pre: prepot.Prepotential, roots, components):
     return counts if z.ndim == 2 else counts[0]
 
 
-def _log_simpsons(lo: np.ndarray, hi: np.ndarray, logphi: np.ndarray) -> list:
-    """log of integral_lo^hi phi^2 dx by Simpson's rule for each window
-    (lo, hi), lo and hi of one shape S, computed in log space from log|phi|
-    on its SIMPSON_POINTS points, logphi of shape S + (SIMPSON_POINTS,).
-    Flat list in row-major order over S; +inf for a window where phi
-    overflows, nan for one where phi is nan (inf - inf in W_N where z
-    overflows), which no scan can decide, -inf for an empty window or one
-    where phi vanishes. The Simpson sum is np.sum over the last axis, whose
-    bits do not depend on S."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = np.max(2.0 * logphi, axis=-1)
-        sums = np.sum(np.exp(2.0 * logphi - m[..., None]) * _SIMPSON, axis=-1)
-    integrals = (hi - lo) / (SIMPSON_POINTS - 1) / 3.0 * sums
-    return [mi if math.isnan(mi) or mi == math.inf else
-            mi + math.log(v) if b > a and math.isfinite(mi) and v > 0 else -math.inf
-            for a, b, mi, v in zip(lo.ravel().tolist(), hi.ravel().tolist(),
-                                   m.ravel().tolist(), integrals.ravel().tolist())]
-
-
-def _simpson_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """np.linspace(lo, hi, SIMPSON_POINTS) of each window, as if alone:
-    shape lo.shape + (SIMPSON_POINTS,)."""
-    x = _SIMPSON_INDEX * ((hi - lo) / (SIMPSON_POINTS - 1))[..., None] + lo[..., None]
-    x[..., -1] = hi
-    return x
-
-
-def _windows(edge: np.ndarray, inner: np.ndarray, outward: int) -> tuple[np.ndarray, np.ndarray]:
-    """The MAX_WINDOWS integration windows (lo, hi) of one side of each
-    row's component, from inner outward, shape (R, MAX_WINDOWS) each:
-    halving toward a finite endpoint edge (outward < 0 when it is the left
-    end), growing by 1.4 toward an infinite one. Widths and edges
-    accumulate in sequence, as a loop would."""
-    lo, hi = np.empty((2, len(edge), MAX_WINDOWS))
-    fin = np.isfinite(edge)
-    for rows, finite in ((fin, True), (~fin, False)):
-        if not rows.any():
-            continue
-        rows = slice(None) if rows.all() else rows
-        if finite:
-            e = edge[rows][:, None]
-            t = np.abs(inner[rows] - edge[rows])[:, None] / _HALVINGS
-            lo[rows], hi[rows] = ((e + t[:, 1:], e + t[:, :-1]) if outward < 0
-                                  else (e - t[:, :-1], e - t[:, 1:]))
-        else:
-            x0 = inner[rows]
-            x = np.empty((len(x0), MAX_WINDOWS + 1))
-            x[:, 0], x[:, 1:] = x0, outward * _WIDTHS
-            x = np.cumsum(x, axis=1)
-            lo[rows], hi[rows] = (x[:, :-1], x[:, 1:]) if outward > 0 else (x[:, 1:], x[:, :-1])
-    return lo, hi
-
-
-def _peaks(pre: prepot.Prepotential, roots: np.ndarray) -> np.ndarray:
-    """z of the real zeros of W_N' strictly inside the coordinate image, for
-    rows of roots (B, N), nan-padded to shape (B, M): where |phi_N| peaks
-    (or dips) away from its nodes.
-
-    W_N' = P/Q - sum_j mu_j/(z - a_j) - y'/y with y = prod_k (z - z_k); times
-    Q A y, A = prod_j (z - a_j), it is the polynomial P A y - Q M y - Q A y',
-    M = sum_j mu_j A/(z - a_j). Its trailing coefficients at or below 1e-12
-    of the sum of their terms' magnitudes are cancellation, so dropped; the
-    zeros of all rows come from one bae._roots batch.
-    """
-    spec, (z_lo, z_hi) = pre.spec_ref, pre.cmap.z_image
-    B, n = roots.shape
-    A, M = Poly([1.0]), Poly([0.0])
-    for s in spec.singularities:
-        M = M * Poly([-s.location, 1.0]) + s.exponent * A
-        A = A * Poly([-s.location, 1.0])
-    y = np.zeros((B, n + 1))
-    y[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):  # y (z - z_k)
-            y[:, 1:k + 2] = y[:, :k + 1] - roots[:, k:k + 1] * y[:, 1:k + 2]
-            y[:, 0] *= -roots[:, k]
-        dy = y[:, 1:] * np.arange(1, n + 1) if n else np.zeros((B, 1))
-        factors = ((spec.P * A, y), (-(spec.Q * M), y), (-(spec.Q * A), dy))
-        terms = np.zeros((3, B, max(len(f.coeffs) + r.shape[1] - 1 for f, r in factors)))
-        for t, (f, r) in zip(terms, factors):
-            for i, c in enumerate(f.coeffs):
-                t[:, i:i + r.shape[1]] += c * r
-        num = terms.sum(axis=0)
-        live = np.abs(num) > 1e-12 * np.abs(terms).sum(axis=0)
-    # a row whose coefficients overflow (roots far out at high N) gets none
-    live &= np.isfinite(num).all(axis=1)[:, None]
-    degree = np.where(live.any(axis=1), live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), 0)
-    rows = np.flatnonzero(degree).tolist()
-    w = np.full((B, live.shape[1] - 1), np.nan, dtype=complex)
-    for i, zeros in zip(rows, bae._roots([num[i, :degree[i] + 1] for i in rows])):
-        w[i, :len(zeros)] = zeros
-    z = np.where(np.abs(w.imag) <= 1e-9 * (1.0 + np.abs(w.real)), w.real, np.nan)
-    return np.where((z > z_lo) & (z < z_hi), z, np.nan)
-
-
-def _core(a: float, b: float) -> tuple[float, float]:
-    """The window a normalizability check starts from in the component (a, b)."""
-    if math.isfinite(a) and math.isfinite(b):
-        return a + (b - a) / 4, b - (b - a) / 4
-    if math.isfinite(a):
-        return a + 0.5, a + 1.5
-    if math.isfinite(b):
-        return b - 1.5, b - 0.5
-    return -1.0, 1.0
-
-
-def normalizability_checks(pre: prepot.Prepotential, roots, components) -> list:
-    """Adaptive test that the integral of phi^2 converges over the domain
-    component (a, b) the branch's grid certifies, for every branch of the
-    built model at once: roots of shape (B, N), a branch per row, and
-    components[i] the component of row i. Per branch, in order,
-    (normalizable, norm estimate).
-
-    Unbounded sides are covered by geometrically growing windows, finite
-    singular endpoints by geometrically shrinking ones; the verdict is True
-    when the window contributions decay (tail bounded by a geometric
-    series), False as soon as they grow persistently or, on an unbounded
-    side, phi overflows in a window. A window toward a wall whose lo rounds
-    onto the wall itself gets no weight, as phi's pole there has none. On
-    an unbounded side a window that starts inside the state's bulk, short
-    of the outermost preimage of a root or of a peak of phi (_peaks), is
-    integrated but is no tail: phi may grow there, up to its last peak,
-    and a window across the outermost dip of |phi| cannot show that phi
-    does not grow again past it.
-
-    The core windows of all branches take one prepot.phi_log_sign call.
-    Then the low sides and after them the high sides (the running total
-    carries over from one to the other) are evaluated lazily in chunks of
-    8, 16, 32, ... windows, one phi_log_sign call per chunk over the
-    branches whose side is not yet decided. Each branch scans its windows
-    in sequence; a chunk runs past where its scan stops, where z or W_N
-    may overflow, and those values are never used.
-    """
-    roots = np.asarray(roots, dtype=float)
-    B = len(roots)
-    if not B:
-        return []
-    a, b = np.array(components, dtype=float).reshape(B, 2).T
-    z_lo, z_hi = pre.cmap.z_image
-    # the preimages in (a, b) of the roots strictly inside the image and,
-    # toward an infinite end (the only place the bulk is read), of phi's
-    # peaks, on either branch
-    unbounded = np.isinf(a) | np.isinf(b)
-    peaks = _peaks(pre, roots[unbounded])
-    zs = np.hstack((np.where((roots > z_lo) & (roots < z_hi), roots, np.nan),
-                    np.full((B, peaks.shape[1]), np.nan)))
-    zs[unbounded, roots.shape[1]:] = peaks
-    xr = pre.cmap.preimages(zs)
-    within = (xr > a[:, None]) & (xr < b[:, None])
-    bulk = {-1: np.min(xr, axis=(0, 2), where=within, initial=math.inf).tolist(),
-            +1: np.max(xr, axis=(0, 2), where=within, initial=-math.inf).tolist()}
-
-    core_lo, core_hi = np.array([_core(*c) for c in zip(a.tolist(), b.tolist())]).reshape(B, 2).T
-    total = _log_simpsons(core_lo, core_hi, prepot.phi_log_sign(
-        pre, roots, _simpson_points(core_lo, core_hi))[0])
-    ok = [not math.isnan(t) for t in total]  # a nan core window is undecidable
-    for edges, inner, outward in ((a, core_lo, -1), (b, core_hi, +1)):
-        lo_w, hi_w = _windows(edges, inner, outward)
-        inner_w = lo_w if outward > 0 else hi_w
-        edge_l, bulk_l = edges.tolist(), bulk[outward]
-        # per row: [patience, growth run, previous window's integral]
-        state = [[6 if math.isfinite(e) else 4, 0, -math.inf] for e in edge_l]
-        todo = np.arange(B)
-        start, size = 0, 8
-        while len(todo) and start < MAX_WINDOWS:
-            rows = slice(None) if len(todo) == B else todo
-            cut = slice(start, start + size)
-            lo, hi = lo_w[rows, cut], hi_w[rows, cut]
-            xs = _simpson_points(lo, hi)
-            with np.errstate(over="ignore", invalid="ignore"):
-                logphi, _ = prepot.phi_log_sign(pre, roots[rows], xs.reshape(len(todo), -1))
-            segs, k = _log_simpsons(lo, hi, logphi.reshape(xs.shape)), lo.shape[1]
-            undecided = []
-            for r, (i, inners) in enumerate(zip(todo.tolist(), inner_w[rows, cut].tolist())):
-                seg_i = segs[r * k:(r + 1) * k]
-                if math.isfinite(edge_l[i]):  # a window whose lo rounds onto
-                    # the wall samples phi's pole there: it has no weight
-                    seg_i = [-math.inf if s == math.inf else s for s in seg_i]
-                with np.errstate(invalid="ignore"):  # a nan window
-                    totals = np.logaddexp.accumulate([total[i]] + seg_i).tolist()
-                verdict = _scan(seg_i, totals, inners, edge_l[i], bulk_l[i], outward, state[i])
-                if verdict is None:
-                    total[i] = totals[-1]
-                    undecided.append(i)
-                else:
-                    total[i] = totals[verdict[1] + 1]
-                    ok[i] &= verdict[0]
-            todo = np.array(undecided, dtype=int)
-            start, size = start + size, 2 * size
-        for i in todo.tolist():
-            ok[i] = False
-    return [(ok_i, math.exp(t) if t < 700 else math.inf) for ok_i, t in zip(ok, total)]
-
-
-def _scan(segs: list, totals: list, inners: list, edge: float, bulk: float,
-          outward: int, state: list):
-    """One branch's scan of consecutive windows of one side: segs their log
-    integrals, totals[j + 1] the running log total after window j, inners
-    their inner ends. state is [patience, growth run, previous integral],
-    updated in place. (verdict, index of the deciding window), or None
-    when these windows decide nothing."""
-    patience, grow, prev = state
-    for j, (seg, inner) in enumerate(zip(segs, inners)):
-        if seg == math.inf:
-            return False, j  # phi overflows toward an infinite end: divergent
-        if math.isnan(seg):
-            return False, j  # phi is nan there: undecidable, so not shown normalizable
-        if not math.isfinite(edge) and outward * (inner - bulk) < 0:
-            continue  # reaches into the bulk
-        if seg < totals[j + 1] - 36.0:
-            return True, j
-        if seg > prev:
-            grow += 1
-            if grow >= patience:
-                return False, j
-        else:
-            grow = 0
-        prev = seg
-    state[1:] = grow, prev
-    return None
-
-
-def normalizability_check(pre: prepot.Prepotential, branch,
-                          component: tuple[float, float]) -> tuple[bool, float]:
-    """normalizability_checks for one branch: (normalizable, norm
-    estimate) of its phi over the domain component (a, b), the one
-    default_grid certifies."""
-    return normalizability_checks(pre, np.asarray(branch.roots, dtype=float)[None],
-                                  [component])[0]
+def normalizability_check(pre: prepot.Prepotential, components) -> list:
+    """Per domain component (a, b), in order, whether phi_N is normalizable
+    on it: True unless an end of it is one that prepot.unbound_ends flags,
+    the exact end rule read off P, Q and the walls. One unbound_ends call
+    for all components."""
+    unbound = {x for end in prepot.unbound_ends(pre) for x in end.x}
+    return [unbound.isdisjoint(component) for component in components]
 
 
 def _spectrum_boxes(pre: prepot.Prepotential, roots: np.ndarray, grids: list) -> list:
@@ -990,8 +759,9 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     branch's roots, the E solve writes. The node count is node_count's:
     the x-preimages of the roots in the grid's component, whatever the
     grid's step. phi is normalizable when no end of the component is one
-    that prepot.unbound_ends flags; the grid exists only where phi falls
-    below e^-W_THRESHOLD at each unbounded end. The verdict requires the
+    that prepot.unbound_ends flags (normalizability_check, one call for
+    all branches); the grid exists only where phi falls below
+    e^-W_THRESHOLD at each unbounded end. The verdict requires the
     residual below RESIDUAL_TOL, phi normalizable, and the claimed energy matched
     by the spectrum oracle's level whose index is the branch's node count:
     by Sturm oscillation a state with n nodes is level n. At a
@@ -1025,17 +795,18 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     ok = [i for i, setup in enumerate(results) if not isinstance(setup, Exception)]
     grids = [results[i][1] for i in ok]
     residuals = schrodinger_residual(pre, roots[ok], [results[i][0] for i in ok], grids)
-    counts = node_count(pre, roots[ok], [grid.component for grid in grids])
-    unbound = {x for end in prepot.unbound_ends(pre) for x in end.x}
+    components = [grid.component for grid in grids]
+    counts = node_count(pre, roots[ok], components)
+    normalizable = normalizability_check(pre, components)
     boxes = {i: results[i][2] for i in ok}  # index -> its setup's spectrum box
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
-    for i, residual, count in zip(ok, residuals, counts):
+    for i, residual, count, bound in zip(ok, residuals, counts, normalizable):
         if isinstance(residual, GridError):
             results[i] = residual
             continue
         profile, grid, _ = results[i]
         fields = dict(residual_max=residual[0], residual_rms=residual[1], node_count=count,
-                      normalizable=unbound.isdisjoint(grid.component))
+                      normalizable=bound)
         # At a limit-circle wall where the state follows the weaker
         # indicial root (nu < 1/2) both roots are square-integrable and the
         # wall basis, which selects the Friedrichs one, is no oracle for

@@ -32,10 +32,11 @@ loops that potential.split_energies, bae.branch_energies and
 bae._energy_order run as array passes. bae_solve is the damped
 Newton polish of one start, with its own residual and Jacobian
 (bae_residual, bae_jacobian), the plain form of bae.solve_many's lock-step
-rows; normalizability_check tests one branch's windows with a lazy
-per-window Simpson sum (np.dot), the plain form of
-verify.normalizability_checks' rows, and its bulk reaches phi's peaks,
-which peaks finds with numpy's polynomial products and np.roots.
+rows. normalizability_check scans one branch's phi^2 over growing windows,
+each a lazy Simpson sum (log_simpson, np.dot) read by scan_side: the
+numerical cross-check of the end rule (prepot.unbound_ends) that
+verify.normalizability_check applies. Its bulk reaches phi's peaks, which
+peaks finds with numpy's polynomial products and np.roots.
 """
 
 import math
@@ -49,7 +50,10 @@ from qesf.errors import CollisionError, ConvergenceError, GridError
 from qesf.model import ModelSpec, is_turning_point
 from qesf.potential import PFE, RESIDUE_TOL, BoundaryPole, PotentialProfile
 from qesf.poly import Poly, Tridiag
-from qesf.verify import DVR_BOX_LOG, MAX_WINDOWS, SIMPSON_POINTS
+from qesf.verify import DVR_BOX_LOG
+
+MAX_WINDOWS = 120  # normalizability windows per side
+SIMPSON_POINTS = 129  # points per normalizability window
 
 
 def dz_dx(cmap: coords.CoordinateMap, x):
@@ -576,16 +580,16 @@ _SIMPSON[1:-1:2] = 4.0
 _SIMPSON[2:-1:2] = 2.0
 
 
-def _log_simpson(a: float, b: float, logphi: np.ndarray) -> float:
+def log_simpson(a: float, b: float, logphi: np.ndarray) -> float:
     """log of integral_a^b phi^2 dx by Simpson's rule (np.dot), in log
-    space, from log|phi| on np.linspace(a, b, SIMPSON_POINTS); +inf where
-    phi overflows."""
+    space, from log|phi| on np.linspace(a, b, SIMPSON_POINTS): +inf where
+    phi overflows, nan where phi is nan (inf - inf in W_N where z
+    overflows), which no scan can decide, and -inf for an empty window or
+    one where phi vanishes."""
     m = np.max(2.0 * logphi)
-    if m == math.inf:
-        return math.inf
-    if not b > a:
-        return -math.inf
-    if not math.isfinite(m):
+    if math.isnan(m) or m == math.inf:
+        return float(m)
+    if not b > a or not math.isfinite(m):
         return -math.inf
     vals = np.exp(2.0 * logphi - m)
     h = (b - a) / (SIMPSON_POINTS - 1)
@@ -625,30 +629,64 @@ def peaks(pre, roots) -> np.ndarray:
     for s in spec.singularities:
         M = npoly.polyadd(npoly.polymul(M, [-s.location, 1.0]), s.exponent * A)
         A = npoly.polymul(A, [-s.location, 1.0])
-    y = npoly.polyfromroots(roots) if len(roots) else np.array([1.0])
     P, Q = spec.P.coeffs, spec.Q.coeffs
-    terms = [npoly.polymul(npoly.polymul(P, A), y), -npoly.polymul(npoly.polymul(Q, M), y),
-             -npoly.polymul(npoly.polymul(Q, A), npoly.polyder(y))]
-    size = max(len(t) for t in terms)
-    terms = [np.pad(t, (0, size - len(t))) for t in terms]
-    num, mag = sum(terms), sum(np.abs(t) for t in terms)
-    live = np.flatnonzero(np.abs(num) > 1e-12 * mag)
-    if not len(live) or live[-1] == 0:
-        return np.array([])
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = npoly.polyfromroots(roots) if len(roots) else np.array([1.0])
+        terms = [npoly.polymul(npoly.polymul(P, A), y), -npoly.polymul(npoly.polymul(Q, M), y),
+                 -npoly.polymul(npoly.polymul(Q, A), npoly.polyder(y))]
+        size = max(len(t) for t in terms)
+        terms = [np.pad(t, (0, size - len(t))) for t in terms]
+        num, mag = sum(terms), sum(np.abs(t) for t in terms)
+        live = np.flatnonzero(np.abs(num) > 1e-12 * mag)
+    if not len(live) or live[-1] == 0 or not np.isfinite(num).all():
+        return np.array([])  # no zeros, or coefficients that overflow
     w = np.roots(num[:live[-1] + 1][::-1])
     z = w[np.abs(w.imag) <= 1e-9 * (1.0 + np.abs(w.real))].real
     z_lo, z_hi = pre.cmap.z_image
     return z[(z > z_lo) & (z < z_hi)]
 
 
+def scan_side(segs, edge: float, bulk: float, outward: int, total: float) -> tuple:
+    """One side's scan: segs yields its windows' (log integral, inner end)
+    from the core outward and is read only up to the deciding window;
+    total is the running log integral before them. Returns (verdict, the
+    running total after the deciding window).
+
+    A window toward a finite edge whose integral is +inf has lo on the
+    wall itself, where phi's pole has no weight. Otherwise +inf (phi
+    overflows) and nan (undecidable) fail the side. On an unbounded side a
+    window whose inner end lies short of bulk is no tail; past it the side
+    passes once a window's integral is below e^-36 of the total, and fails
+    after 4 (6 toward a finite edge) growing windows in a row, or when the
+    windows run out."""
+    patience, grow, prev = (6 if math.isfinite(edge) else 4), 0, -math.inf
+    for seg, inner in segs:
+        if seg == math.inf and math.isfinite(edge):
+            seg = -math.inf
+        with np.errstate(invalid="ignore"):  # a nan window
+            total = float(np.logaddexp(total, seg))
+        if seg == math.inf or math.isnan(seg):
+            return False, total
+        if not math.isfinite(edge) and outward * (inner - bulk) < 0:
+            continue
+        if seg < total - 36.0:
+            return True, total
+        if seg > prev:
+            grow += 1
+            if grow >= patience:
+                return False, total
+        else:
+            grow = 0
+        prev = seg
+    return False, total
+
+
 def normalizability_check(pre, branch, component) -> tuple:
     """(normalizable, norm estimate) of one branch over the component
     (a, b): a core window, then the windows of the low side and of the high
-    side, each phi evaluated and integrated on its own, until the
-    contributions decay (a tail below e^-36 of the total) or grow
-    persistently, or phi overflows; on an unbounded side a window that
-    starts short of the outermost preimage of a root or of phi's peak is no
-    tail."""
+    side (scan_side), each phi evaluated and integrated on its own; on an
+    unbounded side the bulk reaches the outermost preimage of a root or of
+    phi's peak. A nan core window is undecidable, so not normalizable."""
     roots = np.asarray(branch.roots, dtype=float)
     a, b = component
     cmap = pre.cmap
@@ -664,35 +702,18 @@ def normalizability_check(pre, branch, component) -> tuple:
         core = b - 1.5, b - 0.5
     else:
         core = -1.0, 1.0
-    total = _log_simpson(*core, prepot.phi_log_sign(
+    total = log_simpson(*core, prepot.phi_log_sign(
         pre, roots, np.linspace(*core, SIMPSON_POINTS))[0])
+    ok = not math.isnan(total)
 
-    def _side(edge, inner, outward):
-        nonlocal total
-        patience, grow, prev = (6 if math.isfinite(edge) else 4), 0, -math.inf
+    def _segs(edge, inner, outward):
         for lo, hi in windows(edge, inner, outward):
             with np.errstate(over="ignore", invalid="ignore"):
                 logphi = prepot.phi_log_sign(pre, roots, np.linspace(lo, hi, SIMPSON_POINTS))[0]
-            seg = _log_simpson(lo, hi, logphi)
-            if seg == math.inf and math.isfinite(edge):
-                seg = -math.inf  # lo on the wall itself: phi's pole has no weight
-            total = np.logaddexp(total, seg)
-            inner = lo if outward > 0 else hi
-            if seg == math.inf:
-                return False
-            if not math.isfinite(edge) and outward * (inner - bulk[outward]) < 0:
-                continue
-            if seg < total - 36.0:
-                return True
-            if seg > prev:
-                grow += 1
-                if grow >= patience:
-                    return False
-            else:
-                grow = 0
-            prev = seg
-        return False
+            yield log_simpson(lo, hi, logphi), lo if outward > 0 else hi
 
-    ok_lo = _side(a, core[0], -1)
-    ok_hi = _side(b, core[1], +1)
-    return bool(ok_lo and ok_hi), (math.exp(total) if total < 700 else math.inf)
+    for edge, inner, outward in ((a, core[0], -1), (b, core[1], +1)):
+        side, total = scan_side(_segs(edge, inner, outward), edge, bulk[outward], outward,
+                                total)
+        ok &= side
+    return bool(ok), (math.exp(total) if total < 700 else math.inf)

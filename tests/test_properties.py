@@ -5,9 +5,9 @@ map, W0 and log|phi| solve (with declared singularities), of which models
 over an irreducible Q build, of the
 energies and CSV output of random type-1 models, of the batched
 certification setup against the per-branch, per-root one, and of the
-lock-step Newton polish, the batched normalizability windows, the batched
-energy split, the branch energies and their order against their one-row
-oracles."""
+lock-step Newton polish, the batched energy split, the branch energies and
+their order against their one-row oracles, and of verify's normalizable
+against the end rule."""
 
 import contextlib
 import io
@@ -222,7 +222,8 @@ declared = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-1.5, 1.5)), max_s
 def test_the_map_and_w0_solve_their_defining_equations(q, p, branch_sign, where, sings):
     # (dz/dx)^2 = Q(z) and dW0/dz = P/Q, with W0 = -log phi_0 + sum_j mu_j
     # ln|z - a_j| (no roots), by central differences inside the x-domain,
-    # away from its ends and from the walls the declared singularities cut
+    # away from its ends, from the walls the declared singularities cut and
+    # from the map's turning point, where dz/dx = 0 and Q(z) = 0
     try:
         pre = prepot.integrate_w0(ModelSpec(Poly(list(q)), Poly(list(p)),
                                             tuple(Singularity(a, mu) for a, mu in sings), 1,
@@ -234,6 +235,7 @@ def test_the_map_and_w0_solve_their_defining_equations(q, p, branch_sign, where,
     x = lo + where * (hi - lo)
     h = 1e-5 * (hi - lo)
     assume(all(abs(x - w) > 1e3 * h for w in pre.walls))
+    assume(cmap.x_turn is None or abs(x - cmap.x_turn) > 1e3 * h)
     z = float(cmap.z_of_x(x))
     assume(all(abs(z - a) > 1e-3 for a, _ in sings))
     dz = _central(cmap.z_of_x, x, h)
@@ -474,42 +476,6 @@ def test_lock_step_polish_is_the_one_start_polish_bit_for_bit(batch):
         except (CollisionError, ConvergenceError) as exc:
             alone = exc
         _same_outcome(alone, want)
-
-
-# the setup models, and models whose branches are not all normalizable:
-# Morse with A below N (the wall end) and the inverted oscillator
-normalizability_models = st.one_of(
-    setup_models,
-    st.builds(lambda A, N: catalog.instantiate("morse-p", N=N, A=A),
-              st.floats(0.2, 3.0), st.integers(1, 3)),
-    st.builds(lambda b, N: ModelSpec(Poly([1.0]), Poly([0.0, b]), (), N),
-              st.floats(-2.0, -0.5), st.integers(0, 3)),
-    # double wells phi0 ~ exp(c x^2/2 - d x^4/4), peaked far out at
-    # x = +-sqrt(c/d), and their excited levels
-    st.builds(lambda c, d, N: ModelSpec(Poly([1.0]), Poly([0.0, -c, 0.0, d]), (), N),
-              st.floats(0.2, 2.0), st.floats(0.005, 0.1), st.integers(0, 2)))
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(normalizability_models)
-@example(ModelSpec(Poly([1.0]), Poly([0.0, -1.0, 0.0, 0.02]), (), 0))
-def test_batched_normalizability_matches_the_per_branch_windows(spec):
-    # every branch's verdict from one batched pass, on its grid's component
-    # or else the whole x-domain, is that of its windows integrated one at
-    # a time (np.dot Simpson sums), with the estimate within 1e-14
-    # relative; a branch checked alone gets the bits it gets in the batch
-    pre = prepot.integrate_w0(spec)
-    branches = bae.enumerate_branches(spec)
-    roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
-    components = [g.component if isinstance(g, verify.Grid) else pre.cmap.x_domain
-                  for g in verify.default_grids(pre, roots)]
-    got = verify.normalizability_checks(pre, roots, components)
-    for br, component, (ok, estimate) in zip(branches, components, got, strict=True):
-        want_ok, want_estimate = oracles.normalizability_check(pre, br, component)
-        assert ok == want_ok
-        assert estimate == want_estimate or math.isclose(estimate, want_estimate,
-                                                         rel_tol=1e-14)
-        assert verify.normalizability_check(pre, br, component) == (ok, estimate)
 
 
 @st.composite

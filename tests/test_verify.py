@@ -322,28 +322,35 @@ def test_the_spectrum_box_is_the_full_grid_box_on_every_vetted_and_ci_branch(gri
 
 
 def test_the_scan_agrees_with_the_end_rule_on_every_vetted_and_ci_branch(gridded):
-    # normalizability_checks' windows, off verify's path, read every
-    # certified component as the end rule does
+    # the tests' scan of phi^2 windows reads every certified component as
+    # verify's end rule does
     checked = 0
-    for pre, _, roots, _, grids in (row for rows in gridded.values() for row in rows):
-        unbound = {x for end in prepot.unbound_ends(pre) for x in end.x}
+    for pre, branches, _, _, grids in (row for rows in gridded.values() for row in rows):
         components = [grid.component for grid in grids]
-        for component, (ok, _) in zip(components, verify.normalizability_checks(
-                pre, roots, components), strict=True):
-            assert ok == unbound.isdisjoint(component), (pre.spec_ref, component)
+        for br, component, bound in zip(branches, components, verify.normalizability_check(
+                pre, components), strict=True):
+            assert oracles.normalizability_check(pre, br, component)[0] == bound, (
+                pre.spec_ref, component)
             checked += 1
     assert checked > 3000
 
 
 def test_verify_certifies_with_the_scan_off_its_path(monkeypatch):
-    def _off_path(*args):
-        raise AssertionError("verify ran the normalizability scan")
+    # normalizable comes from one call of the end rule per verify_branches
+    # call, for all branches; there is no scan in verify to run
+    rule, calls = verify.normalizability_check, []
 
-    monkeypatch.setattr(verify, "normalizability_checks", _off_path)
-    monkeypatch.setattr(verify, "_peaks", _off_path)
+    def _counted(pre, components):
+        calls.append(len(components))
+        return rule(pre, components)
+
+    monkeypatch.setattr(verify, "normalizability_check", _counted)
+    assert not hasattr(verify, "normalizability_checks") and not hasattr(verify, "_peaks")
     for name, N in (("sextic", 16), ("trig-interval", 8)):
         spec = catalog.instantiate(name, N=N)
+        calls.clear()
         reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+        assert calls == [N + 1], (name, calls)
         assert len(reports) == N + 1 and all(rep.verdict for rep in reports), (name, reports)
 
 
@@ -415,13 +422,15 @@ def test_a_split_without_its_wall_pole_coefficient_fails_the_residual(gridded, m
 def test_normalizability_harmonic():
     spec = harmonic(b=1.0, N=1)
     cmap, pre, br, _ = _pipeline(spec)
-    ok, est = verify.normalizability_check(pre, br, pre.cmap.x_domain)
+    ok, est = oracles.normalizability_check(pre, br, pre.cmap.x_domain)
     assert ok and math.isfinite(est) and est > 0
+    assert verify.normalizability_check(pre, [pre.cmap.x_domain]) == [True]
     bad = harmonic(b=-1.0, N=0)
     preb = prepot.integrate_w0(bad)
     brb = bae.BetheBranch((), 0.0, 0)
-    ok, est = verify.normalizability_check(preb, brb, preb.cmap.x_domain)
+    ok, est = oracles.normalizability_check(preb, brb, preb.cmap.x_domain)
     assert not ok
+    assert verify.normalizability_check(preb, [preb.cmap.x_domain]) == [False]
 
 
 @pytest.mark.parametrize("N", [18, 20, 30])
@@ -432,7 +441,7 @@ def test_normalizability_of_high_oscillator_levels(N):
     _, pre, br, _ = _pipeline(harmonic(b=1.0, N=N))
     rep = verify.verify_branch(pre, br)
     assert rep.normalizable and rep.verdict
-    assert verify.normalizability_check(pre, br, pre.cmap.x_domain)[0]
+    assert oracles.normalizability_check(pre, br, pre.cmap.x_domain)[0]
 
 
 def test_normalizability_morse_p_threshold():
@@ -440,13 +449,13 @@ def test_normalizability_morse_p_threshold():
     good = catalog.instantiate("morse-p", N=1, A=1.7)
     br = bae.enumerate_branches(good)[0]
     pre = prepot.integrate_w0(good)
-    ok, _ = verify.normalizability_check(pre, br, pre.cmap.x_domain)
-    assert ok
+    ok, _ = oracles.normalizability_check(pre, br, pre.cmap.x_domain)
+    assert ok and verify.normalizability_check(pre, [pre.cmap.x_domain]) == [True]
     bad = catalog.instantiate("morse-p", N=1, A=0.7)
     brb = bae.enumerate_branches(bad)[0]
     preb = prepot.integrate_w0(bad)
-    ok, _ = verify.normalizability_check(preb, brb, preb.cmap.x_domain)
-    assert not ok
+    ok, _ = oracles.normalizability_check(preb, brb, preb.cmap.x_domain)
+    assert not ok and verify.normalizability_check(preb, [preb.cmap.x_domain]) == [False]
 
 
 @pytest.mark.parametrize("spec", [
@@ -460,41 +469,38 @@ def test_unbound_states_stay_unnormalizable_with_their_peaks_in_the_bulk(spec):
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert branches
-    roots = np.array([br.roots for br in branches]).reshape(len(branches), spec.N)
-    checks = verify.normalizability_checks(pre, roots, [pre.cmap.x_domain] * len(branches))
-    assert not any(ok for ok, _ in checks)
+    assert not any(oracles.normalizability_check(pre, br, pre.cmap.x_domain)[0]
+                   for br in branches)
 
 
 def test_the_peaks_are_where_w_n_prime_vanishes():
     # double well phi0 = exp(x^2/2 - x^4/200): W0' = P = -z + 0.02 z^3
     spec = ModelSpec(Poly([1.0]), Poly([0.0, -1.0, 0.0, 0.02]), (), 0)
-    peaks = verify._peaks(prepot.integrate_w0(spec), np.zeros((1, 0)))
-    assert np.sort(peaks[0]) == pytest.approx([-math.sqrt(50.0), 0.0, math.sqrt(50.0)],
-                                              abs=1e-12)
+    peaks = oracles.peaks(prepot.integrate_w0(spec), np.zeros(0))
+    assert np.sort(peaks) == pytest.approx([-math.sqrt(50.0), 0.0, math.sqrt(50.0)],
+                                           abs=1e-12)
     # harmonic N = 2 (roots +-1/sqrt(2)): W_2' = z - 2z/(z^2 - 1/2) vanishes
     # at 0 and +-sqrt(5/2), outside both nodes
     spec = harmonic(N=2)
     (br,) = bae.enumerate_branches(spec)
-    peaks = verify._peaks(prepot.integrate_w0(spec), np.array([br.roots]))
-    assert np.sort(peaks[0]) == pytest.approx([-math.sqrt(2.5), 0.0, math.sqrt(2.5)])
-    # y's coefficients overflow for 120 roots near 1e4: that row gets none
-    peaks = verify._peaks(prepot.integrate_w0(harmonic(N=120)),
-                          np.vstack((np.linspace(1e4, 2e4, 120), np.linspace(-1.0, 1.0, 120))))
-    assert np.isnan(peaks[0]).all() and np.isfinite(peaks[1]).any()
+    peaks = oracles.peaks(prepot.integrate_w0(spec), np.array(br.roots))
+    assert np.sort(peaks) == pytest.approx([-math.sqrt(2.5), 0.0, math.sqrt(2.5)])
+    # y's coefficients overflow for 120 roots near 1e4: those roots get none
+    pre = prepot.integrate_w0(harmonic(N=120))
+    assert len(oracles.peaks(pre, np.linspace(1e4, 2e4, 120))) == 0
+    assert np.isfinite(oracles.peaks(pre, np.linspace(-1.0, 1.0, 120))).any()
 
 
 def test_a_window_where_phi_overflows_is_divergent():
     # an overflowing phi reads as +inf, never as a negligible tail, even
     # inside the bulk
-    lo, hi = np.array([[1.0, 2.0]]), np.array([[2.0, 3.0]])
-    logphi = np.zeros((1, 2, verify.SIMPSON_POINTS))
-    logphi[0, 1, -1] = math.inf
-    segs = verify._log_simpsons(lo, hi, logphi)
+    logphi = np.zeros((2, oracles.SIMPSON_POINTS))
+    logphi[1, -1] = math.inf
+    segs = [oracles.log_simpson(lo, lo + 1.0, row) for lo, row in zip((1.0, 2.0), logphi)]
     assert segs[1] == math.inf and math.isfinite(segs[0])
-    totals = np.logaddexp.accumulate([0.0] + segs).tolist()
     for bulk in (-math.inf, 10.0):
-        assert verify._scan(segs, totals, [2.0, 3.0], math.inf, bulk, 1,
-                            [4, 0, -math.inf]) == (False, 1)
+        assert oracles.scan_side(zip(segs, [2.0, 3.0]), math.inf, bulk, 1, 0.0) == (
+            False, math.inf)
 
 
 @pytest.mark.parametrize("mu", [-0.1, -0.2])
@@ -509,11 +515,9 @@ def test_a_wall_with_negative_nu_at_nonzero_x_stays_normalizable(mu):
     assert pre.walls[math.pi / 2] == pytest.approx(2.0 * mu)
     assert not prepot.unbound_ends(pre)
     branches = bae.enumerate_branches(spec)
-    roots = np.array([br.roots for br in branches]).reshape(len(branches), 1)
-    checks = verify.normalizability_checks(pre, roots, [(0.0, math.pi / 2)] * len(branches))
+    checks = [oracles.normalizability_check(pre, br, (0.0, math.pi / 2)) for br in branches]
     assert len(checks) == 2 and all(ok and math.isfinite(est) for ok, est in checks)
-    for br, got in zip(branches, checks):
-        assert oracles.normalizability_check(pre, br, (0.0, math.pi / 2)) == got
+    assert verify.normalizability_check(pre, [(0.0, math.pi / 2)]) == [True]
 
 
 def test_wall_exponents_include_the_w0_log_weight():
@@ -583,9 +587,9 @@ def test_normalizability_on_the_certified_component():
     (br,) = [b for b in bae.enumerate_branches(spec) if min(b.roots) < a < max(b.roots)]
     assert verify.default_grid(pre, br.roots).component == (a, math.inf)
     rep = verify.verify_branch(pre, br)
-    certified = verify.normalizability_check(pre, br, (a, math.inf))
+    certified = oracles.normalizability_check(pre, br, (a, math.inf))
     assert rep.normalizable == certified[0]
-    assert verify.normalizability_check(pre, br, (-math.inf, a))[1] != certified[1]
+    assert oracles.normalizability_check(pre, br, (-math.inf, a))[1] != certified[1]
 
 
 def test_march_threshold_matches_a_pointwise_march():
@@ -663,39 +667,6 @@ def test_residual_excludes_both_sides_of_every_node():
     rmax, _ = oracles.grid_residual(profile, cmap, grid,
                                     (np.log(np.abs(phi)), np.sign(phi)))
     assert rmax > 1.0
-
-
-def test_windows_match_the_loop_recurrence():
-    # halving toward a finite edge and growth by 1.4 toward an infinite one,
-    # accumulated in sequence: the windows of the loop, bit for bit, for one
-    # row per side and for rows of finite and infinite edges in one call
-    cases = ((0.1, 0.6180339887, -1), (2.3, 1.0471975512, 1), (-0.37, -0.123456789, -1),
-             (math.inf, 1.7320508076, 1), (-math.inf, -0.3, -1))
-    for rows in [[case] for case in cases] + [
-            [case for case in cases if case[2] == outward] for outward in (-1, 1)]:
-        edges, inners, outwards = zip(*rows)
-        lo, hi = verify._windows(np.array(edges), np.array(inners), outwards[0])
-        for (edge, inner, outward), lo_i, hi_i in zip(rows, lo.tolist(), hi.tolist()):
-            assert list(zip(lo_i, hi_i)) == oracles.windows(edge, inner, outward)
-
-
-def test_a_side_scan_split_into_chunks_decides_as_one_scan():
-    # the growth run and the previous integral carry over from one chunk of
-    # windows to the next, so every split decides at the same window
-    growth = [-5.0, -4.0, -6.0, -3.0, -2.0, -1.5, -1.0, 0.0, 1.0]
-    decay = [-1.0, -2.0, -1.5, -3.0, -20.0, -30.0, -40.0, -50.0, -60.0]
-    for segs, total, want in ((growth, -100.0, (False, 6)), (decay, 0.0, (True, 6))):
-        totals = [total] * (len(segs) + 1)
-        outers = [-float(j) for j in range(len(segs))]
-        assert verify._scan(segs, totals, outers, 1.0, math.inf, -1, [4, 0, -math.inf]) == want
-        for k in range(1, len(segs)):
-            state = [4, 0, -math.inf]
-            assert verify._scan(segs[:k], totals[:k + 1], outers[:k], 1.0, math.inf, -1,
-                                state) is None or k > want[1]
-            if k <= want[1]:
-                verdict, j = verify._scan(segs[k:], totals[k:], outers[k:], 1.0, math.inf, -1,
-                                          state)
-                assert (verdict, k + j) == want, k
 
 
 def test_report_dict_keys_are_the_report_fields():
@@ -1441,21 +1412,31 @@ def test_wall_and_fd_levels_agree_on_every_vetted_walled_config(tag):
             assert fd_miss < 1e-2 * max(1.0, abs(claimed)), params
 
 
-def test_a_nan_window_is_undecided_and_fails():
+def test_a_nan_window_is_undecided_and_fails(monkeypatch):
     # inf - inf in W_N, where z overflows toward an exponential end, makes
     # phi nan: such a window is no negligible tail (-inf) but fails the scan
-    logphi = np.zeros((3, verify.SIMPSON_POINTS))
+    logphi = np.zeros((3, oracles.SIMPSON_POINTS))
     logphi[1, 5] = np.nan
     logphi[2] = -np.inf
-    lo, hi = np.zeros(3), np.ones(3)
-    ok, nan, vanishing = verify._log_simpsons(lo, hi, logphi)
+    ok, nan, vanishing = (oracles.log_simpson(0.0, 1.0, row) for row in logphi)
     assert math.isfinite(ok) and math.isnan(nan) and vanishing == -math.inf
-    state = [4, 0, -math.inf]
-    with np.errstate(invalid="ignore"):
-        totals = np.logaddexp.accumulate([0.0, -50.0, nan]).tolist()
-    assert verify._scan([-50.0, nan], totals, [1.0, 2.0], math.inf, 0.0, +1,
-                        list(state)) == (True, 0)
-    assert verify._scan([nan, -50.0], [0.0, nan, nan], [1.0, 2.0], math.inf, 0.0, +1,
-                        list(state)) == (False, 0)
+    # the scan reads no further than the window that decides it
+    assert oracles.scan_side(iter([(-50.0, 1.0), (nan, 2.0)]), math.inf, 0.0, +1,
+                             0.0) == (True, np.logaddexp(0.0, -50.0))
+    verdict, total = oracles.scan_side(iter([(nan, 1.0), (-50.0, 2.0)]), math.inf, 0.0, +1, 0.0)
+    assert verdict is False and math.isnan(total)
     # inside the bulk a nan window fails too: it is no reading of phi at all
-    assert verify._scan([nan], [0.0, nan], [1.0], math.inf, 5.0, +1, list(state)) == (False, 0)
+    assert oracles.scan_side(iter([(nan, 1.0)]), math.inf, 5.0, +1, 0.0)[0] is False
+    # a nan core window leaves a bound state not normalizable
+    pre, branch = prepot.integrate_w0(harmonic(N=0)), bae.BetheBranch((), 0.0, 0)
+    assert oracles.normalizability_check(pre, branch, pre.cmap.x_domain)[0]
+    phi_log_sign, calls = prepot.phi_log_sign, []
+
+    def _nan_core(pre, roots, x):
+        logphi, sign = phi_log_sign(pre, roots, x)
+        calls.append(x)
+        return np.where(len(calls) == 1 and x == x[5], np.nan, logphi), sign
+
+    monkeypatch.setattr(prepot, "phi_log_sign", _nan_core)
+    assert not oracles.normalizability_check(pre, branch, pre.cmap.x_domain)[0]
+    assert len(calls) > 1
