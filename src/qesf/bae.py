@@ -455,8 +455,9 @@ def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
     on the band maxima against the band with the highest power of s, and
     it is never below _root_scale. It keeps the eigenvectors' roots O(1)
     in z/s. ModelError when (N+1)^k exceeds MAX_ORDER, before any work, and
-    when a power of s overflows (s past about 1e154: a P many orders of
-    magnitude below Q, such as P = 3e-251 over Q = 1).
+    when s or a power of it overflows (s past about 1e154: a P many orders
+    of magnitude below Q, such as P = 3e-251 over Q = 1, or a subnormal
+    coefficient of P, which makes s infinite).
     """
     N = spec.N
     a, b = _operator(spec)
@@ -480,6 +481,8 @@ def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
                                    for j, m in enumerate(mags[:top]) if m != 0.0])
     M0 = np.zeros((N + k, N + 1))
     try:
+        if np.isinf(s):  # a bound over a subnormal coefficient
+            raise OverflowError
         for j, band in enumerate(bands, start=-2):
             cols = np.arange(max(0, -j), min(N + 1, N + k - j))
             M0[cols + j, cols] = (band / s ** -j if j < 0 else band * s ** j)[cols]

@@ -19,11 +19,12 @@ its schema, and a file that cannot be read or written.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
 A usage error (an unknown command or flag, a missing argument), a solve
---tol that is not finite and positive, and a roots CSV row whose z_k is
-not a finite number are invalid input too. verify judges every residual by
-verify.RESIDUAL_TOL, and solve's verified column reads the same residual
-(verify.schrodinger_residual, on the z-range of the branch's grid) and
-the same bound.
+--tol that is not finite and positive, a roots CSV row whose z_k is not a
+finite number, and a branch whose k are not 0..N-1 (or, at N = 0, the one
+k = -1 row with an empty z_k that solve writes) are invalid input too.
+verify judges every residual by verify.RESIDUAL_TOL, and solve's verified
+column reads the same residual from the same call (verify.branch_setups)
+against the same bound.
 Nothing is random: the same config gives byte-identical CSV output.
 """
 
@@ -39,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import bae, catalog, model, potential, prepot, verify
+from . import bae, catalog, model, prepot, verify
 from .errors import CollisionError, ConvergenceError, DomainError, GridError, ModelError
 from .model import ModelSpec, Singularity
 from .poly import Poly
@@ -159,15 +160,10 @@ def cmd_solve(args) -> int:
     # Real branches come back in ascending energy; bid is that position.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
     roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
-    profiles = potential.split_energies(pre, branches)
-    split = [i for i, p in enumerate(profiles) if not isinstance(p, Exception)]
-    grids = dict(zip(split, verify.default_grids(pre, roots[split])))
-    rows = [i for i in split if isinstance(grids[i], verify.Grid)]
-    residuals = dict(zip(rows, verify.schrodinger_residual(
-        pre, roots[rows], [profiles[i] for i in rows], [grids[i] for i in rows])))
-    for bid, (br, energy) in enumerate(zip(branches, bae.branch_energies(spec, roots).tolist())):
-        residual = residuals.get(bid)
-        ok = isinstance(residual, tuple) and residual[0] < verify.RESIDUAL_TOL
+    energies = bae.branch_energies(spec, roots).tolist()
+    for bid, (br, energy, setup) in enumerate(zip(branches, energies,
+                                                  verify.branch_setups(pre, branches))):
+        ok = not isinstance(setup, Exception) and setup[2][0] < verify.RESIDUAL_TOL
         tail = f"{_fmt(br.residual_norm)},{_fmt(energy)},{'true' if ok else 'false'}"
         roots_k = list(enumerate(br.roots)) if br.n else [(-1, None)]
         for k, zk in roots_k:
@@ -213,21 +209,27 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
         need = {"branch_id", "k", "z_k"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ModelError(f"roots file {path}: missing columns {need}")
-        branches: dict[int, list[tuple[int, float]]] = {}
+        branches: dict[int, list[tuple[int, int, float | None]]] = {}  # bid -> [(k, line, z)]
         for ln, row in enumerate(reader, start=2):
             try:
-                bid = int(row["branch_id"])
-                k = int(row["k"])
-                if k >= 0:
-                    z = float(row["z_k"])
-                    if not math.isfinite(z):
-                        raise ValueError(z)
-                    branches.setdefault(bid, []).append((k, z))
-                else:
-                    branches.setdefault(bid, [])
+                bid, k = int(row["branch_id"]), int(row["k"])
+                z = None if k == -1 and row["z_k"] == "" else float(row["z_k"])
+                if z is not None and not math.isfinite(z):
+                    raise ValueError(z)
             except (TypeError, ValueError):
                 raise ModelError(f"roots file {path}: malformed row at line {ln}")
-    return {bid: [z for _, z in sorted(entries)] for bid, entries in branches.items()}
+            branches.setdefault(bid, []).append((k, ln, z))
+    roots = {}
+    for bid, entries in branches.items():
+        entries.sort()  # by k, then line
+        marker = [(k, z) for k, _, z in entries] == [(-1, None)]  # an N = 0 branch's one row
+        for want, (k, ln, _) in enumerate([] if marker else entries):
+            if k != want:
+                raise ModelError(f"roots file {path}: branch {bid} has k = {k} at line {ln}, "
+                                 f"not {want}: its k must be 0..n-1 over its n roots, or "
+                                 f"one k = -1 row with an empty z_k")
+        roots[bid] = [] if marker else [z for _, _, z in entries]
+    return roots
 
 
 def cmd_verify(args) -> int:

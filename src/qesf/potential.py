@@ -25,6 +25,9 @@ split_energies checks them and reports a PFE without root poles. The energy
 is the negated constant of the dV_N polynomial part, which
 bae.branch_energies gives in closed form (the E that solve writes); the
 remaining constant (inherited from V0) stays in the reported potential.
+A PotentialProfile holds that (U, E) and no branch: split_energies
+returns the profiles in the order of its branches, as the first link of
+verify.branch_setups' chain from roots to residual.
 """
 
 from __future__ import annotations
@@ -97,11 +100,10 @@ def _merged_poles(terms) -> tuple[BoundaryPole, ...]:
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """Reported potential U (root poles removed), energy E, owning branch."""
+    """Reported potential U (root poles removed) and energy E."""
 
     U: PFE
     energy: float
-    branch: bae.BetheBranch
 
 
 def v0_pfe(spec: ModelSpec) -> PFE:
@@ -217,7 +219,7 @@ def split_energies(pre: prepot.Prepotential, branches) -> list:
         if key not in shared:
             shared[key] = pre.v0 + PFE(Poly(cs), tuple(
                 BoundaryPole(a, c1, 0.0) for (a, _), c1 in zip(poles, c1s)))
-        out[i] = PotentialProfile(shared[key], energies[j], branches[i])
+        out[i] = PotentialProfile(shared[key], energies[j])
     return out
 
 

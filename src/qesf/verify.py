@@ -3,12 +3,14 @@
 Nothing here reuses the algebra that produced the claims: the Schrodinger
 residual checks U - E = Q (g' + g^2) + Q' g / 2, g = d ln phi_N/dz, as the
 rational identity in z it is, from the reported U and E and the roots
-alone (schrodinger_residual); the spectrum oracle computes the
-discretized operator's level whose index is the node count (a state with
-n nodes is level n, by Sturm oscillation); and normalizability is the
-exact end rule of prepot.unbound_ends, read off the two polynomials: phi
-is normalizable on its certified component unless an end of it is one the
-rule flags. These are the arbiters for every sign or convention ambiguity
+alone, at z(x) of Chebyshev nodes in x across the branch's grid, where
+the state lives: the map only places the nodes (schrodinger_residual);
+the spectrum oracle computes the discretized operator's level whose index
+is the node count (a state with n nodes is level n, by Sturm
+oscillation); and normalizability is the exact end rule of
+prepot.unbound_ends, read off the two polynomials: phi is normalizable on
+its certified component unless an end of it is one the rule flags. These
+are the arbiters for every sign or convention ambiguity
 upstream. The node count itself is exact, not sampled: phi_N =
 e^-W0 prod_k (z - z_k) changes sign exactly at the x-preimages of the
 Bethe roots inside the certified component (node_count).
@@ -36,22 +38,24 @@ levels are the even sector, whose level m is the full line's level 2m. A
 branch there needs an even node count n and is matched against even-sector
 level n // 2; the odd partners of tunnelling doublets, never algebraic,
 are not in that operator at all. Residual, node count and normalizability
-stay on each branch's full component (the residual on its grid's z-range).
+stay on each branch's full component (the residual across its grid).
 
-The setup the oracles start from (branch_setups: profile, grid and
-spectrum box) is built for all branches of a model in one array pass: the
-truncation ladders of every branch and end are marched together, and the
-boxes come from three prepot.phi_log_sign calls with a row per branch, at
-about 300 of each grid's GRID_POINTS points (_spectrum_boxes). The
-residual is one (B, 4N + 8) array pass over all branches, and the node
-counts one preimages call; the spectrum oracle runs per potential. qesf
-solve's verified column reads the residual from the split and the grids
-alone. Every x-preimage of a root, on the map's declared branch or its
-mirror, comes from coords.CoordinateMap.preimages in one call per pass,
-nan where it has none. normalizability_check applies the end rule to
-every certified component with one unbound_ends call; its numerical
-cross-check, a scan of phi^2 over growing windows, is the tests'
-(tests/oracles.py).
+branch_setups is the one chain from a branch's roots to its residual,
+built for all branches of a model in one array pass: the split into U and
+E (potential.split_energies), the grid (default_grids, which marches the
+truncation ladders of every branch and end together) and the residual
+(schrodinger_residual, one (B, 4N + 8) array pass). qesf solve's verified
+column and verify_branches both read it, and nothing else makes those
+three calls. verify_branches then takes the node counts from one
+preimages call and the spectrum boxes, for the branches whose residual
+ran, from three prepot.phi_log_sign calls with a row per branch, at about
+300 of each grid's GRID_POINTS points (_spectrum_boxes); the spectrum
+oracle runs per potential. Every x-preimage of a root, on the map's
+declared branch or its mirror, comes from
+coords.CoordinateMap.preimages in one call per pass, nan where it has
+none. normalizability_check applies the end rule to every certified
+component with one unbound_ends call; its numerical cross-check, a scan
+of phi^2 over growing windows, is the tests' (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -293,21 +297,20 @@ def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> li
     declared mu_j), so a wall from W0 and its declared twin give the same
     bits. The residual at a point is
         |Q (g' + g^2) + Q' g / 2 - (U - E)| / (|Q| (|g'| + g^2) + |Q' g| / 2 + |U| + |E|),
-    taken at the 4N + 8 Chebyshev nodes in z of the z-range the row's grid
-    covers: its two ends, and z(x_t) where the grid holds the map's
-    turning point x_t. All rows are one (B, 4N + 8) array pass; U is
-    evaluated once per distinct potential (a type-1 model's branches share
-    one). The map x <-> z and phi itself are not read.
+    taken at z(x) of the 4N + 8 Chebyshev nodes in x of the row's grid,
+    from its first point to its last, so that the nodes lie where the state
+    does (Chebyshev nodes in z across morse-es N = 4's z-range, 6.3e-3 to
+    9.6e18, all lay past 1e16, its roots in (0.08, 0.82)). All rows are one
+    (B, 4N + 8) array pass, with one z_of_x call; U is evaluated once per
+    distinct potential (a type-1 model's branches share one). The map only
+    places the nodes; phi itself is not read.
     """
-    spec, cmap, M = pre.spec_ref, pre.cmap, 4 * pre.spec_ref.N + 8
+    spec, M = pre.spec_ref, 4 * pre.spec_ref.N + 8
     roots = np.asarray(roots, dtype=float).reshape(len(grids), spec.N)
     ends = np.array([(g.points[0], g.points[-1]) for g in grids]).reshape(-1, 2)
-    zs = cmap.z_of_x(ends)
-    if cmap.x_turn is not None:  # z(x) turns inside a grid that holds x_t
-        held = (ends[:, :1] < cmap.x_turn) & (cmap.x_turn < ends[:, 1:])
-        zs = np.hstack((zs, np.where(held, cmap.z_of_x(cmap.x_turn), zs[:, :1])))
-    lo, hi = zs.min(axis=1, keepdims=True), zs.max(axis=1, keepdims=True)
-    z = (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos((2 * np.arange(M) + 1) * math.pi / (2 * M))
+    lo, hi = ends[:, :1], ends[:, 1:]
+    x = (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos((2 * np.arange(M) + 1) * math.pi / (2 * M))
+    z = pre.cmap.z_of_x(x)
     # phi's power table, then the roots, as poles of g with their weights
     poles = np.hstack((np.tile([a for a, _ in pre.powers], (len(roots), 1)), roots))
     weights = np.r_[[p for _, p in pre.powers], np.ones(spec.N)]
@@ -717,18 +720,15 @@ def _spectrum_boxes(pre: prepot.Prepotential, roots: np.ndarray, grids: list) ->
 
 
 def branch_setups(pre: prepot.Prepotential, branches) -> list:
-    """Certification setup of every branch of the built model, in one array
-    pass: per branch, in order, its (profile, grid, box), or the ValueError
-    (a GridError, say) that stopped it. profile is the reported potential
-    and energy (potential.split_energies), grid the branch's default grid,
-    and box = (lo, hi) the first and last of its points where log|phi_N|
-    is within DVR_BOX_LOG of its max, where the spectrum box ends. The
-    branches share N, the model's.
-
-    The grids come from default_grids, which marches every branch's
-    truncation ladders at once, and the boxes of all of them from
-    _spectrum_boxes' three prepot.phi_log_sign calls with a row per
-    branch, about GRID_POINTS / BOX_STRIDE + 3 BOX_STRIDE points a row.
+    """The one chain from a branch's roots to its Schrodinger residual, for
+    every branch of the built model in one array pass: per branch, in
+    order, its (profile, grid, residual), or the ValueError (a GridError,
+    say) that stopped it. profile is the reported potential and energy
+    (potential.split_energies), grid the branch's default grid
+    (default_grids, which marches every branch's truncation ladders at
+    once) and residual the (max, rms) of schrodinger_residual, one pass
+    over the rows with a grid. The branches share N, the model's. qesf
+    solve's verified column and verify_branches both read it.
     """
     setups = potential.split_energies(pre, branches)
     ok = [i for i, p in enumerate(setups) if not isinstance(p, Exception)]
@@ -736,13 +736,11 @@ def branch_setups(pre: prepot.Prepotential, branches) -> list:
         len(ok), pre.spec_ref.N)
     grids = default_grids(pre, roots)
     rows = [j for j, grid in enumerate(grids) if isinstance(grid, Grid)]
-    for i, grid in zip(ok, grids):
-        if not isinstance(grid, Grid):
-            setups[i] = grid
-    if rows:
-        boxes = _spectrum_boxes(pre, roots[rows], [grids[j] for j in rows])
-        for j, box in zip(rows, boxes):
-            setups[ok[j]] = (setups[ok[j]], grids[j], box)
+    residuals = dict(zip(rows, schrodinger_residual(
+        pre, roots[rows], [setups[ok[j]] for j in rows], [grids[j] for j in rows])))
+    for j, (i, grid) in enumerate(zip(ok, grids)):
+        residual = residuals.get(j, grid)  # a row with no grid keeps its GridError
+        setups[i] = residual if isinstance(residual, Exception) else (setups[i], grid, residual)
     return setups
 
 
@@ -753,10 +751,11 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     GridError, DomainError or ValueError that stopped its checks; a failed
     branch stops no other.
 
-    Each branch gets its profile, grid and spectrum box from the built
-    model, then the residual and node count oracles, each one pass over
-    all branches. The claimed energy is bae.branch_energies of the
-    branch's roots, the E solve writes. The node count is node_count's:
+    Each branch gets its profile, grid and residual from branch_setups;
+    the branches whose residual ran then get their node counts and
+    spectrum boxes (_spectrum_boxes), each one pass over them. The claimed
+    energy is bae.branch_energies of the branch's roots, the E solve
+    writes. The node count is node_count's:
     the x-preimages of the roots in the grid's component, whatever the
     grid's step. phi is normalizable when no end of the component is one
     that prepot.unbound_ends flags (normalizability_check, one call for
@@ -778,8 +777,8 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     dvr_spectrum on a group with no wall, and from wall_spectrum on a
     group with a wall (nu >= 1/2). Each end of the spectrum's box is a
     wall of the group's component, or where some member's log|phi| is
-    within DVR_BOX_LOG of its maximum on its grid (the box its setup
-    computed). GRID_POINTS sizes the members' grids, not the spectrum.
+    within DVR_BOX_LOG of its maximum on its grid (its _spectrum_boxes
+    box). GRID_POINTS sizes the members' grids, not the spectrum.
 
     When the group's component holds the map's turning point x_t
     (coords.CoordinateMap.x_turn), the spectrum is the even sector of the
@@ -794,17 +793,14 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
         len(branches), pre.spec_ref.N)
     ok = [i for i, setup in enumerate(results) if not isinstance(setup, Exception)]
     grids = [results[i][1] for i in ok]
-    residuals = schrodinger_residual(pre, roots[ok], [results[i][0] for i in ok], grids)
     components = [grid.component for grid in grids]
     counts = node_count(pre, roots[ok], components)
     normalizable = normalizability_check(pre, components)
-    boxes = {i: results[i][2] for i in ok}  # index -> its setup's spectrum box
+    # index -> its spectrum box, for the rows whose residual ran (none: no call)
+    boxes = dict(zip(ok, _spectrum_boxes(pre, roots[ok], grids))) if ok else {}
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
-    for i, residual, count, bound in zip(ok, residuals, counts, normalizable):
-        if isinstance(residual, GridError):
-            results[i] = residual
-            continue
-        profile, grid, _ = results[i]
+    for i, count, bound in zip(ok, counts, normalizable):
+        profile, grid, residual = results[i]
         fields = dict(residual_max=residual[0], residual_rms=residual[1], node_count=count,
                       normalizable=bound)
         # At a limit-circle wall where the state follows the weaker

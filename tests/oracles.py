@@ -16,7 +16,7 @@ phi_setups gives each branch its verify.branch_setups profile and grid
 with phi on every grid point, the phi those grid-sampled oracles read, and
 spectrum_box places the spectrum box from that phi: the first and last
 grid points within DVR_BOX_LOG of log|phi|'s max, which
-verify.branch_setups finds from about 300 of the points.
+verify._spectrum_boxes finds from about 300 of the points.
 sign_changes counts phi's sign changes on sampled_points (a grid and its
 wall insets), the sampled form of verify.node_count's preimage count.
 sturm_count counts a tridiagonal matrix's eigenvalues below a value by the
@@ -329,8 +329,8 @@ def grid_residual(profile, cmap, grid, phi) -> tuple:
 
 
 def phi_setups(pre, branches) -> list:
-    """verify.branch_setups with each box replaced by phi = (log|phi_N|,
-    sign) on every point of the branch's grid, from one
+    """verify.branch_setups with each residual replaced by phi =
+    (log|phi_N|, sign) on every point of the branch's grid, from one
     prepot.phi_log_sign call with a row per branch: per branch its
     (profile, grid, phi), or the error that stopped it."""
     setups = verify.branch_setups(pre, branches)
@@ -419,8 +419,7 @@ def split_energy(pre, branch, residue_tol: float = RESIDUE_TOL) -> PotentialProf
             f"the Bethe ansatz equations first")
     cs = list(poly.coeffs)
     cs[0] = 0.0
-    return PotentialProfile(pre.v0 + PFE(Poly(cs), tuple(bnd)),
-                            bae.branch_energy(spec, roots), branch)
+    return PotentialProfile(pre.v0 + PFE(Poly(cs), tuple(bnd)), bae.branch_energy(spec, roots))
 
 
 def _energy_terms(spec: ModelSpec, roots: np.ndarray) -> tuple:

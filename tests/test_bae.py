@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,10 +331,17 @@ def test_size_cap_names_the_largest_n():
 
 def test_a_scale_past_the_float_range_is_a_model_error():
     # P = 3e-251 over Q = 1 balances the bands at s ~ 1.7e250, whose square
-    # overflows: invalid input, not an OverflowError from the solver
-    spec = ModelSpec(Poly([1.0]), Poly([3e-251]), (), 2)
-    with pytest.raises(ModelError, match="basis scale s = 1.67e\\+250 overflows"):
-        bae.enumerate_branches(spec)
+    # overflows: invalid input, not an OverflowError from the solver. With
+    # P = 2.2e-311 z over Q = 4 z and a wall at 1, the root bound s is
+    # itself infinite, and inf * 0 filled the matrix with nan: invalid
+    # input too, with no RuntimeWarning
+    for spec, s in ((ModelSpec(Poly([1.0]), Poly([3e-251]), (), 2), "1.67e\\+250"),
+                    (ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 2.225073858507e-311]),
+                               (Singularity(1.0, 0.5),), 1), "inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=f"basis scale s = {s} overflows"):
+                bae.enumerate_branches(spec)
 
 
 def test_heine_matrix_eigenvalues_are_branch_energies():

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import warnings
 
 import pytest
 
-from qesf import bae, cli, potential, prepot
+from qesf import bae, cli, potential, prepot, verify
 
 
 def write_config(tmp_path, name, payload):
@@ -396,6 +397,42 @@ def test_a_root_that_is_not_finite_is_a_malformed_row(tmp_path, z_k):
     assert "malformed row at line 3" in err, err
 
 
+@pytest.mark.parametrize("rows,bad", [
+    (["0,0,{z0}", "0,0,{z1}"], "k = 0 at line 3, not 1"),
+    (["0,0,{z0}", "0,5,{z1}"], "k = 5 at line 3, not 1"),
+    (["0,0,{z0}", "0,1,{z1}", "0,-1,"], "k = -1 at line 4, not 0"),
+    (["0,0,{z0}", "0,1,{z1}", "0,-2,0.25"], "k = -2 at line 4, not 0"),
+], ids=["two-k0", "k0-k5", "marker-beside-roots", "k-minus-2"])
+def test_a_branch_whose_k_are_not_0_to_n_minus_1_is_invalid_input(tmp_path, rows, bad):
+    # sextic N = 2, with branch 0's roots from solve: each of these files
+    # was read as a 2-root branch (the k = -2 row's z_k dropped) and
+    # verified; a branch's k must run 0..N-1, or be one k = -1 marker row
+    cfg = write_config(tmp_path, "s.json", {"catalog": "sextic", "N": 2})
+    solved = tmp_path / "s.csv"
+    assert run_cli(["solve", cfg, "--out", str(solved)])[0] == 0
+    z = [row["z_k"] for row in csv.DictReader(io.StringIO(solved.read_text()))
+         if row["branch_id"] == "0"]
+    roots = tmp_path / "roots.csv"
+    roots.write_text("branch_id,k,z_k\n" + "\n".join(rows).format(z0=z[0], z1=z[1]) + "\n")
+    code, out, err = run_cli(["verify", cfg, str(roots)])
+    assert code == 4 and out == "", (out, err)
+    assert f"branch 0 has {bad}" in err, err
+
+
+def test_an_n0_branch_is_one_marker_row(tmp_path):
+    # solve's k = -1 row with an empty z_k is an N = 0 branch; a z_k on it,
+    # or a second marker row, is invalid input
+    cfg = write_config(tmp_path, "h.json", dict(HARMONIC, N=0))
+    solved = tmp_path / "h.csv"
+    assert run_cli(["solve", cfg, "--out", str(solved)])[0] == 0
+    assert run_cli(["verify", cfg, str(solved)])[0] == 0
+    for rows, line in (("0,-1,0.5", 2), ("0,-1,\n0,-1,", 2)):
+        roots = tmp_path / "roots.csv"
+        roots.write_text(f"branch_id,k,z_k\n{rows}\n")
+        code, out, err = run_cli(["verify", cfg, str(roots)])
+        assert code == 4 and f"branch 0 has k = -1 at line {line}, not 0" in err, err
+
+
 @pytest.mark.parametrize("payload,key", [
     ({"Q": [0, 4], "P": [0, 0, 2], "singularites": [{"a": 1, "mu": 0.3}], "N": 1},
      "singularites"),
@@ -592,6 +629,31 @@ def test_verify_evaluates_the_bae_residuals_once(tmp_path, monkeypatch):
     code, out, err = run_cli(["verify", str(tmp_path / "s.json"), str(tmp_path / "s.csv")])
     assert code == 0, (out, err)
     assert len(calls) == 1
+
+
+def test_solve_and_verify_run_one_chain_from_roots_to_residual(tmp_path, monkeypatch):
+    # each command splits, grids and takes the residual once, all through
+    # verify.branch_setups; the spectrum box step runs once in verify and
+    # never in solve
+    counts = collections.Counter()
+    for module, name in ((verify, "branch_setups"), (potential, "split_energies"),
+                         (verify, "default_grids"), (verify, "schrodinger_residual"),
+                         (verify, "_spectrum_boxes")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name: (
+            counts.update([_name]) or _real(*a)))
+    chain = {"branch_setups": 1, "split_energies": 1, "default_grids": 1,
+             "schrodinger_residual": 1}
+    for payload in ({"catalog": "sextic", "N": 10}, {"catalog": "trig-interval", "N": 8},
+                    {"catalog": "sextic-type2", "N": 2}):
+        cfg = write_config(tmp_path, "c.json", payload)
+        roots = str(tmp_path / "c.csv")
+        counts.clear()
+        assert run_cli(["solve", cfg, "--out", roots])[0] == 0
+        assert counts == chain, (payload, counts)
+        counts.clear()
+        assert run_cli(["verify", cfg, roots])[0] == 0
+        assert counts == chain | {"_spectrum_boxes": 1}, (payload, counts)
 
 
 # Configs whose FD level at a wall missed its claim by more than FD's 1e-2

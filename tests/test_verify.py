@@ -1,5 +1,8 @@
+import contextlib
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import sys
@@ -33,8 +36,8 @@ def _phi(pre, branch, grid):
     return prepot.phi_log_sign(pre, branch.roots, grid.points)
 
 
-def _residual(prof, pre, grid):
-    return oracles.grid_residual(prof, pre.cmap, grid, _phi(pre, prof.branch, grid))
+def _residual(prof, pre, branch, grid):
+    return oracles.grid_residual(prof, pre.cmap, grid, _phi(pre, branch, grid))
 
 
 def _fd_group(pre, members, reports):
@@ -68,7 +71,7 @@ def test_residual_harmonic_reference_grid():
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 18001)
     assert grid.h == pytest.approx(1e-3)
-    rmax, rrms = _residual(prof, pre, grid)
+    rmax, rrms = _residual(prof, pre, br, grid)
     assert rmax < 1e-8
     assert rrms <= rmax
 
@@ -77,9 +80,9 @@ def test_residual_detects_wrong_energy():
     spec = harmonic(N=2)
     cmap, pre, br, prof = _pipeline(spec)
     grid = verify.make_grid(-9.0, 9.0, 18001)
-    base, _ = _residual(prof, pre, grid)
-    wrong = potential.PotentialProfile(prof.U, prof.energy + 0.1, br)
-    shifted, _ = _residual(wrong, pre, grid)
+    base, _ = _residual(prof, pre, br, grid)
+    wrong = potential.PotentialProfile(prof.U, prof.energy + 0.1)
+    shifted, _ = _residual(wrong, pre, br, grid)
     # residual jumps to ~ 0.1 / (1 + max|U - E|)
     z = cmap.z_of_x(grid.points)
     scale = 1.0 + np.max(np.abs(prof.U(z) - prof.energy))
@@ -93,7 +96,7 @@ def test_residual_convergence_order():
     res = []
     for n in (901, 1801):
         grid = verify.make_grid(-9.0, 9.0, n)
-        rmax, _ = _residual(prof, pre, grid)
+        rmax, _ = _residual(prof, pre, br, grid)
         res.append(rmax)
     slope = math.log2(res[0] / res[1])
     assert abs(slope - 4) < 0.2 * 4
@@ -109,8 +112,7 @@ def test_fd_spectrum_harmonic_normal_form():
     # oracle self-test: U = x^2 has eigenvalues 1, 3, 5, ...
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
-        potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
-        bae.BetheBranch((), 0.0, 0))
+        potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0)
     grid = verify.make_grid(-10.0, 10.0, 4000)
     levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)})
     assert list(levels) == [0, 1, 2, 3, 4]
@@ -145,8 +147,7 @@ def test_fd_spectrum_morse_levels():
 def test_fd_spectrum_k_bounds():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
-        potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
-        bae.BetheBranch((), 0.0, 0))
+        potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0)
     grid = verify.make_grid(-5.0, 5.0, 101)
     for bad in ({0: 1.0, 101: 203.0}, {-1: 1.0, 3: 7.0}):
         with pytest.raises(ValueError):
@@ -247,6 +248,31 @@ def _vetted_and_ci_configs(monkeypatch) -> dict:
                                                     "two-wall-stall")}
 
 
+def test_solve_verifies_exactly_the_branches_whose_report_has_the_residual(monkeypatch,
+                                                                          tmp_path):
+    # on every vetted and CI config, solve's verified column is true exactly
+    # when verify reports the branch with residual_max below RESIDUAL_TOL
+    checked = 0
+    for i, cfg in enumerate(cfg for cfgs in _vetted_and_ci_configs(monkeypatch).values()
+                            for cfg in cfgs):
+        path, roots, report = (str(tmp_path / f"c{i}.{ext}") for ext in ("json", "csv", "out"))
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if cli.main(["solve", path, "--out", roots]) != 0:
+                continue
+            assert cli.main(["verify", path, roots, "--json-out", report]) in (0, 3), cfg
+        with open(roots) as fh:
+            verified = {row["branch_id"]: row["verified"] for row in csv.DictReader(fh)}
+        with open(report) as fh:
+            reports = json.load(fh)
+        for bid, flag in verified.items():
+            want = bid in reports and reports[bid]["residual_max"] < verify.RESIDUAL_TOL
+            assert flag == ("true" if want else "false"), (cfg, bid)
+            checked += 1
+    assert checked > 3000
+
+
 def test_node_count_is_the_sampled_count_on_every_vetted_and_ci_config(monkeypatch):
     # the vetted benchmark table and the CI configs: on every branch with a
     # grid, the preimage count is the sign changes of phi on the grid and
@@ -296,22 +322,21 @@ def test_the_spectrum_box_is_the_full_grid_box_on_every_vetted_and_ci_branch(gri
     # box each spectrum reads, the union over the branches of one
     # potential, is the full-grid one on every config
     exact = total = 0
-    for pre, branches, _, profiles, grids in (row for rows in gridded.values() for row in rows):
+    for pre, branches, roots, profiles, grids in (row for rows in gridded.values() for row in rows):
         groups = {}  # (U, walls) -> [(box, full-grid box)]
-        for br, profile, setup, grid in zip(branches, profiles, verify.branch_setups(
-                pre, branches), grids, strict=True):
+        boxes = verify._spectrum_boxes(pre, roots, grids) if grids else []
+        for br, profile, box, grid in zip(branches, profiles, boxes, grids, strict=True):
             logphi, _ = prepot.phi_log_sign(pre, br.roots, grid.points)
             want = oracles.spectrum_box(grid, logphi)
-            groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append((setup[2], want))
+            groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append((box, want))
             total += 1
             finite = np.where(np.isfinite(logphi), logphi, -np.inf)
             top = verify.BOX_STRIDE * np.argmax(finite[::verify.BOX_STRIDE])
             if finite[max(top - verify.BOX_STRIDE + 1, 0):top + verify.BOX_STRIDE].max() == (
                     finite.max()):
-                assert setup[2] == want, (pre.spec_ref, br.roots)
+                assert box == want, (pre.spec_ref, br.roots)
                 exact += 1
-            (lo, hi), (want_lo, want_hi) = (np.searchsorted(grid.points, b) for b in (setup[2],
-                                                                                      want))
+            (lo, hi), (want_lo, want_hi) = (np.searchsorted(grid.points, b) for b in (box, want))
             assert want_lo - verify.BOX_STRIDE <= lo <= want_lo <= want_hi <= hi <= (
                 want_hi + verify.BOX_STRIDE), (pre.spec_ref, br.roots)
         for members in groups.values():
@@ -378,10 +403,10 @@ def test_both_residuals_pass_on_every_vetted_and_ci_branch(gridded):
     # on the 4001-point grid that it replaced, each within its own bound
     checked = 0
     for pre, _, roots, profiles, grids in (row for rows in gridded.values() for row in rows):
-        for profile, grid, got in zip(profiles, grids, verify.schrodinger_residual(
+        for row, profile, grid, got in zip(roots, profiles, grids, verify.schrodinger_residual(
                 pre, roots, profiles, grids), strict=True):
             assert got[0] < verify.RESIDUAL_TOL and got[1] <= got[0], (pre.spec_ref, got)
-            phi = prepot.phi_log_sign(pre, profile.branch.roots, grid.points)
+            phi = prepot.phi_log_sign(pre, row, grid.points)
             stencil = oracles.grid_residual(profile, pre.cmap, grid, phi)
             assert stencil[0] < oracles.GRID_RESIDUAL_TOL, (pre.spec_ref, stencil)
             checked += 1
@@ -568,13 +593,13 @@ def test_a_grid_point_on_a_pole_raises_grid_error():
     spec = harmonic(N=0)
     cmap, pre, br, _ = _pipeline(spec)
     profile = potential.PotentialProfile(
-        potential.PFE(Poly([0.0]), (potential.BoundaryPole(0.0, 1.0, 0.0),)), 0.0, br)
+        potential.PFE(Poly([0.0]), (potential.BoundaryPole(0.0, 1.0, 0.0),)), 0.0)
     grid = verify.make_grid(-1.0, 1.0, 201)
     assert 0.0 in grid.points
     with pytest.raises(GridError, match="pole"):
         verify.fd_spectrum(profile, cmap, grid, {k: profile.energy for k in range(4)})
     with pytest.raises(GridError, match="pole"):
-        _residual(profile, pre, grid)
+        _residual(profile, pre, br, grid)
 
 
 def test_normalizability_on_the_certified_component():
@@ -657,7 +682,7 @@ def test_residual_excludes_both_sides_of_every_node():
     n0, n1, d = -0.3033, 0.3366, 3 * grid.h
     phi = np.interp(grid.points, [-1.0, n0 - d, n0 + d, n1 - d, n1 + d, 1.0],
                     [-0.2, -0.06, 0.06, 0.09, -0.09, -0.3])
-    profile = potential.PotentialProfile(potential.PFE(Poly([0.0])), 0.0, None)
+    profile = potential.PotentialProfile(potential.PFE(Poly([0.0])), 0.0)
     with np.errstate(divide="raise"):
         rmax, _ = oracles.grid_residual(profile, cmap, grid,
                                         (np.log(np.abs(phi)), np.sign(phi)))
@@ -706,18 +731,46 @@ def test_verify_branch_roots_from_hermite_all_n():
         assert rep.node_count == n
 
 
+def test_a_root_moved_off_its_branch_fails_the_residual_on_every_preset():
+    # each root of every preset's branches at N = 1, 2, 3, 4 and 8, moved by
+    # 1e-6 max(1, |z_k|) in turn: every move that split_energies rejects
+    # breaks the identity too, with the residue gate bypassed. Its nodes lie
+    # where the state does; Chebyshev nodes in z across a Morse grid's
+    # z-range all lay past 1e16, far from roots in (0.08, 0.82), and read
+    # residuals down to 3e-17 there
+    checked = 0
+    for name in catalog.names():
+        for N in (1, 2, 3, 4, 8):
+            spec = catalog.instantiate(name, N=N)
+            pre = prepot.integrate_w0(spec)
+            moved = []
+            for br in bae.enumerate_branches(spec):
+                for k, zk in enumerate(br.roots):
+                    row = list(br.roots)
+                    row[k] += 1e-6 * max(1.0, abs(zk))
+                    moved.append(bae.BetheBranch(tuple(row), 0.0, 0))
+            rejected = [br for br, profile in zip(moved, potential.split_energies(pre, moved))
+                        if isinstance(profile, ValueError)]
+            if not rejected:
+                continue
+            roots = np.array([br.roots for br in rejected])
+            profiles = [oracles.split_energy(pre, br, residue_tol=math.inf) for br in rejected]
+            for got in verify.schrodinger_residual(pre, roots, profiles,
+                                                   verify.default_grids(pre, roots)):
+                assert isinstance(got, tuple) and got[0] > verify.RESIDUAL_TOL, (name, N, got)
+                checked += 1
+    assert checked == 391
+
+
 def test_branch_setups_residual_matches_verify_branch():
-    # type-1, exactly solvable, and a singular wall: the residual rows qesf
-    # solve reads, from its split and grids of all branches at once, are
-    # each branch's own report fields
+    # type-1, exactly solvable, and a singular wall: the residual of each
+    # branch's setup, which qesf solve reads, from one pass over all
+    # branches, is the branch's own report fields
     for name, N in (("sextic", 2), ("morse-es", 2), ("sextic-halfline", 1)):
         spec = catalog.instantiate(name, N=N)
         pre = prepot.integrate_w0(spec)
         branches = bae.enumerate_branches(spec)
-        roots = np.array([br.roots for br in branches]).reshape(len(branches), N)
-        rows = verify.schrodinger_residual(pre, roots, potential.split_energies(pre, branches),
-                                           verify.default_grids(pre, roots))
-        for br, got in zip(branches, rows, strict=True):
+        for br, (_, _, got) in zip(branches, verify.branch_setups(pre, branches), strict=True):
             rep = verify.verify_branch(pre, br)
             assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
@@ -758,7 +811,7 @@ def test_residual_arbitrates_quoted_trig_form():
         br = bae.BetheBranch((root,), 0.0, 0)
         prof = oracles.split_energy(pre, br, residue_tol=math.inf)
         grid = verify.default_grid(pre, br.roots)
-        rmax, _ = _residual(prof, pre, grid)
+        rmax, _ = _residual(prof, pre, br, grid)
         return rmax
 
     assert forced_residual(1 / math.sqrt(2)) < 1e-6
@@ -1095,8 +1148,7 @@ def test_a_mirror_grid_holds_only_the_even_levels():
     # oscillator (1, 5, 9); an odd level is not there to ask for
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
-        potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0,
-        bae.BetheBranch((), 0.0, 0))
+        potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0)
     grid = verify.mirror_grid(0.0, 2000, 0.005)
     # cell-centred from the mirror at the given spacing
     assert grid.points[0] == 0.0025 and grid.component == (0.0, math.inf)
@@ -1229,7 +1281,7 @@ def _poeschl_teller(kappa, lam):
     cmap = coords.build(Q)
     U = potential.PFE(Poly([0.0]), (potential.BoundaryPole(0.0, kappa * (kappa - 1.0), 0.0),
                                     potential.BoundaryPole(1.0, -lam * (lam - 1.0), 0.0)))
-    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    prof = potential.PotentialProfile(U, 0.0)
     return prof, cmap, Q, (0.0, math.pi / 2.0), ((0.0, kappa), (math.pi / 2.0, lam))
 
 
@@ -1253,7 +1305,7 @@ def test_wall_levels_are_the_radial_oscillator_energies(nu):
     Q = Poly([0.0, 4.0])
     cmap = coords.build(Q)
     U = potential.PFE(Poly([0.0, 1.0]), (potential.BoundaryPole(0.0, nu * (nu - 1.0), 0.0),))
-    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    prof = potential.PotentialProfile(U, 0.0)
     want = {n: 4.0 * n + 2.0 * nu + 1.0 for n in range(6)}
     got = verify.wall_spectrum(prof, cmap, Q, (0.0, 12.0), ((0.0, nu), None), want)
     for n, e in want.items():
@@ -1273,7 +1325,7 @@ def test_wall_levels_over_random_exponents():
                                    {n: 1.1 * e for n, e in want.items()})
         assert all(abs(got[n][0] - e) <= 1e-10 * e for n, e in want.items()), (kappa, lam)
         U = potential.PFE(Poly([0.0, 1.0]), (potential.BoundaryPole(0.0, nu * (nu - 1.0), 0.0),))
-        prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+        prof = potential.PotentialProfile(U, 0.0)
         want = {n: 4.0 * n + 2.0 * nu + 1.0 for n in range(6)}
         got = verify.wall_spectrum(prof, coords.build(Q), Q, (0.0, 12.0), ((0.0, nu), None), want)
         assert all(abs(got[n][0] - e) <= 1e-10 * e for n, e in want.items()), nu
@@ -1285,7 +1337,7 @@ def test_two_truncated_ends_hold_no_spurious_level(N):
     # walls): level N is 2N + 1, with nothing spurious below it
     Q = Poly([1.0])
     U = potential.PFE(Poly([0.0, 0.0, 1.0]))
-    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    prof = potential.PotentialProfile(U, 0.0)
     e = 2.0 * N + 1.0
     level, est = verify.wall_spectrum(prof, coords.build(Q), Q, (-9.0, 9.0), (None, None),
                                       {N: e})[N]
@@ -1302,7 +1354,7 @@ def test_wall_levels_are_the_hyperbolic_poeschl_teller_energies(kappa, lam):
     U = potential.PFE(Poly([0.0]), (potential.BoundaryPole(1.0, c, 0.0),
                                     potential.BoundaryPole(-1.0, -c, 0.0),
                                     potential.BoundaryPole(0.0, 0.0, -lam * (lam + 1.0))))
-    prof = potential.PotentialProfile(U, 0.0, bae.BetheBranch((), 0.0, 0))
+    prof = potential.PotentialProfile(U, 0.0)
     want = {n: -(lam - kappa - 2.0 * n) ** 2 for n in (0, 1)}
     got = verify.wall_spectrum(prof, coords.build(Q), Q, (0.0, 4.0), ((0.0, kappa), None), want)
     for n, e in want.items():
