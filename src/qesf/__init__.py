@@ -21,14 +21,14 @@ from .model import (Diagnostic, ModelSpec, Singularity, SolvabilityClass,
 from .poly import Poly, Tridiag, tridiag_eigenvalues
 from .potential import PFE, PotentialProfile, split_energies, split_energy, v0_pfe
 from .prepot import Prepotential, integrate_w0, phi_log_sign, unbound_ends
-from .verify import (Grid, VerificationReport, branch_setups, fd_spectrum,
+from .verify import (BranchTable, Grid, VerificationReport, branch_setups, fd_spectrum,
                      make_grid, node_count, normalizability_check,
                      schrodinger_residual, verify_branch, verify_branches)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetheBranch", "CollisionError", "ConvergenceError", "CoordinateMap",
+    "BetheBranch", "BranchTable", "CollisionError", "ConvergenceError", "CoordinateMap",
     "Diagnostic", "DomainError", "Grid", "GridError", "ModelError",
     "ModelSpec", "PFE", "Poly", "PotentialProfile", "Prepotential",
     "Singularity", "SolvabilityClass", "Tridiag", "VerificationReport",

@@ -24,7 +24,8 @@ finite number, and a branch whose k are not 0..N-1 (or, at N = 0, the one
 k = -1 row with an empty z_k that solve writes) are invalid input too.
 verify judges every residual by verify.RESIDUAL_TOL, and solve's verified
 column reads the same residual from the same call (verify.branch_setups)
-against the same bound.
+against the same bound. solve's E column is that call's energy column,
+and verify hands it the CSV's roots as they are.
 Nothing is random: the same config gives byte-identical CSV output.
 """
 
@@ -37,8 +38,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import bae, catalog, model, prepot, verify
 from .errors import CollisionError, ConvergenceError, DomainError, GridError, ModelError
@@ -151,22 +150,20 @@ def cmd_solve(args) -> int:
     if args.N is not None and isinstance(cfg, dict):
         cfg = dict(cfg, N=args.N)
     pre = prepot.integrate_w0(spec_from_config(cfg))
-    spec = pre.spec_ref
-    branches = bae.enumerate_branches(spec, tol=args.tol)
+    branches = bae.enumerate_branches(pre.spec_ref, tol=args.tol)
     if not branches:
         print("solver failure: no converged real branch", file=sys.stderr)
         return EXIT_SOLVER
 
     # Real branches come back in ascending energy; bid is that position.
+    # E and verified are columns of the one table from roots to residual.
     out_lines = ["branch_id,k,z_k,residual_max,E,verified"]
-    roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
-    energies = bae.branch_energies(spec, roots).tolist()
-    for bid, (br, energy, setup) in enumerate(zip(branches, energies,
-                                                  verify.branch_setups(pre, branches))):
-        ok = not isinstance(setup, Exception) and setup[2][0] < verify.RESIDUAL_TOL
+    table = verify.branch_setups(pre, [br.roots for br in branches])
+    for bid, (br, energy, residual) in enumerate(zip(branches, table.energy.tolist(),
+                                                     table.residual)):
+        ok = residual is not None and residual[0] < verify.RESIDUAL_TOL
         tail = f"{_fmt(br.residual_norm)},{_fmt(energy)},{'true' if ok else 'false'}"
-        roots_k = list(enumerate(br.roots)) if br.n else [(-1, None)]
-        for k, zk in roots_k:
+        for k, zk in (list(enumerate(br.roots)) if br.n else [(-1, None)]):
             out_lines.append(f"{bid},{k},{'' if zk is None else _fmt(zk)},{tail}")
     text = "\n".join(out_lines) + "\n"
     if args.out:
@@ -244,9 +241,7 @@ def cmd_verify(args) -> int:
         if len(roots_by_bid[bid]) != spec.N:
             raise ModelError(f"branch {bid} has {len(roots_by_bid[bid])} roots "
                              f"but the model has N = {spec.N}")
-    # residual_norm is not read: split_energies evaluates each branch's residuals
-    branches = [bae.BetheBranch(tuple(roots_by_bid[bid]), math.nan, 0) for bid in bids]
-    results = verify.verify_branches(pre, branches)
+    results = verify.verify_branches(pre, [roots_by_bid[bid] for bid in bids])
     reports = {}
     all_ok = True
     for bid, rep in zip(bids, results):

@@ -23,11 +23,13 @@ with F_k the Bethe residual, so a converged branch kills every root pole and
 the residue coefficients d_k = -2 F_k are directly assertable:
 split_energies checks them and reports a PFE without root poles. The energy
 is the negated constant of the dV_N polynomial part, which
-bae.branch_energies gives in closed form (the E that solve writes); the
+bae.branch_energies gives in closed form (the E that solve writes, which
+split_energies reads and does not recompute); the
 remaining constant (inherited from V0) stays in the reported potential.
 A PotentialProfile holds that (U, E) and no branch: split_energies
-returns the profiles in the order of its branches, as the first link of
-verify.branch_setups' chain from roots to residual.
+takes the rows of roots and their energies, the roots and energy columns
+of verify.branch_setups' table, and returns the profiles in the order of
+the rows, that table's profile column.
 """
 
 from __future__ import annotations
@@ -184,32 +186,33 @@ def _shift_rows(spec: ModelSpec, roots: np.ndarray) -> tuple[np.ndarray, list]:
     return rows, poles
 
 
-def split_energies(pre: prepot.Prepotential, branches) -> list:
-    """Split V_N of every branch of the built model into a reported
-    potential and an energy constant, in one array pass: per branch, in
-    order, its PotentialProfile, or the ValueError that stopped it (the
-    CollisionError of a branch whose roots collide, or uncancelled root
-    residues). The branches share N, the model's.
+def split_energies(pre: prepot.Prepotential, roots, energies) -> tuple[list, list]:
+    """Split V_N of every branch of the built model, roots (B, N) holding a
+    branch's roots per row, into a reported potential and an energy
+    constant, in one array pass: two columns, per row in order its
+    PotentialProfile (None where it failed) and None or the ValueError that
+    stopped it (the CollisionError of a row whose roots collide, or
+    uncancelled root residues).
 
-    E is bae.branch_energies, the negated constant of the dV_N polynomial
-    part in closed form, which solve writes; U keeps V0's own constant
-    (pre.v0), so V_N = U - E + (root-pole remainder, ~0 for a converged
-    branch). The root-pole coefficients are -2 times the Bethe residuals
-    of one bae.residuals call. Branches whose U has the same polynomial
-    and boundary poles, bit for bit (every branch of a type-1 model),
-    share one PFE.
+    energies (B,) are the rows' bae.branch_energies, the negated constant
+    of the dV_N polynomial part in closed form, which solve writes (the
+    energy column of verify.branch_setups, its one producer); U keeps V0's
+    own constant (pre.v0), so V_N = U - E + (root-pole remainder, ~0 for a
+    converged branch). The root-pole coefficients are -2 times the Bethe
+    residuals of one bae.residuals call. Branches whose U has the same
+    polynomial and boundary poles, bit for bit (every branch of a type-1
+    model), share one PFE.
     """
     spec = pre.spec_ref
-    roots = np.array([br.roots for br in branches], dtype=float).reshape(len(branches), spec.N)
-    residuals, out = bae.residuals(spec, roots)
-    ok = np.flatnonzero([e is None for e in out])
+    residuals, errors = bae.residuals(spec, roots)
+    ok = np.flatnonzero([e is None for e in errors])
     rows, poles = _shift_rows(spec, roots[ok])
-    energies = bae.branch_energies(spec, roots[ok]).tolist()
+    energies = energies[ok].tolist()
     worst = (2.0 * np.max(np.abs(residuals[ok]), axis=1, initial=0.0)).tolist()  # max |d_k|
-    shared: dict = {}  # bits of U's polynomial and pole coefficients -> U
+    shared, profiles = {}, [None] * len(roots)  # bits of U's coefficients -> U
     for j, i in enumerate(ok.tolist()):
         if not worst[j] < RESIDUE_TOL:
-            out[i] = ValueError(
+            errors[i] = ValueError(
                 f"branch residues not cancelled (max |d_k| = {worst[j]:.2e}): solve "
                 f"the Bethe ansatz equations first")
             continue
@@ -219,13 +222,15 @@ def split_energies(pre: prepot.Prepotential, branches) -> list:
         if key not in shared:
             shared[key] = pre.v0 + PFE(Poly(cs), tuple(
                 BoundaryPole(a, c1, 0.0) for (a, _), c1 in zip(poles, c1s)))
-        out[i] = PotentialProfile(shared[key], energies[j])
-    return out
+        profiles[i] = PotentialProfile(shared[key], energies[j])
+    return profiles, errors
 
 
 def split_energy(pre: prepot.Prepotential, branch: bae.BetheBranch) -> PotentialProfile:
-    """split_energies of one branch: its profile, or its error raised."""
-    (profile,) = split_energies(pre, [branch])
-    if isinstance(profile, Exception):
-        raise profile
+    """split_energies of one branch, with its bae.branch_energies: its
+    profile, or its error raised."""
+    roots = np.asarray(branch.roots, dtype=float)[None]
+    (profile,), (error,) = split_energies(pre, roots, bae.branch_energies(pre.spec_ref, roots))
+    if error is not None:
+        raise error
     return profile

@@ -40,20 +40,22 @@ level n // 2; the odd partners of tunnelling doublets, never algebraic,
 are not in that operator at all. Residual, node count and normalizability
 stay on each branch's full component (the residual across its grid).
 
-branch_setups is the one chain from a branch's roots to its residual,
-built for all branches of a model in one array pass: the split into U and
-E (potential.split_energies), the grid (default_grids, which marches the
-truncation ladders of every branch and end together) and the residual
-(schrodinger_residual, one (B, 4N + 8) array pass). qesf solve's verified
-column and verify_branches both read it, and nothing else makes those
-three calls. verify_branches then takes the node counts from one
-preimages call and the spectrum boxes, for the branches whose residual
-ran, from three prepot.phi_log_sign calls with a row per branch, at about
-300 of each grid's GRID_POINTS points (_spectrum_boxes); the spectrum
-oracle runs per potential. Every x-preimage of a root, on the map's
-declared branch or its mirror, comes from
-coords.CoordinateMap.preimages in one call per pass, nan where it has
-none. normalizability_check applies the end rule to every certified
+branch_setups is the one chain from the roots (B, N) of a model's branches
+to their residuals. It returns a BranchTable, one frozen record of
+row-aligned columns, and each column has one producer: x, the roots'
+x-preimages on the map's declared branch and its mirror (one
+coords.CoordinateMap.preimages call, nan where a root has none); energy
+(one bae.branch_energies call); the split into U and E
+(potential.split_energies, which reads energy); the grid (default_grids,
+which reads x and marches the truncation ladders of every branch and end
+together); the residual (schrodinger_residual, one (B, 4N + 8) array
+pass); and each row's error. qesf solve's E and verified columns and
+verify_branches all read the table, and nothing else makes those calls.
+verify_branches then takes the node counts from the table's x and the
+spectrum boxes, for the branches whose residual ran, from three
+prepot.phi_log_sign calls with a row per branch, at about 300 of each
+grid's GRID_POINTS points (_spectrum_boxes); the spectrum oracle runs per
+potential. normalizability_check applies the end rule to every certified
 component with one unbound_ends call; its numerical cross-check, a scan
 of phi^2 over growing windows, is the tests' (tests/oracles.py).
 """
@@ -66,7 +68,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import potential, prepot
+from . import bae, potential, prepot
 from .errors import DomainError, GridError
 from .model import is_turning_point
 from .poly import Poly, Tridiag, tridiag_eigenvalues
@@ -181,10 +183,11 @@ def _march_thresholds(pre: prepot.Prepotential, roots: np.ndarray, starts,
     return found
 
 
-def default_grids(pre: prepot.Prepotential, roots) -> list:
+def default_grids(pre: prepot.Prepotential, roots, x) -> list:
     """Certification grids of GRID_POINTS points, one per branch, for roots of
-    shape (B, N) (a branch's roots per row): per branch, in order, its Grid
-    or the GridError that stopped it.
+    shape (B, N) (a branch's roots per row) and their x-preimages x
+    (B, 2, N), a BranchTable's x column: per branch, in order, its Grid or
+    the GridError that stopped it.
 
     The map's endpoints and the model's finite walls (pre.walls) cut the
     x-domain into components. A component is admitted when phi vanishes at
@@ -202,16 +205,15 @@ def default_grids(pre: prepot.Prepotential, roots) -> list:
     run in one _march_thresholds pass; a branch whose component does not
     truncate tries its next one in a further pass.
     """
-    roots = np.asarray(roots, dtype=float)
     walls = pre.walls
     cuts = sorted({*pre.cmap.x_domain, *walls})
     components = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-9]
     if not components:
         return [GridError("empty coordinate domain") for _ in roots]
-    # The root preimages xr pull the box out far enough to contain the
-    # state; a root outside the map's image, or at an exponential map's
-    # image end, has none (nan).
-    xr = pre.cmap.preimages(roots)[0]
+    # The root preimages xr on the declared branch pull the box out far
+    # enough to contain the state; a root outside the map's image, or at an
+    # exponential map's image end, has none (nan).
+    xr = x[:, 0]
     bsign = pre.spec_ref.branch_sign
     weak = {e for c in components for e in c if math.isfinite(e) and walls[e] <= 0.0}
     admitted = [c for c in components if weak.isdisjoint(c)]
@@ -271,7 +273,8 @@ def default_grids(pre: prepot.Prepotential, roots) -> list:
 def default_grid(pre: prepot.Prepotential, roots) -> Grid:
     """default_grids for the branch with these roots: its grid, or its
     GridError raised."""
-    (grid,) = default_grids(pre, [roots])
+    z = np.asarray(roots, dtype=float)[None]
+    (grid,) = default_grids(pre, z, pre.cmap.preimages(z).swapaxes(0, 1))
     if isinstance(grid, GridError):
         raise grid
     return grid
@@ -306,7 +309,6 @@ def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> li
     places the nodes; phi itself is not read.
     """
     spec, M = pre.spec_ref, 4 * pre.spec_ref.N + 8
-    roots = np.asarray(roots, dtype=float).reshape(len(grids), spec.N)
     ends = np.array([(g.points[0], g.points[-1]) for g in grids]).reshape(-1, 2)
     lo, hi = ends[:, :1], ends[:, 1:]
     x = (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos((2 * np.arange(M) + 1) * math.pi / (2 * M))
@@ -654,25 +656,23 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
                           "wall basis")
 
 
-def node_count(pre: prepot.Prepotential, roots, components):
-    """Number of nodes of phi_N in the open domain component (a, b): the
-    distinct x there at which z(x) is a root strictly inside the open
-    coordinate image. roots has shape (N,), with one component; or it
-    holds rows, shape (B, N), with one component per row, and the counts
-    come back as a list.
+def node_count(pre: prepot.Prepotential, roots, x, components) -> list:
+    """Number of nodes of phi_N in each row's open domain component
+    (a, b): the distinct x there at which z(x) is a root strictly inside
+    the open coordinate image. roots (B, N) and x (B, 2, N), the roots'
+    preimages (a BranchTable's roots and x columns), hold a branch per row,
+    with one component per row.
 
     phi_N = e^-W0 prod_k (z - z_k), and its other factors keep their sign
     inside a component (a point where they could flip is a wall, a zero
     of Q or outside the image), so phi_N changes sign exactly where z
-    crosses a root. The x-preimages of all roots of all rows come from one
-    CoordinateMap.preimages call; the declared and the mirror row count
-    once where they are equal (the linear, exponential and sinh maps)."""
+    crosses a root. A preimage counts where its root lies strictly inside
+    the image; the declared and the mirror one count once where they are
+    equal (the linear, exponential and sinh maps)."""
     lo, hi = pre.cmap.z_image
-    z = np.asarray(roots, dtype=float)
-    rows, comps = (z, components) if z.ndim == 2 else (z[None], [components])
-    x = np.hstack(pre.cmap.preimages(np.where((rows > lo) & (rows < hi), rows, np.nan)))
-    counts = [len({v for v in row if a < v < b}) for row, (a, b) in zip(x.tolist(), comps)]
-    return counts if z.ndim == 2 else counts[0]
+    xs = np.where(((roots > lo) & (roots < hi))[:, None], x, np.nan).tolist()
+    return [len({v for side in row for v in side if a < v < b})
+            for row, (a, b) in zip(xs, components)]
 
 
 def normalizability_check(pre: prepot.Prepotential, components) -> list:
@@ -719,43 +719,69 @@ def _spectrum_boxes(pre: prepot.Prepotential, roots: np.ndarray, grids: list) ->
     return [(float(p[i]), float(p[j])) for p, (i, j) in zip(points, idx)]
 
 
-def branch_setups(pre: prepot.Prepotential, branches) -> list:
-    """The one chain from a branch's roots to its Schrodinger residual, for
-    every branch of the built model in one array pass: per branch, in
-    order, its (profile, grid, residual), or the ValueError (a GridError,
-    say) that stopped it. profile is the reported potential and energy
-    (potential.split_energies), grid the branch's default grid
-    (default_grids, which marches every branch's truncation ladders at
-    once) and residual the (max, rms) of schrodinger_residual, one pass
-    over the rows with a grid. The branches share N, the model's. qesf
-    solve's verified column and verify_branches both read it.
+@dataclass(frozen=True)
+class BranchTable:
+    """The branches of one built model as row-aligned columns, a branch per
+    row, in the order of the roots given to branch_setups. Each column has
+    one producer: roots (B, N); x (B, 2, N), the roots' x-preimages on the
+    map's declared and mirror branch (one CoordinateMap.preimages call);
+    energy (B,), bae.branch_energies of every row (one call); and per row
+    its profile (potential.split_energies), grid (default_grids) and
+    residual (max, rms) (schrodinger_residual), None where an earlier step
+    stopped the row, and error: None, or the ValueError (a GridError, say)
+    that stopped it. A row has a residual exactly when its error is None."""
+
+    roots: np.ndarray
+    x: np.ndarray
+    energy: np.ndarray
+    profile: tuple
+    grid: tuple
+    residual: tuple
+    error: tuple
+
+
+def branch_setups(pre: prepot.Prepotential, roots) -> BranchTable:
+    """The one chain from the roots (B, N) of every branch of the built
+    model to their Schrodinger residuals, each step one array pass over the
+    rows still standing: the BranchTable of roots, x, energy, profile,
+    grid, residual and error. The first pass reads every row: x, energy
+    and the split, whose residue check fails a row that overflows (a root
+    of 1e300, say) without a RuntimeWarning. default_grids marches the
+    truncation ladders of every split row at once, and
+    schrodinger_residual runs on the rows with a grid. qesf solve's E and
+    verified columns and verify_branches all read it.
     """
-    setups = potential.split_energies(pre, branches)
-    ok = [i for i, p in enumerate(setups) if not isinstance(p, Exception)]
-    roots = np.asarray([branches[i].roots for i in ok], dtype=float).reshape(
-        len(ok), pre.spec_ref.N)
-    grids = default_grids(pre, roots)
-    rows = [j for j, grid in enumerate(grids) if isinstance(grid, Grid)]
-    residuals = dict(zip(rows, schrodinger_residual(
-        pre, roots[rows], [setups[ok[j]] for j in rows], [grids[j] for j in rows])))
-    for j, (i, grid) in enumerate(zip(ok, grids)):
-        residual = residuals.get(j, grid)  # a row with no grid keeps its GridError
-        setups[i] = residual if isinstance(residual, Exception) else (setups[i], grid, residual)
-    return setups
+    roots = np.asarray(roots, dtype=float).reshape(len(roots), pre.spec_ref.N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = pre.cmap.preimages(roots).swapaxes(0, 1)
+        energy = bae.branch_energies(pre.spec_ref, roots)
+        profile, error = potential.split_energies(pre, roots, energy)
+    grid, residual = [None] * len(roots), [None] * len(roots)
+    rows = [i for i, e in enumerate(error) if e is None]
+    for i, g in zip(rows, default_grids(pre, roots[rows], x[rows])):
+        grid[i], error[i] = (g, None) if isinstance(g, Grid) else (None, g)
+    rows = [i for i, e in enumerate(error) if e is None]
+    for i, r in zip(rows, schrodinger_residual(pre, roots[rows], [profile[i] for i in rows],
+                                               [grid[i] for i in rows])):
+        residual[i], error[i] = (None, r) if isinstance(r, Exception) else (r, None)
+    return BranchTable(roots, x, energy, tuple(profile), tuple(grid), tuple(residual),
+                       tuple(error))
 
 
-def verify_branches(pre: prepot.Prepotential, branches) -> list:
-    """Full certification pipeline for the branches of one built model.
+def verify_branches(pre: prepot.Prepotential, roots) -> list:
+    """Full certification pipeline for the branches of one built model,
+    roots (B, N) holding a branch's roots per row.
 
     Returns, per branch and in order, its VerificationReport or the
     GridError, DomainError or ValueError that stopped its checks; a failed
     branch stops no other.
 
-    Each branch gets its profile, grid and residual from branch_setups;
-    the branches whose residual ran then get their node counts and
-    spectrum boxes (_spectrum_boxes), each one pass over them. The claimed
-    energy is bae.branch_energies of the branch's roots, the E solve
-    writes. The node count is node_count's:
+    Each branch's profile, grid and residual are its row of branch_setups'
+    table; the rows whose residual ran then get their node counts (from
+    the table's x) and spectrum boxes (_spectrum_boxes), each one pass over
+    them. The claimed energy is the profile's, the table's energy column:
+    bae.branch_energies of the branch's roots, the E solve writes. The node
+    count is node_count's:
     the x-preimages of the roots in the grid's component, whatever the
     grid's step. phi is normalizable when no end of the component is one
     that prepot.unbound_ends flags (normalizability_check, one call for
@@ -788,33 +814,29 @@ def verify_branches(pre: prepot.Prepotential, branches) -> list:
     even-sector level n // 2; a branch with an odd count fails, and
     spectrum_note says why.
     """
-    results = branch_setups(pre, branches)
-    roots = np.asarray([br.roots for br in branches], dtype=float).reshape(
-        len(branches), pre.spec_ref.N)
-    ok = [i for i, setup in enumerate(results) if not isinstance(setup, Exception)]
-    grids = [results[i][1] for i in ok]
+    table = branch_setups(pre, roots)
+    results = list(table.error)  # a report replaces each None
+    ok = [i for i, error in enumerate(results) if error is None]
+    grids = [table.grid[i] for i in ok]
     components = [grid.component for grid in grids]
-    counts = node_count(pre, roots[ok], components)
+    counts = node_count(pre, table.roots[ok], table.x[ok], components)
     normalizable = normalizability_check(pre, components)
     # index -> its spectrum box, for the rows whose residual ran (none: no call)
-    boxes = dict(zip(ok, _spectrum_boxes(pre, roots[ok], grids))) if ok else {}
+    boxes = dict(zip(ok, _spectrum_boxes(pre, table.roots[ok], grids))) if ok else {}
     groups: dict[tuple, list] = {}  # (U, wall_lo, wall_hi) -> [(index, profile, grid, fields)]
-    for i, count, bound in zip(ok, counts, normalizable):
-        profile, grid, residual = results[i]
-        fields = dict(residual_max=residual[0], residual_rms=residual[1], node_count=count,
-                      normalizable=bound)
+    for i, grid, count, bound in zip(ok, grids, counts, normalizable):
+        fields = dict(residual_max=table.residual[i][0], residual_rms=table.residual[i][1],
+                      node_count=count, normalizable=bound)
         # At a limit-circle wall where the state follows the weaker
         # indicial root (nu < 1/2) both roots are square-integrable and the
         # wall basis, which selects the Friedrichs one, is no oracle for
         # it, so the verdict goes without the spectrum match.
-        limit_circle = any(wall is not None and wall[1] < 0.5 - 1e-12
-                           for wall in (grid.wall_lo, grid.wall_hi))
-        if limit_circle:
+        if any(w is not None and w[1] < 0.5 - 1e-12 for w in (grid.wall_lo, grid.wall_hi)):
             results[i] = _report(fields, [], "spectrum oracle skipped: limit-circle wall "
                                              "with endpoint exponent nu < 1/2")
         else:
-            groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append(
-                (i, profile, grid, fields))
+            groups.setdefault((table.profile[i].U, grid.wall_lo, grid.wall_hi), []).append(
+                (i, table.profile[i], grid, fields))
 
     x_t = pre.cmap.x_turn
     for members in groups.values():
@@ -868,7 +890,7 @@ def _report(fields: dict, matches: list, note: str,
 
 def verify_branch(pre: prepot.Prepotential, branch) -> VerificationReport:
     """verify_branches for one branch: its report, or its error raised."""
-    (rep,) = verify_branches(pre, [branch])
+    (rep,) = verify_branches(pre, [branch.roots])
     if isinstance(rep, Exception):
         raise rep
     return rep

@@ -329,18 +329,18 @@ def grid_residual(profile, cmap, grid, phi) -> tuple:
 
 
 def phi_setups(pre, branches) -> list:
-    """verify.branch_setups with each residual replaced by phi =
-    (log|phi_N|, sign) on every point of the branch's grid, from one
+    """verify.branch_setups' profile and grid of each branch with phi =
+    (log|phi_N|, sign) on every point of its grid, from one
     prepot.phi_log_sign call with a row per branch: per branch its
     (profile, grid, phi), or the error that stopped it."""
-    setups = verify.branch_setups(pre, branches)
-    rows = [i for i, setup in enumerate(setups) if not isinstance(setup, Exception)]
+    table = verify.branch_setups(pre, [br.roots for br in branches])
+    setups = list(table.error)
+    rows = [i for i, error in enumerate(setups) if error is None]
     if rows:
-        roots = np.array([branches[i].roots for i in rows]).reshape(len(rows), pre.spec_ref.N)
-        logphi, sign = prepot.phi_log_sign(pre, roots, np.array([setups[i][1].points
-                                                                 for i in rows]))
+        logphi, sign = prepot.phi_log_sign(pre, table.roots[rows],
+                                           np.array([table.grid[i].points for i in rows]))
         for i, lp, sg in zip(rows, logphi, sign):
-            setups[i] = setups[i][0], setups[i][1], (lp, sg)
+            setups[i] = table.profile[i], table.grid[i], (lp, sg)
     return setups
 
 

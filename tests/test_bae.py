@@ -287,7 +287,8 @@ def test_singular_models_have_n_plus_1_certified_branches():
         branches = bae.enumerate_branches(spec)
         assert len(branches) == N + 1, N
         assert all(br.is_real for br in branches)
-        reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+        reports = verify.verify_branches(prepot.integrate_w0(spec),
+                                         [br.roots for br in branches])
         assert all(rep.verdict for rep in reports), N
 
 

@@ -6,9 +6,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from qesf import bae, cli, potential, prepot, verify
+from qesf import bae, cli, coords, potential, prepot, verify
 
 
 def write_config(tmp_path, name, payload):
@@ -309,6 +310,30 @@ def test_a_wall_is_cut_at_both_of_its_x_preimages(tmp_path):
     assert code == 0 and out.count(": pass") == 3
 
 
+@pytest.mark.parametrize("payload", [{"catalog": "sextic", "N": 2}, MIRROR],
+                         ids=["sextic-N2", "mirror"])
+@pytest.mark.parametrize("huge", ["1e200", "1e308", "-1e300"])
+def test_a_huge_root_fails_its_branch_without_a_warning(tmp_path, payload, huge):
+    # a finite root whose powers overflow: its residues are not cancelled,
+    # the branch fails (exit 3) and every other branch passes, with no
+    # RuntimeWarning from the first pass over the rows (the BAE residual,
+    # the energy, the split and the preimages all overflow there)
+    solve_code, csv_text, *_ = _solve_and_verify(tmp_path, "h", payload)
+    assert solve_code == 0
+    roots = [huge, "2.0"][:payload["N"]]
+    extra = "".join(f"9,{k},{z}\n" for k, z in enumerate(roots))
+    bad_csv = tmp_path / "huge.csv"
+    bad_csv.write_text("branch_id,k,z_k\n" + "".join(
+        ",".join(row.split(",")[:3]) + "\n" for row in csv_text.splitlines()[1:]) + extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["verify", str(tmp_path / "h.json"), str(bad_csv)])
+    assert code == 3, (out, err)
+    assert err.startswith("branch 9: verification error: branch residues not cancelled")
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert out.count(": pass") == 3 and "FAIL" not in out
+
+
 def test_solve_and_verify_build_the_model_once(tmp_path, monkeypatch):
     # and classify and derive: one map and one V0 per command
     from qesf import coords, potential
@@ -580,7 +605,8 @@ def test_a_usage_error_returns_4(argv, code):
 
 def test_verify_certifies_the_csv_energy_bit_for_bit(tmp_path):
     # the E verify certifies is the E solve wrote, to the last bit: the
-    # profile's energy of every branch, and the claim of every match
+    # table's energy and the profile's energy of every branch, and the
+    # claim of every match
     for i, payload in enumerate([
             {"catalog": "sextic", "N": 3}, {"catalog": "trig-interval", "N": 8},
             {"catalog": "sextic-type2", "params": {"a": 1.0, "b": -3.0}, "N": 4}, SINGULAR]):
@@ -591,9 +617,9 @@ def test_verify_certifies_the_csv_energy_bit_for_bit(tmp_path):
                     for row in csv.DictReader(io.StringIO(csv_text))}
         pre = prepot.integrate_w0(cli.spec_from_config(payload))
         roots = cli._read_roots_csv(str(tmp_path / f"c{i}.csv"))
-        profiles = potential.split_energies(
-            pre, [bae.BetheBranch(tuple(roots[int(b)]), 0.0, 0) for b in energies])
-        assert [p.energy for p in profiles] == list(energies.values()), payload
+        table = verify.branch_setups(pre, [roots[int(b)] for b in energies])
+        assert table.energy.tolist() == list(energies.values()), payload
+        assert [p.energy for p in table.profile] == list(energies.values()), payload
         reports = json.loads(report)
         assert reports.keys() == energies.keys()
         for bid, rep in reports.items():
@@ -634,26 +660,34 @@ def test_verify_evaluates_the_bae_residuals_once(tmp_path, monkeypatch):
 def test_solve_and_verify_run_one_chain_from_roots_to_residual(tmp_path, monkeypatch):
     # each command splits, grids and takes the residual once, all through
     # verify.branch_setups; the spectrum box step runs once in verify and
-    # never in solve
+    # never in solve. Each per-branch value has one producer: the roots'
+    # x-preimages come from one CoordinateMap.preimages call (the grids and
+    # verify's node counts read it), and the energies from one
+    # bae.branch_energies call, which split_energies and solve's E column
+    # read; solve's other call is enumeration's energy order
     counts = collections.Counter()
     for module, name in ((verify, "branch_setups"), (potential, "split_energies"),
                          (verify, "default_grids"), (verify, "schrodinger_residual"),
-                         (verify, "_spectrum_boxes")):
+                         (verify, "_spectrum_boxes"), (bae, "branch_energies")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name: (
             counts.update([_name]) or _real(*a)))
+    real_preimages = coords.CoordinateMap.preimages
+    monkeypatch.setattr(coords.CoordinateMap, "preimages", lambda cmap, z: (
+        counts.update(["preimages of the roots"] * (np.ndim(z) == 2))
+        or real_preimages(cmap, z)))
     chain = {"branch_setups": 1, "split_energies": 1, "default_grids": 1,
-             "schrodinger_residual": 1}
+             "schrodinger_residual": 1, "preimages of the roots": 1}
     for payload in ({"catalog": "sextic", "N": 10}, {"catalog": "trig-interval", "N": 8},
                     {"catalog": "sextic-type2", "N": 2}):
         cfg = write_config(tmp_path, "c.json", payload)
         roots = str(tmp_path / "c.csv")
         counts.clear()
         assert run_cli(["solve", cfg, "--out", roots])[0] == 0
-        assert counts == chain, (payload, counts)
+        assert counts == chain | {"branch_energies": 2}, (payload, counts)
         counts.clear()
         assert run_cli(["verify", cfg, roots])[0] == 0
-        assert counts == chain | {"_spectrum_boxes": 1}, (payload, counts)
+        assert counts == chain | {"_spectrum_boxes": 1, "branch_energies": 1}, (payload, counts)
 
 
 # Configs whose FD level at a wall missed its claim by more than FD's 1e-2

@@ -107,9 +107,9 @@ def test_check_residues_detects_perturbation():
     pre = prepot.integrate_w0(spec)
     br = bae.enumerate_branches(spec)[0]
     bad_roots = tuple(np.asarray(br.roots) + np.array([1e-3, 0.0]))
-    bad = bae.BetheBranch(bad_roots, 1.0, 0)
-    good, err = potential.split_energies(pre, [br, bad])
-    assert isinstance(good, potential.PotentialProfile)
+    roots = np.array([br.roots, bad_roots])
+    (good, bad), (ok, err) = potential.split_energies(pre, roots, bae.branch_energies(spec, roots))
+    assert isinstance(good, potential.PotentialProfile) and bad is None and ok is None
     assert isinstance(err, ValueError) and "residues not cancelled" in str(err)
     # linear response: d_k = -2 F_k, F ~ J * dz
     worst = 2.0 * np.max(np.abs(bae.residual(spec, bad_roots)))

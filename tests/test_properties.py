@@ -145,7 +145,8 @@ parabolic_twins = st.builds(
 def _verdicts(spec):
     branches = bae.enumerate_branches(spec)
     return [str(rep) if isinstance(rep, Exception) else rep.verdict
-            for rep in verify.verify_branches(prepot.integrate_w0(spec), branches)]
+            for rep in verify.verify_branches(prepot.integrate_w0(spec),
+                                              [br.roots for br in branches])]
 
 
 @settings(derandomize=True, deadline=None)
@@ -244,6 +245,22 @@ def test_the_map_and_w0_solve_their_defining_equations(q, p, branch_sign, where,
     poles = [mu / (z - a) for a, mu in sings]
     scale = abs(P(z) / Q(z)) + sum(map(abs, poles))
     assert abs(sum(poles) - dlog - P(z) / Q(z)) <= 1e-5 * scale + 1e-7
+
+
+@pytest.mark.parametrize("q,p", [([0.0, 4.0], [0.0, 0.0, 2.0]), ([1.0, -4.0], [-0.25, 1.0]),
+                                 ([-1.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0])],
+                         ids=["parabolic", "parabolic-down", "cosh"])
+def test_the_map_and_w0_equations_hold_at_the_turning_point(q, p):
+    # the edge the property above assumes away (a derandomized draw once
+    # landed on it and divided by dz = 0): at the map's turning point x_t,
+    # dz/dx = 0 = Q(z), and with P(z(x_t)) = 0 (no wall there) phi_0 is
+    # even about x_t, so d log phi_0/dx = z' (-P/Q) is 0 too
+    pre = prepot.integrate_w0(ModelSpec(Poly(q), Poly(p), (), 1))
+    x_t, h = pre.cmap.x_turn, 4e-5
+    z = float(pre.cmap.z_of_x(x_t))
+    assert _central(pre.cmap.z_of_x, x_t, h) == 0.0
+    assert abs(pre.spec_ref.Q(z)) <= 1e-12 and abs(pre.spec_ref.P(z)) <= 1e-12
+    assert _central(lambda v: prepot.phi_log_sign(pre, (), v)[0], x_t, h) == 0.0
 
 
 # type-1 models at N <= 6, where enumeration finds all N + 1 branches
@@ -363,12 +380,13 @@ def test_log_phi_has_the_slope_of_z_prime_times_g(spec, where):
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     P, Q = spec.P, spec.Q
-    for br, grid in zip(branches, verify.default_grids(pre, [br.roots for br in branches])):
-        if not isinstance(grid, verify.Grid):
+    table = verify.branch_setups(pre, [br.roots for br in branches])
+    for br, x_roots, grid in zip(branches, table.x, table.grid):
+        if grid is None:
             continue
         lo, hi = grid.points[0], grid.points[-1]
         h = 1e-6 * (hi - lo)
-        nodes = pre.cmap.preimages(br.roots).ravel()
+        nodes = x_roots.ravel()
         # nodes, walls, and the turning point, where z' g is 0 times a pole
         ends = [*nodes[np.isfinite(nodes)], *pre.walls,
                 *([] if pre.cmap.x_turn is None else [pre.cmap.x_turn])]
@@ -495,6 +513,10 @@ def unwalled_models(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(unwalled_models())
+# phi ~ exp(3.6e-190/z) as z -> 0 grows only past x = -436: the rule flags
+# that end, and branches 1 and 2, which a phi^2 scan passed, are not
+# normalizable
+@example(ModelSpec(Poly([0.0, 0.0, 1.0]), Poly([3.6e-190, -1.27, 0.0, 0.5]), (), 1))
 def test_no_branch_is_certified_normalizable_at_an_end_the_rule_flags(spec):
     # prepot.unbound_ends decides from the two polynomials alone, and
     # verify's normalizable is its verdict on each certified component: no
@@ -508,7 +530,7 @@ def test_no_branch_is_certified_normalizable_at_an_end_the_rule_flags(spec):
         branches = bae.enumerate_branches(spec)
     except ModelError:
         reject()  # P many orders of magnitude below Q: no eigenproblem scale
-    for report in verify.verify_branches(pre, branches):
+    for report in verify.verify_branches(pre, [br.roots for br in branches]):
         assert isinstance(report, Exception) or not report.normalizable, (spec, report)
 
 
@@ -535,6 +557,10 @@ walled_models = st.one_of(
 
 @settings(derandomize=True, deadline=None)
 @given(st.one_of(walled_models, unwalled_models()))
+# a subnormal coefficient of P: the eigenproblem's basis scale is infinite,
+# a ModelError (rejected here), where it was inf * 0 = nan and a leaked
+# RuntimeWarning
+@example(ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 2.225e-311]), (Singularity(1.0, 0.5),), 1))
 def test_the_spectrum_box_holds_the_full_grid_box(spec):
     # the box from about 300 values of phi holds the first and last grid
     # points within DVR_BOX_LOG of log|phi|'s max on the whole grid, and
@@ -544,12 +570,11 @@ def test_the_spectrum_box_holds_the_full_grid_box(spec):
         branches = bae.enumerate_branches(spec)
     except ModelError:
         reject()
-    roots = np.array([br.roots for br in branches]).reshape(len(branches), spec.N)
-    grids = verify.default_grids(pre, roots)
-    rows = [i for i, grid in enumerate(grids) if isinstance(grid, verify.Grid)]
+    table = verify.branch_setups(pre, [br.roots for br in branches])
+    rows = [i for i, grid in enumerate(table.grid) if grid is not None]
     if not rows:
         return
-    roots, grids = roots[rows], [grids[i] for i in rows]
+    roots, grids = table.roots[rows], [table.grid[i] for i in rows]
     logphi, _ = prepot.phi_log_sign(pre, roots, np.array([grid.points for grid in grids]))
     for grid, box, full in zip(grids, verify._spectrum_boxes(pre, roots, grids), logphi,
                                strict=True):
@@ -599,20 +624,21 @@ def test_split_energies_is_the_per_branch_split_bit_for_bit(batch):
     # type-1 model's branches share one U
     spec, branches = batch
     pre = prepot.integrate_w0(spec)
-    got = potential.split_energies(pre, branches)
-    for br, g in zip(branches, got, strict=True):
+    roots = np.array([br.roots for br in branches]).reshape(len(branches), spec.N)
+    got, errors = potential.split_energies(pre, roots, bae.branch_energies(spec, roots))
+    for br, g, error in zip(branches, got, errors, strict=True):
         try:
             want = oracles.split_energy(pre, br)
         except ValueError as exc:
-            assert (type(g), str(g)) == (type(exc), str(exc))
+            assert g is None and (type(error), str(error)) == (type(exc), str(exc))
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 potential.split_energy(pre, br)
             continue
-        assert isinstance(g, potential.PotentialProfile), g
+        assert isinstance(g, potential.PotentialProfile) and error is None, (g, error)
         assert g.U == want.U
         assert _same_bits(g.energy, want.energy)
         assert potential.split_energy(pre, br) == g
-    profiles = [g for g in got if not isinstance(g, Exception)]
+    profiles = [g for g in got if g is not None]
     if profiles and model.classify(spec).tag in (model.EXACTLY_SOLVABLE, model.QES_TYPE1):
         assert len({id(g.U) for g in profiles}) == 1
 

@@ -154,24 +154,31 @@ def test_fd_spectrum_k_bounds():
             verify.fd_spectrum(prof, cmap, grid, bad)
 
 
+def _nodes(pre, roots, component) -> int:
+    """verify.node_count of one row of roots in one component."""
+    z = np.array([roots], dtype=float)
+    (count,) = verify.node_count(pre, z, pre.cmap.preimages(z).swapaxes(0, 1), [component])
+    return count
+
+
 def test_node_counts():
     # N = 0: nodeless
     spec0 = harmonic(N=0)
     cmap, pre, br, prof = _pipeline(spec0)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(pre, br.roots, grid.component) == 0
+    assert _nodes(pre, br.roots, grid.component) == 0
     # harmonic N = 3: three nodes
     spec3 = harmonic(N=3)
     cmap, pre, br, prof = _pipeline(spec3)
     grid = verify.default_grid(pre, br.roots)
-    assert verify.node_count(pre, br.roots, grid.component) == 3
+    assert _nodes(pre, br.roots, grid.component) == 3
     # sextic N = 1 with negative root: no real preimage, nodeless
     spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (), 1)
     br_neg = bae.solve(spec, [-0.6])
     assert br_neg.roots[0] < 0
     cmap, pre, _, prof = _pipeline(spec, br_neg)
     grid = verify.default_grid(pre, br_neg.roots)
-    assert verify.node_count(pre, br_neg.roots, grid.component) == 0
+    assert _nodes(pre, br_neg.roots, grid.component) == 0
 
 
 def test_node_count_counts_every_root_preimage_in_the_component():
@@ -180,25 +187,25 @@ def test_node_count_counts_every_root_preimage_in_the_component():
     spec = ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 0.0, 2.0]), (), 2)
     pre = prepot.integrate_w0(spec)
     line = (-math.inf, math.inf)
-    assert verify.node_count(pre, (1e-14, 0.5), line) == 4
+    assert _nodes(pre, (1e-14, 0.5), line) == 4
     assert verify.default_grid(pre, (1e-14, 0.5)).h > 2e-7
     # a root at the image's end z = 0 (a double zero of phi in x) or
     # outside the image is no node
-    assert verify.node_count(pre, (0.0, -0.6), line) == 0
+    assert _nodes(pre, (0.0, -0.6), line) == 0
     # x = z with a wall at 0: each root counts in its own component
     spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]), (Singularity(0.0, 0.5),), 3)
     pre = prepot.integrate_w0(spec)
     assert list(pre.walls) == [0.0]
     roots = (-0.3, 0.2, 0.7)
-    assert verify.node_count(pre, roots, (0.0, math.inf)) == 2
-    assert verify.node_count(pre, roots, (-math.inf, 0.0)) == 1
+    assert _nodes(pre, roots, (0.0, math.inf)) == 2
+    assert _nodes(pre, roots, (-math.inf, 0.0)) == 1
     # trigonometric map: the mirror preimage lies outside the x-domain
     pre = prepot.integrate_w0(catalog.instantiate("trig-interval", N=1))
     lo, hi = pre.cmap.x_domain
     z = sum(pre.cmap.z_image) / 2.0
     declared, mirror = pre.cmap.preimages(z).tolist()
     assert lo < declared < hi and math.isfinite(mirror) and not lo <= mirror <= hi
-    assert verify.node_count(pre, (z,), (lo, hi)) == 1
+    assert _nodes(pre, (z,), (lo, hi)) == 1
 
 
 def test_verify_counts_nodes_once_per_branch_whose_residual_ran(monkeypatch):
@@ -213,11 +220,12 @@ def test_verify_counts_nodes_once_per_branch_whose_residual_ran(monkeypatch):
                         lambda *a: calls.append(a[1:]) or real_count(*a))
     monkeypatch.setattr(verify, "schrodinger_residual",
                         lambda *a: residuals.append(a[1]) or real_residual(*a))
-    reports = verify.verify_branches(pre, [bad] + branches)
+    reports = verify.verify_branches(pre, [br.roots for br in [bad] + branches])
     assert isinstance(reports[0], ValueError)
-    ((roots, components),), (rows,) = calls, residuals
+    ((roots, x, components),), (rows,) = calls, residuals
     good = np.array([br.roots for br in branches])
     assert np.array_equal(roots, good) and np.array_equal(rows, good)
+    assert np.array_equal(x, pre.cmap.preimages(good).swapaxes(0, 1), equal_nan=True)
     assert components == [verify.default_grid(pre, br.roots).component for br in branches]
     assert [rep.node_count for rep in reports[1:]] == list(range(0, 2 * len(branches), 2))
 
@@ -281,13 +289,14 @@ def test_node_count_is_the_sampled_count_on_every_vetted_and_ci_config(monkeypat
     for cfg in (cfg for cfgs in _vetted_and_ci_configs(monkeypatch).values() for cfg in cfgs):
         pre = prepot.integrate_w0(cli.spec_from_config(cfg))
         branches = bae.enumerate_branches(pre.spec_ref)
-        for br, setup in zip(branches, verify.branch_setups(pre, branches)):
-            if isinstance(setup, Exception):
+        table = verify.branch_setups(pre, [br.roots for br in branches])
+        for roots, x, grid, error in zip(table.roots, table.x, table.grid, table.error):
+            if error is not None:
                 continue
-            grid = setup[1]
             sampled = oracles.sign_changes(prepot.phi_log_sign(
-                pre, br.roots, oracles.sampled_points(grid)))
-            assert verify.node_count(pre, br.roots, grid.component) == sampled, (cfg, br.roots)
+                pre, roots, oracles.sampled_points(grid)))
+            assert verify.node_count(pre, roots[None], x[None], [grid.component]) == [sampled], (
+                cfg, roots)
             counted += 1
     assert counted > 3000
 
@@ -303,13 +312,11 @@ def gridded():
         for cfg in cfgs:
             pre = prepot.integrate_w0(cli.spec_from_config(cfg))
             branches = bae.enumerate_branches(pre.spec_ref)
-            profiles = potential.split_energies(pre, branches)
-            grids = verify.default_grids(pre, [br.roots for br in branches])
-            kept = [i for i, (p, g) in enumerate(zip(profiles, grids))
-                    if isinstance(g, verify.Grid) and not isinstance(p, Exception)]
-            roots = np.array([branches[i].roots for i in kept]).reshape(len(kept), pre.spec_ref.N)
-            out.setdefault(tag, []).append((pre, [branches[i] for i in kept], roots,
-                                            [profiles[i] for i in kept], [grids[i] for i in kept]))
+            table = verify.branch_setups(pre, [br.roots for br in branches])
+            kept = [i for i, grid in enumerate(table.grid) if grid is not None]
+            out.setdefault(tag, []).append((pre, [branches[i] for i in kept], table.roots[kept],
+                                            [table.profile[i] for i in kept],
+                                            [table.grid[i] for i in kept]))
     return out
 
 
@@ -374,7 +381,8 @@ def test_verify_certifies_with_the_scan_off_its_path(monkeypatch):
     for name, N in (("sextic", 16), ("trig-interval", 8)):
         spec = catalog.instantiate(name, N=N)
         calls.clear()
-        reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+        reports = verify.verify_branches(prepot.integrate_w0(spec),
+                                         [br.roots for br in bae.enumerate_branches(spec)])
         assert calls == [N + 1], (name, calls)
         assert len(reports) == N + 1 and all(rep.verdict for rep in reports), (name, reports)
 
@@ -393,7 +401,7 @@ def test_one_verify_reads_phi_at_most_1000_points_per_branch(monkeypatch):
         spec = catalog.instantiate(name, N=N)
         branches = bae.enumerate_branches(spec)
         points.clear()
-        reports = verify.verify_branches(prepot.integrate_w0(spec), branches)
+        reports = verify.verify_branches(prepot.integrate_w0(spec), [br.roots for br in branches])
         assert all(rep.verdict for rep in reports), name
         assert sum(points) <= 1000 * len(branches), (name, sum(points) / len(branches))
 
@@ -437,7 +445,8 @@ def test_a_split_without_its_wall_pole_coefficient_fails_the_residual(gridded, m
     monkeypatch.setattr(potential, "_shift_rows", without_wall_poles)
     checked = 0
     for pre, branches, roots, _, grids in gridded[tag]:
-        profiles = potential.split_energies(pre, branches)
+        profiles, _ = potential.split_energies(pre, roots,
+                                               bae.branch_energies(pre.spec_ref, roots))
         for got in verify.schrodinger_residual(pre, roots, profiles, grids):
             assert got[0] > verify.RESIDUAL_TOL, (pre.spec_ref, got)
             checked += 1
@@ -554,7 +563,7 @@ def test_wall_exponents_include_the_w0_log_weight():
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 3
-    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
+    for br, rep in zip(branches, verify.verify_branches(pre, [br.roots for br in branches])):
         grid = verify.default_grid(pre, br.roots)
         assert grid.wall_lo == (0.0, pytest.approx(0.8))
         assert grid.wall_hi == (pytest.approx(math.pi / 2), pytest.approx(0.4))
@@ -569,7 +578,7 @@ def test_w0_log_weight_lifts_a_wall_out_of_limit_circle():
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 2
-    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
+    for br, rep in zip(branches, verify.verify_branches(pre, [br.roots for br in branches])):
         assert verify.default_grid(pre, br.roots).wall_lo == (0.0, pytest.approx(0.8))
         assert rep.spectrum_note == "" and len(rep.spectrum_matches) == 1
         assert rep.verdict
@@ -582,7 +591,7 @@ def test_small_positive_nu_admits_its_component():
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert branches
-    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
+    for br, rep in zip(branches, verify.verify_branches(pre, [br.roots for br in branches])):
         grid = verify.default_grid(pre, br.roots)
         assert (0.4177, pytest.approx(0.003)) in (grid.wall_lo, grid.wall_hi)
         assert rep.spectrum_matches == [] and "limit-circle" in rep.spectrum_note
@@ -665,7 +674,8 @@ def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec)
         assert len(marches) == 1, (br, marches)  # (start, direction) per march
         assert math.isinf(grid.component[0]) != math.isinf(grid.component[1])
     marches.clear()
-    grids = verify.default_grids(pre, [br.roots for br in branches])
+    roots = np.array([br.roots for br in branches])
+    grids = verify.default_grids(pre, roots, pre.cmap.preimages(roots).swapaxes(0, 1))
     assert len(marches) == len(branches)
     for grid, br in zip(grids, branches):
         alone = verify.default_grid(pre, br.roots)
@@ -748,15 +758,17 @@ def test_a_root_moved_off_its_branch_fails_the_residual_on_every_preset():
                 for k, zk in enumerate(br.roots):
                     row = list(br.roots)
                     row[k] += 1e-6 * max(1.0, abs(zk))
-                    moved.append(bae.BetheBranch(tuple(row), 0.0, 0))
-            rejected = [br for br, profile in zip(moved, potential.split_energies(pre, moved))
-                        if isinstance(profile, ValueError)]
+                    moved.append(row)
+            table = verify.branch_setups(pre, moved)
+            rejected = [i for i, error in enumerate(table.error) if isinstance(error, ValueError)
+                        and table.profile[i] is None]
             if not rejected:
                 continue
-            roots = np.array([br.roots for br in rejected])
-            profiles = [oracles.split_energy(pre, br, residue_tol=math.inf) for br in rejected]
-            for got in verify.schrodinger_residual(pre, roots, profiles,
-                                                   verify.default_grids(pre, roots)):
+            roots = table.roots[rejected]
+            profiles = [oracles.split_energy(pre, bae.BetheBranch(tuple(row), 0.0, 0),
+                                             residue_tol=math.inf) for row in roots]
+            for got in verify.schrodinger_residual(pre, roots, profiles, verify.default_grids(
+                    pre, roots, table.x[rejected])):
                 assert isinstance(got, tuple) and got[0] > verify.RESIDUAL_TOL, (name, N, got)
                 checked += 1
     assert checked == 391
@@ -770,7 +782,8 @@ def test_branch_setups_residual_matches_verify_branch():
         spec = catalog.instantiate(name, N=N)
         pre = prepot.integrate_w0(spec)
         branches = bae.enumerate_branches(spec)
-        for br, (_, _, got) in zip(branches, verify.branch_setups(pre, branches), strict=True):
+        table = verify.branch_setups(pre, [br.roots for br in branches])
+        for br, got in zip(branches, table.residual, strict=True):
             rep = verify.verify_branch(pre, br)
             assert got == (rep.residual_max, rep.residual_rms), (name, br)
 
@@ -833,7 +846,7 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dv
         fd_spectrum_grids.clear()
         dvr_spectra.clear()
         wall_spectra.clear()
-        reports = verify.verify_branches(pre, branches)
+        reports = verify.verify_branches(pre, [br.roots for br in branches])
         boxes = [verify.default_grid(pre, br.roots).points for br in branches]
         lo, hi = min(b[0] for b in boxes), max(b[-1] for b in boxes)
         assert fd_spectrum_grids == []
@@ -868,7 +881,7 @@ def test_verify_branches_distinct_potentials(dvr_spectra):
     assert len(branches) == 3
     pre = prepot.integrate_w0(spec)
     assert len({potential.split_energy(pre, br).U for br in branches}) == 3
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     assert len(dvr_spectra) == 3
     assert reports == [verify.verify_branch(pre, br) for br in branches]
 
@@ -880,7 +893,7 @@ def test_verify_branches_isolates_a_failing_branch(dvr_spectra):
     pre = prepot.integrate_w0(spec)
     alone = verify.verify_branch(pre, good)
     dvr_spectra.clear()
-    rep, err = verify.verify_branches(pre, [good, bad])
+    rep, err = verify.verify_branches(pre, [good.roots, bad.roots])
     assert len(dvr_spectra) == 1
     assert rep == alone
     assert isinstance(err, ValueError) and "residues not cancelled" in str(err)
@@ -901,7 +914,7 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectru
     branches = bae.enumerate_branches(spec)
     assert len(branches) == N + 1
     pre = prepot.integrate_w0(spec)
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     assert all(rep.verdict for rep in reports)
     matched = [rep.spectrum_matches[0][1] for rep in reports]
     assert len(set(matched)) == N + 1
@@ -945,7 +958,7 @@ def test_fd_levels_computed_are_the_node_counts(fd_levels, fd_spectrum_grids, na
     # exactly these levels
     spec = catalog.instantiate(name, N=N)
     pre, branches = prepot.integrate_w0(spec), bae.enumerate_branches(spec)
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     assert all(rep.verdict for rep in reports)
     _fd_group(pre, branches, reports)  # wall-free: the FD grid verify had before the DVR
     (grid,) = fd_spectrum_grids
@@ -976,7 +989,7 @@ def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, fd_spec
     spec = catalog.instantiate(config["catalog"], N=config["N"], **config.get("params", {}))
     branches = bae.enumerate_branches(spec)
     pre = prepot.integrate_w0(spec)
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     assert reports and all(rep.verdict for rep in reports)
     assert fd_spectrum_grids == []
     e_fd = _fd_group(pre, branches, reports)[1]  # FD on the grid verify had before
@@ -1009,7 +1022,7 @@ def test_a_wrong_node_count_fails_the_verdict(monkeypatch):
         for shift in (1, 2):
             monkeypatch.setattr(verify, "node_count",
                                 lambda *a: [n + shift for n in real(*a)])
-            reports = verify.verify_branches(pre, branches)
+            reports = verify.verify_branches(pre, [br.roots for br in branches])
             assert len(reports) == N + 1
             assert not any(rep.verdict for rep in reports), (N, shift)
             for rep in reports:
@@ -1026,7 +1039,7 @@ def test_the_verdict_requires_normalizable(monkeypatch):
         "warning", "flagged", (-math.inf, math.inf, *pre.walls))])
     spec = catalog.instantiate("sextic", N=2)
     reports = verify.verify_branches(prepot.integrate_w0(spec),
-                                     bae.enumerate_branches(spec))
+                                     [br.roots for br in bae.enumerate_branches(spec)])
     assert reports and not any(rep.verdict for rep in reports)
     assert all(rep.residual_max < 1e-6 and rep.spectrum_matches[0][2] < 1e-3
                for rep in reports)
@@ -1034,7 +1047,7 @@ def test_the_verdict_requires_normalizable(monkeypatch):
     # that is not normalizable fails too
     spec = ModelSpec(Poly([1.0]), Poly([-0.0794, 1.0]), (Singularity(0.4177, 0.003),), 2)
     reports = verify.verify_branches(prepot.integrate_w0(spec),
-                                     bae.enumerate_branches(spec))
+                                     [br.roots for br in bae.enumerate_branches(spec)])
     assert reports and all(not rep.verdict and "limit-circle" in rep.spectrum_note
                            and rep.residual_max < 1e-6 for rep in reports)
 
@@ -1047,7 +1060,7 @@ def test_a_state_that_regrows_past_its_outermost_dip_is_not_normalizable():
     spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0, 0.0, -0.001]), (), 0)
     pre = prepot.integrate_w0(spec)
     branch = bae.BetheBranch((), 0.0, 0)
-    (rep,) = verify.verify_branches(pre, [branch])
+    (rep,) = verify.verify_branches(pre, [branch.roots])
     assert rep.residual_max < 1e-6 and not rep.normalizable and not rep.verdict
     assert not oracles.normalizability_check(pre, branch, (-math.inf, math.inf))[0]
     # a state that decays past its last peak stays normalizable
@@ -1067,7 +1080,7 @@ def test_nodes_inside_a_walls_grid_inset_are_counted(mu1, mu2):
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     inset = 0
-    for br, rep in zip(branches, verify.verify_branches(pre, branches)):
+    for br, rep in zip(branches, verify.verify_branches(pre, [br.roots for br in branches])):
         grid = verify.default_grid(pre, br.roots)
         lo, hi = grid.component
         assert rep.node_count == sum(lo < z < hi for z in br.roots), br.roots
@@ -1084,7 +1097,7 @@ def test_a_wall_within_the_turning_tolerance_shares_one_potential(fd_spectrum_gr
     branches = bae.enumerate_branches(spec)
     assert len(branches) == 3
     assert all(rep.verdict for rep in verify.verify_branches(prepot.integrate_w0(spec),
-                                                             branches))
+                                                             [br.roots for br in branches]))
     assert len(wall_spectra) == 1 and fd_spectrum_grids == []
 
 
@@ -1101,7 +1114,7 @@ def test_half_line_levels_are_the_even_full_line_levels(fd_spectrum_grids, confi
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     assert len(branches) == spec.N + 1
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     _, e_fd = _fd_group(pre, branches, reports)  # the mirror FD grid verify had before the DVR
     (grid,) = fd_spectrum_grids
     assert grid.mirror == 0.0
@@ -1128,7 +1141,7 @@ def test_fd_reads_the_level_above_its_doublet_partner(fd_levels, params, N, part
     spec = catalog.instantiate("sextic-type2", N=N, **params)
     branches = bae.enumerate_branches(spec)
     pre = prepot.integrate_w0(spec)
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     assert reports and all(rep.verdict for rep in reports)
     for br, rep in zip(branches, reports):  # each its own potential, on the FD
         _fd_group(pre, [br], [rep])        # grid verify had before the DVR
@@ -1169,7 +1182,8 @@ def test_dvr_levels_are_the_closed_form_energies(dvr_spectra, name, params, Ns):
     # the catalog's normal form, is the closed-form energy to 1e-10
     for N in Ns:
         spec = catalog.instantiate(name, N=N, **params)
-        (rep,) = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+        (rep,) = verify.verify_branches(prepot.integrate_w0(spec),
+                                        [br.roots for br in bae.enumerate_branches(spec)])
         assert rep.verdict
         (want,) = catalog.expected_energies(name, params, N)
         level = rep.spectrum_matches[0][1] + catalog.reference_shift(name, params, N)
@@ -1188,7 +1202,7 @@ def test_dvr_and_fd_levels_agree(config):
     spec = cli.spec_from_config(config)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     assert reports and all(rep.verdict for rep in reports)
     groups = {}
     for br, rep in zip(branches, reports):
@@ -1225,7 +1239,7 @@ def test_a_wrong_claim_moves_no_dvr_level(dvr_spectra):
     spec = catalog.instantiate("sextic", N=16)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     ((box, mirror),) = dvr_spectra
     profile = potential.split_energy(pre, branches[0])
     claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
@@ -1245,16 +1259,11 @@ def test_a_claim_off_by_1e_7_fails_the_dvr_bound(monkeypatch, dvr_spectra, name,
     spec = catalog.instantiate(name, N=N)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
-    assert all(rep.verdict for rep in verify.verify_branches(pre, branches))
-    real = potential.split_energies
-
-    def scaled(pre, branches):
-        return [p if isinstance(p, Exception) else
-                dataclasses.replace(p, energy=p.energy * (1.0 + 1e-7))
-                for p in real(pre, branches)]
-
-    monkeypatch.setattr(potential, "split_energies", scaled)
-    reports = verify.verify_branches(pre, branches)
+    assert all(rep.verdict for rep in verify.verify_branches(pre, [br.roots for br in branches]))
+    real = bae.branch_energies
+    monkeypatch.setattr(bae, "branch_energies",
+                        lambda spec, roots: real(spec, roots) * (1.0 + 1e-7))
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     _, fd = _fd_group(pre, branches, reports)
     box, mirror = dvr_spectra[-1]
     levels = verify.dvr_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, box,
@@ -1376,7 +1385,8 @@ def test_a_walled_verify_runs_no_fd(monkeypatch, wall_spectra, config):
                          (poly, "tridiag_eigenvalues")):
         monkeypatch.setattr(module, name, refused)
     spec = cli.spec_from_config(config)
-    reports = verify.verify_branches(prepot.integrate_w0(spec), bae.enumerate_branches(spec))
+    reports = verify.verify_branches(prepot.integrate_w0(spec),
+                                     [br.roots for br in bae.enumerate_branches(spec)])
     assert reports and all(rep.verdict for rep in reports)
     assert wall_spectra and all(any(walls) for _, walls, _ in wall_spectra)
 
@@ -1387,7 +1397,7 @@ def test_a_wrong_claim_moves_no_wall_level(wall_spectra):
     spec = catalog.instantiate("trig-interval", N=8)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
-    reports = verify.verify_branches(pre, branches)
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     ((box, walls, mirror),) = wall_spectra
     profile = potential.split_energy(pre, branches[0])
     claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
@@ -1407,16 +1417,11 @@ def test_a_claim_off_by_1e_7_fails_the_wall_bound(monkeypatch, wall_spectra, nam
     spec = catalog.instantiate(name, N=N)
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
-    assert all(rep.verdict for rep in verify.verify_branches(pre, branches))
-    real = potential.split_energies
-
-    def scaled(pre, branches):
-        return [p if isinstance(p, Exception) else
-                dataclasses.replace(p, energy=p.energy * (1.0 + 1e-7))
-                for p in real(pre, branches)]
-
-    monkeypatch.setattr(potential, "split_energies", scaled)
-    reports = verify.verify_branches(pre, branches)
+    assert all(rep.verdict for rep in verify.verify_branches(pre, [br.roots for br in branches]))
+    real = bae.branch_energies
+    monkeypatch.setattr(bae, "branch_energies",
+                        lambda spec, roots: real(spec, roots) * (1.0 + 1e-7))
+    reports = verify.verify_branches(pre, [br.roots for br in branches])
     _, fd = _fd_group(pre, branches, reports)
     box, walls, mirror = wall_spectra[-1]
     levels = verify.wall_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, spec.Q,
@@ -1454,7 +1459,7 @@ def test_wall_and_fd_levels_agree_on_every_vetted_walled_config(tag):
         spec = catalog.instantiate(family, N=int(N), **params)
         pre = prepot.integrate_w0(spec)
         branches = bae.enumerate_branches(spec)
-        reports = verify.verify_branches(pre, branches)
+        reports = verify.verify_branches(pre, [br.roots for br in branches])
         assert reports and all(rep.verdict for rep in reports), params
         _, fd = _fd_group(pre, branches, reports)
         for rep in reports:
