@@ -23,14 +23,15 @@ parameters: a k-parameter eigenproblem on polynomials of degree <= N
 deg P <= 1, have k = 1: one square matrix (Turbiner, CMP 118 (1988) 467).
 Type-2 models, two walls, or a wall with deg P >= 2 give k >= 2: a
 rectangular multiparameter eigenproblem, solved through Atkinson's
-Delta-operators of k fixed compressions (Hochstenbach, Kosir and
-Plestenjak) as the standard eigenproblem of Delta_0^-1 Delta_c. Every
+Delta-operators (Hochstenbach, Kosir and Plestenjak) restricted to
+Sym^k -> Lambda^k, of order C(N+k, k) (Heine's count) with no
+compressions, as the standard eigenproblem of Delta_0^-1 Delta_c. Every
 real eigen-solution of exact degree N that gives a real start (_starts)
 gets one Newton polish from its roots, which come from one stacked
-companion-matrix eigenvalue call. The polishes run in lock step as the rows of one damped
-Newton (solve_many): residuals of shape (B, N), Jacobians (B, N, N) and one
-batched linear solve per iteration, with each row's line search, polish
-phase and error its own. Only numpy runs here.
+companion-matrix eigenvalue call. The polishes run in lock step as the
+rows of one damped Newton (solve_many): residuals of shape (B, N),
+Jacobians (B, N, N) and one batched linear solve per iteration, with each
+row's line search, polish phase and error its own. Only numpy runs here.
 
 A branch is real: each level's eigenfunction is built from the real zeros
 of its polynomial y, so enumeration seeks real roots only, and Newton and
@@ -59,13 +60,14 @@ DEGREE_TOL = 1e-10
 # A k >= 2 eigen-solution with roots real to this (in z/s) is real: on the
 # vetted configs real ones stay below 1e-15, complex ones above 0.06.
 REAL_TOL = 1e-6
-# A compressed-problem solution w solves the rectangular one when
+# A Delta-problem solution w solves the rectangular one when
 # M0 + sum_j w_j S_j has sigma_min below this fraction of sigma_max.
 RANK_TOL = 1e-7
-# Cap on (N+1)^k. Past type-2 N = 10 (order 121) the k = 2 rank test loses
-# solutions: 201 of 231 at N = 20 (a = 1, b = -3), the real one among them.
+# Cap on (N+1)^k, which bounds the k >= 2 eigenproblem's order C(N+k, k)
+# (Sym^k -> Lambda^k, 66 at type-2 N = 10). Past it two-wall models lose
+# branches: 80 of 120 at N = 14 with walls at -+0.1, mu = 0.05 and 0.45.
 MAX_ORDER = 121
-COMPRESSION_SEED = 0  # fixed compressions keep the k >= 2 results deterministic
+COMPRESSION_SEED = 0  # seeds the fixed combination c of the k >= 2 Delta_j
 MAX_ITER = 80  # Newton steps to reach tol
 POLISH_ITER = 200  # further steps while the residual keeps improving
 ENERGY_TIE_ULPS = 4  # real branch energies this close, in ulps of their largest term, tie
@@ -494,42 +496,54 @@ def _heine_matrix(spec: ModelSpec) -> tuple[np.ndarray, float]:
 
 
 def _delta_operators(M0: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Atkinson's Delta_0 and Delta_1..Delta_k of (M0 + sum_j w_j S_j) y = 0.
+    """Atkinson's Delta_0 and Delta_1..Delta_k of (M0 + sum_j w_j S_j) y = 0,
+    restricted to Sym^k(R^(N+1)) -> Lambda^k(R^(N+k)): square, of order
+    C(N+k, k), with no compressions.
 
-    k fixed compressions C_i ((N+1) x (N+k)) give the square problems
-    (C_i M0 + sum_j w_j C_i S_j) x_i = 0, where C_i S_j is columns j..j+N of
-    C_i. Delta_0 is the Kronecker determinant of the C_i S_j, and Delta_j
-    has column j replaced by -C_i M0, so Delta_j z = w_j Delta_0 z for
-    z = x_1 (x) ... (x) x_k. Every solution of the rectangular problem
-    solves the compressed one with x_i = y; _rank_deficient drops the
-    compressed one's further solutions.
+    A solution y gives z = y (x) ... (x) y, and Delta_j z = w_j Delta_0 z,
+    where Delta_0 is the operator determinant of the S_j and Delta_j has
+    column j replaced by -M0. Both map symmetric tensors to antisymmetric
+    ones. A row is a k-tuple r_0 < ... < r_(k-1); a column is a multiset t of
+    basis indices, the sum of the basis tensors of its distinct orderings c.
+    The entry is sum_c det[X_j[r_i, c_i]], each determinant a Leibniz sum of
+    products (no LAPACK, so a subnormal entry warns of nothing). On the
+    shifts, Delta_0 is multiplication by the Vandermonde prod_{i<j} (t_j - t_i)
+    of polynomials in t_0..t_(k-1), so it does not depend on M0.
     """
     n, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
-    C = np.random.default_rng(COMPRESSION_SEED).standard_normal((k, n, n + k - 1))
-    cols = [[Ci[:, j:j + n] for Ci in C] for j in range(k)]
-
-    def kron_det(cols):
-        return sum((-1) ** sum(p[j] > p[i] for i in range(k) for j in range(i))
-                   * functools.reduce(np.kron, [cols[p[i]][i] for i in range(k)])
-                   for p in itertools.permutations(range(k)))
-
-    minus_a = [-Ci @ M0 for Ci in C]
-    return kron_det(cols), [kron_det(cols[:j] + [minus_a] + cols[j + 1:]) for j in range(k)]
+    rows = np.array(list(itertools.combinations(range(n + k - 1), k)))
+    orders = [sorted(set(itertools.permutations(t)))
+              for t in itertools.combinations_with_replacement(range(n), k)]
+    cols = np.array([c for order in orders for c in order])
+    X = np.array([np.eye(n + k - 1, n, -j) for j in range(k)] + [-M0])  # S_j, then -M0
+    # G[a, i] holds X_a[r_i, c_i] for every row r and ordering c
+    G = np.moveaxis(X[:, rows[:, None, :], cols[None, :, :]], 3, 1)
+    # operator a in column j of Delta_0 (the first) and of each Delta_j
+    ops = np.array([[k if i == j else i for i in range(k)] for j in range(-1, k)])
+    dets = 0.0
+    for p in itertools.permutations(range(k)):
+        sign = (-1) ** sum(p[j] > p[i] for i in range(k) for j in range(i))
+        dets = dets + sign * np.prod(G[ops[:, p], np.arange(k)], axis=1)
+    first = np.cumsum([0] + [len(order) for order in orders[:-1]])
+    D = np.add.reduceat(dets, first, axis=2)
+    return D[0], list(D[1:])
 
 
 def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
     """Null vectors y of M0 + sum_j w_j S_j over the real solutions w, k >= 2.
 
-    The eigenvectors z of Delta_0^-1 Delta_c, Delta_c a fixed combination
-    of the Delta_j (distinct eigenvalues even where solutions share a w_j),
-    give the candidates, and w_j follows from each z by least squares on
-    Delta_j z = w_j Delta_0 z. Delta_0 depends only on (N, k) and the fixed
-    compressions, and its condition number stays below 5e4 wherever
-    MAX_ORDER admits (N, k), so the standard eigenproblem stands in for the
-    generalized one. A real solution w has the real eigenvalue c . w, which
-    LAPACK returns with imaginary part exactly 0 as for k = 1, so only those
-    eigenvectors are candidates. A candidate is kept when its rectangular
-    matrix has sigma_min <= RANK_TOL sigma_max; y is that singular vector.
+    The eigenvectors z of Delta_0^-1 Delta_c (_delta_operators, Sym^k ->
+    Lambda^k, order C(N+k, k): Heine's count of solutions, so no eigenvalue
+    is spurious), Delta_c a fixed combination of the Delta_j (distinct
+    eigenvalues even where solutions share a w_j), give the candidates, and
+    w_j follows from each z by least squares on Delta_j z = w_j Delta_0 z.
+    Delta_0 depends only on (N, k), and its condition number stays below 15
+    wherever MAX_ORDER admits (N, k), so the standard eigenproblem stands in
+    for the generalized one. A real solution w has the real eigenvalue c . w,
+    which LAPACK returns with imaginary part exactly 0 as for k = 1, so only
+    those eigenvectors are candidates. A candidate is kept when its
+    rectangular matrix has sigma_min <= RANK_TOL sigma_max; y is that
+    singular vector.
     """
     N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
     D0, Ds = _delta_operators(M0)
@@ -633,8 +647,8 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12) -> list[BetheBranch]
     complex ones included. Raises ModelError when (N + 1)^k exceeds
     MAX_ORDER, or when the eigenproblem's scale overflows (_heine_matrix).
 
-    The result is deterministic: nothing is random, and the compressions
-    of the k >= 2 problem are fixed.
+    The result is deterministic: nothing is random, and the combination
+    of the k >= 2 Delta-operators is fixed.
     """
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0)]

@@ -32,13 +32,18 @@ loops that potential.split_energies, bae.branch_energies and
 bae._energy_order run as array passes. bae_solve is the damped
 Newton polish of one start, with its own residual and Jacobian
 (bae_residual, bae_jacobian), the plain form of bae.solve_many's lock-step
-rows. normalizability_check scans one branch's phi^2 over growing windows,
-each a lazy Simpson sum (log_simpson, np.dot) read by scan_side: the
+rows. kron_delta_operators builds bae._delta_operators' Delta-operators
+as full Kronecker determinants and projects them onto the increasing row
+tuples and the symmetrized columns. normalizability_check scans one
+branch's phi^2 over growing windows, each a lazy Simpson sum
+(log_simpson, np.dot) read by scan_side: the
 numerical cross-check of the end rule (prepot.unbound_ends) that
 verify.normalizability_check applies. Its bulk reaches phi's peaks, which
 peaks finds with numpy's polynomial products and np.roots.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -577,6 +582,31 @@ def bae_solve(spec: ModelSpec, init, tol: float = 1e-12) -> BetheBranch:
 _SIMPSON = np.ones(SIMPSON_POINTS)
 _SIMPSON[1:-1:2] = 4.0
 _SIMPSON[2:-1:2] = 2.0
+
+
+def kron_delta_operators(M0: np.ndarray) -> tuple:
+    """Atkinson's Delta_0 and Delta_1..Delta_k of (M0 + sum_j w_j S_j) y = 0
+    as full Kronecker determinants, (N+k)^k x (N+1)^k with no compression,
+    projected as bae._delta_operators restricts them: the rows at the
+    increasing index tuples, the columns summed over each multiset's
+    distinct orderings (the symmetrizer)."""
+    n, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
+    m = n + k - 1
+    shifts = [np.eye(m, n, -j) for j in range(k)]
+
+    def kron_det(ops):
+        return sum((-1) ** sum(p[j] > p[i] for i in range(k) for j in range(i))
+                   * functools.reduce(np.kron, [ops[p[i]] for i in range(k)])
+                   for p in itertools.permutations(range(k)))
+
+    rows = [np.ravel_multi_index(r, (m,) * k) for r in itertools.combinations(range(m), k)]
+    multisets = list(itertools.combinations_with_replacement(range(n), k))
+    sym = np.zeros((n ** k, len(multisets)))
+    for col, t in enumerate(multisets):
+        for c in set(itertools.permutations(t)):
+            sym[np.ravel_multi_index(c, (n,) * k), col] = 1.0
+    return (kron_det(shifts)[rows] @ sym,
+            [kron_det(shifts[:j] + [-M0] + shifts[j + 1:])[rows] @ sym for j in range(k)])
 
 
 def log_simpson(a: float, b: float, logphi: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from qesf.errors import CollisionError, ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
-from oracles import hermite_zeros, laguerre_zeros
+from oracles import hermite_zeros, kron_delta_operators, laguerre_zeros
 
 
 def harmonic(b=1.0, N=1):
@@ -292,8 +292,6 @@ def test_singular_models_have_n_plus_1_certified_branches():
         assert all(rep.verdict for rep in reports), N
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the k = 2 eigenproblem loses "
-                   "two-wall branches from N = 7; it finds 35 of these 36")
 def test_two_wall_model_at_n7_finds_every_branch():
     spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]),
                      (Singularity(-0.1, 0.05), Singularity(0.1, 0.45)), 7)
@@ -310,17 +308,37 @@ def test_type2_branch_counts():
 
 
 def test_delta0_depends_only_on_the_shape_and_is_well_conditioned():
-    # Delta_0 comes from the fixed compressions alone, so
-    # _rank_deficient's Delta_0^-1 has one condition number per (N, k)
+    # Delta_0 is the Vandermonde product on Sym^k -> Lambda^k, so
+    # _rank_deficient's Delta_0^-1 has one condition number per (N, k), at
+    # most 14.3 (k = 4, N = 2), and its order is Heine's count C(N+k, k)
     rng = np.random.default_rng(3)
     for k in range(2, 7):
         shapes = [N for N in range(1, bae.MAX_ORDER) if (N + 1) ** k <= bae.MAX_ORDER]
         assert shapes, k
         for N in shapes:
-            D0, _ = bae._delta_operators(rng.standard_normal((N + k, N + 1)))
+            D0, Ds = bae._delta_operators(rng.standard_normal((N + k, N + 1)))
             other, _ = bae._delta_operators(rng.standard_normal((N + k, N + 1)))
+            assert D0.shape == (math.comb(N + k, k),) * 2, (N, k)
+            assert len(Ds) == k and all(Dj.shape == D0.shape for Dj in Ds), (N, k)
             assert np.array_equal(D0, other), (N, k)
-            assert np.linalg.cond(D0) < 1e6, (N, k)
+            assert np.linalg.cond(D0) < 1e2, (N, k)
+
+
+def test_delta_operators_are_the_projected_kronecker_ones():
+    # every k = 2..4 shape whose full Kronecker Delta has at most 5e5 entries,
+    # all shapes under MAX_ORDER among them
+    rng = np.random.default_rng(4)
+    for k in range(2, 5):
+        N = 1
+        while ((N + k) * (N + 1)) ** k <= 5e5:
+            M0 = rng.standard_normal((N + k, N + 1))
+            D0, Ds = bae._delta_operators(M0)
+            O0, Os = kron_delta_operators(M0)
+            for got, want in zip([D0] + Ds, [O0] + Os):
+                assert got.shape == want.shape == (math.comb(N + k, k),) * 2, (N, k)
+                assert np.max(np.abs(got - want)) <= 1e-12, (N, k)
+            N += 1
+        assert N > 2, k
 
 
 def test_size_cap_names_the_largest_n():
