@@ -22,8 +22,8 @@ from .poly import Poly, Tridiag, tridiag_eigenvalues
 from .potential import PFE, PotentialProfile, split_energies, split_energy, v0_pfe
 from .prepot import Prepotential, integrate_w0, phi_log_sign, unbound_ends
 from .verify import (BranchTable, Grid, VerificationReport, branch_setups, fd_spectrum,
-                     make_grid, node_count, normalizability_check,
-                     schrodinger_residual, verify_branch, verify_branches)
+                     node_count, normalizability_check, schrodinger_residual, verify_branch,
+                     verify_branches)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "Singularity", "SolvabilityClass", "Tridiag", "VerificationReport",
     "branch_energies", "branch_energy", "branch_setups", "build", "classify",
     "enumerate_branches", "expected_energies", "fd_spectrum",
-    "instantiate", "integrate_w0", "jacobian", "make_grid",
+    "instantiate", "integrate_w0", "jacobian",
     "node_count", "normalizability_check",
     "phi_log_sign", "residual", "residuals", "schrodinger_residual", "solve",
     "solve_many", "split_energies", "split_energy",

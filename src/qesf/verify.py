@@ -3,8 +3,10 @@
 Nothing here reuses the algebra that produced the claims: the Schrodinger
 residual checks U - E = Q (g' + g^2) + Q' g / 2, g = d ln phi_N/dz, as the
 rational identity in z it is, from the reported U and E and the roots
-alone, at z(x) of Chebyshev nodes in x across the branch's grid, where
-the state lives: the map only places the nodes (schrodinger_residual);
+alone, at z(x) of Chebyshev nodes in x across the branch's certified
+interval (its Grid: a wall end is the wall itself, an unbounded end is
+cut where |phi| <= e^-W_THRESHOLD), where the state lives: the map only
+places the nodes (schrodinger_residual);
 the spectrum oracle computes the discretized operator's level whose index
 is the node count (a state with n nodes is level n, by Sturm
 oscillation); and normalizability is the exact end rule of
@@ -22,13 +24,14 @@ representation (dvr_spectrum); at a wall it is a Gauss-Jacobi Lagrange
 mesh in z with each box end's power of |z - a| factored out
 (wall_spectrum), which converges spectrally at x^-2 endpoints. Each level comes with its
 own error estimate from a second solve on 0.8 times the rows. The claimed
-energies enter only through the largest one, which seeds the matrix size;
-the size is re-checked against the solve's own top level, so a wrong
-claim costs time and can never change a level. No scipy module is
-loaded. fd_spectrum, the second-order finite-difference operator with a
-ghost-point row at a wall, Richardson-extrapolated, stays as a
-cross-check that only the tests call: one bisection per Richardson grid
-(poly.tridiag_eigenvalues, which imports scipy).
+energies enter only through the largest one, which seeds the first
+solve's size; the size is then taken again from that solve's own top
+level, so a wrong claim costs time and can never change a level, not even
+by rounding. No scipy module is loaded. fd_spectrum, the second-order
+finite-difference operator with a ghost-point row at a wall,
+Richardson-extrapolated on the lattices it builds over a Grid, stays as a
+cross-check that only the tests call: one bisection per Richardson
+lattice (poly.tridiag_eigenvalues, which imports scipy).
 
 Where the coordinate map has a turning point x_t inside the certified
 component (parabolic or cosh maps, with no wall at x_t), z(x), the
@@ -38,7 +41,7 @@ levels are the even sector, whose level m is the full line's level 2m. A
 branch there needs an even node count n and is matched against even-sector
 level n // 2; the odd partners of tunnelling doublets, never algebraic,
 are not in that operator at all. Residual, node count and normalizability
-stay on each branch's full component (the residual across its grid).
+stay on each branch's full component (the residual across its interval).
 
 branch_setups is the one chain from the roots (B, N) of a model's branches
 to their residuals. It returns a BranchTable, one frozen record of
@@ -46,15 +49,15 @@ row-aligned columns, and each column has one producer: x, the roots'
 x-preimages on the map's declared branch and its mirror (one
 coords.CoordinateMap.preimages call, nan where a root has none); energy
 (one bae.branch_energies call); the split into U and E
-(potential.split_energies, which reads energy); the grid (default_grids,
-which reads x and marches the truncation ladders of every branch and end
-together); the residual (schrodinger_residual, one (B, 4N + 8) array
-pass); and each row's error. qesf solve's E and verified columns and
+(potential.split_energies, which reads energy); the grid, the certified
+interval (default_grids, which reads x and marches the truncation ladders
+of every branch and end together); the residual (schrodinger_residual,
+one (B, 4N + 8) array pass); and each row's error. qesf solve's E and verified columns and
 verify_branches all read the table, and nothing else makes those calls.
 verify_branches then takes the node counts from the table's x and the
-spectrum boxes, for the branches whose residual ran, from three
-prepot.phi_log_sign calls with a row per branch, at about 300 of each
-grid's GRID_POINTS points (_spectrum_boxes); the spectrum oracle runs per
+spectrum boxes, for the branches whose residual ran, from one
+prepot.phi_log_sign call with a row per branch, at BOX_SAMPLES points of
+each interval (_spectrum_boxes); the spectrum oracle runs per
 potential. normalizability_check applies the end rule to every certified
 component with one unbound_ends call; its numerical cross-check, a scan
 of phi^2 over growing windows, is the tests' (tests/oracles.py).
@@ -74,11 +77,10 @@ from .model import is_turning_point
 from .poly import Poly, Tridiag, tridiag_eigenvalues
 
 W_THRESHOLD = 40.0  # |phi| <= e^-40 at box ends for unbounded domains
-MIN_GRID_POINTS = 8  # fewest points of a certification grid
-GRID_POINTS = 4001  # points of verify's certification grids
+MIN_GRID_POINTS = 8  # fewest rows of a spectrum solve
 RESIDUAL_TOL = 1e-10  # largest relative Schrodinger residual of a verdict and of verified
 DVR_BOX_LOG = 18.0  # DVR box: where log|phi| >= its max - DVR_BOX_LOG
-BOX_STRIDE = 16  # grid points between the values of phi that first place the box
+BOX_SAMPLES = 401  # evenly spaced values of phi across a branch's interval that place its box
 DVR_STEP = 0.8  # largest phase step h sqrt(E_top - u) of a sinc-DVR solve
 WALL_STEP = 2.0  # and of a wall-basis solve
 DVR_MARGIN = 1.1  # n is sized for DVR_STEP / DVR_MARGIN
@@ -90,26 +92,23 @@ _LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresho
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform certification grid. An end that abuts a singular wall carries
-    it as (x of the wall, nu), with phi ~ |x - wall|^nu there. A mirror
-    grid (mirror = x_t, from mirror_grid) is cell-centred on the half of a
-    component that is reflection-symmetric about x_t: its low end is the
-    mirror, h/2 below its first point, where phi is even."""
+    """A branch's certified interval [lo, hi] of x. An end that abuts a
+    singular wall is the wall itself and carries it as (x of the wall, nu),
+    with phi ~ |x - wall|^nu there; an unbounded end is where the
+    truncation ladder stops. A mirror interval (mirror = x_t, as
+    fd_spectrum takes it) is the half of a component that is
+    reflection-symmetric about x_t, where phi is even."""
 
-    points: np.ndarray
-    h: float
+    lo: float
+    hi: float
     wall_lo: tuple[float, float] | None = None
     wall_hi: tuple[float, float] | None = None
     mirror: float | None = None
 
     @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
     def component(self) -> tuple[float, float]:
-        """The domain component the grid lies in: bounded by its walls (or
-        its mirror), unbounded at an end without one."""
+        """The domain component the interval lies in: bounded by its walls
+        (or its mirror), unbounded at an end without one."""
         lo = self.mirror if self.mirror is not None else (
             -math.inf if self.wall_lo is None else self.wall_lo[0])
         return lo, math.inf if self.wall_hi is None else self.wall_hi[0]
@@ -127,26 +126,6 @@ class VerificationReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def make_grid(x_lo: float, x_hi: float, n: int,
-              wall_lo: tuple[float, float] | None = None,
-              wall_hi: tuple[float, float] | None = None) -> Grid:
-    if n < MIN_GRID_POINTS:
-        raise GridError(f"grid needs at least {MIN_GRID_POINTS} points")
-    if not (x_hi > x_lo):
-        raise GridError(f"empty grid interval [{x_lo}, {x_hi}]")
-    pts = np.linspace(x_lo, x_hi, n)
-    return Grid(pts, float(pts[1] - pts[0]), wall_lo, wall_hi)
-
-
-def mirror_grid(x_t: float, n: int, h: float,
-                wall_hi: tuple[float, float] | None = None) -> Grid:
-    """Cell-centred grid of the n points x_t + (i + 1/2) h, with a mirror
-    end at x_t."""
-    if n < MIN_GRID_POINTS:
-        raise GridError(f"grid needs at least {MIN_GRID_POINTS} points")
-    return Grid(x_t + (np.arange(n) + 0.5) * h, h, None, wall_hi, x_t)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +163,10 @@ def _march_thresholds(pre: prepot.Prepotential, roots: np.ndarray, starts,
 
 
 def default_grids(pre: prepot.Prepotential, roots, x) -> list:
-    """Certification grids of GRID_POINTS points, one per branch, for roots of
-    shape (B, N) (a branch's roots per row) and their x-preimages x
-    (B, 2, N), a BranchTable's x column: per branch, in order, its Grid or
-    the GridError that stopped it.
+    """Certified intervals, one per branch, for roots of shape (B, N) (a
+    branch's roots per row) and their x-preimages x (B, 2, N), a
+    BranchTable's x column: per branch, in order, its Grid or the GridError
+    that stopped it.
 
     The map's endpoints and the model's finite walls (pre.walls) cut the
     x-domain into components. A component is admitted when phi vanishes at
@@ -198,8 +177,7 @@ def default_grids(pre: prepot.Prepotential, roots, x) -> list:
     widest, then the one on the side of the spec's branch_sign. The first
     of them whose unbounded ends truncate is certified: an unbounded end is
     cut where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box
-    edge, and an end at a wall is inset by max(10h, 1e-3) and carries the
-    wall's (x, nu).
+    edge, and an end at a wall is the wall itself and carries its (x, nu).
 
     The truncation ladders of every branch's preferred component, both ends,
     run in one _march_thresholds pass; a branch whose component does not
@@ -258,15 +236,8 @@ def default_grids(pre: prepot.Prepotential, roots, x) -> list:
             if math.isnan(x_lo) or math.isnan(x_hi):
                 continue  # no truncation: the next component
             del pending[i]
-            inset = max(10.0 * ((x_hi - x_lo) / (GRID_POINTS - 1)), 1e-3)
-            wall_lo = (a, walls[a]) if math.isfinite(a) else None
-            wall_hi = (b, walls[b]) if math.isfinite(b) else None
-            try:
-                grids[i] = make_grid(x_lo + inset if wall_lo else x_lo,
-                                     x_hi - inset if wall_hi else x_hi, GRID_POINTS,
-                                     wall_lo, wall_hi)
-            except GridError as exc:
-                grids[i] = exc
+            grids[i] = Grid(x_lo, x_hi, (a, walls[a]) if math.isfinite(a) else None,
+                            (b, walls[b]) if math.isfinite(b) else None)
     return grids
 
 
@@ -287,7 +258,7 @@ def default_grid(pre: prepot.Prepotential, roots) -> Grid:
 def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> list:
     """The Schrodinger equation as the rational identity it is, for rows of
     roots (B, N), a branch per row, with its profile (reported U and E)
-    and its certification grid: per row, in order, (max, rms) of the
+    and its certified interval (its Grid): per row, in order, (max, rms) of the
     relative residual, or the GridError of a row with a non-finite value:
     a point on a pole, or one so close to a root that 1/(z - z_k)^2
     overflows, which names the point and the root.
@@ -300,8 +271,8 @@ def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> li
     declared mu_j), so a wall from W0 and its declared twin give the same
     bits. The residual at a point is
         |Q (g' + g^2) + Q' g / 2 - (U - E)| / (|Q| (|g'| + g^2) + |Q' g| / 2 + |U| + |E|),
-    taken at z(x) of the 4N + 8 Chebyshev nodes in x of the row's grid,
-    from its first point to its last, so that the nodes lie where the state
+    taken at z(x) of the 4N + 8 Chebyshev nodes in x of the row's certified
+    interval [grid.lo, grid.hi], so that the nodes lie where the state
     does (Chebyshev nodes in z across morse-es N = 4's z-range, 6.3e-3 to
     9.6e18, all lay past 1e16, its roots in (0.08, 0.82)). All rows are one
     (B, 4N + 8) array pass, with one z_of_x call; U is evaluated once per
@@ -309,7 +280,7 @@ def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> li
     places the nodes; phi itself is not read.
     """
     spec, M = pre.spec_ref, 4 * pre.spec_ref.N + 8
-    ends = np.array([(g.points[0], g.points[-1]) for g in grids]).reshape(-1, 2)
+    ends = np.array([(g.lo, g.hi) for g in grids]).reshape(-1, 2)
     lo, hi = ends[:, :1], ends[:, 1:]
     x = (lo + hi) / 2.0 + (hi - lo) / 2.0 * np.cos((2 * np.arange(M) + 1) * math.pi / (2 * M))
     z = pre.cmap.z_of_x(x)
@@ -349,60 +320,64 @@ def schrodinger_residual(pre: prepot.Prepotential, roots, profiles, grids) -> li
 
 
 def fd_spectrum(profile: potential.PotentialProfile, cmap, grid: Grid,
-                levels: dict[int, float]) -> dict[int, float]:
-    """Eigenvalues of -d2/dx2 + U discretized on the grid, for
-    levels = {index: energy}, indices ascending from the ground level at 0.
-    Returns {index: eigenvalue}. An index outside the grid's levels raises
-    ValueError. Only the tests call it, as a cross-check of the spectral
-    oracles.
+                levels: dict[int, float], n: int) -> dict[int, float]:
+    """Eigenvalues of -d2/dx2 + U discretized on n points of the grid's
+    interval, for levels = {index: energy}, indices ascending from the
+    ground level at 0. Returns {index: eigenvalue}. An index outside the
+    lattice's levels raises ValueError. Only the tests call it, as a
+    cross-check of the spectral oracles.
 
     Each matrix's levels come from one bisection: tridiag_eigenvalues over
     the indices from the smallest wanted to the largest. The energies are
     not read, so a wrong one cannot move a level. scipy is imported on the
     first bisection: without it, ImportError.
 
-    Second-order stencil with Dirichlet truncation, Richardson-extrapolated:
-    the computation repeats on a doubled grid and the O(h^2) error is
+    Second-order stencil with Dirichlet truncation on the lattice
+    linspace(grid.lo, grid.hi, n), Richardson-extrapolated: the computation
+    repeats on the 2n - 1 points of the halved step and the O(h^2) error is
     extrapolated away. At singular walls (x^-2 endpoint behavior) a plain
     Dirichlet node badly perturbs the spectrum, so the boundary row instead
-    uses a ghost point carrying the wall's behavior phi ~ |x - wall|^nu.
+    uses a ghost point carrying the wall's behavior phi ~ |x - wall|^nu; a
+    walled end of the grid is then the lattice's end, short of the wall.
 
-    On a mirror grid the ghost point below the first one mirrors it
+    On a mirror grid the lattice is cell-centred, the n points
+    x_t + (i + 1/2) h with h = (grid.hi - x_t) / n, and the Richardson one
+    has 2n. The ghost point below the first one mirrors it
     (phi(x_t - h/2) = phi(x_t + h/2)), so the operator is the even sector
     of the symmetric component's: its level m is the full component's
     level 2m. Indices still count the full component's levels, so only
-    even ones exist there, 0..2(grid.n - 1); an odd one raises ValueError.
+    even ones exist there, 0..2(n - 1); an odd one raises ValueError.
     """
     step = _checked_levels(levels, grid.mirror)
     if not levels:
         return {}
     lo, hi = min(levels) // step, max(levels) // step
 
-    def _levels(g: Grid) -> dict[int, float]:
-        u = profile.U(cmap.z_of_x(g.points))
+    def _levels(m: int) -> dict[int, float]:
+        if grid.mirror is None:
+            x = np.linspace(grid.lo, grid.hi, m)
+            h = float(x[1] - x[0])
+        else:
+            h = (grid.hi - grid.mirror) / m
+            x = grid.mirror + (np.arange(m) + 0.5) * h
+        u = profile.U(cmap.z_of_x(x))
         if not np.all(np.isfinite(u)):
             raise GridError("grid intersects a pole of the potential")
-        diag = 2.0 / g.h ** 2 + u
-        off = np.full(g.n - 1, -1.0 / g.h ** 2)
-        if g.mirror is not None:
-            diag[0] -= 1.0 / g.h ** 2
-        for wall, end in ((g.wall_lo, 0), (g.wall_hi, -1)):
+        diag = 2.0 / h ** 2 + u
+        off = np.full(m - 1, -1.0 / h ** 2)
+        if grid.mirror is not None:
+            diag[0] -= 1.0 / h ** 2
+        for wall, end in ((grid.wall_lo, 0), (grid.wall_hi, -1)):
             if wall is not None:
                 x_wall, nu = wall
-                d = abs(g.points[end] - x_wall)
-                r = (d - g.h) / d
+                d = abs(x[end] - x_wall)
+                r = (d - h) / d
                 if r > 0:
-                    diag[end] -= r ** nu / g.h ** 2
+                    diag[end] -= r ** nu / h ** 2
         sector = tridiag_eigenvalues(Tridiag(diag, off), (lo, hi))
         return {k: float(sector[k // step - lo]) for k in levels}
 
-    e1 = _levels(grid)
-    if grid.mirror is None:
-        fine = make_grid(grid.points[0], grid.points[-1], 2 * grid.n - 1,
-                         grid.wall_lo, grid.wall_hi)
-    else:
-        fine = mirror_grid(grid.mirror, 2 * grid.n, grid.h / 2.0, grid.wall_hi)
-    e2 = _levels(fine)
+    e1, e2 = _levels(n), _levels(2 * n - 1 if grid.mirror is None else 2 * n)
     return {k: (4.0 * e2[k] - e1[k]) / 3.0 for k in e1}
 
 
@@ -438,10 +413,14 @@ def _agreed_levels(levels: dict[int, float], step: int, box: tuple[float, float]
     all) and the potential u the solve sees there; solve(n) the ascending
     levels of the sector's n-row matrix. A point's phase step is h times
     sqrt(E - u) where u < E, and times sqrt(u - E) / DVR_TAIL where u > E,
-    so the decay into a truncated box end is resolved too. The largest
-    energy only seeds n, at a largest phase step of largest_step / DVR_MARGIN;
-    n is re-checked against the solve's own level at the largest index
-    (largest_step), so a wrong energy costs time and never moves a level. A
+    so the decay into a truncated box end is resolved too. n grows from
+    MIN_GRID_POINTS until the largest phase step is at most
+    largest_step / DVR_MARGIN. The largest energy only seeds the first
+    solve: n then grows again from MIN_GRID_POINTS by the same rule with
+    that solve's own level at the largest index, and a solve of a size met
+    before is not redone, so a wrong energy costs time and moves no level,
+    not even by rounding. Each later solve is re-checked against its own
+    top level (largest_step). A
     second solve at ceil(0.8 n) must then agree to DVR_AGREE max(1, |E|)
     on every wanted level, or n grows to floor(1.25 n), whose check is the
     solve just made. More than DVR_MAX_POINTS rows raise GridError.
@@ -457,7 +436,7 @@ def _agreed_levels(levels: dict[int, float], step: int, box: tuple[float, float]
         return max(MIN_GRID_POINTS, 2 * top + 2,
                    math.ceil((n - 1) * _phase(n, e) * DVR_MARGIN / largest_step) + 1)
 
-    e_top, n = max(levels.values()), MIN_GRID_POINTS
+    e_top, n, seeded = max(levels.values()), MIN_GRID_POINTS, True
     while True:
         if n > DVR_MAX_POINTS:
             raise GridError(f"the {name} on [{lo:.6g}, {hi:.6g}] needs more "
@@ -466,6 +445,9 @@ def _agreed_levels(levels: dict[int, float], step: int, box: tuple[float, float]
             n = _size(n, e_top)
             continue
         fine = solve(n)
+        if seeded:  # the claim seeded n: the solve's own top level sizes it from the start
+            seeded, e_top, n = False, float(fine[top]), MIN_GRID_POINTS
+            continue
         if _phase(n, float(fine[top])) > largest_step:
             e_top = float(fine[top])  # the solve's own top level resizes n
             n = max(_size(n, e_top), n + 1)
@@ -685,38 +667,21 @@ def normalizability_check(pre: prepot.Prepotential, components) -> list:
 
 
 def _spectrum_boxes(pre: prepot.Prepotential, roots: np.ndarray, grids: list) -> list:
-    """Per row of roots (B, N) and its grid, the spectrum box: the first and
-    last grid points where log|phi_N| >= its max - DVR_BOX_LOG. phi is read
-    at every BOX_STRIDE-th grid point and the last one, then on the
-    2 BOX_STRIDE - 1 points around the largest of them, whose largest
-    value is the max, then on the BOX_STRIDE points outward of the
-    outermost coarse point at each end within DVR_BOX_LOG of the max: one
-    prepot.phi_log_sign call each, with a row per branch."""
-    points = np.array([g.points for g in grids])
-    rows, n = np.arange(len(grids))[:, None], points.shape[1]
-    coarse = np.unique(np.r_[0:n:BOX_STRIDE, n - 1])
-
-    def _logphi(idx):
-        return prepot.phi_log_sign(pre, roots, points[rows, idx])[0]
-
-    lc = _logphi(np.broadcast_to(coarse, (len(grids), len(coarse))))
-    finite = np.where(np.isfinite(lc), lc, -math.inf)
-    top = coarse[np.argmax(finite, axis=1)]
-    lp = _logphi(np.clip(top[:, None] + np.arange(1 - BOX_STRIDE, BOX_STRIDE), 0, n - 1))
-    floor = (np.maximum(finite.max(axis=1), np.max(lp, axis=1, where=np.isfinite(lp),
-                                                   initial=-math.inf)) - DVR_BOX_LOG)[:, None]
-    above = lc >= floor
-    coarse_ends = np.stack((coarse[np.argmax(above, axis=1)],
-                            coarse[len(coarse) - 1 - np.argmax(above[:, ::-1], axis=1)]), axis=1)
-    # each end's BOX_STRIDE points outward of its coarse point, outermost
-    # first, and the coarse point itself: the first of them within
-    # DVR_BOX_LOG of the max is the box end
-    steps = np.array([-1, 1])[:, None] * np.arange(BOX_STRIDE, 0, -1)
-    ends = np.clip(coarse_ends[..., None] + steps, 0, n - 1)
-    inside = (_logphi(ends.reshape(len(grids), -1)) >= floor).reshape(ends.shape)
-    idx = np.take_along_axis(np.dstack((ends, coarse_ends)), np.argmax(
-        np.dstack((inside, np.ones_like(coarse_ends, dtype=bool))), axis=2)[..., None], 2)[..., 0]
-    return [(float(p[i]), float(p[j])) for p, (i, j) in zip(points, idx)]
+    """Per row of roots (B, N) and its grid, the spectrum box, from
+    log|phi_N| at BOX_SAMPLES evenly spaced points of the grid's interval,
+    the last one exactly its hi end (one prepot.phi_log_sign call, a row
+    per branch): each box end is the sample one outward of the first (or
+    last) sample within DVR_BOX_LOG of the samples' max, clipped to the
+    interval."""
+    ends = np.array([(g.lo, g.hi) for g in grids])
+    x = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, BOX_SAMPLES)
+    x[:, -1] = ends[:, 1]
+    logphi, _ = prepot.phi_log_sign(pre, roots, x)
+    peak = np.max(logphi, axis=1, where=np.isfinite(logphi), initial=-math.inf)
+    inside = logphi >= (peak - DVR_BOX_LOG)[:, None]
+    first = np.maximum(np.argmax(inside, axis=1) - 1, 0)
+    last = np.minimum(BOX_SAMPLES - np.argmax(inside[:, ::-1], axis=1), BOX_SAMPLES - 1)
+    return [(float(row[i]), float(row[j])) for row, i, j in zip(x, first, last)]
 
 
 @dataclass(frozen=True)
@@ -782,8 +747,8 @@ def verify_branches(pre: prepot.Prepotential, roots) -> list:
     them. The claimed energy is the profile's, the table's energy column:
     bae.branch_energies of the branch's roots, the E solve writes. The node
     count is node_count's:
-    the x-preimages of the roots in the grid's component, whatever the
-    grid's step. phi is normalizable when no end of the component is one
+    the x-preimages of the roots in the grid's component. phi is
+    normalizable when no end of the component is one
     that prepot.unbound_ends flags (normalizability_check, one call for
     all branches); the grid exists only where phi falls below
     e^-W_THRESHOLD at each unbounded end. The verdict requires the
@@ -803,8 +768,8 @@ def verify_branches(pre: prepot.Prepotential, roots) -> list:
     dvr_spectrum on a group with no wall, and from wall_spectrum on a
     group with a wall (nu >= 1/2). Each end of the spectrum's box is a
     wall of the group's component, or where some member's log|phi| is
-    within DVR_BOX_LOG of its maximum on its grid (its _spectrum_boxes
-    box). GRID_POINTS sizes the members' grids, not the spectrum.
+    within DVR_BOX_LOG of its maximum over its interval's samples (its
+    _spectrum_boxes box).
 
     When the group's component holds the map's turning point x_t
     (coords.CoordinateMap.x_turn), the spectrum is the even sector of the

@@ -16,14 +16,14 @@ def _subprocess_pythonpath(monkeypatch):
 
 @pytest.fixture
 def fd_spectrum_grids(monkeypatch):
-    """The grid of every verify.fd_spectrum call made through the module."""
+    """(grid, n) of every verify.fd_spectrum call made through the module."""
     from qesf import verify
     grids = []
     real = verify.fd_spectrum
 
-    def counted(profile, cmap, grid, *args, **kwargs):
-        grids.append(grid)
-        return real(profile, cmap, grid, *args, **kwargs)
+    def counted(profile, cmap, grid, levels, n):
+        grids.append((grid, n))
+        return real(profile, cmap, grid, levels, n)
 
     monkeypatch.setattr(verify, "fd_spectrum", counted)
     return grids

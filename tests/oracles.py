@@ -8,17 +8,20 @@ Morse models, computed independently of qesf.bae. dz/dx and dW0/dz are the
 derivatives that the coordinate map and the prepotential must reproduce:
 z'^2 = Q(z) and dW0/dz = P/Q; w0_of_z sums the prepotential's closed-form
 terms as written, so the tests can check them against known W0.
-grid_residual applies a fourth-order finite-difference second derivative
-to phi on a grid: the Schrodinger residual sampled in x, through the map
-and phi, which verify.schrodinger_residual's rational identity in z does
-not read.
+lattice rebuilds the uniform points that a verify.Grid's interval held
+before the Grid became the interval alone: n points, each wall end inset
+by max(10 h, 1e-3), so the grid-sampled oracles below read phi where they
+always did. grid_residual applies a fourth-order finite-difference second
+derivative to phi on a grid's lattice: the Schrodinger residual sampled in
+x, through the map and phi, which verify.schrodinger_residual's rational
+identity in z does not read.
 phi_setups gives each branch its verify.branch_setups profile and grid
-with phi on every grid point, the phi those grid-sampled oracles read, and
-spectrum_box places the spectrum box from that phi: the first and last
-grid points within DVR_BOX_LOG of log|phi|'s max, which
-verify._spectrum_boxes finds from about 300 of the points.
-sign_changes counts phi's sign changes on sampled_points (a grid and its
-wall insets), the sampled form of verify.node_count's preimage count.
+with phi on every point of its lattice, the phi those grid-sampled oracles
+read, and spectrum_box places the spectrum box from that phi: the first
+and last lattice points within DVR_BOX_LOG of log|phi|'s max, which
+verify._spectrum_boxes places from BOX_SAMPLES values of phi.
+sign_changes counts phi's sign changes on sampled_points (a lattice and
+its wall insets), the sampled form of verify.node_count's preimage count.
 sturm_count counts a tridiagonal matrix's eigenvalues below a value by the
 LDL^T recurrence, without LAPACK; norm1 is the matrix's |T|_1, the scale of
 the bisection tolerance. phi_log_sign adds one log and one sign per root
@@ -275,14 +278,26 @@ def phi_log_sign(pre, roots, x):
 
 NODE_DELTA_STEPS = 10  # grid_residual's exclusion radius around nodes, in grid steps
 WALL_DELTA_STEPS = 50  # and its exclusion width at singular walls
-GRID_RESIDUAL_TOL = 1e-6  # the bound grid_residual was held to on verify's 4001-point grids
+GRID_RESIDUAL_TOL = 1e-6  # the bound grid_residual was held to on 4001-point lattices
+LATTICE_POINTS = 4001  # points of lattice's default, the grids verify once certified on
+BOX_STEPS = 16  # lattice steps a truncated spectrum box end may lie outward of the lattice box's
 _STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # fourth-order d2/dx2
 
 
-def grid_residual(profile, cmap, grid, phi) -> tuple:
+def lattice(grid, n: int = LATTICE_POINTS) -> np.ndarray:
+    """n uniform points over the grid's interval [lo, hi], each wall end
+    inset by max(10 h, 1e-3), h = (hi - lo) / (n - 1): the points of the
+    grid verify's default_grids built before a Grid was its interval."""
+    inset = max(10.0 * ((grid.hi - grid.lo) / (n - 1)), 1e-3)
+    return np.linspace(grid.lo + inset if grid.wall_lo else grid.lo,
+                       grid.hi - inset if grid.wall_hi else grid.hi, n)
+
+
+def grid_residual(profile, cmap, grid, phi, n: int = LATTICE_POINTS) -> tuple:
     """(max, rms) of the normalized residual of (-d2/dx2 + U - E) phi_N on
-    the grid, phi_N the wave function of the profile's branch, given on the
-    grid points as phi = (log|phi_N|, sign) from prepot.phi_log_sign.
+    the grid's n-point lattice, phi_N the wave function of the profile's
+    branch, given on the lattice as phi = (log|phi_N|, sign) from
+    prepot.phi_log_sign.
 
     phi is normalized to max 1 from its log magnitude; the residual is
     scaled by 1 + max|U - E| so that it is dimensionless and converges at
@@ -292,7 +307,8 @@ def grid_residual(profile, cmap, grid, phi) -> tuple:
     makes the normalized residual ill-conditioned without carrying
     certification content.
     """
-    x = grid.points
+    x = lattice(grid, n)
+    h = x[1] - x[0]
     logphi, sign = phi
     finite = np.isfinite(logphi)
     if not np.any(finite):
@@ -305,7 +321,7 @@ def grid_residual(profile, cmap, grid, phi) -> tuple:
     if not np.all(np.isfinite(u_minus_e)):
         raise GridError("grid intersects a pole of the potential")
 
-    d2 = np.convolve(phi, _STENCIL, mode="valid") / grid.h ** 2
+    d2 = np.convolve(phi, _STENCIL, mode="valid") / h ** 2
     interior = slice(2, len(x) - 2)
     res = -d2 + u_minus_e[interior] * phi[interior]
 
@@ -316,11 +332,11 @@ def grid_residual(profile, cmap, grid, phi) -> tuple:
     if len(flips):
         xn = 0.5 * (x[flips] + x[flips + 1])
         right = np.minimum(np.searchsorted(xn, xi), len(xn) - 1)
-        delta = NODE_DELTA_STEPS * grid.h
+        delta = NODE_DELTA_STEPS * h
         left = np.maximum(right - 1, 0)
         mask = (np.abs(xi - xn[right]) > delta) & (np.abs(xi - xn[left]) > delta)
     # singular-wall exclusion zones
-    wdelta = WALL_DELTA_STEPS * grid.h
+    wdelta = WALL_DELTA_STEPS * h
     if grid.wall_lo is not None:
         mask &= xi > x[0] + wdelta
     if grid.wall_hi is not None:
@@ -335,7 +351,7 @@ def grid_residual(profile, cmap, grid, phi) -> tuple:
 
 def phi_setups(pre, branches) -> list:
     """verify.branch_setups' profile and grid of each branch with phi =
-    (log|phi_N|, sign) on every point of its grid, from one
+    (log|phi_N|, sign) on every point of its lattice, from one
     prepot.phi_log_sign call with a row per branch: per branch its
     (profile, grid, phi), or the error that stopped it."""
     table = verify.branch_setups(pre, [br.roots for br in branches])
@@ -343,18 +359,35 @@ def phi_setups(pre, branches) -> list:
     rows = [i for i, error in enumerate(setups) if error is None]
     if rows:
         logphi, sign = prepot.phi_log_sign(pre, table.roots[rows],
-                                           np.array([table.grid[i].points for i in rows]))
+                                           np.array([lattice(table.grid[i]) for i in rows]))
         for i, lp, sg in zip(rows, logphi, sign):
             setups[i] = table.profile[i], table.grid[i], (lp, sg)
     return setups
 
 
-def spectrum_box(grid, logphi) -> tuple:
-    """The first and last of the grid's points where logphi, log|phi_N| on
+def spectrum_box(x, logphi) -> tuple:
+    """The first and last of the points x where logphi, log|phi_N| on
     every point, is within DVR_BOX_LOG of its finite max."""
     peak = np.max(logphi, where=np.isfinite(logphi), initial=-math.inf)
     inside = np.flatnonzero(logphi >= peak - DVR_BOX_LOG)
-    return float(grid.points[inside[0]]), float(grid.points[inside[-1]])
+    return float(x[inside[0]]), float(x[inside[-1]])
+
+
+def box_steps(grid, box, want, h) -> list:
+    """Per end of box = (lo, hi) on the grid, how many lattice steps (h,
+    one per end) it lies outward of that end of want, the box spectrum_box
+    places on the grid's lattice: negative where box misses want's end. A
+    wall end counts 0 where it lies between the wall and want's end, and
+    -inf elsewhere."""
+    steps = []
+    for sign, end, want_end, wall, step in ((-1.0, box[0], want[0], grid.wall_lo, h[0]),
+                                            (1.0, box[1], want[1], grid.wall_hi, h[1])):
+        outward = sign * (end - want_end)
+        if wall is None:
+            steps.append(outward / step)
+        else:
+            steps.append(0.0 if outward >= 0.0 and sign * (wall[0] - end) >= 0.0 else -math.inf)
+    return steps
 
 
 def sign_changes(phi) -> int:
@@ -366,14 +399,15 @@ def sign_changes(phi) -> int:
 
 
 def sampled_points(grid) -> np.ndarray:
-    """The grid's points and, between each wall and the grid's end there
-    (which verify.default_grids insets), points at most h apart that halve
-    their distance to the wall down to 2^-30 h, ascending: where the
-    sampled node count read phi."""
-    parts = [grid.points]
-    for wall, end in ((grid.wall_lo, grid.points[0]), (grid.wall_hi, grid.points[-1])):
+    """The grid's lattice and, between each wall and the lattice's inset
+    end there, points at most h apart that halve their distance to the
+    wall down to 2^-30 h, ascending: where the sampled node count read
+    phi."""
+    x = lattice(grid)
+    parts = [x]
+    for wall, end in ((grid.wall_lo, x[0]), (grid.wall_hi, x[-1])):
         if wall is not None:
-            steps = max(math.ceil(abs(end - wall[0]) / grid.h), 1)
+            steps = max(math.ceil(abs(end - wall[0]) / (x[1] - x[0])), 1)
             t = np.concatenate((2.0 ** -np.arange(30.0, 0.0, -1.0),
                                 np.arange(1.0, steps))) / steps
             parts.append(wall[0] + (end - wall[0]) * t)

@@ -62,11 +62,10 @@ def test_criterion_02_sextic_type1():
             for i in range(deg + 1):
                 assert abs(p.U.poly.coeff(i) - base.poly.coeff(i)) < 1e-9
             assert p.U.boundary_poles == base.boundary_poles
-        box = verify.default_grid(pre, branches[-1].roots)
-        grid = verify.make_grid(box.points[0], box.points[-1], 4000)
+        grid = verify.default_grid(pre, branches[-1].roots)
         # z = x^2: the ground state is nodeless, each root at z > 0 a node pair
         claims = {2 * n: p.energy for n, p in enumerate(profs)}
-        levels = verify.fd_spectrum(profs[0], pre.cmap, grid, claims)
+        levels = verify.fd_spectrum(profs[0], pre.cmap, grid, claims, 4000)
         for k, e in claims.items():
             assert abs(levels[k] - e) < 1e-3
         if N == 1:
@@ -217,8 +216,8 @@ def test_criterion_09_oracle_self_tests():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0)
-    grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)})
+    grid = verify.Grid(-10.0, 10.0)
+    levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)}, 4000)
     assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in range(5))
 
     # analytic Jacobian vs central differences

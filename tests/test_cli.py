@@ -693,6 +693,29 @@ def test_solve_and_verify_run_one_chain_from_roots_to_residual(tmp_path, monkeyp
 # Configs whose FD level at a wall missed its claim by more than FD's 1e-2
 # bound: the wall basis certifies them (trig-interval's nu = 1/2 walls; a
 # wall where Q(a) != 0, cut at both of its x-preimages).
+# two walls 1e-3 apart: branch 3's roots, -2.85e-4 and 2.42e-4, lie in the
+# component between them
+NARROW = {"Q": [1], "P": [0, 1], "N": 2,
+          "singularities": [{"a": -0.0005, "mu": 0.6}, {"a": 0.0005, "mu": 0.7}]}
+
+
+def test_a_narrow_component_between_two_walls_certifies_its_residual(tmp_path):
+    # the certified interval ends at the walls themselves, so a component
+    # narrower than any wall inset still gets its residual: every branch is
+    # verified. The wall basis then needs more than its largest size on that
+    # branch alone, a verification failure (exit 3)
+    solve_code, csv_text, code, out, err, _ = _solve_and_verify(tmp_path, "narrow", NARROW)
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert solve_code == 0 and len(rows) == 12
+    assert all(row["verified"] == "true" for row in rows), csv_text
+    assert [row["z_k"] for row in rows if row["branch_id"] == "3"] == [
+        "-0.00028501306077504058", "0.00024153480069163648"]
+    assert code == 3 and out.count(": pass") == 5
+    assert err.count("verification error") == 1
+    assert ("branch 3: verification error: the wall basis on [-0.0005, 0.0005] needs more "
+            "than 2000 points") in err, err
+
+
 def test_trig_interval_n15_certifies(tmp_path):
     solve_code, _, code, out, err, _ = _solve_and_verify(
         tmp_path, "t", {"catalog": "trig-interval", "N": 15})

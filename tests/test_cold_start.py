@@ -114,9 +114,9 @@ def test_fd_needs_scipy_on_its_first_level(tmp_path):
                    "from qesf import potential\n"
                    "U = potential.PFE(qesf.Poly([0.0, 0.0, 1.0]))\n"
                    "profile = potential.PotentialProfile(U, 0.0)\n"
-                   "grid = qesf.make_grid(-8.0, 8.0, 401)\n"
+                   "cmap, grid = qesf.build(qesf.Poly([1.0])), qesf.Grid(-8.0, 8.0)\n"
                    "try:\n"
-                   "    qesf.fd_spectrum(profile, qesf.build(qesf.Poly([1.0])), grid, {0: 1.0})\n"
+                   "    qesf.fd_spectrum(profile, cmap, grid, {0: 1.0}, 401)\n"
                    "except ImportError:\n"
                    "    pass\n"
                    "else:\n"

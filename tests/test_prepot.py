@@ -132,10 +132,10 @@ def test_an_exact_root_hit_in_a_batched_setup_is_a_node():
     setups = oracles.phi_setups(pre, branches)
     (hit,) = [i for i, br in enumerate(branches) if br.roots == (0.0,)]
     _, grid, (logphi, sign) = setups[hit]
-    (node,) = np.flatnonzero(grid.points == 0.0)
+    (node,) = np.flatnonzero(oracles.lattice(grid) == 0.0)
     assert (logphi[node], sign[node]) == (-math.inf, 0.0)
     roots = np.array([br.roots for br in branches])
-    points = np.array([g.points for _, g, _ in setups])
+    points = np.array([oracles.lattice(g) for _, g, _ in setups])
     want = oracles.phi_log_sign(pre, roots, points)
     got = prepot.phi_log_sign(pre, roots, points)
     assert np.array_equal(got[1], want[1])

@@ -334,9 +334,7 @@ def _setup_matches(pre, got, want):
         assert (type(got), str(got)) == (type(want), str(want))
         return
     (profile, grid, (logphi, sign)), (profile_w, grid_w, (logphi_w, sign_w)) = got, want
-    assert profile == profile_w
-    assert np.array_equal(grid.points, grid_w.points)
-    assert (grid.h, grid.wall_lo, grid.wall_hi) == (grid_w.h, grid_w.wall_lo, grid_w.wall_hi)
+    assert profile == profile_w and grid == grid_w
     assert np.array_equal(sign, sign_w)
     finite = np.isfinite(logphi_w)
     assert np.array_equal(np.isfinite(logphi), finite)
@@ -387,7 +385,7 @@ def test_log_phi_has_the_slope_of_z_prime_times_g(spec, where):
     for br, x_roots, grid in zip(branches, table.x, table.grid):
         if grid is None:
             continue
-        lo, hi = grid.points[0], grid.points[-1]
+        lo, hi = oracles.lattice(grid)[[0, -1]]
         h = 1e-6 * (hi - lo)
         nodes = x_roots.ravel()
         # nodes, walls, and the turning point, where z' g is 0 times a pole
@@ -565,9 +563,10 @@ walled_models = st.one_of(
 # RuntimeWarning
 @example(ModelSpec(Poly([0.0, 4.0]), Poly([0.0, 2.225e-311]), (Singularity(1.0, 0.5),), 1))
 def test_the_spectrum_box_holds_the_full_grid_box(spec):
-    # the box from about 300 values of phi holds the first and last grid
-    # points within DVR_BOX_LOG of log|phi|'s max on the whole grid, and
-    # each of its ends is within BOX_STRIDE points of that box's
+    # the box from BOX_SAMPLES values of phi holds the first and last points
+    # of the 4001-point lattice within DVR_BOX_LOG of log|phi|'s max on the
+    # whole lattice: each truncated end at most BOX_STEPS lattice steps
+    # outward of that box's, each wall end between the wall and that box's
     try:
         pre = prepot.integrate_w0(spec)
         branches = bae.enumerate_branches(spec)
@@ -578,13 +577,12 @@ def test_the_spectrum_box_holds_the_full_grid_box(spec):
     if not rows:
         return
     roots, grids = table.roots[rows], [table.grid[i] for i in rows]
-    logphi, _ = prepot.phi_log_sign(pre, roots, np.array([grid.points for grid in grids]))
-    for grid, box, full in zip(grids, verify._spectrum_boxes(pre, roots, grids), logphi,
-                               strict=True):
-        (lo, hi), (want_lo, want_hi) = (np.searchsorted(grid.points, b) for b in (
-            box, oracles.spectrum_box(grid, full)))
-        assert want_lo - verify.BOX_STRIDE <= lo <= want_lo <= want_hi <= hi <= (
-            want_hi + verify.BOX_STRIDE), (spec, box)
+    x = np.array([oracles.lattice(grid) for grid in grids])
+    logphi, _ = prepot.phi_log_sign(pre, roots, x)
+    for grid, box, xs, full in zip(grids, verify._spectrum_boxes(pre, roots, grids), x, logphi,
+                                   strict=True):
+        steps = oracles.box_steps(grid, box, oracles.spectrum_box(xs, full), (xs[1] - xs[0],) * 2)
+        assert all(0.0 <= s <= oracles.BOX_STEPS for s in steps), (spec, box, steps)
 
 
 @st.composite

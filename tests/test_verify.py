@@ -32,46 +32,45 @@ def _pipeline(spec, branch=None):
     return pre.cmap, pre, branch, prof
 
 
-def _phi(pre, branch, grid):
-    return prepot.phi_log_sign(pre, branch.roots, grid.points)
-
-
-def _residual(prof, pre, branch, grid):
-    return oracles.grid_residual(prof, pre.cmap, grid, _phi(pre, branch, grid))
+def _residual(prof, pre, branch, grid, n=oracles.LATTICE_POINTS):
+    phi = prepot.phi_log_sign(pre, branch.roots, oracles.lattice(grid, n))
+    return oracles.grid_residual(prof, pre.cmap, grid, phi, n)
 
 
 def _fd_group(pre, members, reports):
-    """verify.fd_spectrum, called through the module, on the grid that
+    """verify.fd_spectrum, called through the module, on the lattice that
     verify_branches gave a group before the sinc DVR and the wall basis
-    replaced FD: 4001 points over the union of the members' default grids, or the
-    mirror grid at that spacing where the component holds the map's
-    turning point, with each node count's first claimed energy. Returns
-    (grid, levels)."""
+    replaced FD: 4001 points over the union of the members' lattices, or
+    the cell-centred mirror lattice at that spacing where the component
+    holds the map's turning point, with each node count's first claimed
+    energy. Returns (grid, levels)."""
     grids = [verify.default_grid(pre, br.roots) for br in members]
-    lo, hi = min(g.points[0] for g in grids), max(g.points[-1] for g in grids)
+    lattices = [oracles.lattice(g) for g in grids]
+    lo, hi = min(x[0] for x in lattices), max(x[-1] for x in lattices)
     x_t = pre.cmap.x_turn
     c_lo, c_hi = grids[0].component
     if x_t is not None and c_lo < x_t < c_hi:
         h = float(hi - lo) / 4000
-        grid = verify.mirror_grid(x_t, math.ceil(max(x_t - lo, hi - x_t) / h + 0.5), h,
-                                  grids[0].wall_hi)
+        n = math.ceil(max(x_t - lo, hi - x_t) / h + 0.5)
+        grid = verify.Grid(x_t, x_t + n * h, None, grids[0].wall_hi, x_t)
     else:
-        grid = verify.make_grid(lo, hi, 4001, grids[0].wall_lo, grids[0].wall_hi)
+        n, grid = 4001, verify.Grid(lo, hi, grids[0].wall_lo, grids[0].wall_hi)
     claims = {}
     for rep in reports:
         if grid.mirror is None or rep.node_count % 2 == 0:
             claims.setdefault(rep.node_count, rep.spectrum_matches[0][0])
     return grid, verify.fd_spectrum(potential.split_energy(pre, members[0]), pre.cmap, grid,
-                                    claims)
+                                    claims, n)
 
 
 def test_residual_harmonic_reference_grid():
     # b = 1, N = 2, Hermite-zero branch, h = 1e-3, 4th order
     spec = harmonic(N=2)
     cmap, pre, br, prof = _pipeline(spec)
-    grid = verify.make_grid(-9.0, 9.0, 18001)
-    assert grid.h == pytest.approx(1e-3)
-    rmax, rrms = _residual(prof, pre, br, grid)
+    grid = verify.Grid(-9.0, 9.0)
+    x = oracles.lattice(grid, 18001)
+    assert x[1] - x[0] == pytest.approx(1e-3)
+    rmax, rrms = _residual(prof, pre, br, grid, 18001)
     assert rmax < 1e-8
     assert rrms <= rmax
 
@@ -79,12 +78,12 @@ def test_residual_harmonic_reference_grid():
 def test_residual_detects_wrong_energy():
     spec = harmonic(N=2)
     cmap, pre, br, prof = _pipeline(spec)
-    grid = verify.make_grid(-9.0, 9.0, 18001)
-    base, _ = _residual(prof, pre, br, grid)
+    grid = verify.Grid(-9.0, 9.0)
+    base, _ = _residual(prof, pre, br, grid, 18001)
     wrong = potential.PotentialProfile(prof.U, prof.energy + 0.1)
-    shifted, _ = _residual(wrong, pre, br, grid)
+    shifted, _ = _residual(wrong, pre, br, grid, 18001)
     # residual jumps to ~ 0.1 / (1 + max|U - E|)
-    z = cmap.z_of_x(grid.points)
+    z = cmap.z_of_x(oracles.lattice(grid, 18001))
     scale = 1.0 + np.max(np.abs(prof.U(z) - prof.energy))
     assert shifted > 100 * base
     assert shifted == pytest.approx(0.1 / scale, rel=0.5)
@@ -95,17 +94,21 @@ def test_residual_convergence_order():
     cmap, pre, br, prof = _pipeline(spec)
     res = []
     for n in (901, 1801):
-        grid = verify.make_grid(-9.0, 9.0, n)
-        rmax, _ = _residual(prof, pre, br, grid)
+        rmax, _ = _residual(prof, pre, br, verify.Grid(-9.0, 9.0), n)
         res.append(rmax)
     slope = math.log2(res[0] / res[1])
     assert abs(slope - 4) < 0.2 * 4
 
 
 def test_grid_uniform_spacing():
-    grid = verify.make_grid(-3.0, 7.0, 4001)
-    gaps = np.diff(grid.points)
-    assert np.max(np.abs(gaps - grid.h)) < 1e-14
+    # the tests' lattice over a grid's interval: uniform, its ends the
+    # interval's, except at a wall, where it stops max(10 h, 1e-3) short
+    x = oracles.lattice(verify.Grid(-3.0, 7.0))
+    assert (x[0], x[-1]) == (-3.0, 7.0)
+    assert np.max(np.abs(np.diff(x) - 10.0 / 4000)) < 1e-14
+    x = oracles.lattice(verify.Grid(-3.0, 7.0, (-3.0, 0.5), (7.0, 0.5)), 201)
+    assert (x[0], x[-1]) == (-3.0 + 0.5, 7.0 - 0.5)
+    assert oracles.lattice(verify.Grid(0.0, 0.2, (0.0, 0.5)))[0] == 1e-3
 
 
 def test_fd_spectrum_harmonic_normal_form():
@@ -113,8 +116,8 @@ def test_fd_spectrum_harmonic_normal_form():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0)
-    grid = verify.make_grid(-10.0, 10.0, 4000)
-    levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)})
+    grid = verify.Grid(-10.0, 10.0)
+    levels = verify.fd_spectrum(prof, cmap, grid, {n: 2.0 * n + 1.0 for n in range(5)}, 4000)
     assert list(levels) == [0, 1, 2, 3, 4]
     assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in range(5))
 
@@ -127,7 +130,7 @@ def test_fd_spectrum_sextic_contains_branch_energies():
     # z = x^2: the ground state is nodeless, the root at z > 0 a node pair
     energies = [potential.split_energy(pre, b).energy for b in branches]
     claims = dict(zip((0, 2), energies))
-    levels = verify.fd_spectrum(prof, cmap, grid, claims)
+    levels = verify.fd_spectrum(prof, cmap, grid, claims, 4001)
     for k, e in claims.items():
         assert abs(levels[k] - e) < 1e-3
 
@@ -136,10 +139,9 @@ def test_fd_spectrum_morse_levels():
     A, alpha = 5.0, 1.0
     spec = catalog.instantiate("morse-es", N=0)
     cmap, pre, br, prof = _pipeline(spec)
-    box = verify.default_grid(pre, br.roots)
-    grid = verify.make_grid(box.points[0], box.points[-1], 6001)
+    grid = verify.default_grid(pre, br.roots)
     want = {n: A ** 2 - (A - n * alpha) ** 2 for n in range(5)}
-    levels = verify.fd_spectrum(prof, cmap, grid, want)
+    levels = verify.fd_spectrum(prof, cmap, grid, want, 6001)
     for n, e in want.items():
         assert abs(levels[n] - e) / max(1.0, abs(e)) < 1e-3
 
@@ -148,10 +150,10 @@ def test_fd_spectrum_k_bounds():
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0)
-    grid = verify.make_grid(-5.0, 5.0, 101)
+    grid = verify.Grid(-5.0, 5.0)
     for bad in ({0: 1.0, 101: 203.0}, {-1: 1.0, 3: 7.0}):
         with pytest.raises(ValueError):
-            verify.fd_spectrum(prof, cmap, grid, bad)
+            verify.fd_spectrum(prof, cmap, grid, bad, 101)
 
 
 def _nodes(pre, roots, component) -> int:
@@ -188,7 +190,7 @@ def test_node_count_counts_every_root_preimage_in_the_component():
     pre = prepot.integrate_w0(spec)
     line = (-math.inf, math.inf)
     assert _nodes(pre, (1e-14, 0.5), line) == 4
-    assert verify.default_grid(pre, (1e-14, 0.5)).h > 2e-7
+    assert np.diff(oracles.lattice(verify.default_grid(pre, (1e-14, 0.5)))[:2])[0] > 2e-7
     # a root at the image's end z = 0 (a double zero of phi in x) or
     # outside the image is no node
     assert _nodes(pre, (0.0, -0.6), line) == 0
@@ -320,37 +322,34 @@ def gridded():
     return out
 
 
-def test_the_spectrum_box_is_the_full_grid_box_on_every_vetted_and_ci_branch(gridded):
-    # the box from about 300 values of phi is, bit for bit, the first and
-    # last grid points within DVR_BOX_LOG of log|phi|'s max on all
-    # GRID_POINTS points, wherever that max is reached within a stride of
-    # the largest coarse value; elsewhere (a lobe a little higher than the
-    # one the coarse values picked) it holds that box within a stride. The
-    # box each spectrum reads, the union over the branches of one
-    # potential, is the full-grid one on every config
-    exact = total = 0
+def test_the_spectrum_box_holds_the_lattice_box_on_every_vetted_and_ci_branch(gridded):
+    # the box from BOX_SAMPLES values of phi holds the first and last points
+    # of the 4001-point lattice within DVR_BOX_LOG of log|phi|'s max on the
+    # whole lattice: each truncated end at most BOX_STEPS lattice steps
+    # outward of that box's, each wall end between the wall and that box's.
+    # The box each spectrum reads, the union over the branches of one
+    # potential, holds the union of their lattice boxes within the same bound
+    ends = 0
     for pre, branches, roots, profiles, grids in (row for rows in gridded.values() for row in rows):
-        groups = {}  # (U, walls) -> [(box, full-grid box)]
+        groups = {}  # (U, walls) -> [(box, lattice box, lattice step)]
         boxes = verify._spectrum_boxes(pre, roots, grids) if grids else []
         for br, profile, box, grid in zip(branches, profiles, boxes, grids, strict=True):
-            logphi, _ = prepot.phi_log_sign(pre, br.roots, grid.points)
-            want = oracles.spectrum_box(grid, logphi)
-            groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append((box, want))
-            total += 1
-            finite = np.where(np.isfinite(logphi), logphi, -np.inf)
-            top = verify.BOX_STRIDE * np.argmax(finite[::verify.BOX_STRIDE])
-            if finite[max(top - verify.BOX_STRIDE + 1, 0):top + verify.BOX_STRIDE].max() == (
-                    finite.max()):
-                assert box == want, (pre.spec_ref, br.roots)
-                exact += 1
-            (lo, hi), (want_lo, want_hi) = (np.searchsorted(grid.points, b) for b in (box, want))
-            assert want_lo - verify.BOX_STRIDE <= lo <= want_lo <= want_hi <= hi <= (
-                want_hi + verify.BOX_STRIDE), (pre.spec_ref, br.roots)
-        for members in groups.values():
-            got, want = zip(*members)
-            assert (min(b[0] for b in got), max(b[1] for b in got)) == (
-                min(b[0] for b in want), max(b[1] for b in want)), pre.spec_ref
-    assert total > 3000 and exact > 2500, (total, exact)
+            x = oracles.lattice(grid)
+            want, h = oracles.spectrum_box(x, prepot.phi_log_sign(pre, br.roots, x)[0]), x[1] - x[0]
+            groups.setdefault((profile.U, grid.wall_lo, grid.wall_hi), []).append((box, want, h))
+            steps = oracles.box_steps(grid, box, want, (h, h))
+            assert all(0.0 <= s <= oracles.BOX_STEPS for s in steps), (pre.spec_ref, br.roots,
+                                                                      steps)
+            ends += 2
+        for (_, wall_lo, wall_hi), members in groups.items():
+            (lo, _, h_lo), (hi, _, h_hi) = (min(members, key=lambda m: m[0][0]),
+                                            max(members, key=lambda m: m[0][1]))
+            box = lo[0], hi[1]
+            want = min(m[1][0] for m in members), max(m[1][1] for m in members)
+            steps = oracles.box_steps(verify.Grid(*box, wall_lo, wall_hi), box, want,
+                                      (h_lo, h_hi))
+            assert all(0.0 <= s <= oracles.BOX_STEPS for s in steps), (pre.spec_ref, steps)
+    assert ends > 6000, ends
 
 
 def test_the_scan_agrees_with_the_end_rule_on_every_vetted_and_ci_branch(gridded):
@@ -408,13 +407,13 @@ def test_one_verify_reads_phi_at_most_1000_points_per_branch(monkeypatch):
 
 def test_both_residuals_pass_on_every_vetted_and_ci_branch(gridded):
     # the rational identity at 4N + 8 points, and the fourth-order stencil
-    # on the 4001-point grid that it replaced, each within its own bound
+    # on the 4001-point lattice that it replaced, each within its own bound
     checked = 0
     for pre, _, roots, profiles, grids in (row for rows in gridded.values() for row in rows):
         for row, profile, grid, got in zip(roots, profiles, grids, verify.schrodinger_residual(
                 pre, roots, profiles, grids), strict=True):
             assert got[0] < verify.RESIDUAL_TOL and got[1] <= got[0], (pre.spec_ref, got)
-            phi = prepot.phi_log_sign(pre, row, grid.points)
+            phi = prepot.phi_log_sign(pre, row, oracles.lattice(grid))
             stencil = oracles.grid_residual(profile, pre.cmap, grid, phi)
             assert stencil[0] < oracles.GRID_RESIDUAL_TOL, (pre.spec_ref, stencil)
             checked += 1
@@ -603,12 +602,12 @@ def test_a_grid_point_on_a_pole_raises_grid_error():
     cmap, pre, br, _ = _pipeline(spec)
     profile = potential.PotentialProfile(
         potential.PFE(Poly([0.0]), (potential.BoundaryPole(0.0, 1.0, 0.0),)), 0.0)
-    grid = verify.make_grid(-1.0, 1.0, 201)
-    assert 0.0 in grid.points
+    grid = verify.Grid(-1.0, 1.0)
+    assert 0.0 in oracles.lattice(grid, 201)
     with pytest.raises(GridError, match="pole"):
-        verify.fd_spectrum(profile, cmap, grid, {k: profile.energy for k in range(4)})
+        verify.fd_spectrum(profile, cmap, grid, {k: profile.energy for k in range(4)}, 201)
     with pytest.raises(GridError, match="pole"):
-        _residual(profile, pre, br, grid)
+        _residual(profile, pre, br, grid, 201)
 
 
 def test_normalizability_on_the_certified_component():
@@ -678,9 +677,7 @@ def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec)
     grids = verify.default_grids(pre, roots, pre.cmap.preimages(roots).swapaxes(0, 1))
     assert len(marches) == len(branches)
     for grid, br in zip(grids, branches):
-        alone = verify.default_grid(pre, br.roots)
-        assert np.array_equal(grid.points, alone.points)
-        assert (grid.h, grid.wall_lo, grid.wall_hi) == (alone.h, alone.wall_lo, alone.wall_hi)
+        assert grid == verify.default_grid(pre, br.roots)
 
 
 def test_residual_excludes_both_sides_of_every_node():
@@ -688,19 +685,20 @@ def test_residual_excludes_both_sides_of_every_node():
     # except at its kinks; each kink sits 3 steps from one of the two
     # nodes, on either side, inside the oracle's NODE_DELTA_STEPS exclusion
     cmap = coords.build(Poly([1.0]))
-    grid = verify.make_grid(-1.0, 1.0, 201)
-    n0, n1, d = -0.3033, 0.3366, 3 * grid.h
-    phi = np.interp(grid.points, [-1.0, n0 - d, n0 + d, n1 - d, n1 + d, 1.0],
+    grid = verify.Grid(-1.0, 1.0)
+    x = oracles.lattice(grid, 201)
+    n0, n1, d = -0.3033, 0.3366, 3 * (x[1] - x[0])
+    phi = np.interp(x, [-1.0, n0 - d, n0 + d, n1 - d, n1 + d, 1.0],
                     [-0.2, -0.06, 0.06, 0.09, -0.09, -0.3])
     profile = potential.PotentialProfile(potential.PFE(Poly([0.0])), 0.0)
     with np.errstate(divide="raise"):
         rmax, _ = oracles.grid_residual(profile, cmap, grid,
-                                        (np.log(np.abs(phi)), np.sign(phi)))
+                                        (np.log(np.abs(phi)), np.sign(phi)), 201)
     assert rmax < 1e-9
     # a kink away from the nodes is not excluded
-    phi[150:] += 0.5 * (grid.points[150:] - grid.points[150])
+    phi[150:] += 0.5 * (x[150:] - x[150])
     rmax, _ = oracles.grid_residual(profile, cmap, grid,
-                                    (np.log(np.abs(phi)), np.sign(phi)))
+                                    (np.log(np.abs(phi)), np.sign(phi)), 201)
     assert rmax > 1.0
 
 
@@ -847,8 +845,8 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dv
         dvr_spectra.clear()
         wall_spectra.clear()
         reports = verify.verify_branches(pre, [br.roots for br in branches])
-        boxes = [verify.default_grid(pre, br.roots).points for br in branches]
-        lo, hi = min(b[0] for b in boxes), max(b[-1] for b in boxes)
+        grids = [verify.default_grid(pre, br.roots) for br in branches]
+        lo, hi = min(g.lo for g in grids), max(g.hi for g in grids)
         assert fd_spectrum_grids == []
         if mirrored:
             # from the mirror at x_t = 0 to the farthest end of the members'
@@ -858,12 +856,12 @@ def test_verify_branches_one_spectrum_per_shared_potential(fd_spectrum_grids, dv
             assert mirror == 0.0 and box_lo == 0.0
             assert 0.0 < box_hi < max(-lo, hi)
         else:
-            # from the wall at x = 0, which the grids stop short of, to the
+            # from the wall at x = 0, where the grids begin too, to the
             # farthest end of the members' e^-18 boxes
             assert dvr_spectra == []
             (((box_lo, box_hi), walls, mirror),) = wall_spectra
             assert mirror is None and walls[1] is None and walls[0][0] == 0.0
-            assert box_lo == 0.0 < lo and 0.0 < box_hi < hi
+            assert box_lo == 0.0 == lo and 0.0 < box_hi < hi
         for rep, ref in zip(reports, alone):
             assert rep.verdict
             got, want = rep.as_dict(), ref.as_dict()
@@ -941,10 +939,10 @@ def test_all_type1_branches_match_distinct_levels(name, N, node_step, fd_spectru
         tol = 8.0 * np.finfo(float).eps * norm1(t)
         assert abs(level - tridiag_eigenvalues(t, (k, k))[0]) <= tol, (t.n, k)
     # the matched level is the one whose index is the node count
-    (grid,) = fd_spectrum_grids
+    ((grid, n),) = fd_spectrum_grids
     levels = verify.fd_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, grid,
                                 {rep.node_count: rep.spectrum_matches[0][0]
-                                 for rep in reports})
+                                 for rep in reports}, n)
     assert matched == [levels[rep.node_count] for rep in reports]
 
 
@@ -961,12 +959,12 @@ def test_fd_levels_computed_are_the_node_counts(fd_levels, fd_spectrum_grids, na
     reports = verify.verify_branches(pre, [br.roots for br in branches])
     assert all(rep.verdict for rep in reports)
     _fd_group(pre, branches, reports)  # wall-free: the FD grid verify had before the DVR
-    (grid,) = fd_spectrum_grids
+    ((grid, n),) = fd_spectrum_grids
     if grid.mirror is None:
         rows, step = [4001] * per_grid + [8001] * per_grid, 1
     else:
-        assert grid.n < 0.6 * 4001
-        rows, step = [grid.n] * per_grid + [2 * grid.n] * per_grid, 2
+        assert n < 0.6 * 4001
+        rows, step = [n] * per_grid + [2 * n] * per_grid, 2
     assert (grid.mirror is None) == (name == "harmonic")
     assert sorted(t.n for t, _, _ in fd_levels) == rows
     assert sorted({k for _, k, _ in fd_levels}) == [rep.node_count // step
@@ -993,7 +991,7 @@ def test_every_e_fd_is_extrapolated_from_its_node_count_level(fd_levels, fd_spec
     assert reports and all(rep.verdict for rep in reports)
     assert fd_spectrum_grids == []
     e_fd = _fd_group(pre, branches, reports)[1]  # FD on the grid verify had before
-    (grid,) = fd_spectrum_grids
+    ((grid, _),) = fd_spectrum_grids
     assert (grid.mirror is not None) == (config["catalog"] == "sextic")
     by_rows = {}
     for t, k, level in fd_levels:
@@ -1073,8 +1071,8 @@ def test_a_state_that_regrows_past_its_outermost_dip_is_not_normalizable():
                          ids=["two-wall", "two-wall-stall"])
 def test_nodes_inside_a_walls_grid_inset_are_counted(mu1, mu2):
     # on the linear map x = z every root inside the certified component is
-    # a node, those between a wall and the grid's inset end included
-    # (two-wall branches 0 and 27, two-wall-stall branch 0)
+    # a node, those between a wall and the tests' lattice's inset end
+    # included (two-wall branches 0 and 27, two-wall-stall branch 0)
     spec = ModelSpec(Poly([1.0]), Poly([0.0, 1.0]),
                      (Singularity(-0.1, mu1), Singularity(0.1, mu2)), 7)
     pre = prepot.integrate_w0(spec)
@@ -1084,7 +1082,8 @@ def test_nodes_inside_a_walls_grid_inset_are_counted(mu1, mu2):
         grid = verify.default_grid(pre, br.roots)
         lo, hi = grid.component
         assert rep.node_count == sum(lo < z < hi for z in br.roots), br.roots
-        inset += any(lo < z < grid.points[0] or grid.points[-1] < z < hi for z in br.roots)
+        x = oracles.lattice(grid)
+        inset += any(lo < z < x[0] or x[-1] < z < hi for z in br.roots)
     assert inset
 
 
@@ -1116,13 +1115,14 @@ def test_half_line_levels_are_the_even_full_line_levels(fd_spectrum_grids, confi
     assert len(branches) == spec.N + 1
     reports = verify.verify_branches(pre, [br.roots for br in branches])
     _, e_fd = _fd_group(pre, branches, reports)  # the mirror FD grid verify had before the DVR
-    (grid,) = fd_spectrum_grids
+    ((grid, _),) = fd_spectrum_grids
     assert grid.mirror == 0.0
-    boxes = [verify.default_grid(pre, br.roots).points for br in branches]
-    full = verify.make_grid(min(b[0] for b in boxes), max(b[-1] for b in boxes), 4001)
+    lattices = [oracles.lattice(verify.default_grid(pre, br.roots)) for br in branches]
+    full = verify.Grid(min(x[0] for x in lattices), max(x[-1] for x in lattices))
     assert full.mirror is None
     want = verify.fd_spectrum(potential.split_energy(pre, branches[0]), pre.cmap, full,
-                              {rep.node_count: rep.spectrum_matches[0][0] for rep in reports})
+                              {rep.node_count: rep.spectrum_matches[0][0] for rep in reports},
+                              4001)
     assert [rep.node_count for rep in reports] == [2 * m for m in range(spec.N + 1)]
     for rep in reports:
         assert rep.verdict
@@ -1156,21 +1156,25 @@ def test_fd_reads_the_level_above_its_doublet_partner(fd_levels, params, N, part
     assert partnered >= 2  # the doublet level, on both Richardson grids
 
 
-def test_a_mirror_grid_holds_only_the_even_levels():
+def test_a_mirror_grid_holds_only_the_even_levels(fd_levels):
     # U = x^2 on the half line with a mirror at 0: levels 0, 2, 4 of the
     # oscillator (1, 5, 9); an odd level is not there to ask for
     cmap = coords.build(Poly([1.0]))
     prof = potential.PotentialProfile(
         potential.PFE(Poly([0.0, 0.0, 1.0])), 0.0)
-    grid = verify.mirror_grid(0.0, 2000, 0.005)
-    # cell-centred from the mirror at the given spacing
-    assert grid.points[0] == 0.0025 and grid.component == (0.0, math.inf)
-    assert grid.h == 0.005 and grid.mirror == 0.0 and grid.wall_lo is None
-    assert np.allclose(np.diff(grid.points), 0.005, rtol=1e-12, atol=0.0)
-    levels = verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 2: 5.0, 4: 9.0})
+    grid = verify.Grid(0.0, 10.0, mirror=0.0)
+    assert grid.component == (0.0, math.inf) and grid.wall_lo is None
+    levels = verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 2: 5.0, 4: 9.0}, 2000)
     assert all(abs(levels[n] - (2 * n + 1)) < 1e-4 for n in (0, 2, 4))
+    # cell-centred from the mirror: 2000 cells of 0.005, then 4000 of
+    # 0.0025, the first point half a cell out, whose ghost mirrors it
+    for rows, h in ((2000, 0.005), (4000, 0.0025)):
+        (t,) = {id(t): t for t, _, _ in fd_levels if t.n == rows}.values()
+        assert np.allclose(t.offdiag, -1.0 / h ** 2, rtol=1e-12, atol=0.0)
+        assert t.diag[0] == pytest.approx(1.0 / h ** 2 + (h / 2.0) ** 2, rel=1e-12)
+        assert t.diag[1] == pytest.approx(2.0 / h ** 2 + (1.5 * h) ** 2, rel=1e-12)
     with pytest.raises(ValueError, match="odd"):
-        verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 1: 3.0})
+        verify.fd_spectrum(prof, cmap, grid, {0: 1.0, 1: 3.0}, 2000)
 
 
 @pytest.mark.parametrize("name,params,Ns", [
@@ -1221,7 +1225,8 @@ def test_the_dvr_mirror_sector_is_the_even_full_line_levels():
     pre = prepot.integrate_w0(spec)
     branches = bae.enumerate_branches(spec)
     profile = potential.split_energy(pre, branches[0])
-    L = max(np.max(np.abs(verify.default_grid(pre, br.roots).points)) for br in branches)
+    L = max(max(-grid.lo, grid.hi) for grid in (verify.default_grid(pre, br.roots)
+                                                for br in branches))
     claims = {2 * m: potential.split_energy(pre, br).energy for m, br in enumerate(branches)}
     half = verify.dvr_spectrum(profile, pre.cmap, (0.0, L), claims, mirror=0.0)
     full = verify.dvr_spectrum(profile, pre.cmap, (-L, L), claims)
@@ -1235,20 +1240,23 @@ def test_the_dvr_mirror_sector_is_the_even_full_line_levels():
 
 def test_a_wrong_claim_moves_no_dvr_level(dvr_spectra):
     # the claims only seed the DVR's size: moved by 10% either way, or all
-    # set to 0, every level stays where it was, to rounding
-    spec = catalog.instantiate("sextic", N=16)
-    pre = prepot.integrate_w0(spec)
-    branches = bae.enumerate_branches(spec)
-    reports = verify.verify_branches(pre, [br.roots for br in branches])
-    ((box, mirror),) = dvr_spectra
-    profile = potential.split_energy(pre, branches[0])
-    claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
-    for factor in (0.9, 1.1, 0.0):
-        moved = verify.dvr_spectrum(profile, pre.cmap, box,
-                                    {k: factor * e for k, e in claims.items()}, mirror)
-        for rep in reports:
-            level = rep.spectrum_matches[0][1]
-            assert abs(moved[rep.node_count][0] - level) <= 1e-12 * max(1.0, abs(level))
+    # set to 0, every level stays where it was, bit for bit, on the preset
+    # and on a vetted sextic N = 16 (moved by 2.7e-12 relative at 1.1 while
+    # the seeded size could reach the final solve)
+    for params in ({}, {"a": 1.051758, "b": 0.027859}):
+        spec = catalog.instantiate("sextic", N=16, **params)
+        pre = prepot.integrate_w0(spec)
+        branches = bae.enumerate_branches(spec)
+        dvr_spectra.clear()
+        reports = verify.verify_branches(pre, [br.roots for br in branches])
+        ((box, mirror),) = dvr_spectra
+        profile = potential.split_energy(pre, branches[0])
+        claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
+        for factor in (0.9, 1.1, 0.0):
+            moved = verify.dvr_spectrum(profile, pre.cmap, box,
+                                        {k: factor * e for k, e in claims.items()}, mirror)
+            for rep in reports:
+                assert moved[rep.node_count][0] == rep.spectrum_matches[0][1], (params, factor)
 
 
 @pytest.mark.parametrize("name,N", [("sextic", 8), ("harmonic", 12)])
@@ -1393,20 +1401,25 @@ def test_a_walled_verify_runs_no_fd(monkeypatch, wall_spectra, config):
 
 def test_a_wrong_claim_moves_no_wall_level(wall_spectra):
     # the claims only seed the wall basis's size: moved by 10% either way,
-    # or all set to 0, every level stays where it was, to rounding
-    spec = catalog.instantiate("trig-interval", N=8)
-    pre = prepot.integrate_w0(spec)
-    branches = bae.enumerate_branches(spec)
-    reports = verify.verify_branches(pre, [br.roots for br in branches])
-    ((box, walls, mirror),) = wall_spectra
-    profile = potential.split_energy(pre, branches[0])
-    claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
-    for factor in (0.9, 1.1, 0.0):
-        moved = verify.wall_spectrum(profile, pre.cmap, spec.Q, box, walls,
-                                     {k: factor * e for k, e in claims.items()}, mirror)
-        for rep in reports:
-            level = rep.spectrum_matches[0][1]
-            assert abs(moved[rep.node_count][0] - level) <= 1e-12 * max(1.0, abs(level))
+    # or all set to 0, every level stays where it was, bit for bit, on the
+    # trig-interval preset and on a vetted sextic-halfline N = 12 (moved by
+    # 2.1e-11 relative at 0.9 while the seeded size could reach the final
+    # solve)
+    for name, N, params in (("trig-interval", 8, {}),
+                            ("sextic-halfline", 12, {"a": 1.03837, "b": 0.01527, "p": 0.396527})):
+        spec = catalog.instantiate(name, N=N, **params)
+        pre = prepot.integrate_w0(spec)
+        branches = bae.enumerate_branches(spec)
+        wall_spectra.clear()
+        reports = verify.verify_branches(pre, [br.roots for br in branches])
+        ((box, walls, mirror),) = wall_spectra
+        profile = potential.split_energy(pre, branches[0])
+        claims = {rep.node_count: rep.spectrum_matches[0][0] for rep in reports}
+        for factor in (0.9, 1.1, 0.0):
+            moved = verify.wall_spectrum(profile, pre.cmap, spec.Q, box, walls,
+                                         {k: factor * e for k, e in claims.items()}, mirror)
+            for rep in reports:
+                assert moved[rep.node_count][0] == rep.spectrum_matches[0][1], (name, factor)
 
 
 @pytest.mark.parametrize("name,N", [("trig-interval", 8), ("sextic-halfline", 6)])
