@@ -31,7 +31,11 @@ gets one Newton polish from its roots, which come from one stacked
 companion-matrix eigenvalue call. The polishes run in lock step as the
 rows of one damped Newton (solve_many): residuals of shape (B, N),
 Jacobians (B, N, N) and one batched linear solve per iteration, with each
-row's line search, polish phase and error its own. Only numpy runs here.
+row's line search, polish phase and error its own. One helper (_terms)
+evaluates the residual and the Jacobian's shared terms of every row, and
+flags the rows that collide; a row that collides or overflows stops
+itself and no other. A polish whose roots repeat an earlier polish's is
+that branch again and is written once, for every k. Only numpy runs here.
 
 A branch is real: each level's eigenfunction is built from the real zeros
 of its polynomial y, so enumeration seeks real roots only, and Newton and
@@ -95,25 +99,6 @@ def _polys(spec: ModelSpec) -> tuple:
     return spec.P, spec.Q, spec.P.derivative(), spec.Q.derivative()
 
 
-def _pair_inverses(roots: np.ndarray, singularities) -> tuple:
-    """For rows of roots, shape (B, N): (inv, bad). bad is None when no row
-    collides, else the mask of the rows in which two roots, or a root and
-    a singularity, are closer than COLLISION_TOL. inv holds the matrices
-    1/(z_k - z_l) with zero diagonal of the other rows, shape (B', N, N);
-    a colliding row's matrix is not computed."""
-    B, n = roots.shape
-    diff = roots[:, :, None] - roots[:, None, :]
-    diff.reshape(B, n * n)[:, ::n + 1] = np.inf
-    close = np.abs(diff) < COLLISION_TOL
-    near = [s for s in singularities if (np.abs(roots - s.location) < COLLISION_TOL).any()]
-    if not (near or close.any()):
-        return 1.0 / diff, None
-    bad = close.any(axis=(1, 2))
-    for s in near:
-        bad |= np.min(np.abs(roots - s.location), axis=1) < COLLISION_TOL
-    return 1.0 / diff[~bad], bad
-
-
 def _collision(roots: np.ndarray, singularities) -> CollisionError:
     """The CollisionError of one colliding vector of roots: of several
     colliding pairs the first in row-major order, else the first
@@ -129,20 +114,34 @@ def _collision(roots: np.ndarray, singularities) -> CollisionError:
     return CollisionError(f"a root coincides with the singularity at z = {s.location}")
 
 
-def _evaluate(spec: ModelSpec, polys: tuple, roots: np.ndarray, inv: np.ndarray) -> list:
-    """[F, inv, S, Q(z), Q'(z)] of every row of roots (B, N), given their
-    pair inverses inv: the residual and the terms the Jacobian at the same
-    roots shares with it."""
+def _terms(spec: ModelSpec, polys: tuple, roots: np.ndarray) -> tuple[list, np.ndarray]:
+    """[F, inv, S, Q(z), Q'(z)] of every row of roots (B, N): the residual,
+    the pair inverses 1/(z_k - z_l) with zero diagonal and the other terms
+    the Jacobian at the same roots shares with it; and the mask of the rows
+    in which two roots, or a root and a singularity, are closer than
+    COLLISION_TOL. A colliding row's F is nan, and so is F at a root that
+    is not finite (Poly's Horner sum starts from 0 * z); a row that
+    overflows gets inf or nan terms, and nothing warns."""
     P, Q, _, dQ = polys
-    S = inv.sum(axis=2)
-    for s in spec.singularities:
-        S = S + s.exponent / (roots - s.location)
-    q, dq = Q(roots), dQ(roots)
-    return [P(roots) - dq / 4.0 - q * S, inv, S, q, dq]
+    B, n = roots.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = roots[:, :, None] - roots[:, None, :]
+        diff.reshape(B, n * n)[:, ::n + 1] = np.inf
+        collide = (np.abs(diff) < COLLISION_TOL).any(axis=(1, 2))
+        inv = 1.0 / diff
+        S = inv.sum(axis=2)
+        for s in spec.singularities:
+            d = roots - s.location
+            collide |= (np.abs(d) < COLLISION_TOL).any(axis=1)
+            S = S + s.exponent / d
+        q, dq = Q(roots), dQ(roots)
+        F = P(roots) - dq / 4.0 - q * S
+    F[collide] = np.nan
+    return [F, inv, S, q, dq], collide
 
 
 def _jacobians(spec: ModelSpec, polys: tuple, roots: np.ndarray, ev: list) -> np.ndarray:
-    """dF_k/dz_j of every row of roots (B, N), from their _evaluate terms."""
+    """dF_k/dz_j of every row of roots (B, N), from their _terms."""
     _, inv, S, q, dq = ev
     inv2 = inv * inv
     S2 = inv2.sum(axis=2)
@@ -155,29 +154,22 @@ def _jacobians(spec: ModelSpec, polys: tuple, roots: np.ndarray, ev: list) -> np
     return J
 
 
-def _checked(spec: ModelSpec, roots) -> tuple:
-    """Rows of roots, as floats or complex numbers: per row None or its
-    CollisionError, then the _polys, the rows that collide with nothing
-    and their _evaluate terms."""
+def _rows(roots) -> np.ndarray:
+    """roots as an array of floats or complex numbers."""
     roots = np.asarray(roots)
-    roots = roots.astype(np.result_type(roots, 1.0), copy=False)
-    inv, bad = _pair_inverses(roots, spec.singularities)
-    bad = np.zeros(len(roots), dtype=bool) if bad is None else bad
-    errors = [_collision(row, spec.singularities) if b else None
-              for row, b in zip(roots, bad.tolist())]
-    polys = _polys(spec)
-    return errors, polys, roots[~bad], _evaluate(spec, polys, roots[~bad], inv)
+    return roots.astype(np.result_type(roots, 1.0), copy=False)
 
 
 def residuals(spec: ModelSpec, roots) -> tuple[np.ndarray, list]:
     """Residue-derived Bethe ansatz residual of each row of roots, shape
     (B, N), in one array pass, and per row None or its CollisionError: two
     roots, or a root and a singularity, closer than COLLISION_TOL. A
-    colliding row's residuals are nan."""
-    errors, _, ok, ev = _checked(spec, roots)
-    F = np.full((len(errors),) + ok.shape[1:], np.nan, dtype=ok.dtype)
-    F[[e is None for e in errors]] = ev[0]
-    return F, errors
+    colliding row's residuals are nan; a row whose terms overflow gets inf
+    or nan residuals, and no error."""
+    roots = _rows(roots)
+    (F, *_), collide = _terms(spec, _polys(spec), roots)
+    return F, [_collision(row, spec.singularities) if c else None
+               for row, c in zip(roots, collide.tolist())]
 
 
 def residual(spec: ModelSpec, roots) -> np.ndarray:
@@ -192,9 +184,10 @@ def residual(spec: ModelSpec, roots) -> np.ndarray:
 def jacobian(spec: ModelSpec, roots) -> np.ndarray:
     """Analytic Jacobian dF_k/dz_j of the residual at one vector of roots,
     the batched Newton's row. Raises CollisionError as residual does."""
-    (error,), polys, roots, ev = _checked(spec, np.asarray(roots)[None])
-    if error is not None:
-        raise error
+    roots, polys = _rows(roots)[None], _polys(spec)
+    ev, (collide,) = _terms(spec, polys, roots)
+    if collide:
+        raise _collision(roots[0], spec.singularities)
     return _jacobians(spec, polys, roots, ev)[0]
 
 
@@ -248,16 +241,18 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
     ascending) or the CollisionError or ConvergenceError that stopped it.
     ValueError for complex starts or another shape.
 
-    Each iteration stacks the Jacobians of all running rows, (B, N, N), and
-    solves them in one batched np.linalg.solve call; the line-search trials
-    of all rows still searching are one residual evaluation. Every row does
-    exactly the arithmetic it would do alone.
+    The state holds the running rows only. Each iteration stacks their
+    Jacobians, (B, N, N), and solves them in one batched np.linalg.solve
+    call; each trial step of the line search is one _terms call for all
+    rows still searching. Every row does exactly the arithmetic it would do
+    alone.
 
     Per row, steps are halved whenever the residual norm fails to decrease
     or any pair of roots (or a root and a singularity) comes within the
-    collision tolerance. A start that collides gives CollisionError;
-    stagnation, iteration exhaustion or a singular Jacobian give
-    ConvergenceError.
+    collision tolerance; a trial that leaves the floats or whose residual
+    overflows is a rejected step too. A start that collides gives
+    CollisionError; stagnation, iteration exhaustion or a singular Jacobian
+    give ConvergenceError.
 
     Once below tol a row keeps polishing as long as its residual strictly
     improves (up to POLISH_ITER extra steps): for simple roots that is one
@@ -273,109 +268,71 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
         raise ValueError(f"inits must have shape (B, N = {spec.N})")
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0) for _ in z]
-    sings = spec.singularities
+    out: list = [None] * len(z)
+    polys = _polys(spec)
+    ev, collide = _terms(spec, polys, z)
+    # the running rows: their index in out, roots, _terms, residual norm and
+    # the iteration at which it first dropped below tol (-1 before)
+    idx, norm, converged_at = np.arange(len(z)), np.abs(ev[0]).max(axis=1), np.full(len(z), -1)
 
-    def _trial(trial):
-        """Max residual norms of the trial rows, and the _evaluate terms of
-        the rows ok (a mask, or every row) that are finite and collide with
-        nothing; the other rows' norm is inf, a rejected step. A step that
-        overshoots far enough for the residual to overflow gets norm inf or
-        nan, also a rejected step."""
-        ok = slice(None)
-        if not np.isfinite(trial).all():
-            ok = np.isfinite(trial).all(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv_t, bad = _pair_inverses(trial[ok], sings)
-            if bad is not None:
-                ok = np.isfinite(trial).all(axis=1)
-                ok[ok] = ~bad
-            ev_t = _evaluate(spec, polys, trial[ok], inv_t)
-        if isinstance(ok, slice):
-            return np.abs(ev_t[0]).max(axis=1), ev_t, ok
-        nt = np.full(len(trial), np.inf)
-        nt[ok] = np.abs(ev_t[0]).max(axis=1)
-        return nt, ev_t, ok
-
-    # a start that collides is its row's CollisionError; ev holds
-    # [F, inv, S, Q(z), Q'(z)] of the running rows
-    out, polys, z, ev = _checked(spec, z)
-    idx = np.flatnonzero([e is None for e in out])  # the running rows' index in out
-    norm = np.abs(ev[0]).max(axis=1)
-    converged_at = np.full(len(idx), -1)
-
-    def _finish(stop, error=None):
+    def _keep(stop, error=None):
         """Record the rows in stop (a mask) and drop them from the state;
         a row gets its branch when it has converged, else error(row).
         Returns the mask of the rows kept."""
-        nonlocal idx, z, norm, converged_at, ev
-        for j in np.flatnonzero(stop):
-            if converged_at[j] >= 0:
-                out[idx[j]] = BetheBranch(tuple(np.sort(z[j], kind="stable").tolist()),
-                                          float(norm[j]), int(converged_at[j]))
-            else:
-                out[idx[j]] = error(j)
+        nonlocal idx, z, ev, norm, converged_at
         keep = ~stop
+        if keep.all():
+            return keep
+        for j in np.flatnonzero(stop):
+            out[idx[j]] = (BetheBranch(tuple(np.sort(z[j], kind="stable").tolist()),
+                                       float(norm[j]), int(converged_at[j]))
+                           if converged_at[j] >= 0 else error(j))
         idx, z, norm, converged_at = idx[keep], z[keep], norm[keep], converged_at[keep]
         ev = [a[keep] for a in ev]
         return keep
 
+    _keep(collide, lambda j: _collision(z[j], spec.singularities))
     for it in range(MAX_ITER + POLISH_ITER):
-        if not len(idx):
-            break
         # A row polishes from the iteration its norm first drops below tol;
         # its norm only decreases from then on, so it stays below.
-        polishing = norm < tol
-        if polishing.any():
-            converged_at[polishing & (converged_at < 0)] = it
-            stop = polishing & ((norm == 0.0) | (it - converged_at >= POLISH_ITER))
-            if stop.any():
-                polishing = polishing[_finish(stop)]
-                if not len(idx):
-                    break
-            bar = np.where(polishing, 0.5 * norm, norm)
-        else:
-            bar = norm
-        J = _jacobians(spec, polys, z, ev)
+        converged_at[(norm < tol) & (converged_at < 0)] = it
+        _keep((converged_at >= 0) & ((norm == 0.0) | (it - converged_at >= POLISH_ITER)))
+        if not len(idx):
+            break
+        with np.errstate(over="ignore", invalid="ignore"):  # a start that overflowed
+            J = _jacobians(spec, polys, z, ev)
         dz, singular = _newton_steps(J, -ev[0])
         if singular is not None:
-            keep = _finish(singular, lambda j: ConvergenceError(
-                f"singular Jacobian (cond ~ {np.linalg.cond(J[j]):.2e})"))
-            dz, polishing, bar = dz[keep], polishing[keep], bar[keep]
+            dz = dz[_keep(singular, lambda j: ConvergenceError(
+                f"singular Jacobian (cond ~ {np.linalg.cond(J[j]):.2e})"))]
+        polishing = converged_at >= 0
+        bar = np.where(polishing, 0.5 * norm, norm)
         # Line search, every row at once: alpha = 1, 1/2, 1/4, ... A polishing
         # row demands a strong decrease (below bar, half its norm) at alpha =
         # 1 or 1/2 or stops (which keeps the degenerate-root tail alive and
         # exits simple roots at once); any other row takes any decrease
         # while alpha > 1e-12.
-        trial = z + dz  # alpha = 1
-        nt, ev_t, ok = _trial(trial)
-        took = nt < bar
-        if took.all():
-            z, norm, ev = trial, nt, ev_t
-            continue
         searching = np.arange(len(idx))
         moved = np.zeros(len(idx), dtype=bool)
         alpha = 1.0
-        while True:
+        while alpha > 1e-12 and len(searching):
+            trial = z[searching] + alpha * dz[searching]
+            ev_t, _ = _terms(spec, polys, trial)
+            nt = np.abs(ev_t[0]).max(axis=1)  # nan if it collides or leaves the floats
+            took = nt < bar[searching]
             rows = searching[took]
             moved[rows] = True
             z[rows], norm[rows] = trial[took], nt[took]
             for a, b in zip(ev, ev_t):
-                a[rows] = b[took[ok]]
+                a[rows] = b[took]
             searching = searching[~took]
             if alpha == 0.5:
                 searching = searching[~polishing[searching]]
             alpha *= 0.5
-            if not (alpha > 1e-12 and len(searching)):
-                break
-            trial = z[searching] + alpha * dz[searching]
-            nt, ev_t, ok = _trial(trial)
-            took = nt < bar[searching]
-        if not moved.all():
-            _finish(~moved, lambda j: ConvergenceError(
-                f"line search stalled at residual {norm[j]:.2e} after {it} iterations"))
-    else:
-        _finish(np.ones(len(idx), dtype=bool), lambda j: ConvergenceError(
-            f"no convergence in {MAX_ITER} iterations (residual {norm[j]:.2e})"))
+        _keep(~moved, lambda j: ConvergenceError(
+            f"line search stalled at residual {norm[j]:.2e} after {it} iterations"))
+    _keep(np.ones(len(idx), dtype=bool), lambda j: ConvergenceError(
+        f"no convergence in {MAX_ITER} iterations (residual {norm[j]:.2e})"))
     return out
 
 
@@ -614,12 +571,17 @@ def _starts(M0: np.ndarray, s: float) -> list[np.ndarray]:
 
 
 def _energy_order(spec: ModelSpec, found: list[BetheBranch]) -> list[BetheBranch]:
-    """found by extracted energy. A run of branches whose energies agree
-    within ENERGY_TIE_ULPS ulps of the largest term of branch_energies' sum
-    (mirror branches, whose E differ only by rounding) is ordered by its
-    roots, so that no branch moves when E moves by an ulp. Every energy
-    and tie comes from one array pass."""
+    """found, each branch once, by extracted energy. A branch is kept at
+    its first polish in found: a later one whose sorted roots all lie
+    within COLLISION_TOL of an earlier one's is the same branch. A run of
+    branches whose energies agree within ENERGY_TIE_ULPS ulps of the
+    largest term of branch_energies' sum (mirror branches, whose E differ
+    only by rounding) is ordered by its roots, so that no branch moves when
+    E moves by an ulp. The duplicates, every energy and every tie come from
+    one array of roots."""
     z = np.array([br.roots for br in found], dtype=float).reshape(len(found), spec.N)
+    first = ~np.tril((np.abs(z[:, None] - z) < COLLISION_TOL).all(axis=2), -1).any(axis=1)
+    z, found = z[first], [br for br, f in zip(found, first.tolist()) if f]
     terms = np.broadcast_arrays(*_energy_terms(spec, z))
     ties = ENERGY_TIE_ULPS * np.spacing(np.max(np.abs(terms), axis=0))
     keyed = sorted(zip(branch_energies(spec, z).tolist(), (br.roots for br in found),
@@ -635,37 +597,30 @@ def _energy_order(spec: ModelSpec, found: list[BetheBranch]) -> list[BetheBranch
 
 
 def enumerate_branches(spec: ModelSpec, tol: float = 1e-12) -> list[BetheBranch]:
-    """Every real branch of the model's eigenproblem, sorted by extracted
-    energy (energies equal but for rounding by roots, see _energy_order).
+    """Every real branch of the model's eigenproblem, once each, sorted by
+    extracted energy (energies equal but for rounding by roots, see
+    _energy_order).
 
     Each real eigen-solution of _heine_matrix of exact degree N that gives
     a real start gets one Newton polish from its roots (_starts): the
-    starts are the rows of one solve_many call, and polishes that collide or do not
-    converge are dropped. For k >= 2, polishes within COLLISION_TOL of an
-    earlier one (a multiple eigen-solution) are one branch. A model with k
-    free parameters has at most C(N+k, k) solutions (N + 1 for k = 1),
-    complex ones included. Raises ModelError when (N + 1)^k exceeds
-    MAX_ORDER, or when the eigenproblem's scale overflows (_heine_matrix).
+    starts are the rows of one solve_many call, and polishes that collide
+    or do not converge are dropped. For every k, a polish whose sorted
+    roots all lie within COLLISION_TOL of an earlier one's is that branch
+    again (a multiple eigen-solution, such as sextic-type2 at b = 0, N = 1:
+    z^3 = 0, or two starts that converge to one branch) and is dropped. A
+    model with k free parameters has at most C(N+k, k) solutions (N + 1
+    for k = 1), complex ones included. Raises ModelError when (N + 1)^k
+    exceeds MAX_ORDER, or when the eigenproblem's scale overflows
+    (_heine_matrix).
 
     The result is deterministic: nothing is random, and the combination
     of the k >= 2 Delta-operators is fixed.
     """
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0)]
-    M0, s = _heine_matrix(spec)
-    starts = _starts(M0, s)
-    found: list[BetheBranch] = []
-    for br in solve_many(spec, starts, tol=tol) if starts else []:
-        if isinstance(br, (CollisionError, ConvergenceError)):
-            continue
-        # k >= 2: a multiple eigen-solution (sextic-type2 at b = 0, N = 1:
-        # z^3 = 0) polishes to its branch once per multiplicity.
-        roots = np.asarray(br.roots)
-        if M0.shape[0] == M0.shape[1] or not any(
-                np.max(np.min(np.abs(roots[:, None] - np.asarray(old.roots)), axis=1))
-                < COLLISION_TOL for old in found):
-            found.append(br)
-    return _energy_order(spec, found)
+    starts = _starts(*_heine_matrix(spec))
+    polished = solve_many(spec, starts, tol=tol) if starts else []
+    return _energy_order(spec, [br for br in polished if isinstance(br, BetheBranch)])
 
 
 def residue_bae_terms(spec: ModelSpec) -> dict:

@@ -287,12 +287,33 @@ def test_criterion_10_determinism(tmp_path):
 # matrix finder holds to N = 44, 49 and 19 there; trig-interval stops
 # because some branches' residual floor passes the 1e-12 tolerance.
 TYPE1_LIMITS = {"sextic": 40, "sextic-halfline": 40, "trig-interval": 16}
+# Below those limits the finder finds N of the N + 1 branches here: one
+# eigenvector's start polishes onto another branch, and the missing one
+# (E = 648.53 at sextic N = 39) is never reached (ROADMAP items 2 and 24).
+TYPE1_MISSED = [("sextic", 39), ("sextic-halfline", 35)]
+
+
+def _assert_all_type1_branches(name, N):
+    """N + 1 branches, no two of whose roots all agree within COLLISION_TOL."""
+    branches = bae.enumerate_branches(catalog.instantiate(name, N=N))
+    z = np.array([br.roots for br in branches]).reshape(len(branches), N)
+    same = (np.abs(z[:, None] - z) < bae.COLLISION_TOL).all(axis=2)
+    assert not np.triu(same, 1).any(), f"{name} N={N}: a branch is written twice"
+    assert len(branches) == N + 1, f"{name} N={N}: {len(branches)} branches"
 
 
 def test_criterion_11_all_type1_branches():
     for name, limit in TYPE1_LIMITS.items():
         for N in range(limit + 1):
-            branches = bae.enumerate_branches(catalog.instantiate(name, N=N))
-            assert len(branches) == N + 1, f"{name} N={N}: {len(branches)} branches"
-    _report(11, "type-1 sextic, half-line sextic and trig interval: all N+1 "
-                "branches for N <= " + ", ".join(map(str, TYPE1_LIMITS.values())))
+            if (name, N) not in TYPE1_MISSED:
+                _assert_all_type1_branches(name, N)
+    _report(11, "type-1 sextic, half-line sextic and trig interval: all N+1 distinct "
+                "branches for N <= " + ", ".join(map(str, TYPE1_LIMITS.values()))
+                + ", but for sextic N = 39 and half-line N = 35")
+
+
+@pytest.mark.xfail(strict=True, reason="the finder finds N of N + 1 branches "
+                   "(ROADMAP items 2 and 24)")
+@pytest.mark.parametrize("name,N", TYPE1_MISSED)
+def test_criterion_11_type1_branch_missed(name, N):
+    _assert_all_type1_branches(name, N)

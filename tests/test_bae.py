@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qesf import bae, catalog, prepot, verify
-from qesf.errors import CollisionError, ModelError
+from qesf.errors import CollisionError, ConvergenceError, ModelError
 from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
@@ -54,6 +54,36 @@ def test_residual_collision_error():
         for fn in (bae.residual, bae.jacobian):
             with pytest.raises(CollisionError, match=msg):
                 fn(spec, roots)
+
+
+def test_batched_residuals_flag_only_the_colliding_rows():
+    # one pass over a clean row, a root pair within COLLISION_TOL and a root
+    # within COLLISION_TOL of the singularity at 0: the clean row is the
+    # one-row residual to the bit, each colliding row nan with its own error
+    spec = catalog.instantiate("morse-p", N=2)
+    clean = [0.5, 1.5]
+    F, errors = bae.residuals(spec, [clean, [0.5, 0.5 + 1e-12], [2.0, 1e-12]])
+    assert F.shape == (3, 2)
+    assert F[0].tobytes() == bae.residual(spec, clean).tobytes()
+    assert errors[0] is None
+    assert np.isnan(F[1:]).all()
+    assert [(type(e), str(e)) for e in errors[1:]] == [
+        (CollisionError, "roots 0 and 1 collide: |dz| = 1.00e-12"),
+        (CollisionError, "a root coincides with the singularity at z = 0.0")]
+
+
+def test_an_overflowing_start_fails_only_its_own_row():
+    # the residual at z = 1e200 overflows: that start stalls at once, the
+    # other row of the same batch polishes as it would alone, and nothing
+    # warns (the suite makes a RuntimeWarning an error)
+    spec = catalog.instantiate("sextic", N=2)
+    huge, fine = bae.solve_many(spec, [[1e200, 2.0], [0.1, 0.5]])
+    assert (type(huge), str(huge)) == (
+        ConvergenceError, "line search stalled at residual inf after 0 iterations")
+    assert fine.roots == (0.2928932188134525, 1.7071067811865475)
+    assert repr(fine) == repr(bae.solve(spec, [0.1, 0.5]))
+    F, errors = bae.residuals(spec, [[1e200, 2.0]])
+    assert not np.isfinite(F).all() and errors == [None]
 
 
 def test_jacobian_against_finite_differences():
