@@ -25,9 +25,11 @@ Type-2 models, two walls, or a wall with deg P >= 2 give k >= 2: a
 rectangular multiparameter eigenproblem, solved through Atkinson's
 Delta-operators (Hochstenbach, Kosir and Plestenjak) restricted to
 Sym^k -> Lambda^k, of order C(N+k, k) (Heine's count) with no
-compressions, as the standard eigenproblem of Delta_0^-1 Delta_c. Every
-real eigen-solution of exact degree N that gives a real start (_starts)
-gets one Newton polish from its roots, which come from one stacked
+compressions, as the standard eigenproblem of Delta_0^-1 Delta_c. A
+real eigen-solution whose polynomial fails Newton's inequalities has
+complex roots and is dropped from its coefficients alone (_newton_screen);
+every other one of exact degree N that gives a real start (_starts) gets
+one Newton polish from its roots, which come from one stacked
 companion-matrix eigenvalue call. The polishes run in lock step as the
 rows of one damped Newton (solve_many): residuals of shape (B, N),
 Jacobians (B, N, N) and one batched linear solve per iteration, with each
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -498,9 +501,14 @@ def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
     wherever MAX_ORDER admits (N, k), so the standard eigenproblem stands in
     for the generalized one. A real solution w has the real eigenvalue c . w,
     which LAPACK returns with imaginary part exactly 0 as for k = 1, so only
-    those eigenvectors are candidates. A candidate is kept when its
-    rectangular matrix has sigma_min <= RANK_TOL sigma_max; y is that
-    singular vector.
+    those eigenvectors are candidates. A candidate whose y fails Newton's
+    inequalities (_newton_screen: its roots are not all real, so _starts
+    would reject it) is dropped before the rank test: 25 of 30 for
+    sextic-type2 at N = 10, a = 1.026477, b = -3.006481. Another is kept
+    when its rectangular matrix has sigma_min <= RANK_TOL sigma_max; y is
+    that singular vector.
+    np.linalg.svd solves each stacked matrix alone, so the screen moves no
+    bit of what is kept.
     """
     N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
     D0, Ds = _delta_operators(M0)
@@ -510,12 +518,44 @@ def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
     d0 = D0 @ Z
     norm = np.einsum("ij,ij->j", d0.conj(), d0).real
     w = np.array([np.einsum("ij,ij->j", d0.conj(), Dj @ Z) for Dj in Ds]).T / norm[:, None]
+    w = w[_newton_screen(Z, N1, k)]
     M = np.repeat(M0[None].astype(complex), len(w), axis=0)
     cols = np.arange(N1)
     for j in range(k):
         M[:, cols + j, cols] += w[:, j, None]
     _, sv, Vh = np.linalg.svd(M)
     return list(Vh[sv[:, -1] <= RANK_TOL * sv[:, 0], -1].conj())
+
+
+def _newton_screen(Z: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Mask of the columns of Z (Sym^k coordinates over R^n, the multisets
+    in _delta_operators' order) that may be y (x) ... (x) y for a y of
+    degree N = n - 1 with only real roots; a dropped column is one that
+    _starts would reject.
+
+    Such a z holds prod_i y_(t_i) at the multiset t, so y_i is read at
+    (i, j, ..., j), j the largest |z_(j, ..., j)| (LAPACK's eigenvectors of
+    real eigenvalues are real). Every real-rooted y satisfies Newton's
+    inequalities a_i^2 >= a_(i-1) a_(i+1), a_i = y_i / C(N, i) (Hardy,
+    Littlewood and Polya, Inequalities, 2.22). A column is dropped when its
+    y is of full degree (|y_N| above 1e3 DEGREE_TOL max|y|) and misses an
+    inequality by more than 1e-8 of its terms: rounding, and a pair real
+    to REAL_TOL, move a deficit by about 1e-12. At N <= 2, where at most
+    the discriminant could fail, every column is kept: there the screen
+    costs more than the small solves it could spare.
+    """
+    if n < 4:
+        return np.ones(Z.shape[1], bool)
+    t = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)  # every k-tuple, sorted
+    # the rank of each tuple's multiset, lexicographic like _delta_operators' columns
+    grid = np.unique(np.ravel_multi_index(t, (n,) * k), return_inverse=True)[1].reshape((n,) * k)
+    i = np.arange(n)
+    j = np.argmax(np.abs(Z[grid[(i,) * k]]), axis=0)
+    y = Z[grid[(i[:, None],) + (j,) * (k - 1)], np.arange(Z.shape[1])].real
+    a = y / np.array([math.comb(n - 1, m) for m in i])[:, None]
+    mid, outer = a[1:-1] ** 2, a[:-2] * a[2:]
+    full = np.abs(y[-1]) > 1e3 * DEGREE_TOL * np.max(np.abs(y), axis=0)
+    return ~(full & (mid - outer < -1e-8 * (mid + np.abs(outer))).any(axis=0))
 
 
 def _roots(coeffs: list[np.ndarray]) -> list[np.ndarray]:

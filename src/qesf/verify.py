@@ -441,8 +441,9 @@ def _agreed_levels(levels: dict[int, float], step: int, box: tuple[float, float]
         if n > DVR_MAX_POINTS:
             raise GridError(f"the {name} on [{lo:.6g}, {hi:.6g}] needs more "
                             f"than {DVR_MAX_POINTS} points")
-        if _size(n, e_top) > n:
-            n = _size(n, e_top)
+        size = _size(n, e_top)
+        if size > n:
+            n = size
             continue
         fine = solve(n)
         if seeded:  # the claim seeded n: the solve's own top level sizes it from the start

@@ -37,7 +37,9 @@ Newton polish of one start, with its own residual and Jacobian
 (bae_residual, bae_jacobian), the plain form of bae.solve_many's lock-step
 rows. kron_delta_operators builds bae._delta_operators' Delta-operators
 as full Kronecker determinants and projects them onto the increasing row
-tuples and the symmetrized columns. normalizability_check scans one
+tuples and the symmetrized columns, and rank_deficient is
+bae._rank_deficient without its Newton-inequality screen, every real
+eigen-solution put to the rank test. normalizability_check scans one
 branch's phi^2 over growing windows, each a lazy Simpson sum
 (log_simpson, np.dot) read by scan_side: the
 numerical cross-check of the end rule (prepot.unbound_ends) that
@@ -641,6 +643,25 @@ def kron_delta_operators(M0: np.ndarray) -> tuple:
             sym[np.ravel_multi_index(c, (n,) * k), col] = 1.0
     return (kron_det(shifts)[rows] @ sym,
             [kron_det(shifts[:j] + [-M0] + shifts[j + 1:])[rows] @ sym for j in range(k)])
+
+
+def rank_deficient(M0: np.ndarray) -> list:
+    """bae._rank_deficient without its Newton-inequality screen: every
+    real eigen-solution of the Delta-problem gets the rank test."""
+    N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
+    D0, Ds = bae._delta_operators(M0)
+    c = np.random.default_rng(bae.COMPRESSION_SEED).standard_normal(k)
+    lam, Z = np.linalg.eig(np.linalg.solve(D0, sum(cj * Dj for cj, Dj in zip(c, Ds))))
+    Z = Z[:, lam.imag == 0.0]
+    d0 = D0 @ Z
+    norm = np.einsum("ij,ij->j", d0.conj(), d0).real
+    w = np.array([np.einsum("ij,ij->j", d0.conj(), Dj @ Z) for Dj in Ds]).T / norm[:, None]
+    M = np.repeat(M0[None].astype(complex), len(w), axis=0)
+    cols = np.arange(N1)
+    for j in range(k):
+        M[:, cols + j, cols] += w[:, j, None]
+    _, sv, Vh = np.linalg.svd(M)
+    return list(Vh[sv[:, -1] <= bae.RANK_TOL * sv[:, 0], -1].conj())
 
 
 def log_simpson(a: float, b: float, logphi: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Property tests of the branch finder on random type-2, two-wall and
-singularity-induced models and of its batched root extraction, of the
+singularity-induced models, of its Newton-inequality screen against the
+unscreened eigen-solutions and of its batched root extraction, of the
 walls of parabolic models, of the coordinate images and the equations the
 map, W0 and log|phi| solve (with declared singularities), of which models
 over an irreducible Q build, of the
@@ -83,6 +84,32 @@ def test_two_wall_models_find_every_placement(spec):
                   for br in branches}
     assert all(br.is_real for br in branches)
     assert len(placements) == len(branches)
+
+
+# k >= 2 models for the Newton-inequality screen: two walls, sextic-type2
+# up to N = 10 (k = 2), and sextic-type2 with one wall (k = 3, N <= 3)
+screened_models = st.one_of(
+    two_wall_models,
+    st.builds(lambda a, b, N: catalog.instantiate("sextic-type2", N=N, a=a, b=b),
+              st.floats(0.5, 2.0), st.floats(-4.0, 4.0), st.integers(1, 10)),
+    st.builds(lambda base, wall, mu: ModelSpec(base.Q, base.P, (Singularity(wall, mu),), base.N),
+              st.builds(lambda a, b, N: catalog.instantiate("sextic-type2", N=N, a=a, b=b),
+                        st.floats(0.5, 2.0), st.floats(-4.0, 4.0), st.integers(1, 3)),
+              st.floats(-0.5, 0.5), st.floats(0.05, 0.45)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(screened_models)
+# a vetted benchmark config: 30 real eigen-solutions, 25 screened out
+@example(catalog.instantiate("sextic-type2", N=10, a=1.026477, b=-3.006481))
+def test_the_newton_screen_changes_no_start(spec):
+    # the screen only discards eigen-solutions the rank test or REAL_TOL
+    # rejects: the starts are those of the unscreened path, bit for bit
+    M0, s = bae._heine_matrix(spec)
+    got = bae._starts(M0, s)
+    with mock.patch.object(bae, "_rank_deficient", oracles.rank_deficient):
+        want = bae._starts(M0, s)
+    assert [(g.dtype, g.tobytes()) for g in got] == [(w.dtype, w.tobytes()) for w in want]
 
 
 magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
