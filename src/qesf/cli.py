@@ -66,13 +66,20 @@ def load_config(path: str) -> dict:
         raise ModelError(f"cannot read config {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ModelError(f"config {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # text that is not UTF-8, an integer past the digit limit
+        raise ModelError(f"config {path}: {exc}")
 
 
 def _number(value, key: str) -> float:
-    """A JSON number as float; true and false are not numbers here."""
+    """A JSON number as float; true and false are not numbers here, and an
+    integer past the float range is not finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelError(f'config key "{key}" must be a number (got {json.dumps(value)})')
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ModelError(f'config key "{key}" must be finite (got an integer of '
+                         f'{len(str(abs(value)))} digits)')
 
 
 def _integer(cfg: dict, key: str, default: int) -> int:
@@ -146,10 +153,7 @@ def cmd_solve(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ModelError(f"--tol must be finite and positive (got {args.tol:g})")
     _check_writable(args.out)
-    cfg = load_config(args.config)
-    if args.N is not None and isinstance(cfg, dict):
-        cfg = dict(cfg, N=args.N)
-    pre = prepot.integrate_w0(spec_from_config(cfg))
+    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
     branches = bae.enumerate_branches(pre.spec_ref, tol=args.tol)
     if not branches:
         print("solver failure: no converged real branch", file=sys.stderr)
@@ -350,7 +354,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="enumerate Bethe-ansatz branches to CSV")
     p.add_argument("config")
-    p.add_argument("--N", type=int, default=None, help="override the config N")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=None,
                    help="ignored: accepted so that older scripts still run "

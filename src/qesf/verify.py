@@ -18,7 +18,8 @@ e^-W0 prod_k (z - z_k) changes sign exactly at the x-preimages of the
 Bethe roots inside the certified component (node_count).
 
 The spectrum oracle is one family: a spectral basis whose n-row matrix
-takes one np.linalg.eigvalsh, sized by one loop (_agreed_levels). On a
+takes one np.linalg.eigvalsh, and one driver (_agreed_levels) that checks
+the wanted indices, sizes n and makes that call. On a
 component with no wall the basis is the sinc discrete variable
 representation (dvr_spectrum); at a wall it is a Gauss-Jacobi Lagrange
 mesh in z with each box end's power of |z - a| factored out
@@ -179,19 +180,18 @@ def default_grids(pre: prepot.Prepotential, roots, x) -> list:
     cut where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box
     edge, and an end at a wall is the wall itself and carries its (x, nu).
 
-    The truncation ladders of every branch's preferred component, both ends,
-    run in one _march_thresholds pass; a branch whose component does not
-    truncate tries its next one in a further pass.
+    Each branch sorts its admitted components once by that preference.
+    Round r then marches, in one _march_thresholds pass, both unbounded
+    ends of the r-th component of every branch still without a grid, so a
+    branch marches only the component it certifies unless an earlier one
+    failed to truncate. The rounds stop when every branch has a grid; a
+    branch with none after its last component gets the GridError.
     """
     walls = pre.walls
     cuts = sorted({*pre.cmap.x_domain, *walls})
     components = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-9]
     if not components:
         return [GridError("empty coordinate domain") for _ in roots]
-    # The root preimages xr on the declared branch pull the box out far
-    # enough to contain the state; a root outside the map's image, or at an
-    # exponential map's image end, has none (nan).
-    xr = x[:, 0]
     bsign = pre.spec_ref.branch_sign
     weak = {e for c in components for e in c if math.isfinite(e) and walls[e] <= 0.0}
     admitted = [c for c in components if weak.isdisjoint(c)]
@@ -199,46 +199,37 @@ def default_grids(pre: prepot.Prepotential, roots, x) -> list:
     if weak:  # named, as the reason their components were not tried
         exhausted += "; verify needs nu > 0 at each wall, and " + ", ".join(
             f"the wall at x = {x:.6g} has nu = {walls[x]:.6g}" for x in sorted(weak))
-    pending = {}  # branch -> (its root preimages, its components still to try)
-    for i, row in enumerate(xr):
-        xi = row[np.isfinite(row)].tolist()
-        pending[i] = xi, iter(sorted(
-            admitted, key=lambda c: (not all(c[0] < v < c[1] for v in xi),
-                                     -(min(c[1], 1e18) - max(c[0], -1e18)),
-                                     -bsign * (max(c[0], -1e18) + min(c[1], 1e18)) / 2.0)))
+    # The root preimages on the declared branch pull the box out far enough
+    # to contain the state; a root outside the map's image, or at an
+    # exponential map's image end, has none (nan).
+    xr = [row[np.isfinite(row)].tolist() for row in x[:, 0]]
+    ranked = [sorted(admitted, key=lambda c: (
+        not all(c[0] < v < c[1] for v in xi), -(min(c[1], 1e18) - max(c[0], -1e18)),
+        -bsign * (max(c[0], -1e18) + min(c[1], 1e18)) / 2.0)) for xi in xr]
     grids: list = [None] * len(roots)
-    while pending:
-        boxes, rows, starts, directions = {}, [], [], []
-        for i, (xi, comps) in list(pending.items()):
-            comp = next(comps, None)
-            if comp is None:
-                grids[i] = GridError(exhausted)
-                del pending[i]
-                continue
-            a, b = boxes[i] = comp
-            inside = [v for v in xi if a < v < b]
-            if not math.isfinite(b):
-                rows.append(i)
-                starts.append((max(inside) if inside else
-                               (a + 1.0 if math.isfinite(a) else 0.0)) + 0.5)
-                directions.append(+1)
-            if not math.isfinite(a):
-                rows.append(i)
-                starts.append((min(inside) if inside else
-                               (b - 1.0 if math.isfinite(b) else 0.0)) - 0.5)
-                directions.append(-1)
+    for r in range(len(admitted)):  # round r: the r-th component of each branch left
+        boxes = {i: ranked[i][r] for i, grid in enumerate(grids) if grid is None}
+        if not boxes:
+            break
+        rows, starts, directions = [], [], []
+        for i, (a, b) in boxes.items():
+            inside = [v for v in xr[i] if a < v < b]
+            for d, end, far in ((1, b, a), (-1, a, b)):  # each unbounded end, outward
+                if not math.isfinite(end):
+                    rows.append(i)
+                    starts.append(((max if d > 0 else min)(inside) if inside else
+                                   (far + d if math.isfinite(far) else 0.0)) + 0.5 * d)
+                    directions.append(d)
         ends = {i: list(box) for i, box in boxes.items()}
         found = _march_thresholds(pre, roots[rows], starts, directions)
-        for i, direction, x_end in zip(rows, directions, found.tolist()):
-            ends[i][1 if direction > 0 else 0] = x_end
+        for i, d, x_end in zip(rows, directions, found.tolist()):
+            ends[i][d > 0] = x_end
         for i, (a, b) in boxes.items():
             x_lo, x_hi = ends[i]
-            if math.isnan(x_lo) or math.isnan(x_hi):
-                continue  # no truncation: the next component
-            del pending[i]
-            grids[i] = Grid(x_lo, x_hi, (a, walls[a]) if math.isfinite(a) else None,
-                            (b, walls[b]) if math.isfinite(b) else None)
-    return grids
+            if not (math.isnan(x_lo) or math.isnan(x_hi)):  # else its next component
+                grids[i] = Grid(x_lo, x_hi, (a, walls[a]) if math.isfinite(a) else None,
+                                (b, walls[b]) if math.isfinite(b) else None)
+    return [GridError(exhausted) if grid is None else grid for grid in grids]
 
 
 def default_grid(pre: prepot.Prepotential, roots) -> Grid:
@@ -402,39 +393,49 @@ def _sinc_kinetic(n: int, mirror: bool) -> np.ndarray:
     return t
 
 
-def _agreed_levels(levels: dict[int, float], step: int, box: tuple[float, float],
-                   points, solve, largest_step: float, name: str) -> dict:
-    """The sizing loop of both spectrum oracles: {index: (level, est)} for
+def _agreed_levels(levels: dict[int, float], mirror: float | None, box: tuple[float, float],
+                   points, matrix, largest_step: float, name: str) -> dict:
+    """The one driver of both spectrum oracles: {index: (level, est)} for
     levels = {index: energy}, indices counting the full component's levels
     (step 2 on a mirror, whose sector level m is level 2m), est a level's
-    move between the two solves below.
+    move between the two solves below. The indices are checked, no levels
+    give {} and an empty box raises GridError, all before any point or
+    matrix is built.
 
     points(n) gives, at size n, the x step h of each point (or one for
-    all) and the potential u the solve sees there; solve(n) the ascending
-    levels of the sector's n-row matrix. A point's phase step is h times
-    sqrt(E - u) where u < E, and times sqrt(u - E) / DVR_TAIL where u > E,
-    so the decay into a truncated box end is resolved too. n grows from
-    MIN_GRID_POINTS until the largest phase step is at most
-    largest_step / DVR_MARGIN. The largest energy only seeds the first
-    solve: n then grows again from MIN_GRID_POINTS by the same rule with
-    that solve's own level at the largest index, and a solve of a size met
-    before is not redone, so a wrong energy costs time and moves no level,
-    not even by rounding. Each later solve is re-checked against its own
-    top level (largest_step). A
-    second solve at ceil(0.8 n) must then agree to DVR_AGREE max(1, |E|)
-    on every wanted level, or n grows to floor(1.25 n), whose check is the
-    solve just made. More than DVR_MAX_POINTS rows raise GridError.
+    all) and the potential u the solve sees there; matrix(n, h, u) the
+    sector's n-row symmetric matrix, whose ascending levels one
+    np.linalg.eigvalsh gives. Both are computed once per size. A point's
+    phase step is h times sqrt(E - u) where u < E, and times
+    sqrt(u - E) / DVR_TAIL where u > E, so the decay into a truncated box
+    end is resolved too. n grows from MIN_GRID_POINTS until the largest
+    phase step is at most largest_step / DVR_MARGIN. The largest energy
+    only seeds the first solve: n then grows again from MIN_GRID_POINTS by
+    the same rule with that solve's own level at the largest index, and a
+    solve of a size met before is not redone, so a wrong energy costs time
+    and moves no level, not even by rounding. A second solve at
+    ceil(0.8 n) must then agree to DVR_AGREE max(1, |E|) on every wanted
+    level, or n grows to floor(1.25 n), whose check is the solve just made.
+    More than DVR_MAX_POINTS rows raise GridError.
     """
+    step = _checked_levels(levels, mirror)
+    if not levels:
+        return {}
     lo, hi = box
+    if not hi > lo:
+        raise GridError(f"empty {name} box [{lo}, {hi}]")
     top = max(levels) // step  # the largest wanted row of the sector
+    points = functools.cache(points)
 
-    def _phase(n: int, e: float) -> float:
-        h, u = points(n)
-        return float(np.max(h * np.sqrt(np.maximum(e - u, (u - e) / DVR_TAIL ** 2))))
+    @functools.cache
+    def solve(n: int) -> np.ndarray:
+        return np.linalg.eigvalsh(matrix(n, *points(n)))
 
     def _size(n: int, e: float) -> int:
+        h, u = points(n)
+        phase = float(np.max(h * np.sqrt(np.maximum(e - u, (u - e) / DVR_TAIL ** 2))))
         return max(MIN_GRID_POINTS, 2 * top + 2,
-                   math.ceil((n - 1) * _phase(n, e) * DVR_MARGIN / largest_step) + 1)
+                   math.ceil((n - 1) * phase * DVR_MARGIN / largest_step) + 1)
 
     e_top, n, seeded = max(levels.values()), MIN_GRID_POINTS, True
     while True:
@@ -448,10 +449,6 @@ def _agreed_levels(levels: dict[int, float], step: int, box: tuple[float, float]
         fine = solve(n)
         if seeded:  # the claim seeded n: the solve's own top level sizes it from the start
             seeded, e_top, n = False, float(fine[top]), MIN_GRID_POINTS
-            continue
-        if _phase(n, float(fine[top])) > largest_step:
-            e_top = float(fine[top])  # the solve's own top level resizes n
-            n = max(_size(n, e_top), n + 1)
             continue
         coarse = solve((4 * n + 4) // 5)  # ceil(0.8 n)
         out = {k: (float(fine[k // step]), float(abs(fine[k // step] - coarse[k // step])))
@@ -480,7 +477,8 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
     representation on box = (lo, hi), for levels = {index: energy}, indices
     ascending from the ground level at 0. Returns {index: (eigenvalue, est)},
     est the level's move between the two solves of _agreed_levels, which
-    sizes the matrix.
+    checks the indices and the box, sizes the matrix and solves it: this
+    function builds only the points and the matrix.
 
     The matrix is H = T / h^2 + diag(U(z(x_i))) on the n points
     x_i = lo + i h, h = (hi - lo) / (n - 1), T the Colbert-Miller kinetic
@@ -490,14 +488,8 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
     about x_t: its level m is the full component's level 2m, so indices
     count the full component's levels and an odd one raises ValueError.
     """
-    step = _checked_levels(levels, mirror)
-    if not levels:
-        return {}
     lo, hi = box
-    if not hi > lo:
-        raise GridError(f"empty DVR box [{lo}, {hi}]")
 
-    @functools.cache
     def _points(n: int) -> tuple[float, np.ndarray]:
         h = (hi - lo) / (n - 1)
         u = profile.U(cmap.z_of_x(lo + h * np.arange(n)))
@@ -505,15 +497,13 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
             raise GridError("a DVR point lies on a pole of the potential")
         return h, u
 
-    @functools.cache
-    def _levels(n: int) -> np.ndarray:
-        h, u = _points(n)
+    def _matrix(n: int, h: float, u: np.ndarray) -> np.ndarray:
         H = _sinc_kinetic(n, mirror is not None)
         H /= h ** 2
         H.flat[::n + 1] += u
-        return np.linalg.eigvalsh(H)
+        return H
 
-    return _agreed_levels(levels, step, box, _points, _levels, DVR_STEP, "sinc DVR")
+    return _agreed_levels(levels, mirror, box, _points, _matrix, DVR_STEP, "sinc DVR")
 
 
 def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -551,7 +541,10 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
     at a wall end, whose box end is the wall itself, with nu >= 1/2 (the
     Friedrichs extension's states go as |x - wall|^nu there); None at a
     truncated end. Returns {index: (eigenvalue, est)}, est the level's move
-    between the two solves of _agreed_levels, which sizes the basis.
+    between the two solves of _agreed_levels, which checks the indices and
+    the box, sizes the basis and solves it: this function builds the box
+    ends' exponents, then per size the nodes (_nodes, which the points and
+    the matrix both read) and the matrix.
 
     One rule takes every box end, described by an exponent nu: a wall's
     own nu, 0 at a mirror, and 1 at a truncated end, where phi = 0 is a
@@ -573,8 +566,8 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
     rule then integrates the kinetic term exactly wherever deg Q <= 1,
     two truncated ends included, so no spurious level enters. chi is the
     Lagrange basis at the n nodes (a Lagrange mesh, Baye, Phys. Rep. 565
-    (2015) 1), so the overlap is diagonal and the n-row matrix takes one
-    eigvalsh.
+    (2015) 1), so the overlap is diagonal and the n-row matrix is
+    symmetric.
 
     With a mirror (lo = mirror = x_t) the component is symmetric about
     x_t, a turning point of the map with no wall; a polynomial in z is
@@ -582,13 +575,7 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
     the full component's level 2m: indices count the full component's
     levels and an odd one raises ValueError.
     """
-    step = _checked_levels(levels, mirror)
-    if not levels:
-        return {}
-    lo, hi = box
-    if not hi > lo:
-        raise GridError(f"empty wall box [{lo}, {hi}]")
-    z_lo, z_hi = float(cmap.z_of_x(lo)), float(cmap.z_of_x(hi))
+    z_lo, z_hi = float(cmap.z_of_x(box[0])), float(cmap.z_of_x(box[1]))
     exponents, powers = [], {}  # per end (lo, hi) its weight exponent; a -> s
     for end, a, wall in zip(box, (z_lo, z_hi), walls):
         nu = 0.0 if end == mirror else 1.0 if wall is None else wall[1]
@@ -617,9 +604,8 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
         h = np.maximum(t_gaps[:-1], t_gaps[1:]) * abs(dz_dt) / np.sqrt(qz)
         return h, u, t, christoffel, bary, z, qz
 
-    @functools.cache
-    def _levels(n: int) -> np.ndarray:
-        _, u, t, christoffel, bary, z, qz = _nodes(n)
+    def _matrix(n: int, _, u: np.ndarray) -> np.ndarray:
+        t, christoffel, bary, z, qz = _nodes(n)[2:]
         gaps = t[:, None] - t[None, :]
         np.fill_diagonal(gaps, 1.0)
         D = bary[None, :] / bary[:, None] / gaps  # derivative of chi's basis in t
@@ -633,9 +619,9 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
         H = (D.T * (m * qz / dz_dt ** 2)) @ D  # (dt/dx)^2 = Q / (dz/dt)^2
         H.flat[::n + 1] += m * u
         scale = 1.0 / np.sqrt(m)
-        return np.linalg.eigvalsh(H * scale[:, None] * scale[None, :])
+        return H * scale[:, None] * scale[None, :]
 
-    return _agreed_levels(levels, step, box, lambda n: _nodes(n)[:2], _levels, WALL_STEP,
+    return _agreed_levels(levels, mirror, box, lambda n: _nodes(n)[:2], _matrix, WALL_STEP,
                           "wall basis")
 
 

@@ -569,6 +569,8 @@ def test_solve_determinism_byte_identical(tmp_path, payload, seed_args):
     ("solve", ["--tol", "0"], "--tol must be finite and positive (got 0)"),
     ("solve", ["--tol", "nan"], "--tol must be finite and positive (got nan)"),
     ("solve", ["--tol", "inf"], "--tol must be finite and positive (got inf)"),
+    # the config's N is the one source of N
+    ("solve", ["--N", "3"], "unrecognized arguments: --N 3"),
 ])
 def test_out_of_range_flags_exit_4(tmp_path, command, flags, message):
     # a tolerance is finite and positive: anything else is invalid input,
@@ -814,13 +816,53 @@ def test_solve_failure_exits_2(tmp_path):
      'config key "params.a" must be a number'),
     ({"catalog": ["sextic"], "N": 1}, 'config key "catalog" must be a string'),
     ([{"Q": [1], "P": [0, 1], "N": 1}], "config must be a JSON object"),
+    # an integer past the float range is not finite: no OverflowError traceback
+    ({"Q": [10 ** 400], "P": [0, 1], "N": 1},
+     'config key "Q[0]" must be finite (got an integer of 401 digits)'),
+    ({"Q": [1], "P": [0, -10 ** 400], "N": 1}, 'config key "P[1]" must be finite'),
+    ({"Q": [1], "P": [0.5, 1], "singularities": [{"a": 10 ** 400, "mu": 0.3}], "N": 1},
+     'config key "singularities[0].a" must be finite'),
+    ({"Q": [1], "P": [0.5, 1], "singularities": [{"a": 0.0, "mu": 10 ** 400}], "N": 1},
+     'config key "singularities[0].mu" must be finite'),
+    ({"catalog": "sextic", "params": {"a": 10 ** 400}, "N": 1},
+     'config key "params.a" must be finite'),
+    # and one past Python's digit limit is no JSON number qesf reads
+    pytest.param('{"Q": [1' + "0" * 5000 + '], "P": [0, 1], "N": 1}', "Exceeds the limit",
+                 id="digit-limit"),
+    pytest.param('{"Q": [1], "P": [0, 1], "N": 1', "invalid JSON at line 1", id="invalid-json"),
+    pytest.param(b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
+    ({"catalog": "sextic", "params": [1.0], "N": 1}, 'config key "params" must be an object'),
+    ({"P": [0, 1], "N": 1}, 'config key "Q" is required'),
+    ({"Q": [1], "P": 1, "N": 1}, 'config key "P" must be a list of numbers'),
+    ({"Q": [1], "P": [0, 1], "singularities": [5], "N": 1},
+     'config key "singularities[0]" must be an object with "a" and "mu"'),
 ])
 def test_non_finite_and_boolean_numbers_exit_4(tmp_path, payload, message):
-    cfg = write_config(tmp_path, "bad.json", payload)
-    for command in ("classify", "solve"):
-        code, out, err = run_cli([command, cfg])
-        assert code == 4, (command, out, err)
+    # a str payload is the file's text as it is, bytes its bytes
+    path = tmp_path / "bad.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    cfg, roots = str(path), str(tmp_path / "roots.csv")
+    for argv in (["classify", cfg], ["solve", cfg], ["verify", cfg, roots], ["derive", cfg]):
+        code, out, err = run_cli(argv)
+        assert code == 4 and out == "", (argv, out, err)
         assert message in err, err
+
+
+@pytest.mark.parametrize("argv,roots,message", [
+    (["verify", "{cfg}", "{roots}"], "branch_id,k,z_k\n", "roots file {roots}: no branches"),
+    (["verify", "{cfg}", "{roots}"], "branch_id,k,z_k\n0,0,0.5\n",
+     "branch 0 has 1 roots but the model has N = 2"),
+    (["catalog", "show"], "", "catalog show requires a name"),
+], ids=["roots-with-no-branch", "branch-with-too-few-roots", "catalog-show-without-name"])
+def test_arguments_that_name_no_work_exit_4(tmp_path, argv, roots, message):
+    paths = {"cfg": write_config(tmp_path, "h.json", HARMONIC), "roots": str(tmp_path / "r.csv")}
+    (tmp_path / "r.csv").write_text(roots)
+    code, out, err = run_cli([a.format(**paths) for a in argv])
+    assert code == 4 and out == "", (out, err)
+    assert message.format(**paths) in err, err
 
 
 def test_size_cap_exits_4_before_the_eigenproblem(tmp_path, monkeypatch):

@@ -142,6 +142,33 @@ def test_an_exact_root_hit_in_a_batched_setup_is_a_node():
     assert np.array_equal(got[0], want[0])  # one root: the same single log
 
 
+@pytest.mark.parametrize("p,pair", [([0.6, 2.0, 1.7, 0.7], []),
+                                    ([-0.4, 1.0, 1.7, 0.7], [(-1.0, 1.0, -0.5)])],
+                         ids=["polynomial-w0", "conjugate-pair-term"])
+def test_phi_on_the_sinh_map_is_the_oracles_with_the_slope_z_prime_g(p, pair):
+    # Q = z^2 + 2z + 2, zeros -1 +- i, has the sinh map. P = Q (0.3 + 0.7 z)
+    # leaves no remainder over Q, so W0 is a polynomial; P - Q'/2 leaves
+    # -Q'/2, whose W0 term is -1/2 ln((z + 1)^2 + 1), the conjugate pair's
+    spec = ModelSpec(Poly([2.0, 2.0, 1.0]), Poly(p), (), 2)
+    pre = prepot.integrate_w0(spec)
+    assert [(t.center, t.imag, t.weight) for t in pre.quad_log_terms] == pair
+    roots = np.array([br.roots for br in bae.enumerate_branches(spec)])
+    x = np.tile(np.linspace(-2.5, 2.5, 21) + 0.0123, (len(roots), 1))
+    logphi, sign = prepot.phi_log_sign(pre, roots, x)
+    logphi_w, sign_w = oracles.phi_log_sign(pre, roots, x)
+    assert np.array_equal(sign, sign_w) and np.all(sign != 0)
+    assert np.all(np.abs(logphi - logphi_w) <= 1e-12 * np.maximum(1.0, np.abs(logphi_w)))
+    # d log|phi_N|/dx = z'(x) g(z), g = -P/Q + sum_k 1/(z - z_k): W0' is all
+    # of P/Q, the pair term's share of it included
+    h = 1e-5
+    slope = (prepot.phi_log_sign(pre, roots, x + h)[0]
+             - prepot.phi_log_sign(pre, roots, x - h)[0]) / (2.0 * h)
+    z = pre.cmap.z_of_x(x)
+    terms = [-spec.P(z) / spec.Q(z), *(1.0 / (z - roots[:, k:k + 1]) for k in range(spec.N))]
+    dz = dz_dx(pre.cmap, x)
+    assert np.all(np.abs(slope - dz * sum(terms)) <= 1e-6 * np.abs(dz) * sum(map(np.abs, terms)))
+
+
 def test_phi_redoes_chunk_products_that_overflow_or_underflow():
     # sextic N = 16 far out on a truncation ladder: each of a chunk's eight
     # factors z - z_k is ~1e60, so their product overflows; the chunk is

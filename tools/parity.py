@@ -7,12 +7,12 @@ and compare two such records.
 SRC is a checkout of this repository; its `src/qesf` is imported and run in
 process. The parity set is every config of SRC's `perfbench/vetted.json`
 (built with `perfbench/workloads.build_config`), the seven catalog presets
-at N = 0, 1, 2, 3, 5 and 8, and the wall and cosh configs of the CI
-console-script step. For each config, OUTDIR/<name>/ gets the solve CSV
-bytes, the stdout and stderr of the three commands (the work directory
-replaced by <WORK>, warnings as one `Category: message` line each), their
-exit codes and the verify JSON; verify runs when solve exits 0. Two trees
-give the same outputs when
+at N = 0, 1, 2, 3, 5 and 8, and the wall, cosh, sinh and two-component
+configs of the CI console-script step. For each config, OUTDIR/<name>/
+gets the solve CSV bytes, the stdout and stderr of the three commands
+(the work directory replaced by <WORK>, warnings as one
+`Category: message` line each), their exit codes and the verify JSON;
+verify runs when solve exits 0. Two trees give the same outputs when
 
     diff -r OUTDIR_A OUTDIR_B
 
@@ -43,7 +43,7 @@ import traceback
 import warnings
 
 PRESET_NS = (0, 1, 2, 3, 5, 8)
-# the wall and cosh configs of .github/workflows/tier1.yml
+# the wall, cosh, sinh and two-component configs of .github/workflows/tier1.yml
 CI_CONFIGS = {
     "w0-wall": {"Q": [0, 4], "P": [-1, 0, 2], "N": 1},
     "mirror": {"Q": [0, 4], "P": [0, 0, 2], "singularities": [{"a": 1, "mu": 0.3}], "N": 1},
@@ -52,6 +52,9 @@ CI_CONFIGS = {
                  "singularities": [{"a": -0.1, "mu": 0.05}, {"a": 0.1, "mu": 0.45}]},
     "two-wall-stall": {"Q": [1], "P": [0, 1], "N": 7,
                        "singularities": [{"a": -0.1, "mu": 0.01}, {"a": 0.1, "mu": 0.3}]},
+    "sinh": {"Q": [2, 2, 1], "P": [0.6, 2.0, 1.7, 0.7], "N": 2},
+    "sinh-pair": {"Q": [2, 2, 1], "P": [-0.4, 1.0, 1.7, 0.7], "N": 2},
+    "two-component": {"Q": [1], "P": [-2, 0, 1], "singularities": [{"a": 0, "mu": 0.3}], "N": 1},
 }
 
 
