@@ -8,36 +8,45 @@ polynomial-factor roots, assembles the potential and energy, and certifies
 every (potential, energy, eigenfunction) triple with independent checks:
 Schrodinger residual, spectrum (sinc DVR, or a Gauss-Jacobi wall basis),
 node count and normalizability.
+
+`import qesf` loads no submodule and no numpy. Each name of __all__ is
+imported from the submodule that owns it (_EXPORTS) on first access, and
+so is a submodule named bare (qesf.bae). Classifying a model by its two
+degrees needs only errors, poly and model, which load no numpy; the
+construction, the solver and verify load numpy when first used.
 """
 
-from .bae import (BetheBranch, branch_energies, branch_energy, enumerate_branches,
-                  jacobian, residual, residuals, solve, solve_many)
-from .catalog import expected_energies, instantiate
-from .coords import CoordinateMap, build
-from .errors import (CollisionError, ConvergenceError, DomainError, GridError,
-                     ModelError)
-from .model import (Diagnostic, ModelSpec, Singularity, SolvabilityClass,
-                    classify, validate)
-from .poly import Poly, Tridiag, tridiag_eigenvalues
-from .potential import PFE, PotentialProfile, split_energies, split_energy, v0_pfe
-from .prepot import Prepotential, integrate_w0, phi_log_sign, unbound_ends
-from .verify import (BranchTable, Grid, VerificationReport, branch_setups, fd_spectrum,
-                     node_count, normalizability_check, schrodinger_residual, verify_branch,
-                     verify_branches)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetheBranch", "BranchTable", "CollisionError", "ConvergenceError", "CoordinateMap",
-    "Diagnostic", "DomainError", "Grid", "GridError", "ModelError",
-    "ModelSpec", "PFE", "Poly", "PotentialProfile", "Prepotential",
-    "Singularity", "SolvabilityClass", "Tridiag", "VerificationReport",
-    "branch_energies", "branch_energy", "branch_setups", "build", "classify",
-    "enumerate_branches", "expected_energies", "fd_spectrum",
-    "instantiate", "integrate_w0", "jacobian",
-    "node_count", "normalizability_check",
-    "phi_log_sign", "residual", "residuals", "schrodinger_residual", "solve",
-    "solve_many", "split_energies", "split_energy",
-    "tridiag_eigenvalues", "unbound_ends", "v0_pfe", "validate", "verify_branch",
-    "verify_branches",
-]
+_EXPORTS = {
+    "bae": ("BetheBranch", "branch_energies", "branch_energy", "enumerate_branches", "jacobian",
+            "residual", "residuals", "solve", "solve_many"),
+    "catalog": ("expected_energies", "instantiate"),
+    "coords": ("CoordinateMap", "build"),
+    "errors": ("CollisionError", "ConvergenceError", "DomainError", "GridError", "ModelError"),
+    "model": ("Diagnostic", "ModelSpec", "Singularity", "SolvabilityClass", "classify",
+              "validate"),
+    "poly": ("Poly", "Tridiag", "tridiag_eigenvalues"),
+    "potential": ("PFE", "PotentialProfile", "split_energies", "split_energy", "v0_pfe"),
+    "prepot": ("Prepotential", "integrate_w0", "phi_log_sign", "unbound_ends"),
+    "verify": ("BranchTable", "Grid", "VerificationReport", "branch_setups", "fd_spectrum",
+               "node_count", "normalizability_check", "schrodinger_residual", "verify_branch",
+               "verify_branches"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name not in _OWNER and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_OWNER.get(name, name)}", __name__)
+    globals()[name] = value = getattr(module, name) if name in _OWNER else module
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -18,15 +18,23 @@ cannot be built is invalid input, and so is a config with a key outside
 its schema, and a file that cannot be read or written.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
-A usage error (an unknown command or flag, a missing argument), a solve
---tol that is not finite and positive, a roots CSV row whose z_k is not a
-finite number, and a branch whose k are not 0..N-1 (or, at N = 0, the one
-k = -1 row with an empty z_k that solve writes) are invalid input too.
+A usage error (an unknown command or flag, a missing argument, a name
+after catalog list), a solve --tol that is not finite and positive, a roots
+CSV row whose z_k is not a finite number, and a branch whose k are not
+0..N-1 (or, at N = 0, the one k = -1 row with an empty z_k that solve
+writes) are invalid input too.
 verify judges every residual by verify.RESIDUAL_TOL, and solve's verified
 column reads the same residual from the same call (verify.branch_setups)
 against the same bound. solve's E column is that call's energy column,
 and verify hands it the CSV's roots as they are.
 Nothing is random: the same config gives byte-identical CSV output.
+
+Of qesf's modules, cli imports only catalog and model (and the errors and
+poly they import), none of which loads numpy: reading a config and
+classifying it by its degrees (spec_from_config, then model.classify), the
+catalog command and --help run without numpy. A command that builds the
+model imports the solver modules it uses (prepot, bae, verify) once its
+config has been read, so a config that fails before the build loads none.
 """
 
 from __future__ import annotations
@@ -39,9 +47,8 @@ import math
 import os
 import sys
 
-from . import bae, catalog, model, prepot, verify
+from . import catalog, model
 from .errors import CollisionError, ConvergenceError, DomainError, GridError, ModelError
-from .model import ModelSpec, Singularity
 from .poly import Poly
 
 EXIT_OK = 0
@@ -98,7 +105,7 @@ def _known_keys(obj: dict, allowed: tuple, where: str) -> None:
                              f'allowed: {", ".join(allowed)}')
 
 
-def spec_from_config(cfg: dict) -> ModelSpec:
+def spec_from_config(cfg: dict) -> model.ModelSpec:
     """A ModelSpec from a parsed config dict. Its structure is checked
     where the model is built, in prepot.integrate_w0."""
     if not isinstance(cfg, dict):
@@ -116,32 +123,43 @@ def spec_from_config(cfg: dict) -> ModelSpec:
         params = {k: _number(v, f"params.{k}") for k, v in params.items()}
         return catalog.instantiate(cfg["catalog"], N=_integer(cfg, "N", 1),
                                    branch_sign=branch, **params)
-    else:
-        polys = []
-        for key in ("Q", "P"):
-            if key not in cfg:
-                raise ModelError(f'config key "{key}" is required')
-            if not isinstance(cfg[key], list):
-                raise ModelError(f'config key "{key}" must be a list of numbers')
-            polys.append(Poly([_number(v, f"{key}[{i}]") for i, v in enumerate(cfg[key])]))
-        sings, entries = [], cfg.get("singularities", [])
-        if not isinstance(entries, list):
-            raise ModelError('config key "singularities" must be a list of objects')
-        for i, s in enumerate(entries):
-            if not isinstance(s, dict) or "a" not in s or "mu" not in s:
-                raise ModelError(
-                    f'config key "singularities[{i}]" must be an object with "a" and "mu"')
-            _known_keys(s, SINGULARITY_KEYS, f"singularities[{i}].")
-            sings.append(Singularity(_number(s["a"], f"singularities[{i}].a"),
-                                     _number(s["mu"], f"singularities[{i}].mu")))
-        return ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
+    polys = []
+    for key in ("Q", "P"):
+        if key not in cfg:
+            raise ModelError(f'config key "{key}" is required')
+        if not isinstance(cfg[key], list):
+            raise ModelError(f'config key "{key}" must be a list of numbers')
+        polys.append(Poly([_number(v, f"{key}[{i}]") for i, v in enumerate(cfg[key])]))
+    sings, entries = [], cfg.get("singularities", [])
+    if not isinstance(entries, list):
+        raise ModelError('config key "singularities" must be a list of objects')
+    for i, s in enumerate(entries):
+        if not isinstance(s, dict) or "a" not in s or "mu" not in s:
+            raise ModelError(
+                f'config key "singularities[{i}]" must be an object with "a" and "mu"')
+        _known_keys(s, SINGULARITY_KEYS, f"singularities[{i}].")
+        sings.append(model.Singularity(_number(s["a"], f"singularities[{i}].a"),
+                                       _number(s["mu"], f"singularities[{i}].mu")))
+    return model.ModelSpec(*polys, tuple(sings), _integer(cfg, "N", 0), branch or 1)
+
+
+def _build(path: str):
+    """The model of the config at path, built once (prepot.integrate_w0).
+    The config is read and checked first: one that fails before the build
+    exits 4 without loading the solver modules or numpy."""
+    spec = spec_from_config(load_config(path))
+    from . import prepot
+
+    return prepot.integrate_w0(spec)
 
 
 # ---------------------------------------------------------------------------
 
 
 def cmd_classify(args) -> int:
-    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
+    pre = _build(args.config)
+    from . import prepot  # loaded by _build
+
     cls = model.classify(pre.spec_ref)
     print(f"{cls.tag}: {cls.rationale}")
     for d in prepot.unbound_ends(pre) + model.validate(pre.spec_ref):
@@ -153,7 +171,9 @@ def cmd_solve(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ModelError(f"--tol must be finite and positive (got {args.tol:g})")
     _check_writable(args.out)
-    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
+    pre = _build(args.config)
+    from . import bae, verify
+
     branches = bae.enumerate_branches(pre.spec_ref, tol=args.tol)
     if not branches:
         print("solver failure: no converged real branch", file=sys.stderr)
@@ -235,7 +255,9 @@ def _read_roots_csv(path: str) -> dict[int, list[float]]:
 
 def cmd_verify(args) -> int:
     _check_writable(args.json_out)
-    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
+    pre = _build(args.config)
+    from . import verify
+
     spec = pre.spec_ref
     roots_by_bid = _read_roots_csv(args.roots)
     if not roots_by_bid:
@@ -279,11 +301,11 @@ def _terms_str(terms: dict) -> str:
 
 
 def cmd_derive(args) -> int:
-    pre = prepot.integrate_w0(spec_from_config(load_config(args.config)))
-    spec, cmap, v0 = pre.spec_ref, pre.cmap, pre.v0
-    cls = model.classify(spec)
+    pre = _build(args.config)
+    from . import bae
 
-    print(f"class: {cls.tag}")
+    spec, cmap, v0 = pre.spec_ref, pre.cmap, pre.v0
+    print(f"class: {model.classify(spec).tag}")
     print(f"coordinate: {cmap.family}  x-domain {cmap.x_domain}  z-image {cmap.z_image}")
     print(f"V0 polynomial (ascending in z): {list(v0.poly.coeffs)}")
     for b in v0.boundary_poles:
@@ -379,8 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed --help, or a usage error on stderr
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        print("catalog show requires a name", file=sys.stderr)
+    if args.command == "catalog" and (args.name is None) == (args.action == "show"):
+        print("catalog show requires a name" if args.name is None
+              else f"catalog list takes no name (got {args.name!r})", file=sys.stderr)
         return EXIT_INPUT
     commands = {"classify": cmd_classify, "solve": cmd_solve, "verify": cmd_verify,
                 "derive": cmd_derive, "catalog": cmd_catalog}

@@ -3,7 +3,10 @@ finite-difference cross-check.
 
 Coefficients are stored ascending (c0 + c1*z + ...) and canonically trimmed.
 Degrees stay tiny (<= 8) throughout the package, so plain Horner arithmetic
-is both exact enough and fast.
+is both exact enough and fast. The module imports no numpy: a Poly
+evaluates a Python float or int in plain floats, and imports numpy on the
+first call with an array, a numpy scalar or a complex value; a Tridiag
+imports it when built.
 
 Tridiag and tridiag_eigenvalues serve verify.fd_spectrum, the
 finite-difference cross-check that only the tests call: one bisection per
@@ -14,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TRIM_TOL = 1e-14  # relative: to the largest finite |coefficient|
 
@@ -52,6 +53,13 @@ class Poly:
         return self.degree == 0 and self.coeffs[0] == 0.0
 
     def __call__(self, z):
+        if type(z) in (float, int):  # the numpy loop's operations, in its order
+            acc = 0.0
+            for c in reversed(self.coeffs):
+                acc = acc * z + c
+            return acc
+        import numpy as np
+
         arr = np.asarray(z)
         acc = np.zeros(arr.shape, dtype=np.result_type(arr.dtype, float))
         for c in reversed(self.coeffs):  # in place: acc * arr + c, bit for bit
@@ -162,6 +170,8 @@ class Tridiag:
     offdiag: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag, dtype=float))
         if len(self.offdiag) != max(len(self.diag) - 1, 0):

@@ -510,7 +510,7 @@ def test_a_path_that_cannot_be_read_or_written_exits_4(tmp_path, argv):
 @pytest.mark.parametrize("argv,work", [
     (["solve", "{cfg}", "--out", "{missing}/x.csv"], (bae, "enumerate_branches")),
     (["verify", "{cfg}", "{roots}", "--json-out", "{missing}/r.json"],
-     (cli.verify, "verify_branches")),
+     (verify, "verify_branches")),
 ], ids=["solve-out", "verify-json-out"])
 def test_an_output_path_in_a_missing_directory_fails_before_any_work(
         tmp_path, monkeypatch, argv, work):
@@ -856,7 +856,9 @@ def test_non_finite_and_boolean_numbers_exit_4(tmp_path, payload, message):
     (["verify", "{cfg}", "{roots}"], "branch_id,k,z_k\n0,0,0.5\n",
      "branch 0 has 1 roots but the model has N = 2"),
     (["catalog", "show"], "", "catalog show requires a name"),
-], ids=["roots-with-no-branch", "branch-with-too-few-roots", "catalog-show-without-name"])
+    (["catalog", "list", "sextic"], "", "catalog list takes no name (got 'sextic')"),
+], ids=["roots-with-no-branch", "branch-with-too-few-roots", "catalog-show-without-name",
+        "catalog-list-with-a-name"])
 def test_arguments_that_name_no_work_exit_4(tmp_path, argv, roots, message):
     paths = {"cfg": write_config(tmp_path, "h.json", HARMONIC), "roots": str(tmp_path / "r.csv")}
     (tmp_path / "r.csv").write_text(roots)

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,6 +32,41 @@ def test_horner_matches_naive_power_sum():
         z = rng.uniform(-10, 10)
         naive = sum(c * z ** i for i, c in enumerate(p.coeffs))
         assert abs(p(z) - naive) <= 1e-12 * max(1.0, abs(naive))
+
+
+# signed zeros, subnormals, infinities and nan, often, among all other doubles
+doubles = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
+                                     math.nan)), st.floats())
+
+
+def _same_double(got: float, want: float) -> bool:
+    """Equal bits, or both nan: where two nans meet, which one's payload
+    and sign survive depends on the operand order the compiled code picks,
+    and no output of qesf reads either."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(doubles, min_size=1, max_size=9),
+       st.one_of(doubles, st.integers(-2 ** 63, 2 ** 63 - 1)))
+def test_a_python_scalar_evaluates_to_the_bits_of_the_array_path(coeffs, z):
+    # a float or int runs numpy's in-place Horner steps in plain floats, in
+    # the same order, and overflows to inf without a RuntimeWarning; a numpy
+    # scalar, a 0-d array and a complex value still go through numpy and
+    # return what they always have
+    p = Poly(coeffs)
+    got = p(z)
+    with np.errstate(all="ignore"):
+        want = p(np.asarray([z]))[0]
+        as_numpy = [p(np.float64(z)), p(np.asarray(z))]
+        as_complex = [p(complex(z)), p(np.complex128(z))]
+        as_array = p(np.asarray([z, z]))
+    assert type(got) is float and _same_double(got, float(want)), (p.coeffs, z, got, want)
+    assert all(type(v) is float and _same_double(v, float(want)) for v in as_numpy)
+    assert all(type(v) is complex for v in as_complex)
+    assert type(as_array) is np.ndarray and as_array.dtype == np.float64
 
 
 def test_trimming_and_degree():
