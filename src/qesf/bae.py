@@ -36,8 +36,11 @@ Jacobians (B, N, N) and one batched linear solve per iteration, with each
 row's line search, polish phase and error its own. One helper (_terms)
 evaluates the residual and the Jacobian's shared terms of every row, and
 flags the rows that collide; a row that collides or overflows stops
-itself and no other. A polish whose roots repeat an earlier polish's is
-that branch again and is written once, for every k. Only numpy runs here.
+itself and no other. A row converges when its largest |F_k| is below
+BAE_TOL times the moduli of the terms that cancel in it, so the bound
+follows the model's units and the roots' spread. A polish whose roots
+repeat an earlier polish's is that branch again and is written once, for
+every k. Only numpy runs here.
 
 A branch is real: each level's eigenfunction is built from the real zeros
 of its polynomial y, so enumeration seeks real roots only, and Newton and
@@ -75,7 +78,8 @@ RANK_TOL = 1e-7
 # branches: 80 of 120 at N = 14 with walls at -+0.1, mu = 0.05 and 0.45.
 MAX_ORDER = 121
 COMPRESSION_SEED = 0  # seeds the fixed combination c of the k >= 2 Delta_j
-MAX_ITER = 80  # Newton steps to reach tol
+BAE_TOL = 1e-12  # a Newton row converges below this fraction of its scale (solve_many)
+MAX_ITER = 80  # Newton steps to reach the bound
 POLISH_ITER = 200  # further steps while the residual keeps improving
 ENERGY_TIE_ULPS = 4  # real branch energies this close, in ulps of their largest term, tie
 
@@ -238,7 +242,7 @@ def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return dz, singular
 
 
-def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
+def solve_many(spec: ModelSpec, inits, tol: float = BAE_TOL) -> list:
     """Damped Newton iteration from every row of inits, real starts of
     shape (B, N), in lock step: per row, in order, its BetheBranch (roots
     ascending) or the CollisionError or ConvergenceError that stopped it.
@@ -257,10 +261,23 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
     CollisionError; stagnation, iteration exhaustion or a singular Jacobian
     give ConvergenceError.
 
-    Once below tol a row keeps polishing as long as its residual strictly
+    A row converges at the first iteration at which its residual norm is
+    0 or below tol times its scale, the largest over k of the moduli of
+    the terms that cancel in F_k (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3):
+
+        sum_i |p_i| |z_k|^i + sum_i |q'_i| |z_k|^i / 4
+        + sum_i |q_i| |z_k|^i * (sum_{l != k} 1/|z_k - z_l| + sum_j |mu_j|/|z_k - a_j|),
+
+    not |P(z_k)|, which vanishes at a root of P. It is computed once per
+    iteration for the rows not yet converged, and a non-finite scale
+    accepts no row. enumerate_branches uses tol = BAE_TOL; at tol = 0 only
+    an exact zero converges.
+
+    From then on a row keeps polishing as long as its residual strictly
     improves (up to POLISH_ITER extra steps): for simple roots that is one
     or two steps to the machine floor, while for degenerate root
-    configurations (where |F| < tol admits a wide ball) the linear tail of
+    configurations (where the bound admits a wide ball) the linear tail of
     Newton contracts the ball so duplicate branches collapse in enumeration.
     """
     z = np.asarray(inits)
@@ -273,9 +290,11 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
         return [BetheBranch((), 0.0, 0) for _ in z]
     out: list = [None] * len(z)
     polys = _polys(spec)
+    # |coefficients| of P, Q, P' and Q', ascending, one column each
+    moduli = np.abs(list(itertools.zip_longest(*(p.coeffs for p in polys), fillvalue=0.0)))
     ev, collide = _terms(spec, polys, z)
     # the running rows: their index in out, roots, _terms, residual norm and
-    # the iteration at which it first dropped below tol (-1 before)
+    # the iteration at which it converged (-1 before)
     idx, norm, converged_at = np.arange(len(z)), np.abs(ev[0]).max(axis=1), np.full(len(z), -1)
 
     def _keep(stop, error=None):
@@ -296,9 +315,15 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
 
     _keep(collide, lambda j: _collision(z[j], spec.singularities))
     for it in range(MAX_ITER + POLISH_ITER):
-        # A row polishes from the iteration its norm first drops below tol;
-        # its norm only decreases from then on, so it stays below.
-        converged_at[(norm < tol) & (converged_at < 0)] = it
+        # A row polishes from the iteration it converges; its norm only
+        # decreases from then on.
+        fresh = np.flatnonzero(converged_at < 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # a start that overflowed
+            t = np.abs(z[fresh])[..., None] ** np.arange(len(moduli)) @ moduli
+            S = np.abs(ev[1][fresh]).sum(axis=2) + sum(
+                abs(s.exponent / (z[fresh] - s.location)) for s in spec.singularities)
+            bound = tol * (t[..., 0] + t[..., 3] / 4.0 + t[..., 1] * S).max(axis=1)
+        converged_at[fresh[(norm[fresh] == 0.0) | (norm[fresh] < bound) & np.isfinite(bound)]] = it
         _keep((converged_at >= 0) & ((norm == 0.0) | (it - converged_at >= POLISH_ITER)))
         if not len(idx):
             break
@@ -339,7 +364,7 @@ def solve_many(spec: ModelSpec, inits, tol: float = 1e-12) -> list:
     return out
 
 
-def solve(spec: ModelSpec, init, tol: float = 1e-12) -> BetheBranch:
+def solve(spec: ModelSpec, init, tol: float = BAE_TOL) -> BetheBranch:
     """Damped Newton iteration from one starting vector: solve_many's one
     row, whose error it raises. ValueError when init is complex or not a
     vector of length N."""
@@ -636,7 +661,7 @@ def _energy_order(spec: ModelSpec, found: list[BetheBranch]) -> list[BetheBranch
     return [br for *_, br in out]
 
 
-def enumerate_branches(spec: ModelSpec, tol: float = 1e-12) -> list[BetheBranch]:
+def enumerate_branches(spec: ModelSpec) -> list[BetheBranch]:
     """Every real branch of the model's eigenproblem, once each, sorted by
     extracted energy (energies equal but for rounding by roots, see
     _energy_order).
@@ -659,7 +684,7 @@ def enumerate_branches(spec: ModelSpec, tol: float = 1e-12) -> list[BetheBranch]
     if spec.N == 0:
         return [BetheBranch((), 0.0, 0)]
     starts = _starts(*_heine_matrix(spec))
-    polished = solve_many(spec, starts, tol=tol) if starts else []
+    polished = solve_many(spec, starts) if starts else []
     return _energy_order(spec, [br for br in polished if isinstance(br, BetheBranch)])
 
 

@@ -19,10 +19,11 @@ its schema, and a file that cannot be read or written.
 
 Exit codes: 0 ok, 2 solver failure, 3 verification failure, 4 invalid input.
 A usage error (an unknown command or flag, a missing argument, a name
-after catalog list), a solve --tol that is not finite and positive, a roots
-CSV row whose z_k is not a finite number, and a branch whose k are not
-0..N-1 (or, at N = 0, the one k = -1 row with an empty z_k that solve
-writes) are invalid input too.
+after catalog list), a roots CSV row whose z_k is not a finite number,
+and a branch whose k are not 0..N-1 (or, at N = 0, the one k = -1 row
+with an empty z_k that solve writes) are invalid input too.
+solve takes no tolerance: Newton's convergence bound is relative to the
+Bethe equations' own scale (bae.BAE_TOL), so it follows the model's units.
 verify judges every residual by verify.RESIDUAL_TOL, and solve's verified
 column reads the same residual from the same call (verify.branch_setups)
 against the same bound. solve's E column is that call's energy column,
@@ -168,13 +169,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ModelError(f"--tol must be finite and positive (got {args.tol:g})")
     _check_writable(args.out)
     pre = _build(args.config)
     from . import bae, verify
 
-    branches = bae.enumerate_branches(pre.spec_ref, tol=args.tol)
+    branches = bae.enumerate_branches(pre.spec_ref)
     if not branches:
         print("solver failure: no converged real branch", file=sys.stderr)
         return EXIT_SOLVER
@@ -376,7 +375,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="enumerate Bethe-ansatz branches to CSV")
     p.add_argument("config")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=None,
                    help="ignored: accepted so that older scripts still run "
                         "(the branch finder uses no randomness)")

@@ -33,11 +33,12 @@ and bae.residual row, with E from bae.branch_energy, and branch_energy and
 energy_order take one branch's energy terms at a time: the per-branch
 loops that potential.split_energies, bae.branch_energies and
 bae._energy_order run as array passes. bae_solve is the damped
-Newton polish of one start, with its own residual and Jacobian
-(bae_residual, bae_jacobian), the plain form of bae.solve_many's lock-step
-rows. kron_delta_operators builds bae._delta_operators' Delta-operators
-as full Kronecker determinants and projects them onto the increasing row
-tuples and the symmetrized columns, and rank_deficient is
+Newton polish of one start, with its own residual, Jacobian and
+convergence scale (bae_residual, bae_jacobian, bae_scale), the plain form
+of bae.solve_many's lock-step rows. kron_delta_operators builds
+bae._delta_operators' Delta-operators as full Kronecker determinants and
+projects them onto the increasing row tuples and the symmetrized columns,
+and rank_deficient is
 bae._rank_deficient without its Newton-inequality screen, every real
 eigen-solution put to the rank test. normalizability_check scans one
 branch's phi^2 over growing windows, each a lazy Simpson sum
@@ -548,12 +549,35 @@ def bae_jacobian(spec: ModelSpec, roots) -> np.ndarray:
     return J
 
 
+def bae_scale(spec: ModelSpec, roots) -> float:
+    """The largest, over the roots z_k, of the moduli of the terms whose
+    cancellation gives F_k: sum_i |p_i| |z_k|^i + sum_i |q'_i| |z_k|^i / 4 +
+    sum_i |q_i| |z_k|^i (sum_{l != k} 1/|z_k - z_l| + sum_j |mu_j|/|z_k - a_j|),
+    one root and one term at a time. inf or nan when a term overflows."""
+    Qp = spec.Q.derivative()
+    scale = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, zk in enumerate(roots):
+            r = np.abs(zk)
+            moduli = [sum(abs(c) * r ** i for i, c in enumerate(p.coeffs))
+                      for p in (spec.P, Qp, spec.Q)]
+            pairs = sum(1.0 / np.abs(zk - zl) for l, zl in enumerate(roots) if l != k)
+            walls = sum(abs(s.exponent) / np.abs(zk - s.location) for s in spec.singularities)
+            term = moduli[0] + moduli[1] / 4.0 + moduli[2] * (pairs + walls)
+            if not np.isfinite(term):
+                return term
+            scale = max(scale, term)
+    return scale
+
+
 def bae_solve(spec: ModelSpec, init, tol: float = 1e-12) -> BetheBranch:
     """Damped Newton iteration from one start: steps halved until the
-    residual norm decreases and no roots collide; once below tol, polish
-    while a step at alpha = 1 or 1/2 halves the norm (up to POLISH_ITER
-    steps). Raises CollisionError for a colliding start, ConvergenceError
-    on stagnation, iteration exhaustion or a singular Jacobian."""
+    residual norm decreases and no roots collide; converged at the first
+    iteration whose norm is 0, or below tol times a finite bae_scale; from
+    then on, polish while a step at alpha = 1 or 1/2 halves the norm (up to
+    POLISH_ITER steps). Raises CollisionError for a colliding start,
+    ConvergenceError on stagnation, iteration exhaustion or a singular
+    Jacobian."""
     z = np.asarray(init, dtype=complex if np.iscomplexobj(np.asarray(init)) else float)
     if z.ndim != 1 or z.size != spec.N:
         raise ValueError(f"init must have length N = {spec.N}")
@@ -576,8 +600,10 @@ def bae_solve(spec: ModelSpec, init, tol: float = 1e-12) -> BetheBranch:
     norm = np.max(np.abs(F)) if F.size else 0.0
     converged_at = None
     for it in range(MAX_ITER + POLISH_ITER):
-        if norm < tol and converged_at is None:
-            converged_at = it
+        if converged_at is None:
+            scale = bae_scale(spec, z)
+            if norm == 0.0 or (np.isfinite(scale) and norm < tol * scale):
+                converged_at = it
         polishing = converged_at is not None
         if polishing and (norm == 0.0 or it - converged_at >= POLISH_ITER):
             return _done(converged_at)

@@ -283,10 +283,11 @@ def test_criterion_10_determinism(tmp_path):
     _report(10, "cmd_solve output is byte-identical across runs")
 
 
-# Largest N at which N+1 branches are pinned at the catalog defaults. The
-# matrix finder holds to N = 44, 49 and 19 there; trig-interval stops
-# because some branches' residual floor passes the 1e-12 tolerance.
-TYPE1_LIMITS = {"sextic": 40, "sextic-halfline": 40, "trig-interval": 16}
+# Largest N at which N+1 branches are pinned at the catalog defaults. Past
+# them the finder misses branches: both sextic presets from N = 41, and
+# trig-interval at N = 28 and 29, where one eigenvector's start polishes
+# onto another branch (ROADMAP item 2).
+TYPE1_LIMITS = {"sextic": 40, "sextic-halfline": 40, "trig-interval": 27}
 # Below those limits the finder finds N of the N + 1 branches here: one
 # eigenvector's start polishes onto another branch, and the missing one
 # (E = 648.53 at sextic N = 39) is never reached (ROADMAP items 2 and 24).

@@ -566,16 +566,16 @@ def test_solve_determinism_byte_identical(tmp_path, payload, seed_args):
     ("solve", ["--grid-points", "2001"], "unrecognized arguments: --grid-points 2001"),
     ("solve", ["--grid-points", "-3"], "unrecognized arguments: --grid-points -3"),
     ("verify", ["--grid-points", "4001"], "unrecognized arguments: --grid-points 4001"),
-    ("solve", ["--tol", "0"], "--tol must be finite and positive (got 0)"),
-    ("solve", ["--tol", "nan"], "--tol must be finite and positive (got nan)"),
-    ("solve", ["--tol", "inf"], "--tol must be finite and positive (got inf)"),
+    # Newton's bound is relative to the Bethe equations' own scale: solve
+    # has no --tol either
+    ("solve", ["--tol", "0"], "unrecognized arguments: --tol 0"),
+    ("solve", ["--tol", "nan"], "unrecognized arguments: --tol nan"),
+    ("solve", ["--tol", "inf"], "unrecognized arguments: --tol inf"),
     # the config's N is the one source of N
     ("solve", ["--N", "3"], "unrecognized arguments: --N 3"),
 ])
 def test_out_of_range_flags_exit_4(tmp_path, command, flags, message):
-    # a tolerance is finite and positive: anything else is invalid input,
-    # not a run that reports every branch unverified; and a flag qesf no
-    # longer has is a usage error, invalid input too
+    # a flag qesf no longer has is a usage error, which is invalid input
     cfg = write_config(tmp_path, "h.json", HARMONIC)
     out_csv = tmp_path / "roots.csv"
     assert run_cli(["solve", cfg, "--out", str(out_csv)])[0] == 0
@@ -716,6 +716,21 @@ def test_a_narrow_component_between_two_walls_certifies_its_residual(tmp_path):
     assert err.count("verification error") == 1
     assert ("branch 3: verification error: the wall basis on [-0.0005, 0.0005] needs more "
             "than 2000 points") in err, err
+
+
+TWO_WALL_STALL = {"Q": [1], "P": [0, 1], "N": 7,
+                  "singularities": [{"a": -0.1, "mu": 0.01}, {"a": 0.1, "mu": 0.3}]}
+
+
+def test_two_wall_branches_whose_residual_floors_above_1e12_are_written(tmp_path):
+    # four of these branches' residuals floor at 1.5-2.5e-12, which the
+    # bound on the Bethe equations' own scale accepts: all C(9, 2) = 36 are
+    # written, and every one certifies
+    solve_code, csv_text, code, out, err, _ = _solve_and_verify(tmp_path, "s", TWO_WALL_STALL)
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert solve_code == 0 and len({row["branch_id"] for row in rows}) == 36
+    assert all(row["verified"] == "true" for row in rows), csv_text
+    assert code == 0 and out.count(": pass") == 36, err
 
 
 def test_trig_interval_n15_certifies(tmp_path):

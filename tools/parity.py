@@ -50,6 +50,8 @@ CI_CONFIGS = {
     "cosh": {"Q": [-1, 0, 1], "P": [0, -1, 1, 0], "N": 2},
     "two-wall": {"Q": [1], "P": [0, 1], "N": 7,
                  "singularities": [{"a": -0.1, "mu": 0.05}, {"a": 0.1, "mu": 0.45}]},
+    # four of its 36 branches floor at 1.5-2.5e-12 in |F|, above an absolute
+    # 1e-12 and below the bound relative to the Bethe equations' own scale
     "two-wall-stall": {"Q": [1], "P": [0, 1], "N": 7,
                        "singularities": [{"a": -0.1, "mu": 0.01}, {"a": 0.1, "mu": 0.3}]},
     "sinh": {"Q": [2, 2, 1], "P": [0.6, 2.0, 1.7, 0.7], "N": 2},
