@@ -25,22 +25,23 @@ Type-2 models, two walls, or a wall with deg P >= 2 give k >= 2: a
 rectangular multiparameter eigenproblem, solved through Atkinson's
 Delta-operators (Hochstenbach, Kosir and Plestenjak) restricted to
 Sym^k -> Lambda^k, of order C(N+k, k) (Heine's count) with no
-compressions, as the standard eigenproblem of Delta_0^-1 Delta_c. A
-real eigen-solution whose polynomial fails Newton's inequalities has
-complex roots and is dropped from its coefficients alone (_newton_screen);
-every other one of exact degree N that gives a real start (_starts) gets
-one Newton polish from its roots, which come from one stacked
-companion-matrix eigenvalue call. The polishes run in lock step as the
-rows of one damped Newton (solve_many): residuals of shape (B, N),
-Jacobians (B, N, N) and one batched linear solve per iteration, with each
-row's line search, polish phase and error its own. One helper (_terms)
-evaluates the residual and the Jacobian's shared terms of every row, and
-flags the rows that collide; a row that collides or overflows stops
-itself and no other. A row converges when its largest |F_k| is below
-BAE_TOL times the moduli of the terms that cancel in it, so the bound
-follows the model's units and the roots' spread. A polish whose roots
-repeat an earlier polish's is that branch again and is written once, for
-every k. Only numpy runs here.
+compressions, as the standard eigenproblem of Delta_0^-1 Delta_c. Each
+real eigenvector is y (x) ... (x) y, and y is read straight from its
+entries, with no rank test (_tensor_factors). A y that fails Newton's
+inequalities has complex roots and is dropped from its coefficients
+alone (_newton_screen); every other eigen-solution y of exact degree N
+that gives a real start (_starts) gets one Newton polish from its roots,
+which come from one stacked companion-matrix eigenvalue call. The
+polishes run in lock step as the rows of one damped Newton (solve_many):
+residuals of shape (B, N), Jacobians (B, N, N) and one batched linear
+solve per iteration, with each row's line search, polish phase and error
+its own. One helper (_terms) evaluates the residual and the Jacobian's
+shared terms of every row, and flags the rows that collide; a row that
+collides or overflows stops itself and no other. A row converges when
+its largest |F_k| is below BAE_TOL times the moduli of the terms that
+cancel in it, so the bound follows the model's units and the roots'
+spread. A polish whose roots repeat an earlier polish's is that branch
+again and is written once, for every k. Only numpy runs here.
 
 A branch is real: each level's eigenfunction is built from the real zeros
 of its polynomial y, so enumeration seeks real roots only, and Newton and
@@ -70,9 +71,6 @@ DEGREE_TOL = 1e-10
 # A k >= 2 eigen-solution with roots real to this (in z/s) is real: on the
 # vetted configs real ones stay below 1e-15, complex ones above 0.06.
 REAL_TOL = 1e-6
-# A Delta-problem solution w solves the rectangular one when
-# M0 + sum_j w_j S_j has sigma_min below this fraction of sigma_max.
-RANK_TOL = 1e-7
 # Cap on (N+1)^k, which bounds the k >= 2 eigenproblem's order C(N+k, k)
 # (Sym^k -> Lambda^k, 66 at type-2 N = 10). Past it two-wall models lose
 # branches: 80 of 120 at N = 14 with walls at -+0.1, mu = 0.05 and 0.45.
@@ -514,101 +512,89 @@ def _delta_operators(M0: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return D[0], list(D[1:])
 
 
-def _rank_deficient(M0: np.ndarray) -> list[np.ndarray]:
-    """Null vectors y of M0 + sum_j w_j S_j over the real solutions w, k >= 2.
+def _tensor_factors(M0: np.ndarray) -> list[np.ndarray]:
+    """The factors y of the real eigenvectors z = y (x) ... (x) y of the
+    Delta-problem of M0 + sum_j w_j S_j, k >= 2, that pass Newton's
+    inequalities (_newton_screen): ascending coefficients on M0's basis.
 
     The eigenvectors z of Delta_0^-1 Delta_c (_delta_operators, Sym^k ->
     Lambda^k, order C(N+k, k): Heine's count of solutions, so no eigenvalue
     is spurious), Delta_c a fixed combination of the Delta_j (distinct
-    eigenvalues even where solutions share a w_j), give the candidates, and
-    w_j follows from each z by least squares on Delta_j z = w_j Delta_0 z.
+    eigenvalues even where solutions share a w_j), give the candidates.
     Delta_0 depends only on (N, k), and its condition number stays below 15
     wherever MAX_ORDER admits (N, k), so the standard eigenproblem stands in
     for the generalized one. A real solution w has the real eigenvalue c . w,
-    which LAPACK returns with imaginary part exactly 0 as for k = 1, so only
-    those eigenvectors are candidates. A candidate whose y fails Newton's
-    inequalities (_newton_screen: its roots are not all real, so _starts
-    would reject it) is dropped before the rank test: 25 of 30 for
-    sextic-type2 at N = 10, a = 1.026477, b = -3.006481. Another is kept
-    when its rectangular matrix has sigma_min <= RANK_TOL sigma_max; y is
-    that singular vector.
-    np.linalg.svd solves each stacked matrix alone, so the screen moves no
-    bit of what is kept.
+    which LAPACK returns with imaginary part exactly 0 as for k = 1, and a
+    real eigenvector; only those are candidates.
+
+    Such a z holds prod_i y_(t_i) at the multiset t, so y_i is read at
+    (i, j, ..., j), j the largest |z_(j, ..., j)|: y up to the scale
+    y_j^(k-1), which moves no root. A z that is no product gives a y whose
+    start _starts, REAL_TOL or the Newton polish rejects.
     """
-    N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
+    n, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
     D0, Ds = _delta_operators(M0)
     c = np.random.default_rng(COMPRESSION_SEED).standard_normal(k)
     lam, Z = np.linalg.eig(np.linalg.solve(D0, sum(cj * Dj for cj, Dj in zip(c, Ds))))
-    Z = Z[:, lam.imag == 0.0]
-    d0 = D0 @ Z
-    norm = np.einsum("ij,ij->j", d0.conj(), d0).real
-    w = np.array([np.einsum("ij,ij->j", d0.conj(), Dj @ Z) for Dj in Ds]).T / norm[:, None]
-    w = w[_newton_screen(Z, N1, k)]
-    M = np.repeat(M0[None].astype(complex), len(w), axis=0)
-    cols = np.arange(N1)
-    for j in range(k):
-        M[:, cols + j, cols] += w[:, j, None]
-    _, sv, Vh = np.linalg.svd(M)
-    return list(Vh[sv[:, -1] <= RANK_TOL * sv[:, 0], -1].conj())
-
-
-def _newton_screen(Z: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Mask of the columns of Z (Sym^k coordinates over R^n, the multisets
-    in _delta_operators' order) that may be y (x) ... (x) y for a y of
-    degree N = n - 1 with only real roots; a dropped column is one that
-    _starts would reject.
-
-    Such a z holds prod_i y_(t_i) at the multiset t, so y_i is read at
-    (i, j, ..., j), j the largest |z_(j, ..., j)| (LAPACK's eigenvectors of
-    real eigenvalues are real). Every real-rooted y satisfies Newton's
-    inequalities a_i^2 >= a_(i-1) a_(i+1), a_i = y_i / C(N, i) (Hardy,
-    Littlewood and Polya, Inequalities, 2.22). A column is dropped when its
-    y is of full degree (|y_N| above 1e3 DEGREE_TOL max|y|) and misses an
-    inequality by more than 1e-8 of its terms: rounding, and a pair real
-    to REAL_TOL, move a deficit by about 1e-12. At N <= 2, where at most
-    the discriminant could fail, every column is kept: there the screen
-    costs more than the small solves it could spare.
-    """
-    if n < 4:
-        return np.ones(Z.shape[1], bool)
+    Z = Z[:, lam.imag == 0.0].real
     t = np.sort(np.indices((n,) * k).reshape(k, -1), axis=0)  # every k-tuple, sorted
     # the rank of each tuple's multiset, lexicographic like _delta_operators' columns
     grid = np.unique(np.ravel_multi_index(t, (n,) * k), return_inverse=True)[1].reshape((n,) * k)
     i = np.arange(n)
     j = np.argmax(np.abs(Z[grid[(i,) * k]]), axis=0)
-    y = Z[grid[(i[:, None],) + (j,) * (k - 1)], np.arange(Z.shape[1])].real
-    a = y / np.array([math.comb(n - 1, m) for m in i])[:, None]
+    y = Z[grid[(i[:, None],) + (j,) * (k - 1)], np.arange(Z.shape[1])]
+    return list(y[:, _newton_screen(y)].T)
+
+
+def _newton_screen(y: np.ndarray) -> np.ndarray:
+    """Mask of the columns of y (ascending coefficients of polynomials of
+    degree <= N = len(y) - 1) that may have only real roots; a dropped
+    column is one that _starts would reject.
+
+    Every real-rooted y satisfies Newton's inequalities a_i^2 >= a_(i-1)
+    a_(i+1), a_i = y_i / C(N, i) (Hardy, Littlewood and Polya,
+    Inequalities, 2.22). A column is dropped when it is of full degree
+    (|y_N| above 1e3 DEGREE_TOL max|y|) and misses an inequality by more
+    than 1e-8 of its terms: rounding, and a pair real to REAL_TOL, move a
+    deficit by about 1e-12. At N <= 2, where at most the discriminant could
+    fail, every column is kept: there the screen costs more than the small
+    root solves it could spare.
+    """
+    n = len(y)
+    if n < 4:
+        return np.ones(y.shape[1], bool)
+    a = y / np.array([math.comb(n - 1, m) for m in range(n)])[:, None]
     mid, outer = a[1:-1] ** 2, a[:-2] * a[2:]
     full = np.abs(y[-1]) > 1e3 * DEGREE_TOL * np.max(np.abs(y), axis=0)
     return ~(full & (mid - outer < -1e-8 * (mid + np.abs(outer))).any(axis=0))
 
 
 def _roots(coeffs: list[np.ndarray]) -> list[np.ndarray]:
-    """np.roots(c[::-1]) of each ascending coefficient vector c, bit for
-    bit, for c with a nonzero top coefficient.
+    """np.roots(c[::-1]) of each real ascending coefficient vector c, bit
+    for bit, for c with a nonzero top coefficient.
 
     Like np.roots, a zero constant term (and any run of zeros above it) is
     stripped from the companion matrix and its roots come back as exact
-    zeros at the end. The companion matrices of one dtype and size are
-    stacked into one np.linalg.eigvals call, which runs the same LAPACK
-    routine on each as np.roots would; a real c's roots are real when all
-    of its own imaginary parts are 0.
+    zeros at the end. The companion matrices of one size are stacked into
+    one np.linalg.eigvals call, which runs the same LAPACK routine on each
+    as np.roots would; c's roots are real when all of its own imaginary
+    parts are 0.
     """
     out: list = [None] * len(coeffs)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, c in enumerate(coeffs):
         size = len(c) - 1 - int(np.flatnonzero(c)[0])  # degree without the zero roots
-        groups.setdefault((c.dtype, size), []).append(i)
-    for (dtype, size), members in groups.items():
+        groups.setdefault(size, []).append(i)
+    for size, members in groups.items():
         w = np.zeros((len(members), 0))
         if size:
             p = np.array([coeffs[i][::-1][:size + 1] for i in members])
-            A = np.zeros((len(members), size, size), dtype)
+            A = np.zeros((len(members), size, size))
             A[:, np.arange(1, size), np.arange(size - 1)] = 1
             A[:, 0, :] = -p[:, 1:] / p[:, :1]
             w = np.linalg.eigvals(A)
         for i, wi in zip(members, w):
-            if not np.iscomplexobj(coeffs[i]) and not wi.imag.any():
+            if not wi.imag.any():
                 wi = wi.real
             out[i] = np.hstack((wi, np.zeros(len(coeffs[i]) - 1 - size, wi.dtype)))
     return out
@@ -621,15 +607,16 @@ def _starts(M0: np.ndarray, s: float) -> list[np.ndarray]:
     k = 1: the eigenvectors of the square M0's real eigenvalues. Each such
     y is real and gets a real start: np.roots may return a close real pair
     as a +- ib (b = 0.014 in z/s at trig-interval N = 15), and a +- b is
-    the better start. k >= 2 (_rank_deficient): y starts only when its
-    roots are real to REAL_TOL.
+    the better start. k >= 2 (_tensor_factors): y, read straight from
+    its Delta-eigenvector with no rank test and no SVD, starts only when
+    its roots are real to REAL_TOL.
     """
     square = M0.shape[0] == M0.shape[1]
     if square:
         lam, vec = np.linalg.eig(M0)
         cands = [vec[:, i].real for i in range(len(lam)) if lam[i].imag == 0.0]
     else:
-        cands = _rank_deficient(M0)
+        cands = _tensor_factors(M0)
     cands = [c for c in cands if abs(c[-1]) > DEGREE_TOL * np.max(np.abs(c))]
     return [s * np.sort(w.real + w.imag) for w in _roots(cands)
             if square or np.max(np.abs(w.imag)) <= REAL_TOL]

@@ -38,9 +38,10 @@ convergence scale (bae_residual, bae_jacobian, bae_scale), the plain form
 of bae.solve_many's lock-step rows. kron_delta_operators builds
 bae._delta_operators' Delta-operators as full Kronecker determinants and
 projects them onto the increasing row tuples and the symmetrized columns,
-and rank_deficient is
-bae._rank_deficient without its Newton-inequality screen, every real
-eigen-solution put to the rank test. normalizability_check scans one
+and rank_deficient is the k >= 2 finder that bae._tensor_factors
+replaces: the null vector y of M0 + sum_j w_j S_j, with w by least
+squares from each real Delta-eigenvector, kept when an SVD finds the
+matrix rank deficient to RANK_TOL. normalizability_check scans one
 branch's phi^2 over growing windows, each a lazy Simpson sum
 (log_simpson, np.dot) read by scan_side: the
 numerical cross-check of the end rule (prepot.unbound_ends) that
@@ -65,6 +66,9 @@ from qesf.verify import DVR_BOX_LOG
 
 MAX_WINDOWS = 120  # normalizability windows per side
 SIMPSON_POINTS = 129  # points per normalizability window
+# rank_deficient keeps a w when M0 + sum_j w_j S_j has sigma_min below
+# this fraction of sigma_max
+RANK_TOL = 1e-7
 
 
 def dz_dx(cmap: coords.CoordinateMap, x):
@@ -672,8 +676,10 @@ def kron_delta_operators(M0: np.ndarray) -> tuple:
 
 
 def rank_deficient(M0: np.ndarray) -> list:
-    """bae._rank_deficient without its Newton-inequality screen: every
-    real eigen-solution of the Delta-problem gets the rank test."""
+    """The null vectors y of M0 + sum_j w_j S_j, k >= 2, over the w read by
+    least squares from every real eigenvector z of the Delta-problem (no
+    Newton-inequality screen): Delta_j z = w_j Delta_0 z, and y is kept
+    when sigma_min <= RANK_TOL sigma_max. Complex, like the SVD's."""
     N1, k = M0.shape[1], M0.shape[0] - M0.shape[1] + 1
     D0, Ds = bae._delta_operators(M0)
     c = np.random.default_rng(bae.COMPRESSION_SEED).standard_normal(k)
@@ -687,7 +693,7 @@ def rank_deficient(M0: np.ndarray) -> list:
     for j in range(k):
         M[:, cols + j, cols] += w[:, j, None]
     _, sv, Vh = np.linalg.svd(M)
-    return list(Vh[sv[:, -1] <= bae.RANK_TOL * sv[:, 0], -1].conj())
+    return list(Vh[sv[:, -1] <= RANK_TOL * sv[:, 0], -1].conj())
 
 
 def log_simpson(a: float, b: float, logphi: np.ndarray) -> float:

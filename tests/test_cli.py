@@ -711,7 +711,7 @@ def test_a_narrow_component_between_two_walls_certifies_its_residual(tmp_path):
     assert solve_code == 0 and len(rows) == 12
     assert all(row["verified"] == "true" for row in rows), csv_text
     assert [row["z_k"] for row in rows if row["branch_id"] == "3"] == [
-        "-0.00028501306077504058", "0.00024153480069163648"]
+        "-0.00028501306077504063", "0.00024153480069163648"]
     assert code == 3 and out.count(": pass") == 5
     assert err.count("verification error") == 1
     assert ("branch 3: verification error: the wall basis on [-0.0005, 0.0005] needs more "
@@ -731,6 +731,27 @@ def test_two_wall_branches_whose_residual_floors_above_1e12_are_written(tmp_path
     assert solve_code == 0 and len({row["branch_id"] for row in rows}) == 36
     assert all(row["verified"] == "true" for row in rows), csv_text
     assert code == 0 and out.count(": pass") == 36, err
+
+
+# seeded two-wall draws at N = 9 with a close real root pair in one branch:
+# each has all C(11, 2) = 55 branches
+TWO_WALL_N9 = [
+    {"Q": [1], "P": [0.2207, 1], "N": 9,
+     "singularities": [{"a": -0.0989, "mu": 1.1016}, {"a": 0.0797, "mu": 1.136}]},
+    {"Q": [1], "P": [-0.2397, 1], "N": 9,
+     "singularities": [{"a": -0.1372, "mu": 0.19}, {"a": 0.0661, "mu": 0.0657}]},
+]
+
+
+@pytest.mark.parametrize("config", TWO_WALL_N9)
+def test_two_wall_n9_writes_and_certifies_every_branch(tmp_path, config):
+    # y is read straight from each Delta-eigenvector, so the close pair
+    # stays real
+    solve_code, csv_text, code, out, err, _ = _solve_and_verify(tmp_path, "w", config)
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert solve_code == 0 and len({row["branch_id"] for row in rows}) == 55
+    assert all(row["verified"] == "true" for row in rows), csv_text
+    assert code == 0 and out.count(": pass") == 55, err
 
 
 def test_trig_interval_n15_certifies(tmp_path):

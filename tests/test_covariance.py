@@ -4,13 +4,19 @@ Dilating x by s (x -> x/s) multiplies Q and P by s^2: z, the roots and the
 walls stay, every Bethe residual F_k scales by s^2 and so does every
 energy. A finder whose convergence bound were absolute in F would lose
 branches at s > 1 (ROADMAP item 27's dilation column).
+
+Shifting z by beta (z = w + beta) takes Q(z) and P(z) to Q(w + beta) and
+P(w + beta) and each wall a to a - beta: the potential in x is the same,
+the roots map as z_k = w_k + beta, and every energy moves by one constant,
+so the level gaps stay (item 27's shift column).
 """
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from qesf import bae, catalog, prepot, verify
-from qesf.model import ModelSpec
+from qesf.model import ModelSpec, Singularity
 from qesf.poly import Poly
 
 
@@ -39,5 +45,59 @@ def test_an_x_dilation_finds_and_certifies_every_branch(name, N, s):
     # relative to the largest level: a mirror-symmetric spectrum has a level
     # at E = 0, which holds only rounding
     assert np.max(np.abs(energies - want)) <= 1e-12 * np.max(np.abs(want))
+    reports = verify.verify_branches(prepot.integrate_w0(image), roots)
+    assert all(rep.verdict for rep in reports)
+
+
+def _shifted(spec: ModelSpec, beta: float) -> ModelSpec:
+    """spec in w = z - beta: Q and P by the Taylor shift Q(w + beta),
+    P(w + beta), and each wall at a - beta."""
+    shift = lambda p: Poly(list(Polynomial(p.coeffs)(Polynomial([beta, 1.0])).coef))
+    return ModelSpec(shift(spec.Q), shift(spec.P),
+                     tuple(Singularity(s.location - beta, s.exponent) for s in spec.singularities),
+                     spec.N, spec.branch_sign)
+
+
+def _finder_loses(found, N):
+    return pytest.mark.xfail(strict=True, reason=(
+        f"finds {found} of {N + 1} branches: the Heine eigenvector's monomial basis is "
+        "centred at z = 0, and item 14's chambers and item 24's starts are not "
+        "(ROADMAP items 14 and 24)"))
+
+
+def _residual_fails(residual):
+    return pytest.mark.xfail(strict=True, reason=(
+        f"every branch is found, but the Schrodinger residual is about {residual}, above "
+        "verify.RESIDUAL_TOL: Q, P and U lose digits to cancellation at the shifted z "
+        "(ROADMAP items 15 and 29)"))
+
+
+@pytest.mark.parametrize("name,N,beta", [
+    ("sextic", 8, 30),
+    pytest.param("sextic", 16, 30, marks=_finder_loses(1, 16)),
+    pytest.param("sextic", 30, 30, marks=_finder_loses(1, 30)),
+    pytest.param("sextic-halfline", 30, 30, marks=_finder_loses(3, 30)),
+    pytest.param("trig-interval", 12, 30, marks=_finder_loses(3, 12)),
+    pytest.param("trig-interval", 16, 30, marks=_finder_loses(1, 16)),
+    pytest.param("trig-interval", 8, 30, marks=_residual_fails("2.6e-8")),
+    pytest.param("harmonic", 80, 3, marks=pytest.mark.xfail(strict=True, reason=(
+        "finds no branch: the finder starts from the roots of the monomial eigenvector, "
+        "where Hermite's recurrence needs none (ROADMAP item 28)"))),
+    pytest.param("morse-es", 2, 1000, marks=_residual_fails("4.8e-7")),
+])
+def test_a_z_shift_finds_and_certifies_every_branch(name, N, beta):
+    spec = catalog.instantiate(name, N=N)
+    image = _shifted(spec, beta)
+    found = bae.enumerate_branches(image)
+    want = bae.enumerate_branches(spec)
+    assert len(found) == len(want)
+    roots = [br.roots for br in found]
+    want_roots = np.array([br.roots for br in want])
+    # each to rounding relative to the shift
+    assert np.max(np.abs(np.array(roots) + beta - want_roots)) <= 1e-12 * beta
+    gaps = np.diff(bae.branch_energies(image, roots))
+    want_energies = bae.branch_energies(spec, want_roots)
+    assert np.max(np.abs(gaps - np.diff(want_energies)), initial=0.0) <= (
+        1e-12 * np.max(np.abs(want_energies)))
     reports = verify.verify_branches(prepot.integrate_w0(image), roots)
     assert all(rep.verdict for rep in reports)

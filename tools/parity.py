@@ -54,6 +54,9 @@ CI_CONFIGS = {
     # 1e-12 and below the bound relative to the Bethe equations' own scale
     "two-wall-stall": {"Q": [1], "P": [0, 1], "N": 7,
                        "singularities": [{"a": -0.1, "mu": 0.01}, {"a": 0.1, "mu": 0.3}]},
+    # a seeded two-wall draw with a close real root pair: all 55 of C(11, 2)
+    "two-wall-n9": {"Q": [1], "P": [0.2207, 1], "N": 9,
+                    "singularities": [{"a": -0.0989, "mu": 1.1016}, {"a": 0.0797, "mu": 1.136}]},
     "sinh": {"Q": [2, 2, 1], "P": [0.6, 2.0, 1.7, 0.7], "N": 2},
     "sinh-pair": {"Q": [2, 2, 1], "P": [-0.4, 1.0, 1.7, 0.7], "N": 2},
     "two-component": {"Q": [1], "P": [-2, 0, 1], "singularities": [{"a": 0, "mu": 0.3}], "N": 1},
