@@ -195,11 +195,13 @@ def unbound_ends(pre: Prepotential) -> list[UnboundEnd]:
 
     verify reads the ends' x (verify.normalizability_check): a branch
     whose certified component ends at one is not normalizable, and one
-    whose component ends at none is.
+    whose component ends at none is; verify.default_grids certifies a
+    branch on a component that ends at none wherever there is one.
     """
     spec, cmap, unbound = pre.spec_ref, pre.cmap, []  # (phi_N's form, the end, its x)
+    far = [(x, cmap.z_of_x(x)) for x in cmap.x_domain if math.isinf(x)]  # z at infinite x
     for end, inward in zip(cmap.z_image, (1.0, -1.0)):
-        xs = tuple(x for x in cmap.x_domain if math.isinf(x) and cmap.z_of_x(x) == end)
+        xs = tuple(x for x, z in far if z == end)
         if math.isinf(end):
             where = "z -> infinity" if end > 0 else "z -> -infinity"
             w, deg = pre.poly_part.coeffs[-1], pre.poly_part.degree

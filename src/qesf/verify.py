@@ -51,8 +51,9 @@ x-preimages on the map's declared branch and its mirror (one
 coords.CoordinateMap.preimages call, nan where a root has none); energy
 (one bae.branch_energies call); the split into U and E
 (potential.split_energies, which reads energy); the grid, the certified
-interval (default_grids, which reads x and marches the truncation ladders
-of every branch and end together); the residual (schrodinger_residual,
+interval (default_grids, which reads x and the end rule, picks one
+component per branch and marches its truncation ladders, every branch and
+end in one pass); the residual (schrodinger_residual,
 one (B, 4N + 8) array pass); and each row's error. qesf solve's E and verified columns and
 verify_branches all read the table, and nothing else makes those calls.
 verify_branches then takes the node counts from the table's x and the
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,8 +96,9 @@ _LADDER_STEPS = np.cumprod(np.r_[0.25, np.full(399, 1.25)])  # of _march_thresho
 class Grid:
     """A branch's certified interval [lo, hi] of x. An end that abuts a
     singular wall is the wall itself and carries it as (x of the wall, nu),
-    with phi ~ |x - wall|^nu there; an unbounded end is where the
-    truncation ladder stops. A mirror interval (mirror = x_t, as
+    with phi ~ |x - wall|^nu there, for any nu (phi is not square-integrable
+    there when nu <= -1/2); an unbounded end is where the truncation ladder
+    stops. A mirror interval (mirror = x_t, as
     fd_spectrum takes it) is the half of a component that is
     reflection-symmetric about x_t, where phi is even."""
 
@@ -126,7 +128,7 @@ class VerificationReport:
     verdict: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +172,15 @@ def default_grids(pre: prepot.Prepotential, roots, x) -> list:
     that stopped it.
 
     The map's endpoints and the model's finite walls (pre.walls) cut the
-    x-domain into components. A component is admitted when phi vanishes at
-    each of its walls (nu > 0), which verify still requires; a wall with
-    nu <= 0 (bound, and normalizable, for nu > -1/2) is named in the
-    GridError of a branch left with no component. Admitted components are
-    preferred in this order: the one holding every root preimage, then the
-    widest, then the one on the side of the spec's branch_sign. The first
-    of them whose unbounded ends truncate is certified: an unbounded end is
-    cut where W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box
-    edge, and an end at a wall is the wall itself and carries its (x, nu).
-
-    Each branch sorts its admitted components once by that preference.
-    Round r then marches, in one _march_thresholds pass, both unbounded
-    ends of the r-th component of every branch still without a grid, so a
-    branch marches only the component it certifies unless an earlier one
-    failed to truncate. The rounds stop when every branch has a grid; a
-    branch with none after its last component gets the GridError.
+    x-domain into components. Each branch certifies one of them, the first
+    in this order: one with no end that prepot.unbound_ends flags (the
+    exact end rule, so phi is normalizable there), then the one holding
+    every root preimage, then the widest, then the one on the side of the
+    spec's branch_sign. An end at a wall is the wall itself and carries
+    its (x, nu), whatever nu is; an unbounded end is cut where
+    W_N >= W_THRESHOLD, so |phi| <= e^-W_THRESHOLD at the box edge. One
+    _march_thresholds pass marches the unbounded ends of every branch's
+    component; a branch whose march never gets there gets the GridError.
     """
     walls = pre.walls
     cuts = sorted({*pre.cmap.x_domain, *walls})
@@ -193,43 +188,33 @@ def default_grids(pre: prepot.Prepotential, roots, x) -> list:
     if not components:
         return [GridError("empty coordinate domain") for _ in roots]
     bsign = pre.spec_ref.branch_sign
-    weak = {e for c in components for e in c if math.isfinite(e) and walls[e] <= 0.0}
-    admitted = [c for c in components if weak.isdisjoint(c)]
-    exhausted = "no normalizable domain component found"
-    if weak:  # named, as the reason their components were not tried
-        exhausted += "; verify needs nu > 0 at each wall, and " + ", ".join(
-            f"the wall at x = {x:.6g} has nu = {walls[x]:.6g}" for x in sorted(weak))
+    unbound = {x for end in prepot.unbound_ends(pre) for x in end.x}
     # The root preimages on the declared branch pull the box out far enough
     # to contain the state; a root outside the map's image, or at an
     # exponential map's image end, has none (nan).
     xr = [row[np.isfinite(row)].tolist() for row in x[:, 0]]
-    ranked = [sorted(admitted, key=lambda c: (
-        not all(c[0] < v < c[1] for v in xi), -(min(c[1], 1e18) - max(c[0], -1e18)),
+    boxes = [min(components, key=lambda c: (
+        not unbound.isdisjoint(c), not all(c[0] < v < c[1] for v in xi),
+        -(min(c[1], 1e18) - max(c[0], -1e18)),
         -bsign * (max(c[0], -1e18) + min(c[1], 1e18)) / 2.0)) for xi in xr]
-    grids: list = [None] * len(roots)
-    for r in range(len(admitted)):  # round r: the r-th component of each branch left
-        boxes = {i: ranked[i][r] for i, grid in enumerate(grids) if grid is None}
-        if not boxes:
-            break
-        rows, starts, directions = [], [], []
-        for i, (a, b) in boxes.items():
-            inside = [v for v in xr[i] if a < v < b]
-            for d, end, far in ((1, b, a), (-1, a, b)):  # each unbounded end, outward
-                if not math.isfinite(end):
-                    rows.append(i)
-                    starts.append(((max if d > 0 else min)(inside) if inside else
-                                   (far + d if math.isfinite(far) else 0.0)) + 0.5 * d)
-                    directions.append(d)
-        ends = {i: list(box) for i, box in boxes.items()}
-        found = _march_thresholds(pre, roots[rows], starts, directions)
-        for i, d, x_end in zip(rows, directions, found.tolist()):
-            ends[i][d > 0] = x_end
-        for i, (a, b) in boxes.items():
-            x_lo, x_hi = ends[i]
-            if not (math.isnan(x_lo) or math.isnan(x_hi)):  # else its next component
-                grids[i] = Grid(x_lo, x_hi, (a, walls[a]) if math.isfinite(a) else None,
-                                (b, walls[b]) if math.isfinite(b) else None)
-    return [GridError(exhausted) if grid is None else grid for grid in grids]
+    rows, starts, directions = [], [], []
+    for i, (a, b) in enumerate(boxes):
+        inside = [v for v in xr[i] if a < v < b]
+        for d, end, far in ((1, b, a), (-1, a, b)):  # each unbounded end, outward
+            if not math.isfinite(end):
+                rows.append(i)
+                starts.append(((max if d > 0 else min)(inside) if inside else
+                               (far + d if math.isfinite(far) else 0.0)) + 0.5 * d)
+                directions.append(d)
+    ends = [list(box) for box in boxes]
+    found = _march_thresholds(pre, roots[rows], starts, directions)
+    for i, d, x_end in zip(rows, directions, found.tolist()):
+        ends[i][d > 0] = x_end
+    return [GridError("no normalizable domain component found")
+            if math.isnan(x_lo) or math.isnan(x_hi) else
+            Grid(x_lo, x_hi, (a, walls[a]) if math.isfinite(a) else None,
+                 (b, walls[b]) if math.isfinite(b) else None)
+            for (x_lo, x_hi), (a, b) in zip(ends, boxes)]
 
 
 def default_grid(pre: prepot.Prepotential, roots) -> Grid:
@@ -741,9 +726,11 @@ def verify_branches(pre: prepot.Prepotential, roots) -> list:
     e^-W_THRESHOLD at each unbounded end. The verdict requires the
     residual below RESIDUAL_TOL, phi normalizable, and the claimed energy matched
     by the spectrum oracle's level whose index is the branch's node count:
-    by Sturm oscillation a state with n nodes is level n. At a
-    limit-circle wall the spectrum oracle is skipped, spectrum_note says
-    so, and the verdict is the same rule without the spectrum match.
+    by Sturm oscillation a state with n nodes is level n. At a wall with
+    nu < 1/2 the spectrum oracle is skipped, spectrum_note says why (a
+    limit-circle wall, or one with nu <= -1/2, where phi is not
+    square-integrable), and the verdict is the same rule without the
+    spectrum match.
 
     The spectrum runs once per potential: branches with the same operator
     (equal potential U, as type-1 and ES models share, and equal walls
@@ -782,10 +769,14 @@ def verify_branches(pre: prepot.Prepotential, roots) -> list:
         # At a limit-circle wall where the state follows the weaker
         # indicial root (nu < 1/2) both roots are square-integrable and the
         # wall basis, which selects the Friedrichs one, is no oracle for
-        # it, so the verdict goes without the spectrum match.
-        if any(w is not None and w[1] < 0.5 - 1e-12 for w in (grid.wall_lo, grid.wall_hi)):
-            results[i] = _report(fields, [], "spectrum oracle skipped: limit-circle wall "
-                                             "with endpoint exponent nu < 1/2")
+        # it, so the verdict goes without the spectrum match; at a wall
+        # with nu <= -1/2 phi is not square-integrable at all.
+        weak = [w for w in (grid.wall_lo, grid.wall_hi) if w is not None and w[1] < 0.5 - 1e-12]
+        if weak:
+            x_w, nu = min(weak, key=lambda w: w[1])
+            results[i] = _report(fields, [], "spectrum oracle skipped: " + (
+                "limit-circle wall with endpoint exponent nu < 1/2" if nu > -0.5 else
+                f"phi is not square-integrable at the wall x = {x_w:.6g}, where nu = {nu:.6g}"))
         else:
             groups.setdefault((table.profile[i].U, grid.wall_lo, grid.wall_hi), []).append(
                 (i, table.profile[i], grid, fields))

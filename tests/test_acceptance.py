@@ -285,13 +285,13 @@ def test_criterion_10_determinism(tmp_path):
 
 # Largest N at which N+1 branches are pinned at the catalog defaults. Past
 # them the finder misses branches: both sextic presets from N = 41, and
-# trig-interval at N = 28 and 29, where one eigenvector's start polishes
-# onto another branch (ROADMAP item 2).
-TYPE1_LIMITS = {"sextic": 40, "sextic-halfline": 40, "trig-interval": 27}
-# Below those limits the finder finds N of the N + 1 branches here: one
+# trig-interval from N = 32 (ROADMAP item 2).
+TYPE1_LIMITS = {"sextic": 40, "sextic-halfline": 40, "trig-interval": 29}
+# Up to those limits the finder finds N of the N + 1 branches here: one
 # eigenvector's start polishes onto another branch, and the missing one
-# (E = 648.53 at sextic N = 39) is never reached (ROADMAP items 2 and 24).
-TYPE1_MISSED = [("sextic", 39), ("sextic-halfline", 35)]
+# (E = 648.53 at sextic N = 39) is never reached (ROADMAP items 2, 14 and 24).
+TYPE1_MISSED = [("sextic", 39), ("sextic-halfline", 35), ("trig-interval", 28),
+                ("trig-interval", 29)]
 
 
 def _assert_all_type1_branches(name, N):
@@ -310,7 +310,7 @@ def test_criterion_11_all_type1_branches():
                 _assert_all_type1_branches(name, N)
     _report(11, "type-1 sextic, half-line sextic and trig interval: all N+1 distinct "
                 "branches for N <= " + ", ".join(map(str, TYPE1_LIMITS.values()))
-                + ", but for sextic N = 39 and half-line N = 35")
+                + ", but for sextic N = 39, half-line N = 35 and trig interval N = 28, 29")
 
 
 @pytest.mark.xfail(strict=True, reason="the finder finds N of N + 1 branches "

@@ -329,6 +329,19 @@ def test_two_wall_model_at_n7_finds_every_branch():
     assert len(bae.enumerate_branches(spec)) == math.comb(7 + 2, 2)
 
 
+@pytest.mark.xfail(strict=True, reason="the finder writes 64 of the 66 branches "
+                   "(ROADMAP items 2 and 14)")
+def test_two_wall_draw_at_n10_finds_every_placement():
+    # a seeded two-wall draw: each of the C(12, 2) = 66 placements of the
+    # N = 10 roots in the three intervals the walls cut has one branch
+    walls = [-0.1109, 0.0463]
+    spec = ModelSpec(Poly([1.0]), Poly([-0.055, 1.0]),
+                     (Singularity(walls[0], 0.3277), Singularity(walls[1], 0.562)), 10)
+    placements = {tuple(np.histogram(np.real(br.roots), [-np.inf, *walls, np.inf])[0])
+                  for br in bae.enumerate_branches(spec)}
+    assert len(placements) == math.comb(10 + 2, 2)
+
+
 def test_type2_branch_counts():
     # real branches at a = 1, b = -3
     for N, real in zip(range(1, 5), (3, 5, 3, 5)):

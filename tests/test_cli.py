@@ -274,28 +274,47 @@ def test_w0_log_wall_equals_its_declared_twin(tmp_path):
 
 
 def test_w0_log_wall_at_a_cosh_turning_point_rejects_both_sides(tmp_path):
-    # W0's 1.5 ln|z - 1| gives phi ~ |x - xc|^-3 at the turning point
-    solve_code, csv_text, code, _, err, _ = _solve_and_verify(
+    # W0's 1.5 ln|z - 1| gives phi ~ |x - xc|^-3 at the turning point: the
+    # residual passes, so solve's verified column reads true, but the end
+    # rule says phi is not square-integrable there
+    solve_code, csv_text, code, out, _, report = _solve_and_verify(
         tmp_path, "c", {"Q": [-1, 0, 1], "P": [0, 3], "N": 1})
     assert solve_code == 0
-    assert csv_text.splitlines()[1].endswith(",false")
+    assert csv_text.splitlines()[1].endswith(",true")
     assert code == 3
-    assert "no normalizable domain component found" in err
+    (rep,) = json.loads(report).values()
+    assert rep["normalizable"] is False and rep["verdict"] is False
+    assert rep["spectrum_note"] == ("spectrum oracle skipped: phi is not square-integrable "
+                                    "at the wall x = 0, where nu = -3")
+    assert out.count(": FAIL") == 1
 
 
-# z = sin^2 x: the wall z = 1 at x = pi/2 has nu = -0.2, so phi is bound and
-# normalizable there, but verify needs nu > 0 at each wall
+# Walls with -1/2 < nu <= 0, where phi is bound and normalizable: they
+# certify on the residual and the end rule, as a limit-circle wall does.
+# z = sin^2 x: the wall z = 1 at x = pi/2 has nu = -0.2
 NEGATIVE_NU_WALL = {"Q": [0, 4, -4], "P": [0, -4, 4], "N": 1,
                     "singularities": [{"a": 0, "mu": 0.25}, {"a": 1, "mu": -0.1}]}
+NEGATIVE_NU_DRAWS = {
+    # walls with nu = -0.14 at x = +-0.3768, the two preimages of z = 0.142
+    "mirror-walls": ({"Q": [0, 4], "P": [-0.323, 0.163, 0.284], "N": 1,
+                      "singularities": [{"a": 0.142, "mu": -0.14}]}, 3),
+    # no declared wall: W0 puts nu = -0.246 at the cosh turning point
+    "w0-cosh-wall": ({"Q": [-1, 0, 1], "P": [0.049, -1.743, 1.94], "N": 1}, 2),
+    # a wall with nu = -0.382 at the cosh turning point
+    "cosh-wall": ({"Q": [-1, 0, 1], "P": [0.202, -0.188, -0.669, 1.037], "N": 3,
+                   "singularities": [{"a": -0.615, "mu": -0.3}]}, 8),
+    "negative-nu-wall": (NEGATIVE_NU_WALL, 2),
+}
 
 
-def test_a_wall_the_fd_oracle_cannot_take_is_named(tmp_path):
-    solve_code, csv_text, code, out, err, _ = _solve_and_verify(tmp_path, "n", NEGATIVE_NU_WALL)
-    assert solve_code == 0 and len(csv_text.splitlines()) == 3
-    assert code == 3
-    reason = ("no normalizable domain component found; verify needs nu > 0 at "
-              "each wall, and the wall at x = 1.5708 has nu = -0.2")
-    assert err.count(f"verification error: {reason}") == 2, (out, err)
+@pytest.mark.parametrize("payload,branches", NEGATIVE_NU_DRAWS.values(),
+                         ids=NEGATIVE_NU_DRAWS.keys())
+def test_a_wall_with_nu_above_minus_half_certifies(tmp_path, payload, branches):
+    solve_code, csv_text, code, out, err, _ = _solve_and_verify(tmp_path, "n", payload)
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert solve_code == 0 and len({row["branch_id"] for row in rows}) == branches
+    assert all(row["verified"] == "true" for row in rows), csv_text
+    assert code == 0 and out.count(": pass") == branches, (out, err)
 
 
 # z = x^2 reaches the wall a = 1, where Q(1) = 4 != 0, at x = -1 and x = 1

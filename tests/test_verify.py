@@ -654,8 +654,8 @@ def test_march_threshold_matches_a_pointwise_march():
     ModelSpec(Poly([1.0]), Poly([0.1, 1.0]), (Singularity(0.1, 0.3),), 2),
 ], ids=["sextic-halfline", "singular"])
 def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec):
-    # both models have two admitted components, each with one unbounded
-    # end; only the preferred one is marched
+    # both models have two components that the end rule does not flag,
+    # each with one unbounded end; only the preferred one is marched
     marches = []
     real = verify._march_thresholds
 
@@ -680,13 +680,14 @@ def test_default_grid_marches_only_the_component_it_certifies(monkeypatch, spec)
         assert grid == verify.default_grid(pre, br.roots)
 
 
-def test_a_branch_whose_preferred_component_does_not_truncate_certifies_on_its_next(
-        monkeypatch):
-    # phi0 = |z|^0.3 exp(2z - z^3/3) grows as z -> -infinity. The branches
-    # whose root lies left of the wall prefer (-inf, 0), whose -inf end
-    # never truncates; the next round marches (0, inf) for them alone
+def test_a_component_the_end_rule_flags_is_never_marched(monkeypatch):
+    # phi0 = |z|^0.3 exp(2z - z^3/3) grows as z -> -infinity, so
+    # prepot.unbound_ends flags the -inf end. The branches whose root lies
+    # left of the wall would otherwise prefer (-inf, 0); every branch
+    # certifies on (0, inf), all three marched in one pass
     spec = ModelSpec(Poly([1.0]), Poly([-2.0, 0.0, 1.0]), (Singularity(0.0, 0.3),), 1)
     pre = prepot.integrate_w0(spec)
+    assert [end.x for end in prepot.unbound_ends(pre)] == [(-math.inf,)]
     roots = np.array([br.roots for br in bae.enumerate_branches(spec)])
     assert roots[:, 0].tolist() == pytest.approx([-1.3322207371911865, -0.15174715600653985,
                                                   1.4839678931977263], rel=1e-12)
@@ -701,13 +702,12 @@ def test_a_branch_whose_preferred_component_does_not_truncate_certifies_on_its_n
     monkeypatch.setattr(verify, "_march_thresholds", counted)
     grids = verify.default_grids(pre, roots, pre.cmap.preimages(roots).swapaxes(0, 1))
     z0, z1, z2 = roots[:, 0].tolist()
-    first, second = marches
-    assert first[:3] == ([z0, z1, z2], [z0 - 0.5, z1 - 0.5, z2 + 0.5], [-1, -1, 1])
-    assert math.isnan(first[3][0]) and math.isnan(first[3][1])
-    assert first[3][2] == pytest.approx(5.752339475228976, rel=1e-12)
-    assert second == ([z0, z1], [1.5, 1.5], [1, 1], [6.4604644775390625] * 2)
+    (march,) = marches
+    assert march[:3] == ([z0, z1, z2], [1.5, 1.5, z2 + 0.5], [1, 1, 1])
+    assert march[3][:2] == [6.4604644775390625] * 2
+    assert march[3][2] == pytest.approx(5.752339475228976, rel=1e-12)
     assert grids[:2] == [verify.Grid(0.0, 6.4604644775390625, (0.0, 0.3))] * 2
-    assert grids[2] == verify.Grid(0.0, first[3][2], (0.0, 0.3))
+    assert grids[2] == verify.Grid(0.0, march[3][2], (0.0, 0.3))
     assert all(rep.verdict for rep in verify.verify_branches(pre, roots))
 
 

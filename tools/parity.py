@@ -60,6 +60,9 @@ CI_CONFIGS = {
     "sinh": {"Q": [2, 2, 1], "P": [0.6, 2.0, 1.7, 0.7], "N": 2},
     "sinh-pair": {"Q": [2, 2, 1], "P": [-0.4, 1.0, 1.7, 0.7], "N": 2},
     "two-component": {"Q": [1], "P": [-2, 0, 1], "singularities": [{"a": 0, "mu": 0.3}], "N": 1},
+    # z = sin^2 x: the wall z = 1 at x = pi/2 has nu = -0.2, bound and normalizable
+    "negative-nu-wall": {"Q": [0, 4, -4], "P": [0, -4, 4], "N": 1,
+                         "singularities": [{"a": 0, "mu": 0.25}, {"a": 1, "mu": -0.1}]},
 }
 
 
