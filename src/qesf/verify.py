@@ -23,7 +23,9 @@ the wanted indices, sizes n and makes that call. On a
 component with no wall the basis is the sinc discrete variable
 representation (dvr_spectrum); at a wall it is a Gauss-Jacobi Lagrange
 mesh in z with each box end's power of |z - a| factored out
-(wall_spectrum), which converges spectrally at x^-2 endpoints. Each level comes with its
+(wall_spectrum), which converges spectrally at x^-2 endpoints; the mesh's
+quadrature and barycentric weights both follow from its nodes
+(_gauss_jacobi). Each level comes with its
 own error estimate from a second solve on 0.8 times the rows. The claimed
 energies enter only through the largest one, which seeds the first
 solve's size; the size is then taken again from that solve's own top
@@ -369,10 +371,11 @@ def _sinc_kinetic(n: int, mirror: bool) -> np.ndarray:
     mirror the points are i = 0..n-1 from the mirror, and the even sector
     of the full line's 2n - 1 points is T(i - j) + T(i + j) with row 0
     and column 0 scaled by 1/sqrt(2)."""
+    row = _sinc_t(np.arange(1 - n, 2 * n - 1))  # row[n - 1 + k] = T(k), both parts' offsets
     i = np.arange(n)
-    t = _sinc_t(i[:, None] - i[None, :])
+    t = row[n - 1 + i[:, None] - i]
     if mirror:
-        t += _sinc_t(i[:, None] + i[None, :])
+        t += row[n - 1 + i[:, None] + i]
         t[0, :] /= math.sqrt(2.0)
         t[:, 0] /= math.sqrt(2.0)
     return t
@@ -491,15 +494,14 @@ def dvr_spectrum(profile: potential.PotentialProfile, cmap, box: tuple[float, fl
     return _agreed_levels(levels, mirror, box, _points, _matrix, DVR_STEP, "sinc DVR")
 
 
-def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss rule of weight (1 - t)^alpha (1 + t)^beta on
-    (-1, 1): its nodes (ascending), from the eigenvalues of its Jacobi
-    matrix (Golub and Welsch, Math. Comp. 23 (1969) 221), their
-    Christoffel numbers and the nodes' barycentric weights, both of these
-    up to a common factor. The orthonormal polynomials p_k at the nodes
-    come from their three-term recurrence: the Christoffel number is
-    1 / sum_k p_k^2, and the barycentric weight is proportional to it
-    times p_(n-1)."""
+    (-1, 1): its nodes t (ascending), the eigenvalues of its Jacobi matrix
+    (Golub and Welsch, Math. Comp. 23 (1969) 221), and log |w_i| of their
+    barycentric weights w_i = 1 / prod_(j != i) (t_i - t_j), which follow
+    from the nodes alone; w_i has the sign (-1)^(n-1-i). The rule's
+    Christoffel numbers are w_i^2 / (1 - t_i^2) up to a common factor
+    (Wang, Huybrechs and Vandewalle, Math. Comp. 83 (2014) 2893)."""
     k = np.arange(n, dtype=float)
     s = 2.0 * k + alpha + beta
     a = np.empty(n)
@@ -509,11 +511,7 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     b = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
                 / (s ** 2 * (s + 1.0) * (s - 1.0)))
     t = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
-    p = np.ones((n, n))
-    for j in range(n - 1):
-        p[j + 1] = ((t - a[j]) * p[j] - (b[j - 1] * p[j - 1] if j else 0.0)) / b[j]
-    christoffel = 1.0 / np.sum(p * p, axis=0)
-    return t, christoffel, christoffel * p[-1]
+    return t, -np.log(np.abs(t[:, None] - t) + np.eye(n)).sum(axis=1)
 
 
 def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
@@ -552,7 +550,12 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
     two truncated ends included, so no spurious level enters. chi is the
     Lagrange basis at the n nodes (a Lagrange mesh, Baye, Phys. Rep. 565
     (2015) 1), so the overlap is diagonal and the n-row matrix is
-    symmetric.
+    symmetric. The basis's derivative matrix and the quadrature weights
+    both come from the barycentric weights b_i = 1 / prod_(j != i) (t_i - t_j),
+    which the nodes alone fix: the rule's Christoffel number is
+    b_i^2 / (1 - t_i^2) up to a common factor (Wang, Huybrechs and
+    Vandewalle, Math. Comp. 83 (2014) 2893), and log |b_i| is summed
+    from the node gaps.
 
     With a mirror (lo = mirror = x_t) the component is symmetric about
     x_t, a turning point of the map with no wall; a polynomial in z is
@@ -575,9 +578,9 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
     @functools.cache
     def _nodes(n: int) -> tuple:
         """Per node of the size-n rule: the x step and the potential
-        U - w''/w, all that sizing reads; then t, its Christoffel numbers and
-        barycentric weights, z and Q(z)."""
-        t, christoffel, bary = _gauss_jacobi(n, alpha, beta)
+        U - w''/w, all that sizing reads; then t, log |b| of its barycentric
+        weights b, z and Q(z)."""
+        t, log_bary = _gauss_jacobi(n, alpha, beta)
         z = z_lo + dz_dt * (1.0 + t)
         qz = Q(z)
         L = sum(s / (z - a) for a, s in powers.items())
@@ -587,19 +590,23 @@ def wall_spectrum(profile: potential.PotentialProfile, cmap, Q: Poly,
             raise GridError("a wall-basis node lies on a pole of the potential")
         t_gaps = np.diff(np.concatenate(([-1.0], t, [1.0])))
         h = np.maximum(t_gaps[:-1], t_gaps[1:]) * abs(dz_dt) / np.sqrt(qz)
-        return h, u, t, christoffel, bary, z, qz
+        return h, u, t, log_bary, z, qz
 
     def _matrix(n: int, _, u: np.ndarray) -> np.ndarray:
-        t, christoffel, bary, z, qz = _nodes(n)[2:]
-        gaps = t[:, None] - t[None, :]
-        np.fill_diagonal(gaps, 1.0)
-        D = bary[None, :] / bary[:, None] / gaps  # derivative of chi's basis in t
+        t, log_bary, z, qz = _nodes(n)[2:]
+        # derivative of chi's basis in t: (b_j / b_i) / (t_i - t_j) for the
+        # barycentric weights b, whose signs alternate
+        sign = (-1.0) ** np.arange(n)
+        D = (np.outer(sign, sign) * np.exp(log_bary - log_bary[:, None])
+             / (t[:, None] - t + np.eye(n)))
         np.fill_diagonal(D, 0.0)
         np.fill_diagonal(D, -D.sum(axis=1))  # each row of a derivative sums to 0
-        # the quadrature weight of w^2 dx at each node
-        log_m = (np.log(christoffel * abs(dz_dt)) - 0.5 * np.log(qz)
+        # the quadrature weight of w^2 dx = w^2 |dz/dt| dt / sqrt(Q) at each
+        # node, up to a common factor: the rule's Christoffel number,
+        # b^2 / (1 - t^2), over its weight
+        log_m = (2.0 * log_bary + np.log(abs(dz_dt)) - 0.5 * np.log(qz)
                  + sum(2.0 * s * np.log(np.abs(z - a)) for a, s in powers.items())
-                 - alpha * np.log1p(-t) - beta * np.log1p(t))
+                 - (1.0 + alpha) * np.log1p(-t) - (1.0 + beta) * np.log1p(t))
         m = np.exp(log_m - np.max(log_m))
         H = (D.T * (m * qz / dz_dt ** 2)) @ D  # (dt/dx)^2 = Q / (dz/dt)^2
         H.flat[::n + 1] += m * u

@@ -1321,6 +1321,47 @@ def test_a_claim_off_by_1e_7_fails_the_dvr_bound(monkeypatch, dvr_spectra, name,
     assert not all(rep.verdict for rep in reports)
 
 
+@pytest.mark.parametrize("mirror", [False, True])
+def test_the_sinc_kinetic_matrix_is_the_n_by_n_formula_bit_for_bit(mirror):
+    # gathered from one row of offsets, the matrix is the Colbert-Miller
+    # formula evaluated on every (i, j), to the bit and the sign of zero
+    def entries(k):
+        t = np.where(k % 2, -2.0, 2.0) / np.maximum(np.abs(k), 1).astype(float) ** 2
+        return np.where(k == 0, math.pi ** 2 / 3.0, t)
+
+    for n in (1, 2, 3, 28, 57, 228):
+        i = np.arange(n)
+        want = entries(i[:, None] - i[None, :])
+        if mirror:
+            want += entries(i[:, None] + i[None, :])
+            want[0, :] /= math.sqrt(2.0)
+            want[:, 0] /= math.sqrt(2.0)
+        got = verify._sinc_kinetic(n, mirror)
+        assert got.dtype == want.dtype and got.shape == (n, n)
+        assert got.tobytes() == want.tobytes(), n
+        assert np.array_equal(np.signbit(got), np.signbit(want)), n
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.2, -0.5), (1.0, 0.4)])
+@pytest.mark.parametrize("n", [60, 150, 337])
+def test_the_wall_rules_barycentric_weights_differentiate_a_polynomial(n, alpha, beta):
+    # from the Gauss-Jacobi nodes and their barycentric weights,
+    # D_ij = (w_j / w_i) / (t_i - t_j) with rows summing to zero is the
+    # derivative of the Lagrange basis: it maps T_(n-1) at the nodes to
+    # T'_(n-1) there, to 1e-11 of max |T'_(n-1)|
+    t, log_w = verify._gauss_jacobi(n, alpha, beta)
+    assert np.all(np.diff(t) > 0) and t[0] > -1.0 and t[-1] < 1.0
+    w = (-1.0) ** np.arange(n) * np.exp(log_w - log_w.max())
+    gaps = t[:, None] - t[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    D = w[None, :] / w[:, None] / gaps
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    T = np.polynomial.chebyshev.Chebyshev.basis(n - 1)
+    dT = T.deriv()(t)
+    assert np.max(np.abs(D @ T(t) - dT)) <= 1e-11 * np.max(np.abs(dT))
+
+
 def _poeschl_teller(kappa, lam):
     """U = kappa (kappa - 1) / sin^2 x + lam (lam - 1) / cos^2 x on the
     trigonometric map z = sin^2 x of (0, pi/2), Q = 4 z (1 - z), with its

@@ -7,8 +7,9 @@ and compare two such records.
 SRC is a checkout of this repository; its `src/qesf` is imported and run in
 process. The parity set is every config of SRC's `perfbench/vetted.json`
 (built with `perfbench/workloads.build_config`), the seven catalog presets
-at N = 0, 1, 2, 3, 5 and 8, and the wall, cosh, sinh and two-component
-configs of the CI console-script step. For each config, OUTDIR/<name>/
+at N = 0, 1, 2, 3, 5 and 8, the wall, cosh, sinh and two-component
+configs of the CI console-script step, and sextic-halfline at N = 40.
+For each config, OUTDIR/<name>/
 gets the solve CSV bytes, the stdout and stderr of the three commands
 (the work directory replaced by <WORK>, warnings as one
 `Category: message` line each), their exit codes and the verify JSON;
@@ -43,7 +44,8 @@ import traceback
 import warnings
 
 PRESET_NS = (0, 1, 2, 3, 5, 8)
-# the wall, cosh, sinh and two-component configs of .github/workflows/tier1.yml
+# the wall, cosh, sinh and two-component configs of .github/workflows/tier1.yml,
+# and one large wall basis
 CI_CONFIGS = {
     "w0-wall": {"Q": [0, 4], "P": [-1, 0, 2], "N": 1},
     "mirror": {"Q": [0, 4], "P": [0, 0, 2], "singularities": [{"a": 1, "mu": 0.3}], "N": 1},
@@ -63,6 +65,9 @@ CI_CONFIGS = {
     # z = sin^2 x: the wall z = 1 at x = pi/2 has nu = -0.2, bound and normalizable
     "negative-nu-wall": {"Q": [0, 4, -4], "P": [0, -4, 4], "N": 1,
                          "singularities": [{"a": 0, "mu": 0.25}, {"a": 1, "mu": -0.1}]},
+    # its 41 branches certify on a wall basis of up to 168 rows; the set's
+    # other sextic-halfline configs stop at N = 12, which needs 57
+    "sextic-halfline-N40": {"catalog": "sextic-halfline", "N": 40},
 }
 
 
